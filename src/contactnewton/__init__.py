@@ -12,10 +12,8 @@ without touching the mechanical system.
 
 from .collision import ContactFrame, ProximityPair, build_frames, detect, relinearize
 from .constraints import (
-    Delassus,
     DirectionMatrix,
     MappingDelassus,
-    Violation,
     assemble_direction,
     assemble_H,
     assemble_W_standard,
@@ -44,7 +42,7 @@ from .errors import (
     SingularBlockError,
     ValidationError,
 )
-from .linalg import Factorization, SparseSym, factorize, gemm, solve, solve_multi
+from .linalg import Factorization, SparseSym, gemm
 from .mesh import TetMesh, box_mesh, load_mesh, save_mesh
 from .scene import (
     SceneConfig,
@@ -57,6 +55,6 @@ from .scene import (
     save_snapshot,
     take_snapshot,
 )
-from .solver import LambdaState, NewtonConfig, PgsConfig, local_solve, newton_fast, newton_standard, pgs
+from .solver import NewtonConfig, PgsConfig, local_solve, newton_fast, newton_standard, pgs
 
 __version__ = "0.1.0"

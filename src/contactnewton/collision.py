@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateFrameError, InvalidAttachmentError
 
@@ -460,38 +459,6 @@ def attachment_triplets(attachment: Attachment, n_dofs: int, row0: int):
             f"attachment kind {attachment.kind} carries no DOFs"
         )
     return rows, cols, vals
-
-
-def build_mapping_jacobian(pairs, object_id: int, n_dofs: int) -> sp.csr_matrix:
-    """Unsigned mapping G for one object: (3 p) x n_dofs.
-
-    Row block i is the attachment map of whichever side of pair i the object
-    owns (zero when the object is not involved). G v is the velocity of the
-    object's proximity points.
-    """
-    rows, cols, vals = [], [], []
-    for i, pair in enumerate(pairs):
-        if pair.attach_a.object_id == object_id and pair.attach_a.kind in (
-            AttachKind.VERTEX,
-            AttachKind.BARYCENTRIC,
-            AttachKind.RIGID_LOCAL,
-        ):
-            r, c, v = attachment_triplets(pair.attach_a, n_dofs, 3 * i)
-            rows += r
-            cols += c
-            vals += v
-        elif pair.attach_b.object_id == object_id and pair.attach_b.kind in (
-            AttachKind.VERTEX,
-            AttachKind.BARYCENTRIC,
-            AttachKind.RIGID_LOCAL,
-        ):
-            r, c, v = attachment_triplets(pair.attach_b, n_dofs, 3 * i)
-            rows += r
-            cols += c
-            vals += v
-    return sp.coo_matrix(
-        (vals, (rows, cols)), shape=(3 * len(pairs), n_dofs)
-    ).tocsr()
 
 
 def attachment_point(attachment: Attachment, view) -> np.ndarray:

@@ -71,17 +71,6 @@ def assemble_direction(frames: list[ContactFrame]) -> DirectionMatrix:
 
 
 @dataclass
-class Delassus:
-    """Constraint-space compliance operator (c x c, symmetric PSD)."""
-
-    W: np.ndarray
-
-    @property
-    def c(self) -> int:
-        return self.W.shape[0]
-
-
-@dataclass
 class MappingDelassus:
     """Direction-independent compliance in proximity space (3p x 3p).
 
@@ -131,11 +120,11 @@ def assemble_H(D: DirectionMatrix, G: sp.spmatrix) -> sp.csr_matrix:
 
 def assemble_W_standard(
     H_by_object: dict[int, sp.spmatrix], F_by_object: dict[int, Factorization]
-) -> Delassus:
+) -> np.ndarray:
     """W = sum_obj H A^-1 H^T via multi-RHS backsolves on the shared factorizations."""
     ids = sorted(H_by_object)
     if not ids:
-        return Delassus(np.zeros((0, 0)))
+        return np.zeros((0, 0))
     c = H_by_object[ids[0]].shape[0]
     W = np.zeros((c, c))
     for oid in ids:
@@ -149,7 +138,7 @@ def assemble_W_standard(
             continue
         X = F.solve_multi(H.T.toarray())
         W += H @ X
-    return Delassus(W)
+    return W
 
 
 def assemble_Wg(
@@ -179,39 +168,26 @@ def assemble_Wg(
     return MappingDelassus(wg, per_object)
 
 
-def rebuild_W_fast(D: DirectionMatrix, wg: MappingDelassus) -> Delassus:
+def rebuild_W_fast(D: DirectionMatrix, wg: MappingDelassus) -> np.ndarray:
     """W = D W_g D^T by dense congruence; no system solves, cost independent of n."""
     if D.c != wg.dim:
         raise DimensionMismatchError(
             f"direction matrix is {D.c} rows, W_g is {wg.dim}"
         )
     if D.c == 0:
-        return Delassus(np.zeros((0, 0)))
+        return np.zeros((0, 0))
     Dd = D.as_dense()
-    return Delassus(gemm(gemm(Dd, wg.wg), Dd, transpose_b=True))
+    return gemm(gemm(Dd, wg.wg), Dd, transpose_b=True)
 
 
-@dataclass
-class Violation:
-    """Projected gaps per group, rows (delta_n, delta_t1, delta_t2)."""
-
-    delta: np.ndarray  # (c,)
-
-    def normal_components(self) -> np.ndarray:
-        return self.delta.reshape(-1, 3)[:, 0]
-
-    def max_penetration(self) -> float:
-        n = self.normal_components()
-        return float(max(0.0, -(n.min() if n.size else 0.0)))
-
-
-def compute_violation(D: DirectionMatrix, p_a: np.ndarray, p_b: np.ndarray) -> Violation:
+def compute_violation(D: DirectionMatrix, p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
+    """Projected gaps D (p_a - p_b), rows (delta_n, delta_t1, delta_t2) per group."""
     rel = (p_a - p_b).ravel()
     if rel.size != D.c:
         raise DimensionMismatchError(
             f"positions stack to {rel.size}, direction matrix expects {D.c}"
         )
-    return Violation(D.apply(rel))
+    return D.apply(rel)
 
 
 def fast_update_proximity(

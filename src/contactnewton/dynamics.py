@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonFiniteForceError, ValidationError
-from .linalg import Factorization, SparseSym, factorize
+from .linalg import Factorization, SparseSym
 from .mesh import TetMesh, check_positive_volumes, tet_volumes
 
 
@@ -250,14 +250,9 @@ class RigidBody:
 
 
 def compute_free_motion(
-    A: SparseSym,
-    b: np.ndarray,
-    state: MechanicalState,
-    h: float,
-    factorization: Factorization | None = None,
+    F: Factorization, b: np.ndarray, state: MechanicalState, h: float
 ) -> FreeMotion:
-    """dv_free = A^-1 b and the free positions; keeps the factorization for reuse."""
-    F = factorization if factorization is not None else factorize(A)
+    """dv_free = A^-1 b on the factorization of A, and the free positions."""
     dv = F.solve(b)
     q_free = state.q + h * (state.v + dv)
     return FreeMotion(dv, q_free, F)

@@ -51,9 +51,6 @@ class SparseSym:
     def toarray(self) -> np.ndarray:
         return self.csr.toarray()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
 
 class Factorization:
     """Factorization of a :class:`SparseSym`, reusable for many solves.
@@ -104,18 +101,6 @@ class Factorization:
             )
         self.solve_count += B.shape[1]
         return self._lu.solve(B)
-
-
-def factorize(A: SparseSym) -> Factorization:
-    return Factorization(A)
-
-
-def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
-    return F.solve(b)
-
-
-def solve_multi(F: Factorization, B: np.ndarray) -> np.ndarray:
-    return F.solve_multi(B)
 
 
 def gemm(

@@ -26,13 +26,7 @@ from scipy.spatial.transform import Rotation
 
 from . import collision
 from .collision import MeshGeometry, PlaneGeometry, Pose, SphereGeometry
-from .constraints import (
-    MappingDelassus,
-    assemble_Wg,
-    assemble_direction,
-    build_signed_mapping,
-    compute_violation,
-)
+from .constraints import assemble_Wg, build_signed_mapping
 from .dynamics import (
     MechanicalState,
     RigidBody,
@@ -41,7 +35,7 @@ from .dynamics import (
     integrate_correction,
 )
 from .errors import ParseError, ValidationError
-from .linalg import factorize
+from .linalg import Factorization
 from .mesh import TetMesh, box_mesh, load_mesh, surface_triangles, surface_vertices
 from .solver import (
     NewtonConfig,
@@ -119,6 +113,10 @@ class OutputConfig:
     metrics: bool = True
     every: int = 1
 
+    def __post_init__(self):
+        if self.every < 1:
+            raise ValidationError(f"output.every must be >= 1, got {self.every}")
+
 
 @dataclass
 class SceneConfig:
@@ -148,15 +146,48 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _mapping(value, where):
+    """A scene section as a dict; an absent or empty section reads as {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected a mapping, got {value!r}")
+    return value
+
+
+def _number(value, where, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _array(value, where, dtype=np.float64):
+    try:
+        return np.asarray(value, dtype=dtype).ravel()
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected a list of numbers, got {value!r}") from None
+
+
 def _vec3(value, where):
-    arr = np.asarray(value, dtype=np.float64).ravel()
+    arr = _array(value, where)
     if arr.shape != (3,):
         raise ValidationError(f"{where}: expected 3 components, got {value!r}")
     return tuple(arr)
 
 
+def _box_params(box, where):
+    box = _mapping(box, where)
+    divisions = _array(_require(box, "divisions", where), where, np.int64)
+    return {
+        "size": _vec3(_require(box, "size", where), where),
+        "divisions": tuple(int(d) for d in divisions),
+        "center": _vec3(box.get("center", (0, 0, 0)), where),
+    }
+
+
 def _load_soft(entry, name, base_dir):
-    mesh_spec = _require(entry, "mesh", name)
+    mesh_spec = _mapping(_require(entry, "mesh", name), f"{name}.mesh")
     box_params = None
     if "file" in mesh_spec:
         path = os.path.join(base_dir, mesh_spec["file"])
@@ -164,42 +195,42 @@ def _load_soft(entry, name, base_dir):
             raise ValidationError(f"{name}: mesh file does not exist: {path}")
         mesh = load_mesh(path)
     elif "box" in mesh_spec:
-        box = mesh_spec["box"]
-        box_params = {
-            "size": _vec3(_require(box, "size", f"{name}.mesh.box"), name),
-            "divisions": tuple(int(d) for d in _require(box, "divisions", f"{name}.mesh.box")),
-            "center": _vec3(box.get("center", (0, 0, 0)), name),
-        }
+        box_params = _box_params(mesh_spec["box"], f"{name}.mesh.box")
         mesh = box_mesh(**box_params)
     else:
         raise ValidationError(f"{name}: mesh needs either 'file' or 'box'")
 
-    material = entry.get("material", {})
-    fixed = np.asarray(entry.get("fixed_nodes", []), dtype=np.int64)
+    material = _mapping(entry.get("material"), f"{name}.material")
+    fixed = _array(entry.get("fixed_nodes", []), f"{name}.fixed_nodes", np.int64)
     region = entry.get("fixed_region")
     if region is not None:
+        region = _mapping(region, f"{name}.fixed_region")
         axis = {"x": 0, "y": 1, "z": 2}.get(region.get("axis"), region.get("axis"))
         if axis not in (0, 1, 2):
             raise ValidationError(f"{name}: fixed_region.axis must be x, y or z")
         coords = mesh.nodes[:, axis]
         mask = np.ones(len(coords), dtype=bool)
         if "max" in region:
-            mask &= coords <= float(region["max"])
+            mask &= coords <= _number(region["max"], f"{name}.fixed_region.max")
         if "min" in region:
-            mask &= coords >= float(region["min"])
+            mask &= coords >= _number(region["min"], f"{name}.fixed_region.min")
         fixed = np.union1d(fixed, np.flatnonzero(mask))
     extra = entry.get("extra_force")
     return SoftSpec(
         name=name,
         mesh=mesh,
-        young=float(material.get("young", 1e4)),
-        poisson=float(material.get("poisson", 0.3)),
-        density=float(material.get("density", 1000.0)),
-        rayleigh_mass=float(material.get("rayleigh_mass", 0.1)),
-        rayleigh_stiffness=float(material.get("rayleigh_stiffness", 0.1)),
+        young=_number(material.get("young", 1e4), f"{name}.material.young"),
+        poisson=_number(material.get("poisson", 0.3), f"{name}.material.poisson"),
+        density=_number(material.get("density", 1000.0), f"{name}.material.density"),
+        rayleigh_mass=_number(material.get("rayleigh_mass", 0.1), f"{name}.material.rayleigh_mass"),
+        rayleigh_stiffness=_number(
+            material.get("rayleigh_stiffness", 0.1), f"{name}.material.rayleigh_stiffness"
+        ),
         fixed_nodes=fixed,
         velocity=_vec3(entry.get("velocity", (0, 0, 0)), name),
-        node_mass=float(entry["node_mass"]) if "node_mass" in entry else None,
+        node_mass=(
+            _number(entry["node_mass"], f"{name}.node_mass") if "node_mass" in entry else None
+        ),
         extra_force=_vec3(entry["extra_force"], name) if extra is not None else None,
         box_params=box_params,
     )
@@ -212,7 +243,9 @@ def _plate_mesh(entry, name):
     if nn == 0:
         raise ValidationError(f"{name}: plate normal must be nonzero")
     normal = normal / nn
-    size = entry.get("size", (0.1, 0.1))
+    size = _array(entry.get("size", (0.1, 0.1)), f"{name}.plate.size")
+    if size.shape != (2,):
+        raise ValidationError(f"{name}: plate size needs 2 components")
     w, hgt = float(size[0]), float(size[1])
     u = np.cross(normal, [0.0, 0.0, 1.0])
     if np.linalg.norm(u) < 1e-6:
@@ -237,44 +270,43 @@ def _plate_mesh(entry, name):
 
 def _load_kinematic(entry, name, base_dir):
     if "plate" in entry:
-        points, tris = _plate_mesh(entry["plate"], name)
+        points, tris = _plate_mesh(_mapping(entry["plate"], f"{name}.plate"), name)
     elif "mesh" in entry:
-        mesh_spec = entry["mesh"]
+        mesh_spec = _mapping(entry["mesh"], f"{name}.mesh")
         if "file" in mesh_spec:
             path = os.path.join(base_dir, mesh_spec["file"])
             if not os.path.exists(path):
                 raise ValidationError(f"{name}: mesh file does not exist: {path}")
             mesh = load_mesh(path)
         else:
-            box = mesh_spec.get("box", {})
-            mesh = box_mesh(
-                _vec3(_require(box, "size", name), name),
-                tuple(int(d) for d in _require(box, "divisions", name)),
-                _vec3(box.get("center", (0, 0, 0)), name),
-            )
+            mesh = box_mesh(**_box_params(mesh_spec.get("box"), f"{name}.mesh.box"))
         points, tris = mesh.nodes, surface_triangles(mesh)
     else:
         raise ValidationError(f"{name}: kinematic object needs 'plate' or 'mesh'")
-    motion = entry.get("motion", {})
+    motion = _mapping(entry.get("motion"), f"{name}.motion")
     spec = MotionSpec(
         axis=_vec3(motion.get("axis", (0, 0, 1)), name),
         center=_vec3(motion.get("center", (0, 0, 0)), name),
-        angular_velocity=float(motion.get("angular_velocity", 0.0)),
+        angular_velocity=_number(
+            motion.get("angular_velocity", 0.0), f"{name}.motion.angular_velocity"
+        ),
         velocity=_vec3(motion.get("velocity", (0, 0, 0)), name),
     )
     return KinematicMeshSpec(name=name, points=points, triangles=tris, motion=spec)
 
 
 def _load_rigid_sphere(entry, name):
-    mass = float(_require(entry, "mass", name))
-    radius = float(_require(entry, "radius", name))
+    mass = _number(_require(entry, "mass", name), f"{name}.mass")
+    radius = _number(_require(entry, "radius", name), f"{name}.radius")
     inertia = entry.get("inertia")
     if inertia is None:
         inertia_mat = (0.4 * mass * radius * radius) * np.eye(3)
     else:
-        arr = np.asarray(inertia, dtype=np.float64)
-        inertia_mat = np.diag(arr) if arr.ndim == 1 else arr.reshape(3, 3)
-    vel = np.asarray(entry.get("velocity", np.zeros(6)), dtype=np.float64).ravel()
+        arr = _array(inertia, f"{name}.inertia")
+        if arr.size not in (3, 9):
+            raise ValidationError(f"{name}: inertia needs 3 or 9 components")
+        inertia_mat = np.diag(arr) if arr.size == 3 else arr.reshape(3, 3)
+    vel = _array(entry.get("velocity", np.zeros(6)), f"{name}.velocity")
     if vel.shape == (3,):
         vel = np.concatenate([vel, np.zeros(3)])
     if vel.shape != (6,):
@@ -302,8 +334,12 @@ def load_scene(path) -> SceneConfig:
         raise ParseError(f"{path}: scene file must be a mapping")
     base_dir = os.path.dirname(os.path.abspath(path))
 
+    raw_objects = raw.get("objects", [])
+    if not isinstance(raw_objects, list):
+        raise ValidationError(f"objects: expected a list, got {raw_objects!r}")
     objects = []
-    for i, entry in enumerate(raw.get("objects", [])):
+    for i, entry in enumerate(raw_objects):
+        entry = _mapping(entry, f"objects[{i}]")
         name = entry.get("name", f"object{i}")
         kind = _require(entry, "type", name)
         if kind == "soft":
@@ -313,7 +349,7 @@ def load_scene(path) -> SceneConfig:
                 PlaneSpec(
                     name=name,
                     normal=_vec3(entry.get("normal", (0, 1, 0)), name),
-                    offset=float(entry.get("offset", 0.0)),
+                    offset=_number(entry.get("offset", 0.0), f"{name}.offset"),
                 )
             )
         elif kind in ("kinematic_mesh", "static_mesh"):
@@ -326,29 +362,31 @@ def load_scene(path) -> SceneConfig:
         else:
             raise ValidationError(f"{name}: unknown object type {kind!r}")
 
-    pgs_raw = raw.get("pgs", {})
-    newton_raw = raw.get("newton", {})
-    out_raw = raw.get("output", {})
+    pgs_raw = _mapping(raw.get("pgs"), "pgs")
+    newton_raw = _mapping(raw.get("newton"), "newton")
+    out_raw = _mapping(raw.get("output"), "output")
     config = SceneConfig(
         objects=objects,
         gravity=_vec3(raw.get("gravity", DEFAULT_GRAVITY), "gravity"),
-        h=float(raw.get("dt", DEFAULT_DT)),
-        threshold=float(raw.get("threshold", DEFAULT_THRESHOLD)),
+        h=_number(raw.get("dt", DEFAULT_DT), "dt"),
+        threshold=_number(raw.get("threshold", DEFAULT_THRESHOLD), "threshold"),
         pgs=PgsConfig(
-            max_iterations=int(pgs_raw.get("iterations", 30)),
-            tolerance=float(pgs_raw.get("tolerance", 1e-6)),
-            friction=float(raw.get("mu", DEFAULT_MU)),
+            max_iterations=_number(pgs_raw.get("iterations", 30), "pgs.iterations", int),
+            tolerance=_number(pgs_raw.get("tolerance", 1e-6), "pgs.tolerance"),
+            friction=_number(raw.get("mu", DEFAULT_MU), "mu"),
         ),
         newton=NewtonConfig(
             scheme=str(newton_raw.get("scheme", "single")),
-            max_iterations=int(newton_raw.get("iterations", 5)),
-            penetration_tol=float(newton_raw.get("penetration_tol", 1e-5)),
+            max_iterations=_number(newton_raw.get("iterations", 5), "newton.iterations", int),
+            penetration_tol=_number(
+                newton_raw.get("penetration_tol", 1e-5), "newton.penetration_tol"
+            ),
             relinearize=bool(newton_raw.get("relinearize", True)),
         ),
         output=OutputConfig(
             snapshots=bool(out_raw.get("snapshots", True)),
             metrics=bool(out_raw.get("metrics", True)),
-            every=int(out_raw.get("every", 1)),
+            every=_number(out_raw.get("every", 1), "output.every", int),
         ),
     )
     return config
@@ -398,10 +436,10 @@ class _SoftRuntime:
         self.state = self.body.initial_state(spec.velocity)
         self.factorization = None  # A is constant (linear material): built once
 
-    def geometry(self, state):
+    def geometry(self, states, t):
         return MeshGeometry(
             object_id=self.oid,
-            points=state.q.reshape(-1, 3),
+            points=states[self.oid].q.reshape(-1, 3),
             triangles=self.triangles,
             vertex_ids=self.vertex_ids,
             deformable=True,
@@ -411,11 +449,18 @@ class _SoftRuntime:
     def assemble(self, state, h, gravity):
         A, b = self.body.assemble(state, h, gravity)
         if self.factorization is None:
-            self.factorization = factorize(A)
+            self.factorization = Factorization(A)
         return self.factorization, b
 
-    def view_at(self, q):
-        return q.reshape(-1, 3)
+    def view(self, q_by_object, t):
+        return q_by_object[self.oid].reshape(-1, 3)
+
+    def commit(self, state):
+        self.state = state
+
+    def saved_state(self):
+        """(q, v) as the snapshot stores them."""
+        return self.state.q.copy(), self.state.v.copy()
 
 
 class _RigidRuntime:
@@ -434,8 +479,8 @@ class _RigidRuntime:
         rot = Rotation.from_rotvec(q[3:]).as_matrix() @ self.rotation
         return Pose(rot, q[:3])
 
-    def geometry(self, state):
-        pose = self.pose_at(state.q)
+    def geometry(self, states, t):
+        pose = self.pose_at(states[self.oid].q)
         return SphereGeometry(
             object_id=self.oid,
             center=pose.position,
@@ -446,10 +491,10 @@ class _RigidRuntime:
 
     def assemble(self, state, h, gravity):
         A, b = self.body.assemble(self.rotation, h, gravity)
-        return factorize(A), b
+        return Factorization(A), b
 
-    def view_at(self, q):
-        return self.pose_at(q)
+    def view(self, q_by_object, t):
+        return self.pose_at(q_by_object[self.oid])
 
     def commit(self, state):
         """Fold the rotation increment into the pose; quaternion re-normalized."""
@@ -460,6 +505,11 @@ class _RigidRuntime:
             np.concatenate([state.q[:3], np.zeros(3)]), state.v
         )
 
+    def saved_state(self):
+        """Position and orientation quaternion, and the 6-DOF velocity."""
+        quat = Rotation.from_matrix(self.rotation).as_quat()
+        return np.concatenate([self.state.q[:3], quat]), self.state.v.copy()
+
 
 class _KinematicRuntime:
     kind = "kinematic"
@@ -468,7 +518,6 @@ class _KinematicRuntime:
     def __init__(self, oid, spec: KinematicMeshSpec):
         self.oid = oid
         self.spec = spec
-        self.time = 0.0
 
     def pose_at(self, t):
         m = self.spec.motion
@@ -482,7 +531,7 @@ class _KinematicRuntime:
         position = center - rot @ center + np.asarray(m.velocity) * t
         return Pose(rot, position)
 
-    def geometry_at(self, t):
+    def geometry(self, states, t):
         pose = self.pose_at(t)
         return MeshGeometry(
             object_id=self.oid,
@@ -494,6 +543,12 @@ class _KinematicRuntime:
             pose=pose,
         )
 
+    def view(self, q_by_object, t):
+        return self.pose_at(t)
+
+    def saved_state(self):
+        return np.zeros(0), np.zeros(0)
+
 
 class _PlaneRuntime:
     kind = "plane"
@@ -503,8 +558,14 @@ class _PlaneRuntime:
         self.oid = oid
         self.spec = spec
 
-    def geometry(self):
+    def geometry(self, states, t):
         return PlaneGeometry(object_id=self.oid, normal=self.spec.normal, offset=self.spec.offset)
+
+    def view(self, q_by_object, t):
+        return None
+
+    def saved_state(self):
+        return np.zeros(0), np.zeros(0)
 
 
 # --- step report ---------------------------------------------------------------
@@ -583,27 +644,8 @@ class Simulation:
     def total_dofs(self) -> int:
         return sum(o.body.n_dofs for o in self.dynamic_objects)
 
-    def _geometries(self, states, t):
-        geoms = []
-        for obj in self.objects:
-            if obj.kind in ("soft", "rigid"):
-                geoms.append(obj.geometry(states[obj.oid]))
-            elif obj.kind == "kinematic":
-                geoms.append(obj.geometry_at(t))
-            else:
-                geoms.append(obj.geometry())
-        return geoms
-
     def _views(self, q_by_object, t):
-        views = {}
-        for obj in self.objects:
-            if obj.dynamic:
-                views[obj.oid] = obj.view_at(q_by_object[obj.oid])
-            elif obj.kind == "kinematic":
-                views[obj.oid] = obj.pose_at(t)
-            else:
-                views[obj.oid] = None
-        return views
+        return {obj.oid: obj.view(q_by_object, t) for obj in self.objects}
 
     def prepare_step(self, build_wg: bool | None = None):
         """Run the pre-correction pipeline (detect through free violation).
@@ -618,7 +660,7 @@ class Simulation:
         t_begin = time.perf_counter()
 
         states = {o.oid: o.state for o in self.dynamic_objects}
-        geoms = self._geometries(states, self.time)
+        geoms = [obj.geometry(states, self.time) for obj in self.objects]
         pairs = collision.detect(geoms, cfg.threshold)
         frames = collision.build_frames(pairs)
         t_detect = time.perf_counter()
@@ -634,8 +676,7 @@ class Simulation:
         free = {}
         for obj in self.dynamic_objects:
             free[obj.oid] = compute_free_motion(
-                factorizations[obj.oid], rhs[obj.oid], states[obj.oid], h,
-                factorization=factorizations[obj.oid],
+                factorizations[obj.oid], rhs[obj.oid], states[obj.oid], h
             )
         t_free = time.perf_counter()
 
@@ -699,8 +740,7 @@ class Simulation:
         elif cfg.newton.scheme == "standard":
             result = newton_standard(ctx, cfg.newton, cfg.pgs)
         else:  # single corrective motion: the degenerate one-iteration loop
-            ncfg = replace(cfg.newton, max_iterations=1, relinearize=False)
-            result = newton_standard(ctx, ncfg, cfg.pgs)
+            result = newton_standard(ctx, replace(cfg.newton, max_iterations=1), cfg.pgs)
 
         new_states = {}
         for obj in self.dynamic_objects:
@@ -720,20 +760,14 @@ class Simulation:
 
         # commit
         for obj in self.dynamic_objects:
-            if obj.kind == "rigid":
-                obj.commit(new_states[obj.oid])
-            else:
-                obj.state = new_states[obj.oid]
-        for obj in self.objects:
-            if obj.kind == "kinematic":
-                obj.time = t_next
+            obj.commit(new_states[obj.oid])
         self.time = t_next
         self.step_index += 1
         self.last_pairs = pairs
         self.last_frames = result.final_frames
-        self.last_lam = result.state.lam
+        self.last_lam = result.lam
 
-        lam_groups = result.state.lam.reshape(-1, 3) if result.state.lam.size else np.zeros((0, 3))
+        lam_groups = result.lam.reshape(-1, 3) if result.lam.size else np.zeros((0, 3))
         lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)
         iterations = result.iterations
         return StepReport(
@@ -779,14 +813,7 @@ class Snapshot:
 def take_snapshot(sim: Simulation) -> Snapshot:
     objects = []
     for obj in sim.objects:
-        if obj.kind == "soft":
-            objects.append((obj.oid, "soft", obj.state.q.copy(), obj.state.v.copy()))
-        elif obj.kind == "rigid":
-            quat = Rotation.from_matrix(obj.rotation).as_quat()
-            q = np.concatenate([obj.state.q[:3], quat])
-            objects.append((obj.oid, "rigid", q, obj.state.v.copy()))
-        else:
-            objects.append((obj.oid, obj.kind, np.zeros(0), np.zeros(0)))
+        objects.append((obj.oid, obj.kind, *obj.saved_state()))
     pairs = []
     for i, pair in enumerate(sim.last_pairs):
         frame = sim.last_frames[i].as_matrix() if i < len(sim.last_frames) else np.eye(3)
@@ -833,23 +860,29 @@ def load_snapshot(path) -> Snapshot:
     pos = blob.find(end_marker)
     if pos < 0 or not blob.startswith(SNAPSHOT_MAGIC.encode("ascii")):
         raise ParseError(f"{path}: not a snapshot file")
-    header_lines = blob[:pos].decode("ascii").splitlines()[1:]
-    data = np.frombuffer(blob[pos + len(end_marker):], dtype="<f8")
-    it = iter(header_lines)
-    step = int(next(it).split()[1])
-    t = float(next(it).split()[1])
-    n_objects = int(next(it).split()[1])
+    try:
+        it = iter(blob[:pos].decode("ascii").splitlines()[1:])
+        step = int(next(it).split()[1])
+        t = float(next(it).split()[1])
+        obj_dims = []
+        for _ in range(int(next(it).split()[1])):
+            _, oid, kind, nq, nv = next(it).split()
+            obj_dims.append((int(oid), kind, int(nq), int(nv)))
+        pair_ids = []
+        for _ in range(int(next(it).split()[1])):
+            _, oa, ob = next(it).split()
+            pair_ids.append((int(oa), int(ob)))
+    except (StopIteration, IndexError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed snapshot header ({exc})") from exc
+    payload = blob[pos + len(end_marker):]
+    expected = sum(nq + nv for _, _, nq, nv in obj_dims) + 18 * len(pair_ids)
+    if len(payload) != 8 * expected:
+        raise ParseError(
+            f"{path}: payload is {len(payload)} bytes, the header describes {8 * expected}"
+        )
+    data = np.frombuffer(payload, dtype="<f8")
     cursor = 0
     objects = []
-    obj_dims = []
-    for _ in range(n_objects):
-        _, oid, kind, nq, nv = next(it).split()
-        obj_dims.append((int(oid), kind, int(nq), int(nv)))
-    n_pairs = int(next(it).split()[1])
-    pair_ids = []
-    for _ in range(n_pairs):
-        _, oa, ob = next(it).split()
-        pair_ids.append((int(oa), int(ob)))
     for oid, kind, nq, nv in obj_dims:
         q = data[cursor : cursor + nq].copy()
         cursor += nq

@@ -7,20 +7,31 @@ and projected onto the friction disk of radius mu * lambda_n. The sweep
 stops when the relative change of lambda drops below the configured
 tolerance.
 
-Two Newton-style correction schemes share the loop structure and differ in
-how they rebuild the compliance matrix and move the proximity points:
+The recursive correction is one Newton loop, :func:`_newton`. Each
+iteration re-linearizes the directions from the current proximity positions
+(stopping when they turned by no more than ``rotation_tol``), rebuilds the
+compliance W, runs PGS on the violation at the current positions, moves the
+proximity points by the resulting impulse, and stops once PGS's end-of-step
+penetration is within ``penetration_tol``. A scheme supplies three
+operations:
 
-  standard  rebuild W = sum H A^-1 H^T (multi-RHS backsolves), apply the
-            mechanical correction dv = h A^-1 H^T lambda and re-evaluate
-            proximity positions from the corrected mechanical state;
+  rebuild   W from the current directions D;
+  move      the proximity points after the impulse D^T lambda;
+  finish    the mechanical velocity corrections once the loop ends.
 
-  fast      rebuild W = D W_g D^T (dense congruence) and update the
-            proximity positions in constraint space; a single mechanical
-            correction with the accumulated impulse runs after the loop.
+The two schemes bind them as follows:
+
+  standard  rebuild W = sum H A^-1 H^T (multi-RHS backsolves); move by the
+            mechanical correction dv = h A^-1 S^T D^T lambda and re-evaluate
+            the proximity positions from the corrected state; finish with
+            the sum of the per-iteration corrections;
+
+  fast      rebuild W = D W_g D^T (dense congruence); move in constraint
+            space, p += h^2 W_g D^T lambda, with no system solve; finish
+            with one mechanical correction by the accumulated impulse.
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
-loop is exactly the classic single-correction scheme. Later iterations
-re-linearize directions from the current proximity positions.
+loop is exactly the classic single-correction scheme.
 """
 
 from __future__ import annotations
@@ -33,8 +44,6 @@ import numpy as np
 
 from .collision import ContactFrame, max_frame_rotation, relinearize
 from .constraints import (
-    Delassus,
-    DirectionMatrix,
     MappingDelassus,
     assemble_H,
     assemble_W_standard,
@@ -86,14 +95,6 @@ class PgsResult:
     iterations: int
     eps_history: list[float]
     converged: bool
-
-
-@dataclass
-class LambdaState:
-    """Group impulses of one correction plus the running impulse total."""
-
-    lam: np.ndarray  # (c,) grouped (lambda_n, lambda_t1, lambda_t2)
-    accumulated: np.ndarray  # (3p,) sum over iterations of D_k^T lambda_k
 
 
 def regularize(W: np.ndarray) -> np.ndarray:
@@ -235,10 +236,9 @@ class IterationStats:
 class CorrectionResult:
     dv_by_object: dict[int, np.ndarray]
     lam_history: list[np.ndarray]
-    state: LambdaState
+    lam: np.ndarray  # (c,) grouped (lambda_n, lambda_t1, lambda_t2), last iteration
     iterations: list[IterationStats] = field(default_factory=list)
     final_frames: list[ContactFrame] = field(default_factory=list)
-    build_wg_time: float = 0.0
     final_correction_time: float = 0.0
 
 
@@ -257,16 +257,22 @@ def _mechanical_correction(ctx: StepContext, t: np.ndarray) -> dict[str, np.ndar
     return dv
 
 
-def newton_standard(
-    ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig
+def _newton(
+    ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig, rebuild, move, finish
 ) -> CorrectionResult:
-    """Recursive correction rebuilding W by multi-RHS backsolves each iteration."""
+    """The recursive correction loop shared by both schemes.
+
+    ``rebuild(D)`` returns W, ``move(D, lam, p_a, p_b)`` returns the new
+    proximity positions, and ``finish(accumulated)`` turns the summed impulse
+    D_k^T lambda_k into ``(dv_by_object, final_correction_time)``. The
+    operations must look up their module-level names when called: the layer
+    tracer of the benchmark patches those names.
+    """
     frames = list(ctx.detection_frames)
     D = assemble_direction(frames)
     p_a, p_b = ctx.p_a0.copy(), ctx.p_b0.copy()
-    dv = {oid: np.zeros(S.shape[1]) for oid, S in sorted(ctx.S_by_object.items())}
     accumulated = np.zeros(3 * len(ctx.pairs))
-    result = CorrectionResult(dv, [], LambdaState(np.zeros(D.c), accumulated))
+    result = CorrectionResult({}, [], np.zeros(D.c))
     for k in range(ncfg.max_iterations):
         rotation = 0.0
         if k > 0 and ncfg.relinearize:
@@ -277,21 +283,15 @@ def newton_standard(
             if rotation <= ncfg.rotation_tol:
                 break
         t0 = time.perf_counter()
-        H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
-        W = assemble_W_standard(H, ctx.F_by_object)
+        W = rebuild(D)
         t1 = time.perf_counter()
-        delta = compute_violation(D, p_a, p_b)
-        res = pgs(W.W, delta.delta, ctx.h, pcfg)
+        res = pgs(W, compute_violation(D, p_a, p_b), ctx.h, pcfg)
         t2 = time.perf_counter()
-        t = D.apply_transposed(res.lam)
-        dv_k = _mechanical_correction(ctx, t)
-        for oid in dv:
-            dv[oid] = dv[oid] + dv_k[oid]
-        p_a, p_b = ctx.refresh(dv)
+        p_a, p_b = move(D, res.lam, p_a, p_b)
         t3 = time.perf_counter()
-        accumulated += t
+        accumulated += D.apply_transposed(res.lam)
         result.lam_history.append(res.lam)
-        result.state = LambdaState(res.lam, accumulated)
+        result.lam = res.lam
         pen = _penetration(res.delta_end)
         result.iterations.append(
             IterationStats(
@@ -306,9 +306,28 @@ def newton_standard(
         )
         if pen <= ncfg.penetration_tol:
             break
-    result.dv_by_object = dv
+    result.dv_by_object, result.final_correction_time = finish(accumulated)
     result.final_frames = frames
     return result
+
+
+def newton_standard(
+    ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig
+) -> CorrectionResult:
+    """Recursive correction rebuilding W by multi-RHS backsolves each iteration."""
+    dv = {oid: np.zeros(S.shape[1]) for oid, S in sorted(ctx.S_by_object.items())}
+
+    def rebuild(D):
+        H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
+        return assemble_W_standard(H, ctx.F_by_object)
+
+    def move(D, lam, p_a, p_b):
+        dv_k = _mechanical_correction(ctx, D.apply_transposed(lam))
+        for oid in dv:
+            dv[oid] = dv[oid] + dv_k[oid]
+        return ctx.refresh(dv)
+
+    return _newton(ctx, ncfg, pcfg, rebuild, move, lambda accumulated: (dv, 0.0))
 
 
 def newton_fast(
@@ -321,47 +340,13 @@ def newton_fast(
     """
     if ctx.wg is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
-    frames = list(ctx.detection_frames)
-    D = assemble_direction(frames)
-    p_a, p_b = ctx.p_a0.copy(), ctx.p_b0.copy()
-    accumulated = np.zeros(3 * len(ctx.pairs))
-    result = CorrectionResult({}, [], LambdaState(np.zeros(D.c), accumulated))
-    for k in range(ncfg.max_iterations):
-        rotation = 0.0
-        if k > 0 and ncfg.relinearize:
-            new_frames = relinearize(ctx.pairs, p_a, p_b, frames)
-            rotation = max_frame_rotation(frames, new_frames)
-            frames = new_frames
-            D = assemble_direction(frames)
-            if rotation <= ncfg.rotation_tol:
-                break
+
+    def move(D, lam, p_a, p_b):
+        return fast_update_proximity(p_a, p_b, ctx.wg, D, lam, ctx.h, ctx.pairs)
+
+    def finish(accumulated):
         t0 = time.perf_counter()
-        W = rebuild_W_fast(D, ctx.wg)
-        t1 = time.perf_counter()
-        delta = compute_violation(D, p_a, p_b)
-        res = pgs(W.W, delta.delta, ctx.h, pcfg)
-        t2 = time.perf_counter()
-        p_a, p_b = fast_update_proximity(p_a, p_b, ctx.wg, D, res.lam, ctx.h, ctx.pairs)
-        t3 = time.perf_counter()
-        accumulated += D.apply_transposed(res.lam)
-        result.lam_history.append(res.lam)
-        result.state = LambdaState(res.lam, accumulated)
-        pen = _penetration(res.delta_end)
-        result.iterations.append(
-            IterationStats(
-                rebuild_time=t1 - t0,
-                pgs_time=t2 - t1,
-                correction_time=t3 - t2,
-                pgs_iterations=res.iterations,
-                pgs_eps=res.eps_history[-1] if res.eps_history else 0.0,
-                penetration=pen,
-                rotation=rotation,
-            )
-        )
-        if pen <= ncfg.penetration_tol:
-            break
-    t4 = time.perf_counter()
-    result.dv_by_object = _mechanical_correction(ctx, accumulated)
-    result.final_correction_time = time.perf_counter() - t4
-    result.final_frames = frames
-    return result
+        dv = _mechanical_correction(ctx, accumulated)
+        return dv, time.perf_counter() - t0
+
+    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg), move, finish)

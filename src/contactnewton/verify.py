@@ -42,8 +42,8 @@ class CheckResult:
 def _identity_error(ctx, frames) -> tuple[float, float]:
     D = assemble_direction(frames)
     H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
-    W_std = assemble_W_standard(H, ctx.F_by_object).W
-    W_fast = rebuild_W_fast(D, ctx.wg).W
+    W_std = assemble_W_standard(H, ctx.F_by_object)
+    W_fast = rebuild_W_fast(D, ctx.wg)
     scale = max(np.abs(W_std).max(initial=0.0), 1e-300)
     return float(np.abs(W_fast - W_std).max(initial=0.0)), scale
 
@@ -78,8 +78,8 @@ def check_complementarity(config: SceneConfig) -> CheckResult:
     if not ctx.pairs:
         return CheckResult("complementarity", False, "scene has no contacts")
     D = assemble_direction(ctx.detection_frames)
-    W = rebuild_W_fast(D, ctx.wg).W
-    delta = compute_violation(D, ctx.p_a0, ctx.p_b0).delta
+    W = rebuild_W_fast(D, ctx.wg)
+    delta = compute_violation(D, ctx.p_a0, ctx.p_b0)
     pcfg = PgsConfig(friction=config.pgs.friction, **COMPLEMENTARITY_PGS)
     res = pgs(W, delta, config.h, pcfg)
     mu = pcfg.friction

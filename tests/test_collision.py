@@ -11,13 +11,13 @@ from contactnewton.collision import (
     Pose,
     SphereGeometry,
     build_frames,
-    build_mapping_jacobian,
     closest_points_on_triangles,
     detect,
     max_frame_rotation,
     refresh_proximity,
     relinearize,
 )
+from contactnewton.constraints import build_signed_mapping
 from contactnewton.errors import DegenerateFrameError, InvalidAttachmentError
 from contactnewton.mesh import box_mesh, surface_triangles, surface_vertices
 
@@ -134,7 +134,7 @@ class TestMappingJacobian:
     def test_vertex_block_is_identity(self):
         att = Attachment(AttachKind.VERTEX, object_id=0, vertex=2)
         pair = _dummy_pair(att, _world_attachment())
-        G = build_mapping_jacobian([pair], object_id=0, n_dofs=12)
+        G = build_signed_mapping([pair], object_id=0, n_dofs=12)
         assert np.allclose(G.toarray()[:, 6:9], np.eye(3))
         assert G.nnz == 3
 
@@ -144,7 +144,7 @@ class TestMappingJacobian:
             triangle=np.array([0, 1, 2]), weights=np.full(3, 1 / 3),
         )
         pair = _dummy_pair(att, _world_attachment())
-        G = build_mapping_jacobian([pair], object_id=0, n_dofs=9)
+        G = build_signed_mapping([pair], object_id=0, n_dofs=9)
         v = np.arange(9.0)
         expect = (v[0:3] + v[3:6] + v[6:9]) / 3
         assert np.abs(G @ v - expect).max() <= 1e-15
@@ -155,7 +155,7 @@ class TestMappingJacobian:
             local_point=np.array([0.0, 0, 1.0]), lever=np.array([0.0, 0, 1.0]),
         )
         pair = _dummy_pair(att, _world_attachment())
-        G = build_mapping_jacobian([pair], object_id=0, n_dofs=6)
+        G = build_signed_mapping([pair], object_id=0, n_dofs=6)
         v = np.array([0.0, 0, 0, 0, 1.0, 0])  # omega = (0, 1, 0)
         # oracle: point velocity = v_lin + omega x r
         expect = np.cross([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
@@ -165,7 +165,7 @@ class TestMappingJacobian:
         att = Attachment(AttachKind.VERTEX, object_id=0, vertex=5)
         pair = _dummy_pair(att, _world_attachment())
         with pytest.raises(InvalidAttachmentError):
-            build_mapping_jacobian([pair], object_id=0, n_dofs=9)
+            build_signed_mapping([pair], object_id=0, n_dofs=9)
 
     def test_mapping_consistency_linear(self):
         # g(q + dq) - g(q) == G dq exactly for vertex/barycentric attachments
@@ -178,13 +178,21 @@ class TestMappingJacobian:
         )
         pair_a = _dummy_pair(att_a, _world_attachment())
         pair_b = _dummy_pair(att_b, _world_attachment())
-        G = build_mapping_jacobian([pair_a, pair_b], object_id=0, n_dofs=12)
+        G = build_signed_mapping([pair_a, pair_b], object_id=0, n_dofs=12)
         dq = rng.standard_normal(12) * 0.1
         views0 = {0: nodes, 9: None}
         views1 = {0: nodes + dq.reshape(-1, 3), 9: None}
         pa0, _ = refresh_proximity([pair_a, pair_b], views0)
         pa1, _ = refresh_proximity([pair_a, pair_b], views1)
         assert np.abs((pa1 - pa0).ravel() - G @ dq).max() <= 1e-12
+
+    def test_b_side_enters_negated(self):
+        # the object owning side B maps with -G: S v is the change of pA - pB
+        att = Attachment(AttachKind.VERTEX, object_id=0, vertex=1)
+        pair = _dummy_pair(_world_attachment(), att)
+        S = build_signed_mapping([pair], object_id=0, n_dofs=6)
+        assert np.array_equal(S.toarray()[:, 3:6], -np.eye(3))
+        assert S.nnz == 3
 
 
 def _world_attachment():

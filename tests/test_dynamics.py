@@ -11,7 +11,7 @@ from contactnewton.dynamics import (
     lumped_masses,
 )
 from contactnewton.errors import DegenerateTetError, NonFiniteForceError, ValidationError
-from contactnewton.linalg import factorize
+from contactnewton.linalg import Factorization
 from contactnewton.mesh import TetMesh, box_mesh, tet_volumes
 
 
@@ -130,7 +130,7 @@ class TestFreeMotion:
         body = point_mass_body()
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, 0, 0))
-        free = compute_free_motion(A, b, state, h=0.01)
+        free = compute_free_motion(Factorization(A), b, state, h=0.01)
         assert np.array_equal(free.dv_free, np.zeros(3))
         assert np.array_equal(free.q_free, state.q)
 
@@ -138,7 +138,7 @@ class TestFreeMotion:
         body = point_mass_body(mass=2.0)
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10.0, 0))
-        free = compute_free_motion(A, b, state, h=0.01)
+        free = compute_free_motion(Factorization(A), b, state, h=0.01)
         assert np.allclose(free.dv_free, [0.0, -0.1, 0.0])
         assert np.allclose(free.q_free, state.q + 0.01 * free.dv_free)
 
@@ -147,7 +147,7 @@ class TestFreeMotion:
         body = SoftBody(mesh, young=5e4, poisson=0.3, fixed_nodes=np.array([0, 1, 2]))
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -9.81, 0))
-        free = compute_free_motion(A, b, state, h=0.01)
+        free = compute_free_motion(Factorization(A), b, state, h=0.01)
         x_oracle = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(free.dv_free - x_oracle) <= 1e-10
         assert np.array_equal(free.dv_free[:9], np.zeros(9))  # fixed nodes do not move
@@ -158,7 +158,7 @@ class TestIntegrateCorrection:
         body = point_mass_body()
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
-        free = compute_free_motion(A, b, state, h=0.01)
+        free = compute_free_motion(Factorization(A), b, state, h=0.01)
         out = integrate_correction(state, free, np.zeros(3), h=0.01)
         assert np.array_equal(out.q, free.q_free)
 
@@ -166,7 +166,7 @@ class TestIntegrateCorrection:
         body = point_mass_body()
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
-        free = compute_free_motion(A, b, state, h=0.01)
+        free = compute_free_motion(Factorization(A), b, state, h=0.01)
         out = integrate_correction(state, free, -free.dv_free, h=0.01)
         assert np.allclose(out.v, np.zeros(3))
         assert np.allclose(out.q, state.q)
@@ -177,7 +177,7 @@ class TestIntegrateCorrection:
         body = point_mass_body()
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
-        free = compute_free_motion(A, b, state, h=0.01)
+        free = compute_free_motion(Factorization(A), b, state, h=0.01)
         parts = [rng.standard_normal(3) * 0.01 for _ in range(4)]
         batch = integrate_correction(state, free, np.sum(parts, axis=0), h=0.01)
         q = free.q_free.copy()
@@ -201,7 +201,7 @@ class TestProperties:
         state.v = 0.1 * rng.standard_normal(state.v.shape)
         h = 0.01
         A, b = body.assemble(state, h=h, gravity=(0, 0, 0))
-        free = compute_free_motion(A, b, state, h=h)
+        free = compute_free_motion(Factorization(A), b, state, h=h)
         out = integrate_correction(state, free, np.zeros_like(state.v), h=h)
         m3 = np.repeat(body.masses(), 3)
         p_before = (m3 * state.v).reshape(-1, 3).sum(axis=0)
@@ -215,7 +215,7 @@ class TestProperties:
         asym = abs(K - K.T)
         assert asym.data.max(initial=0.0) <= 1e-10 * np.abs(K.data).max()
         A, _ = body.assemble(body.initial_state(), h=0.02, gravity=(0, -9.81, 0))
-        factorize(A)  # SPD: must not raise
+        Factorization(A)  # SPD: must not raise
 
     def test_force_finite_difference_matches_stiffness(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))

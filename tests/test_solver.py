@@ -24,7 +24,7 @@ from contactnewton.constraints import (
 )
 from contactnewton.dynamics import SoftBody, compute_free_motion
 from contactnewton.errors import SingularBlockError, ValidationError
-from contactnewton.linalg import factorize
+from contactnewton.linalg import Factorization
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
 from contactnewton.solver import (
     NewtonConfig,
@@ -234,7 +234,7 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
     free = {}
     for oid, body in bodies.items():
         A, b = body.assemble(states[oid], h=h, gravity=gravity)
-        free[oid] = compute_free_motion(A, b, states[oid], h=h)
+        free[oid] = compute_free_motion(Factorization(A), b, states[oid], h=h)
         F[oid] = free[oid].factorization
     S = {
         oid: build_signed_mapping(pairs, oid, body.n_dofs, body.fixed_mask)
