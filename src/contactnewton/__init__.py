@@ -5,15 +5,14 @@ Signorini/Coulomb contact constraints solved by projected Gauss-Seidel,
 and offers three correction schemes per time step: the classic single
 corrective motion, a recursive (Newton) correction that rebuilds the
 compliance operator from system solves every iteration, and a fast
-recursive correction that rebuilds it by a dense congruence of the
-direction-independent mapping compliance and updates proximity positions
-without touching the mechanical system.
+recursive correction that rebuilds it by a blockwise congruence of the
+direction-independent mapping compliance and updates the relative proximity
+positions without touching the mechanical system.
 """
 
 from .collision import ContactFrame, ProximityPair, build_frames, detect, relinearize
 from .constraints import (
     DirectionMatrix,
-    MappingDelassus,
     assemble_direction,
     assemble_H,
     assemble_W_standard,
@@ -37,12 +36,13 @@ from .errors import (
     DimensionMismatchError,
     InvalidAttachmentError,
     NonFiniteForceError,
+    NonFiniteStateError,
     NotSPDError,
     ParseError,
     SingularBlockError,
     ValidationError,
 )
-from .linalg import Factorization, SparseSym, gemm
+from .linalg import Factorization, SparseSym
 from .mesh import TetMesh, box_mesh, load_mesh, save_mesh
 from .scene import (
     SceneConfig,

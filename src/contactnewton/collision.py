@@ -377,27 +377,26 @@ def build_frames(pairs) -> list[ContactFrame]:
 _MAX_TILT_COS = 0.5  # 60 degrees per re-linearization
 
 
-def relinearize(pairs, p_a: np.ndarray, p_b: np.ndarray, previous: list[ContactFrame]):
-    """Frames re-evaluated on updated proximity positions.
+def relinearize(r: np.ndarray, previous: list[ContactFrame]):
+    """Frames re-evaluated on updated relative proximity positions r = pA - pB.
 
-    Attachments are untouched. A pair keeps its previous frame when the new
-    point difference carries no usable direction: points that have (nearly)
+    Attachments are untouched. A pair keeps its previous frame when its row
+    of r carries no usable direction: points that have (nearly)
     collapsed, or a direction that jumped implausibly far from the previous
     normal in one iteration, which happens when tangential slip drags pA
     past pB and the difference vector stops tracking the contact geometry.
     """
     frames = []
-    for i, pair in enumerate(pairs):
-        d = p_a[i] - p_b[i]
+    for d, old in zip(r, previous, strict=True):
         norm = np.linalg.norm(d)
         if norm <= COINCIDENT_EPS:
-            frames.append(previous[i])
+            frames.append(old)
             continue
         n = d / norm
-        if n @ previous[i].n < 0:
+        if n @ old.n < 0:
             n = -n
-        if n @ previous[i].n < _MAX_TILT_COS:
-            frames.append(previous[i])
+        if n @ old.n < _MAX_TILT_COS:
+            frames.append(old)
             continue
         t1, t2 = _tangents(n)
         frames.append(ContactFrame(n, t1, t2))

@@ -9,11 +9,12 @@ sides and per-object forces come out with opposite signs automatically.
 Two routes build the c x c compliance (Delassus) operator:
 
   standard   W = sum_obj H A^-1 H^T      (multi-RHS backsolves, n-dimensional)
-  fast       W = D W_g D^T               (dense congruence, independent of n)
+  fast       W = D W_g D^T               (blockwise congruence, independent of n)
 
-with W_g = sum_obj S A^-1 S^T built once per time step. The fast route also
-updates proximity positions directly in constraint space,
-p_{k+1} = p_k + h^2 W_g D^T lambda_k, skipping all system solves.
+with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array built once per time step.
+The fast route also moves the relative proximity positions r = pA - pB
+directly in constraint space, r_{k+1} = r_k + h^2 W_g D^T lambda_k,
+skipping all system solves.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 
 from .collision import AttachKind, ContactFrame, attachment_triplets
 from .errors import DimensionMismatchError
-from .linalg import Factorization, gemm
+from .linalg import Factorization
 
 _DOF_KINDS = (AttachKind.VERTEX, AttachKind.BARYCENTRIC, AttachKind.RIGID_LOCAL)
 
@@ -43,12 +44,6 @@ class DirectionMatrix:
     @property
     def c(self) -> int:
         return 3 * len(self.blocks)
-
-    def as_dense(self) -> np.ndarray:
-        D = np.zeros((self.c, self.c))
-        for i, blk in enumerate(self.blocks):
-            D[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = blk
-        return D
 
     def as_sparse(self) -> sp.csr_matrix:
         if self.n_groups == 0:
@@ -68,23 +63,6 @@ def assemble_direction(frames: list[ContactFrame]) -> DirectionMatrix:
     if not frames:
         return DirectionMatrix(np.zeros((0, 3, 3)))
     return DirectionMatrix(np.stack([f.as_matrix() for f in frames]))
-
-
-@dataclass
-class MappingDelassus:
-    """Direction-independent compliance in proximity space (3p x 3p).
-
-    ``per_object`` keeps each object's own contribution S A^-1 S^T so the
-    proximity update can scatter the correction back to the two sides of
-    every pair with the right signs.
-    """
-
-    wg: np.ndarray
-    per_object: dict[int, np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.wg.shape[0]
 
 
 def build_signed_mapping(pairs, object_id: int, n_dofs: int, fixed_mask=None) -> sp.csr_matrix:
@@ -143,14 +121,13 @@ def assemble_W_standard(
 
 def assemble_Wg(
     S_by_object: dict[int, sp.spmatrix], F_by_object: dict[int, Factorization]
-) -> MappingDelassus:
-    """W_g = sum_obj S A^-1 S^T, plus the per-object contributions."""
+) -> np.ndarray:
+    """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p)."""
     ids = sorted(S_by_object)
     if not ids:
-        return MappingDelassus(np.zeros((0, 0)), {})
+        return np.zeros((0, 0))
     dim = S_by_object[ids[0]].shape[0]
     wg = np.zeros((dim, dim))
-    per_object = {}
     for oid in ids:
         S = S_by_object[oid]
         F = F_by_object[oid]
@@ -159,30 +136,26 @@ def assemble_Wg(
                 f"object {oid}: S has {S.shape[1]} columns, factorization dim {F.dim}"
             )
         if S.nnz == 0:
-            per_object[oid] = np.zeros((dim, dim))
             continue
-        X = F.solve_multi(S.T.toarray())
-        U = np.asarray(S @ X)
-        per_object[oid] = U
-        wg += U
-    return MappingDelassus(wg, per_object)
+        wg += S @ F.solve_multi(S.T.toarray())
+    return wg
 
 
-def rebuild_W_fast(D: DirectionMatrix, wg: MappingDelassus) -> np.ndarray:
-    """W = D W_g D^T by dense congruence; no system solves, cost independent of n."""
-    if D.c != wg.dim:
+def rebuild_W_fast(D: DirectionMatrix, wg: np.ndarray) -> np.ndarray:
+    """W = D W_g D^T block by block, W[i, j] = D_i W_g[i, j] D_j^T for groups
+    i, j, since D is block diagonal; no system solves, cost independent of n."""
+    if wg.shape != (D.c, D.c):
         raise DimensionMismatchError(
-            f"direction matrix is {D.c} rows, W_g is {wg.dim}"
+            f"direction matrix is {D.c} rows, W_g is {wg.shape}"
         )
-    if D.c == 0:
-        return np.zeros((0, 0))
-    Dd = D.as_dense()
-    return gemm(gemm(Dd, wg.wg), Dd, transpose_b=True)
+    g = D.n_groups
+    blocks = np.einsum("gia,gahb->gihb", D.blocks, wg.reshape(g, 3, g, 3))
+    return np.einsum("gihb,hjb->gihj", blocks, D.blocks).reshape(D.c, D.c)
 
 
-def compute_violation(D: DirectionMatrix, p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
-    """Projected gaps D (p_a - p_b), rows (delta_n, delta_t1, delta_t2) per group."""
-    rel = (p_a - p_b).ravel()
+def compute_violation(D: DirectionMatrix, r: np.ndarray) -> np.ndarray:
+    """Projected gaps D r, rows (delta_n, delta_t1, delta_t2) per group."""
+    rel = r.ravel()
     if rel.size != D.c:
         raise DimensionMismatchError(
             f"positions stack to {rel.size}, direction matrix expects {D.c}"
@@ -191,30 +164,10 @@ def compute_violation(D: DirectionMatrix, p_a: np.ndarray, p_b: np.ndarray) -> n
 
 
 def fast_update_proximity(
-    p_a: np.ndarray,
-    p_b: np.ndarray,
-    wg: MappingDelassus,
-    D: DirectionMatrix,
-    lam: np.ndarray,
-    h: float,
-    pairs,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Proximity positions after one corrective impulse, without system solves.
-
-    The relative update is h^2 W_g D^T lambda; each object's share (its own
-    S A^-1 S^T contribution) moves the side it owns, with the B side taking
-    the opposite sign per the action-reaction convention.
-    """
+    r: np.ndarray, wg: np.ndarray, D: DirectionMatrix, lam: np.ndarray, h: float
+) -> np.ndarray:
+    """Relative proximity positions r = pA - pB after one corrective impulse,
+    r + h^2 W_g D^T lambda, without system solves."""
     if lam.shape != (D.c,):
         raise DimensionMismatchError(f"lambda has shape {lam.shape}, expected ({D.c},)")
-    t = D.apply_transposed(lam)
-    h2 = h * h
-    p_a = p_a.copy()
-    p_b = p_b.copy()
-    moves = {oid: h2 * (U @ t) for oid, U in wg.per_object.items()}
-    for i, pair in enumerate(pairs):
-        if pair.attach_a.object_id in moves:
-            p_a[i] += moves[pair.attach_a.object_id][3 * i : 3 * i + 3]
-        if pair.attach_b.object_id in moves:
-            p_b[i] -= moves[pair.attach_b.object_id][3 * i : 3 * i + 3]
-    return p_a, p_b
+    return r + (h * h) * (wg @ D.apply_transposed(lam)).reshape(r.shape)

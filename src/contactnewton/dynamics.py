@@ -132,6 +132,12 @@ class SoftBody:
             raise ValidationError(f"density must be positive, got {self.density}")
         check_positive_volumes(self.mesh, "soft body")
         self.fixed_nodes = np.asarray(self.fixed_nodes, dtype=np.int64)
+        outside = (self.fixed_nodes < 0) | (self.fixed_nodes >= self.mesh.n_nodes)
+        if outside.any():
+            raise ValidationError(
+                f"fixed node ids {self.fixed_nodes[outside].tolist()} outside "
+                f"[0, {self.mesh.n_nodes})"
+            )
         if self.node_masses is not None:
             self.node_masses = np.asarray(self.node_masses, dtype=np.float64)
             if self.node_masses.shape != (self.mesh.n_nodes,):

@@ -25,6 +25,10 @@ class NonFiniteForceError(ContactNewtonError, ValueError):
     """An assembled force vector contains NaN or infinity."""
 
 
+class NonFiniteStateError(ContactNewtonError, ValueError):
+    """A step would commit NaN or infinite positions or velocities."""
+
+
 class InvalidAttachmentError(ContactNewtonError, ValueError):
     """A proximity attachment references a missing mesh entity."""
 

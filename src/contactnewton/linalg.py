@@ -1,13 +1,9 @@
-"""Sparse symmetric linear algebra: storage, factorization, solves, products.
+"""Sparse symmetric linear algebra: storage, factorization, solves.
 
 The system matrices assembled by the dynamics module are symmetric positive
 definite by construction, so the factorization is a pivot-free symmetric
 elimination (SuperLU in symmetric mode with diagonal pivoting disabled).
 A non-positive pivot is reported as :class:`NotSPDError`.
-
-Dense products go through :func:`gemm`, which accumulates over the inner
-dimension in ascending order so the result is bit-identical to a naive
-triple loop and therefore reproducible across runs.
 """
 
 from __future__ import annotations
@@ -102,31 +98,3 @@ class Factorization:
         self.solve_count += B.shape[1]
         return self._lu.solve(B)
 
-
-def gemm(
-    A: np.ndarray,
-    B: np.ndarray,
-    transpose_a: bool = False,
-    transpose_b: bool = False,
-) -> np.ndarray:
-    """Dense matrix product with deterministic, naive-order summation.
-
-    Accumulates rank-1 updates over the inner dimension in ascending order,
-    which produces exactly the additions of the textbook triple loop.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2:
-        raise DimensionMismatchError("gemm operands must be 2-d")
-    opa = A.T if transpose_a else A
-    opb = B.T if transpose_b else B
-    m, k = opa.shape
-    kb, n = opb.shape
-    if k != kb:
-        raise DimensionMismatchError(
-            f"inner dimensions disagree: {opa.shape} x {opb.shape}"
-        )
-    out = np.zeros((m, n))
-    for p in range(k):
-        out += opa[:, p, None] * opb[None, p, :]
-    return out

@@ -34,7 +34,7 @@ from .dynamics import (
     compute_free_motion,
     integrate_correction,
 )
-from .errors import ParseError, ValidationError
+from .errors import NonFiniteStateError, ParseError, ValidationError
 from .linalg import Factorization
 from .mesh import TetMesh, box_mesh, load_mesh, surface_triangles, surface_vertices
 from .solver import (
@@ -66,6 +66,7 @@ class SoftSpec:
     rayleigh_mass: float = 0.1
     rayleigh_stiffness: float = 0.1
     fixed_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    fixed_region: tuple | None = None  # (axis, min or None, max or None), re-applied on re-mesh
     velocity: tuple = (0.0, 0.0, 0.0)
     node_mass: float | None = None  # uniform per-node mass for tetless bodies
     extra_force: tuple | None = None  # constant per-node force, N
@@ -146,12 +147,35 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _mapping(value, where):
-    """A scene section as a dict; an absent or empty section reads as {}."""
+_TOP_KEYS = ("objects", "gravity", "dt", "threshold", "mu", "pgs", "newton", "output")
+_KINEMATIC_KEYS = ("name", "type", "plate", "mesh", "motion")
+_OBJECT_KEYS = {
+    "soft": ("name", "type", "mesh", "material", "fixed_nodes", "fixed_region", "velocity",
+             "node_mass", "extra_force"),
+    "plane": ("name", "type", "normal", "offset"),
+    "kinematic_mesh": _KINEMATIC_KEYS,
+    "static_mesh": _KINEMATIC_KEYS,
+    "rigid_sphere": ("name", "type", "mass", "radius", "position", "velocity", "inertia"),
+}
+_MESH_KEYS = ("file", "box")
+
+
+def _mapping(value, where, keys=None):
+    """A scene section as a dict; an absent or empty section reads as {}.
+
+    With ``keys`` given, any other key is an error: a misspelt key would
+    otherwise leave its setting at the default without a word.
+    """
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ValidationError(f"{where}: expected a mapping, got {value!r}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise ValidationError(
+                    f"{where}: unknown key {key!r} (expected one of {', '.join(keys)})"
+                )
     return value
 
 
@@ -177,7 +201,7 @@ def _vec3(value, where):
 
 
 def _box_params(box, where):
-    box = _mapping(box, where)
+    box = _mapping(box, where, ("size", "divisions", "center"))
     divisions = _array(_require(box, "divisions", where), where, np.int64)
     return {
         "size": _vec3(_require(box, "size", where), where),
@@ -186,8 +210,22 @@ def _box_params(box, where):
     }
 
 
+def _region_nodes(mesh, region):
+    """Ids of the nodes inside a parsed ``fixed_region`` (none for ``None``)."""
+    if region is None:
+        return np.zeros(0, dtype=np.int64)
+    axis, lo, hi = region
+    coords = mesh.nodes[:, axis]
+    mask = np.ones(len(coords), dtype=bool)
+    if hi is not None:
+        mask &= coords <= hi
+    if lo is not None:
+        mask &= coords >= lo
+    return np.flatnonzero(mask)
+
+
 def _load_soft(entry, name, base_dir):
-    mesh_spec = _mapping(_require(entry, "mesh", name), f"{name}.mesh")
+    mesh_spec = _mapping(_require(entry, "mesh", name), f"{name}.mesh", _MESH_KEYS)
     box_params = None
     if "file" in mesh_spec:
         path = os.path.join(base_dir, mesh_spec["file"])
@@ -200,21 +238,23 @@ def _load_soft(entry, name, base_dir):
     else:
         raise ValidationError(f"{name}: mesh needs either 'file' or 'box'")
 
-    material = _mapping(entry.get("material"), f"{name}.material")
+    material = _mapping(
+        entry.get("material"), f"{name}.material",
+        ("young", "poisson", "density", "rayleigh_mass", "rayleigh_stiffness"),
+    )
     fixed = _array(entry.get("fixed_nodes", []), f"{name}.fixed_nodes", np.int64)
     region = entry.get("fixed_region")
     if region is not None:
-        region = _mapping(region, f"{name}.fixed_region")
+        region = _mapping(region, f"{name}.fixed_region", ("axis", "min", "max"))
         axis = {"x": 0, "y": 1, "z": 2}.get(region.get("axis"), region.get("axis"))
         if axis not in (0, 1, 2):
             raise ValidationError(f"{name}: fixed_region.axis must be x, y or z")
-        coords = mesh.nodes[:, axis]
-        mask = np.ones(len(coords), dtype=bool)
-        if "max" in region:
-            mask &= coords <= _number(region["max"], f"{name}.fixed_region.max")
-        if "min" in region:
-            mask &= coords >= _number(region["min"], f"{name}.fixed_region.min")
-        fixed = np.union1d(fixed, np.flatnonzero(mask))
+        region = (
+            axis,
+            _number(region["min"], f"{name}.fixed_region.min") if "min" in region else None,
+            _number(region["max"], f"{name}.fixed_region.max") if "max" in region else None,
+        )
+        fixed = np.union1d(fixed, _region_nodes(mesh, region))
     extra = entry.get("extra_force")
     return SoftSpec(
         name=name,
@@ -227,6 +267,7 @@ def _load_soft(entry, name, base_dir):
             material.get("rayleigh_stiffness", 0.1), f"{name}.material.rayleigh_stiffness"
         ),
         fixed_nodes=fixed,
+        fixed_region=region,
         velocity=_vec3(entry.get("velocity", (0, 0, 0)), name),
         node_mass=(
             _number(entry["node_mass"], f"{name}.node_mass") if "node_mass" in entry else None
@@ -270,9 +311,11 @@ def _plate_mesh(entry, name):
 
 def _load_kinematic(entry, name, base_dir):
     if "plate" in entry:
-        points, tris = _plate_mesh(_mapping(entry["plate"], f"{name}.plate"), name)
+        points, tris = _plate_mesh(
+            _mapping(entry["plate"], f"{name}.plate", ("center", "normal", "size")), name
+        )
     elif "mesh" in entry:
-        mesh_spec = _mapping(entry["mesh"], f"{name}.mesh")
+        mesh_spec = _mapping(entry["mesh"], f"{name}.mesh", _MESH_KEYS)
         if "file" in mesh_spec:
             path = os.path.join(base_dir, mesh_spec["file"])
             if not os.path.exists(path):
@@ -283,7 +326,9 @@ def _load_kinematic(entry, name, base_dir):
         points, tris = mesh.nodes, surface_triangles(mesh)
     else:
         raise ValidationError(f"{name}: kinematic object needs 'plate' or 'mesh'")
-    motion = _mapping(entry.get("motion"), f"{name}.motion")
+    motion = _mapping(
+        entry.get("motion"), f"{name}.motion", ("axis", "center", "angular_velocity", "velocity")
+    )
     spec = MotionSpec(
         axis=_vec3(motion.get("axis", (0, 0, 1)), name),
         center=_vec3(motion.get("center", (0, 0, 0)), name),
@@ -332,6 +377,7 @@ def load_scene(path) -> SceneConfig:
         raise ParseError(f"{loc}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: scene file must be a mapping")
+    _mapping(raw, "scene", _TOP_KEYS)
     base_dir = os.path.dirname(os.path.abspath(path))
 
     raw_objects = raw.get("objects", [])
@@ -342,6 +388,9 @@ def load_scene(path) -> SceneConfig:
         entry = _mapping(entry, f"objects[{i}]")
         name = entry.get("name", f"object{i}")
         kind = _require(entry, "type", name)
+        if kind not in _OBJECT_KEYS:
+            raise ValidationError(f"{name}: unknown object type {kind!r}")
+        _mapping(entry, name, _OBJECT_KEYS[kind])
         if kind == "soft":
             objects.append(_load_soft(entry, name, base_dir))
         elif kind == "plane":
@@ -357,14 +406,14 @@ def load_scene(path) -> SceneConfig:
             if kind == "static_mesh" and spec.motion != MotionSpec():
                 raise ValidationError(f"{name}: static meshes cannot carry motion")
             objects.append(spec)
-        elif kind == "rigid_sphere":
-            objects.append(_load_rigid_sphere(entry, name))
         else:
-            raise ValidationError(f"{name}: unknown object type {kind!r}")
+            objects.append(_load_rigid_sphere(entry, name))
 
-    pgs_raw = _mapping(raw.get("pgs"), "pgs")
-    newton_raw = _mapping(raw.get("newton"), "newton")
-    out_raw = _mapping(raw.get("output"), "output")
+    pgs_raw = _mapping(raw.get("pgs"), "pgs", ("iterations", "tolerance"))
+    newton_raw = _mapping(
+        raw.get("newton"), "newton", ("scheme", "iterations", "penetration_tol", "relinearize")
+    )
+    out_raw = _mapping(raw.get("output"), "output", ("snapshots", "metrics", "every"))
     config = SceneConfig(
         objects=objects,
         gravity=_vec3(raw.get("gravity", DEFAULT_GRAVITY), "gravity"),
@@ -393,15 +442,26 @@ def load_scene(path) -> SceneConfig:
 
 
 def with_box_divisions(config: SceneConfig, divisions) -> SceneConfig:
-    """Copy of the scene with the first procedural soft box re-meshed."""
+    """Copy of the scene with the first procedural soft box re-meshed.
+
+    The box's ``fixed_region`` is applied again to the new mesh. Node ids
+    given in ``fixed_nodes`` name nodes of the old mesh only, so a box that
+    pins any node outside its region cannot be re-meshed.
+    """
     objects = list(config.objects)
     for i, spec in enumerate(objects):
         if isinstance(spec, SoftSpec) and spec.box_params is not None:
+            if not np.array_equal(spec.fixed_nodes, _region_nodes(spec.mesh, spec.fixed_region)):
+                raise ValidationError(
+                    f"{spec.name}: fixed_nodes name nodes of the original mesh "
+                    "and cannot be carried over to a re-meshed box"
+                )
             params = dict(spec.box_params)
             params["divisions"] = tuple(int(d) for d in divisions)
+            mesh = box_mesh(**params)
             objects[i] = replace(
-                spec, mesh=box_mesh(**params), box_params=params,
-                fixed_nodes=spec.fixed_nodes,
+                spec, mesh=mesh, box_params=params,
+                fixed_nodes=_region_nodes(mesh, spec.fixed_region),
             )
             return replace(config, objects=objects)
     raise ValidationError("scene has no procedural soft box to re-mesh")
@@ -647,7 +707,7 @@ class Simulation:
     def _views(self, q_by_object, t):
         return {obj.oid: obj.view(q_by_object, t) for obj in self.objects}
 
-    def prepare_step(self, build_wg: bool | None = None):
+    def prepare_step(self):
         """Run the pre-correction pipeline (detect through free violation).
 
         Returns the solver context plus the free motions and phase timings;
@@ -692,9 +752,10 @@ class Simulation:
                 oid: free[oid].q_free + h * np.asarray(dv_total.get(oid, 0.0))
                 for oid in free
             }
-            return collision.refresh_proximity(pairs, self._views(q_by_object, t_next))
+            p_a, p_b = collision.refresh_proximity(pairs, self._views(q_by_object, t_next))
+            return p_a - p_b
 
-        p_a0, p_b0 = refresh({})
+        r0 = refresh({})
         free_views = self._views({oid: free[oid].q_free for oid in free}, t_next)
         pen_before = (
             float(max(0.0, -collision.signed_gaps(pairs, free_views).min()))
@@ -705,7 +766,7 @@ class Simulation:
 
         wg = None
         t_wg0 = time.perf_counter()
-        if build_wg if build_wg is not None else (cfg.newton.scheme == "fast"):
+        if cfg.newton.scheme == "fast":
             wg = assemble_Wg(S, factorizations)
         t_build_wg = time.perf_counter() - t_wg0
 
@@ -714,8 +775,7 @@ class Simulation:
             detection_frames=frames,
             S_by_object=S,
             F_by_object=factorizations,
-            p_a0=p_a0,
-            p_b0=p_b0,
+            r0=r0,
             h=h,
             refresh=refresh,
             wg=wg,
@@ -745,7 +805,13 @@ class Simulation:
         new_states = {}
         for obj in self.dynamic_objects:
             dv = result.dv_by_object.get(obj.oid, np.zeros(obj.body.n_dofs))
-            new_states[obj.oid] = integrate_correction(states[obj.oid], free[obj.oid], dv, h)
+            state = integrate_correction(states[obj.oid], free[obj.oid], dv, h)
+            if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
+                raise NonFiniteStateError(
+                    f"step {self.step_index}: object {obj.oid} would reach a non-finite "
+                    "state; nothing was committed"
+                )
+            new_states[obj.oid] = state
 
         # end-of-step interpenetration: geometric distance of the frozen pairs
         # to their supporting elements at the final state (slip-immune, so a

@@ -7,27 +7,27 @@ and projected onto the friction disk of radius mu * lambda_n. The sweep
 stops when the relative change of lambda drops below the configured
 tolerance.
 
-The recursive correction is one Newton loop, :func:`_newton`. Each
-iteration re-linearizes the directions from the current proximity positions
-(stopping when they turned by no more than ``rotation_tol``), rebuilds the
-compliance W, runs PGS on the violation at the current positions, moves the
-proximity points by the resulting impulse, and stops once PGS's end-of-step
-penetration is within ``penetration_tol``. A scheme supplies three
-operations:
+The recursive correction is one Newton loop, :func:`_newton`. Its only
+proximity state is the stacked relative position r = pA - pB, one 3-row per
+pair. Each iteration re-linearizes the directions from r (stopping when they
+turned by no more than ``rotation_tol``), rebuilds the compliance W, runs
+PGS on the violation D r, moves r by the resulting impulse, and stops once
+PGS's end-of-step penetration is within ``penetration_tol``. A scheme
+supplies three operations:
 
   rebuild   W from the current directions D;
-  move      the proximity points after the impulse D^T lambda;
+  move      r after the impulse D^T lambda;
   finish    the mechanical velocity corrections once the loop ends.
 
 The two schemes bind them as follows:
 
   standard  rebuild W = sum H A^-1 H^T (multi-RHS backsolves); move by the
             mechanical correction dv = h A^-1 S^T D^T lambda and re-evaluate
-            the proximity positions from the corrected state; finish with
-            the sum of the per-iteration corrections;
+            r from the corrected state; finish with the sum of the
+            per-iteration corrections;
 
-  fast      rebuild W = D W_g D^T (dense congruence); move in constraint
-            space, p += h^2 W_g D^T lambda, with no system solve; finish
+  fast      rebuild W = D W_g D^T (blockwise congruence); move in constraint
+            space, r += h^2 W_g D^T lambda, with no system solve; finish
             with one mechanical correction by the accumulated impulse.
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
@@ -44,7 +44,6 @@ import numpy as np
 
 from .collision import ContactFrame, max_frame_rotation, relinearize
 from .constraints import (
-    MappingDelassus,
     assemble_H,
     assemble_W_standard,
     assemble_direction,
@@ -214,11 +213,10 @@ class StepContext:
     detection_frames: list[ContactFrame]
     S_by_object: dict[int, object]  # signed mapping per dynamic object
     F_by_object: dict[int, Factorization]
-    p_a0: np.ndarray  # free-motion proximity positions
-    p_b0: np.ndarray
+    r0: np.ndarray  # (p, 3) free-motion relative proximity positions pA - pB
     h: float
-    refresh: Callable[[dict[int, np.ndarray]], tuple[np.ndarray, np.ndarray]]
-    wg: MappingDelassus | None = None
+    refresh: Callable[[dict[int, np.ndarray]], np.ndarray]  # dv by object -> r
+    wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
 
 
 @dataclass
@@ -262,7 +260,7 @@ def _newton(
 ) -> CorrectionResult:
     """The recursive correction loop shared by both schemes.
 
-    ``rebuild(D)`` returns W, ``move(D, lam, p_a, p_b)`` returns the new
+    ``rebuild(D)`` returns W, ``move(D, lam, r)`` returns the new relative
     proximity positions, and ``finish(accumulated)`` turns the summed impulse
     D_k^T lambda_k into ``(dv_by_object, final_correction_time)``. The
     operations must look up their module-level names when called: the layer
@@ -270,13 +268,13 @@ def _newton(
     """
     frames = list(ctx.detection_frames)
     D = assemble_direction(frames)
-    p_a, p_b = ctx.p_a0.copy(), ctx.p_b0.copy()
+    r = ctx.r0
     accumulated = np.zeros(3 * len(ctx.pairs))
     result = CorrectionResult({}, [], np.zeros(D.c))
     for k in range(ncfg.max_iterations):
         rotation = 0.0
         if k > 0 and ncfg.relinearize:
-            new_frames = relinearize(ctx.pairs, p_a, p_b, frames)
+            new_frames = relinearize(r, frames)
             rotation = max_frame_rotation(frames, new_frames)
             frames = new_frames
             D = assemble_direction(frames)
@@ -285,9 +283,9 @@ def _newton(
         t0 = time.perf_counter()
         W = rebuild(D)
         t1 = time.perf_counter()
-        res = pgs(W, compute_violation(D, p_a, p_b), ctx.h, pcfg)
+        res = pgs(W, compute_violation(D, r), ctx.h, pcfg)
         t2 = time.perf_counter()
-        p_a, p_b = move(D, res.lam, p_a, p_b)
+        r = move(D, res.lam, r)
         t3 = time.perf_counter()
         accumulated += D.apply_transposed(res.lam)
         result.lam_history.append(res.lam)
@@ -321,7 +319,7 @@ def newton_standard(
         H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
         return assemble_W_standard(H, ctx.F_by_object)
 
-    def move(D, lam, p_a, p_b):
+    def move(D, lam, r):
         dv_k = _mechanical_correction(ctx, D.apply_transposed(lam))
         for oid in dv:
             dv[oid] = dv[oid] + dv_k[oid]
@@ -341,8 +339,8 @@ def newton_fast(
     if ctx.wg is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
 
-    def move(D, lam, p_a, p_b):
-        return fast_update_proximity(p_a, p_b, ctx.wg, D, lam, ctx.h, ctx.pairs)
+    def move(D, lam, r):
+        return fast_update_proximity(r, ctx.wg, D, lam, ctx.h)
 
     def finish(accumulated):
         t0 = time.perf_counter()

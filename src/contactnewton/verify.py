@@ -9,6 +9,9 @@ Three checks back the `verify` CLI command:
                         PGS solve on the first step's contact problem;
   scheme-equivalence    standard and fast recursive corrections agree on
                         lambda and positions when re-linearization is off.
+
+Every check probes the first step of the scene through one shared context
+from :func:`prepare`; the correction schemes only read it.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ import numpy as np
 from .constraints import (
     assemble_H,
     assemble_W_standard,
+    assemble_Wg,
     assemble_direction,
     compute_violation,
     rebuild_W_fast,
 )
 from .scene import SceneConfig, Simulation
-from .solver import NewtonConfig, PgsConfig, newton_fast, newton_standard, pgs
+from .solver import NewtonConfig, PgsConfig, StepContext, newton_fast, newton_standard, pgs
 
 IDENTITY_RTOL = 1e-9
 EQUIVALENCE_RTOL = 1e-8
@@ -48,15 +52,19 @@ def _identity_error(ctx, frames) -> tuple[float, float]:
     return float(np.abs(W_fast - W_std).max(initial=0.0)), scale
 
 
-def check_congruence_identity(config: SceneConfig, corrupt_wg=None) -> CheckResult:
+def prepare(config: SceneConfig) -> StepContext:
+    """The first step's solver context, with W_g built whatever the scheme."""
+    ctx, *_ = Simulation(config).prepare_step()
+    if ctx.wg is None:
+        ctx.wg = assemble_Wg(ctx.S_by_object, ctx.F_by_object)
+    return ctx
+
+
+def check_congruence_identity(config: SceneConfig, ctx: StepContext) -> CheckResult:
     """|D W_g D^T - sum H A^-1 H^T| <= 1e-9 |W| at detection and after
-    re-linearization. ``corrupt_wg`` is a test hook mutating W_g in place."""
-    sim = Simulation(config)
-    ctx, *_ = sim.prepare_step(build_wg=True)
+    re-linearization."""
     if not ctx.pairs:
         return CheckResult("congruence-identity", False, "scene has no contacts")
-    if corrupt_wg is not None:
-        corrupt_wg(ctx.wg)
     err0, scale0 = _identity_error(ctx, ctx.detection_frames)
     # drive the fast scheme a couple of iterations so directions move
     ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=0.0,
@@ -71,15 +79,13 @@ def check_congruence_identity(config: SceneConfig, corrupt_wg=None) -> CheckResu
     )
 
 
-def check_complementarity(config: SceneConfig) -> CheckResult:
+def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
     """Signorini/Coulomb residuals after a converged PGS on the first step."""
-    sim = Simulation(config)
-    ctx, *_ = sim.prepare_step(build_wg=True)
     if not ctx.pairs:
         return CheckResult("complementarity", False, "scene has no contacts")
     D = assemble_direction(ctx.detection_frames)
     W = rebuild_W_fast(D, ctx.wg)
-    delta = compute_violation(D, ctx.p_a0, ctx.p_b0)
+    delta = compute_violation(D, ctx.r0)
     pcfg = PgsConfig(friction=config.pgs.friction, **COMPLEMENTARITY_PGS)
     res = pgs(W, delta, config.h, pcfg)
     mu = pcfg.friction
@@ -103,20 +109,14 @@ def check_complementarity(config: SceneConfig) -> CheckResult:
     )
 
 
-def check_scheme_equivalence(config: SceneConfig) -> CheckResult:
+def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResult:
     """With re-linearization disabled the two recursive schemes must agree."""
     ncfg = dict(max_iterations=4, relinearize=False, penetration_tol=1e-12)
     pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=config.pgs.friction)
-
-    sim_s = Simulation(config)
-    ctx_s, *_ = sim_s.prepare_step(build_wg=False)
-    if not ctx_s.pairs:
+    if not ctx.pairs:
         return CheckResult("scheme-equivalence", False, "scene has no contacts")
-    std = newton_standard(ctx_s, NewtonConfig(scheme="standard", **ncfg), pcfg)
-
-    sim_f = Simulation(config)
-    ctx_f, *_ = sim_f.prepare_step(build_wg=True)
-    fast = newton_fast(ctx_f, NewtonConfig(scheme="fast", **ncfg), pcfg)
+    std = newton_standard(ctx, NewtonConfig(scheme="standard", **ncfg), pcfg)
+    fast = newton_fast(ctx, NewtonConfig(scheme="fast", **ncfg), pcfg)
 
     if len(std.lam_history) != len(fast.lam_history):
         return CheckResult(
@@ -140,9 +140,10 @@ def check_scheme_equivalence(config: SceneConfig) -> CheckResult:
     )
 
 
-def run_verification(config: SceneConfig, corrupt_wg=None) -> list[CheckResult]:
+def run_verification(config: SceneConfig) -> list[CheckResult]:
+    ctx = prepare(config)
     return [
-        check_congruence_identity(config, corrupt_wg=corrupt_wg),
-        check_complementarity(config),
-        check_scheme_equivalence(config),
+        check_congruence_identity(config, ctx),
+        check_complementarity(config, ctx),
+        check_scheme_equivalence(config, ctx),
     ]

@@ -1,4 +1,5 @@
 import csv
+import functools
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from contactnewton import cli
 from contactnewton.scene import load_scene
-from contactnewton.verify import check_congruence_identity, check_scheme_equivalence
+from contactnewton.verify import check_congruence_identity, check_scheme_equivalence, prepare
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -56,11 +57,26 @@ def test_bench_tiny_spec(tmp_path, capsys, monkeypatch):
                      capsys.readouterr().out)
 
 
+# one prepared context per scene serves both checks, which only read it
+@functools.cache
+def prepared(scene):
+    config = load_scene(scene)
+    return config, prepare(config)
+
+
 # Both checks must hold on every shipped scene. Complementarity is not gated
 # here: it fails on two_body_press, where PGS does not converge in 200 sweeps.
 @pytest.mark.parametrize("check", [check_congruence_identity, check_scheme_equivalence],
                          ids=["congruence-identity", "scheme-equivalence"])
 @pytest.mark.parametrize("scene", sorted(SCENES.glob("*.scn")), ids=lambda p: p.stem)
 def test_verify_check_passes_on_shipped_scene(scene, check):
-    result = check(load_scene(scene))
+    result = check(*prepared(scene))
     assert result.passed, result.detail
+
+
+def test_congruence_identity_fails_on_scaled_wg():
+    config = load_scene(SCENES / "block_on_plane.scn")
+    ctx = prepare(config)
+    ctx.wg = 1.01 * ctx.wg
+    result = check_congruence_identity(config, ctx)
+    assert not result.passed, result.detail

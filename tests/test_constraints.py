@@ -95,26 +95,27 @@ class TestDirectionMatrix:
     def test_single_block_permutation(self):
         D = assemble_direction([axes_frame()])
         expect = np.array([[0.0, 1, 0], [1.0, 0, 0], [0.0, 0, 1]])
-        assert np.array_equal(D.as_dense(), expect)
+        assert np.array_equal(D.as_sparse().toarray(), expect)
 
     def test_two_groups_block_diagonal(self):
         D = assemble_direction([axes_frame(), random_frame(3)])
-        dense = D.as_dense()
+        dense = D.as_sparse().toarray()
         assert dense.shape == (6, 6)
         assert np.array_equal(dense[:3, 3:], np.zeros((3, 3)))
         assert np.array_equal(dense[3:, :3], np.zeros((3, 3)))
 
     def test_ddt_is_identity(self):
         frames = [random_frame(s) for s in range(5)]
-        D = assemble_direction(frames).as_dense()
+        D = assemble_direction(frames).as_sparse().toarray()
         assert np.abs(D @ D.T - np.eye(15)).max() <= 1e-12
 
     def test_apply_consistency(self):
         D = assemble_direction([random_frame(1), random_frame(2)])
         rel = np.random.default_rng(0).standard_normal(6)
-        assert np.allclose(D.apply(rel), D.as_dense() @ rel)
+        dense = D.as_sparse().toarray()
+        assert np.allclose(D.apply(rel), dense @ rel)
         lam = np.random.default_rng(1).standard_normal(6)
-        assert np.allclose(D.apply_transposed(lam), D.as_dense().T @ lam)
+        assert np.allclose(D.apply_transposed(lam), dense.T @ lam)
 
 
 class TestContactJacobian:
@@ -238,14 +239,16 @@ class TestMappingDelassus:
         body, pair = point_mass_pair(mass=4.0)
         A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
         wg = assemble_Wg({0: build_signed_mapping([pair], 0, 3)}, {0: Factorization(A)})
-        assert np.abs(wg.wg - 0.25 * np.eye(3)).max() <= 1e-12
+        assert np.abs(wg - 0.25 * np.eye(3)).max() <= 1e-12
 
     def test_fixed_wall_contributes_zero(self):
-        # the plane side has no DOFs and never appears in the sums
-        body, pair = point_mass_pair()
-        A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
-        wg = assemble_Wg({0: build_signed_mapping([pair], 0, 3)}, {0: Factorization(A)})
-        assert set(wg.per_object) == {0}
+        # the plane side has no DOFs: W_g is the body's own S A^-1 S^T
+        body, state, pairs, frames, F, S, h = block_on_plane_context()
+        wg = assemble_Wg({0: S}, {0: F})
+        A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        Sd = S.toarray()
+        oracle = Sd @ np.linalg.solve(A.toarray(), Sd.T)
+        assert np.abs(wg - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
     def test_congruence_identity_with_standard(self):
         # the central identity: D W_g D^T equals the standard Schur complement
@@ -274,39 +277,56 @@ class TestMappingDelassus:
         assert np.abs(W_fast - W_std).max() <= 1e-10 * np.abs(W_std).max()
 
     def test_isotropy_single_group(self):
-        from contactnewton.constraints import MappingDelassus
-
-        wg = MappingDelassus(0.5 * np.eye(3), {0: 0.5 * np.eye(3)})
+        wg = 0.5 * np.eye(3)
         for seed in range(4):
             D = assemble_direction([random_frame(seed)])
             W = rebuild_W_fast(D, wg)
             assert np.abs(W - 0.5 * np.eye(3)).max() <= 1e-12
 
+    def test_blockwise_congruence_matches_dense_oracle(self):
+        rng = np.random.default_rng(31)
+        for g in (3, 5):
+            D = assemble_direction([random_frame(10 * g + s) for s in range(g)])
+            B = rng.standard_normal((3 * g, 3 * g))
+            wg = B @ B.T
+            Dd = D.as_sparse().toarray()
+            oracle = Dd @ wg @ Dd.T
+            W = rebuild_W_fast(D, wg)
+            assert np.abs(W - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_rebuild_shape_mismatch(self):
+        D = assemble_direction([random_frame(s) for s in range(3)])
+        with pytest.raises(DimensionMismatchError):
+            rebuild_W_fast(D, np.eye(6))
+
 
 class TestViolation:
     def test_penetration_sign(self):
         D = assemble_direction([axes_frame()])
-        v = compute_violation(D, np.array([[0.0, -0.01, 0.0]]), np.zeros((1, 3)))
+        v = compute_violation(D, np.array([[0.0, -0.01, 0.0]]))
         assert v[0] == pytest.approx(-0.01)
         assert _penetration(v) == pytest.approx(0.01)
 
     def test_zero_gap(self):
         D = assemble_direction([axes_frame()])
-        v = compute_violation(D, np.zeros((1, 3)), np.zeros((1, 3)))
+        v = compute_violation(D, np.zeros((1, 3)))
         assert np.array_equal(v, np.zeros(3))
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(3)
         frames = [random_frame(s) for s in range(4)]
         D = assemble_direction(frames)
-        p_a = rng.standard_normal((4, 3))
-        p_b = rng.standard_normal((4, 3))
-        v = compute_violation(D, p_a, p_b)
+        r = rng.standard_normal((4, 3))
+        v = compute_violation(D, r)
         for g, f in enumerate(frames):
-            rel = p_a[g] - p_b[g]
+            rel = r[g]
             assert abs(v[3 * g] - f.n @ rel) <= 1e-14
             assert abs(v[3 * g + 1] - f.t1 @ rel) <= 1e-14
             assert abs(v[3 * g + 2] - f.t2 @ rel) <= 1e-14
+
+
+def relative_positions(pairs):
+    return np.stack([p.p_a - p.p_b for p in pairs])
 
 
 class TestFastProximityUpdate:
@@ -314,22 +334,20 @@ class TestFastProximityUpdate:
         body, state, pairs, frames, F, S, h = block_on_plane_context()
         D = assemble_direction(frames)
         wg = assemble_Wg({0: S}, {0: F})
-        p_a, p_b = np.stack([p.p_a for p in pairs]), np.stack([p.p_b for p in pairs])
-        na, nb = fast_update_proximity(p_a, p_b, wg, D, np.zeros(D.c), h, pairs)
-        assert np.array_equal(na, p_a)
-        assert np.array_equal(nb, p_b)
+        r = relative_positions(pairs)
+        assert np.array_equal(fast_update_proximity(r, wg, D, np.zeros(D.c), h), r)
 
     def test_scalar_point_mass(self):
-        # normal gap changes by h^2 lambda_n / m on a unit point mass
+        # the normal gap changes by h^2 lambda_n / m on a point mass
         body, pair = point_mass_pair(mass=2.0)
         A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
         wg = assemble_Wg({0: build_signed_mapping([pair], 0, 3)}, {0: Factorization(A)})
         D = assemble_direction([axes_frame()])
         lam = np.array([3.0, 0.0, 0.0])
-        p_a, p_b = pair.p_a[None], pair.p_b[None]
-        na, nb = fast_update_proximity(p_a, p_b, wg, D, lam, 0.01, [pair])
-        assert np.array_equal(nb, p_b)  # plane side never moves
-        assert na[0, 1] - p_a[0, 1] == pytest.approx(0.01**2 * 3.0 / 2.0)
+        r = relative_positions([pair])
+        nr = fast_update_proximity(r, wg, D, lam, 0.01)
+        assert nr[0, 1] - r[0, 1] == pytest.approx(0.01**2 * 3.0 / 2.0)
+        assert np.array_equal(nr[0, [0, 2]], r[0, [0, 2]])
 
     def test_linearity_in_lambda(self):
         # k updates with fixed D compose to one update with the summed impulse
@@ -338,14 +356,12 @@ class TestFastProximityUpdate:
         wg = assemble_Wg({0: S}, {0: F})
         rng = np.random.default_rng(5)
         lams = [rng.standard_normal(D.c) for _ in range(3)]
-        p_a = np.stack([p.p_a for p in pairs])
-        p_b = np.stack([p.p_b for p in pairs])
-        sa, sb = p_a, p_b
+        r = relative_positions(pairs)
+        stepped = r
         for lam in lams:
-            sa, sb = fast_update_proximity(sa, sb, wg, D, lam, h, pairs)
-        oa, ob = fast_update_proximity(p_a, p_b, wg, D, np.sum(lams, axis=0), h, pairs)
-        assert np.abs(sa - oa).max() <= 1e-12
-        assert np.abs(sb - ob).max() <= 1e-12
+            stepped = fast_update_proximity(stepped, wg, D, lam, h)
+        once = fast_update_proximity(r, wg, D, np.sum(lams, axis=0), h)
+        assert np.abs(stepped - once).max() <= 1e-12
 
     def test_matches_full_mechanical_pipeline(self):
         # the proximity update equals g(q) after the real corrective motion
@@ -355,16 +371,47 @@ class TestFastProximityUpdate:
         rng = np.random.default_rng(9)
         lam = np.abs(rng.standard_normal(D.c))
 
-        p_a = np.stack([p.p_a for p in pairs])
-        p_b = np.stack([p.p_b for p in pairs])
-        fa, fb = fast_update_proximity(p_a, p_b, wg, D, lam, h, pairs)
+        fast = fast_update_proximity(relative_positions(pairs), wg, D, lam, h)
 
         t = D.apply_transposed(lam)
         dv_cor = h * F.solve(S.T @ t)
         q_new = state.q + h * dv_cor
         oa, ob = refresh_proximity(pairs, {0: q_new.reshape(-1, 3), 1: None})
-        assert np.abs(fa - oa).max() <= 1e-9
-        assert np.abs(fb - ob).max() <= 1e-9
+        assert np.abs(fast - (oa - ob)).max() <= 1e-9
+
+    def test_two_dynamic_bodies_match_mechanical_pipeline(self):
+        # both sides of every pair move: the update must equal pA - pB after
+        # each body's own corrective motion, with action and reaction signs
+        h = 0.01
+        lower = box_mesh((0.1, 0.1, 0.1), (2, 2, 2), center=(0.0, 0.0, 0.0))
+        upper = box_mesh((0.06, 0.06, 0.06), (2, 2, 2), center=(0.01, 0.0795, 0.0))
+        bodies = {0: SoftBody(lower, young=5e4), 1: SoftBody(upper, young=2e4)}
+        geoms = []
+        for oid, body in bodies.items():
+            tris = surface_triangles(body.mesh)
+            geoms.append(MeshGeometry(oid, body.mesh.nodes, tris, surface_vertices(tris),
+                                      deformable=True, dynamic=True))
+        pairs = detect(geoms, threshold=0.005)
+        assert {p.object_a for p in pairs} == {0, 1}
+        D = assemble_direction(build_frames(pairs))
+        S, F = {}, {}
+        for oid, body in bodies.items():
+            A, _ = body.assemble(body.initial_state(), h=h, gravity=(0, 0, 0))
+            F[oid] = Factorization(A)
+            S[oid] = build_signed_mapping(pairs, oid, body.n_dofs, body.fixed_mask)
+        wg = assemble_Wg(S, F)
+        lam = np.abs(np.random.default_rng(4).standard_normal(D.c))
+
+        fast = fast_update_proximity(relative_positions(pairs), wg, D, lam, h)
+
+        t = D.apply_transposed(lam)
+        views = {
+            oid: (body.mesh.nodes.ravel() + h * h * F[oid].solve(S[oid].T @ t)).reshape(-1, 3)
+            for oid, body in bodies.items()
+        }
+        oa, ob = refresh_proximity(pairs, views)
+        assert np.abs(oa - relative_positions(pairs) - ob).max() > 1e-6  # it did move
+        assert np.abs(fast - (oa - ob)).max() <= 1e-9
 
     def test_gap_linearization(self):
         # delta(after correction) == delta_free + h^2 W lambda for linear maps
@@ -374,10 +421,8 @@ class TestFastProximityUpdate:
         W = rebuild_W_fast(D, wg)
         rng = np.random.default_rng(2)
         lam = np.abs(rng.standard_normal(D.c)) * 0.1
-        p_a = np.stack([p.p_a for p in pairs])
-        p_b = np.stack([p.p_b for p in pairs])
-        delta_free = compute_violation(D, p_a, p_b)
-        na, nb = fast_update_proximity(p_a, p_b, wg, D, lam, h, pairs)
-        delta_after = compute_violation(D, na, nb)
+        r = relative_positions(pairs)
+        delta_free = compute_violation(D, r)
+        delta_after = compute_violation(D, fast_update_proximity(r, wg, D, lam, h))
         predicted = delta_free + h * h * (W @ lam)
         assert np.abs(delta_after - predicted).max() <= 1e-9

@@ -119,6 +119,12 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             SoftBody(mesh, density=0.0)
 
+    @pytest.mark.parametrize("node", [-2, 100, 8])
+    def test_fixed_node_out_of_range_rejected(self, node):
+        mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1))  # 8 nodes
+        with pytest.raises(ValidationError):
+            SoftBody(mesh, fixed_nodes=[node])
+
     def test_lumped_mass_total(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
         masses = lumped_masses(m.nodes, m.tets, density=1000.0)

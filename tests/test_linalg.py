@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from contactnewton.errors import DimensionMismatchError, NotSPDError
-from contactnewton.linalg import Factorization, SparseSym, gemm
+from contactnewton.linalg import Factorization, SparseSym
 
 
 def random_spd(dim, seed, shift=10.0):
@@ -26,20 +26,6 @@ def dense_gaussian_elimination(A, b):
     for i in range(n - 1, -1, -1):
         x[i] = (b[i] - A[i, i + 1 :] @ x[i + 1 :]) / A[i, i]
     return x
-
-
-def gemm_naive(A, B):
-    """Independent oracle: textbook triple loop."""
-    m, k = A.shape
-    _, n = B.shape
-    C = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for p in range(k):
-                s += A[i, p] * B[p, j]
-            C[i, j] = s
-    return C
 
 
 class TestSparseSym:
@@ -155,38 +141,3 @@ class TestSolveMulti:
             X = F.solve_multi(B)
             assert np.abs(A @ X - B).max() <= 1e-9 * np.abs(B).max()
 
-
-class TestGemm:
-    def test_identity(self):
-        A = np.random.default_rng(0).standard_normal((4, 4))
-        assert np.array_equal(gemm(A, np.eye(4)), A)
-
-    def test_counting(self):
-        C = gemm(np.ones((2, 3)), np.ones((3, 2)))
-        assert np.array_equal(C, np.full((2, 2), 3.0))
-
-    def test_matches_naive_triple_loop_bitwise(self):
-        rng = np.random.default_rng(13)
-        A = rng.standard_normal((5, 4))
-        B = rng.standard_normal((4, 6))
-        assert np.array_equal(gemm(A, B), gemm_naive(A, B))
-
-    def test_transposes(self):
-        rng = np.random.default_rng(8)
-        A = rng.standard_normal((4, 5))
-        B = rng.standard_normal((6, 4))
-        assert np.array_equal(gemm(A, B, transpose_a=True, transpose_b=True),
-                              gemm_naive(A.T, B.T))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            gemm(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity_tolerance(self):
-        rng = np.random.default_rng(4)
-        A = rng.uniform(-1, 1, (6, 6)) / 6.0
-        B = rng.uniform(-1, 1, (6, 6)) / 6.0
-        C = rng.uniform(-1, 1, (6, 6)) / 6.0
-        left = gemm(gemm(A, B), C)
-        right = gemm(A, gemm(B, C))
-        assert np.abs(left - right).max() <= 1e-10

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from contactnewton import cli
-from contactnewton.errors import ParseError, ValidationError
+from contactnewton.errors import NonFiniteStateError, ParseError, ValidationError
 from contactnewton.scene import (
     Simulation,
     load_scene,
     load_snapshot,
     save_snapshot,
     take_snapshot,
+    with_box_divisions,
 )
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -42,12 +43,47 @@ objects:
     type: plane
 """
 
+BOX = "mesh: {box: {size: [0.1, 0.1, 0.1], divisions: [1, 1, 1]}}"
+PLATE = "plate: {center: [0, 0, 0], normal: [0, 1, 0]}"
+
+# (scene text, the section and the key the error must name)
+UNKNOWN_KEYS = {
+    "top-level-key": (GROUND + "steps: 3\n", "scene: unknown key 'steps'"),
+    "newton-misspelt-key": (GROUND + "newton: {penetraton_tol: 1.0}\n",
+                            "newton: unknown key 'penetraton_tol'"),
+    "pgs-key": (GROUND + "pgs: {sweeps: 3}\n", "pgs: unknown key 'sweeps'"),
+    "output-key": (GROUND + "output: {snapshot: false}\n", "output: unknown key 'snapshot'"),
+    "plane-misspelt-key": ("objects: [{name: ground, type: plane, ofset: 2.0}]\n",
+                           "ground: unknown key 'ofset'"),
+    "soft-key": (f"objects: [{{name: block, type: soft, {BOX}, youngs: 1.0}}]\n",
+                 "block: unknown key 'youngs'"),
+    "mesh-key": ("objects: [{name: block, type: soft, mesh: {path: a.mesh}}]\n",
+                 "block.mesh: unknown key 'path'"),
+    "box-key": ("objects: [{name: block, type: soft, mesh: {box: {size: [1, 1, 1], "
+                "divisions: [1, 1, 1], centre: [0, 0, 0]}}}]\n",
+                "block.mesh.box: unknown key 'centre'"),
+    "material-key": (f"objects: [{{name: block, type: soft, {BOX}, material: {{nu: 0.3}}}}]\n",
+                     "block.material: unknown key 'nu'"),
+    "fixed-region-key": (f"objects: [{{name: block, type: soft, {BOX}, "
+                         "fixed_region: {axis: y, maximum: 0}}]\n",
+                         "block.fixed_region: unknown key 'maximum'"),
+    "plate-key": ("objects: [{name: plate, type: kinematic_mesh, "
+                  "plate: {center: [0, 0, 0], normal: [0, 1, 0], width: 0.1}}]\n",
+                  "plate.plate: unknown key 'width'"),
+    "motion-key": (f"objects: [{{name: plate, type: kinematic_mesh, {PLATE}, "
+                   "motion: {omega: 1.0}}]\n",
+                   "plate.motion: unknown key 'omega'"),
+    "sphere-key": ("objects: [{name: ball, type: rigid_sphere, mass: 1, radius: 0.1, spin: 1}]\n",
+                   "ball: unknown key 'spin'"),
+}
+
 BAD_SCENES = {
     "objects-list-of-int": "objects: [1]\n",
     "objects-mapping": "objects: {a: 1}\n",
     "pgs-iterations-text": GROUND + "pgs: {iterations: abc}\n",
     "dt-text": GROUND + "dt: abc\n",
     "output-every-zero": GROUND + "output: {every: 0}\n",
+    **{name: text for name, (text, _) in UNKNOWN_KEYS.items()},
 }
 
 
@@ -61,6 +97,13 @@ def write_scene(tmp_path, text, name="scene.scn"):
 def test_bad_scene_raises_package_error(tmp_path, text):
     with pytest.raises((ParseError, ValidationError)):
         load_scene(write_scene(tmp_path, text))
+
+
+@pytest.mark.parametrize("text, message", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_unknown_key_names_section_and_key(tmp_path, text, message):
+    with pytest.raises(ValidationError) as info:
+        load_scene(write_scene(tmp_path, text))
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("text", BAD_SCENES.values(), ids=BAD_SCENES.keys())
@@ -115,3 +158,61 @@ def test_truncated_snapshot_raises(tmp_path, cut):
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(ParseError):
         load_snapshot(path)
+
+
+COLUMN = """\
+objects:
+  - name: column
+    type: soft
+    mesh: {box: {size: [0.07, 0.46, 0.07], divisions: [2, 4, 2], center: [0.0, 0.2298, 0.0]}}
+    fixed_region: {axis: y, max: 0.0}
+"""
+
+
+def test_remeshed_box_keeps_its_fixed_region(tmp_path):
+    remeshed = with_box_divisions(load_scene(write_scene(tmp_path, COLUMN)), (3, 7, 3))
+    fresh = load_scene(write_scene(tmp_path, COLUMN.replace("[2, 4, 2]", "[3, 7, 3]")))
+    [spec], [want] = remeshed.objects, fresh.objects
+    assert np.array_equal(spec.fixed_nodes, want.fixed_nodes)
+    assert len(spec.fixed_nodes) == 16  # the bottom layer of a 3 x 3 box
+    assert np.all(spec.mesh.nodes[spec.fixed_nodes, 1] <= 0.0)
+
+
+def test_remeshing_explicit_fixed_nodes_is_refused(tmp_path):
+    config = load_scene(write_scene(tmp_path, COLUMN + "    fixed_nodes: [40]\n"))
+    with pytest.raises(ValidationError):
+        with_box_divisions(config, (3, 7, 3))
+
+
+def blow_up_scene_text():
+    """point_mass.scn with a step and a velocity that overflow the free motion."""
+    text = (SCENES / "point_mass.scn").read_text()
+    text = text.replace("dt: 0.01", "dt: 1.0e9")
+    text = text.replace("velocity: [0.0, -1.0, 0.0]", "velocity: [0.0, -1.0e300, 0.0]")
+    return text.replace("meshes/point.mesh", str(SCENES / "meshes" / "point.mesh"))
+
+
+def test_non_finite_step_commits_nothing(tmp_path):
+    sim = Simulation(load_scene(write_scene(tmp_path, blow_up_scene_text())))
+    ball = sim.objects[0]
+    state = ball.state
+    q, v = state.q.copy(), state.v.copy()
+    last = (sim.last_pairs, sim.last_frames, sim.last_lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError):
+            sim.step()
+    assert (sim.time, sim.step_index) == (0.0, 0)
+    assert ball.state is state
+    assert np.array_equal(state.q, q) and np.array_equal(state.v, v)
+    assert (sim.last_pairs, sim.last_frames, sim.last_lam) == last
+
+
+def test_cli_run_reports_non_finite_step(tmp_path, capsys):
+    path = write_scene(tmp_path, blow_up_scene_text())
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", "--scene", str(path), "--steps", "2",
+                         "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "non-finite" in err
+    assert "Traceback" not in err

@@ -250,16 +250,15 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
         return views
 
     def refresh(dv_total):
-        return refresh_proximity(pairs, views_at(dv_total))
+        p_a, p_b = refresh_proximity(pairs, views_at(dv_total))
+        return p_a - p_b
 
-    p_a0, p_b0 = refresh({})
     ctx = StepContext(
         pairs=pairs,
         detection_frames=build_frames(pairs),
         S_by_object=S,
         F_by_object=F,
-        p_a0=p_a0,
-        p_b0=p_b0,
+        r0=refresh({}),
         h=h,
         refresh=refresh,
         wg=assemble_Wg(S, F) if with_wg else None,
