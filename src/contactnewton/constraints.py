@@ -11,7 +11,9 @@ Two routes build the c x c compliance (Delassus) operator:
   standard   W = sum_obj H A^-1 H^T      (multi-RHS backsolves, n-dimensional)
   fast       W = D W_g D^T               (blockwise congruence, independent of n)
 
-with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array built once per time step.
+with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered once per time step
+from the columns of A^-1 each factorization caches (a soft body's A is
+constant, so only DOFs entering contact for the first time cost a solve).
 The fast route also moves the relative proximity positions r = pA - pB
 directly in constraint space, r_{k+1} = r_k + h^2 W_g D^T lambda_k,
 skipping all system solves.
@@ -122,7 +124,11 @@ def assemble_W_standard(
 def assemble_Wg(
     S_by_object: dict[int, sp.spmatrix], F_by_object: dict[int, Factorization]
 ) -> np.ndarray:
-    """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p)."""
+    """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p).
+
+    Each object adds S_J A^-1[J][:, J] S_J^T over the columns J of S with
+    entries; :meth:`Factorization.inverse_block` supplies the middle factor.
+    """
     ids = sorted(S_by_object)
     if not ids:
         return np.zeros((0, 0))
@@ -135,9 +141,12 @@ def assemble_Wg(
             raise DimensionMismatchError(
                 f"object {oid}: S has {S.shape[1]} columns, factorization dim {F.dim}"
             )
-        if S.nnz == 0:
+        S = S.tocsr()
+        J = np.unique(S.indices[S.data != 0.0])
+        if J.size == 0:
             continue
-        wg += S @ F.solve_multi(S.T.toarray())
+        SJ = S[:, J].toarray()
+        wg += SJ @ F.inverse_block(J) @ SJ.T
     return wg
 
 

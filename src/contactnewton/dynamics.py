@@ -146,6 +146,7 @@ class SoftBody:
             raise ValidationError("a body without tets needs explicit node_masses")
         self._stiffness = None
         self._masses = None
+        self._system = None  # (h, A) of the last assemble
 
     @property
     def n_dofs(self) -> int:
@@ -175,12 +176,17 @@ class SoftBody:
             )
         return self._stiffness
 
-    def internal_force(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """f(q, v) = K (q - q0) + (rayleigh_mass M + rayleigh_stiffness K) v."""
+    def internal_force(self, q: np.ndarray, v: np.ndarray, Kv=None) -> np.ndarray:
+        """f(q, v) = K (q - q0) + (rayleigh_mass M + rayleigh_stiffness K) v.
+
+        ``Kv`` is K v, for a caller that already has it.
+        """
         K = self.stiffness()
         m3 = np.repeat(self.masses(), 3)
         disp = q - self.mesh.nodes.ravel()
-        return K @ disp + self.rayleigh_mass * (m3 * v) + self.rayleigh_stiffness * (K @ v)
+        if Kv is None:
+            Kv = K @ v
+        return K @ disp + self.rayleigh_mass * (m3 * v) + self.rayleigh_stiffness * Kv
 
     def initial_state(self, velocity=(0.0, 0.0, 0.0)) -> MechanicalState:
         v = np.tile(np.asarray(velocity, dtype=np.float64), self.mesh.n_nodes)
@@ -189,28 +195,31 @@ class SoftBody:
     def assemble(self, state: MechanicalState, h: float, gravity) -> tuple[SparseSym, np.ndarray]:
         if h <= 0:
             raise ValidationError(f"time step must be positive, got {h}")
-        K = self.stiffness().tocoo()
         m3 = np.repeat(self.masses(), 3)
         fixed = self.fixed_mask
 
-        # A = (1 + h a) M + (h b + h^2) K, with fixed rows/cols replaced by identity
-        k_scale = h * self.rayleigh_stiffness + h * h
-        keep = ~(fixed[K.row] | fixed[K.col])
-        rows = K.row[keep]
-        cols = K.col[keep]
-        vals = k_scale * K.data[keep]
-        diag = np.where(fixed, 1.0, (1.0 + h * self.rayleigh_mass) * m3)
-        rows = np.concatenate([rows, np.arange(self.n_dofs)])
-        cols = np.concatenate([cols, np.arange(self.n_dofs)])
-        vals = np.concatenate([vals, diag])
-        A = SparseSym.from_triplets(self.n_dofs, rows, cols, vals, check=False)
+        # A = (1 + h a) M + (h b + h^2) K, with fixed rows/cols replaced by
+        # identity; it depends on h alone (linear material), so it is kept
+        if self._system is None or self._system[0] != h:
+            K = self.stiffness().tocoo()
+            k_scale = h * self.rayleigh_stiffness + h * h
+            keep = ~(fixed[K.row] | fixed[K.col])
+            rows = K.row[keep]
+            cols = K.col[keep]
+            vals = k_scale * K.data[keep]
+            diag = np.where(fixed, 1.0, (1.0 + h * self.rayleigh_mass) * m3)
+            rows = np.concatenate([rows, np.arange(self.n_dofs)])
+            cols = np.concatenate([cols, np.arange(self.n_dofs)])
+            vals = np.concatenate([vals, diag])
+            self._system = (h, SparseSym.from_triplets(self.n_dofs, rows, cols, vals, check=False))
+        A = self._system[1]
 
         g = np.asarray(gravity, dtype=np.float64)
         f_ext = (m3 * np.tile(g, self.mesh.n_nodes)).astype(np.float64)
         if self.extra_node_force is not None:
             f_ext += np.tile(np.asarray(self.extra_node_force, dtype=np.float64), self.mesh.n_nodes)
-        Kcsr = self.stiffness()
-        b = h * (f_ext - self.internal_force(state.q, state.v)) - h * h * (Kcsr @ state.v)
+        Kv = self.stiffness() @ state.v
+        b = h * (f_ext - self.internal_force(state.q, state.v, Kv)) - h * h * Kv
         b[fixed] = 0.0
         if not np.all(np.isfinite(b)):
             raise NonFiniteForceError("assembled right-hand side is not finite")

@@ -51,12 +51,14 @@ class SparseSym:
 class Factorization:
     """Factorization of a :class:`SparseSym`, reusable for many solves.
 
-    Immutable after construction; safe to share across threads.
     ``solve_count`` tracks how many backsolves went through this object,
     which lets callers assert that a code path performs no system solves.
+    The object caches the columns of A^-1 that :meth:`inverse_block` has
+    solved for, so it is not immutable: do not share it across threads
+    while that cache fills.
     """
 
-    __slots__ = ("dim", "_lu", "solve_count")
+    __slots__ = ("dim", "_lu", "solve_count", "_inverse_columns")
 
     def __init__(self, matrix: SparseSym):
         csc = matrix.csr.tocsc()
@@ -78,6 +80,7 @@ class Factorization:
         self.dim = matrix.dim
         self._lu = lu
         self.solve_count = 0
+        self._inverse_columns: dict[int, np.ndarray] = {}
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
@@ -98,3 +101,27 @@ class Factorization:
         self.solve_count += B.shape[1]
         return self._lu.solve(B)
 
+    def inverse_block(self, dofs) -> np.ndarray:
+        """A^-1[dofs][:, dofs], from cached columns of A^-1.
+
+        Only DOFs not seen before are solved for, on unit right-hand sides
+        through :meth:`solve_multi`; each cached column lives as long as
+        this factorization.
+        """
+        dofs = np.asarray(dofs, dtype=np.int64)
+        if dofs.ndim != 1 or ((dofs < 0) | (dofs >= self.dim)).any():
+            raise DimensionMismatchError(
+                f"dofs must be a 1-d list of indices in [0, {self.dim})"
+            )
+        cache = self._inverse_columns
+        new = [d for d in dict.fromkeys(dofs.tolist()) if d not in cache]
+        if new:
+            E = np.zeros((self.dim, len(new)))
+            E[new, np.arange(len(new))] = 1.0
+            X = self.solve_multi(E)
+            for j, d in enumerate(new):
+                cache[d] = X[:, j]
+        block = np.empty((len(dofs), len(dofs)))
+        for j, d in enumerate(dofs.tolist()):
+            block[:, j] = cache[d][dofs]
+        return block

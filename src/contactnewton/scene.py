@@ -638,7 +638,10 @@ class StepReport:
     c_groups: int
     dofs: int
     newton_iterations: int
+    newton_exit: str  # "penetration", "rotation" or "max_iterations"
     pgs_iterations_total: int
+    pgs_converged: bool  # every PGS solve of the step converged
+    system_solves: int  # backsolves on the step's factorizations
     pen_before: float
     pen_after: float
     lambda_n_sum: float
@@ -660,11 +663,11 @@ class StepReport:
     penetration_history: list = field(default_factory=list)
 
     CSV_FIELDS = (
-        "step", "time", "c_groups", "dofs", "newton_iterations",
-        "pgs_iterations_total", "pen_before", "pen_after", "lambda_n_sum",
-        "lambda_n_max", "lambda_t_max", "t_detect", "t_assemble", "t_free",
-        "t_constraints", "t_build_wg", "t_rebuild_w", "t_pgs", "t_correction",
-        "t_final_correction", "t_step",
+        "step", "time", "c_groups", "dofs", "newton_iterations", "newton_exit",
+        "pgs_iterations_total", "pgs_converged", "system_solves", "pen_before",
+        "pen_after", "lambda_n_sum", "lambda_n_max", "lambda_t_max", "t_detect",
+        "t_assemble", "t_free", "t_constraints", "t_build_wg", "t_rebuild_w",
+        "t_pgs", "t_correction", "t_final_correction", "t_step",
     )
 
     def csv_row(self):
@@ -731,13 +734,22 @@ class Simulation:
             F, b = obj.assemble(states[obj.oid], h, cfg.gravity)
             factorizations[obj.oid] = F
             rhs[obj.oid] = b
+        solves_before = sum(F.solve_count for F in factorizations.values())
         t_assemble = time.perf_counter()
 
         free = {}
         for obj in self.dynamic_objects:
-            free[obj.oid] = compute_free_motion(
-                factorizations[obj.oid], rhs[obj.oid], states[obj.oid], h
-            )
+            # an overflow is caught by the check below, before it reaches PGS
+            with np.errstate(over="ignore", invalid="ignore"):
+                fm = compute_free_motion(
+                    factorizations[obj.oid], rhs[obj.oid], states[obj.oid], h
+                )
+            if not (np.isfinite(fm.q_free).all() and np.isfinite(fm.dv_free).all()):
+                raise NonFiniteStateError(
+                    f"step {self.step_index}: object {obj.oid} has a non-finite free "
+                    "motion; nothing was committed"
+                )
+            free[obj.oid] = fm
         t_free = time.perf_counter()
 
         S = {
@@ -788,12 +800,12 @@ class Simulation:
             "build_wg": t_build_wg,
             "begin": t_begin,
         }
-        return ctx, free, states, pen_before, timings, t_next
+        return ctx, free, states, pen_before, timings, t_next, solves_before
 
     def step(self) -> StepReport:
         cfg = self.config
         h = cfg.h
-        ctx, free, states, pen_before, timings, t_next = self.prepare_step()
+        ctx, free, states, pen_before, timings, t_next, solves_before = self.prepare_step()
         pairs = ctx.pairs
         if cfg.newton.scheme == "fast":
             result = newton_fast(ctx, cfg.newton, cfg.pgs)
@@ -823,6 +835,7 @@ class Simulation:
         else:
             pen_after = 0.0
         t_end = time.perf_counter()
+        system_solves = sum(F.solve_count for F in ctx.F_by_object.values()) - solves_before
 
         # commit
         for obj in self.dynamic_objects:
@@ -842,7 +855,10 @@ class Simulation:
             c_groups=len(pairs),
             dofs=self.total_dofs(),
             newton_iterations=len(iterations),
+            newton_exit=result.exit,
             pgs_iterations_total=sum(it.pgs_iterations for it in iterations),
+            pgs_converged=all(it.pgs_converged for it in iterations),
+            system_solves=system_solves,
             pen_before=pen_before,
             pen_after=pen_after,
             lambda_n_sum=float(lam_groups[:, 0].sum()) if len(lam_groups) else 0.0,

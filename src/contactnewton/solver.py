@@ -226,6 +226,7 @@ class IterationStats:
     correction_time: float
     pgs_iterations: int
     pgs_eps: float
+    pgs_converged: bool
     penetration: float
     rotation: float
 
@@ -238,6 +239,7 @@ class CorrectionResult:
     iterations: list[IterationStats] = field(default_factory=list)
     final_frames: list[ContactFrame] = field(default_factory=list)
     final_correction_time: float = 0.0
+    exit: str = "max_iterations"  # why the loop stopped; else "penetration" or "rotation"
 
 
 def _penetration(delta_end: np.ndarray) -> float:
@@ -279,6 +281,7 @@ def _newton(
             frames = new_frames
             D = assemble_direction(frames)
             if rotation <= ncfg.rotation_tol:
+                result.exit = "rotation"
                 break
         t0 = time.perf_counter()
         W = rebuild(D)
@@ -298,11 +301,13 @@ def _newton(
                 correction_time=t3 - t2,
                 pgs_iterations=res.iterations,
                 pgs_eps=res.eps_history[-1] if res.eps_history else 0.0,
+                pgs_converged=res.converged,
                 penetration=pen,
                 rotation=rotation,
             )
         )
         if pen <= ncfg.penetration_tol:
+            result.exit = "penetration"
             break
     result.dv_by_object, result.final_correction_time = finish(accumulated)
     result.final_frames = frames

@@ -20,7 +20,10 @@ def test_run_writes_outputs(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 0
     with open(out / "metrics.csv") as fh:
-        assert len(list(csv.reader(fh))) == 1 + 3
+        metrics = list(csv.DictReader(fh))
+    assert len(metrics) == 3
+    assert [(m["newton_exit"], m["pgs_converged"], m["system_solves"]) for m in metrics] == [
+        ("penetration", "True", "5")] * 3  # free motion, 3 W columns, 1 correction
     with open(out / "newton.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["step", "iteration", "penetration"]
@@ -53,6 +56,8 @@ def test_bench_tiny_spec(tmp_path, capsys, monkeypatch):
     with open(out / "bench.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["resolution"], r["scheme"]) for r in rows] == [("4", "standard"), ("4", "fast")]
+    # the fast cell's first step fills the cache of A^-1 columns
+    assert float(rows[1]["build_wg_cold_ms"]) > 0.0
     assert re.search(r"resolution 4: fast is \d+\.\d+x faster per Newton iteration",
                      capsys.readouterr().out)
 

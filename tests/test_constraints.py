@@ -22,9 +22,9 @@ from contactnewton.constraints import (
     fast_update_proximity,
     rebuild_W_fast,
 )
-from contactnewton.dynamics import MechanicalState, SoftBody, compute_free_motion
+from contactnewton.dynamics import MechanicalState, RigidBody, SoftBody, compute_free_motion
 from contactnewton.errors import DimensionMismatchError
-from contactnewton.linalg import Factorization
+from contactnewton.linalg import Factorization, SparseSym
 from contactnewton.solver import _penetration
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
 
@@ -67,10 +67,10 @@ def point_mass_pair(mass=1.0, height=-0.002):
     return body, pair
 
 
-def block_on_plane_context(h=0.01, center_y=0.0495):
+def block_on_plane_context(h=0.01, center_y=0.0495, fixed_nodes=()):
     """Small soft box over the plane y = 0, with factorization and mappings."""
     m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2), center=(0.0, center_y, 0.0))
-    body = SoftBody(m, young=5e4, poisson=0.3)
+    body = SoftBody(m, young=5e4, poisson=0.3, fixed_nodes=fixed_nodes)
     tris = surface_triangles(m)
     geom = MeshGeometry(
         object_id=0,
@@ -300,6 +300,154 @@ class TestMappingDelassus:
             rebuild_W_fast(D, np.eye(6))
 
 
+def two_boxes_context(h=0.01):
+    """Two soft boxes, one resting on the other: vertex and barycentric sides
+    on both bodies. Returns bodies, pairs, S and A by object id."""
+    lower = box_mesh((0.1, 0.1, 0.1), (2, 2, 2), center=(0.0, 0.0, 0.0))
+    upper = box_mesh((0.06, 0.06, 0.06), (2, 2, 2), center=(0.01, 0.0795, 0.0))
+    bodies = {0: SoftBody(lower, young=5e4), 1: SoftBody(upper, young=2e4)}
+    geoms = []
+    for oid, body in bodies.items():
+        tris = surface_triangles(body.mesh)
+        geoms.append(MeshGeometry(oid, body.mesh.nodes, tris, surface_vertices(tris),
+                                  deformable=True, dynamic=True))
+    pairs = detect(geoms, threshold=0.005)
+    assert {p.object_a for p in pairs} == {0, 1}
+    S, A = {}, {}
+    for oid, body in bodies.items():
+        A[oid], _ = body.assemble(body.initial_state(), h=h, gravity=(0, 0, 0))
+        S[oid] = build_signed_mapping(pairs, oid, body.n_dofs, body.fixed_mask)
+    return bodies, pairs, S, A
+
+
+def dense_wg(S_by_object, A_by_object):
+    """Oracle: sum over objects of S A^-1 S^T with dense inverses."""
+    return sum(
+        S.toarray() @ np.linalg.inv(A_by_object[oid].toarray()) @ S.toarray().T
+        for oid, S in S_by_object.items()
+    )
+
+
+def contact_dofs(S):
+    """The columns of S with nonzero entries."""
+    return np.flatnonzero(np.abs(S.toarray()).sum(axis=0))
+
+
+def rigid_on_soft_pairs(body, vertices):
+    """A rigid sphere (object 1) pressing on the given vertices of a soft body
+    (object 0), one pair per vertex with the sphere on side A."""
+    pairs = []
+    for v in vertices:
+        lever = np.array([0.01 * (v % 3), -0.05, 0.02])
+        pairs.append(ProximityPair(
+            object_a=1,
+            object_b=0,
+            attach_a=Attachment(AttachKind.RIGID_LOCAL, 1, local_point=lever, lever=lever),
+            attach_b=Attachment(AttachKind.VERTEX, 0, vertex=int(v)),
+            p_a=body.mesh.nodes[v].copy(),
+            p_b=body.mesh.nodes[v].copy(),
+            ref_normal=np.array([0.0, 1.0, 0.0]),
+            signed_distance=0.0,
+            vertex_id=int(v),
+            element_id=-1,
+        ))
+    return pairs
+
+
+class TestWgGather:
+    """assemble_Wg gathers S A^-1 S^T from cached columns of A^-1; each case
+    is checked against the dense oracle and against the solves it may cost."""
+
+    @staticmethod
+    def check(S, F, A):
+        wg = assemble_Wg(S, F)
+        oracle = dense_wg(S, A)
+        assert np.abs(wg - oracle).max() <= 1e-9 * np.abs(oracle).max()
+        return wg
+
+    def test_vertex_attachments(self):
+        body, state, pairs, frames, F, S, h = block_on_plane_context()
+        A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        self.check({0: S}, {0: F}, {0: A})
+        assert F.solve_count == 3 * len(pairs)  # one column per contact DOF
+        self.check({0: S}, {0: F}, {0: A})
+        assert F.solve_count == 3 * len(pairs)  # the second build only gathers
+
+    def test_barycentric_attachments(self):
+        m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
+        body = SoftBody(m, young=5e4)
+        tris = surface_triangles(m)[[0, 1, 5]]
+        rng = np.random.default_rng(8)
+        pairs = []
+        for tri in tris:
+            w = rng.dirichlet(np.ones(3))
+            pairs.append(ProximityPair(
+                object_a=0,
+                object_b=1,
+                attach_a=Attachment(AttachKind.BARYCENTRIC, 0, triangle=tri, weights=w),
+                attach_b=Attachment(AttachKind.WORLD, 1, world_point=np.zeros(3)),
+                p_a=w @ m.nodes[tri],
+                p_b=np.zeros(3),
+                ref_normal=np.array([0.0, 1.0, 0.0]),
+                signed_distance=0.0,
+                vertex_id=-1,
+                element_id=0,
+            ))
+        S = build_signed_mapping(pairs, 0, body.n_dofs)
+        A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
+        F = Factorization(A)
+        self.check({0: S}, {0: F}, {0: A})
+        assert F.solve_count == 3 * len(np.unique(tris))  # shared nodes solved once
+
+    def test_fixed_dofs_cost_no_solve(self):
+        _, _, unpinned_pairs, *_ = block_on_plane_context()
+        fixed = [p.attach_a.vertex for p in unpinned_pairs[:3]]
+        body, state, pairs, frames, F, S, h = block_on_plane_context(fixed_nodes=fixed)
+        A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        wg = self.check({0: S}, {0: F}, {0: A})
+        assert F.solve_count == 3 * (len(pairs) - len(fixed))
+        pinned = [g for g, p in enumerate(pairs) if p.attach_a.vertex in fixed]
+        assert len(pinned) == len(fixed)
+        for g in pinned:
+            assert not wg[3 * g : 3 * g + 3].any() and not wg[:, 3 * g : 3 * g + 3].any()
+
+    def test_two_dynamic_soft_bodies(self):
+        bodies, pairs, S, A = two_boxes_context()
+        F = {oid: Factorization(a) for oid, a in A.items()}
+        self.check(S, F, A)
+        for oid in bodies:
+            assert F[oid].solve_count == len(contact_dofs(S[oid]))
+
+    def test_rigid_sphere_on_soft_body_over_two_steps(self):
+        # the soft factorization lives across steps; the rigid one is rebuilt
+        # every step with the turned inertia, so its cache starts empty
+        m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
+        soft = SoftBody(m, young=5e4)
+        sphere = RigidBody(mass=0.5, inertia=np.diag([1e-3, 2e-3, 3e-3]), radius=0.05)
+        A_soft, _ = soft.assemble(soft.initial_state(), h=0.01, gravity=(0, 0, 0))
+        F_soft = Factorization(A_soft)
+        top = np.flatnonzero(m.nodes[:, 1] >= m.nodes[:, 1].max() - 1e-12)
+        turn = np.array([[0.0, -1, 0], [1.0, 0, 0], [0.0, 0, 1]])
+        # step 2 shares two of its four vertices with step 1: 3 + 2 new vertices
+        steps = [(np.eye(3), top[:3], 9), (turn, top[1:5], 15)]
+        for rotation, vertices, soft_solves in steps:
+            pairs = rigid_on_soft_pairs(soft, vertices)
+            A_rigid, _ = sphere.assemble(rotation, h=0.01, gravity=(0, 0, 0))
+            A = {0: A_soft, 1: A_rigid}
+            F = {0: F_soft, 1: Factorization(A_rigid)}
+            S = {0: build_signed_mapping(pairs, 0, soft.n_dofs),
+                 1: build_signed_mapping(pairs, 1, 6)}
+            self.check(S, F, A)
+            assert F[1].solve_count == len(contact_dofs(S[1])) <= 6
+            assert F_soft.solve_count == soft_solves
+
+    def test_shape_mismatch(self):
+        body, pair = point_mass_pair()
+        S = build_signed_mapping([pair], 0, 3)
+        with pytest.raises(DimensionMismatchError):
+            assemble_Wg({0: S}, {0: Factorization(SparseSym(np.eye(6)))})
+
+
 class TestViolation:
     def test_penetration_sign(self):
         D = assemble_direction([axes_frame()])
@@ -383,22 +531,9 @@ class TestFastProximityUpdate:
         # both sides of every pair move: the update must equal pA - pB after
         # each body's own corrective motion, with action and reaction signs
         h = 0.01
-        lower = box_mesh((0.1, 0.1, 0.1), (2, 2, 2), center=(0.0, 0.0, 0.0))
-        upper = box_mesh((0.06, 0.06, 0.06), (2, 2, 2), center=(0.01, 0.0795, 0.0))
-        bodies = {0: SoftBody(lower, young=5e4), 1: SoftBody(upper, young=2e4)}
-        geoms = []
-        for oid, body in bodies.items():
-            tris = surface_triangles(body.mesh)
-            geoms.append(MeshGeometry(oid, body.mesh.nodes, tris, surface_vertices(tris),
-                                      deformable=True, dynamic=True))
-        pairs = detect(geoms, threshold=0.005)
-        assert {p.object_a for p in pairs} == {0, 1}
+        bodies, pairs, S, A = two_boxes_context(h)
         D = assemble_direction(build_frames(pairs))
-        S, F = {}, {}
-        for oid, body in bodies.items():
-            A, _ = body.assemble(body.initial_state(), h=h, gravity=(0, 0, 0))
-            F[oid] = Factorization(A)
-            S[oid] = build_signed_mapping(pairs, oid, body.n_dofs, body.fixed_mask)
+        F = {oid: Factorization(a) for oid, a in A.items()}
         wg = assemble_Wg(S, F)
         lam = np.abs(np.random.default_rng(4).standard_normal(D.c))
 

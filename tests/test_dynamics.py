@@ -125,6 +125,24 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             SoftBody(mesh, fixed_nodes=[node])
 
+    def test_system_matrix_kept_per_time_step(self):
+        mesh = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
+        body = SoftBody(mesh, fixed_nodes=[0, 1])
+        state = body.initial_state((0.0, -0.3, 0.1))
+        A1, b1 = body.assemble(state, h=0.01, gravity=(0, -9.81, 0))
+        moved = MechanicalState(state.q + 1e-3, state.v)
+        A2, b2 = body.assemble(moved, h=0.01, gravity=(0, -9.81, 0))
+        assert A2 is A1  # not rebuilt for the same h
+        fresh = SoftBody(mesh, fixed_nodes=[0, 1])
+        A_ref, b_ref = fresh.assemble(moved, h=0.01, gravity=(0, -9.81, 0))
+        assert np.array_equal(A2.toarray(), A_ref.toarray())
+        assert np.array_equal(b2, b_ref)
+        A3, _ = body.assemble(state, h=0.02, gravity=(0, -9.81, 0))
+        assert A3 is not A1
+        A3_ref, _ = SoftBody(mesh, fixed_nodes=[0, 1]).assemble(state, h=0.02, gravity=(0, -9.81, 0))
+        assert np.array_equal(A3.toarray(), A3_ref.toarray())
+        assert not np.array_equal(A3.toarray(), A1.toarray())
+
     def test_lumped_mass_total(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
         masses = lumped_masses(m.nodes, m.tets, density=1000.0)

@@ -141,3 +141,31 @@ class TestSolveMulti:
             X = F.solve_multi(B)
             assert np.abs(A @ X - B).max() <= 1e-9 * np.abs(B).max()
 
+
+
+class TestInverseBlock:
+    def test_matches_dense_inverse(self):
+        A = random_spd(15, 41)
+        F = Factorization(SparseSym(A))
+        inv = np.linalg.inv(A)
+        for dofs in ([3, 0, 11], [14, 3, 7, 0, 9]):
+            block = F.inverse_block(dofs)
+            oracle = inv[np.ix_(dofs, dofs)]
+            assert np.abs(block - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_solves_only_new_columns(self):
+        F = Factorization(SparseSym(random_spd(12, 5)))
+        F.inverse_block([4, 1, 9])
+        assert F.solve_count == 3
+        first = F.inverse_block([4, 1, 9])
+        assert F.solve_count == 3  # a repeated call solves nothing
+        block = F.inverse_block([9, 2, 4, 7, 1])
+        assert F.solve_count == 5  # only 2 and 7 were new
+        assert np.array_equal(block[np.ix_([2, 4, 0], [2, 4, 0])], first)
+
+    def test_rejects_bad_dofs(self):
+        F = Factorization(SparseSym(sp.eye(4)))
+        for dofs in ([0, 4], [-1], [[0, 1]]):
+            with pytest.raises(DimensionMismatchError):
+                F.inverse_block(dofs)
+        assert F.solve_count == 0

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contactnewton import cli
+from contactnewton import cli, solver
 from contactnewton.errors import NonFiniteStateError, ParseError, ValidationError
 from contactnewton.scene import (
     Simulation,
@@ -216,3 +217,72 @@ def test_cli_run_reports_non_finite_step(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and "non-finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_free_motion_stops_before_pgs(tmp_path, monkeypatch):
+    def no_pgs(*args, **kwargs):
+        raise AssertionError("PGS ran on a non-finite free motion")
+
+    monkeypatch.setattr(solver, "pgs", no_pgs)
+    sim = Simulation(load_scene(write_scene(tmp_path, blow_up_scene_text())))
+    with pytest.raises(NonFiniteStateError, match="free motion"):
+        sim.step()
+    assert (sim.time, sim.step_index) == (0.0, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_prints_only_the_error_line(tmp_path, capsys):
+    path = write_scene(tmp_path, blow_up_scene_text())
+    code = cli.main(["run", "--scene", str(path), "--steps", "2",
+                     "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "non-finite free motion" in captured.err
+
+
+def test_non_finite_correction_commits_nothing(monkeypatch):
+    # a finite free motion whose correction overflows is caught before the commit
+    def overflowing_correction(ctx, t):
+        return {oid: np.full(S.shape[1], np.inf) for oid, S in ctx.S_by_object.items()}
+
+    monkeypatch.setattr(solver, "_mechanical_correction", overflowing_correction)
+    sim = Simulation(load_scene(SCENES / "point_mass.scn"))
+    state = sim.objects[0].state
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteStateError, match="would reach a non-finite state"):
+            sim.step()
+    assert (sim.time, sim.step_index) == (0.0, 0)
+    assert sim.objects[0].state is state
+
+
+def test_step_reports_system_solves():
+    config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 4, 7))
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme="fast")))
+    fast = [sim.step() for _ in range(4)]
+    # step 0: the free motion, one unit solve per contact DOF to fill the
+    # cache of A^-1 columns, and the final correction; later steps gather
+    contact_dofs = 3 * len({p.attach_a.vertex for p in sim.last_pairs})
+    assert fast[0].system_solves == 2 + contact_dofs
+    assert [r.system_solves for r in fast[1:]] == [2, 2, 2]
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme="standard")))
+    for r in (sim.step() for _ in range(4)):
+        # the free motion, then per iteration one solve per row of W and
+        # one mechanical correction
+        assert r.system_solves == 1 + r.newton_iterations * (3 * r.c_groups + 1)
+
+
+def test_step_reports_newton_exit_and_pgs_convergence():
+    config = load_scene(SCENES / "block_on_plane.scn")
+    cases = [
+        (dict(), {}, "penetration", True),
+        (dict(max_iterations=3, penetration_tol=0.0), {}, "rotation", True),
+        (dict(max_iterations=1, penetration_tol=0.0), dict(max_iterations=1),
+         "max_iterations", False),
+    ]
+    for newton, pgs, exit_reason, converged in cases:
+        cfg = replace(config, newton=replace(config.newton, scheme="fast", **newton),
+                      pgs=replace(config.pgs, **pgs))
+        report = Simulation(cfg).step()
+        assert (report.newton_exit, report.pgs_converged) == (exit_reason, converged)
