@@ -7,6 +7,18 @@ and projected onto the friction disk of radius mu * lambda_n. The sweep
 stops when the relative change of lambda drops below the configured
 tolerance.
 
+A sweep runs on plain Python floats. Before the sweeps, :func:`pgs` takes
+each group's diagonal-block scalars once (:func:`group_blocks`) and a
+contiguous copy of its column block of W. During the sweeps lambda is a list
+of per-group 3-tuples, and :func:`local_solve` maps float tuples to a float
+tuple. Only the update of the violation by a group's change,
+``h^2 W[:, group] dlambda``, goes through numpy. The formulas and their
+order are those of the array version, so the results are bit-identical to
+it. For the same reason the disk projection keeps ``np.hypot``:
+``math.hypot`` rounds differently. To keep its cost low, ``np.hypot`` runs
+only when the squared tangential impulse reaches (1 - 1e-6) times the squared
+radius of the disk.
+
 The recursive correction is one Newton loop, :func:`_newton`. Its only
 proximity state is the stacked relative position r = pA - pB, one 3-row per
 pair. Each iteration re-linearizes the directions from r (stopping when they
@@ -38,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,61 +120,81 @@ def regularize(W: np.ndarray) -> np.ndarray:
     shift = 1e-10 * np.trace(W) / c
     if shift <= 0:
         shift = 1e-30
-    out = None
-    for g in range(c // 3):
-        blk = W[3 * g : 3 * g + 3, 3 * g : 3 * g + 3]
-        sym = 0.5 * (blk + blk.T)
-        eigs = np.linalg.eigvalsh(sym)
-        scale = max(abs(eigs).max(), 1e-300)
-        if eigs.min() <= 1e-12 * scale:
-            if out is None:
-                out = W.copy()
-            out[3 * g : 3 * g + 3, 3 * g : 3 * g + 3] += shift * np.eye(3)
-    return W if out is None else out
+    blocks = W[_block_index(c)]
+    eigs = np.linalg.eigvalsh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
+    scale = np.maximum(np.abs(eigs).max(axis=1), 1e-300)
+    singular = np.flatnonzero(eigs.min(axis=1) <= 1e-12 * scale)
+    if singular.size == 0:
+        return W
+    out = W.copy()
+    for g in singular:
+        out[3 * g : 3 * g + 3, 3 * g : 3 * g + 3] += shift * np.eye(3)
+    return out
+
+
+def _block_index(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fancy index picking the (c // 3, 3, 3) diagonal group blocks of a c x c matrix."""
+    rows = np.arange(3 * (c // 3)).reshape(-1, 3)
+    return rows[:, :, None], rows[:, None, :]
+
+
+def group_blocks(W: np.ndarray, h2: float) -> list[tuple[float, ...]]:
+    """Per group, the plain floats ``local_solve`` reads from W's diagonal block.
+
+    Each entry is ``(Wnn, W_t1n, W_t2n, T00, T01, T10, T11, det)`` with
+    ``T = h2 * W_tt`` the tangential block and ``det`` its determinant.
+    """
+    out = []
+    for (wnn, _, _), (wt1n, w11, w12), (wt2n, w21, w22) in W[_block_index(len(W))].tolist():
+        T00, T01, T10, T11 = h2 * w11, h2 * w12, h2 * w21, h2 * w22
+        out.append((wnn, wt1n, wt2n, T00, T01, T10, T11, T00 * T11 - T01 * T10))
+    return out
+
+
+_ZERO = (0.0, 0.0, 0.0)
 
 
 def local_solve(
-    alpha: int,
-    W: np.ndarray,
-    delta_cur: np.ndarray,
-    lam: np.ndarray,
+    block: tuple[float, ...],
+    delta: Sequence[float],
+    lam: Sequence[float],
     mu: float,
     h2: float,
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """One group's Signorini/Coulomb block solve with the others frozen.
 
-    ``delta_cur`` is the violation at the current lambda. Normal row first,
-    then the exact tangential 2 x 2 solve, then the disk projection.
+    ``block`` is the group's entry of :func:`group_blocks`, ``delta`` its
+    violation at the current lambda and ``lam`` its current lambda. Normal row
+    first, then the exact tangential 2 x 2 solve, then the disk projection.
+    Returns the group's new lambda.
     """
-    i = 3 * alpha
-    Wnn = W[i, i]
+    Wnn, Wt1n, Wt2n, T00, T01, T10, T11, det = block
     if not Wnn > 0:
-        raise SingularBlockError(f"group {alpha}: normal compliance {Wnn} not positive")
-    ln_old = lam[i]
-    ln = max(0.0, ln_old - delta_cur[i] / (h2 * Wnn))
+        raise SingularBlockError(f"normal compliance {Wnn} not positive")
+    ln_old = lam[0]
+    ln = max(0.0, ln_old - delta[0] / (h2 * Wnn))
     if ln == 0.0:
-        return np.zeros(3)
+        return _ZERO
     if mu == 0.0:
-        return np.array([ln, 0.0, 0.0])
-    dt = delta_cur[i + 1 : i + 3] + h2 * W[i + 1 : i + 3, i] * (ln - ln_old)
-    T = h2 * W[i + 1 : i + 3, i + 1 : i + 3]
-    det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+        return (ln, 0.0, 0.0)
     if not det > 0:
-        raise SingularBlockError(f"group {alpha}: tangential block singular")
+        raise SingularBlockError("tangential block singular")
     # stick trial: zero the tangential gap exactly
-    rhs = -dt
-    dlt = np.array(
-        [
-            (T[1, 1] * rhs[0] - T[0, 1] * rhs[1]) / det,
-            (T[0, 0] * rhs[1] - T[1, 0] * rhs[0]) / det,
-        ]
-    )
-    lt = lam[i + 1 : i + 3] + dlt
+    rhs0 = -(delta[1] + h2 * Wt1n * (ln - ln_old))
+    rhs1 = -(delta[2] + h2 * Wt2n * (ln - ln_old))
+    lt0 = lam[1] + (T11 * rhs0 - T01 * rhs1) / det
+    lt1 = lam[2] + (T00 * rhs1 - T10 * rhs0) / det
     radius = mu * ln
-    nt = float(np.hypot(lt[0], lt[1]))
-    if nt > radius:
-        lt = lt * (radius / nt)
-    return np.array([ln, lt[0], lt[1]])
+    rr = radius * radius
+    # Project only when |lt| may reach the disk edge: the 1e-6 margin covers
+    # the rounding of the squares wherever rr is a normal float.
+    if lt0 * lt0 + lt1 * lt1 >= 0.999999 * rr or rr < 1e-290:
+        nt = float(np.hypot(lt0, lt1))
+        if nt > radius:
+            scale = radius / nt
+            lt0 *= scale
+            lt1 *= scale
+    return (ln, lt0, lt1)
 
 
 def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> PgsResult:
@@ -173,33 +205,44 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     c = len(delta_base)
     if c == 0:
         return PgsResult(np.zeros(0), np.zeros(0), 0, [], True)
-    if W.shape != (c, c):
-        raise SingularBlockError(f"W is {W.shape}, violation has {c} rows")
+    if W.shape != (c, c) or c % 3:
+        raise SingularBlockError(f"W is {W.shape}, violation has {c} rows (3 per group)")
     W = regularize(W)
     h2 = h * h
-    lam = np.zeros(c)
+    mu = config.friction
+    n_groups = c // 3
+    blocks = group_blocks(W, h2)
+    # cols[g] is the contiguous (c, 3) column block W[:, 3g:3g+3]
+    cols = W.reshape(c, n_groups, 3).transpose(1, 0, 2).copy()
+    lam = [_ZERO] * n_groups  # per group, during the sweeps
+    lam_vec = np.zeros(c)  # the same values after the last sweep
     delta_cur = delta_base.astype(np.float64).copy()
+    delta_rows = delta_cur.reshape(n_groups, 3)
     eps_history: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        lam_prev = lam.copy()
-        for g in range(c // 3):
-            new = local_solve(g, W, delta_cur, lam, config.friction, h2)
-            dl = new - lam[3 * g : 3 * g + 3]
-            if dl.any():
-                delta_cur += h2 * (W[:, 3 * g : 3 * g + 3] @ dl)
-                lam[3 * g : 3 * g + 3] = new
-        num = float(np.linalg.norm(lam - lam_prev))
-        den = float(np.linalg.norm(lam))
+        for g in range(n_groups):
+            old = lam[g]
+            try:
+                new = local_solve(blocks[g], delta_rows[g].tolist(), old, mu, h2)
+            except SingularBlockError as exc:
+                raise SingularBlockError(f"group {g}: {exc}") from None
+            dl = (new[0] - old[0], new[1] - old[1], new[2] - old[2])
+            if dl[0] or dl[1] or dl[2]:
+                delta_cur += h2 * cols[g].dot(np.array(dl))
+                lam[g] = new
+        lam_prev, lam_vec = lam_vec, np.array(lam).reshape(c)
+        num = float(np.linalg.norm(lam_vec - lam_prev))
+        den = float(np.linalg.norm(lam_vec))
         eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
         eps_history.append(eps)
         if eps <= config.tolerance:
             converged = True
             break
-    delta_end = delta_base + h2 * (W @ lam)
-    return PgsResult(lam, delta_end, iterations, eps_history, converged)
+    delta_end = delta_base + h2 * (W @ lam_vec)
+    return PgsResult(lam_vec, delta_end, iterations, eps_history, converged)
 
 
 # --- recursive correction schemes ----------------------------------------------

@@ -1,8 +1,10 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contactnewton import solver
 from contactnewton.collision import (
     AttachKind,
     Attachment,
@@ -26,15 +28,125 @@ from contactnewton.dynamics import SoftBody, compute_free_motion
 from contactnewton.errors import SingularBlockError, ValidationError
 from contactnewton.linalg import Factorization
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
+from contactnewton.scene import Simulation, load_scene
 from contactnewton.solver import (
     NewtonConfig,
     PgsConfig,
+    PgsResult,
     StepContext,
+    group_blocks,
     local_solve,
     newton_fast,
     newton_standard,
     pgs,
+    regularize,
 )
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
+
+
+# --- reference PGS: the array-based solver the plain-float sweep replaced --------
+# Kept verbatim as the oracle: the float sweep must reproduce it bit for bit.
+
+
+def regularize_reference(W: np.ndarray) -> np.ndarray:
+    c = W.shape[0]
+    if c == 0:
+        return W
+    shift = 1e-10 * np.trace(W) / c
+    if shift <= 0:
+        shift = 1e-30
+    out = None
+    for g in range(c // 3):
+        blk = W[3 * g : 3 * g + 3, 3 * g : 3 * g + 3]
+        sym = 0.5 * (blk + blk.T)
+        eigs = np.linalg.eigvalsh(sym)
+        scale = max(abs(eigs).max(), 1e-300)
+        if eigs.min() <= 1e-12 * scale:
+            if out is None:
+                out = W.copy()
+            out[3 * g : 3 * g + 3, 3 * g : 3 * g + 3] += shift * np.eye(3)
+    return W if out is None else out
+
+
+def local_solve_reference(
+    alpha: int,
+    W: np.ndarray,
+    delta_cur: np.ndarray,
+    lam: np.ndarray,
+    mu: float,
+    h2: float,
+) -> np.ndarray:
+    i = 3 * alpha
+    Wnn = W[i, i]
+    if not Wnn > 0:
+        raise SingularBlockError(f"group {alpha}: normal compliance {Wnn} not positive")
+    ln_old = lam[i]
+    ln = max(0.0, ln_old - delta_cur[i] / (h2 * Wnn))
+    if ln == 0.0:
+        return np.zeros(3)
+    if mu == 0.0:
+        return np.array([ln, 0.0, 0.0])
+    dt = delta_cur[i + 1 : i + 3] + h2 * W[i + 1 : i + 3, i] * (ln - ln_old)
+    T = h2 * W[i + 1 : i + 3, i + 1 : i + 3]
+    det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+    if not det > 0:
+        raise SingularBlockError(f"group {alpha}: tangential block singular")
+    # stick trial: zero the tangential gap exactly
+    rhs = -dt
+    dlt = np.array(
+        [
+            (T[1, 1] * rhs[0] - T[0, 1] * rhs[1]) / det,
+            (T[0, 0] * rhs[1] - T[1, 0] * rhs[0]) / det,
+        ]
+    )
+    lt = lam[i + 1 : i + 3] + dlt
+    radius = mu * ln
+    nt = float(np.hypot(lt[0], lt[1]))
+    if nt > radius:
+        lt = lt * (radius / nt)
+    return np.array([ln, lt[0], lt[1]])
+
+
+def pgs_reference(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> PgsResult:
+    c = len(delta_base)
+    if c == 0:
+        return PgsResult(np.zeros(0), np.zeros(0), 0, [], True)
+    if W.shape != (c, c):
+        raise SingularBlockError(f"W is {W.shape}, violation has {c} rows")
+    W = regularize_reference(W)
+    h2 = h * h
+    lam = np.zeros(c)
+    delta_cur = delta_base.astype(np.float64).copy()
+    eps_history: list[float] = []
+    converged = False
+    iterations = 0
+    for _ in range(config.max_iterations):
+        iterations += 1
+        lam_prev = lam.copy()
+        for g in range(c // 3):
+            new = local_solve_reference(g, W, delta_cur, lam, config.friction, h2)
+            dl = new - lam[3 * g : 3 * g + 3]
+            if dl.any():
+                delta_cur += h2 * (W[:, 3 * g : 3 * g + 3] @ dl)
+                lam[3 * g : 3 * g + 3] = new
+        num = float(np.linalg.norm(lam - lam_prev))
+        den = float(np.linalg.norm(lam))
+        eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
+        eps_history.append(eps)
+        if eps <= config.tolerance:
+            converged = True
+            break
+    delta_end = delta_base + h2 * (W @ lam)
+    return PgsResult(lam, delta_end, iterations, eps_history, converged)
+
+
+def assert_same_pgs(res, ref):
+    assert np.array_equal(res.lam, ref.lam)
+    assert np.array_equal(res.delta_end, ref.delta_end)
+    assert np.array_equal(res.eps_history, ref.eps_history)
+    assert res.iterations == ref.iterations
+    assert res.converged == ref.converged
 
 
 def axes_frame():
@@ -85,11 +197,16 @@ def normal_only_to_groups(W_n, delta_n):
     return W, delta
 
 
+def solve_block(W, delta, lam, mu, h2):
+    """local_solve on group 0 of W, the way pgs feeds it."""
+    return local_solve(group_blocks(W, h2)[0], tuple(delta), tuple(lam), mu, h2)
+
+
 class TestLocalSolve:
     def test_separated_contact_inactive(self):
         W = np.eye(3)
         lam = np.zeros(3)
-        out = local_solve(0, W, np.array([0.01, 0.0, 0.0]), lam, mu=0.5, h2=1e-4)
+        out = solve_block(W, np.array([0.01, 0.0, 0.0]), lam, mu=0.5, h2=1e-4)
         assert np.array_equal(out, np.zeros(3))
 
     def test_scalar_closed_form(self):
@@ -97,7 +214,7 @@ class TestLocalSolve:
         W = 0.5 * np.eye(3)
         h2 = 1e-4
         delta = np.array([-0.004, 0.0, 0.0])
-        out = local_solve(0, W, delta, np.zeros(3), mu=0.0, h2=h2)
+        out = solve_block(W, delta, np.zeros(3), mu=0.0, h2=h2)
         assert out[0] == pytest.approx(0.004 / (h2 * 0.5), rel=1e-12)
         assert out[1] == out[2] == 0.0
 
@@ -108,7 +225,7 @@ class TestLocalSolve:
         W = B @ B.T + 3 * np.eye(3)
         h2 = 1e-4
         delta = np.array([-0.01, 0.0005, -0.0003])
-        lam = local_solve(0, W, delta, np.zeros(3), mu=10.0, h2=h2)
+        lam = np.array(solve_block(W, delta, np.zeros(3), mu=10.0, h2=h2))
         delta_end = delta + h2 * (W @ lam)
         # 3x3 oracle: with a huge cone the block solve must zero the
         # tangential gap while the normal redoes only the diagonal row
@@ -118,13 +235,50 @@ class TestLocalSolve:
 
     def test_zero_normal_kills_friction(self):
         W = np.eye(3)
-        out = local_solve(0, W, np.array([0.01, -1.0, 0.5]), np.zeros(3), mu=0.5, h2=1e-4)
+        out = solve_block(W, np.array([0.01, -1.0, 0.5]), np.zeros(3), mu=0.5, h2=1e-4)
         assert np.array_equal(out, np.zeros(3))
 
     def test_singular_block_raises(self):
         W = np.zeros((3, 3))
         with pytest.raises(SingularBlockError):
-            local_solve(0, W, np.array([-0.1, 0.0, 0.0]), np.zeros(3), mu=0.5, h2=1e-4)
+            solve_block(W, np.array([-0.1, 0.0, 0.0]), np.zeros(3), mu=0.5, h2=1e-4)
+
+    @pytest.mark.parametrize(
+        "ratio, hypot_calls",
+        [(0.5, 0), (1.0 - 5e-8, 1), (1.0 + 5e-8, 1), (2.0, 1)],
+        ids=["inside", "just-inside", "just-outside", "outside"],
+    )
+    def test_cone_boundary(self, monkeypatch, ratio, hypot_calls):
+        # the stick trial puts |lambda_t| at ratio * mu * lambda_n; np.hypot
+        # runs only near or past the disk edge, and the result must equal the
+        # array solver's bit for bit on either side of that pre-check
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((3, 3))
+        W = B @ B.T + 3 * np.eye(3)
+        h2, mu = 1e-4, 0.4
+        lam0 = np.array([0.2, 0.01, -0.03])
+        ln = lam0[0] + 1.0
+        direction = np.array([0.6, -0.8])
+        lt = ratio * mu * ln * direction
+        # choose delta so the normal row gives ln and the stick trial gives lt
+        delta = np.empty(3)
+        delta[0] = -(ln - lam0[0]) * h2 * W[0, 0]
+        delta[1:] = -(h2 * W[1:, 0] * (ln - lam0[0]) + h2 * W[1:, 1:] @ (lt - lam0[1:]))
+        calls = []
+        hypot = np.hypot
+        monkeypatch.setattr(np, "hypot", lambda *a: calls.append(a) or hypot(*a))
+        out = solve_block(W, delta, lam0, mu, h2)
+        assert len(calls) == hypot_calls
+        monkeypatch.undo()
+        ref = local_solve_reference(0, W, delta, lam0, mu, h2)
+        assert np.array_equal(np.array(out), ref)
+        assert out[0] == pytest.approx(ln, rel=1e-12)
+        norm_t = np.hypot(out[1], out[2])
+        if ratio < 1.0:
+            assert norm_t == pytest.approx(ratio * mu * out[0], rel=1e-9)
+            assert norm_t < mu * out[0]
+        else:
+            assert norm_t == pytest.approx(mu * out[0], rel=1e-15)
 
 
 class TestPgs:
@@ -224,6 +378,89 @@ class TestPgs:
         delta = np.array([-0.01, 0, 0, -0.01, 0, 0.0])
         res = pgs(W, delta, 0.01, PgsConfig(max_iterations=300, tolerance=1e-10))
         assert res.delta_end[::3].min() >= -1e-6
+
+
+    def test_singular_group_is_named(self):
+        W = np.eye(6)
+        W[3, 3] = -1.0
+        delta = np.array([-0.01, 0.0, 0.0, -0.01, 0.0, 0.0])
+        with pytest.raises(SingularBlockError, match="group 1: normal compliance"):
+            pgs(W, delta, 0.01, PgsConfig())
+
+    def test_one_local_solve_per_group_and_sweep(self, monkeypatch):
+        # the benchmark's tracer counts local_solve through the module global
+        calls = []
+        inner = solver.local_solve
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(solver, "local_solve", counting)
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((12, 12))
+        W = B @ B.T + 12 * np.eye(12)
+        delta = rng.uniform(-0.01, 0.0, 12)
+        res = pgs(W, delta, 0.01, PgsConfig(max_iterations=7, tolerance=1e-300, friction=0.3))
+        assert res.iterations == 7 and not res.converged
+        assert len(calls) == 7 * 4
+
+
+class TestPgsMatchesReference:
+    """The plain-float sweep reproduces the array-based PGS bit for bit."""
+
+    @staticmethod
+    def random_problem(rng, singular):
+        groups = int(rng.integers(2, 7))
+        c = 3 * groups
+        B = rng.standard_normal((c, c))
+        if singular:  # group 1's tangent rows coincide: its block gets the shift
+            B[5] = B[4]
+            W = B @ B.T
+        else:
+            W = B @ B.T + rng.uniform(0.1, c) * np.eye(c)
+        return W, rng.uniform(-0.01, 0.005, c)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
+    def test_random_problems(self, mu):
+        rng = np.random.default_rng(int(10 * mu) + 1)
+        seen = set()
+        for trial in range(24):
+            W, delta = self.random_problem(rng, singular=trial % 3 == 0)
+            if trial % 2:
+                cfg = PgsConfig(max_iterations=400, tolerance=1e-5, friction=mu)
+            else:
+                cfg = PgsConfig(max_iterations=int(rng.integers(1, 40)),
+                                tolerance=1e-300, friction=mu)
+            res = pgs(W, delta, 0.01, cfg)
+            assert_same_pgs(res, pgs_reference(W, delta, 0.01, cfg))
+            seen.add("converged" if res.converged else "max_iterations")
+            if regularize(W) is not W:
+                seen.add("regularized")
+        assert seen == {"converged", "max_iterations", "regularized"}
+
+    def test_regularize_matches_reference(self):
+        rng = np.random.default_rng(2)
+        for trial in range(12):
+            W, _ = self.random_problem(rng, singular=trial % 2 == 0)
+            assert np.array_equal(regularize(W), regularize_reference(W))
+        W = np.zeros((6, 6))
+        assert np.array_equal(regularize(W), regularize_reference(W))
+
+    def test_grasp_rotate_inputs(self, monkeypatch):
+        recorded = []
+
+        def recording(W, delta, h, config):
+            recorded.append((W.copy(), delta.copy(), h, config))
+            return pgs(W, delta, h, config)
+
+        monkeypatch.setattr(solver, "pgs", recording)
+        sim = Simulation(load_scene(SCENES / "grasp_rotate.scn"))
+        for _ in range(2):
+            sim.step()
+        assert len(recorded) >= 2 and all(len(d) for _, d, _, _ in recorded)
+        for W, delta, h, config in recorded:
+            assert_same_pgs(pgs(W, delta, h, config), pgs_reference(W, delta, h, config))
 
 
 def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
