@@ -9,6 +9,20 @@ Frame rule: the normal is the normalized pA - pB, oriented to agree with
 the supporting element's outward normal captured at detection (so a
 penetrating pair still points along the separation direction); it falls
 back to that element normal when the points nearly coincide.
+
+Narrow phase: each surface vertex of A is paired with its closest triangle
+of B (near-ties go to the lowest triangle id) when its signed distance to
+that triangle is at most ``threshold``. The query runs on blocks of vertices
+against all of B's triangles at once, at most ``QUERY_ENTRIES`` vertex x
+triangle entries per block so memory stays bounded, and each entry uses the
+formulas of a one-point query, so the pairs are bitwise those of a query
+per vertex. There is no distance cull against B's bounding box: a vertex
+behind an open plate or deep inside B has signed distance -dist, which
+passes the gate however far away it is, and culling it would change the
+pair list. Vertex-vs-plane preselects vertices with one matrix-vector
+product and a margin above its rounding error, then computes each
+candidate's distance with the per-vertex dot product as before, because the
+two round differently on tilted planes.
 """
 
 from __future__ import annotations
@@ -18,10 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFrameError, InvalidAttachmentError
+from .errors import DegenerateFrameError, DimensionMismatchError, InvalidAttachmentError
 
 COINCIDENT_EPS = 1e-9  # m, below this pA - pB carries no direction
 _TIE_EPS = 1e-9  # m, distances closer than this count as a tie (id breaks it)
+QUERY_ENTRIES = 1 << 18  # vertex x triangle entries per block of a mesh query
 _T1_REFERENCE = np.array([1.0, 0.0, 0.0])
 _T1_FALLBACK = np.array([0.0, 0.0, 1.0])
 
@@ -137,21 +152,25 @@ class SphereGeometry:
 def closest_points_on_triangles(tris: np.ndarray, p: np.ndarray):
     """Closest point of ``p`` on each triangle; returns (points, barycentric).
 
-    Vectorized region classification (Ericson's method); barycentric weights
-    are nonnegative and sum to one.
+    ``p`` is one point ``(3,)``, giving ``(T, 3)`` results, or a block of
+    points ``(V, 3)``, giving ``(V, T, 3)`` results. Vectorized region
+    classification (Ericson's method); barycentric weights are nonnegative
+    and sum to one. Every entry is computed by the same elementwise formulas,
+    so a block query is bitwise equal to one query per point.
     """
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    p = np.asarray(p)[..., None, :]
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
+    d1 = np.einsum("...j,...j->...", ab, ap)
+    d2 = np.einsum("...j,...j->...", ac, ap)
     bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
+    d3 = np.einsum("...j,...j->...", ab, bp)
+    d4 = np.einsum("...j,...j->...", ac, bp)
     cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    d5 = np.einsum("...j,...j->...", ab, cp)
+    d6 = np.einsum("...j,...j->...", ac, cp)
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
@@ -178,8 +197,8 @@ def closest_points_on_triangles(tris: np.ndarray, p: np.ndarray):
     v = np.select(conds, v_candidates, default=v_in)
     w = np.select(conds, w_candidates, default=w_in)
     u = 1.0 - v - w
-    points = a + v[:, None] * ab + w[:, None] * ac
-    bary = np.column_stack([u, v, w])
+    points = a + v[..., None] * ab + w[..., None] * ac
+    bary = np.stack([u, v, w], axis=-1)
     return points, bary
 
 
@@ -222,48 +241,61 @@ def _vertex_vs_mesh(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float
     pairs = []
     tri_pts = geom_b.points[geom_b.triangles]
     normals = triangle_normals(tri_pts)
-    for vid in geom_a.vertex_ids:
-        p = geom_a.points[vid]
-        cps, bary = closest_points_on_triangles(tri_pts, p)
-        diff = p - cps
-        dist = np.linalg.norm(diff, axis=1)
-        side = np.einsum("ij,ij->i", diff, normals)
+    block = max(1, QUERY_ENTRIES // len(tri_pts))
+    for start in range(0, len(geom_a.vertex_ids), block):
+        vids = geom_a.vertex_ids[start : start + block]
+        P = geom_a.points[vids]
+        cps, bary = closest_points_on_triangles(tri_pts, P)
+        diff = P[:, None, :] - cps
+        dist = np.linalg.norm(diff, axis=-1)
+        side = np.einsum("...j,...j->...", diff, normals)
         signed = np.where(side >= 0, dist, -dist)
         # closest feature first (unsigned), then its signed distance gates the
         # pair; near-exact ties go to the lowest triangle id so selection is
         # stable under whole-scene translation
-        best = int(np.flatnonzero(dist <= dist.min() + _TIE_EPS).min())
-        if signed[best] > threshold:
-            continue
-        attach_a = _mesh_attachment(geom_a, vertex=vid, point=p)
-        attach_b = _mesh_attachment(
-            geom_b,
-            triangle=geom_b.triangles[best],
-            bary=bary[best],
-            point=cps[best],
-            normal=normals[best],
-        )
-        pairs.append(
-            ProximityPair(
-                object_a=geom_a.object_id,
-                object_b=geom_b.object_id,
-                attach_a=attach_a,
-                attach_b=attach_b,
-                p_a=p.copy(),
-                p_b=cps[best].copy(),
-                ref_normal=normals[best].copy(),
-                signed_distance=float(signed[best]),
-                vertex_id=int(vid),
-                element_id=int(best),
+        best = np.argmax(dist <= dist.min(axis=1, keepdims=True) + _TIE_EPS, axis=1)
+        rows = np.arange(len(vids))
+        keep = signed[rows, best] <= threshold
+        rows, best = rows[keep], best[keep]
+        cps, bary, signed = cps[rows, best], bary[rows, best], signed[rows, best]
+        for i, (vid, tri) in enumerate(zip(vids[rows], best.tolist())):
+            p = P[rows[i]]
+            attach_a = _mesh_attachment(geom_a, vertex=vid, point=p)
+            attach_b = _mesh_attachment(
+                geom_b,
+                triangle=geom_b.triangles[tri],
+                bary=bary[i],
+                point=cps[i],
+                normal=normals[tri],
             )
-        )
+            pairs.append(
+                ProximityPair(
+                    object_a=geom_a.object_id,
+                    object_b=geom_b.object_id,
+                    attach_a=attach_a,
+                    attach_b=attach_b,
+                    p_a=p.copy(),
+                    p_b=cps[i].copy(),
+                    ref_normal=normals[tri].copy(),
+                    signed_distance=float(signed[i]),
+                    vertex_id=int(vid),
+                    element_id=tri,
+                )
+            )
     return pairs
 
 
 def _vertex_vs_plane(geom: MeshGeometry, plane: PlaneGeometry, threshold: float):
     pairs = []
     n = plane.normal
-    for vid in geom.vertex_ids:
+    P = geom.points[geom.vertex_ids]
+    # A gemv rounds differently from the per-vertex dot product that sets the
+    # reported distance, so it only preselects vertices. Either value is within
+    # about 4u (|p| . |n| + |offset|) of the exact one (u = 2^-53), far inside
+    # the margin; each candidate's distance is then computed as before.
+    margin = 1e-12 * (np.abs(P) @ np.abs(n) + abs(plane.offset))
+    near = P @ n - plane.offset <= threshold + margin
+    for vid in geom.vertex_ids[near]:
         p = geom.points[vid]
         signed = float(n @ p - plane.offset)
         if signed > threshold:
@@ -405,6 +437,8 @@ def relinearize(r: np.ndarray, previous: list[ContactFrame]):
 
 def max_frame_rotation(old: list[ContactFrame], new: list[ContactFrame]) -> float:
     """Largest angle between corresponding normals, radians."""
+    if len(old) != len(new):
+        raise DimensionMismatchError(f"{len(old)} old frames but {len(new)} new frames")
     worst = 0.0
     for fo, fn in zip(old, new):
         c = float(np.clip(fo.n @ fn.n, -1.0, 1.0))

@@ -1,25 +1,41 @@
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactnewton import collision
 from contactnewton.collision import (
+    _TIE_EPS,
     AttachKind,
     Attachment,
     MeshGeometry,
     PlaneGeometry,
     Pose,
+    ProximityPair,
     SphereGeometry,
+    _mesh_attachment,
     build_frames,
     closest_points_on_triangles,
     detect,
     max_frame_rotation,
     refresh_proximity,
     relinearize,
+    triangle_normals,
 )
 from contactnewton.constraints import build_signed_mapping
-from contactnewton.errors import DegenerateFrameError, InvalidAttachmentError
+from contactnewton.errors import (
+    DegenerateFrameError,
+    DimensionMismatchError,
+    InvalidAttachmentError,
+)
 from contactnewton.mesh import box_mesh, surface_triangles, surface_vertices
+from contactnewton.scene import Simulation, load_scene
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def mesh_geometry(mesh, object_id=0, offset=(0.0, 0.0, 0.0), dynamic=True):
@@ -200,8 +216,6 @@ def _world_attachment():
 
 
 def _dummy_pair(att_a, att_b):
-    from contactnewton.collision import ProximityPair
-
     return ProximityPair(
         object_a=att_a.object_id,
         object_b=att_b.object_id,
@@ -278,6 +292,13 @@ class TestFrames:
         F = new[0].as_matrix()
         assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-9
 
+    def test_rotation_of_unequal_frame_lists_raises(self):
+        frames = build_frames([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))] * 2)
+        with pytest.raises(DimensionMismatchError):
+            max_frame_rotation(frames, frames[:1])
+        with pytest.raises(DimensionMismatchError):
+            max_frame_rotation(frames[:1], frames)
+
     def test_relinearize_collapse_keeps_previous(self):
         pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
         frames = build_frames(pairs)
@@ -298,3 +319,305 @@ class TestFrames:
             eps *= 1e-8 / np.linalg.norm(eps)
             [f1] = relinearize((d + eps)[None], [f0])
             assert np.linalg.norm(f1.n - f0.n) <= 1e-6
+
+
+# --- reference narrow phase ---------------------------------------------------
+# The per-vertex narrow phase that the batched one replaced, kept verbatim as
+# the oracle: the batched query must reproduce every pair bit for bit.
+
+
+def closest_points_reference(tris: np.ndarray, p: np.ndarray):
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    bp = p - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    cp = p - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
+        w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
+        den_bc = (d4 - d3) + (d5 - d6)
+        w_bc = np.where(den_bc != 0, (d4 - d3) / den_bc, 0.0)
+        den = va + vb + vc
+        v_in = np.where(den != 0, vb / den, 1.0 / 3.0)
+        w_in = np.where(den != 0, vc / den, 1.0 / 3.0)
+
+    conds = [
+        (d1 <= 0) & (d2 <= 0),  # vertex a
+        (d3 >= 0) & (d4 <= d3),  # vertex b
+        (vc <= 0) & (d1 >= 0) & (d3 <= 0),  # edge ab
+        (d6 >= 0) & (d5 <= d6),  # vertex c
+        (vb <= 0) & (d2 >= 0) & (d6 <= 0),  # edge ac
+        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),  # edge bc
+    ]
+    v_candidates = [0.0 * d1, 1.0 + 0.0 * d1, v_ab, 0.0 * d1, 0.0 * d1, 1.0 - w_bc]
+    w_candidates = [0.0 * d1, 0.0 * d1, 0.0 * d1, 1.0 + 0.0 * d1, w_ac, w_bc]
+    v = np.select(conds, v_candidates, default=v_in)
+    w = np.select(conds, w_candidates, default=w_in)
+    u = 1.0 - v - w
+    points = a + v[:, None] * ab + w[:, None] * ac
+    bary = np.column_stack([u, v, w])
+    return points, bary
+
+
+def vertex_vs_mesh_reference(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float):
+    pairs = []
+    tri_pts = geom_b.points[geom_b.triangles]
+    normals = triangle_normals(tri_pts)
+    for vid in geom_a.vertex_ids:
+        p = geom_a.points[vid]
+        cps, bary = closest_points_reference(tri_pts, p)
+        diff = p - cps
+        dist = np.linalg.norm(diff, axis=1)
+        side = np.einsum("ij,ij->i", diff, normals)
+        signed = np.where(side >= 0, dist, -dist)
+        best = int(np.flatnonzero(dist <= dist.min() + _TIE_EPS).min())
+        if signed[best] > threshold:
+            continue
+        attach_a = _mesh_attachment(geom_a, vertex=vid, point=p)
+        attach_b = _mesh_attachment(
+            geom_b,
+            triangle=geom_b.triangles[best],
+            bary=bary[best],
+            point=cps[best],
+            normal=normals[best],
+        )
+        pairs.append(
+            ProximityPair(
+                object_a=geom_a.object_id,
+                object_b=geom_b.object_id,
+                attach_a=attach_a,
+                attach_b=attach_b,
+                p_a=p.copy(),
+                p_b=cps[best].copy(),
+                ref_normal=normals[best].copy(),
+                signed_distance=float(signed[best]),
+                vertex_id=int(vid),
+                element_id=int(best),
+            )
+        )
+    return pairs
+
+
+def vertex_vs_plane_reference(geom: MeshGeometry, plane: PlaneGeometry, threshold: float):
+    pairs = []
+    n = plane.normal
+    for vid in geom.vertex_ids:
+        p = geom.points[vid]
+        signed = float(n @ p - plane.offset)
+        if signed > threshold:
+            continue
+        foot = p - signed * n
+        pairs.append(
+            ProximityPair(
+                object_a=geom.object_id,
+                object_b=plane.object_id,
+                attach_a=_mesh_attachment(geom, vertex=vid, point=p),
+                attach_b=Attachment(AttachKind.WORLD, plane.object_id, world_point=foot),
+                p_a=p.copy(),
+                p_b=foot,
+                ref_normal=n.copy(),
+                signed_distance=signed,
+                vertex_id=int(vid),
+                element_id=-1,
+            )
+        )
+    return pairs
+
+
+def detect_reference(geometries, threshold):
+    """``detect`` with the per-vertex narrow phase (same broad phase and order)."""
+    with mock.patch.object(collision, "_vertex_vs_mesh", vertex_vs_mesh_reference), \
+            mock.patch.object(collision, "_vertex_vs_plane", vertex_vs_plane_reference):
+        return detect(geometries, threshold)
+
+
+def assert_bitwise_equal(x, y, where="pair"):
+    """Equal types, shapes, dtypes and bytes, field by field (so -0.0 != 0.0)."""
+    assert type(x) is type(y), where
+    if isinstance(x, np.ndarray):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), where
+        assert x.tobytes() == y.tobytes(), where
+    elif is_dataclass(x):
+        for f in fields(x):
+            assert_bitwise_equal(getattr(x, f.name), getattr(y, f.name), f"{where}.{f.name}")
+    elif isinstance(x, float):
+        assert np.float64(x).tobytes() == np.float64(y).tobytes(), where
+    else:
+        assert x == y, where
+
+
+def assert_same_pairs(got, expect):
+    assert len(got) == len(expect)
+    for i, (x, y) in enumerate(zip(got, expect)):
+        assert_bitwise_equal(x, y, f"pair {i}")
+
+
+def degenerate_triangles(rng, count):
+    """Random triangles with collinear, repeated-vertex and point triangles mixed in."""
+    tris = rng.uniform(-1.0, 1.0, (count, 3, 3))
+    tris[0::5, 2] = tris[0::5, 0] + 0.5 * (tris[0::5, 1] - tris[0::5, 0])  # collinear
+    tris[1::5, 1] = tris[1::5, 0]  # repeated vertex
+    tris[2::7, :] = tris[2::7, :1]  # all three vertices equal
+    return tris
+
+
+def feature_points(rng, tris, count):
+    """Random points plus points exactly on triangle vertices and edges."""
+    edges = tris[:, [0, 1, 2]] + rng.uniform(0.0, 1.0, (len(tris), 3, 1)) * (
+        tris[:, [1, 2, 0]] - tris[:, [0, 1, 2]])
+    on = np.concatenate([tris.reshape(-1, 3), edges.reshape(-1, 3)])
+    return np.concatenate([rng.uniform(-1.5, 1.5, (count, 3)), on[rng.permutation(len(on))[:count]]])
+
+
+def cloud_geometry(points, object_id=0):
+    return MeshGeometry(
+        object_id=object_id,
+        points=points,
+        triangles=np.zeros((0, 3), dtype=np.int64),
+        vertex_ids=np.arange(len(points)),
+        deformable=True,
+        dynamic=True,
+    )
+
+
+def soup_geometry(tris, object_id=1, deformable=True, pose=None):
+    return MeshGeometry(
+        object_id=object_id,
+        points=tris.reshape(-1, 3),
+        triangles=np.arange(3 * len(tris)).reshape(-1, 3),
+        vertex_ids=np.arange(3 * len(tris)),
+        deformable=deformable,
+        dynamic=deformable,
+        pose=pose or Pose.identity(),
+    )
+
+
+class TestBatchedNarrowPhase:
+    def test_kernel_matches_per_point_reference(self):
+        rng = np.random.default_rng(11)
+        tris = degenerate_triangles(rng, 40)
+        P = feature_points(rng, tris, 300)
+        points, bary = closest_points_on_triangles(tris, P)
+        assert points.shape == bary.shape == (len(P), len(tris), 3)
+        for i, p in enumerate(P):
+            ref_points, ref_bary = closest_points_reference(tris, p)
+            one_points, one_bary = closest_points_on_triangles(tris, p)
+            for got in (points[i], one_points):
+                assert got.tobytes() == ref_points.tobytes()
+            for got in (bary[i], one_bary):
+                assert got.tobytes() == ref_bary.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_soups_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        tris = degenerate_triangles(rng, 30)
+        P = feature_points(rng, tris, 120)
+        cloud = cloud_geometry(P)
+        pose = Pose(np.linalg.qr(rng.standard_normal((3, 3)))[0], rng.standard_normal(3))
+        for soup in (soup_geometry(tris), soup_geometry(tris, deformable=False, pose=pose)):
+            pairs = detect([cloud, soup], threshold=0.05)
+            assert len(pairs) > 0
+            assert_same_pairs(pairs, detect_reference([cloud, soup], threshold=0.05))
+
+    def test_exact_ties_go_to_lowest_triangle(self):
+        rng = np.random.default_rng(3)
+        tris = rng.uniform(-1.0, 1.0, (6, 3, 3))
+        tris = np.concatenate([tris, tris[::-1], tris[:, [1, 2, 0]]])  # duplicate faces
+        P = feature_points(rng, tris, 60)
+        cloud = cloud_geometry(P)
+        soup = soup_geometry(tris)
+        pairs = detect([cloud, soup], threshold=0.05)
+        assert pairs and all(p.element_id < 6 for p in pairs)
+        assert_same_pairs(pairs, detect_reference([cloud, soup], threshold=0.05))
+
+    def test_far_points_on_both_sides_of_an_open_plate(self):
+        # two triangles with outward normal +y; a point behind an open plate
+        # has signed = -distance, so it is paired however far it is
+        plate = np.array([[[-1.0, 0, -1], [1, 0, 1], [1, 0, -1]],
+                          [[-1.0, 0, -1], [-1, 0, 1], [1, 0, 1]]])
+        P = np.array([
+            [0.1, 0.005, 0.2],  # near, in front
+            [0.3, -0.005, 0.1],  # near, behind
+            [0.2, 3.0, -0.4],  # far in front: not paired
+            [-0.6, -3.0, 0.5],  # far behind: signed = -3
+            [5.0, 0.002, 5.0],  # beside the plate, in front: not paired
+            [5.0, -0.002, 5.0],  # beside the plate, behind: paired
+            [0.5, 0.01, -0.5],  # exactly at the threshold: paired
+        ])
+        cloud = cloud_geometry(P)
+        pairs = detect([cloud, soup_geometry(plate)], threshold=0.01)
+        assert [p.vertex_id for p in pairs] == [0, 1, 3, 5, 6]
+        assert pairs[2].signed_distance == -3.0
+        assert pairs[3].signed_distance < -5.0
+        assert pairs[4].signed_distance == 0.01
+        assert_same_pairs(pairs, detect_reference([cloud, soup_geometry(plate)], 0.01))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tilted_planes_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(-2.0, 2.0, (400, 3))
+        cloud = cloud_geometry(P)
+        for _ in range(10):
+            normal = rng.standard_normal(3)
+            offset = float(rng.uniform(-1.0, 1.0))
+            plane = PlaneGeometry(object_id=1, normal=normal, offset=offset)
+            # put a few vertices exactly on and just around the threshold
+            P[:6] -= np.outer(P[:6] @ plane.normal - offset - 0.01, plane.normal)
+            P[6:12] += rng.uniform(-1e-15, 1e-15, (6, 1)) * plane.normal
+            pairs = detect([cloud, plane], threshold=0.01)
+            assert 0 < len(pairs) < len(P)
+            assert_same_pairs(pairs, detect_reference([cloud, plane], threshold=0.01))
+
+    def test_empty_vertex_ids(self):
+        rng = np.random.default_rng(4)
+        tris = rng.uniform(-1.0, 1.0, (5, 3, 3))
+        cloud = cloud_geometry(rng.uniform(-1.0, 1.0, (4, 3)))
+        geometries = [cloud, soup_geometry(tris, deformable=False),
+                      PlaneGeometry(object_id=2, normal=(0, 1, 0), offset=0.0)]
+        assert len(detect(geometries, threshold=0.1)) > 0
+        cloud.vertex_ids = np.zeros(0, dtype=np.int64)
+        assert detect(geometries, threshold=0.1) == []
+        assert detect_reference(geometries, threshold=0.1) == []
+
+    def test_blocked_query_matches_unblocked(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        tris = degenerate_triangles(rng, 3)
+        cloud = cloud_geometry(feature_points(rng, tris, 40))
+        soup = soup_geometry(tris)
+        whole = detect([cloud, soup], threshold=0.2)
+        monkeypatch.setattr(collision, "QUERY_ENTRIES", 7)
+        blocked = detect([cloud, soup], threshold=0.2)
+        assert len(blocked) > 2
+        assert_same_pairs(blocked, whole)
+        # more triangles than entries per block: one vertex per block
+        monkeypatch.setattr(collision, "QUERY_ENTRIES", 2)
+        assert_same_pairs(detect([cloud, soup], threshold=0.2), whole)
+
+    @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn"])
+    def test_recorded_scene_geometry_matches_reference(self, monkeypatch, scene):
+        recorded = []
+
+        def recording(geometries, threshold):
+            recorded.append((geometries, threshold))
+            return detect(geometries, threshold)
+
+        monkeypatch.setattr(collision, "detect", recording)
+        sim = Simulation(load_scene(SCENES / scene))
+        for _ in range(3):
+            sim.step()
+        assert len(recorded) == 3
+        for geometries, threshold in recorded:
+            pairs = detect(geometries, threshold)
+            assert len(pairs) > 0
+            assert_same_pairs(pairs, detect_reference(geometries, threshold))
