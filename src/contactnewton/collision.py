@@ -8,7 +8,13 @@ only re-linearize directions from updated proximity positions.
 Frame rule: the normal is the normalized pA - pB, oriented to agree with
 the supporting element's outward normal captured at detection (so a
 penetrating pair still points along the separation direction); it falls
-back to that element normal when the points nearly coincide.
+back to that element normal when the points nearly coincide. Frames are one
+(p, 3, 3) array with rows (n, t1, t2) per pair, the blocks of the direction
+matrix D; t1 is the x axis projected off n (the z axis where that is nearly
+parallel to n). Building, re-linearizing and comparing frames are array
+operations over all pairs, and every row is bitwise what a one-pair
+computation gives, because the row-wise dot products run the one-pair dot
+kernel (:func:`_rowdot`).
 
 Narrow phase: each surface vertex of A is paired with its closest triangle
 of B (near-ties go to the lowest triangle id) when its signed distance to
@@ -96,17 +102,6 @@ class ProximityPair:
     signed_distance: float
     vertex_id: int
     element_id: int
-
-
-@dataclass
-class ContactFrame:
-    n: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        """Rows (n, t1, t2)."""
-        return np.stack([self.n, self.t1, self.t2])
 
 
 # --- geometry descriptors handed over by the scene ---------------------------
@@ -379,38 +374,48 @@ def detect(geometries, threshold: float) -> list[ProximityPair]:
 # --- contact frames -----------------------------------------------------------
 
 
-def _tangents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t1 = _T1_REFERENCE - (_T1_REFERENCE @ n) * n
-    if np.linalg.norm(t1) < 1e-6:
-        t1 = _T1_FALLBACK - (_T1_FALLBACK @ n) * n
-    t1 = t1 / np.linalg.norm(t1)
-    return t1, np.cross(n, t1)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (p, 3) arrays.
+
+    A stacked (1, 3) @ (3, 1) product runs, row by row, the dot kernel of a
+    one-row ``a[i] @ b[i]``, so each entry is bitwise the per-pair value; an
+    einsum or ``(a * b).sum(axis=1)`` rounds differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _frame_from_direction(d: np.ndarray, ref: np.ndarray | None) -> ContactFrame:
-    norm = np.linalg.norm(d)
-    if norm > COINCIDENT_EPS:
-        n = d / norm
-        if ref is not None and n @ ref < 0:
-            n = -n
-    elif ref is not None and np.linalg.norm(ref) > 0.5:
-        n = ref / np.linalg.norm(ref)
-    else:
+def _frames_from_normals(n: np.ndarray) -> np.ndarray:
+    """Frames (p, 3, 3) with rows (n, t1, t2) for unit normals n (p, 3)."""
+    # e_x . n is n_x exactly, and likewise e_z . n is n_z
+    t1 = _T1_REFERENCE - n[:, :1] * n
+    short = np.sqrt(_rowdot(t1, t1)) < 1e-6
+    t1[short] = _T1_FALLBACK - n[short, 2:] * n[short]
+    t1 = t1 / np.sqrt(_rowdot(t1, t1))[:, None]
+    return np.stack([n, t1, np.cross(n, t1)], axis=1)
+
+
+def build_frames(pairs) -> np.ndarray:
+    """Detection-time frames (p, 3, 3): normal from pA - pB, element normal as fallback."""
+    if not pairs:
+        return np.zeros((0, 3, 3))
+    d = np.array([p.p_a for p in pairs]) - np.array([p.p_b for p in pairs])
+    ref = np.array([p.ref_normal for p in pairs], dtype=np.float64)
+    norm = np.sqrt(_rowdot(d, d))
+    ref_norm = np.sqrt(_rowdot(ref, ref))
+    apart = norm > COINCIDENT_EPS
+    if not (apart | (ref_norm > 0.5)).all():
         raise DegenerateFrameError("coincident proximity points and no element normal")
-    t1, t2 = _tangents(n)
-    return ContactFrame(n, t1, t2)
-
-
-def build_frames(pairs) -> list[ContactFrame]:
-    """Detection-time frames: normal from pA - pB, element normal as fallback."""
-    return [_frame_from_direction(p.p_a - p.p_b, p.ref_normal) for p in pairs]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.where(apart[:, None], d / norm[:, None], ref / ref_norm[:, None])
+    n = np.where((apart & (_rowdot(n, ref) < 0))[:, None], -n, n)
+    return _frames_from_normals(n)
 
 
 _MAX_TILT_COS = 0.5  # 60 degrees per re-linearization
 
 
-def relinearize(r: np.ndarray, previous: list[ContactFrame]):
-    """Frames re-evaluated on updated relative proximity positions r = pA - pB.
+def relinearize(r: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Frames (p, 3, 3) re-evaluated on updated relative proximity positions r = pA - pB.
 
     Attachments are untouched. A pair keeps its previous frame when its row
     of r carries no usable direction: points that have (nearly)
@@ -418,32 +423,25 @@ def relinearize(r: np.ndarray, previous: list[ContactFrame]):
     normal in one iteration, which happens when tangential slip drags pA
     past pB and the difference vector stops tracking the contact geometry.
     """
-    frames = []
-    for d, old in zip(r, previous, strict=True):
-        norm = np.linalg.norm(d)
-        if norm <= COINCIDENT_EPS:
-            frames.append(old)
-            continue
-        n = d / norm
-        if n @ old.n < 0:
-            n = -n
-        if n @ old.n < _MAX_TILT_COS:
-            frames.append(old)
-            continue
-        t1, t2 = _tangents(n)
-        frames.append(ContactFrame(n, t1, t2))
+    if len(r) != len(previous):
+        raise DimensionMismatchError(f"{len(r)} proximity rows but {len(previous)} frames")
+    norm = np.sqrt(_rowdot(r, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = r / norm[:, None]
+    cos = _rowdot(n, previous[:, 0])
+    n = np.where((cos < 0)[:, None], -n, n)  # after the flip n . n_old is |cos|
+    moved = (norm > COINCIDENT_EPS) & ~(np.abs(cos) < _MAX_TILT_COS)
+    frames = previous.copy()
+    frames[moved] = _frames_from_normals(n[moved])
     return frames
 
 
-def max_frame_rotation(old: list[ContactFrame], new: list[ContactFrame]) -> float:
+def max_frame_rotation(old: np.ndarray, new: np.ndarray) -> float:
     """Largest angle between corresponding normals, radians."""
     if len(old) != len(new):
         raise DimensionMismatchError(f"{len(old)} old frames but {len(new)} new frames")
-    worst = 0.0
-    for fo, fn in zip(old, new):
-        c = float(np.clip(fo.n @ fn.n, -1.0, 1.0))
-        worst = max(worst, float(np.arccos(c)))
-    return worst
+    cos = np.clip(_rowdot(old[:, 0], new[:, 0]), -1.0, 1.0)
+    return float(np.arccos(cos).max(initial=0.0))
 
 
 # --- geometric mapping --------------------------------------------------------

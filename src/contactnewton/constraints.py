@@ -14,9 +14,12 @@ Two routes build the c x c compliance (Delassus) operator:
 with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered once per time step
 from the columns of A^-1 each factorization caches (a soft body's A is
 constant, so only DOFs entering contact for the first time cost a solve).
-The fast route also moves the relative proximity positions r = pA - pB
-directly in constraint space, r_{k+1} = r_k + h^2 W_g D^T lambda_k,
-skipping all system solves.
+D is block diagonal with the (p, 3, 3) frame array as its blocks, so the
+congruence is two batched matrix products, D_i W_g[i, :] for every row group
+i and then that result times D_j^T for every column group j. The fast route
+also moves the relative proximity positions r = pA - pB directly in
+constraint space, r_{k+1} = r_k + h^2 W_g D^T lambda_k, skipping all system
+solves.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .collision import AttachKind, ContactFrame, attachment_triplets
+from .collision import AttachKind, attachment_triplets
 from .errors import DimensionMismatchError
 from .linalg import Factorization
 
@@ -61,10 +64,12 @@ class DirectionMatrix:
         return np.einsum("gji,gj->gi", self.blocks, lam.reshape(-1, 3)).ravel()
 
 
-def assemble_direction(frames: list[ContactFrame]) -> DirectionMatrix:
-    if not frames:
-        return DirectionMatrix(np.zeros((0, 3, 3)))
-    return DirectionMatrix(np.stack([f.as_matrix() for f in frames]))
+def assemble_direction(frames: np.ndarray) -> DirectionMatrix:
+    """D for a (p, 3, 3) frame array with rows (n, t1, t2) per pair."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3 or frames.shape[1:] != (3, 3):
+        raise DimensionMismatchError(f"frames have shape {frames.shape}, expected (p, 3, 3)")
+    return DirectionMatrix(frames)
 
 
 def build_signed_mapping(pairs, object_id: int, n_dofs: int, fixed_mask=None) -> sp.csr_matrix:
@@ -152,14 +157,19 @@ def assemble_Wg(
 
 def rebuild_W_fast(D: DirectionMatrix, wg: np.ndarray) -> np.ndarray:
     """W = D W_g D^T block by block, W[i, j] = D_i W_g[i, j] D_j^T for groups
-    i, j, since D is block diagonal; no system solves, cost independent of n."""
+    i, j, since D is block diagonal; no system solves, cost independent of n.
+
+    Two batched matrix products: X = D W_g by row groups, X[i] = D_i W_g[i, :],
+    then W = X D^T by column groups, W[:, j] = X[:, j] D_j^T.
+    """
     if wg.shape != (D.c, D.c):
         raise DimensionMismatchError(
             f"direction matrix is {D.c} rows, W_g is {wg.shape}"
         )
     g = D.n_groups
-    blocks = np.einsum("gia,gahb->gihb", D.blocks, wg.reshape(g, 3, g, 3))
-    return np.einsum("gihb,hjb->gihj", blocks, D.blocks).reshape(D.c, D.c)
+    X = D.blocks @ wg.reshape(g, 3, D.c)  # (g, 3, 3g)
+    W = X.reshape(D.c, g, 3).transpose(1, 0, 2) @ D.blocks.transpose(0, 2, 1)  # (g, 3g, 3)
+    return W.transpose(1, 0, 2).reshape(D.c, D.c)
 
 
 def compute_violation(D: DirectionMatrix, r: np.ndarray) -> np.ndarray:

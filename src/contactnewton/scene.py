@@ -697,7 +697,7 @@ class Simulation:
         self.time = 0.0
         self.step_index = 0
         self.last_pairs = []
-        self.last_frames = []
+        self.last_frames = np.zeros((0, 3, 3))
         self.last_lam = np.zeros(0)
 
     @property
@@ -898,7 +898,7 @@ def take_snapshot(sim: Simulation) -> Snapshot:
         objects.append((obj.oid, obj.kind, *obj.saved_state()))
     pairs = []
     for i, pair in enumerate(sim.last_pairs):
-        frame = sim.last_frames[i].as_matrix() if i < len(sim.last_frames) else np.eye(3)
+        frame = sim.last_frames[i] if i < len(sim.last_frames) else np.eye(3)
         lam = (
             sim.last_lam[3 * i : 3 * i + 3]
             if sim.last_lam.size >= 3 * i + 3

@@ -24,7 +24,9 @@ proximity state is the stacked relative position r = pA - pB, one 3-row per
 pair. Each iteration re-linearizes the directions from r (stopping when they
 turned by no more than ``rotation_tol``), rebuilds the compliance W, runs
 PGS on the violation D r, moves r by the resulting impulse, and stops once
-PGS's end-of-step penetration is within ``penetration_tol``. A scheme
+PGS's end-of-step penetration is within ``penetration_tol``. The directions
+are one (p, 3, 3) frame array, so re-linearizing, the rotation test and the
+direction matrix are array operations with no loop over pairs. A scheme
 supplies three operations:
 
   rebuild   W from the current directions D;
@@ -54,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collision import ContactFrame, max_frame_rotation, relinearize
+from .collision import max_frame_rotation, relinearize
 from .constraints import (
     assemble_H,
     assemble_W_standard,
@@ -253,7 +255,7 @@ class StepContext:
     """Everything the correction schemes need for one time step."""
 
     pairs: list
-    detection_frames: list[ContactFrame]
+    detection_frames: np.ndarray  # (p, 3, 3), rows (n, t1, t2) per pair
     S_by_object: dict[int, object]  # signed mapping per dynamic object
     F_by_object: dict[int, Factorization]
     r0: np.ndarray  # (p, 3) free-motion relative proximity positions pA - pB
@@ -280,7 +282,7 @@ class CorrectionResult:
     lam_history: list[np.ndarray]
     lam: np.ndarray  # (c,) grouped (lambda_n, lambda_t1, lambda_t2), last iteration
     iterations: list[IterationStats] = field(default_factory=list)
-    final_frames: list[ContactFrame] = field(default_factory=list)
+    final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
     exit: str = "max_iterations"  # why the loop stopped; else "penetration" or "rotation"
 
@@ -311,7 +313,7 @@ def _newton(
     operations must look up their module-level names when called: the layer
     tracer of the benchmark patches those names.
     """
-    frames = list(ctx.detection_frames)
+    frames = ctx.detection_frames
     D = assemble_direction(frames)
     r = ctx.r0
     accumulated = np.zeros(3 * len(ctx.pairs))

@@ -1,4 +1,4 @@
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactnewton import collision
+from contactnewton import collision, solver
 from contactnewton.collision import (
+    _MAX_TILT_COS,
+    _T1_FALLBACK,
+    _T1_REFERENCE,
     _TIE_EPS,
+    COINCIDENT_EPS,
     AttachKind,
     Attachment,
     MeshGeometry,
@@ -230,27 +234,30 @@ def _dummy_pair(att_a, att_b):
     )
 
 
+def frame_pair(p_a, p_b, ref=(0.0, 1.0, 0.0)):
+    pair = _dummy_pair(
+        Attachment(AttachKind.VERTEX, object_id=0, vertex=0), _world_attachment()
+    )
+    pair.p_a = np.asarray(p_a, dtype=float)
+    pair.p_b = np.asarray(p_b, dtype=float)
+    pair.ref_normal = np.asarray(ref, dtype=float)
+    return pair
+
+
 class TestFrames:
-    def _pair(self, p_a, p_b, ref=(0.0, 1.0, 0.0)):
-        pair = _dummy_pair(
-            Attachment(AttachKind.VERTEX, object_id=0, vertex=0), _world_attachment()
-        )
-        pair.p_a = np.asarray(p_a, dtype=float)
-        pair.p_b = np.asarray(p_b, dtype=float)
-        pair.ref_normal = np.asarray(ref, dtype=float)
-        return pair
+    _pair = staticmethod(frame_pair)
 
     def test_normal_from_offset(self):
         [frame] = build_frames([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))])
-        assert np.allclose(frame.n, [0, 1, 0])
+        assert np.allclose(frame[0], [0, 1, 0])
 
     def test_coincident_falls_back_to_element_normal(self):
         [frame] = build_frames([self._pair((0.2, 0.0, 0.1), (0.2, 0.0, 0.1))])
-        assert np.allclose(frame.n, [0, 1, 0])
+        assert np.allclose(frame[0], [0, 1, 0])
 
     def test_penetrating_pair_keeps_separation_direction(self):
         [frame] = build_frames([self._pair((0.0, -0.01, 0.0), (0.0, 0.0, 0.0))])
-        assert np.allclose(frame.n, [0, 1, 0])  # flipped toward the reference
+        assert np.allclose(frame[0], [0, 1, 0])  # flipped toward the reference
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateFrameError):
@@ -265,22 +272,23 @@ class TestFrames:
             d = rng.standard_normal(3)
         ref = d / np.linalg.norm(d)
         [frame] = build_frames([self._pair(ref * 0.01, (0, 0, 0), ref=ref)])
-        F = frame.as_matrix()
-        assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-9
+        n, t1, t2 = frame
+        assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-9
         # right-handed
-        assert np.cross(frame.n, frame.t1) @ frame.t2 == pytest.approx(1.0, abs=1e-9)
+        assert np.cross(n, t1) @ t2 == pytest.approx(1.0, abs=1e-9)
 
     def test_tangent_fallback_axis(self):
         [frame] = build_frames([self._pair((0.01, 0.0, 0.0), (0, 0, 0), ref=(1, 0, 0))])
-        assert abs(frame.n @ frame.t1) <= 1e-12
-        assert np.allclose(frame.t1, [0, 0, 1])  # x is parallel to n, fall back to z
+        n, t1, _ = frame
+        assert abs(n @ t1) <= 1e-12
+        assert np.allclose(t1, [0, 0, 1])  # x is parallel to n, fall back to z
 
     def test_relinearize_fixed_point(self):
         pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
         frames = build_frames(pairs)
         again = relinearize(np.array([[0.0, 0.01, 0.0]]), frames)
-        assert np.array_equal(again[0].n, frames[0].n)
-        assert np.array_equal(again[0].t1, frames[0].t1)
+        assert np.array_equal(again[0, 0], frames[0, 0])
+        assert np.array_equal(again[0, 1], frames[0, 1])
 
     def test_relinearize_rotation_oracle(self):
         pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
@@ -289,7 +297,7 @@ class TestFrames:
         p_new = 0.01 * np.array([[np.sin(ang), np.cos(ang), 0.0]])
         new = relinearize(p_new, frames)
         assert max_frame_rotation(frames, new) == pytest.approx(ang, abs=1e-12)
-        F = new[0].as_matrix()
+        F = new[0]
         assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-9
 
     def test_rotation_of_unequal_frame_lists_raises(self):
@@ -303,7 +311,7 @@ class TestFrames:
         pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
         frames = build_frames(pairs)
         new = relinearize(np.zeros((1, 3)) + 1e-12, frames)
-        assert new[0] is frames[0]
+        assert np.array_equal(new[0], frames[0])
 
     def test_frame_continuity(self):
         # small proximity perturbations rotate the normal proportionally once
@@ -317,8 +325,8 @@ class TestFrames:
             [f0] = build_frames([pair])
             eps = rng.standard_normal(3)
             eps *= 1e-8 / np.linalg.norm(eps)
-            [f1] = relinearize((d + eps)[None], [f0])
-            assert np.linalg.norm(f1.n - f0.n) <= 1e-6
+            [f1] = relinearize((d + eps)[None], f0[None])
+            assert np.linalg.norm(f1[0] - f0[0]) <= 1e-6
 
 
 # --- reference narrow phase ---------------------------------------------------
@@ -621,3 +629,271 @@ class TestBatchedNarrowPhase:
             pairs = detect(geometries, threshold)
             assert len(pairs) > 0
             assert_same_pairs(pairs, detect_reference(geometries, threshold))
+
+
+# --- reference contact frames ---------------------------------------------------
+# The per-pair frame code that the (p, 3, 3) array version replaced, kept
+# verbatim as the oracle (ContactFrame included): every frame, kept-frame
+# decision and rotation must match it bit for bit.
+
+
+@dataclass
+class ContactFrame:
+    n: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+
+    def as_matrix(self) -> np.ndarray:
+        """Rows (n, t1, t2)."""
+        return np.stack([self.n, self.t1, self.t2])
+
+
+def _tangents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t1 = _T1_REFERENCE - (_T1_REFERENCE @ n) * n
+    if np.linalg.norm(t1) < 1e-6:
+        t1 = _T1_FALLBACK - (_T1_FALLBACK @ n) * n
+    t1 = t1 / np.linalg.norm(t1)
+    return t1, np.cross(n, t1)
+
+
+def _frame_from_direction(d: np.ndarray, ref: np.ndarray | None) -> ContactFrame:
+    norm = np.linalg.norm(d)
+    if norm > COINCIDENT_EPS:
+        n = d / norm
+        if ref is not None and n @ ref < 0:
+            n = -n
+    elif ref is not None and np.linalg.norm(ref) > 0.5:
+        n = ref / np.linalg.norm(ref)
+    else:
+        raise DegenerateFrameError("coincident proximity points and no element normal")
+    t1, t2 = _tangents(n)
+    return ContactFrame(n, t1, t2)
+
+
+def build_frames_reference(pairs) -> list[ContactFrame]:
+    """Detection-time frames: normal from pA - pB, element normal as fallback."""
+    return [_frame_from_direction(p.p_a - p.p_b, p.ref_normal) for p in pairs]
+
+
+def relinearize_reference(r: np.ndarray, previous: list[ContactFrame]):
+    frames = []
+    for d, old in zip(r, previous, strict=True):
+        norm = np.linalg.norm(d)
+        if norm <= COINCIDENT_EPS:
+            frames.append(old)
+            continue
+        n = d / norm
+        if n @ old.n < 0:
+            n = -n
+        if n @ old.n < _MAX_TILT_COS:
+            frames.append(old)
+            continue
+        t1, t2 = _tangents(n)
+        frames.append(ContactFrame(n, t1, t2))
+    return frames
+
+
+def max_frame_rotation_reference(old: list[ContactFrame], new: list[ContactFrame]) -> float:
+    """Largest angle between corresponding normals, radians."""
+    if len(old) != len(new):
+        raise DimensionMismatchError(f"{len(old)} old frames but {len(new)} new frames")
+    worst = 0.0
+    for fo, fn in zip(old, new):
+        c = float(np.clip(fo.n @ fn.n, -1.0, 1.0))
+        worst = max(worst, float(np.arccos(c)))
+    return worst
+
+
+def frame_array(frames):
+    return np.array([f.as_matrix() for f in frames]).reshape(-1, 3, 3)
+
+
+def frame_list(array):
+    return [ContactFrame(*rows) for rows in array]
+
+
+MARK = 7.0  # tangent rows of the previous frames: a kept frame still carries it
+
+
+def check_relinearize(r, previous):
+    """relinearize against the reference, with the kept-frame masks compared.
+
+    The rule reads only the previous normals, so the previous tangent rows are
+    set to MARK: a kept frame keeps them and a re-evaluated one cannot.
+    Returns the kept mask.
+    """
+    previous = previous.copy()
+    previous[:, 1:] = MARK
+    old = frame_list(previous)
+    expect = relinearize_reference(r, old)
+    kept = np.array([f is o for f, o in zip(expect, old)], dtype=bool).reshape(-1)
+    got = relinearize(r, previous)
+    assert_bitwise_equal(got, frame_array(expect))
+    assert np.array_equal(got[:, 1, 0] == MARK, kept)
+    return kept
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def random_pairs(rng, count):
+    """Pairs with pA - pB over magnitudes 1e-12 .. 1 and element normals of
+    random length and orientation."""
+    pairs = []
+    for _ in range(count):
+        p_b = rng.uniform(-1.0, 1.0, 3)
+        d = unit(rng.standard_normal(3)) * 10.0 ** rng.uniform(-12.0, 0.0)
+        ref = unit(rng.standard_normal(3)) * rng.uniform(0.6, 2.0)
+        pairs.append(frame_pair(p_b + d, p_b, ref))
+    return pairs
+
+
+def tilted(n_old, angle, rng, length=0.01):
+    """A direction at ``angle`` radians from the unit normal n_old."""
+    u = unit(np.cross(n_old, rng.standard_normal(3)))
+    return length * (np.cos(angle) * n_old + np.sin(angle) * u)
+
+
+class TestFramesMatchReference:
+    _pair = staticmethod(frame_pair)
+
+    def _build(self, pairs):
+        got = build_frames(pairs)
+        assert_bitwise_equal(got, frame_array(build_frames_reference(pairs)))
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_build_random_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = random_pairs(rng, 200)
+        d = np.array([p.p_a - p.p_b for p in pairs])
+        apart = np.linalg.norm(d, axis=1) > COINCIDENT_EPS
+        assert apart.any() and not apart.all()  # both the offset and the fallback rule
+        self._build(pairs)
+
+    def test_build_edge_cases(self):
+        eps = COINCIDENT_EPS
+        assert np.linalg.norm([0.6 * eps, 0.8 * eps, 0.0]) == eps
+        pairs = [
+            self._pair((0.6 * eps, 0.8 * eps, 0.0), (0, 0, 0), (0, 1, 0)),  # |d| at eps
+            self._pair((0.0, 0.5 * eps, 0.0), (0, 0, 0), (0.0, 0.0, 0.7)),  # below eps
+            self._pair((2 * eps, 0.0, 0.0), (0, 0, 0), (0, 1, 0)),  # above eps, along x
+            self._pair((0.01, 0.0, 0.0), (0, 0, 0), (-1, 0, 0)),  # flipped onto -x
+            self._pair((-0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0)),
+            self._pair((0.2, 0.3, 0.1), (0.2, 0.3, 0.1), (1.5, 0, 0)),  # coincident, x
+            self._pair((1e-9, 0.01, 0.0), (0, 0, 0), (0, 1, 0)),
+            self._pair((0.01, 1e-9, 0.0), (0, 0, 0), (1, 0, 0)),  # |t1| 1e-7: fallback
+            self._pair((-0.01, 0.0, 3e-9), (0, 0, 0), (-1, 0, 0)),
+            self._pair((0.01, 2e-8, 0.0), (0, 0, 0), (1, 0, 0)),  # |t1| 2e-6: no fallback
+        ]
+        frames = self._build(pairs)
+        assert np.array_equal(frames[5, 1], [0.0, 0.0, 1.0])  # tangent fallback to z
+        assert self._build([]).shape == (0, 3, 3)
+
+    def test_coincident_without_element_normal_raises(self):
+        good = self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))
+        bad = self._pair((0.1, 0.1, 0.1), (0.1, 0.1, 0.1), (0.0, 0.4, 0.0))
+        for pairs in ([bad], [good, bad, good]):
+            with pytest.raises(DegenerateFrameError):
+                build_frames_reference(pairs)
+            with pytest.raises(DegenerateFrameError):
+                build_frames(pairs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relinearize_random(self, seed):
+        rng = np.random.default_rng(seed)
+        previous = build_frames(random_pairs(rng, 120))
+        n_old = previous[:, 0]
+        r = np.empty((120, 3))
+        for i in range(120):
+            kind = i % 6
+            if kind == 0:  # anywhere, including beyond the tilt limit
+                r[i] = unit(rng.standard_normal(3)) * 10.0 ** rng.uniform(-12.0, 0.0)
+            elif kind == 1:  # at or below the coincidence limit
+                r[i] = unit(rng.standard_normal(3)) * COINCIDENT_EPS * rng.choice([0.0, 0.5, 1.0])
+            elif kind in (2, 3):  # just under and just over 60 degrees
+                r[i] = tilted(n_old[i], np.pi / 3 + rng.choice([-1e-7, 1e-7]), rng)
+            elif kind == 4:  # the same, pointing against n_old (flipped)
+                r[i] = -tilted(n_old[i], np.pi / 3 + rng.choice([-1e-7, 1e-7]), rng)
+            else:  # a small turn
+                r[i] = tilted(n_old[i], rng.uniform(0.0, 0.1), rng)
+        kept = check_relinearize(r, previous)
+        assert kept.any() and not kept.all()
+        assert_max_rotation_matches(previous, relinearize(r, previous))
+
+    def test_relinearize_along_x_uses_fallback_tangent(self):
+        previous = build_frames([
+            self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0)),
+            self._pair((-0.01, 0.001, 0.0), (0, 0, 0), (-1, 0, 0)),
+        ])
+        r = np.array([[0.02, 0.0, 0.0], [-0.02, 0.0, 0.0]])
+        check_relinearize(r, previous)
+        assert np.array_equal(relinearize(r, previous)[:, 1], [[0, 0, 1], [0, 0, 1.0]])
+
+    def test_relinearize_at_the_tilt_and_tangent_limits(self):
+        up = self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))
+        along_x = self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0))
+        previous = build_frames([up, up, along_x, along_x, along_x])
+        x = 1.7320508075688774  # (x, 1, 0) normalizes to a y component of exactly 0.5
+        assert unit(np.array([x, 1.0, 0.0]))[1] == _MAX_TILT_COS
+        r = np.array([
+            [x, 1.0, 0.0],  # exactly 60 degrees from n_old: re-evaluated
+            [-x, -1.0, 0.0],  # the same after the flip
+            [1.0, 1e-7, 0.0],  # within 1e-6 of the x axis: tangent falls back to z
+            [-1.0, 0.0, 3e-7],
+            [1.0, 2e-6, 0.0],  # just outside: tangent stays the projected x axis
+        ])
+        assert not check_relinearize(r, previous).any()
+
+    def test_rotation_limits(self):
+        axes = build_frames([
+            self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0)),
+            self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0)),
+        ])
+        assert max_frame_rotation(axes, axes) == 0.0
+        flipped = axes.copy()
+        flipped[1] *= -1.0
+        assert max_frame_rotation(axes, flipped) == np.pi
+        random = build_frames(random_pairs(np.random.default_rng(8), 50))
+        for old, new in ((axes, axes), (axes, flipped), (random, random), (random, random[::-1])):
+            assert_max_rotation_matches(old, new)
+
+    def test_relinearize_no_pairs(self):
+        check_relinearize(np.zeros((0, 3)), np.zeros((0, 3, 3)))
+        assert max_frame_rotation(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == 0.0
+
+    def test_relinearize_length_mismatch_raises(self):
+        frames = build_frames([self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))] * 2)
+        with pytest.raises(DimensionMismatchError):
+            relinearize(np.ones((3, 3)), frames)
+        with pytest.raises(DimensionMismatchError):
+            relinearize(np.ones((1, 3)), frames)
+
+    @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn"])
+    def test_recorded_scene_frames_match_reference(self, monkeypatch, scene):
+        # every re-linearization of two forced fast steps, on the real r
+        recorded = []
+
+        def recording(r, previous):
+            recorded.append((r.copy(), previous.copy()))
+            return relinearize(r, previous)
+
+        monkeypatch.setattr(solver, "relinearize", recording)
+        config = load_scene(SCENES / scene)
+        newton = replace(config.newton, scheme="fast", max_iterations=5,
+                         penetration_tol=0.0, rotation_tol=0.0)
+        sim = Simulation(replace(config, newton=newton))
+        for _ in range(2):
+            sim.step()
+            self._build(sim.last_pairs)
+        assert len(recorded) >= 4
+        for r, previous in recorded:
+            check_relinearize(r, previous)
+            assert_max_rotation_matches(previous, relinearize(r, previous))
+
+
+def assert_max_rotation_matches(old, new):
+    got = max_frame_rotation(old, new)
+    expect = max_frame_rotation_reference(frame_list(old), frame_list(new))
+    assert np.float64(got).tobytes() == np.float64(expect).tobytes()

@@ -4,7 +4,6 @@ import pytest
 from contactnewton.collision import (
     AttachKind,
     Attachment,
-    ContactFrame,
     MeshGeometry,
     PlaneGeometry,
     ProximityPair,
@@ -30,11 +29,8 @@ from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_ver
 
 
 def axes_frame():
-    return ContactFrame(
-        n=np.array([0.0, 1.0, 0.0]),
-        t1=np.array([1.0, 0.0, 0.0]),
-        t2=np.array([0.0, 0.0, 1.0]),
-    )
+    """Frame rows (n, t1, t2) = (y, x, z)."""
+    return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def random_frame(seed):
@@ -43,7 +39,7 @@ def random_frame(seed):
     n /= np.linalg.norm(n)
     t1 = np.cross(n, rng.standard_normal(3))
     t1 /= np.linalg.norm(t1)
-    return ContactFrame(n=n, t1=t1, t2=np.cross(n, t1))
+    return np.stack([n, t1, np.cross(n, t1)])
 
 
 def point_mass_pair(mass=1.0, height=-0.002):
@@ -117,6 +113,11 @@ class TestDirectionMatrix:
         lam = np.random.default_rng(1).standard_normal(6)
         assert np.allclose(D.apply_transposed(lam), dense.T @ lam)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (0,), (1, 9)])
+    def test_rejects_non_frame_shapes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            assemble_direction(np.zeros(shape))
+
 
 class TestContactJacobian:
     def test_vertex_axes_rows(self):
@@ -129,8 +130,7 @@ class TestContactJacobian:
 
     def test_identity_direction_gives_G(self):
         body, pair = point_mass_pair()
-        frame = ContactFrame(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2])
-        D = assemble_direction([frame])
+        D = assemble_direction([np.eye(3)])
         G = build_signed_mapping([pair], 0, 3)
         H = assemble_H(D, G)
         assert np.array_equal(H.toarray(), G.toarray())
@@ -162,7 +162,7 @@ class TestContactJacobian:
         H = assemble_H(D, S)
         v = rng.standard_normal(9)
         rel_velocity = np.array([0.25, 0.35, 0.4]) @ v.reshape(3, 3)
-        oracle = frame.as_matrix() @ rel_velocity
+        oracle = frame @ rel_velocity
         assert np.abs(H @ v - oracle).max() <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -234,6 +234,17 @@ class TestDelassus:
         assert eigs.min() >= -1e-8 * np.abs(eigs).max()
 
 
+def rebuild_W_fast_reference(D, wg: np.ndarray) -> np.ndarray:
+    """The einsum congruence that the batched matrix products replaced, verbatim."""
+    if wg.shape != (D.c, D.c):
+        raise DimensionMismatchError(
+            f"direction matrix is {D.c} rows, W_g is {wg.shape}"
+        )
+    g = D.n_groups
+    blocks = np.einsum("gia,gahb->gihb", D.blocks, wg.reshape(g, 3, g, 3))
+    return np.einsum("gihb,hjb->gihj", blocks, D.blocks).reshape(D.c, D.c)
+
+
 class TestMappingDelassus:
     def test_point_mass_wg(self):
         body, pair = point_mass_pair(mass=4.0)
@@ -264,11 +275,8 @@ class TestMappingDelassus:
     def test_congruence_after_rotation(self):
         # rotating every frame keeps the identity with a freshly built standard W
         body, state, pairs, frames, F, S, h = block_on_plane_context()
-        rot = random_frame(23)
-        R = rot.as_matrix()
-        rotated = [
-            ContactFrame(R @ f.n, R @ f.t1, R @ f.t2) for f in frames
-        ]
+        R = random_frame(23)
+        rotated = frames @ R.T  # every row (n, t1, t2) turned by R
         D_rot = assemble_direction(rotated)
         H_rot = assemble_H(D_rot, S)
         W_std = assemble_W_standard({0: H_rot}, {0: F})
@@ -293,6 +301,24 @@ class TestMappingDelassus:
             oracle = Dd @ wg @ Dd.T
             W = rebuild_W_fast(D, wg)
             assert np.abs(W - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("g", [0, 1, 5, 64, 104])
+    def test_rebuild_matches_einsum_reference(self, g):
+        rng = np.random.default_rng(g)
+        D = assemble_direction(np.array([random_frame(100 + s) for s in range(g)]).reshape(-1, 3, 3))
+        B = rng.standard_normal((3 * g, 3 * g))
+        for wg in (B @ B.T, B):  # symmetric, and not
+            expect = rebuild_W_fast_reference(D, wg)
+            W = rebuild_W_fast(D, wg)
+            assert W.shape == expect.shape == (3 * g, 3 * g)
+            assert np.abs(W - expect).max(initial=0.0) <= 1e-15 * np.abs(expect).max(initial=0.0)
+
+    def test_rebuild_matches_einsum_reference_on_block(self):
+        body, state, pairs, frames, F, S, h = block_on_plane_context()
+        D = assemble_direction(frames)
+        wg = assemble_Wg({0: S}, {0: F})
+        expect = rebuild_W_fast_reference(D, wg)
+        assert np.abs(rebuild_W_fast(D, wg) - expect).max() <= 1e-15 * np.abs(expect).max()
 
     def test_rebuild_shape_mismatch(self):
         D = assemble_direction([random_frame(s) for s in range(3)])
@@ -468,9 +494,10 @@ class TestViolation:
         v = compute_violation(D, r)
         for g, f in enumerate(frames):
             rel = r[g]
-            assert abs(v[3 * g] - f.n @ rel) <= 1e-14
-            assert abs(v[3 * g + 1] - f.t1 @ rel) <= 1e-14
-            assert abs(v[3 * g + 2] - f.t2 @ rel) <= 1e-14
+            n, t1, t2 = f
+            assert abs(v[3 * g] - n @ rel) <= 1e-14
+            assert abs(v[3 * g + 1] - t1 @ rel) <= 1e-14
+            assert abs(v[3 * g + 2] - t2 @ rel) <= 1e-14
 
 
 def relative_positions(pairs):

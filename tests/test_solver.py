@@ -8,7 +8,6 @@ from contactnewton import solver
 from contactnewton.collision import (
     AttachKind,
     Attachment,
-    ContactFrame,
     MeshGeometry,
     PlaneGeometry,
     ProximityPair,
@@ -147,14 +146,6 @@ def assert_same_pgs(res, ref):
     assert np.array_equal(res.eps_history, ref.eps_history)
     assert res.iterations == ref.iterations
     assert res.converged == ref.converged
-
-
-def axes_frame():
-    return ContactFrame(
-        n=np.array([0.0, 1.0, 0.0]),
-        t1=np.array([1.0, 0.0, 0.0]),
-        t2=np.array([0.0, 0.0, 1.0]),
-    )
 
 
 def lcp_enumeration_oracle(W, delta_free, h):

@@ -1,0 +1,56 @@
+"""The names the benchmark's layer tracer patches must exist and be called.
+
+``perfbench/tracing.py`` replaces each ``(owner, attr)`` of its ``TRACED``
+table through ``owner.__dict__[attr]``, so renaming or deleting one of those
+names, or calling the function some other way, breaks the traced benchmark
+run without failing anything else.
+"""
+
+import importlib.util
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
+from contactnewton import solver
+from contactnewton.scene import Simulation, load_scene
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    tracing = load_tracing()
+    assert tracing.TRACED
+    for owner, attr, *_ in tracing.TRACED:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+    assert callable(solver.local_solve)
+
+
+def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("relinearize", "max_frame_rotation", "assemble_direction", "rebuild_W_fast")
+    for name in names:
+        monkeypatch.setattr(solver, name, counting(name))
+    config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
+    # a negative penetration tolerance is never met, so the second iteration
+    # re-linearizes whatever the first one left
+    newton = replace(config.newton, scheme="fast", max_iterations=2, penetration_tol=-1.0)
+    Simulation(replace(config, newton=newton)).step()
+    for name in names:
+        assert calls[name] > 0, name
