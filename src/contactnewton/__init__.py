@@ -10,7 +10,7 @@ direction-independent mapping compliance and updates the relative proximity
 positions without touching the mechanical system.
 """
 
-from .collision import ProximityPair, build_frames, detect, relinearize
+from .collision import Contacts, build_frames, detect, relinearize
 from .constraints import (
     DirectionMatrix,
     assemble_direction,

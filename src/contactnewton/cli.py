@@ -2,8 +2,9 @@
 
 Thread control: CONTACT_NEWTON_THREADS caps the BLAS/OpenMP pools backing
 numpy and the sparse solver. It must take effect before numpy is imported,
-so this module defers all heavy imports into the command handlers and
-`bench` pins the cap to 1 by default to keep timings clean.
+so this module defers all heavy imports into the command handlers. `bench`
+and `verify` pin the cap to 1 by default: timings stay clean, and the
+verify lines do not depend on how a threaded BLAS splits its sums.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_thread_cap(default=1 if args.command == "bench" else None)
+    _apply_thread_cap(default=1 if args.command in ("bench", "verify") else None)
     from .errors import ContactNewtonError
 
     try:

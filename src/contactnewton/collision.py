@@ -1,9 +1,25 @@
-"""Discrete proximity detection, contact frames, geometric mapping Jacobians.
+"""Discrete proximity detection, contact frames, proximity positions.
 
-Detection runs once per time step on the current mechanical state. Each
-proximity pair freezes its attachments (vertex, barycentric point, rigid
-local point or fixed world point) for the whole step; Newton iterations
-only re-linearize directions from updated proximity positions.
+Detection runs once per time step on the current mechanical state and
+returns one :class:`Contacts`, a struct of arrays with one row per proximity
+pair in canonical order. Each side of a pair is frozen for the whole step in
+one of two forms, the one its object's view takes:
+
+  node-weighted  a deformable body (view: its (n, 3) node array); the point
+                 is weights @ nodes, a vertex being nodes (v, v, v) with
+                 weights (1, 0, 0) and a point on a triangle its barycentric
+                 weights;
+  posed          a rigid sphere, a kinematic or static mesh, or a plane
+                 (view: a :class:`Pose`); the point is the pose applied to a
+                 local point. A plane's view is the identity pose, so its
+                 foot point is its own local point.
+
+Newton iterations only re-linearize directions from updated proximity
+positions. :func:`refresh_proximity` and :func:`signed_gaps` loop over the
+objects, not the pairs: the rows of one object are read in one batched
+product, whose rows are bitwise the one-pair products (:func:`_rowmat`).
+The product accumulates into a zeroed output, so a vertex or plane foot
+coordinate that is exactly -0.0 reads as +0.0.
 
 Frame rule: the normal is the normalized pA - pB, oriented to agree with
 the supporting element's outward normal captured at detection (so a
@@ -27,14 +43,13 @@ behind an open plate or deep inside B has signed distance -dist, which
 passes the gate however far away it is, and culling it would change the
 pair list. Vertex-vs-plane preselects vertices with one matrix-vector
 product and a margin above its rounding error, then computes each
-candidate's distance with the per-vertex dot product as before, because the
-two round differently on tilted planes.
+candidate's distance with the row-wise dot product, because the two round
+differently on tilted planes.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +60,7 @@ _TIE_EPS = 1e-9  # m, distances closer than this count as a tie (id breaks it)
 QUERY_ENTRIES = 1 << 18  # vertex x triangle entries per block of a mesh query
 _T1_REFERENCE = np.array([1.0, 0.0, 0.0])
 _T1_FALLBACK = np.array([0.0, 0.0, 1.0])
+_VERTEX_WEIGHTS = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass
@@ -69,39 +85,84 @@ class Pose:
         return Pose(np.eye(3), np.zeros(3))
 
 
-class AttachKind(enum.Enum):
-    VERTEX = "vertex"  # deformable mesh vertex
-    BARYCENTRIC = "barycentric"  # point on a deformable triangle
-    RIGID_LOCAL = "rigid_local"  # body-frame point of a 6-DOF rigid body
-    LOCAL = "local"  # local-frame point of a kinematic (scripted) object
-    WORLD = "world"  # fixed world point (static planes/meshes)
+@dataclass
+class Side:
+    """One side (A or B) of every pair, one row per pair.
+
+    A node-weighted row reads ``nodes`` and ``weights``; a posed row reads
+    ``local`` and has node ids (-1, -1, -1), which is how the mapping tells
+    a rigid side from a deformable one.
+    """
+
+    object_id: np.ndarray  # (p,) int64
+    point: np.ndarray  # (p, 3) world position at detection
+    nodes: np.ndarray  # (p, 3) int64 node ids
+    weights: np.ndarray  # (p, 3)
+    local: np.ndarray  # (p, 3) point in the object's frame
+    lever: np.ndarray  # (p, 3) rigid side: world lever arm surface - center at detection
 
 
 @dataclass
-class Attachment:
-    kind: AttachKind
-    object_id: int
-    vertex: int = -1
-    triangle: np.ndarray | None = None  # (3,) node ids
-    weights: np.ndarray | None = None  # (3,) barycentric
-    local_point: np.ndarray | None = None  # rigid/kinematic local coords
-    world_point: np.ndarray | None = None  # static attachment
-    lever: np.ndarray | None = None  # rigid: world lever arm at detection
-    local_normal: np.ndarray | None = None  # kinematic: element normal, local frame
+class Contacts:
+    """All proximity pairs of a step as arrays, one row per pair."""
+
+    a: Side
+    b: Side
+    ref_normal: np.ndarray  # (p, 3) separation direction from B toward A at detection
+    local_normal: np.ndarray  # (p, 3) posed B side: its element normal in B's frame
+    signed_distance: np.ndarray  # (p,)
+    vertex_id: np.ndarray  # (p,) int64
+    element_id: np.ndarray  # (p,) int64, -1 for planes
+
+    def __len__(self) -> int:
+        return len(self.signed_distance)
+
+    @staticmethod
+    def empty() -> "Contacts":
+        none = np.zeros((0, 3))
+        return _contacts(_side(-1, none), _side(-1, none), none, np.zeros(0), [], -1)
 
 
-@dataclass
-class ProximityPair:
-    object_a: int
-    object_b: int
-    attach_a: Attachment
-    attach_b: Attachment
-    p_a: np.ndarray
-    p_b: np.ndarray
-    ref_normal: np.ndarray  # separation direction from B toward A at detection
-    signed_distance: float
-    vertex_id: int
-    element_id: int
+def _side(object_id, point, nodes=None, weights=None, local=None, lever=None) -> Side:
+    """Side rows of one object; unset arrays default to a posed side's."""
+    k = len(point)
+    zeros = np.zeros((k, 3))
+    return Side(
+        np.full(k, object_id, dtype=np.int64),
+        point,
+        np.full((k, 3), -1, dtype=np.int64) if nodes is None else nodes,
+        zeros if weights is None else weights,
+        zeros if local is None else local,
+        zeros if lever is None else lever,
+    )
+
+
+def _contacts(a, b, ref_normal, signed, vertex_id, element_id, local_normal=None) -> Contacts:
+    k = len(signed)
+    return Contacts(
+        a,
+        b,
+        np.broadcast_to(ref_normal, (k, 3)).copy(),
+        np.zeros((k, 3)) if local_normal is None else np.broadcast_to(local_normal, (k, 3)).copy(),
+        np.asarray(signed, dtype=np.float64),
+        np.broadcast_to(np.asarray(vertex_id, dtype=np.int64), (k,)).copy(),
+        np.broadcast_to(np.asarray(element_id, dtype=np.int64), (k,)).copy(),
+    )
+
+
+def _take(x, rows):
+    """Rows ``rows`` of ``x`` (a :class:`Contacts`, a :class:`Side` or an array)."""
+    if isinstance(x, np.ndarray):
+        return x[rows]
+    return type(x)(*(_take(getattr(x, f.name), rows) for f in fields(x)))
+
+
+def _concat(parts):
+    """Row-wise concatenation of Contacts (or Sides, or arrays) of the same layout."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return type(first)(*(_concat([getattr(p, f.name) for p in parts]) for f in fields(first)))
 
 
 # --- geometry descriptors handed over by the scene ---------------------------
@@ -209,34 +270,29 @@ def _aabb_overlap(points_a, points_b, margin):
     return bool(np.all(lo_a - margin <= hi_b) and np.all(lo_b - margin <= hi_a))
 
 
-def _mesh_attachment(
-    geom: MeshGeometry, vertex=None, triangle=None, bary=None, point=None, normal=None
-):
+def _mesh_side(geom: MeshGeometry, points, nodes, weights) -> Side:
+    """Side rows on a mesh: node-weighted on a deformable one, else posed."""
     if geom.deformable:
-        if vertex is not None:
-            return Attachment(AttachKind.VERTEX, geom.object_id, vertex=int(vertex))
-        return Attachment(
-            AttachKind.BARYCENTRIC,
-            geom.object_id,
-            triangle=np.asarray(triangle, dtype=np.int64),
-            weights=np.asarray(bary, dtype=np.float64),
-        )
+        return _side(geom.object_id, points, nodes=nodes, weights=weights)
     if geom.dynamic:
         raise InvalidAttachmentError("dynamic non-deformable meshes are not supported")
-    return Attachment(
-        AttachKind.LOCAL,
-        geom.object_id,
-        local_point=geom.pose.inverse_apply(point),
-        local_normal=None if normal is None else geom.pose.rotation.T @ normal,
-    )
+    local = _rowmat(points - geom.pose.position, geom.pose.rotation)
+    return _side(geom.object_id, points, local=local)
+
+
+def _vertex_side(geom: MeshGeometry, vids, points) -> Side:
+    nodes = np.repeat(np.asarray(vids, dtype=np.int64)[:, None], 3, axis=1)
+    return _mesh_side(geom, points, nodes, np.tile(_VERTEX_WEIGHTS, (len(vids), 1)))
 
 
 def _vertex_vs_mesh(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float):
     """Best proximity pair for each surface vertex of A against B's triangles."""
-    pairs = []
+    if not len(geom_a.vertex_ids):
+        return Contacts.empty()
     tri_pts = geom_b.points[geom_b.triangles]
     normals = triangle_normals(tri_pts)
     block = max(1, QUERY_ENTRIES // len(tri_pts))
+    found = []  # per block: (vertex ids, vertex points, triangles, closest, bary, signed)
     for start in range(0, len(geom_a.vertex_ids), block):
         vids = geom_a.vertex_ids[start : start + block]
         P = geom_a.points[vids]
@@ -252,65 +308,37 @@ def _vertex_vs_mesh(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float
         rows = np.arange(len(vids))
         keep = signed[rows, best] <= threshold
         rows, best = rows[keep], best[keep]
-        cps, bary, signed = cps[rows, best], bary[rows, best], signed[rows, best]
-        for i, (vid, tri) in enumerate(zip(vids[rows], best.tolist())):
-            p = P[rows[i]]
-            attach_a = _mesh_attachment(geom_a, vertex=vid, point=p)
-            attach_b = _mesh_attachment(
-                geom_b,
-                triangle=geom_b.triangles[tri],
-                bary=bary[i],
-                point=cps[i],
-                normal=normals[tri],
-            )
-            pairs.append(
-                ProximityPair(
-                    object_a=geom_a.object_id,
-                    object_b=geom_b.object_id,
-                    attach_a=attach_a,
-                    attach_b=attach_b,
-                    p_a=p.copy(),
-                    p_b=cps[i].copy(),
-                    ref_normal=normals[tri].copy(),
-                    signed_distance=float(signed[i]),
-                    vertex_id=int(vid),
-                    element_id=tri,
-                )
-            )
-    return pairs
+        found.append((vids[rows], P[rows], best, cps[rows, best], bary[rows, best],
+                      signed[rows, best]))
+    vids, P, best, cps, bary, signed = (np.concatenate(x) for x in zip(*found))
+    if not len(vids):
+        return Contacts.empty()
+    b = _mesh_side(geom_b, cps, geom_b.triangles[best], bary)
+    local_normal = None
+    if not geom_b.deformable:
+        local_normal = _rowmat(normals[best], geom_b.pose.rotation)
+    return _contacts(_vertex_side(geom_a, vids, P), b, normals[best], signed, vids, best,
+                     local_normal)
 
 
 def _vertex_vs_plane(geom: MeshGeometry, plane: PlaneGeometry, threshold: float):
-    pairs = []
     n = plane.normal
     P = geom.points[geom.vertex_ids]
     # A gemv rounds differently from the per-vertex dot product that sets the
     # reported distance, so it only preselects vertices. Either value is within
     # about 4u (|p| . |n| + |offset|) of the exact one (u = 2^-53), far inside
-    # the margin; each candidate's distance is then computed as before.
+    # the margin; each candidate's distance is then the row-wise dot product.
     margin = 1e-12 * (np.abs(P) @ np.abs(n) + abs(plane.offset))
     near = P @ n - plane.offset <= threshold + margin
-    for vid in geom.vertex_ids[near]:
-        p = geom.points[vid]
-        signed = float(n @ p - plane.offset)
-        if signed > threshold:
-            continue
-        foot = p - signed * n
-        pairs.append(
-            ProximityPair(
-                object_a=geom.object_id,
-                object_b=plane.object_id,
-                attach_a=_mesh_attachment(geom, vertex=vid, point=p),
-                attach_b=Attachment(AttachKind.WORLD, plane.object_id, world_point=foot),
-                p_a=p.copy(),
-                p_b=foot,
-                ref_normal=n.copy(),
-                signed_distance=signed,
-                vertex_id=int(vid),
-                element_id=-1,
-            )
-        )
-    return pairs
+    vids, P = geom.vertex_ids[near], P[near]
+    signed = (P[:, None, :] @ n)[:, 0] - plane.offset
+    keep = signed <= threshold
+    vids, P, signed = vids[keep], P[keep], signed[keep]
+    if not len(vids):
+        return Contacts.empty()
+    foot = P - signed[:, None] * n
+    b = _side(plane.object_id, foot, local=foot)
+    return _contacts(_vertex_side(geom, vids, P), b, n, signed, vids, -1, n)
 
 
 def _sphere_vs_plane(sph: SphereGeometry, plane: PlaneGeometry, threshold: float):
@@ -318,39 +346,23 @@ def _sphere_vs_plane(sph: SphereGeometry, plane: PlaneGeometry, threshold: float
     center_dist = float(n @ sph.center - plane.offset)
     signed = center_dist - sph.radius
     if signed > threshold:
-        return []
-    surface = sph.center - sph.radius * n
-    foot = sph.center - center_dist * n
-    attach = Attachment(
-        AttachKind.RIGID_LOCAL,
-        sph.object_id,
-        local_point=sph.pose.inverse_apply(surface),
-        lever=surface - sph.center,
-    )
-    return [
-        ProximityPair(
-            object_a=sph.object_id,
-            object_b=plane.object_id,
-            attach_a=attach,
-            attach_b=Attachment(AttachKind.WORLD, plane.object_id, world_point=foot),
-            p_a=surface,
-            p_b=foot,
-            ref_normal=n.copy(),
-            signed_distance=signed,
-            vertex_id=0,
-            element_id=-1,
-        )
-    ]
+        return Contacts.empty()
+    surface = (sph.center - sph.radius * n)[None]
+    foot = (sph.center - center_dist * n)[None]
+    a = _side(sph.object_id, surface, local=sph.pose.inverse_apply(surface),
+              lever=surface - sph.center)
+    b = _side(plane.object_id, foot, local=foot)
+    return _contacts(a, b, n, [signed], 0, -1, n)
 
 
-def detect(geometries, threshold: float) -> list[ProximityPair]:
+def detect(geometries, threshold: float) -> Contacts:
     """All proximity pairs with signed distance <= threshold, in canonical order."""
     if threshold <= 0:
         raise InvalidAttachmentError(f"threshold must be positive, got {threshold}")
     meshes = [g for g in geometries if isinstance(g, MeshGeometry)]
     planes = [g for g in geometries if isinstance(g, PlaneGeometry)]
     spheres = [g for g in geometries if isinstance(g, SphereGeometry)]
-    pairs: list[ProximityPair] = []
+    found = [Contacts.empty()]
     for ga in meshes:
         for gb in meshes:
             if ga.object_id == gb.object_id or not (ga.dynamic or gb.dynamic):
@@ -359,16 +371,19 @@ def detect(geometries, threshold: float) -> list[ProximityPair]:
                 continue
             if not _aabb_overlap(ga.points, gb.points, threshold):
                 continue
-            pairs.extend(_vertex_vs_mesh(ga, gb, threshold))
+            found.append(_vertex_vs_mesh(ga, gb, threshold))
         for plane in planes:
             if ga.dynamic:
-                pairs.extend(_vertex_vs_plane(ga, plane, threshold))
+                found.append(_vertex_vs_plane(ga, plane, threshold))
     for sph in spheres:
         for plane in planes:
             if sph.dynamic:
-                pairs.extend(_sphere_vs_plane(sph, plane, threshold))
-    pairs.sort(key=lambda p: (p.object_a, p.object_b, p.vertex_id, p.element_id))
-    return pairs
+                found.append(_sphere_vs_plane(sph, plane, threshold))
+    contacts = _concat(found)
+    # a stable sort, so equal keys keep the order in which they were found
+    order = np.lexsort((contacts.element_id, contacts.vertex_id, contacts.b.object_id,
+                        contacts.a.object_id))
+    return _take(contacts, order)
 
 
 # --- contact frames -----------------------------------------------------------
@@ -384,6 +399,16 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _rowmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``x[i] @ M`` for every row of x (k, 3).
+
+    A stacked (1, 3) @ (3, 3) product runs, row by row, the vector-matrix
+    kernel of a one-row ``x[i] @ M`` (and of ``M.T @ x[i]``), so each row is
+    bitwise the per-pair value; a (k, 3) @ (3, 3) gemm rounds differently.
+    """
+    return (x[:, None, :] @ M)[:, 0]
+
+
 def _frames_from_normals(n: np.ndarray) -> np.ndarray:
     """Frames (p, 3, 3) with rows (n, t1, t2) for unit normals n (p, 3)."""
     # e_x . n is n_x exactly, and likewise e_z . n is n_z
@@ -394,12 +419,12 @@ def _frames_from_normals(n: np.ndarray) -> np.ndarray:
     return np.stack([n, t1, np.cross(n, t1)], axis=1)
 
 
-def build_frames(pairs) -> np.ndarray:
+def build_frames(contacts: Contacts) -> np.ndarray:
     """Detection-time frames (p, 3, 3): normal from pA - pB, element normal as fallback."""
-    if not pairs:
+    if not len(contacts):
         return np.zeros((0, 3, 3))
-    d = np.array([p.p_a for p in pairs]) - np.array([p.p_b for p in pairs])
-    ref = np.array([p.ref_normal for p in pairs], dtype=np.float64)
+    d = contacts.a.point - contacts.b.point
+    ref = contacts.ref_normal
     norm = np.sqrt(_rowdot(d, d))
     ref_norm = np.sqrt(_rowdot(ref, ref))
     apart = norm > COINCIDENT_EPS
@@ -444,103 +469,55 @@ def max_frame_rotation(old: np.ndarray, new: np.ndarray) -> float:
     return float(np.arccos(cos).max(initial=0.0))
 
 
-# --- geometric mapping --------------------------------------------------------
+# --- proximity positions -----------------------------------------------------
 
 
-def _skew(r: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -r[2], r[1]],
-            [r[2], 0.0, -r[0]],
-            [-r[1], r[0], 0.0],
-        ]
-    )
+def _objects(side: Side, views: dict):
+    """(rows, view) for each object on ``side``: one batch per object, not per pair."""
+    for oid in np.unique(side.object_id).tolist():
+        yield np.flatnonzero(side.object_id == oid), views[oid]
 
 
-def attachment_triplets(attachment: Attachment, n_dofs: int, row0: int):
-    """COO triplets of the 3 x n_dofs velocity map of one attachment."""
-    rows, cols, vals = [], [], []
-    if attachment.kind == AttachKind.VERTEX:
-        if not 0 <= 3 * attachment.vertex + 2 < n_dofs:
-            raise InvalidAttachmentError(f"vertex {attachment.vertex} out of range")
-        for i in range(3):
-            rows.append(row0 + i)
-            cols.append(3 * attachment.vertex + i)
-            vals.append(1.0)
-    elif attachment.kind == AttachKind.BARYCENTRIC:
-        for node, w in zip(attachment.triangle, attachment.weights):
-            if not 0 <= 3 * node + 2 < n_dofs:
-                raise InvalidAttachmentError(f"triangle node {node} out of range")
-            for i in range(3):
-                rows.append(row0 + i)
-                cols.append(3 * int(node) + i)
-                vals.append(float(w))
-    elif attachment.kind == AttachKind.RIGID_LOCAL:
-        if n_dofs != 6:
-            raise InvalidAttachmentError("rigid attachment on a non-rigid object")
-        block = np.hstack([np.eye(3), -_skew(attachment.lever)])
-        for i in range(3):
-            for j in range(6):
-                if block[i, j] != 0.0:
-                    rows.append(row0 + i)
-                    cols.append(j)
-                    vals.append(block[i, j])
-    else:
-        raise InvalidAttachmentError(
-            f"attachment kind {attachment.kind} carries no DOFs"
-        )
-    return rows, cols, vals
+def _side_points(side: Side, views: dict) -> np.ndarray:
+    points = np.empty((len(side.object_id), 3))
+    for rows, view in _objects(side, views):
+        if isinstance(view, Pose):
+            points[rows] = _rowmat(side.local[rows], view.rotation.T) + view.position
+        else:
+            nodes = np.asarray(view)[side.nodes[rows]]
+            points[rows] = (side.weights[rows, None, :] @ nodes)[:, 0]
+    return points
 
 
-def attachment_point(attachment: Attachment, view) -> np.ndarray:
-    """World position of an attachment under a position view.
+def refresh_proximity(contacts: Contacts, views: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Proximity positions of both sides under per-object position views.
 
-    ``view`` is an (n, 3) node array for deformable objects, a :class:`Pose`
-    for rigid/kinematic objects, and ignored for world-fixed attachments.
+    ``views`` maps every object id to an (n, 3) node array (node-weighted
+    sides) or a :class:`Pose` (posed sides).
     """
-    if attachment.kind == AttachKind.VERTEX:
-        return np.asarray(view)[attachment.vertex]
-    if attachment.kind == AttachKind.BARYCENTRIC:
-        nodes = np.asarray(view)[attachment.triangle]
-        return attachment.weights @ nodes
-    if attachment.kind in (AttachKind.RIGID_LOCAL, AttachKind.LOCAL):
-        return view.apply(attachment.local_point)
-    return attachment.world_point
+    return _side_points(contacts.a, views), _side_points(contacts.b, views)
 
 
-def refresh_proximity(pairs, views: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Proximity positions of both sides under per-object position views."""
-    p_a = np.empty((len(pairs), 3))
-    p_b = np.empty((len(pairs), 3))
-    for i, pair in enumerate(pairs):
-        p_a[i] = attachment_point(pair.attach_a, views.get(pair.attach_a.object_id))
-        p_b[i] = attachment_point(pair.attach_b, views.get(pair.attach_b.object_id))
-    return p_a, p_b
-
-
-def _element_normal(pair, views) -> np.ndarray:
-    """Current outward normal of the pair's supporting element (the B side)."""
-    b = pair.attach_b
-    if b.kind == AttachKind.BARYCENTRIC:
-        nodes = np.asarray(views.get(b.object_id))[b.triangle]
-        n = np.cross(nodes[1] - nodes[0], nodes[2] - nodes[0])
-        norm = np.linalg.norm(n)
-        if norm > 0:
-            return n / norm
-    elif b.kind == AttachKind.LOCAL and b.local_normal is not None:
-        return views.get(b.object_id).rotation @ b.local_normal
-    return pair.ref_normal  # static planes/meshes: frozen normal is exact
-
-
-def signed_gaps(pairs, views: dict) -> np.ndarray:
+def signed_gaps(contacts: Contacts, views: dict) -> np.ndarray:
     """Geometric gap of every pair: distance of the A point above the current
     supporting element plane, negative when interpenetrating.
 
-    Unlike the frame-projected violation this is immune to tangential slip,
-    so it is the honest end-of-step interpenetration measure.
+    The element normal of a posed B side is its detection-time normal turned
+    by B's pose; a node-weighted B side takes the normal of its triangle's
+    current nodes, or the detection-time normal if that triangle is
+    degenerate. Unlike the frame-projected violation this is immune to
+    tangential slip, so it is the honest end-of-step interpenetration measure.
     """
-    p_a, p_b = refresh_proximity(pairs, views)
-    gaps = np.empty(len(pairs))
-    for i, pair in enumerate(pairs):
-        gaps[i] = _element_normal(pair, views) @ (p_a[i] - p_b[i])
-    return gaps
+    p_a, p_b = refresh_proximity(contacts, views)
+    normals = contacts.ref_normal.copy()
+    b = contacts.b
+    for rows, view in _objects(b, views):
+        if isinstance(view, Pose):
+            normals[rows] = _rowmat(contacts.local_normal[rows], view.rotation.T)
+            continue
+        tri = np.asarray(view)[b.nodes[rows]]
+        n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        norm = np.sqrt(_rowdot(n, n))
+        ok = norm > 0
+        normals[rows[ok]] = n[ok] / norm[ok, None]
+    return _rowdot(normals, p_a - p_b)

@@ -5,6 +5,11 @@ dimension 3p (one 3-block per proximity pair, acting on pA - pB). The sign
 convention is folded into the per-object signed mapping S: rows owned as
 side A enter with +, side B with -, so one direction matrix serves both
 sides and per-object forces come out with opposite signs automatically.
+S is built from the two attachment forms of ``collision.Contacts``: a
+node-weighted side (deformable body) maps its three nodes' velocities with
+its weights, and a posed side on a dynamic object (rigid sphere) maps its
+6 DOFs with [I, -skew(lever)]. Posed sides of kinematic objects and planes
+carry no DOFs and enter no S.
 
 Two routes build the c x c compliance (Delassus) operator:
 
@@ -29,11 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .collision import AttachKind, attachment_triplets
-from .errors import DimensionMismatchError
+from .collision import Contacts
+from .errors import DimensionMismatchError, InvalidAttachmentError
 from .linalg import Factorization
-
-_DOF_KINDS = (AttachKind.VERTEX, AttachKind.BARYCENTRIC, AttachKind.RIGID_LOCAL)
 
 
 @dataclass
@@ -72,22 +75,54 @@ def assemble_direction(frames: np.ndarray) -> DirectionMatrix:
     return DirectionMatrix(frames)
 
 
-def build_signed_mapping(pairs, object_id: int, n_dofs: int, fixed_mask=None) -> sp.csr_matrix:
+def _skew(r: np.ndarray) -> np.ndarray:
+    """Cross-product matrices (k, 3, 3) of the rows of r (k, 3): skew(r) x = r x x."""
+    x, y, z = r.T
+    o = np.zeros(len(r))
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=1).reshape(-1, 3, 3)
+
+
+def build_signed_mapping(
+    contacts: Contacts, object_id: int, n_dofs: int, fixed_mask=None
+) -> sp.csr_matrix:
     """Signed relative mapping S for one object: +G on A sides, -G on B sides.
 
-    Columns of fixed (Dirichlet) DOFs are zeroed; a constrained node neither
-    moves under contact forces nor contributes compliance.
+    A node-weighted side maps the velocities of its three nodes with its
+    weights. A posed side on a dynamic object is a rigid body's point, whose
+    velocity is v + omega x lever, so G = [I, -skew(lever)] with the lever
+    arm taken at detection. Columns of fixed (Dirichlet) DOFs are zeroed; a
+    constrained node neither moves under contact forces nor contributes
+    compliance.
     """
     rows, cols, vals = [], [], []
-    for i, pair in enumerate(pairs):
-        for attach, sign in ((pair.attach_a, 1.0), (pair.attach_b, -1.0)):
-            if attach.object_id != object_id or attach.kind not in _DOF_KINDS:
-                continue
-            r, c, v = attachment_triplets(attach, n_dofs, 3 * i)
-            rows += r
-            cols += c
-            vals += [sign * x for x in v]
-    S = sp.coo_matrix((vals, (rows, cols)), shape=(3 * len(pairs), n_dofs)).tocsr()
+    xyz = np.arange(3)
+    for side, sign in ((contacts.a, 1.0), (contacts.b, -1.0)):
+        mine = side.object_id == object_id
+        posed = (side.nodes < 0).all(axis=1)
+        g = np.flatnonzero(mine & ~posed)
+        nodes = side.nodes[g]
+        bad = (nodes < 0) | (3 * nodes + 2 >= n_dofs)
+        if bad.any():
+            raise InvalidAttachmentError(f"node {nodes[bad][0]} out of range")
+        # entry (pair g, node j, component i): row 3g + i, column 3 node_j + i
+        rows.append(np.broadcast_to(3 * g[:, None, None] + xyz, nodes.shape + (3,)).ravel())
+        cols.append((3 * nodes[:, :, None] + xyz).ravel())
+        vals.append(np.repeat(sign * side.weights[g], 3, axis=1).ravel())
+        g = np.flatnonzero(mine & posed)
+        if g.size == 0:
+            continue
+        if n_dofs != 6:
+            raise InvalidAttachmentError("rigid attachment on a non-rigid object")
+        block = np.concatenate([np.broadcast_to(np.eye(3), (g.size, 3, 3)),
+                                -_skew(side.lever[g])], axis=2)
+        k, i, j = np.nonzero(block)
+        rows.append(3 * g[k] + i)
+        cols.append(j)
+        vals.append(sign * block[k, i, j])
+    S = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(3 * len(contacts), n_dofs),
+    ).tocsr()
     if fixed_mask is not None and fixed_mask.any():
         keep = sp.diags(np.where(fixed_mask, 0.0, 1.0))
         S = S @ keep

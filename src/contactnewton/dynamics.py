@@ -51,11 +51,10 @@ class MechanicalState:
 
 @dataclass
 class FreeMotion:
-    """Unconstrained velocity increment and positions, plus the step's factorization."""
+    """Unconstrained velocity increment and positions."""
 
     dv_free: np.ndarray
     q_free: np.ndarray
-    factorization: Factorization
 
 
 def lame_parameters(young: float, poisson: float) -> tuple[float, float]:
@@ -270,7 +269,7 @@ def compute_free_motion(
     """dv_free = A^-1 b on the factorization of A, and the free positions."""
     dv = F.solve(b)
     q_free = state.q + h * (state.v + dv)
-    return FreeMotion(dv, q_free, F)
+    return FreeMotion(dv, q_free)
 
 
 def integrate_correction(

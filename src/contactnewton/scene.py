@@ -411,7 +411,7 @@ def load_scene(path) -> SceneConfig:
 
     pgs_raw = _mapping(raw.get("pgs"), "pgs", ("iterations", "tolerance"))
     newton_raw = _mapping(
-        raw.get("newton"), "newton", ("scheme", "iterations", "penetration_tol", "relinearize")
+        raw.get("newton"), "newton", ("scheme", "iterations", "penetration_tol")
     )
     out_raw = _mapping(raw.get("output"), "output", ("snapshots", "metrics", "every"))
     config = SceneConfig(
@@ -430,7 +430,6 @@ def load_scene(path) -> SceneConfig:
             penetration_tol=_number(
                 newton_raw.get("penetration_tol", 1e-5), "newton.penetration_tol"
             ),
-            relinearize=bool(newton_raw.get("relinearize", True)),
         ),
         output=OutputConfig(
             snapshots=bool(out_raw.get("snapshots", True)),
@@ -622,7 +621,7 @@ class _PlaneRuntime:
         return PlaneGeometry(object_id=self.oid, normal=self.spec.normal, offset=self.spec.offset)
 
     def view(self, q_by_object, t):
-        return None
+        return Pose.identity()  # a plane's points are fixed world points
 
     def saved_state(self):
         return np.zeros(0), np.zeros(0)
@@ -696,7 +695,7 @@ class Simulation:
                 raise ValidationError(f"unsupported object spec {type(spec)!r}")
         self.time = 0.0
         self.step_index = 0
-        self.last_pairs = []
+        self.last_pairs = collision.Contacts.empty()
         self.last_frames = np.zeros((0, 3, 3))
         self.last_lam = np.zeros(0)
 
@@ -771,7 +770,7 @@ class Simulation:
         free_views = self._views({oid: free[oid].q_free for oid in free}, t_next)
         pen_before = (
             float(max(0.0, -collision.signed_gaps(pairs, free_views).min()))
-            if pairs
+            if len(pairs)
             else 0.0
         )
         t_constraints = time.perf_counter()
@@ -828,7 +827,7 @@ class Simulation:
         # end-of-step interpenetration: geometric distance of the frozen pairs
         # to their supporting elements at the final state (slip-immune, so a
         # stale-direction scheme cannot grade its own leftover penetration)
-        if pairs:
+        if len(pairs):
             q_final = {oid: new_states[oid].q for oid in new_states}
             final_views = self._views(q_final, t_next)
             pen_after = float(max(0.0, -collision.signed_gaps(pairs, final_views).min()))
@@ -896,16 +895,9 @@ def take_snapshot(sim: Simulation) -> Snapshot:
     objects = []
     for obj in sim.objects:
         objects.append((obj.oid, obj.kind, *obj.saved_state()))
-    pairs = []
-    for i, pair in enumerate(sim.last_pairs):
-        frame = sim.last_frames[i] if i < len(sim.last_frames) else np.eye(3)
-        lam = (
-            sim.last_lam[3 * i : 3 * i + 3]
-            if sim.last_lam.size >= 3 * i + 3
-            else np.zeros(3)
-        )
-        pa, pb = pair.p_a, pair.p_b
-        pairs.append((pair.object_a, pair.object_b, pa, pb, frame, lam))
+    c = sim.last_pairs
+    pairs = list(zip(c.a.object_id.tolist(), c.b.object_id.tolist(), c.a.point, c.b.point,
+                     sim.last_frames, sim.last_lam.reshape(-1, 3)))
     return Snapshot(sim.step_index, sim.time, objects, pairs)
 
 

@@ -91,7 +91,7 @@ class NewtonConfig:
     scheme: str = "single"
     max_iterations: int = 5
     penetration_tol: float = 1e-5
-    relinearize: bool = True
+    relinearize: bool = True  # off only in verify's scheme-equivalence check
     rotation_tol: float = 1e-4
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 import csv
 import functools
+import os
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from contactnewton import cli
 from contactnewton.scene import load_scene
 from contactnewton.verify import check_congruence_identity, check_scheme_equivalence, prepare
+from test_scene import MIXED_SCENE
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -41,10 +43,37 @@ def test_verify_passes_on_block_on_plane(capsys):
         ["PASS", "scheme-equivalence:"]]
 
 
+def test_verify_passes_on_rigid_and_plane_attachments(tmp_path, capsys):
+    # a rigid sphere on the plane (the lever mapping), a spinning kinematic
+    # plate and a soft box: no shipped scene has a rigid side
+    scene = tmp_path / "mixed.scn"
+    scene.write_text(MIXED_SCENE)
+    assert (prepare(load_scene(scene)).pairs.a.lever != 0.0).any()
+    assert cli.main(["verify", "--scene", str(scene)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "congruence-identity:"], ["PASS", "complementarity:"],
+        ["PASS", "scheme-equivalence:"]]
+
+
+def clear_thread_vars(monkeypatch):
+    for var in THREAD_VARS + ("CONTACT_NEWTON_THREADS",):
+        monkeypatch.setenv(var, "")  # records the old value, restored after the test
+        monkeypatch.delenv(var)
+
+
+@pytest.mark.parametrize("cap, expect", [(None, "1"), ("2", "2")])
+def test_verify_pins_one_blas_thread_by_default(monkeypatch, capsys, cap, expect):
+    clear_thread_vars(monkeypatch)
+    if cap is not None:
+        monkeypatch.setenv("CONTACT_NEWTON_THREADS", cap)
+    assert cli.main(["verify", "--scene", str(SCENES / "point_mass.scn")]) == 0
+    assert all(os.environ[var] == expect for var in THREAD_VARS)
+
+
 def test_bench_tiny_spec(tmp_path, capsys, monkeypatch):
     # bench pins the BLAS thread cap in the environment; restore it afterwards
-    for var in THREAD_VARS + ("CONTACT_NEWTON_THREADS",):
-        monkeypatch.delenv(var, raising=False)
+    clear_thread_vars(monkeypatch)
     spec = tmp_path / "tiny.spec"
     spec.write_text(
         f"scene: {SCENES / 'bench_column.scn'}\n"

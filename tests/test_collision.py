@@ -1,6 +1,6 @@
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,23 +12,17 @@ from contactnewton.collision import (
     _MAX_TILT_COS,
     _T1_FALLBACK,
     _T1_REFERENCE,
-    _TIE_EPS,
     COINCIDENT_EPS,
-    AttachKind,
-    Attachment,
     MeshGeometry,
     PlaneGeometry,
     Pose,
-    ProximityPair,
     SphereGeometry,
-    _mesh_attachment,
     build_frames,
     closest_points_on_triangles,
     detect,
     max_frame_rotation,
     refresh_proximity,
     relinearize,
-    triangle_normals,
 )
 from contactnewton.constraints import build_signed_mapping
 from contactnewton.errors import (
@@ -38,6 +32,19 @@ from contactnewton.errors import (
 )
 from contactnewton.mesh import box_mesh, surface_triangles, surface_vertices
 from contactnewton.scene import Simulation, load_scene
+from pairs_reference import (
+    AttachKind,
+    Attachment,
+    ProximityPair,
+    build_signed_mapping_reference,
+    closest_points_reference,
+    detect_reference,
+    refresh_proximity_reference,
+    signed_gaps_reference,
+    to_contacts,
+    vertex_vs_plane_preselect_reference,
+)
+from test_scene import MIXED_SCENE
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -70,7 +77,7 @@ class TestDetect:
         m = box_mesh((0.2, 0.2, 0.2), (1, 1, 1))
         a = mesh_geometry(m, 0)
         b = mesh_geometry(m, 1, offset=(1.0, 0.0, 0.0))
-        assert detect([a, b], threshold=0.01) == []
+        assert len(detect([a, b], threshold=0.01)) == 0
 
     def test_vertex_below_plane(self):
         m = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), center=(0.3, 0.045, -0.2))
@@ -79,11 +86,11 @@ class TestDetect:
         pairs = detect([geom, plane], threshold=0.01)
         # only the bottom face (y = -0.005) is within threshold
         assert len(pairs) == 4
-        for pair in pairs:
-            assert pair.signed_distance == pytest.approx(-0.005)
-            assert np.allclose(pair.p_a[1], -0.005)
-            assert np.allclose(pair.p_b[1], 0.0)
-            assert np.allclose(pair.p_a[[0, 2]], pair.p_b[[0, 2]])
+        p_a, p_b = pairs.a.point, pairs.b.point
+        assert pairs.signed_distance == pytest.approx([-0.005] * 4)
+        assert np.allclose(p_a[:, 1], -0.005)
+        assert np.allclose(p_b[:, 1], 0.0)
+        assert np.allclose(p_a[:, [0, 2]], p_b[:, [0, 2]])
 
     def test_barycentric_matches_projection_oracle(self):
         tri = np.array([[0.0, 0, 0], [1.0, 0, 0.1], [0.2, 0, 1.0]])
@@ -99,14 +106,15 @@ class TestDetect:
         plane = PlaneGeometry(object_id=1, normal=(0, 1, 0), offset=0.0)
         pairs = detect([geom, plane], threshold=0.01)
         assert len(pairs) == 4
-        assert all(p.signed_distance == pytest.approx(-0.02) for p in pairs)
+        assert pairs.signed_distance == pytest.approx([-0.02] * 4)
 
     def test_canonical_order(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 1, 2), center=(0.0, 0.049, 0.0))
         geom = mesh_geometry(m, 3)
         plane = PlaneGeometry(object_id=1, normal=(0, 1, 0), offset=0.0)
         pairs = detect([geom, plane], threshold=0.01)
-        keys = [(p.object_a, p.object_b, p.vertex_id, p.element_id) for p in pairs]
+        keys = list(zip(pairs.a.object_id.tolist(), pairs.b.object_id.tolist(),
+                        pairs.vertex_id.tolist(), pairs.element_id.tolist()))
         assert keys == sorted(keys)
 
     def test_two_static_sides_skipped(self):
@@ -115,7 +123,7 @@ class TestDetect:
         geom.dynamic = False
         geom.deformable = False
         plane = PlaneGeometry(object_id=1, normal=(0, 1, 0), offset=0.0)
-        assert detect([geom, plane], threshold=0.01) == []
+        assert len(detect([geom, plane], threshold=0.01)) == 0
 
     def test_sphere_plane(self):
         sph = SphereGeometry(
@@ -125,9 +133,9 @@ class TestDetect:
         plane = PlaneGeometry(object_id=1, normal=(0, 1, 0), offset=0.0)
         pairs = detect([sph, plane], threshold=0.01)
         assert len(pairs) == 1
-        assert pairs[0].signed_distance == pytest.approx(-0.005)
-        assert np.allclose(pairs[0].p_a, [0.2, -0.005, 0.0])
-        assert np.allclose(pairs[0].attach_a.lever, [0.0, -0.1, 0.0])
+        assert pairs.signed_distance[0] == pytest.approx(-0.005)
+        assert np.allclose(pairs.a.point[0], [0.2, -0.005, 0.0])
+        assert np.allclose(pairs.a.lever[0], [0.0, -0.1, 0.0])
 
     def test_translation_invariance(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
@@ -139,11 +147,12 @@ class TestDetect:
         p0 = detect([a0, b0], threshold=0.02)
         p1 = detect([a1, b1], threshold=0.02)
         assert len(p0) == len(p1) > 0
-        for x, y in zip(p0, p1):
-            assert (x.object_a, x.object_b, x.vertex_id, x.element_id) == (
-                y.object_a, y.object_b, y.vertex_id, y.element_id)
-            assert abs(x.signed_distance - y.signed_distance) <= 1e-12
-            assert np.abs((y.p_a - x.p_a) - shift).max() <= 1e-12
+        for ids in ("vertex_id", "element_id"):
+            assert np.array_equal(getattr(p0, ids), getattr(p1, ids))
+        assert np.array_equal(p0.a.object_id, p1.a.object_id)
+        assert np.array_equal(p0.b.object_id, p1.b.object_id)
+        assert np.abs(p0.signed_distance - p1.signed_distance).max() <= 1e-12
+        assert np.abs((p1.a.point - p0.a.point) - shift).max() <= 1e-12
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(InvalidAttachmentError):
@@ -154,7 +163,7 @@ class TestMappingJacobian:
     def test_vertex_block_is_identity(self):
         att = Attachment(AttachKind.VERTEX, object_id=0, vertex=2)
         pair = _dummy_pair(att, _world_attachment())
-        G = build_signed_mapping([pair], object_id=0, n_dofs=12)
+        G = build_signed_mapping(to_contacts([pair]), object_id=0, n_dofs=12)
         assert np.allclose(G.toarray()[:, 6:9], np.eye(3))
         assert G.nnz == 3
 
@@ -164,7 +173,7 @@ class TestMappingJacobian:
             triangle=np.array([0, 1, 2]), weights=np.full(3, 1 / 3),
         )
         pair = _dummy_pair(att, _world_attachment())
-        G = build_signed_mapping([pair], object_id=0, n_dofs=9)
+        G = build_signed_mapping(to_contacts([pair]), object_id=0, n_dofs=9)
         v = np.arange(9.0)
         expect = (v[0:3] + v[3:6] + v[6:9]) / 3
         assert np.abs(G @ v - expect).max() <= 1e-15
@@ -175,7 +184,7 @@ class TestMappingJacobian:
             local_point=np.array([0.0, 0, 1.0]), lever=np.array([0.0, 0, 1.0]),
         )
         pair = _dummy_pair(att, _world_attachment())
-        G = build_signed_mapping([pair], object_id=0, n_dofs=6)
+        G = build_signed_mapping(to_contacts([pair]), object_id=0, n_dofs=6)
         v = np.array([0.0, 0, 0, 0, 1.0, 0])  # omega = (0, 1, 0)
         # oracle: point velocity = v_lin + omega x r
         expect = np.cross([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
@@ -185,7 +194,7 @@ class TestMappingJacobian:
         att = Attachment(AttachKind.VERTEX, object_id=0, vertex=5)
         pair = _dummy_pair(att, _world_attachment())
         with pytest.raises(InvalidAttachmentError):
-            build_signed_mapping([pair], object_id=0, n_dofs=9)
+            build_signed_mapping(to_contacts([pair]), object_id=0, n_dofs=9)
 
     def test_mapping_consistency_linear(self):
         # g(q + dq) - g(q) == G dq exactly for vertex/barycentric attachments
@@ -198,19 +207,20 @@ class TestMappingJacobian:
         )
         pair_a = _dummy_pair(att_a, _world_attachment())
         pair_b = _dummy_pair(att_b, _world_attachment())
-        G = build_signed_mapping([pair_a, pair_b], object_id=0, n_dofs=12)
+        contacts = to_contacts([pair_a, pair_b])
+        G = build_signed_mapping(contacts, object_id=0, n_dofs=12)
         dq = rng.standard_normal(12) * 0.1
-        views0 = {0: nodes, 9: None}
-        views1 = {0: nodes + dq.reshape(-1, 3), 9: None}
-        pa0, _ = refresh_proximity([pair_a, pair_b], views0)
-        pa1, _ = refresh_proximity([pair_a, pair_b], views1)
+        views0 = {0: nodes, 9: Pose.identity()}
+        views1 = {0: nodes + dq.reshape(-1, 3), 9: Pose.identity()}
+        pa0, _ = refresh_proximity(contacts, views0)
+        pa1, _ = refresh_proximity(contacts, views1)
         assert np.abs((pa1 - pa0).ravel() - G @ dq).max() <= 1e-12
 
     def test_b_side_enters_negated(self):
         # the object owning side B maps with -G: S v is the change of pA - pB
         att = Attachment(AttachKind.VERTEX, object_id=0, vertex=1)
         pair = _dummy_pair(_world_attachment(), att)
-        S = build_signed_mapping([pair], object_id=0, n_dofs=6)
+        S = build_signed_mapping(to_contacts([pair]), object_id=0, n_dofs=6)
         assert np.array_equal(S.toarray()[:, 3:6], -np.eye(3))
         assert S.nnz == 3
 
@@ -234,6 +244,11 @@ def _dummy_pair(att_a, att_b):
     )
 
 
+def frames_of(pairs):
+    """``build_frames`` on a list of pairs."""
+    return build_frames(to_contacts(pairs))
+
+
 def frame_pair(p_a, p_b, ref=(0.0, 1.0, 0.0)):
     pair = _dummy_pair(
         Attachment(AttachKind.VERTEX, object_id=0, vertex=0), _world_attachment()
@@ -248,20 +263,20 @@ class TestFrames:
     _pair = staticmethod(frame_pair)
 
     def test_normal_from_offset(self):
-        [frame] = build_frames([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))])
+        [frame] = frames_of([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))])
         assert np.allclose(frame[0], [0, 1, 0])
 
     def test_coincident_falls_back_to_element_normal(self):
-        [frame] = build_frames([self._pair((0.2, 0.0, 0.1), (0.2, 0.0, 0.1))])
+        [frame] = frames_of([self._pair((0.2, 0.0, 0.1), (0.2, 0.0, 0.1))])
         assert np.allclose(frame[0], [0, 1, 0])
 
     def test_penetrating_pair_keeps_separation_direction(self):
-        [frame] = build_frames([self._pair((0.0, -0.01, 0.0), (0.0, 0.0, 0.0))])
+        [frame] = frames_of([self._pair((0.0, -0.01, 0.0), (0.0, 0.0, 0.0))])
         assert np.allclose(frame[0], [0, 1, 0])  # flipped toward the reference
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateFrameError):
-            build_frames([self._pair((0, 0, 0), (0, 0, 0), ref=(0, 0, 0))])
+            frames_of([self._pair((0, 0, 0), (0, 0, 0), ref=(0, 0, 0))])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -271,28 +286,28 @@ class TestFrames:
         while np.linalg.norm(d) < 1e-3:
             d = rng.standard_normal(3)
         ref = d / np.linalg.norm(d)
-        [frame] = build_frames([self._pair(ref * 0.01, (0, 0, 0), ref=ref)])
+        [frame] = frames_of([self._pair(ref * 0.01, (0, 0, 0), ref=ref)])
         n, t1, t2 = frame
         assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-9
         # right-handed
         assert np.cross(n, t1) @ t2 == pytest.approx(1.0, abs=1e-9)
 
     def test_tangent_fallback_axis(self):
-        [frame] = build_frames([self._pair((0.01, 0.0, 0.0), (0, 0, 0), ref=(1, 0, 0))])
+        [frame] = frames_of([self._pair((0.01, 0.0, 0.0), (0, 0, 0), ref=(1, 0, 0))])
         n, t1, _ = frame
         assert abs(n @ t1) <= 1e-12
         assert np.allclose(t1, [0, 0, 1])  # x is parallel to n, fall back to z
 
     def test_relinearize_fixed_point(self):
         pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
-        frames = build_frames(pairs)
+        frames = frames_of(pairs)
         again = relinearize(np.array([[0.0, 0.01, 0.0]]), frames)
         assert np.array_equal(again[0, 0], frames[0, 0])
         assert np.array_equal(again[0, 1], frames[0, 1])
 
     def test_relinearize_rotation_oracle(self):
         pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
-        frames = build_frames(pairs)
+        frames = frames_of(pairs)
         ang = np.deg2rad(10)
         p_new = 0.01 * np.array([[np.sin(ang), np.cos(ang), 0.0]])
         new = relinearize(p_new, frames)
@@ -301,7 +316,7 @@ class TestFrames:
         assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-9
 
     def test_rotation_of_unequal_frame_lists_raises(self):
-        frames = build_frames([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))] * 2)
+        frames = frames_of([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))] * 2)
         with pytest.raises(DimensionMismatchError):
             max_frame_rotation(frames, frames[:1])
         with pytest.raises(DimensionMismatchError):
@@ -309,7 +324,7 @@ class TestFrames:
 
     def test_relinearize_collapse_keeps_previous(self):
         pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
-        frames = build_frames(pairs)
+        frames = frames_of(pairs)
         new = relinearize(np.zeros((1, 3)) + 1e-12, frames)
         assert np.array_equal(new[0], frames[0])
 
@@ -322,7 +337,7 @@ class TestFrames:
             d *= rng.uniform(0.01, 1.0) / np.linalg.norm(d)
             ref = d / np.linalg.norm(d)
             pair = self._pair(d, (0, 0, 0), ref=ref)
-            [f0] = build_frames([pair])
+            [f0] = frames_of([pair])
             eps = rng.standard_normal(3)
             eps *= 1e-8 / np.linalg.norm(eps)
             [f1] = relinearize((d + eps)[None], f0[None])
@@ -330,124 +345,9 @@ class TestFrames:
 
 
 # --- reference narrow phase ---------------------------------------------------
-# The per-vertex narrow phase that the batched one replaced, kept verbatim as
-# the oracle: the batched query must reproduce every pair bit for bit.
-
-
-def closest_points_reference(tris: np.ndarray, p: np.ndarray):
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
-        w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
-        den_bc = (d4 - d3) + (d5 - d6)
-        w_bc = np.where(den_bc != 0, (d4 - d3) / den_bc, 0.0)
-        den = va + vb + vc
-        v_in = np.where(den != 0, vb / den, 1.0 / 3.0)
-        w_in = np.where(den != 0, vc / den, 1.0 / 3.0)
-
-    conds = [
-        (d1 <= 0) & (d2 <= 0),  # vertex a
-        (d3 >= 0) & (d4 <= d3),  # vertex b
-        (vc <= 0) & (d1 >= 0) & (d3 <= 0),  # edge ab
-        (d6 >= 0) & (d5 <= d6),  # vertex c
-        (vb <= 0) & (d2 >= 0) & (d6 <= 0),  # edge ac
-        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),  # edge bc
-    ]
-    v_candidates = [0.0 * d1, 1.0 + 0.0 * d1, v_ab, 0.0 * d1, 0.0 * d1, 1.0 - w_bc]
-    w_candidates = [0.0 * d1, 0.0 * d1, 0.0 * d1, 1.0 + 0.0 * d1, w_ac, w_bc]
-    v = np.select(conds, v_candidates, default=v_in)
-    w = np.select(conds, w_candidates, default=w_in)
-    u = 1.0 - v - w
-    points = a + v[:, None] * ab + w[:, None] * ac
-    bary = np.column_stack([u, v, w])
-    return points, bary
-
-
-def vertex_vs_mesh_reference(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float):
-    pairs = []
-    tri_pts = geom_b.points[geom_b.triangles]
-    normals = triangle_normals(tri_pts)
-    for vid in geom_a.vertex_ids:
-        p = geom_a.points[vid]
-        cps, bary = closest_points_reference(tri_pts, p)
-        diff = p - cps
-        dist = np.linalg.norm(diff, axis=1)
-        side = np.einsum("ij,ij->i", diff, normals)
-        signed = np.where(side >= 0, dist, -dist)
-        best = int(np.flatnonzero(dist <= dist.min() + _TIE_EPS).min())
-        if signed[best] > threshold:
-            continue
-        attach_a = _mesh_attachment(geom_a, vertex=vid, point=p)
-        attach_b = _mesh_attachment(
-            geom_b,
-            triangle=geom_b.triangles[best],
-            bary=bary[best],
-            point=cps[best],
-            normal=normals[best],
-        )
-        pairs.append(
-            ProximityPair(
-                object_a=geom_a.object_id,
-                object_b=geom_b.object_id,
-                attach_a=attach_a,
-                attach_b=attach_b,
-                p_a=p.copy(),
-                p_b=cps[best].copy(),
-                ref_normal=normals[best].copy(),
-                signed_distance=float(signed[best]),
-                vertex_id=int(vid),
-                element_id=int(best),
-            )
-        )
-    return pairs
-
-
-def vertex_vs_plane_reference(geom: MeshGeometry, plane: PlaneGeometry, threshold: float):
-    pairs = []
-    n = plane.normal
-    for vid in geom.vertex_ids:
-        p = geom.points[vid]
-        signed = float(n @ p - plane.offset)
-        if signed > threshold:
-            continue
-        foot = p - signed * n
-        pairs.append(
-            ProximityPair(
-                object_a=geom.object_id,
-                object_b=plane.object_id,
-                attach_a=_mesh_attachment(geom, vertex=vid, point=p),
-                attach_b=Attachment(AttachKind.WORLD, plane.object_id, world_point=foot),
-                p_a=p.copy(),
-                p_b=foot,
-                ref_normal=n.copy(),
-                signed_distance=signed,
-                vertex_id=int(vid),
-                element_id=-1,
-            )
-        )
-    return pairs
-
-
-def detect_reference(geometries, threshold):
-    """``detect`` with the per-vertex narrow phase (same broad phase and order)."""
-    with mock.patch.object(collision, "_vertex_vs_mesh", vertex_vs_mesh_reference), \
-            mock.patch.object(collision, "_vertex_vs_plane", vertex_vs_plane_reference):
-        return detect(geometries, threshold)
+# The per-vertex narrow phase that the batched one replaced is kept verbatim
+# as the oracle in pairs_reference: the batched query must reproduce every
+# pair bit for bit.
 
 
 def assert_bitwise_equal(x, y, where="pair"):
@@ -466,9 +366,9 @@ def assert_bitwise_equal(x, y, where="pair"):
 
 
 def assert_same_pairs(got, expect):
+    """``detect``'s arrays against the oracle's pairs, field by field."""
     assert len(got) == len(expect)
-    for i, (x, y) in enumerate(zip(got, expect)):
-        assert_bitwise_equal(x, y, f"pair {i}")
+    assert_bitwise_equal(got, to_contacts(expect), "contacts")
 
 
 def degenerate_triangles(rng, count):
@@ -546,7 +446,7 @@ class TestBatchedNarrowPhase:
         cloud = cloud_geometry(P)
         soup = soup_geometry(tris)
         pairs = detect([cloud, soup], threshold=0.05)
-        assert pairs and all(p.element_id < 6 for p in pairs)
+        assert len(pairs) and (pairs.element_id < 6).all()
         assert_same_pairs(pairs, detect_reference([cloud, soup], threshold=0.05))
 
     def test_far_points_on_both_sides_of_an_open_plate(self):
@@ -565,10 +465,10 @@ class TestBatchedNarrowPhase:
         ])
         cloud = cloud_geometry(P)
         pairs = detect([cloud, soup_geometry(plate)], threshold=0.01)
-        assert [p.vertex_id for p in pairs] == [0, 1, 3, 5, 6]
-        assert pairs[2].signed_distance == -3.0
-        assert pairs[3].signed_distance < -5.0
-        assert pairs[4].signed_distance == 0.01
+        assert pairs.vertex_id.tolist() == [0, 1, 3, 5, 6]
+        assert pairs.signed_distance[2] == -3.0
+        assert pairs.signed_distance[3] < -5.0
+        assert pairs.signed_distance[4] == 0.01
         assert_same_pairs(pairs, detect_reference([cloud, soup_geometry(plate)], 0.01))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -595,7 +495,7 @@ class TestBatchedNarrowPhase:
                       PlaneGeometry(object_id=2, normal=(0, 1, 0), offset=0.0)]
         assert len(detect(geometries, threshold=0.1)) > 0
         cloud.vertex_ids = np.zeros(0, dtype=np.int64)
-        assert detect(geometries, threshold=0.1) == []
+        assert_same_pairs(detect(geometries, threshold=0.1), [])
         assert detect_reference(geometries, threshold=0.1) == []
 
     def test_blocked_query_matches_unblocked(self, monkeypatch):
@@ -607,10 +507,10 @@ class TestBatchedNarrowPhase:
         monkeypatch.setattr(collision, "QUERY_ENTRIES", 7)
         blocked = detect([cloud, soup], threshold=0.2)
         assert len(blocked) > 2
-        assert_same_pairs(blocked, whole)
+        assert_bitwise_equal(blocked, whole)
         # more triangles than entries per block: one vertex per block
         monkeypatch.setattr(collision, "QUERY_ENTRIES", 2)
-        assert_same_pairs(detect([cloud, soup], threshold=0.2), whole)
+        assert_bitwise_equal(detect([cloud, soup], threshold=0.2), whole)
 
     @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn"])
     def test_recorded_scene_geometry_matches_reference(self, monkeypatch, scene):
@@ -668,6 +568,12 @@ def _frame_from_direction(d: np.ndarray, ref: np.ndarray | None) -> ContactFrame
         raise DegenerateFrameError("coincident proximity points and no element normal")
     t1, t2 = _tangents(n)
     return ContactFrame(n, t1, t2)
+
+
+def pair_rows(contacts):
+    """The rows of ``detect``'s arrays as the (p_a, p_b, ref_normal) the frame oracle reads."""
+    return [SimpleNamespace(p_a=a, p_b=b, ref_normal=n)
+            for a, b, n in zip(contacts.a.point, contacts.b.point, contacts.ref_normal)]
 
 
 def build_frames_reference(pairs) -> list[ContactFrame]:
@@ -759,7 +665,7 @@ class TestFramesMatchReference:
     _pair = staticmethod(frame_pair)
 
     def _build(self, pairs):
-        got = build_frames(pairs)
+        got = frames_of(pairs)
         assert_bitwise_equal(got, frame_array(build_frames_reference(pairs)))
         return got
 
@@ -798,12 +704,12 @@ class TestFramesMatchReference:
             with pytest.raises(DegenerateFrameError):
                 build_frames_reference(pairs)
             with pytest.raises(DegenerateFrameError):
-                build_frames(pairs)
+                frames_of(pairs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_relinearize_random(self, seed):
         rng = np.random.default_rng(seed)
-        previous = build_frames(random_pairs(rng, 120))
+        previous = frames_of(random_pairs(rng, 120))
         n_old = previous[:, 0]
         r = np.empty((120, 3))
         for i in range(120):
@@ -823,7 +729,7 @@ class TestFramesMatchReference:
         assert_max_rotation_matches(previous, relinearize(r, previous))
 
     def test_relinearize_along_x_uses_fallback_tangent(self):
-        previous = build_frames([
+        previous = frames_of([
             self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0)),
             self._pair((-0.01, 0.001, 0.0), (0, 0, 0), (-1, 0, 0)),
         ])
@@ -834,7 +740,7 @@ class TestFramesMatchReference:
     def test_relinearize_at_the_tilt_and_tangent_limits(self):
         up = self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))
         along_x = self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0))
-        previous = build_frames([up, up, along_x, along_x, along_x])
+        previous = frames_of([up, up, along_x, along_x, along_x])
         x = 1.7320508075688774  # (x, 1, 0) normalizes to a y component of exactly 0.5
         assert unit(np.array([x, 1.0, 0.0]))[1] == _MAX_TILT_COS
         r = np.array([
@@ -847,7 +753,7 @@ class TestFramesMatchReference:
         assert not check_relinearize(r, previous).any()
 
     def test_rotation_limits(self):
-        axes = build_frames([
+        axes = frames_of([
             self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0)),
             self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0)),
         ])
@@ -855,7 +761,7 @@ class TestFramesMatchReference:
         flipped = axes.copy()
         flipped[1] *= -1.0
         assert max_frame_rotation(axes, flipped) == np.pi
-        random = build_frames(random_pairs(np.random.default_rng(8), 50))
+        random = frames_of(random_pairs(np.random.default_rng(8), 50))
         for old, new in ((axes, axes), (axes, flipped), (random, random), (random, random[::-1])):
             assert_max_rotation_matches(old, new)
 
@@ -864,7 +770,7 @@ class TestFramesMatchReference:
         assert max_frame_rotation(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == 0.0
 
     def test_relinearize_length_mismatch_raises(self):
-        frames = build_frames([self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))] * 2)
+        frames = frames_of([self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))] * 2)
         with pytest.raises(DimensionMismatchError):
             relinearize(np.ones((3, 3)), frames)
         with pytest.raises(DimensionMismatchError):
@@ -886,7 +792,8 @@ class TestFramesMatchReference:
         sim = Simulation(replace(config, newton=newton))
         for _ in range(2):
             sim.step()
-            self._build(sim.last_pairs)
+            expect = build_frames_reference(pair_rows(sim.last_pairs))
+            assert_bitwise_equal(build_frames(sim.last_pairs), frame_array(expect))
         assert len(recorded) >= 4
         for r, previous in recorded:
             check_relinearize(r, previous)
@@ -897,3 +804,251 @@ def assert_max_rotation_matches(old, new):
     got = max_frame_rotation(old, new)
     expect = max_frame_rotation_reference(frame_list(old), frame_list(new))
     assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+
+# --- proximity positions, gaps and mappings against the per-pair oracle ----------
+# refresh_proximity, signed_gaps, build_signed_mapping and the vertex-vs-plane
+# query loop over objects, not pairs; every value must be bitwise that of the
+# per-pair code kept in pairs_reference.
+
+SOFT_A, SOFT_B, RIGID, KINEMATIC, PLANE = range(5)
+N_NODES = 12
+
+
+def random_pose(rng):
+    return Pose(np.linalg.qr(rng.standard_normal((3, 3)))[0], rng.standard_normal(3))
+
+
+def random_views(rng):
+    soft_b = rng.uniform(-1.0, 1.0, (N_NODES, 3))
+    soft_b[11] = 0.5 * (soft_b[9] + soft_b[10])  # (9, 10, 11) is a sliver
+    return {
+        SOFT_A: rng.uniform(-1.0, 1.0, (N_NODES, 3)),
+        SOFT_B: soft_b,
+        RIGID: random_pose(rng),
+        KINEMATIC: random_pose(rng),
+        PLANE: Pose.identity(),
+    }
+
+
+def random_weights(rng):
+    """Barycentric weights, with zero weights in three of every five."""
+    w = rng.dirichlet(np.ones(3))
+    return [w, np.array([0.0, w[1], 1.0 - w[1]]), np.array([1.0, 0.0, 0.0]),
+            np.array([0.0, 0.0, 1.0]), w][rng.integers(5)]
+
+
+def random_triangle(rng, degenerate=False):
+    if degenerate:
+        return [np.array([4, 4, 7]), np.array([9, 10, 11]), np.array([2, 2, 2])][rng.integers(3)]
+    return rng.choice(N_NODES, 3, replace=False)
+
+
+def random_attachment(rng, kind, oid, degenerate=False):
+    if kind == AttachKind.VERTEX:
+        return Attachment(kind, oid, vertex=int(rng.integers(N_NODES)))
+    if kind == AttachKind.BARYCENTRIC:
+        return Attachment(kind, oid, triangle=random_triangle(rng, degenerate),
+                          weights=random_weights(rng))
+    if kind == AttachKind.RIGID_LOCAL:
+        lever = rng.standard_normal(3) * 0.1
+        lever[rng.integers(3)] = 0.0  # zero entries of [I, -skew(lever)] are dropped
+        return Attachment(kind, oid, local_point=rng.standard_normal(3) * 0.1, lever=lever)
+    if kind == AttachKind.LOCAL:
+        return Attachment(kind, oid, local_point=rng.standard_normal(3),
+                          local_normal=unit(rng.standard_normal(3)))
+    return Attachment(kind, oid, world_point=rng.standard_normal(3))
+
+
+A_SIDES = [(AttachKind.VERTEX, SOFT_A), (AttachKind.BARYCENTRIC, SOFT_A),
+           (AttachKind.RIGID_LOCAL, RIGID), (AttachKind.LOCAL, KINEMATIC)]
+B_SIDES = [(AttachKind.BARYCENTRIC, SOFT_B), (AttachKind.LOCAL, KINEMATIC),
+           (AttachKind.WORLD, PLANE), (AttachKind.VERTEX, SOFT_B)]
+
+
+def random_attached_pairs(rng, count):
+    """Pairs over every attachment kind on both sides, with degenerate B triangles."""
+    pairs = []
+    for i in range(count):
+        kind_a, oid_a = A_SIDES[rng.integers(len(A_SIDES))]
+        kind_b, oid_b = B_SIDES[rng.integers(len(B_SIDES))]
+        pairs.append(ProximityPair(
+            object_a=oid_a,
+            object_b=oid_b,
+            attach_a=random_attachment(rng, kind_a, oid_a),
+            attach_b=random_attachment(rng, kind_b, oid_b, degenerate=i % 4 == 0),
+            p_a=rng.standard_normal(3),
+            p_b=rng.standard_normal(3),
+            ref_normal=unit(rng.standard_normal(3)),
+            signed_distance=float(rng.standard_normal()),
+            vertex_id=i,
+            element_id=-1,
+        ))
+    return pairs
+
+
+def assert_same_mapping(got, expect):
+    assert got.shape == expect.shape
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(got, name), getattr(expect, name)), name
+    assert got.data.tobytes() == expect.data.tobytes()
+
+
+def assert_same_proximity(contacts, pairs, views):
+    for got, expect in zip(refresh_proximity(contacts, views),
+                           refresh_proximity_reference(pairs, views)):
+        assert_bitwise_equal(got, expect)
+    assert_bitwise_equal(collision.signed_gaps(contacts, views),
+                         signed_gaps_reference(pairs, views))
+
+
+class TestProximityMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = random_attached_pairs(rng, 300)
+        contacts = to_contacts(pairs)
+        for _ in range(3):
+            assert_same_proximity(contacts, pairs, random_views(rng))
+
+    def test_degenerate_b_triangle_falls_back_to_detection_normal(self):
+        rng = np.random.default_rng(3)
+        pairs = [p for p in random_attached_pairs(rng, 80)
+                 if p.attach_b.kind == AttachKind.BARYCENTRIC
+                 and len(set(p.attach_b.triangle.tolist())) < 3]
+        assert pairs
+        views = random_views(rng)
+        gaps = collision.signed_gaps(to_contacts(pairs), views)
+        p_a, p_b = refresh_proximity_reference(pairs, views)
+        ref = np.array([p.ref_normal for p in pairs])
+        assert np.array_equal(gaps, (ref[:, None, :] @ (p_a - p_b)[:, :, None])[:, 0, 0])
+        assert_same_proximity(to_contacts(pairs), pairs, views)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_signed_mappings(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = random_attached_pairs(rng, 200)
+        contacts = to_contacts(pairs)
+        fixed = rng.random(3 * N_NODES) < 0.2
+        for oid, n_dofs, mask in ((SOFT_A, 3 * N_NODES, None), (SOFT_A, 3 * N_NODES, fixed),
+                                  (SOFT_B, 3 * N_NODES, fixed), (RIGID, 6, None)):
+            assert_same_mapping(build_signed_mapping(contacts, oid, n_dofs, mask),
+                                build_signed_mapping_reference(pairs, oid, n_dofs, mask))
+
+    @pytest.mark.parametrize("attachment", [
+        Attachment(AttachKind.VERTEX, SOFT_A, vertex=N_NODES),
+        Attachment(AttachKind.BARYCENTRIC, SOFT_A, triangle=np.array([0, N_NODES + 2, 1]),
+                   weights=np.full(3, 1 / 3)),
+        Attachment(AttachKind.BARYCENTRIC, SOFT_A, triangle=np.array([0, 1, -2]),
+                   weights=np.full(3, 1 / 3)),
+    ])
+    def test_out_of_range_nodes_raise(self, attachment):
+        pairs = random_attached_pairs(np.random.default_rng(4), 10)
+        pairs[3].attach_a = attachment
+        with pytest.raises(InvalidAttachmentError):
+            build_signed_mapping_reference(pairs, SOFT_A, 3 * N_NODES)
+        with pytest.raises(InvalidAttachmentError):
+            build_signed_mapping(to_contacts(pairs), SOFT_A, 3 * N_NODES)
+
+    def test_rigid_side_on_a_soft_body_raises(self):
+        pairs = [p for p in random_attached_pairs(np.random.default_rng(5), 40)
+                 if p.attach_a.kind == AttachKind.RIGID_LOCAL]
+        for mapping in (build_signed_mapping_reference, build_signed_mapping):
+            with pytest.raises(InvalidAttachmentError):
+                mapping(pairs if mapping is build_signed_mapping_reference
+                        else to_contacts(pairs), RIGID, 9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_vertex_vs_plane_matches_per_candidate_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(-2.0, 2.0, (400, 3))
+        cloud = cloud_geometry(P)
+        for _ in range(10):
+            plane = PlaneGeometry(object_id=1, normal=rng.standard_normal(3),
+                                  offset=float(rng.uniform(-1.0, 1.0)))
+            P[:6] -= np.outer(P[:6] @ plane.normal - plane.offset - 0.01, plane.normal)
+            P[6:12] += rng.uniform(-1e-15, 1e-15, (6, 1)) * plane.normal
+            expect = vertex_vs_plane_preselect_reference(cloud, plane, 0.01)
+            assert 0 < len(expect) < len(P)
+            assert_same_pairs(collision._vertex_vs_plane(cloud, plane, 0.01), expect)
+
+    def test_sphere_on_plane(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            pose = random_pose(rng)
+            sph = SphereGeometry(object_id=0, center=pose.position, radius=0.1, pose=pose)
+            n = unit(rng.standard_normal(3))  # the sphere's surface within 5 mm of the plane
+            offset = float(n @ pose.position) - 0.1 + rng.uniform(-0.005, 0.005)
+            plane = PlaneGeometry(object_id=1, normal=n, offset=offset)
+            geometries = [sph, plane]
+            contacts = detect(geometries, threshold=0.01)
+            pairs = detect_reference(geometries, threshold=0.01)
+            assert len(pairs) == 1
+            assert_same_pairs(contacts, pairs)
+            views = {0: random_pose(rng), 1: Pose.identity()}
+            assert_same_proximity(contacts, pairs, views)
+            S = build_signed_mapping(contacts, 0, 6)
+            assert_same_mapping(S, build_signed_mapping_reference(pairs, 0, 6))
+
+    @pytest.mark.parametrize("deformable", [True, False])
+    def test_mesh_against_static_mesh(self, deformable):
+        # a soft cloud on a static (tilted) soup, and a static cloud on a soft soup
+        rng = np.random.default_rng(7)
+        tris = degenerate_triangles(rng, 20)
+        pose = random_pose(rng)
+        cloud = cloud_geometry(feature_points(rng, tris, 80))
+        soup = soup_geometry(tris, deformable=False, pose=pose)
+        if not deformable:
+            cloud.deformable = cloud.dynamic = False
+            cloud.pose = pose
+            soup = soup_geometry(tris)
+        contacts = detect([cloud, soup], threshold=0.05)
+        pairs = detect_reference([cloud, soup], threshold=0.05)
+        assert len(pairs) > 0
+        assert_same_pairs(contacts, pairs)
+        for moved in (pose, random_pose(rng)):
+            soft = cloud if deformable else soup
+            nodes = soft.points + rng.uniform(-0.1, 0.1, soft.points.shape)
+            views = {0: nodes, 1: moved} if deformable else {0: moved, 1: nodes}
+            assert_same_proximity(contacts, pairs, views)
+
+    @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn",
+                                       "block_on_plane.scn", "mixed"])
+    def test_recorded_scene_proximity_matches_reference(self, monkeypatch, tmp_path, scene):
+        detected, calls = {}, []
+        detect_now, refresh_now = collision.detect, collision.refresh_proximity
+
+        def recording_detect(geometries, threshold):
+            contacts = detect_now(geometries, threshold)
+            detected[id(contacts)] = (contacts, detect_reference(geometries, threshold))
+            return contacts
+
+        def recording_refresh(contacts, views):
+            calls.append((contacts, views))
+            return refresh_now(contacts, views)
+
+        monkeypatch.setattr(collision, "detect", recording_detect)
+        monkeypatch.setattr(collision, "refresh_proximity", recording_refresh)
+        if scene == "mixed":
+            path = tmp_path / "mixed.scn"
+            path.write_text(MIXED_SCENE)
+        else:
+            path = SCENES / scene
+        config = load_scene(path)
+        newton = replace(config.newton, scheme="standard", max_iterations=3,
+                         penetration_tol=0.0, rotation_tol=0.0)
+        sim = Simulation(replace(config, newton=newton))
+        for _ in range(2):
+            sim.step()
+        monkeypatch.undo()
+        assert len(detected) == 2 and len(calls) >= 8
+        for contacts, pairs in detected.values():
+            assert len(pairs) > 0
+            assert_same_pairs(contacts, pairs)
+            for obj in sim.dynamic_objects:
+                args = (obj.oid, obj.body.n_dofs, obj.body.fixed_mask)
+                assert_same_mapping(build_signed_mapping(contacts, *args),
+                                    build_signed_mapping_reference(pairs, *args))
+        for contacts, views in calls:
+            assert_same_proximity(contacts, detected[id(contacts)][1], views)
+

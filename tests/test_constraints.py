@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from contactnewton.collision import (
-    AttachKind,
-    Attachment,
     MeshGeometry,
     PlaneGeometry,
-    ProximityPair,
+    Pose,
     build_frames,
     detect,
     refresh_proximity,
@@ -26,6 +24,7 @@ from contactnewton.errors import DimensionMismatchError
 from contactnewton.linalg import Factorization, SparseSym
 from contactnewton.solver import _penetration
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
+from pairs_reference import AttachKind, Attachment, ProximityPair, to_contacts
 
 
 def axes_frame():
@@ -60,7 +59,7 @@ def point_mass_pair(mass=1.0, height=-0.002):
         vertex_id=0,
         element_id=-1,
     )
-    return body, pair
+    return body, to_contacts([pair])
 
 
 def block_on_plane_context(h=0.01, center_y=0.0495, fixed_nodes=()):
@@ -123,7 +122,7 @@ class TestContactJacobian:
     def test_vertex_axes_rows(self):
         body, pair = point_mass_pair()
         D = assemble_direction([axes_frame()])
-        S = build_signed_mapping([pair], 0, 3)
+        S = build_signed_mapping(pair, 0, 3)
         H = assemble_H(D, S)
         expect = np.array([[0.0, 1, 0], [1.0, 0, 0], [0.0, 0, 1]])
         assert np.allclose(H.toarray(), expect)
@@ -131,7 +130,7 @@ class TestContactJacobian:
     def test_identity_direction_gives_G(self):
         body, pair = point_mass_pair()
         D = assemble_direction([np.eye(3)])
-        G = build_signed_mapping([pair], 0, 3)
+        G = build_signed_mapping(pair, 0, 3)
         H = assemble_H(D, G)
         assert np.array_equal(H.toarray(), G.toarray())
 
@@ -156,9 +155,10 @@ class TestContactJacobian:
             vertex_id=0,
             element_id=0,
         )
+        pair = to_contacts([pair])
         frame = random_frame(11)
         D = assemble_direction([frame])
-        S = build_signed_mapping([pair], 0, 9)
+        S = build_signed_mapping(pair, 0, 9)
         H = assemble_H(D, S)
         v = rng.standard_normal(9)
         rel_velocity = np.array([0.25, 0.35, 0.4]) @ v.reshape(3, 3)
@@ -168,7 +168,7 @@ class TestContactJacobian:
     def test_dimension_mismatch(self):
         body, pair = point_mass_pair()
         D = assemble_direction([axes_frame(), axes_frame()])
-        S = build_signed_mapping([pair], 0, 3)
+        S = build_signed_mapping(pair, 0, 3)
         with pytest.raises(DimensionMismatchError):
             assemble_H(D, S)
 
@@ -180,7 +180,7 @@ class TestDelassus:
         A, b = body.assemble(state, h=0.01, gravity=(0, 0, 0))
         F = Factorization(A)
         D = assemble_direction([axes_frame()])
-        S = build_signed_mapping([pair], 0, 3)
+        S = build_signed_mapping(pair, 0, 3)
         H = assemble_H(D, S)
         W = assemble_W_standard({0: H}, {0: F})
         assert np.abs(W - 0.5 * np.eye(3)).max() <= 1e-12
@@ -203,13 +203,14 @@ class TestDelassus:
             vertex_id=0,
             element_id=0,
         )
+        pair = to_contacts([pair])
         D = assemble_direction([axes_frame()])
         F = {}
         H = {}
         for oid, body in ((0, body_a), (1, body_b)):
             A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
             F[oid] = Factorization(A)
-            H[oid] = assemble_H(D, build_signed_mapping([pair], oid, 3))
+            H[oid] = assemble_H(D, build_signed_mapping(pair, oid, 3))
         W = assemble_W_standard(H, F)
         assert np.abs(W - 2.0 * 0.5 * np.eye(3)).max() <= 1e-12
 
@@ -249,7 +250,7 @@ class TestMappingDelassus:
     def test_point_mass_wg(self):
         body, pair = point_mass_pair(mass=4.0)
         A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
-        wg = assemble_Wg({0: build_signed_mapping([pair], 0, 3)}, {0: Factorization(A)})
+        wg = assemble_Wg({0: build_signed_mapping(pair, 0, 3)}, {0: Factorization(A)})
         assert np.abs(wg - 0.25 * np.eye(3)).max() <= 1e-12
 
     def test_fixed_wall_contributes_zero(self):
@@ -338,7 +339,7 @@ def two_boxes_context(h=0.01):
         geoms.append(MeshGeometry(oid, body.mesh.nodes, tris, surface_vertices(tris),
                                   deformable=True, dynamic=True))
     pairs = detect(geoms, threshold=0.005)
-    assert {p.object_a for p in pairs} == {0, 1}
+    assert set(pairs.a.object_id.tolist()) == {0, 1}
     S, A = {}, {}
     for oid, body in bodies.items():
         A[oid], _ = body.assemble(body.initial_state(), h=h, gravity=(0, 0, 0))
@@ -377,7 +378,7 @@ def rigid_on_soft_pairs(body, vertices):
             vertex_id=int(v),
             element_id=-1,
         ))
-    return pairs
+    return to_contacts(pairs)
 
 
 class TestWgGather:
@@ -419,7 +420,7 @@ class TestWgGather:
                 vertex_id=-1,
                 element_id=0,
             ))
-        S = build_signed_mapping(pairs, 0, body.n_dofs)
+        S = build_signed_mapping(to_contacts(pairs), 0, body.n_dofs)
         A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
         F = Factorization(A)
         self.check({0: S}, {0: F}, {0: A})
@@ -427,12 +428,12 @@ class TestWgGather:
 
     def test_fixed_dofs_cost_no_solve(self):
         _, _, unpinned_pairs, *_ = block_on_plane_context()
-        fixed = [p.attach_a.vertex for p in unpinned_pairs[:3]]
+        fixed = unpinned_pairs.a.nodes[:3, 0].tolist()
         body, state, pairs, frames, F, S, h = block_on_plane_context(fixed_nodes=fixed)
         A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
         wg = self.check({0: S}, {0: F}, {0: A})
         assert F.solve_count == 3 * (len(pairs) - len(fixed))
-        pinned = [g for g, p in enumerate(pairs) if p.attach_a.vertex in fixed]
+        pinned = np.flatnonzero(np.isin(pairs.a.nodes[:, 0], fixed))
         assert len(pinned) == len(fixed)
         for g in pinned:
             assert not wg[3 * g : 3 * g + 3].any() and not wg[:, 3 * g : 3 * g + 3].any()
@@ -469,7 +470,7 @@ class TestWgGather:
 
     def test_shape_mismatch(self):
         body, pair = point_mass_pair()
-        S = build_signed_mapping([pair], 0, 3)
+        S = build_signed_mapping(pair, 0, 3)
         with pytest.raises(DimensionMismatchError):
             assemble_Wg({0: S}, {0: Factorization(SparseSym(np.eye(6)))})
 
@@ -501,7 +502,7 @@ class TestViolation:
 
 
 def relative_positions(pairs):
-    return np.stack([p.p_a - p.p_b for p in pairs])
+    return pairs.a.point - pairs.b.point
 
 
 class TestFastProximityUpdate:
@@ -516,10 +517,10 @@ class TestFastProximityUpdate:
         # the normal gap changes by h^2 lambda_n / m on a point mass
         body, pair = point_mass_pair(mass=2.0)
         A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
-        wg = assemble_Wg({0: build_signed_mapping([pair], 0, 3)}, {0: Factorization(A)})
+        wg = assemble_Wg({0: build_signed_mapping(pair, 0, 3)}, {0: Factorization(A)})
         D = assemble_direction([axes_frame()])
         lam = np.array([3.0, 0.0, 0.0])
-        r = relative_positions([pair])
+        r = relative_positions(pair)
         nr = fast_update_proximity(r, wg, D, lam, 0.01)
         assert nr[0, 1] - r[0, 1] == pytest.approx(0.01**2 * 3.0 / 2.0)
         assert np.array_equal(nr[0, [0, 2]], r[0, [0, 2]])
@@ -551,7 +552,7 @@ class TestFastProximityUpdate:
         t = D.apply_transposed(lam)
         dv_cor = h * F.solve(S.T @ t)
         q_new = state.q + h * dv_cor
-        oa, ob = refresh_proximity(pairs, {0: q_new.reshape(-1, 3), 1: None})
+        oa, ob = refresh_proximity(pairs, {0: q_new.reshape(-1, 3), 1: Pose.identity()})
         assert np.abs(fast - (oa - ob)).max() <= 1e-9
 
     def test_two_dynamic_bodies_match_mechanical_pipeline(self):

@@ -52,6 +52,8 @@ UNKNOWN_KEYS = {
     "top-level-key": (GROUND + "steps: 3\n", "scene: unknown key 'steps'"),
     "newton-misspelt-key": (GROUND + "newton: {penetraton_tol: 1.0}\n",
                             "newton: unknown key 'penetraton_tol'"),
+    "newton-relinearize-key": (GROUND + "newton: {relinearize: false}\n",
+                               "newton: unknown key 'relinearize'"),
     "pgs-key": (GROUND + "pgs: {sweeps: 3}\n", "pgs: unknown key 'sweeps'"),
     "output-key": (GROUND + "output: {snapshot: false}\n", "output: unknown key 'snapshot'"),
     "plane-misspelt-key": ("objects: [{name: ground, type: plane, ofset: 2.0}]\n",
@@ -263,7 +265,7 @@ def test_step_reports_system_solves():
     fast = [sim.step() for _ in range(4)]
     # step 0: the free motion, one unit solve per contact DOF to fill the
     # cache of A^-1 columns, and the final correction; later steps gather
-    contact_dofs = 3 * len({p.attach_a.vertex for p in sim.last_pairs})
+    contact_dofs = 3 * len(set(sim.last_pairs.a.nodes[:, 0].tolist()))
     assert fast[0].system_solves == 2 + contact_dofs
     assert [r.system_solves for r in fast[1:]] == [2, 2, 2]
     sim = Simulation(replace(config, newton=replace(config.newton, scheme="standard")))

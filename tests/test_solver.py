@@ -6,11 +6,9 @@ import pytest
 
 from contactnewton import solver
 from contactnewton.collision import (
-    AttachKind,
-    Attachment,
     MeshGeometry,
     PlaneGeometry,
-    ProximityPair,
+    Pose,
     build_frames,
     detect,
     refresh_proximity,
@@ -462,8 +460,8 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
     free = {}
     for oid, body in bodies.items():
         A, b = body.assemble(states[oid], h=h, gravity=gravity)
-        free[oid] = compute_free_motion(Factorization(A), b, states[oid], h=h)
-        F[oid] = free[oid].factorization
+        F[oid] = Factorization(A)
+        free[oid] = compute_free_motion(F[oid], b, states[oid], h=h)
     S = {
         oid: build_signed_mapping(pairs, oid, body.n_dofs, body.fixed_mask)
         for oid, body in bodies.items()
@@ -474,7 +472,7 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
         for oid in bodies:
             q = free[oid].q_free + h * dv_total.get(oid, 0.0)
             views[oid] = q.reshape(-1, 3)
-        views[PLANE_ID] = None
+        views[PLANE_ID] = Pose.identity()
         return views
 
     def refresh(dv_total):
