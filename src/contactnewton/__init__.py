@@ -12,7 +12,7 @@ positions without touching the mechanical system.
 
 from .collision import Contacts, build_frames, detect, relinearize
 from .constraints import (
-    DirectionMatrix,
+    apply_transposed,
     assemble_direction,
     assemble_H,
     assemble_W_standard,

@@ -31,6 +31,8 @@ from .scene import (
     SceneConfig,
     Simulation,
     SoftSpec,
+    _mapping,
+    _number,
     load_scene,
     with_box_divisions,
 )
@@ -67,6 +69,17 @@ class BenchSpec:
                 raise ValidationError(f"unknown bench scheme {scheme!r}")
 
 
+_SPEC_KEYS = ("scene", "resolutions", "schemes", "repetitions", "warmup",
+              "newton_iterations", "pgs_iterations")
+
+
+def _list(raw, key, default):
+    value = raw.get(key, default)
+    if not isinstance(value, list):
+        raise ValidationError(f"bench.{key}: expected a list, got {value!r}")
+    return value
+
+
 def load_bench_spec(path) -> BenchSpec:
     try:
         with open(path) as fh:
@@ -75,17 +88,21 @@ def load_bench_spec(path) -> BenchSpec:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "scene" not in raw:
         raise ParseError(f"{path}: bench spec needs at least a 'scene' key")
+    _mapping(raw, "bench", _SPEC_KEYS)
     scene_path = raw["scene"]
+    if not isinstance(scene_path, str):
+        raise ValidationError(f"bench.scene: expected a file name, got {scene_path!r}")
     if not os.path.isabs(scene_path):
         scene_path = os.path.join(os.path.dirname(os.path.abspath(path)), scene_path)
+    count = lambda key, default: _number(raw.get(key, default), f"bench.{key}", int)
     return BenchSpec(
         scene=scene_path,
-        resolutions=[int(r) for r in raw.get("resolutions", [])],
-        schemes=list(raw.get("schemes", ["standard", "fast"])),
-        repetitions=int(raw.get("repetitions", 5)),
-        warmup=int(raw.get("warmup", 3)),
-        newton_iterations=int(raw.get("newton_iterations", 5)),
-        pgs_iterations=int(raw.get("pgs_iterations", 30)),
+        resolutions=[_number(r, "bench.resolutions", int) for r in _list(raw, "resolutions", [])],
+        schemes=_list(raw, "schemes", ["standard", "fast"]),
+        repetitions=count("repetitions", 5),
+        warmup=count("warmup", 3),
+        newton_iterations=count("newton_iterations", 5),
+        pgs_iterations=count("pgs_iterations", 30),
     )
 
 
@@ -117,13 +134,11 @@ def measure_cell(config: SceneConfig, scheme: str, spec: BenchSpec) -> dict:
     rebuild, pgs_t, corr, iter_total = [], [], [], []
     build_wg, step_total, constraints = [], [], []
     for rep in measured:
-        rebuild.extend(rep.rebuild_times)
-        pgs_t.extend(rep.pgs_times)
-        corr.extend(rep.correction_times)
-        iter_total.extend(
-            r + p + c
-            for r, p, c in zip(rep.rebuild_times, rep.pgs_times, rep.correction_times)
-        )
+        for it in rep.iterations:
+            rebuild.append(it.rebuild_time)
+            pgs_t.append(it.pgs_time)
+            corr.append(it.correction_time)
+            iter_total.append(it.rebuild_time + it.pgs_time + it.correction_time)
         build_wg.append(rep.t_build_wg)
         step_total.append(rep.t_step)
         constraints.append(rep.c_groups)

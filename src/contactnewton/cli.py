@@ -52,9 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    from dataclasses import replace
+    from dataclasses import astuple, fields, replace
 
     from .scene import Simulation, load_scene, run
+    from .solver import IterationStats
 
     config = load_scene(args.scene)
     if args.scheme:
@@ -64,14 +65,10 @@ def cmd_run(args) -> int:
     reports = run(sim, args.steps, out_dir=args.out)
     with open(os.path.join(args.out, "newton.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "iteration", "penetration",
-                         "rebuild_s", "pgs_s", "correction_s"])
+        writer.writerow(["step", "iteration", *(f.name for f in fields(IterationStats))])
         for rep in reports:
-            for k in range(rep.newton_iterations):
-                writer.writerow([
-                    rep.step, k, rep.penetration_history[k],
-                    rep.rebuild_times[k], rep.pgs_times[k], rep.correction_times[k],
-                ])
+            for k, it in enumerate(rep.iterations):
+                writer.writerow([rep.step, k, *astuple(it)])
     last = reports[-1]
     print(
         f"{len(reports)} steps of {os.path.basename(args.scene)} "

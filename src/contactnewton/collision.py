@@ -174,8 +174,7 @@ class MeshGeometry:
     points: np.ndarray  # (n, 3) current world positions
     triangles: np.ndarray  # (t, 3) outward-wound surface triangles
     vertex_ids: np.ndarray  # surface vertices participating in detection
-    deformable: bool  # True: per-node DOFs; False: scripted/static mesh
-    dynamic: bool  # True when the object owns mechanical DOFs
+    deformable: bool  # True: per-node DOFs; False: scripted/static mesh, no DOFs
     pose: Pose = field(default_factory=Pose.identity)  # for non-deformable attachments
 
 
@@ -198,8 +197,7 @@ class SphereGeometry:
     object_id: int
     center: np.ndarray
     radius: float
-    pose: Pose  # for body-frame attachment
-    dynamic: bool = True
+    pose: Pose  # for body-frame attachment; a sphere is always a dynamic rigid body
 
 
 # --- narrow phase -------------------------------------------------------------
@@ -274,8 +272,6 @@ def _mesh_side(geom: MeshGeometry, points, nodes, weights) -> Side:
     """Side rows on a mesh: node-weighted on a deformable one, else posed."""
     if geom.deformable:
         return _side(geom.object_id, points, nodes=nodes, weights=weights)
-    if geom.dynamic:
-        raise InvalidAttachmentError("dynamic non-deformable meshes are not supported")
     local = _rowmat(points - geom.pose.position, geom.pose.rotation)
     return _side(geom.object_id, points, local=local)
 
@@ -365,7 +361,7 @@ def detect(geometries, threshold: float) -> Contacts:
     found = [Contacts.empty()]
     for ga in meshes:
         for gb in meshes:
-            if ga.object_id == gb.object_id or not (ga.dynamic or gb.dynamic):
+            if ga.object_id == gb.object_id or not (ga.deformable or gb.deformable):
                 continue
             if len(gb.triangles) == 0:
                 continue
@@ -373,12 +369,11 @@ def detect(geometries, threshold: float) -> Contacts:
                 continue
             found.append(_vertex_vs_mesh(ga, gb, threshold))
         for plane in planes:
-            if ga.dynamic:
+            if ga.deformable:
                 found.append(_vertex_vs_plane(ga, plane, threshold))
     for sph in spheres:
         for plane in planes:
-            if sph.dynamic:
-                found.append(_sphere_vs_plane(sph, plane, threshold))
+            found.append(_sphere_vs_plane(sph, plane, threshold))
     contacts = _concat(found)
     # a stable sort, so equal keys keep the order in which they were found
     order = np.lexsort((contacts.element_id, contacts.vertex_id, contacts.b.object_id,

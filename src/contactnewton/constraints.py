@@ -19,17 +19,19 @@ Two routes build the c x c compliance (Delassus) operator:
 with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered once per time step
 from the columns of A^-1 each factorization caches (a soft body's A is
 constant, so only DOFs entering contact for the first time cost a solve).
-D is block diagonal with the (p, 3, 3) frame array as its blocks, so the
-congruence is two batched matrix products, D_i W_g[i, :] for every row group
-i and then that result times D_j^T for every column group j. The fast route
+D is block diagonal, and every function here takes it as its blocks: the
+(p, 3, 3) frame array that :func:`assemble_direction` checks, with no
+wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in
+:func:`apply_transposed`, and only :func:`assemble_H` builds the sparse
+matrix. The congruence is two batched matrix products, D_i W_g[i, :] for
+every row group i and then that result times D_j^T for every column group
+j. The fast route
 also moves the relative proximity positions r = pA - pB directly in
 constraint space, r_{k+1} = r_k + h^2 W_g D^T lambda_k, skipping all system
 solves.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,40 +41,20 @@ from .errors import DimensionMismatchError, InvalidAttachmentError
 from .linalg import Factorization
 
 
-@dataclass
-class DirectionMatrix:
-    """Block-diagonal constraint directions; block i has rows (n, t1, t2)."""
+def assemble_direction(frames: np.ndarray) -> np.ndarray:
+    """D for a (p, 3, 3) frame array with rows (n, t1, t2) per pair.
 
-    blocks: np.ndarray  # (c_g, 3, 3)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def c(self) -> int:
-        return 3 * len(self.blocks)
-
-    def as_sparse(self) -> sp.csr_matrix:
-        if self.n_groups == 0:
-            return sp.csr_matrix((0, 0))
-        return sp.block_diag(list(self.blocks), format="csr")
-
-    def apply(self, rel: np.ndarray) -> np.ndarray:
-        """D @ rel for a stacked (3p,) relative vector, blockwise."""
-        return np.einsum("gij,gj->gi", self.blocks, rel.reshape(-1, 3)).ravel()
-
-    def apply_transposed(self, lam: np.ndarray) -> np.ndarray:
-        """D^T @ lam, blockwise."""
-        return np.einsum("gji,gj->gi", self.blocks, lam.reshape(-1, 3)).ravel()
-
-
-def assemble_direction(frames: np.ndarray) -> DirectionMatrix:
-    """D for a (p, 3, 3) frame array with rows (n, t1, t2) per pair."""
+    D is block diagonal and is carried as its blocks, the checked frame array.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[1:] != (3, 3):
         raise DimensionMismatchError(f"frames have shape {frames.shape}, expected (p, 3, 3)")
-    return DirectionMatrix(frames)
+    return frames
+
+
+def apply_transposed(D: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """D^T lambda, blockwise, for the (p, 3, 3) blocks D and a (3p,) lambda."""
+    return np.einsum("gji,gj->gi", D, lam.reshape(-1, 3)).ravel()
 
 
 def _skew(r: np.ndarray) -> np.ndarray:
@@ -129,13 +111,15 @@ def build_signed_mapping(
     return S
 
 
-def assemble_H(D: DirectionMatrix, G: sp.spmatrix) -> sp.csr_matrix:
+def assemble_H(D: np.ndarray, G: sp.spmatrix) -> sp.csr_matrix:
     """Contact Jacobian H = D G; rows grouped (n, t1, t2) per pair."""
-    if D.c != G.shape[0]:
+    c = 3 * len(D)
+    if c != G.shape[0]:
         raise DimensionMismatchError(
-            f"direction matrix acts on {D.c} proximity rows, mapping has {G.shape[0]}"
+            f"direction matrix acts on {c} proximity rows, mapping has {G.shape[0]}"
         )
-    return (D.as_sparse() @ G).tocsr()
+    D_sparse = sp.block_diag(list(D), format="csr") if c else sp.csr_matrix((0, 0))
+    return (D_sparse @ G).tocsr()
 
 
 def assemble_W_standard(
@@ -190,38 +174,37 @@ def assemble_Wg(
     return wg
 
 
-def rebuild_W_fast(D: DirectionMatrix, wg: np.ndarray) -> np.ndarray:
+def rebuild_W_fast(D: np.ndarray, wg: np.ndarray) -> np.ndarray:
     """W = D W_g D^T block by block, W[i, j] = D_i W_g[i, j] D_j^T for groups
     i, j, since D is block diagonal; no system solves, cost independent of n.
 
     Two batched matrix products: X = D W_g by row groups, X[i] = D_i W_g[i, :],
     then W = X D^T by column groups, W[:, j] = X[:, j] D_j^T.
     """
-    if wg.shape != (D.c, D.c):
-        raise DimensionMismatchError(
-            f"direction matrix is {D.c} rows, W_g is {wg.shape}"
-        )
-    g = D.n_groups
-    X = D.blocks @ wg.reshape(g, 3, D.c)  # (g, 3, 3g)
-    W = X.reshape(D.c, g, 3).transpose(1, 0, 2) @ D.blocks.transpose(0, 2, 1)  # (g, 3g, 3)
-    return W.transpose(1, 0, 2).reshape(D.c, D.c)
+    g = len(D)
+    c = 3 * g
+    if wg.shape != (c, c):
+        raise DimensionMismatchError(f"direction matrix is {c} rows, W_g is {wg.shape}")
+    X = D @ wg.reshape(g, 3, c)  # (g, 3, 3g)
+    W = X.reshape(c, g, 3).transpose(1, 0, 2) @ D.transpose(0, 2, 1)  # (g, 3g, 3)
+    return W.transpose(1, 0, 2).reshape(c, c)
 
 
-def compute_violation(D: DirectionMatrix, r: np.ndarray) -> np.ndarray:
+def compute_violation(D: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Projected gaps D r, rows (delta_n, delta_t1, delta_t2) per group."""
     rel = r.ravel()
-    if rel.size != D.c:
+    if rel.size != 3 * len(D):
         raise DimensionMismatchError(
-            f"positions stack to {rel.size}, direction matrix expects {D.c}"
+            f"positions stack to {rel.size}, direction matrix expects {3 * len(D)}"
         )
-    return D.apply(rel)
+    return np.einsum("gij,gj->gi", D, rel.reshape(-1, 3)).ravel()
 
 
 def fast_update_proximity(
-    r: np.ndarray, wg: np.ndarray, D: DirectionMatrix, lam: np.ndarray, h: float
+    r: np.ndarray, wg: np.ndarray, D: np.ndarray, lam: np.ndarray, h: float
 ) -> np.ndarray:
     """Relative proximity positions r = pA - pB after one corrective impulse,
     r + h^2 W_g D^T lambda, without system solves."""
-    if lam.shape != (D.c,):
-        raise DimensionMismatchError(f"lambda has shape {lam.shape}, expected ({D.c},)")
-    return r + (h * h) * (wg @ D.apply_transposed(lam)).reshape(r.shape)
+    if lam.shape != (3 * len(D),):
+        raise DimensionMismatchError(f"lambda has shape {lam.shape}, expected ({3 * len(D)},)")
+    return r + (h * h) * (wg @ apply_transposed(D, lam)).reshape(r.shape)

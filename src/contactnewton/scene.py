@@ -38,6 +38,7 @@ from .errors import NonFiniteStateError, ParseError, ValidationError
 from .linalg import Factorization
 from .mesh import TetMesh, box_mesh, load_mesh, surface_triangles, surface_vertices
 from .solver import (
+    IterationStats,
     NewtonConfig,
     PgsConfig,
     StepContext,
@@ -224,19 +225,22 @@ def _region_nodes(mesh, region):
     return np.flatnonzero(mask)
 
 
-def _load_soft(entry, name, base_dir):
-    mesh_spec = _mapping(_require(entry, "mesh", name), f"{name}.mesh", _MESH_KEYS)
-    box_params = None
+def _load_mesh(section, name, base_dir):
+    """The tet mesh of a ``mesh`` section, and its box parameters (None for a file)."""
+    mesh_spec = _mapping(section, f"{name}.mesh", _MESH_KEYS)
     if "file" in mesh_spec:
         path = os.path.join(base_dir, mesh_spec["file"])
         if not os.path.exists(path):
             raise ValidationError(f"{name}: mesh file does not exist: {path}")
-        mesh = load_mesh(path)
-    elif "box" in mesh_spec:
+        return load_mesh(path), None
+    if "box" in mesh_spec:
         box_params = _box_params(mesh_spec["box"], f"{name}.mesh.box")
-        mesh = box_mesh(**box_params)
-    else:
-        raise ValidationError(f"{name}: mesh needs either 'file' or 'box'")
+        return box_mesh(**box_params), box_params
+    raise ValidationError(f"{name}: mesh needs either 'file' or 'box'")
+
+
+def _load_soft(entry, name, base_dir):
+    mesh, box_params = _load_mesh(_require(entry, "mesh", name), name, base_dir)
 
     material = _mapping(
         entry.get("material"), f"{name}.material",
@@ -315,14 +319,7 @@ def _load_kinematic(entry, name, base_dir):
             _mapping(entry["plate"], f"{name}.plate", ("center", "normal", "size")), name
         )
     elif "mesh" in entry:
-        mesh_spec = _mapping(entry["mesh"], f"{name}.mesh", _MESH_KEYS)
-        if "file" in mesh_spec:
-            path = os.path.join(base_dir, mesh_spec["file"])
-            if not os.path.exists(path):
-                raise ValidationError(f"{name}: mesh file does not exist: {path}")
-            mesh = load_mesh(path)
-        else:
-            mesh = box_mesh(**_box_params(mesh_spec.get("box"), f"{name}.mesh.box"))
+        mesh, _ = _load_mesh(entry["mesh"], name, base_dir)
         points, tris = mesh.nodes, surface_triangles(mesh)
     else:
         raise ValidationError(f"{name}: kinematic object needs 'plate' or 'mesh'")
@@ -502,7 +499,6 @@ class _SoftRuntime:
             triangles=self.triangles,
             vertex_ids=self.vertex_ids,
             deformable=True,
-            dynamic=True,
         )
 
     def assemble(self, state, h, gravity):
@@ -545,7 +541,6 @@ class _RigidRuntime:
             center=pose.position,
             radius=self.spec.radius,
             pose=pose,
-            dynamic=True,
         )
 
     def assemble(self, state, h, gravity):
@@ -598,7 +593,6 @@ class _KinematicRuntime:
             triangles=self.spec.triangles,
             vertex_ids=np.arange(len(self.spec.points)),
             deformable=False,
-            dynamic=False,
             pose=pose,
         )
 
@@ -636,10 +630,7 @@ class StepReport:
     time: float
     c_groups: int
     dofs: int
-    newton_iterations: int
     newton_exit: str  # "penetration", "rotation" or "max_iterations"
-    pgs_iterations_total: int
-    pgs_converged: bool  # every PGS solve of the step converged
     system_solves: int  # backsolves on the step's factorizations
     pen_before: float
     pen_after: float
@@ -651,15 +642,9 @@ class StepReport:
     t_free: float
     t_constraints: float
     t_build_wg: float
-    t_rebuild_w: float
-    t_pgs: float
-    t_correction: float
     t_final_correction: float
     t_step: float
-    rebuild_times: list = field(default_factory=list)
-    pgs_times: list = field(default_factory=list)
-    correction_times: list = field(default_factory=list)
-    penetration_history: list = field(default_factory=list)
+    iterations: list[IterationStats]  # one record per Newton iteration
 
     CSV_FIELDS = (
         "step", "time", "c_groups", "dofs", "newton_iterations", "newton_exit",
@@ -671,6 +656,31 @@ class StepReport:
 
     def csv_row(self):
         return [getattr(self, name) for name in self.CSV_FIELDS]
+
+    @property
+    def newton_iterations(self) -> int:
+        return len(self.iterations)
+
+    @property
+    def pgs_iterations_total(self) -> int:
+        return sum(it.pgs_iterations for it in self.iterations)
+
+    @property
+    def pgs_converged(self) -> bool:
+        """Every PGS solve of the step converged."""
+        return all(it.pgs_converged for it in self.iterations)
+
+    @property
+    def t_rebuild_w(self) -> float:
+        return sum(it.rebuild_time for it in self.iterations)
+
+    @property
+    def t_pgs(self) -> float:
+        return sum(it.pgs_time for it in self.iterations)
+
+    @property
+    def t_correction(self) -> float:
+        return sum(it.correction_time for it in self.iterations)
 
 
 # --- simulation ------------------------------------------------------------------
@@ -843,20 +853,16 @@ class Simulation:
         self.step_index += 1
         self.last_pairs = pairs
         self.last_frames = result.final_frames
-        self.last_lam = result.lam
+        self.last_lam = lam = result.lam_history[-1]
 
-        lam_groups = result.lam.reshape(-1, 3) if result.lam.size else np.zeros((0, 3))
+        lam_groups = lam.reshape(-1, 3) if lam.size else np.zeros((0, 3))
         lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)
-        iterations = result.iterations
         return StepReport(
             step=self.step_index - 1,
             time=self.time,
             c_groups=len(pairs),
             dofs=self.total_dofs(),
-            newton_iterations=len(iterations),
             newton_exit=result.exit,
-            pgs_iterations_total=sum(it.pgs_iterations for it in iterations),
-            pgs_converged=all(it.pgs_converged for it in iterations),
             system_solves=system_solves,
             pen_before=pen_before,
             pen_after=pen_after,
@@ -868,15 +874,9 @@ class Simulation:
             t_free=timings["free"],
             t_constraints=timings["constraints"],
             t_build_wg=timings["build_wg"],
-            t_rebuild_w=sum(it.rebuild_time for it in iterations),
-            t_pgs=sum(it.pgs_time for it in iterations),
-            t_correction=sum(it.correction_time for it in iterations),
             t_final_correction=result.final_correction_time,
             t_step=t_end - timings["begin"],
-            rebuild_times=[it.rebuild_time for it in iterations],
-            pgs_times=[it.pgs_time for it in iterations],
-            correction_times=[it.correction_time for it in iterations],
-            penetration_history=[it.penetration for it in iterations],
+            iterations=result.iterations,
         )
 
 

@@ -24,14 +24,16 @@ proximity state is the stacked relative position r = pA - pB, one 3-row per
 pair. Each iteration re-linearizes the directions from r (stopping when they
 turned by no more than ``rotation_tol``), rebuilds the compliance W, runs
 PGS on the violation D r, moves r by the resulting impulse, and stops once
-PGS's end-of-step penetration is within ``penetration_tol``. The directions
-are one (p, 3, 3) frame array, so re-linearizing, the rotation test and the
-direction matrix are array operations with no loop over pairs. A scheme
-supplies three operations:
+PGS's end-of-step penetration is within ``penetration_tol``. The direction
+matrix D is block diagonal and the loop holds it as its blocks, the (p, 3, 3)
+frame array, so re-linearizing, the rotation test and every product with D
+are array operations with no loop over pairs. A scheme supplies three
+operations:
 
   rebuild   W from the current directions D;
   move      r after the impulse D^T lambda;
-  finish    the mechanical velocity corrections once the loop ends.
+  finish    the mechanical velocity corrections dv by object, once the loop
+            ends; the loop times the call.
 
 The two schemes bind them as follows:
 
@@ -46,6 +48,9 @@ The two schemes bind them as follows:
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
 loop is exactly the classic single-correction scheme.
+
+Each iteration leaves one :class:`IterationStats` record, and the step's
+report and ``newton.csv`` are built from these records alone.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ import numpy as np
 
 from .collision import max_frame_rotation, relinearize
 from .constraints import (
+    apply_transposed,
     assemble_H,
     assemble_W_standard,
     assemble_direction,
@@ -266,21 +272,22 @@ class StepContext:
 
 @dataclass
 class IterationStats:
+    """One Newton iteration; ``newton.csv`` has a column per field, in this order."""
+
+    penetration: float  # PGS's end-of-step penetration, the stop test's value
     rebuild_time: float
     pgs_time: float
-    correction_time: float
+    correction_time: float  # moving r
     pgs_iterations: int
     pgs_eps: float
     pgs_converged: bool
-    penetration: float
-    rotation: float
+    rotation: float  # frame turn measured before the iteration, 0 in the first
 
 
 @dataclass
 class CorrectionResult:
     dv_by_object: dict[int, np.ndarray]
-    lam_history: list[np.ndarray]
-    lam: np.ndarray  # (c,) grouped (lambda_n, lambda_t1, lambda_t2), last iteration
+    lam_history: list[np.ndarray]  # (c,) grouped (lambda_n, lambda_t1, lambda_t2) per iteration
     iterations: list[IterationStats] = field(default_factory=list)
     final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
@@ -307,24 +314,22 @@ def _newton(
 ) -> CorrectionResult:
     """The recursive correction loop shared by both schemes.
 
-    ``rebuild(D)`` returns W, ``move(D, lam, r)`` returns the new relative
-    proximity positions, and ``finish(accumulated)`` turns the summed impulse
-    D_k^T lambda_k into ``(dv_by_object, final_correction_time)``. The
-    operations must look up their module-level names when called: the layer
-    tracer of the benchmark patches those names.
+    D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W, ``move(D, lam,
+    r)`` returns the new relative proximity positions, and
+    ``finish(accumulated)`` turns the summed impulse D_k^T lambda_k into
+    ``dv_by_object``. The operations must look up their module-level names
+    when called: the layer tracer of the benchmark patches those names.
     """
-    frames = ctx.detection_frames
-    D = assemble_direction(frames)
+    D = assemble_direction(ctx.detection_frames)
     r = ctx.r0
     accumulated = np.zeros(3 * len(ctx.pairs))
-    result = CorrectionResult({}, [], np.zeros(D.c))
+    result = CorrectionResult({}, [])
     for k in range(ncfg.max_iterations):
         rotation = 0.0
         if k > 0 and ncfg.relinearize:
-            new_frames = relinearize(r, frames)
-            rotation = max_frame_rotation(frames, new_frames)
-            frames = new_frames
-            D = assemble_direction(frames)
+            new_frames = relinearize(r, D)
+            rotation = max_frame_rotation(D, new_frames)
+            D = assemble_direction(new_frames)
             if rotation <= ncfg.rotation_tol:
                 result.exit = "rotation"
                 break
@@ -335,27 +340,28 @@ def _newton(
         t2 = time.perf_counter()
         r = move(D, res.lam, r)
         t3 = time.perf_counter()
-        accumulated += D.apply_transposed(res.lam)
+        accumulated += apply_transposed(D, res.lam)
         result.lam_history.append(res.lam)
-        result.lam = res.lam
         pen = _penetration(res.delta_end)
         result.iterations.append(
             IterationStats(
+                penetration=pen,
                 rebuild_time=t1 - t0,
                 pgs_time=t2 - t1,
                 correction_time=t3 - t2,
                 pgs_iterations=res.iterations,
                 pgs_eps=res.eps_history[-1] if res.eps_history else 0.0,
                 pgs_converged=res.converged,
-                penetration=pen,
                 rotation=rotation,
             )
         )
         if pen <= ncfg.penetration_tol:
             result.exit = "penetration"
             break
-    result.dv_by_object, result.final_correction_time = finish(accumulated)
-    result.final_frames = frames
+    t0 = time.perf_counter()
+    result.dv_by_object = finish(accumulated)
+    result.final_correction_time = time.perf_counter() - t0
+    result.final_frames = D
     return result
 
 
@@ -370,12 +376,12 @@ def newton_standard(
         return assemble_W_standard(H, ctx.F_by_object)
 
     def move(D, lam, r):
-        dv_k = _mechanical_correction(ctx, D.apply_transposed(lam))
+        dv_k = _mechanical_correction(ctx, apply_transposed(D, lam))
         for oid in dv:
             dv[oid] = dv[oid] + dv_k[oid]
         return ctx.refresh(dv)
 
-    return _newton(ctx, ncfg, pcfg, rebuild, move, lambda accumulated: (dv, 0.0))
+    return _newton(ctx, ncfg, pcfg, rebuild, move, lambda accumulated: dv)
 
 
 def newton_fast(
@@ -393,8 +399,6 @@ def newton_fast(
         return fast_update_proximity(r, ctx.wg, D, lam, ctx.h)
 
     def finish(accumulated):
-        t0 = time.perf_counter()
-        dv = _mechanical_correction(ctx, accumulated)
-        return dv, time.perf_counter() - t0
+        return _mechanical_correction(ctx, accumulated)
 
     return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg), move, finish)

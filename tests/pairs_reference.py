@@ -79,8 +79,6 @@ def _mesh_attachment(
             triangle=np.asarray(triangle, dtype=np.int64),
             weights=np.asarray(bary, dtype=np.float64),
         )
-    if geom.dynamic:
-        raise InvalidAttachmentError("dynamic non-deformable meshes are not supported")
     return Attachment(
         AttachKind.LOCAL,
         geom.object_id,
@@ -271,7 +269,7 @@ def detect_reference(geometries, threshold: float) -> list[ProximityPair]:
     pairs: list[ProximityPair] = []
     for ga in meshes:
         for gb in meshes:
-            if ga.object_id == gb.object_id or not (ga.dynamic or gb.dynamic):
+            if ga.object_id == gb.object_id or not (ga.deformable or gb.deformable):
                 continue
             if len(gb.triangles) == 0:
                 continue
@@ -279,12 +277,11 @@ def detect_reference(geometries, threshold: float) -> list[ProximityPair]:
                 continue
             pairs.extend(vertex_vs_mesh_reference(ga, gb, threshold))
         for plane in planes:
-            if ga.dynamic:
+            if ga.deformable:
                 pairs.extend(vertex_vs_plane_reference(ga, plane, threshold))
     for sph in spheres:
         for plane in planes:
-            if sph.dynamic:
-                pairs.extend(sphere_vs_plane_reference(sph, plane, threshold))
+            pairs.extend(sphere_vs_plane_reference(sph, plane, threshold))
     pairs.sort(key=lambda p: (p.object_a, p.object_b, p.vertex_id, p.element_id))
     return pairs
 

@@ -2,12 +2,14 @@ import csv
 import functools
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from contactnewton import cli
 from contactnewton.scene import load_scene
+from contactnewton.solver import IterationStats
 from contactnewton.verify import check_congruence_identity, check_scheme_equivalence, prepare
 from test_scene import MIXED_SCENE
 
@@ -29,10 +31,33 @@ def test_run_writes_outputs(tmp_path, capsys):
     with open(out / "newton.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["step", "iteration", "penetration"]
+    assert rows[0] == ["step", "iteration", *(f.name for f in fields(IterationStats))]
+    assert len(rows) - 1 == sum(int(m["newton_iterations"]) for m in metrics)
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
         "step_000000.bin", "step_000001.bin", "step_000002.bin"]
     assert "3 steps of point_mass.scn" in capsys.readouterr().out
+
+
+def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
+    # every step's per-iteration PGS records add up to its metrics.csv row; by
+    # step 17 some step has taken 2 Newton iterations and some PGS solve stopped
+    # unconverged, so both aggregates are exercised
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scene", str(SCENES / "grasp_rotate.scn"), "--steps", "18",
+                     "--scheme", "fast", "--out", str(out)]) == 0
+    with open(out / "metrics.csv") as fh:
+        metrics = list(csv.DictReader(fh))
+    with open(out / "newton.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == sum(int(m["newton_iterations"]) for m in metrics)
+    for m in metrics:
+        mine = [r for r in rows if r["step"] == m["step"]]
+        assert [r["iteration"] for r in mine] == [str(k) for k in range(len(mine))]
+        assert sum(int(r["pgs_iterations"]) for r in mine) == int(m["pgs_iterations_total"])
+        assert str(all(r["pgs_converged"] == "True" for r in mine)) == m["pgs_converged"]
+    assert any(m["newton_iterations"] != "1" for m in metrics)
+    assert any(m["pgs_converged"] == "False" for m in metrics)
 
 
 def test_verify_passes_on_block_on_plane(capsys):
@@ -89,6 +114,30 @@ def test_bench_tiny_spec(tmp_path, capsys, monkeypatch):
     assert float(rows[1]["build_wg_cold_ms"]) > 0.0
     assert re.search(r"resolution 4: fast is \d+\.\d+x faster per Newton iteration",
                      capsys.readouterr().out)
+
+
+COLUMN = f"scene: {SCENES / 'bench_column.scn'}\n"
+
+# (spec text, the key the error must name)
+BAD_SPECS = {
+    "repetitions-text": (COLUMN + "resolutions: [4]\nrepetitions: abc\n", "bench.repetitions:"),
+    "resolutions-scalar": (COLUMN + "resolutions: 6\n", "bench.resolutions:"),
+    "misspelt-key": (COLUMN + "resolutions: [4]\nrepetition: 3\n",
+                     "bench: unknown key 'repetition'"),
+    "schemes-string": (COLUMN + "resolutions: [4]\nschemes: fast\n", "bench.schemes:"),
+    "scene-number": ("scene: 5\nresolutions: [4]\n", "bench.scene:"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+def test_bench_reports_bad_spec(tmp_path, capsys, monkeypatch, text, message):
+    clear_thread_vars(monkeypatch)
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    assert cli.main(["bench", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 # one prepared context per scene serves both checks, which only read it

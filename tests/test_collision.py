@@ -49,7 +49,7 @@ from test_scene import MIXED_SCENE
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
-def mesh_geometry(mesh, object_id=0, offset=(0.0, 0.0, 0.0), dynamic=True):
+def mesh_geometry(mesh, object_id=0, offset=(0.0, 0.0, 0.0)):
     tris = surface_triangles(mesh)
     return MeshGeometry(
         object_id=object_id,
@@ -57,7 +57,6 @@ def mesh_geometry(mesh, object_id=0, offset=(0.0, 0.0, 0.0), dynamic=True):
         triangles=tris,
         vertex_ids=surface_vertices(tris),
         deformable=True,
-        dynamic=dynamic,
     )
 
 
@@ -120,7 +119,6 @@ class TestDetect:
     def test_two_static_sides_skipped(self):
         m = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), center=(0.0, 0.049, 0.0))
         geom = mesh_geometry(m, 0)
-        geom.dynamic = False
         geom.deformable = False
         plane = PlaneGeometry(object_id=1, normal=(0, 1, 0), offset=0.0)
         assert len(detect([geom, plane], threshold=0.01)) == 0
@@ -395,7 +393,6 @@ def cloud_geometry(points, object_id=0):
         triangles=np.zeros((0, 3), dtype=np.int64),
         vertex_ids=np.arange(len(points)),
         deformable=True,
-        dynamic=True,
     )
 
 
@@ -406,7 +403,6 @@ def soup_geometry(tris, object_id=1, deformable=True, pose=None):
         triangles=np.arange(3 * len(tris)).reshape(-1, 3),
         vertex_ids=np.arange(3 * len(tris)),
         deformable=deformable,
-        dynamic=deformable,
         pose=pose or Pose.identity(),
     )
 
@@ -999,7 +995,7 @@ class TestProximityMatchesReference:
         cloud = cloud_geometry(feature_points(rng, tris, 80))
         soup = soup_geometry(tris, deformable=False, pose=pose)
         if not deformable:
-            cloud.deformable = cloud.dynamic = False
+            cloud.deformable = False
             cloud.pose = pose
             soup = soup_geometry(tris)
         contacts = detect([cloud, soup], threshold=0.05)

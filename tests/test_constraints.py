@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from contactnewton.collision import (
     MeshGeometry,
@@ -10,6 +12,7 @@ from contactnewton.collision import (
     refresh_proximity,
 )
 from contactnewton.constraints import (
+    apply_transposed,
     assemble_direction,
     assemble_H,
     assemble_W_standard,
@@ -73,7 +76,6 @@ def block_on_plane_context(h=0.01, center_y=0.0495, fixed_nodes=()):
         triangles=tris,
         vertex_ids=surface_vertices(tris),
         deformable=True,
-        dynamic=True,
     )
     plane = PlaneGeometry(object_id=1, normal=(0, 1, 0), offset=0.0)
     pairs = detect([geom, plane], threshold=0.01)
@@ -86,31 +88,39 @@ def block_on_plane_context(h=0.01, center_y=0.0495, fixed_nodes=()):
     return body, state, pairs, frames, F, S, h
 
 
+def dense(D):
+    """The block-diagonal direction matrix of the (p, 3, 3) blocks D as a dense array."""
+    return scipy.linalg.block_diag(*D)
+
+
 class TestDirectionMatrix:
     def test_single_block_permutation(self):
         D = assemble_direction([axes_frame()])
         expect = np.array([[0.0, 1, 0], [1.0, 0, 0], [0.0, 0, 1]])
-        assert np.array_equal(D.as_sparse().toarray(), expect)
+        assert np.array_equal(dense(D), expect)
 
     def test_two_groups_block_diagonal(self):
         D = assemble_direction([axes_frame(), random_frame(3)])
-        dense = D.as_sparse().toarray()
-        assert dense.shape == (6, 6)
-        assert np.array_equal(dense[:3, 3:], np.zeros((3, 3)))
-        assert np.array_equal(dense[3:, :3], np.zeros((3, 3)))
+        Dd = dense(D)
+        assert Dd.shape == (6, 6)
+        assert np.array_equal(Dd[:3, 3:], np.zeros((3, 3)))
+        assert np.array_equal(Dd[3:, :3], np.zeros((3, 3)))
 
     def test_ddt_is_identity(self):
         frames = [random_frame(s) for s in range(5)]
-        D = assemble_direction(frames).as_sparse().toarray()
+        D = dense(assemble_direction(frames))
         assert np.abs(D @ D.T - np.eye(15)).max() <= 1e-12
 
     def test_apply_consistency(self):
         D = assemble_direction([random_frame(1), random_frame(2)])
         rel = np.random.default_rng(0).standard_normal(6)
-        dense = D.as_sparse().toarray()
-        assert np.allclose(D.apply(rel), dense @ rel)
+        Dd = dense(D)
+        assert np.allclose(compute_violation(D, rel), Dd @ rel)
         lam = np.random.default_rng(1).standard_normal(6)
-        assert np.allclose(D.apply_transposed(lam), dense.T @ lam)
+        assert np.allclose(apply_transposed(D, lam), Dd.T @ lam)
+        # H = D G through the sparse block diagonal that assemble_H builds
+        G = np.random.default_rng(2).standard_normal((6, 4))
+        assert np.allclose(assemble_H(D, sp.csr_matrix(G)).toarray(), Dd @ G)
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (0,), (1, 9)])
     def test_rejects_non_frame_shapes(self, shape):
@@ -236,14 +246,15 @@ class TestDelassus:
 
 
 def rebuild_W_fast_reference(D, wg: np.ndarray) -> np.ndarray:
-    """The einsum congruence that the batched matrix products replaced, verbatim."""
-    if wg.shape != (D.c, D.c):
+    """The einsum congruence that the batched matrix products replaced, with D
+    the (p, 3, 3) blocks."""
+    g = len(D)
+    if wg.shape != (3 * g, 3 * g):
         raise DimensionMismatchError(
-            f"direction matrix is {D.c} rows, W_g is {wg.shape}"
+            f"direction matrix is {3 * g} rows, W_g is {wg.shape}"
         )
-    g = D.n_groups
-    blocks = np.einsum("gia,gahb->gihb", D.blocks, wg.reshape(g, 3, g, 3))
-    return np.einsum("gihb,hjb->gihj", blocks, D.blocks).reshape(D.c, D.c)
+    blocks = np.einsum("gia,gahb->gihb", D, wg.reshape(g, 3, g, 3))
+    return np.einsum("gihb,hjb->gihj", blocks, D).reshape(3 * g, 3 * g)
 
 
 class TestMappingDelassus:
@@ -298,7 +309,7 @@ class TestMappingDelassus:
             D = assemble_direction([random_frame(10 * g + s) for s in range(g)])
             B = rng.standard_normal((3 * g, 3 * g))
             wg = B @ B.T
-            Dd = D.as_sparse().toarray()
+            Dd = dense(D)
             oracle = Dd @ wg @ Dd.T
             W = rebuild_W_fast(D, wg)
             assert np.abs(W - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -337,7 +348,7 @@ def two_boxes_context(h=0.01):
     for oid, body in bodies.items():
         tris = surface_triangles(body.mesh)
         geoms.append(MeshGeometry(oid, body.mesh.nodes, tris, surface_vertices(tris),
-                                  deformable=True, dynamic=True))
+                                  deformable=True))
     pairs = detect(geoms, threshold=0.005)
     assert set(pairs.a.object_id.tolist()) == {0, 1}
     S, A = {}, {}
@@ -511,7 +522,7 @@ class TestFastProximityUpdate:
         D = assemble_direction(frames)
         wg = assemble_Wg({0: S}, {0: F})
         r = relative_positions(pairs)
-        assert np.array_equal(fast_update_proximity(r, wg, D, np.zeros(D.c), h), r)
+        assert np.array_equal(fast_update_proximity(r, wg, D, np.zeros(3 * len(D)), h), r)
 
     def test_scalar_point_mass(self):
         # the normal gap changes by h^2 lambda_n / m on a point mass
@@ -531,7 +542,7 @@ class TestFastProximityUpdate:
         D = assemble_direction(frames)
         wg = assemble_Wg({0: S}, {0: F})
         rng = np.random.default_rng(5)
-        lams = [rng.standard_normal(D.c) for _ in range(3)]
+        lams = [rng.standard_normal(3 * len(D)) for _ in range(3)]
         r = relative_positions(pairs)
         stepped = r
         for lam in lams:
@@ -545,11 +556,11 @@ class TestFastProximityUpdate:
         D = assemble_direction(frames)
         wg = assemble_Wg({0: S}, {0: F})
         rng = np.random.default_rng(9)
-        lam = np.abs(rng.standard_normal(D.c))
+        lam = np.abs(rng.standard_normal(3 * len(D)))
 
         fast = fast_update_proximity(relative_positions(pairs), wg, D, lam, h)
 
-        t = D.apply_transposed(lam)
+        t = apply_transposed(D, lam)
         dv_cor = h * F.solve(S.T @ t)
         q_new = state.q + h * dv_cor
         oa, ob = refresh_proximity(pairs, {0: q_new.reshape(-1, 3), 1: Pose.identity()})
@@ -563,11 +574,11 @@ class TestFastProximityUpdate:
         D = assemble_direction(build_frames(pairs))
         F = {oid: Factorization(a) for oid, a in A.items()}
         wg = assemble_Wg(S, F)
-        lam = np.abs(np.random.default_rng(4).standard_normal(D.c))
+        lam = np.abs(np.random.default_rng(4).standard_normal(3 * len(D)))
 
         fast = fast_update_proximity(relative_positions(pairs), wg, D, lam, h)
 
-        t = D.apply_transposed(lam)
+        t = apply_transposed(D, lam)
         views = {
             oid: (body.mesh.nodes.ravel() + h * h * F[oid].solve(S[oid].T @ t)).reshape(-1, 3)
             for oid, body in bodies.items()
@@ -583,7 +594,7 @@ class TestFastProximityUpdate:
         wg = assemble_Wg({0: S}, {0: F})
         W = rebuild_W_fast(D, wg)
         rng = np.random.default_rng(2)
-        lam = np.abs(rng.standard_normal(D.c)) * 0.1
+        lam = np.abs(rng.standard_normal(3 * len(D))) * 0.1
         r = relative_positions(pairs)
         delta_free = compute_violation(D, r)
         delta_after = compute_violation(D, fast_update_proximity(r, wg, D, lam, h))

@@ -86,6 +86,8 @@ BAD_SCENES = {
     "pgs-iterations-text": GROUND + "pgs: {iterations: abc}\n",
     "dt-text": GROUND + "dt: abc\n",
     "output-every-zero": GROUND + "output: {every: 0}\n",
+    "soft-empty-mesh": "objects: [{name: block, type: soft, mesh: {}}]\n",
+    "kinematic-empty-mesh": "objects: [{name: block, type: kinematic_mesh, mesh: {}}]\n",
     **{name: text for name, (text, _) in UNKNOWN_KEYS.items()},
 }
 
@@ -107,6 +109,13 @@ def test_unknown_key_names_section_and_key(tmp_path, text, message):
     with pytest.raises(ValidationError) as info:
         load_scene(write_scene(tmp_path, text))
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("kind", ["soft", "kinematic"])
+def test_empty_mesh_section_names_both_forms(tmp_path, kind):
+    # soft bodies and triangle-mesh colliders read their mesh section alike
+    with pytest.raises(ValidationError, match="block: mesh needs either 'file' or 'box'"):
+        load_scene(write_scene(tmp_path, BAD_SCENES[f"{kind}-empty-mesh"]))
 
 
 @pytest.mark.parametrize("text", BAD_SCENES.values(), ids=BAD_SCENES.keys())

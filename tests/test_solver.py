@@ -505,7 +505,6 @@ def falling_block_setup(center_y=0.0495, vy=-0.05):
         triangles=tris,
         vertex_ids=surface_vertices(tris),
         deformable=True,
-        dynamic=True,
     )
     plane = PlaneGeometry(object_id=PLANE_ID, normal=(0, 1, 0), offset=0.0)
     pairs = detect([geom, plane], threshold=0.01)
