@@ -62,13 +62,16 @@ def cmd_run(args) -> int:
         config = replace(config, newton=replace(config.newton, scheme=args.scheme))
     sim = Simulation(config)
     os.makedirs(args.out, exist_ok=True)
-    reports = run(sim, args.steps, out_dir=args.out)
+    # written step by step, like metrics.csv, so a failed run keeps its rows
     with open(os.path.join(args.out, "newton.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "iteration", *(f.name for f in fields(IterationStats))])
-        for rep in reports:
+
+        def write_iterations(rep):
             for k, it in enumerate(rep.iterations):
                 writer.writerow([rep.step, k, *astuple(it)])
+
+        reports = run(sim, args.steps, out_dir=args.out, on_step=write_iterations)
     last = reports[-1]
     print(
         f"{len(reports)} steps of {os.path.basename(args.scene)} "

@@ -19,6 +19,9 @@ Two routes build the c x c compliance (Delassus) operator:
 with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered once per time step
 from the columns of A^-1 each factorization caches (a soft body's A is
 constant, so only DOFs entering contact for the first time cost a solve).
+Those columns are A^-1[:, J] for the object's contact DOFs J
+(:func:`contact_dofs`), which is also all the fast scheme's final velocity
+correction h A^-1 S^T D^T lambda needs, so that correction is a gather too.
 D is block diagonal, and every function here takes it as its blocks: the
 (p, 3, 3) frame array that :func:`assemble_direction` checks, with no
 wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in
@@ -145,13 +148,22 @@ def assemble_W_standard(
     return W
 
 
+def contact_dofs(S: sp.spmatrix) -> np.ndarray:
+    """The sorted columns of S with a nonzero entry: the DOFs contact reaches."""
+    S = S.tocsr()
+    return np.unique(S.indices[S.data != 0.0])
+
+
 def assemble_Wg(
-    S_by_object: dict[int, sp.spmatrix], F_by_object: dict[int, Factorization]
+    S_by_object: dict[int, sp.spmatrix],
+    F_by_object: dict[int, Factorization],
+    dofs_by_object: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p).
 
-    Each object adds S_J A^-1[J][:, J] S_J^T over the columns J of S with
-    entries; :meth:`Factorization.inverse_block` supplies the middle factor.
+    Each object adds S_J A^-1[J][:, J] S_J^T over its contact DOFs J
+    (:func:`contact_dofs`, derived here unless ``dofs_by_object`` holds them);
+    :meth:`Factorization.inverse_block` supplies the middle factor.
     """
     ids = sorted(S_by_object)
     if not ids:
@@ -165,11 +177,10 @@ def assemble_Wg(
             raise DimensionMismatchError(
                 f"object {oid}: S has {S.shape[1]} columns, factorization dim {F.dim}"
             )
-        S = S.tocsr()
-        J = np.unique(S.indices[S.data != 0.0])
+        J = contact_dofs(S) if dofs_by_object is None else dofs_by_object[oid]
         if J.size == 0:
             continue
-        SJ = S[:, J].toarray()
+        SJ = S.tocsr()[:, J].toarray()
         wg += SJ @ F.inverse_block(J) @ SJ.T
     return wg
 

@@ -53,12 +53,17 @@ class Factorization:
 
     ``solve_count`` tracks how many backsolves went through this object,
     which lets callers assert that a code path performs no system solves.
-    The object caches the columns of A^-1 that :meth:`inverse_block` has
-    solved for, so it is not immutable: do not share it across threads
-    while that cache fills.
+
+    The object caches the columns of A^-1 it has solved for, as the rows of
+    one dense array (A is symmetric, so column d of A^-1 is also its row d):
+    ``_row_of[d]`` is the row of ``_rows`` holding DOF d, or -1. A column is
+    solved once, on a unit right-hand side through :meth:`solve_multi`, and
+    lives as long as this factorization; :meth:`inverse_block` and
+    :meth:`inverse_columns_times` only gather from it. The cache makes the
+    object mutable: do not share it across threads while the cache fills.
     """
 
-    __slots__ = ("dim", "_lu", "solve_count", "_inverse_columns")
+    __slots__ = ("dim", "_lu", "solve_count", "_rows", "_row_of")
 
     def __init__(self, matrix: SparseSym):
         csc = matrix.csr.tocsc()
@@ -80,7 +85,8 @@ class Factorization:
         self.dim = matrix.dim
         self._lu = lu
         self.solve_count = 0
-        self._inverse_columns: dict[int, np.ndarray] = {}
+        self._rows = np.zeros((0, self.dim))
+        self._row_of = np.full(self.dim, -1, dtype=np.int64)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
@@ -101,27 +107,55 @@ class Factorization:
         self.solve_count += B.shape[1]
         return self._lu.solve(B)
 
-    def inverse_block(self, dofs) -> np.ndarray:
-        """A^-1[dofs][:, dofs], from cached columns of A^-1.
-
-        Only DOFs not seen before are solved for, on unit right-hand sides
-        through :meth:`solve_multi`; each cached column lives as long as
-        this factorization.
-        """
+    def _check_dofs(self, dofs) -> np.ndarray:
         dofs = np.asarray(dofs, dtype=np.int64)
         if dofs.ndim != 1 or ((dofs < 0) | (dofs >= self.dim)).any():
             raise DimensionMismatchError(
                 f"dofs must be a 1-d list of indices in [0, {self.dim})"
             )
-        cache = self._inverse_columns
-        new = [d for d in dict.fromkeys(dofs.tolist()) if d not in cache]
-        if new:
+        return dofs
+
+    def _cached_rows(self, dofs: np.ndarray) -> np.ndarray:
+        """Rows of the cache holding ``dofs``, solving for the DOFs not cached yet.
+
+        New DOFs are solved in order of first appearance, all in one
+        :meth:`solve_multi` call.
+        """
+        rows = self._row_of[dofs]
+        missing = rows < 0
+        if missing.any():
+            new = dofs[missing]
+            _, first = np.unique(new, return_index=True)
+            new = new[np.sort(first)]
             E = np.zeros((self.dim, len(new)))
             E[new, np.arange(len(new))] = 1.0
             X = self.solve_multi(E)
-            for j, d in enumerate(new):
-                cache[d] = X[:, j]
-        block = np.empty((len(dofs), len(dofs)))
-        for j, d in enumerate(dofs.tolist()):
-            block[:, j] = cache[d][dofs]
-        return block
+            self._row_of[new] = np.arange(len(self._rows), len(self._rows) + len(new))
+            self._rows = np.concatenate([self._rows, X.T])
+            rows = self._row_of[dofs]
+        return rows
+
+    def inverse_block(self, dofs) -> np.ndarray:
+        """A^-1[dofs][:, dofs] as a C-contiguous array, from the cached columns.
+
+        Entry (i, j) is entry ``dofs[i]`` of the solved column ``dofs[j]``.
+        """
+        dofs = self._check_dofs(dofs)
+        rows = self._cached_rows(dofs)
+        return self._rows.T[np.ix_(dofs, rows)]
+
+    def inverse_columns_times(self, dofs, x) -> np.ndarray:
+        """A^-1[:, dofs] @ x, a vector over all DOFs, from the cached columns.
+
+        x is scattered onto the cache rows (a repeated DOF adds up), then one
+        matrix-vector product with the cache replaces a backsolve.
+        """
+        dofs = self._check_dofs(dofs)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != dofs.shape:
+            raise DimensionMismatchError(
+                f"x has shape {x.shape}, expected ({len(dofs)},) for the dofs"
+            )
+        rows = self._cached_rows(dofs)
+        z = np.bincount(rows, weights=x, minlength=len(self._rows))
+        return z @ self._rows

@@ -181,17 +181,29 @@ def _mapping(value, where, keys=None):
 
 
 def _number(value, where, kind=float):
+    """``value`` as a float, or with ``kind=int`` as a whole number (no truncation)."""
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{where}: expected a number, got {value!r}") from None
+    if kind is int:
+        if not number.is_integer():
+            raise ValidationError(f"{where}: expected a whole number, got {value!r}")
+        return int(number)
+    return number
 
 
 def _array(value, where, dtype=np.float64):
+    """``value`` as a flat array; an integer ``dtype`` takes whole numbers only."""
     try:
-        return np.asarray(value, dtype=dtype).ravel()
+        arr = np.asarray(value, dtype=np.float64).ravel()
     except (TypeError, ValueError):
         raise ValidationError(f"{where}: expected a list of numbers, got {value!r}") from None
+    if np.issubdtype(dtype, np.integer):
+        if not (np.isfinite(arr) & (arr == np.round(arr))).all():
+            raise ValidationError(f"{where}: expected whole numbers, got {value!r}")
+        return arr.astype(dtype)
+    return arr
 
 
 def _vec3(value, where):
@@ -203,7 +215,7 @@ def _vec3(value, where):
 
 def _box_params(box, where):
     box = _mapping(box, where, ("size", "divisions", "center"))
-    divisions = _array(_require(box, "divisions", where), where, np.int64)
+    divisions = _array(_require(box, "divisions", where), f"{where}.divisions", np.int64)
     return {
         "size": _vec3(_require(box, "size", where), where),
         "divisions": tuple(int(d) for d in divisions),
@@ -785,12 +797,6 @@ class Simulation:
         )
         t_constraints = time.perf_counter()
 
-        wg = None
-        t_wg0 = time.perf_counter()
-        if cfg.newton.scheme == "fast":
-            wg = assemble_Wg(S, factorizations)
-        t_build_wg = time.perf_counter() - t_wg0
-
         ctx = StepContext(
             pairs=pairs,
             detection_frames=frames,
@@ -799,8 +805,11 @@ class Simulation:
             r0=r0,
             h=h,
             refresh=refresh,
-            wg=wg,
         )
+        t_wg0 = time.perf_counter()
+        if cfg.newton.scheme == "fast":
+            ctx.wg = assemble_Wg(S, factorizations, ctx.dofs_by_object)
+        t_build_wg = time.perf_counter() - t_wg0
         timings = {
             "detect": t_detect - t_begin,
             "assemble": t_assemble - t_detect,

@@ -44,7 +44,9 @@ The two schemes bind them as follows:
 
   fast      rebuild W = D W_g D^T (blockwise congruence); move in constraint
             space, r += h^2 W_g D^T lambda, with no system solve; finish
-            with one mechanical correction by the accumulated impulse.
+            with one mechanical correction by the accumulated impulse, a
+            gather from the columns of A^-1 the W_g build cached; the free
+            motion is the step's only backsolve.
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
 loop is exactly the classic single-correction scheme.
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,6 +71,7 @@ from .constraints import (
     assemble_W_standard,
     assemble_direction,
     compute_violation,
+    contact_dofs,
     fast_update_proximity,
     rebuild_W_fast,
 )
@@ -269,6 +273,11 @@ class StepContext:
     refresh: Callable[[dict[int, np.ndarray]], np.ndarray]  # dv by object -> r
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
 
+    @cached_property
+    def dofs_by_object(self) -> dict[int, np.ndarray]:
+        """Each object's contact DOFs, derived once per step for W_g and the gather."""
+        return {oid: contact_dofs(S) for oid, S in self.S_by_object.items()}
+
 
 @dataclass
 class IterationStats:
@@ -299,13 +308,24 @@ def _penetration(delta_end: np.ndarray) -> float:
     return float(max(0.0, -(normals.min() if normals.size else 0.0)))
 
 
-def _mechanical_correction(ctx: StepContext, t: np.ndarray) -> dict[str, np.ndarray]:
-    """dv = h A^-1 S^T t per object, t being a proximity-space impulse."""
+def _mechanical_correction(
+    ctx: StepContext, t: np.ndarray, gather: bool = False
+) -> dict[int, np.ndarray]:
+    """dv = h A^-1 S^T t per object, t being a proximity-space impulse.
+
+    S^T t is nonzero only on the object's contact DOFs J. With ``gather``,
+    A^-1 S^T t is A^-1[:, J] (S^T t)[J] from the factorization's cached
+    columns; otherwise it is a backsolve.
+    """
     dv = {}
     for oid in sorted(ctx.S_by_object):
-        S = ctx.S_by_object[oid]
-        rhs = S.T @ t
-        dv[oid] = ctx.h * ctx.F_by_object[oid].solve(rhs)
+        rhs = ctx.S_by_object[oid].T @ t
+        F = ctx.F_by_object[oid]
+        if gather:
+            J = ctx.dofs_by_object[oid]
+            dv[oid] = ctx.h * F.inverse_columns_times(J, rhs[J])
+        else:
+            dv[oid] = ctx.h * F.solve(rhs)
     return dv
 
 
@@ -390,7 +410,8 @@ def newton_fast(
     """Recursive correction with the congruence rebuild and proximity-space updates.
 
     The loop performs no system solves; one mechanical correction with the
-    accumulated impulse runs after it.
+    accumulated impulse runs after it, gathered from the cached columns of
+    A^-1 rather than backsolved.
     """
     if ctx.wg is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
@@ -399,6 +420,6 @@ def newton_fast(
         return fast_update_proximity(r, ctx.wg, D, lam, ctx.h)
 
     def finish(accumulated):
-        return _mechanical_correction(ctx, accumulated)
+        return _mechanical_correction(ctx, accumulated, gather=True)
 
     return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg), move, finish)

@@ -56,7 +56,7 @@ def prepare(config: SceneConfig) -> StepContext:
     """The first step's solver context, with W_g built whatever the scheme."""
     ctx, *_ = Simulation(config).prepare_step()
     if ctx.wg is None:
-        ctx.wg = assemble_Wg(ctx.S_by_object, ctx.F_by_object)
+        ctx.wg = assemble_Wg(ctx.S_by_object, ctx.F_by_object, ctx.dofs_by_object)
     return ctx
 
 

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from contactnewton import cli
+from contactnewton import cli, solver
+from contactnewton.errors import SingularBlockError
 from contactnewton.scene import load_scene
 from contactnewton.solver import IterationStats
 from contactnewton.verify import check_congruence_identity, check_scheme_equivalence, prepare
-from test_scene import MIXED_SCENE
+from test_scene import MIXED_SCENE, blow_up_scene_text, write_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -37,6 +38,39 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
         "step_000000.bin", "step_000001.bin", "step_000002.bin"]
     assert "3 steps of point_mass.scn" in capsys.readouterr().out
+
+
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.reader(fh))
+
+
+def test_failed_run_keeps_the_newton_rows_of_completed_steps(tmp_path, monkeypatch):
+    header = ["step", "iteration", *(f.name for f in fields(IterationStats))]
+    # the non-finite scene fails in its first step: both files hold their header
+    out = tmp_path / "blow_up"
+    path = write_scene(tmp_path, blow_up_scene_text())
+    assert cli.main(["run", "--scene", str(path), "--steps", "2", "--out", str(out)]) == 1
+    assert read_rows(out / "newton.csv") == [header]
+    assert len(read_rows(out / "metrics.csv")) == 1
+
+    # a third step that fails leaves the first two steps' rows in both files
+    calls = []
+
+    def failing_pgs(W, delta, h, config, _pgs=solver.pgs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise SingularBlockError("injected failure")
+        return _pgs(W, delta, h, config)
+
+    monkeypatch.setattr(solver, "pgs", failing_pgs)
+    out = tmp_path / "third"
+    assert cli.main(["run", "--scene", str(SCENES / "point_mass.scn"), "--steps", "4",
+                     "--out", str(out)]) == 1
+    rows = read_rows(out / "newton.csv")
+    assert rows[0] == header
+    assert [r[:2] for r in rows[1:]] == [["0", "0"], ["1", "0"]]
+    assert len(read_rows(out / "metrics.csv")) == 3
 
 
 def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
@@ -116,6 +150,24 @@ def test_bench_tiny_spec(tmp_path, capsys, monkeypatch):
                      capsys.readouterr().out)
 
 
+def test_bench_writes_the_final_correction_column(tmp_path, capsys, monkeypatch):
+    clear_thread_vars(monkeypatch)
+    spec = tmp_path / "tiny.spec"
+    spec.write_text(
+        f"scene: {SCENES / 'bench_column.scn'}\n"
+        "resolutions: [4]\nschemes: [fast]\nrepetitions: 3\nwarmup: 1\n"
+        "newton_iterations: 1\npgs_iterations: 5\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
+    with open(out / "bench.csv") as fh:
+        header = next(csv.reader(fh))
+        rows = list(csv.DictReader(fh, fieldnames=header))
+    assert header.index("final_corr_ms") == header.index("rebuild_w_ms") - 1
+    assert len(rows) == 1 and float(rows[0]["final_corr_ms"]) > 0.0
+    assert "final corr" in capsys.readouterr().out
+
+
 COLUMN = f"scene: {SCENES / 'bench_column.scn'}\n"
 
 # (spec text, the key the error must name)
@@ -126,6 +178,9 @@ BAD_SPECS = {
                      "bench: unknown key 'repetition'"),
     "schemes-string": (COLUMN + "resolutions: [4]\nschemes: fast\n", "bench.schemes:"),
     "scene-number": ("scene: 5\nresolutions: [4]\n", "bench.scene:"),
+    "repetitions-fraction": (COLUMN + "resolutions: [4]\nrepetitions: 3.9\n",
+                             "bench.repetitions:"),
+    "resolutions-fraction": (COLUMN + "resolutions: [4.5]\n", "bench.resolutions:"),
 }
 
 

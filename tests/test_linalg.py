@@ -169,3 +169,111 @@ class TestInverseBlock:
             with pytest.raises(DimensionMismatchError):
                 F.inverse_block(dofs)
         assert F.solve_count == 0
+
+    def test_empty_dofs(self):
+        F = Factorization(SparseSym(random_spd(6, 3)))
+        assert F.inverse_block([]).shape == (0, 0)
+        assert F.solve_count == 0
+
+
+class PerColumnCache:
+    """The dict-of-columns cache ``inverse_block`` used before the cache became
+    one array; its method body is kept verbatim as the bitwise oracle."""
+
+    def __init__(self, F: Factorization):
+        self.dim = F.dim
+        self.solve_multi = F.solve_multi
+        self._inverse_columns: dict[int, np.ndarray] = {}
+
+    def inverse_block(self, dofs) -> np.ndarray:
+        dofs = np.asarray(dofs, dtype=np.int64)
+        if dofs.ndim != 1 or ((dofs < 0) | (dofs >= self.dim)).any():
+            raise DimensionMismatchError(
+                f"dofs must be a 1-d list of indices in [0, {self.dim})"
+            )
+        cache = self._inverse_columns
+        new = [d for d in dict.fromkeys(dofs.tolist()) if d not in cache]
+        if new:
+            E = np.zeros((self.dim, len(new)))
+            E[new, np.arange(len(new))] = 1.0
+            X = self.solve_multi(E)
+            for j, d in enumerate(new):
+                cache[d] = X[:, j]
+        block = np.empty((len(dofs), len(dofs)))
+        for j, d in enumerate(dofs.tolist()):
+            block[:, j] = cache[d][dofs]
+        return block
+
+
+def sparse_spd(dim, seed):
+    B = sp.random(dim, dim, density=0.05, random_state=seed, format="csr")
+    return SparseSym(B @ B.T + 10.0 * sp.eye(dim))
+
+
+class TestCacheGrowth:
+    CALLS = ([4, 1, 9], [9, 2, 4, 7, 1], [30, 2, 30, 55, 0], [12, 40, 41, 42, 43, 44, 45, 9],
+             list(range(0, 60, 7)))
+
+    def test_grown_cache_matches_the_per_column_oracle_bitwise(self):
+        A = sparse_spd(60, 8)
+        F, oracle = Factorization(A), PerColumnCache(Factorization(A))
+        for k, dofs in enumerate(self.CALLS):
+            block = F.inverse_block(dofs)
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, oracle.inverse_block(dofs))
+            for earlier in self.CALLS[: k + 1]:  # blocks gathered before the growth
+                assert np.array_equal(F.inverse_block(earlier), oracle.inverse_block(earlier))
+        assert F.solve_count == len(set().union(*self.CALLS))
+
+
+class TestInverseColumnsTimes:
+    def test_matches_dense_inverse(self):
+        A = random_spd(15, 41)
+        F = Factorization(SparseSym(A))
+        inv = np.linalg.inv(A)
+        rng = np.random.default_rng(2)
+        for dofs in ([3, 0, 11], [14, 3, 7, 0, 9], [5, 5, 2]):  # a repeated DOF adds up
+            x = rng.standard_normal(len(dofs))
+            oracle = inv[:, dofs] @ x
+            got = F.inverse_columns_times(dofs, x)
+            assert got.shape == (15,)
+            assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_equals_a_backsolve_of_the_scattered_rhs(self):
+        A = random_spd(20, 6)
+        F = Factorization(SparseSym(A))
+        dofs = np.array([2, 17, 8, 11])
+        x = np.random.default_rng(7).standard_normal(4)
+        b = np.zeros(20)
+        b[dofs] = x
+        expect = F.solve(b)
+        assert np.abs(F.inverse_columns_times(dofs, x) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_solves_only_new_columns(self):
+        F = Factorization(SparseSym(random_spd(12, 5)))
+        x = np.ones(3)
+        F.inverse_block([4, 1, 9])
+        assert F.solve_count == 3
+        F.inverse_columns_times([9, 1, 4], x)
+        assert F.solve_count == 3  # every column cached: a gather, no solve
+        F.inverse_columns_times([9, 2, 7], x)
+        assert F.solve_count == 5  # only 2 and 7 were new
+        F.inverse_block([7, 2])
+        assert F.solve_count == 5  # and inverse_block reuses them
+
+    def test_rejects_bad_dofs_and_x(self):
+        F = Factorization(SparseSym(sp.eye(4)))
+        for dofs in ([0, 4], [-1], [[0, 1]]):
+            with pytest.raises(DimensionMismatchError):
+                F.inverse_columns_times(dofs, np.ones(np.size(dofs)))
+        with pytest.raises(DimensionMismatchError):
+            F.inverse_columns_times([0, 1], np.ones(3))
+        assert F.solve_count == 0
+
+    def test_empty_dofs(self):
+        F = Factorization(SparseSym(random_spd(6, 3)))
+        assert np.array_equal(F.inverse_columns_times([], []), np.zeros(6))
+        F.inverse_block([1, 2])
+        assert np.array_equal(F.inverse_columns_times(np.zeros(0, dtype=int), np.zeros(0)),
+                              np.zeros(6))
+        assert F.solve_count == 2

@@ -80,6 +80,19 @@ UNKNOWN_KEYS = {
                    "ball: unknown key 'spin'"),
 }
 
+# (scene text, the key the error must name): a count is never truncated
+FRACTIONAL_COUNTS = {
+    "pgs-iterations-fraction": (GROUND + "pgs: {iterations: 2.7}\n", "pgs.iterations:"),
+    "newton-iterations-fraction": (GROUND + "newton: {iterations: 1.5}\n",
+                                   "newton.iterations:"),
+    "output-every-fraction": (GROUND + "output: {every: 2.5}\n", "output.every:"),
+    "box-divisions-fraction": ("objects: [{name: block, type: soft, mesh: {box: "
+                               "{size: [1, 1, 1], divisions: [7.5, 46, 7]}}}]\n",
+                               "block.mesh.box.divisions:"),
+    "fixed-nodes-fraction": (f"objects: [{{name: block, type: soft, {BOX}, "
+                             "fixed_nodes: [0, 1.5]}]\n", "block.fixed_nodes:"),
+}
+
 BAD_SCENES = {
     "objects-list-of-int": "objects: [1]\n",
     "objects-mapping": "objects: {a: 1}\n",
@@ -89,6 +102,7 @@ BAD_SCENES = {
     "soft-empty-mesh": "objects: [{name: block, type: soft, mesh: {}}]\n",
     "kinematic-empty-mesh": "objects: [{name: block, type: kinematic_mesh, mesh: {}}]\n",
     **{name: text for name, (text, _) in UNKNOWN_KEYS.items()},
+    **{name: text for name, (text, _) in FRACTIONAL_COUNTS.items()},
 }
 
 
@@ -109,6 +123,21 @@ def test_unknown_key_names_section_and_key(tmp_path, text, message):
     with pytest.raises(ValidationError) as info:
         load_scene(write_scene(tmp_path, text))
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("text, message", FRACTIONAL_COUNTS.values(),
+                         ids=FRACTIONAL_COUNTS.keys())
+def test_fractional_count_names_its_key(tmp_path, text, message):
+    with pytest.raises(ValidationError) as info:
+        load_scene(write_scene(tmp_path, text))
+    assert str(info.value).startswith(message)
+
+
+def test_whole_float_counts_load_as_integers(tmp_path):
+    config = load_scene(write_scene(
+        tmp_path, GROUND + "pgs: {iterations: 3.0}\nnewton: {iterations: 2.0}\n"))
+    assert (config.pgs.max_iterations, config.newton.max_iterations) == (3, 2)
+    assert isinstance(config.pgs.max_iterations, int)
 
 
 @pytest.mark.parametrize("kind", ["soft", "kinematic"])
@@ -272,11 +301,12 @@ def test_step_reports_system_solves():
     config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 4, 7))
     sim = Simulation(replace(config, newton=replace(config.newton, scheme="fast")))
     fast = [sim.step() for _ in range(4)]
-    # step 0: the free motion, one unit solve per contact DOF to fill the
-    # cache of A^-1 columns, and the final correction; later steps gather
+    # step 0: the free motion and one unit solve per contact DOF to fill the
+    # cache of A^-1 columns; W_g and the final correction gather from that
+    # cache, so the free motion is a step's only backsolve
     contact_dofs = 3 * len(set(sim.last_pairs.a.nodes[:, 0].tolist()))
-    assert fast[0].system_solves == 2 + contact_dofs
-    assert [r.system_solves for r in fast[1:]] == [2, 2, 2]
+    assert fast[0].system_solves == 1 + contact_dofs
+    assert [r.system_solves for r in fast[1:]] == [1, 1, 1]
     sim = Simulation(replace(config, newton=replace(config.newton, scheme="standard")))
     for r in (sim.step() for _ in range(4)):
         # the free motion, then per iteration one solve per row of W and

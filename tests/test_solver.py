@@ -561,8 +561,32 @@ class TestNewtonSchemes:
                              penetration_tol=0.0, rotation_tol=0.0),
                 PgsConfig(max_iterations=50),
             )
-            # exactly one mechanical correction at the end, never per iteration
-            assert F.solve_count - before == 1
+            # the loop moves r in constraint space and the final correction
+            # gathers from the cached columns of A^-1: no backsolve at all
+            assert F.solve_count - before == 0
+
+    def test_standard_backsolves_every_iteration_with_wg_set(self, monkeypatch):
+        # the correction route follows the scheme, not whether ctx.wg exists
+        bodies, pairs = falling_block_setup()
+        solves = []
+
+        def counting_solve(self, b, _solve=Factorization.solve):
+            solves.append(1)
+            return _solve(self, b)
+
+        monkeypatch.setattr(Factorization, "solve", counting_solve)
+        for iterations in (1, 3):
+            ctx, *_ = build_context((bodies, pairs))
+            assert ctx.wg is not None
+            solves.clear()
+            res = newton_standard(
+                ctx,
+                NewtonConfig(scheme="standard", max_iterations=iterations,
+                             penetration_tol=-1.0, rotation_tol=-1.0),
+                PgsConfig(max_iterations=50),
+            )
+            assert len(res.iterations) == iterations
+            assert len(solves) == iterations  # one mechanical correction each
 
     def test_newton_determinism(self):
         bodies, pairs = falling_block_setup()

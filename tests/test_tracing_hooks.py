@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from contactnewton import solver
+from contactnewton.linalg import Factorization
 from contactnewton.scene import Simulation, load_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +55,42 @@ def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
     Simulation(replace(config, newton=newton)).step()
     for name in names:
         assert calls[name] > 0, name
+
+
+def test_fast_step_corrects_once_without_a_backsolve(monkeypatch):
+    # the tracer's solver.mechanical_correction span must hold the fast final
+    # correction, and that correction gathers instead of backsolving
+    inside = []
+    corrections = []
+    solves_inside = Counter()
+
+    def correction(*args, _fn=solver._mechanical_correction, **kwargs):
+        corrections.append(1)
+        inside.append(True)
+        try:
+            return _fn(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(name):
+        fn = getattr(Factorization, name)
+
+        def wrapper(self, *args, **kwargs):
+            if inside:
+                solves_inside[name] += 1
+            return fn(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "_mechanical_correction", correction)
+    for name in ("solve", "solve_multi"):
+        monkeypatch.setattr(Factorization, name, counting(name))
+    config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
+    newton = replace(config.newton, scheme="fast", max_iterations=2, penetration_tol=-1.0)
+    sim = Simulation(replace(config, newton=newton))
+    for _ in range(2):
+        corrections.clear()
+        report = sim.step()
+        assert report.c_groups > 0
+        assert len(corrections) == 1
+        assert not solves_inside
