@@ -10,6 +10,12 @@ Each step runs: detect -> linearize -> assemble -> free motion -> violation
 at the free state -> correction scheme (single / standard / fast) ->
 integrate. Detection happens once per step; the correction schemes never
 re-pair. A failed step leaves the previous state untouched.
+
+:meth:`Simulation.detect` is the one detection path: pairs and frames of
+given states at a given time. :meth:`Simulation.penetration` is the one
+penetration measure: the worst geometric gap of given pairs at given
+positions. A step's ``pen_before`` and ``pen_after`` are that measure at
+the free and at the final positions.
 """
 
 from __future__ import annotations
@@ -181,11 +187,13 @@ def _mapping(value, where, keys=None):
 
 
 def _number(value, where, kind=float):
-    """``value`` as a float, or with ``kind=int`` as a whole number (no truncation)."""
+    """``value`` as a finite float, or with ``kind=int`` as a whole number (no truncation)."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{where}: expected a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
     if kind is int:
         if not number.is_integer():
             raise ValidationError(f"{where}: expected a whole number, got {value!r}")
@@ -194,13 +202,15 @@ def _number(value, where, kind=float):
 
 
 def _array(value, where, dtype=np.float64):
-    """``value`` as a flat array; an integer ``dtype`` takes whole numbers only."""
+    """``value`` as a flat finite array; an integer ``dtype`` takes whole numbers only."""
     try:
         arr = np.asarray(value, dtype=np.float64).ravel()
     except (TypeError, ValueError):
         raise ValidationError(f"{where}: expected a list of numbers, got {value!r}") from None
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{where}: expected finite numbers, got {value!r}")
     if np.issubdtype(dtype, np.integer):
-        if not (np.isfinite(arr) & (arr == np.round(arr))).all():
+        if not (arr == np.round(arr)).all():
             raise ValidationError(f"{where}: expected whole numbers, got {value!r}")
         return arr.astype(dtype)
     return arr
@@ -695,6 +705,17 @@ class StepReport:
         return sum(it.correction_time for it in self.iterations)
 
 
+@dataclass
+class PreparedStep:
+    """What :meth:`Simulation.prepare_step` hands the correction and integration."""
+
+    ctx: StepContext
+    free: dict  # FreeMotion by dynamic object id
+    pen_before: float  # penetration of the detected pairs at the free positions
+    solves_before: int  # backsolves the step's factorizations had run before the free motion
+    timings: dict  # seconds per phase, keyed by StepReport's t_detect ... t_build_wg
+
+
 # --- simulation ------------------------------------------------------------------
 
 
@@ -731,12 +752,25 @@ class Simulation:
     def _views(self, q_by_object, t):
         return {obj.oid: obj.view(q_by_object, t) for obj in self.objects}
 
-    def prepare_step(self):
+    def detect(self, states, t):
+        """The contacts at dynamic ``states`` and time ``t``, with their detection frames."""
+        pairs = collision.detect([obj.geometry(states, t) for obj in self.objects],
+                                 self.config.threshold)
+        return pairs, collision.build_frames(pairs)
+
+    def penetration(self, pairs, q_by_object, t) -> float:
+        """Worst penetration of ``pairs`` at positions ``q_by_object`` and time ``t``
+        (0.0 without pairs): geometric, so a stale-direction scheme cannot grade itself."""
+        if not len(pairs):
+            return 0.0
+        return float(max(0.0, -collision.signed_gaps(pairs, self._views(q_by_object, t)).min()))
+
+    def prepare_step(self) -> PreparedStep:
         """Run the pre-correction pipeline (detect through free violation).
 
-        Returns the solver context plus the free motions and phase timings;
-        the correction scheme and integration consume it. Exposed so the
-        verification command can probe the exact operators a step would use.
+        Commits nothing; the correction scheme and integration consume the
+        record. Exposed so the verification command can probe the exact
+        operators a step would use.
         """
         cfg = self.config
         h = cfg.h
@@ -744,9 +778,7 @@ class Simulation:
         t_begin = time.perf_counter()
 
         states = {o.oid: o.state for o in self.dynamic_objects}
-        geoms = [obj.geometry(states, self.time) for obj in self.objects]
-        pairs = collision.detect(geoms, cfg.threshold)
-        frames = collision.build_frames(pairs)
+        pairs, frames = self.detect(states, self.time)
         t_detect = time.perf_counter()
 
         factorizations = {}
@@ -789,14 +821,7 @@ class Simulation:
             return p_a - p_b
 
         r0 = refresh({})
-        free_views = self._views({oid: free[oid].q_free for oid in free}, t_next)
-        pen_before = (
-            float(max(0.0, -collision.signed_gaps(pairs, free_views).min()))
-            if len(pairs)
-            else 0.0
-        )
-        t_constraints = time.perf_counter()
-
+        pen_before = self.penetration(pairs, {oid: fm.q_free for oid, fm in free.items()}, t_next)
         ctx = StepContext(
             pairs=pairs,
             detection_frames=frames,
@@ -806,25 +831,26 @@ class Simulation:
             h=h,
             refresh=refresh,
         )
-        t_wg0 = time.perf_counter()
+        t_constraints = time.perf_counter()
+
         if cfg.newton.scheme == "fast":
             ctx.wg = assemble_Wg(S, factorizations, ctx.dofs_by_object)
-        t_build_wg = time.perf_counter() - t_wg0
         timings = {
-            "detect": t_detect - t_begin,
-            "assemble": t_assemble - t_detect,
-            "free": t_free - t_assemble,
-            "constraints": t_constraints - t_free,
-            "build_wg": t_build_wg,
-            "begin": t_begin,
+            "t_detect": t_detect - t_begin,
+            "t_assemble": t_assemble - t_detect,
+            "t_free": t_free - t_assemble,
+            "t_constraints": t_constraints - t_free,
+            "t_build_wg": time.perf_counter() - t_constraints,
         }
-        return ctx, free, states, pen_before, timings, t_next, solves_before
+        return PreparedStep(ctx, free, pen_before, solves_before, timings)
 
     def step(self) -> StepReport:
+        t_begin = time.perf_counter()
         cfg = self.config
         h = cfg.h
-        ctx, free, states, pen_before, timings, t_next, solves_before = self.prepare_step()
-        pairs = ctx.pairs
+        t_next = self.time + h
+        prep = self.prepare_step()
+        ctx = prep.ctx
         if cfg.newton.scheme == "fast":
             result = newton_fast(ctx, cfg.newton, cfg.pgs)
         elif cfg.newton.scheme == "standard":
@@ -835,7 +861,7 @@ class Simulation:
         new_states = {}
         for obj in self.dynamic_objects:
             dv = result.dv_by_object.get(obj.oid, np.zeros(obj.body.n_dofs))
-            state = integrate_correction(states[obj.oid], free[obj.oid], dv, h)
+            state = integrate_correction(obj.state, prep.free[obj.oid], dv, h)
             if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
                 raise NonFiniteStateError(
                     f"step {self.step_index}: object {obj.oid} would reach a non-finite "
@@ -843,24 +869,17 @@ class Simulation:
                 )
             new_states[obj.oid] = state
 
-        # end-of-step interpenetration: geometric distance of the frozen pairs
-        # to their supporting elements at the final state (slip-immune, so a
-        # stale-direction scheme cannot grade its own leftover penetration)
-        if len(pairs):
-            q_final = {oid: new_states[oid].q for oid in new_states}
-            final_views = self._views(q_final, t_next)
-            pen_after = float(max(0.0, -collision.signed_gaps(pairs, final_views).min()))
-        else:
-            pen_after = 0.0
+        # end-of-step interpenetration of the pairs detected at the step start
+        pen_after = self.penetration(ctx.pairs, {oid: s.q for oid, s in new_states.items()}, t_next)
         t_end = time.perf_counter()
-        system_solves = sum(F.solve_count for F in ctx.F_by_object.values()) - solves_before
+        system_solves = sum(F.solve_count for F in ctx.F_by_object.values()) - prep.solves_before
 
         # commit
         for obj in self.dynamic_objects:
             obj.commit(new_states[obj.oid])
         self.time = t_next
         self.step_index += 1
-        self.last_pairs = pairs
+        self.last_pairs = ctx.pairs
         self.last_frames = result.final_frames
         self.last_lam = lam = result.lam_history[-1]
 
@@ -869,22 +888,18 @@ class Simulation:
         return StepReport(
             step=self.step_index - 1,
             time=self.time,
-            c_groups=len(pairs),
+            c_groups=len(ctx.pairs),
             dofs=self.total_dofs(),
             newton_exit=result.exit,
             system_solves=system_solves,
-            pen_before=pen_before,
+            pen_before=prep.pen_before,
             pen_after=pen_after,
             lambda_n_sum=float(lam_groups[:, 0].sum()) if len(lam_groups) else 0.0,
             lambda_n_max=float(lam_groups[:, 0].max()) if len(lam_groups) else 0.0,
             lambda_t_max=float(lam_t.max()) if len(lam_t) else 0.0,
-            t_detect=timings["detect"],
-            t_assemble=timings["assemble"],
-            t_free=timings["free"],
-            t_constraints=timings["constraints"],
-            t_build_wg=timings["build_wg"],
+            **prep.timings,
             t_final_correction=result.final_correction_time,
-            t_step=t_end - timings["begin"],
+            t_step=t_end - t_begin,
             iterations=result.iterations,
         )
 

@@ -64,7 +64,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collision import max_frame_rotation, relinearize
+from .collision import Contacts, max_frame_rotation, relinearize
 from .constraints import (
     apply_transposed,
     assemble_H,
@@ -264,7 +264,7 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
 class StepContext:
     """Everything the correction schemes need for one time step."""
 
-    pairs: list
+    pairs: Contacts
     detection_frames: np.ndarray  # (p, 3, 3), rows (n, t1, t2) per pair
     S_by_object: dict[int, object]  # signed mapping per dynamic object
     F_by_object: dict[int, Factorization]

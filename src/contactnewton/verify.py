@@ -54,7 +54,7 @@ def _identity_error(ctx, frames) -> tuple[float, float]:
 
 def prepare(config: SceneConfig) -> StepContext:
     """The first step's solver context, with W_g built whatever the scheme."""
-    ctx, *_ = Simulation(config).prepare_step()
+    ctx = Simulation(config).prepare_step().ctx
     if ctx.wg is None:
         ctx.wg = assemble_Wg(ctx.S_by_object, ctx.F_by_object, ctx.dofs_by_object)
     return ctx
@@ -90,20 +90,14 @@ def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
     res = pgs(W, delta, config.h, pcfg)
     mu = pcfg.friction
     tol_c = 1e-6 * max(1.0, float(np.abs(delta).max()))
-    worst = 0.0
-    ok = True
-    for g in range(len(ctx.pairs)):
-        ln = res.lam[3 * g]
-        lt = float(np.hypot(res.lam[3 * g + 1], res.lam[3 * g + 2]))
-        dn = res.delta_end[3 * g]
-        ok &= ln >= 0.0
-        ok &= dn >= -1e-6
-        ok &= ln * dn <= tol_c
-        ok &= lt <= mu * ln + 1e-9
-        worst = max(worst, abs(min(dn, 0.0)), ln * dn, lt - mu * ln)
+    lam = res.lam.reshape(-1, 3)
+    ln, dn = lam[:, 0], res.delta_end[0::3]
+    lt = np.hypot(lam[:, 1], lam[:, 2])
+    ok = (ln >= 0.0) & (dn >= -1e-6) & (ln * dn <= tol_c) & (lt <= mu * ln + 1e-9)
+    worst = float(np.max([np.abs(np.minimum(dn, 0.0)), ln * dn, lt - mu * ln], initial=0.0))
     return CheckResult(
         "complementarity",
-        bool(ok),
+        bool(ok.all()),
         f"{len(ctx.pairs)} groups, worst residual {worst:.3e} "
         f"(converged={res.converged} in {res.iterations} sweeps)",
     )

@@ -5,13 +5,21 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contactnewton import cli, solver
+from contactnewton.constraints import assemble_direction, compute_violation, rebuild_W_fast
 from contactnewton.errors import SingularBlockError
 from contactnewton.scene import load_scene
-from contactnewton.solver import IterationStats
-from contactnewton.verify import check_congruence_identity, check_scheme_equivalence, prepare
+from contactnewton.solver import IterationStats, PgsConfig, pgs
+from contactnewton.verify import (
+    COMPLEMENTARITY_PGS,
+    check_complementarity,
+    check_congruence_identity,
+    check_scheme_equivalence,
+    prepare,
+)
 from test_scene import MIXED_SCENE, blow_up_scene_text, write_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -210,6 +218,37 @@ def prepared(scene):
 def test_verify_check_passes_on_shipped_scene(scene, check):
     result = check(*prepared(scene))
     assert result.passed, result.detail
+
+
+def complementarity_reference(config, ctx):
+    """(passed, worst residual) by the per-group loop the array check replaced."""
+    D = assemble_direction(ctx.detection_frames)
+    delta = compute_violation(D, ctx.r0)
+    pcfg = PgsConfig(friction=config.pgs.friction, **COMPLEMENTARITY_PGS)
+    res = pgs(rebuild_W_fast(D, ctx.wg), delta, config.h, pcfg)
+    mu = pcfg.friction
+    tol_c = 1e-6 * max(1.0, float(np.abs(delta).max()))
+    worst = 0.0
+    ok = True
+    for g in range(len(ctx.pairs)):
+        ln = res.lam[3 * g]
+        lt = float(np.hypot(res.lam[3 * g + 1], res.lam[3 * g + 2]))
+        dn = res.delta_end[3 * g]
+        ok &= ln >= 0.0
+        ok &= dn >= -1e-6
+        ok &= ln * dn <= tol_c
+        ok &= lt <= mu * ln + 1e-9
+        worst = max(worst, abs(min(dn, 0.0)), ln * dn, lt - mu * ln)
+    return bool(ok), worst
+
+
+@pytest.mark.parametrize("scene", sorted(SCENES.glob("*.scn")), ids=lambda p: p.stem)
+def test_complementarity_matches_the_per_group_reference(scene):
+    config, ctx = prepared(scene)
+    passed, worst = complementarity_reference(config, ctx)
+    result = check_complementarity(config, ctx)
+    assert result.passed == passed
+    assert f"worst residual {worst:.3e} " in result.detail
 
 
 def test_congruence_identity_fails_on_scaled_wg():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from contactnewton.scene import (
     take_snapshot,
     with_box_divisions,
 )
+from contactnewton.verify import prepare
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -93,6 +94,18 @@ FRACTIONAL_COUNTS = {
                              "fixed_nodes: [0, 1.5]}]\n", "block.fixed_nodes:"),
 }
 
+# (scene text, the key the error must name): NaN fails every comparison, so
+# a range check alone would let it through
+NON_FINITE = {
+    "threshold-nan": (GROUND + "threshold: .nan\n", "threshold:"),
+    "dt-nan": (GROUND + "dt: .nan\n", "dt:"),
+    "mu-nan": (GROUND + "mu: .nan\n", "mu:"),
+    "pgs-tolerance-nan": (GROUND + "pgs: {tolerance: .nan}\n", "pgs.tolerance:"),
+    "newton-penetration-tol-nan": (GROUND + "newton: {penetration_tol: .nan}\n",
+                                   "newton.penetration_tol:"),
+    "gravity-inf": (GROUND + "gravity: [0, -.inf, 0]\n", "gravity:"),
+}
+
 BAD_SCENES = {
     "objects-list-of-int": "objects: [1]\n",
     "objects-mapping": "objects: {a: 1}\n",
@@ -103,6 +116,7 @@ BAD_SCENES = {
     "kinematic-empty-mesh": "objects: [{name: block, type: kinematic_mesh, mesh: {}}]\n",
     **{name: text for name, (text, _) in UNKNOWN_KEYS.items()},
     **{name: text for name, (text, _) in FRACTIONAL_COUNTS.items()},
+    **{name: text for name, (text, _) in NON_FINITE.items()},
 }
 
 
@@ -128,6 +142,13 @@ def test_unknown_key_names_section_and_key(tmp_path, text, message):
 @pytest.mark.parametrize("text, message", FRACTIONAL_COUNTS.values(),
                          ids=FRACTIONAL_COUNTS.keys())
 def test_fractional_count_names_its_key(tmp_path, text, message):
+    with pytest.raises(ValidationError) as info:
+        load_scene(write_scene(tmp_path, text))
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("text, message", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_value_names_its_key(tmp_path, text, message):
     with pytest.raises(ValidationError) as info:
         load_scene(write_scene(tmp_path, text))
     assert str(info.value).startswith(message)
@@ -327,3 +348,87 @@ def test_step_reports_newton_exit_and_pgs_convergence():
                       pgs=replace(config.pgs, **pgs))
         report = Simulation(cfg).step()
         assert (report.newton_exit, report.pgs_converged) == (exit_reason, converged)
+
+
+# --- the step's seams: detection, penetration and the prepared context -----------
+
+
+@pytest.fixture(params=["grasp_rotate", "mixed"])
+def seam_config(request, tmp_path):
+    # kinematic plates, and a rigid sphere on a plane
+    if request.param == "mixed":
+        return load_scene(write_scene(tmp_path, MIXED_SCENE))
+    return load_scene(SCENES / "grasp_rotate.scn")
+
+
+def committed(sim):
+    return {obj.oid: obj.state for obj in sim.dynamic_objects}
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def contact_arrays(contacts):
+    """Every field of a ``Contacts``, both sides included."""
+    sides = [getattr(side, f.name) for side in (contacts.a, contacts.b) for f in fields(side)]
+    return sides + [getattr(contacts, f.name) for f in fields(contacts) if f.name not in ("a", "b")]
+
+
+def same_contacts(c, d):
+    return all(same_bits(x, y) for x, y in zip(contact_arrays(c), contact_arrays(d), strict=True))
+
+
+def outcome(sim, report):
+    """What a step decides, for bitwise comparison: everything but timings and solve counts."""
+    values = [getattr(report, name) for name in report.CSV_FIELDS
+              if not name.startswith("t_") and name != "system_solves"]
+    values += [(it.penetration, it.pgs_iterations, it.pgs_eps, it.rotation)
+               for it in report.iterations]
+    arrays = [sim.last_lam, sim.last_frames, *contact_arrays(sim.last_pairs)]
+    arrays += [a for obj in sim.objects for a in obj.saved_state()]
+    return repr(values), [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def test_detect_on_committed_states_gives_the_next_steps_pairs(seam_config):
+    sim = Simulation(seam_config)
+    for _ in range(4):
+        pairs, frames = sim.detect(committed(sim), sim.time)
+        detection_frames = sim.prepare_step().ctx.detection_frames
+        sim.step()
+        assert len(pairs) > 0
+        assert same_contacts(pairs, sim.last_pairs)
+        assert same_bits(frames, detection_frames)
+
+
+def test_penetration_at_committed_positions_is_pen_after(seam_config):
+    sim = Simulation(seam_config)
+    pen_after = []
+    for _ in range(4):
+        report = sim.step()
+        q = {oid: state.q for oid, state in committed(sim).items()}
+        assert same_bits(sim.penetration(sim.last_pairs, q, sim.time), report.pen_after)
+        pen_after.append(report.pen_after)
+    assert max(pen_after) > 0.0
+
+
+def test_prepare_step_commits_nothing(seam_config):
+    sim, fresh = Simulation(seam_config), Simulation(seam_config)
+    states = committed(sim)
+    saved = [obj.saved_state() for obj in sim.objects]
+    for _ in range(2):
+        sim.prepare_step()
+    assert (sim.time, sim.step_index) == (0.0, 0)
+    assert all(state is states[oid] for oid, state in committed(sim).items())
+    assert all(same_bits(a, b) for old, obj in zip(saved, sim.objects)
+               for a, b in zip(old, obj.saved_state()))
+    # the fast scheme's W_g cache may now hold the step's columns, so only
+    # the solve count can differ
+    assert outcome(sim, sim.step()) == outcome(fresh, fresh.step())
+
+
+def test_verify_prepares_the_first_steps_pairs(seam_config):
+    sim = Simulation(seam_config)
+    sim.step()
+    assert same_contacts(prepare(seam_config).pairs, sim.last_pairs)

@@ -11,7 +11,9 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from contactnewton import solver
+import pytest
+
+from contactnewton import collision, solver
 from contactnewton.linalg import Factorization
 from contactnewton.scene import Simulation, load_scene
 
@@ -33,21 +35,25 @@ def test_every_traced_name_exists():
     assert callable(solver.local_solve)
 
 
-def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
+def count_calls(monkeypatch, module, names) -> Counter:
+    """Wrap each of ``module``'s ``names`` so that its calls are counted."""
     calls = Counter()
 
-    def counting(name):
-        fn = getattr(solver, name)
-
+    def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    names = ("relinearize", "max_frame_rotation", "assemble_direction", "rebuild_W_fast")
     for name in names:
-        monkeypatch.setattr(solver, name, counting(name))
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
+    names = ("relinearize", "max_frame_rotation", "assemble_direction", "rebuild_W_fast")
+    calls = count_calls(monkeypatch, solver, names)
     config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
     # a negative penetration tolerance is never met, so the second iteration
     # re-linearizes whatever the first one left
@@ -55,6 +61,17 @@ def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
     Simulation(replace(config, newton=newton)).step()
     for name in names:
         assert calls[name] > 0, name
+
+
+@pytest.mark.parametrize("scheme", ["single", "standard", "fast"])
+def test_step_looks_up_detection_and_gaps_through_collision(monkeypatch, scheme):
+    # one detection on the step-start states, and the signed gaps of its
+    # pairs at the free and at the final positions (pen_before, pen_after)
+    calls = count_calls(monkeypatch, collision, ("detect", "build_frames", "signed_gaps"))
+    config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
+    report = Simulation(replace(config, newton=replace(config.newton, scheme=scheme))).step()
+    assert report.c_groups > 0
+    assert calls == {"detect": 1, "build_frames": 1, "signed_gaps": 2}
 
 
 def test_fast_step_corrects_once_without_a_backsolve(monkeypatch):
