@@ -32,19 +32,26 @@ operations over all pairs, and every row is bitwise what a one-pair
 computation gives, because the row-wise dot products run the one-pair dot
 kernel (:func:`_rowdot`).
 
-Narrow phase: each surface vertex of A is paired with its closest triangle
-of B (near-ties go to the lowest triangle id) when its signed distance to
-that triangle is at most ``threshold``. The query runs on blocks of vertices
-against all of B's triangles at once, at most ``QUERY_ENTRIES`` vertex x
-triangle entries per block so memory stays bounded, and each entry uses the
-formulas of a one-point query, so the pairs are bitwise those of a query
-per vertex. There is no distance cull against B's bounding box: a vertex
-behind an open plate or deep inside B has signed distance -dist, which
-passes the gate however far away it is, and culling it would change the
-pair list. Vertex-vs-plane preselects vertices with one matrix-vector
-product and a margin above its rounding error, then computes each
-candidate's distance with the row-wise dot product, because the two round
-differently on tilted planes.
+Narrow phase: each surface vertex of a deformable mesh A is paired with
+every plane and with its closest triangle of every other mesh B (near-ties
+go to the lowest triangle id) when its signed distance is at most
+``threshold``. Only vertices that carry DOFs are paired, so each contact
+feature gives one independent constraint. Two soft meshes are paired both
+ways, but a kinematic or static mesh's vertices are never paired: pairing a
+plate corner against a soft body's triangle as well as the soft vertices
+against the plate duplicated rows of S, left W singular and stalled PGS. So
+a vertex of a non-deformable mesh that enters a soft body is not
+constrained. The mesh query runs on blocks of vertices against all of B's
+triangles at once, at most ``QUERY_ENTRIES`` vertex x triangle entries per
+block so memory stays bounded, and each entry uses the formulas of a
+one-point query, so the pairs are bitwise those of a query per vertex.
+There is no distance cull against B's bounding box: a vertex behind an open
+plate or deep inside B has signed distance -dist, which passes the gate
+however far away it is, and culling it would change the pair list.
+Vertex-vs-plane preselects vertices with one matrix-vector product and a
+margin above its rounding error, then computes each candidate's distance
+with the row-wise dot product, because the two round differently on tilted
+planes.
 """
 
 from __future__ import annotations
@@ -277,12 +284,14 @@ def _mesh_side(geom: MeshGeometry, points, nodes, weights) -> Side:
 
 
 def _vertex_side(geom: MeshGeometry, vids, points) -> Side:
+    """Node-weighted side rows of a deformable mesh's vertices."""
     nodes = np.repeat(np.asarray(vids, dtype=np.int64)[:, None], 3, axis=1)
-    return _mesh_side(geom, points, nodes, np.tile(_VERTEX_WEIGHTS, (len(vids), 1)))
+    return _side(geom.object_id, points, nodes=nodes,
+                 weights=np.tile(_VERTEX_WEIGHTS, (len(vids), 1)))
 
 
 def _vertex_vs_mesh(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float):
-    """Best proximity pair for each surface vertex of A against B's triangles."""
+    """Best proximity pair for each surface vertex of deformable A against B's triangles."""
     if not len(geom_a.vertex_ids):
         return Contacts.empty()
     tri_pts = geom_b.points[geom_b.triangles]
@@ -360,17 +369,16 @@ def detect(geometries, threshold: float) -> Contacts:
     spheres = [g for g in geometries if isinstance(g, SphereGeometry)]
     found = [Contacts.empty()]
     for ga in meshes:
+        if not ga.deformable:  # its vertices carry no DOFs to constrain
+            continue
         for gb in meshes:
-            if ga.object_id == gb.object_id or not (ga.deformable or gb.deformable):
-                continue
-            if len(gb.triangles) == 0:
+            if ga.object_id == gb.object_id or len(gb.triangles) == 0:
                 continue
             if not _aabb_overlap(ga.points, gb.points, threshold):
                 continue
             found.append(_vertex_vs_mesh(ga, gb, threshold))
         for plane in planes:
-            if ga.deformable:
-                found.append(_vertex_vs_plane(ga, plane, threshold))
+            found.append(_vertex_vs_plane(ga, plane, threshold))
     for sph in spheres:
         for plane in planes:
             found.append(_sphere_vs_plane(sph, plane, threshold))

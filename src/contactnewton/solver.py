@@ -123,8 +123,9 @@ class PgsResult:
 def regularize(W: np.ndarray) -> np.ndarray:
     """Shift singular per-group diagonal blocks so every local solve is posed.
 
-    Applied only to groups whose 3 x 3 block is (numerically) singular, e.g.
-    duplicated contacts; the shift is 1e-10 trace(W) / c.
+    Applied only to groups whose 3 x 3 block is (numerically) singular: a
+    contact whose nodes are all fixed has its rows of S zeroed, so its block
+    is zero. The shift is 1e-10 trace(W) / c (1e-30 when W is zero).
     """
     c = W.shape[0]
     if c == 0:

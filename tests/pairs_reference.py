@@ -269,7 +269,7 @@ def detect_reference(geometries, threshold: float) -> list[ProximityPair]:
     pairs: list[ProximityPair] = []
     for ga in meshes:
         for gb in meshes:
-            if ga.object_id == gb.object_id or not (ga.deformable or gb.deformable):
+            if ga.object_id == gb.object_id or not ga.deformable:
                 continue
             if len(gb.triangles) == 0:
                 continue

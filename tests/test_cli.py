@@ -82,11 +82,15 @@ def test_failed_run_keeps_the_newton_rows_of_completed_steps(tmp_path, monkeypat
 
 
 def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
-    # every step's per-iteration PGS records add up to its metrics.csv row; by
-    # step 17 some step has taken 2 Newton iterations and some PGS solve stopped
-    # unconverged, so both aggregates are exercised
+    # every step's per-iteration PGS records add up to its metrics.csv row; with
+    # PGS capped at 20 sweeps, steps stop PGS unconverged and so take more than
+    # one Newton iteration, and both aggregates are exercised
+    text = (SCENES / "grasp_rotate.scn").read_text()
+    capped = text.replace("pgs: {iterations: 200,", "pgs: {iterations: 20,")
+    assert capped != text
+    scene = write_scene(tmp_path, capped, "grasp_rotate.scn")
     out = tmp_path / "out"
-    assert cli.main(["run", "--scene", str(SCENES / "grasp_rotate.scn"), "--steps", "18",
+    assert cli.main(["run", "--scene", str(scene), "--steps", "18",
                      "--scheme", "fast", "--out", str(out)]) == 0
     with open(out / "metrics.csv") as fh:
         metrics = list(csv.DictReader(fh))

@@ -356,14 +356,16 @@ class TestPgs:
         assert np.array_equal(r1.delta_end, r2.delta_end)
 
     def test_duplicate_contacts_regularized(self):
-        # two identical rows make the diagonal blocks fine but the system
-        # singular; a duplicated group block triggers the diagonal shift path
+        # a duplicated contact leaves both diagonal blocks regular but the
+        # system singular (rank 3); regularize does not fire, and PGS must
+        # still resolve the penetration
         W1 = np.diag([1.0, 1.0, 1.0])
         W = np.zeros((6, 6))
         W[:3, :3] = W1
         W[3:, 3:] = W1
         W[:3, 3:] = W1
         W[3:, :3] = W1  # rank 3: duplicated contact
+        assert regularize(W) is W
         delta = np.array([-0.01, 0, 0, -0.01, 0, 0.0])
         res = pgs(W, delta, 0.01, PgsConfig(max_iterations=300, tolerance=1e-10))
         assert res.delta_end[::3].min() >= -1e-6
@@ -450,6 +452,49 @@ class TestPgsMatchesReference:
         assert len(recorded) >= 2 and all(len(d) for _, d, _, _ in recorded)
         for W, delta, h, config in recorded:
             assert_same_pgs(pgs(W, delta, h, config), pgs_reference(W, delta, h, config))
+
+
+# a block resting on the plane with its bottom node layer fixed: every
+# contact is on fixed DOFs
+FIXED_ON_PLANE = """\
+dt: 0.01
+threshold: 0.01
+objects:
+  - name: block
+    type: soft
+    mesh: {box: {size: [0.1, 0.1, 0.1], divisions: [2, 2, 2], center: [0.0, 0.05, 0.0]}}
+    fixed_region: {axis: y, max: 0.0}
+  - name: ground
+    type: plane
+"""
+
+
+def test_contacts_on_fixed_nodes_are_regularized(tmp_path, monkeypatch):
+    # the contact rows of S are zeroed, so every group's W block is zero and
+    # only regularize's shift gives the local solve a normal compliance
+    path = tmp_path / "fixed.scn"
+    path.write_text(FIXED_ON_PLANE)
+    sim = Simulation(load_scene(path))
+    regularize_now = solver.regularize
+    shifted = []
+
+    def recording_regularize(W):
+        out = regularize_now(W)
+        shifted.append(out is not W)
+        return out
+
+    monkeypatch.setattr(solver, "regularize", recording_regularize)
+    block = sim.dynamic_objects[0]
+    q0 = block.state.q.copy()
+    fixed = block.body.fixed_mask
+    for _ in range(3):
+        ctx = sim.prepare_step().ctx
+        assert ctx.pairs.a.nodes[:, 0].tolist() == np.flatnonzero(fixed[::3]).tolist()
+        assert ctx.S_by_object[block.oid].count_nonzero() == 0
+        assert sim.step().c_groups == 9
+    assert shifted == [True] * 3
+    assert np.array_equal(block.state.q[fixed], q0[fixed])
+    assert np.isfinite(block.state.q).all() and (block.state.q != q0).any()
 
 
 def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
