@@ -28,14 +28,13 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, as_number
 from .scene import (
     OutputConfig,
     SceneConfig,
     Simulation,
     SoftSpec,
     _mapping,
-    _number,
     load_scene,
     with_box_divisions,
 )
@@ -97,10 +96,10 @@ def load_bench_spec(path) -> BenchSpec:
         raise ValidationError(f"bench.scene: expected a file name, got {scene_path!r}")
     if not os.path.isabs(scene_path):
         scene_path = os.path.join(os.path.dirname(os.path.abspath(path)), scene_path)
-    count = lambda key, default: _number(raw.get(key, default), f"bench.{key}", int)
+    count = lambda key, default: as_number(raw.get(key, default), f"bench.{key}", int)
     return BenchSpec(
         scene=scene_path,
-        resolutions=[_number(r, "bench.resolutions", int) for r in _list(raw, "resolutions", [])],
+        resolutions=[as_number(r, "bench.resolutions", int) for r in _list(raw, "resolutions", [])],
         schemes=_list(raw, "schemes", ["standard", "fast"]),
         repetitions=count("repetitions", 5),
         warmup=count("warmup", 3),

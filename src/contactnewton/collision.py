@@ -284,14 +284,17 @@ def _mesh_side(geom: MeshGeometry, points, nodes, weights) -> Side:
 
 
 def _vertex_side(geom: MeshGeometry, vids, points) -> Side:
-    """Node-weighted side rows of a deformable mesh's vertices."""
+    """Side rows of a mesh's vertices: node-weighted on a deformable mesh, else posed."""
     nodes = np.repeat(np.asarray(vids, dtype=np.int64)[:, None], 3, axis=1)
-    return _side(geom.object_id, points, nodes=nodes,
-                 weights=np.tile(_VERTEX_WEIGHTS, (len(vids), 1)))
+    return _mesh_side(geom, points, nodes, np.tile(_VERTEX_WEIGHTS, (len(vids), 1)))
 
 
 def _vertex_vs_mesh(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float):
-    """Best proximity pair for each surface vertex of deformable A against B's triangles."""
+    """Best proximity pair for each surface vertex of A against B's triangles.
+
+    ``detect`` queries only a deformable A; on a kinematic or static A the
+    vertex rows are posed, so they read correctly all the same.
+    """
     if not len(geom_a.vertex_ids):
         return Contacts.empty()
     tri_pts = geom_b.points[geom_b.triangles]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared number check."""
+
+import math
 
 
 class ContactNewtonError(Exception):
@@ -47,3 +49,23 @@ class ParseError(ContactNewtonError, ValueError):
 
 class ValidationError(ContactNewtonError, ValueError):
     """A parsed configuration violates an invariant."""
+
+
+def as_number(value, where, kind=float):
+    """``value`` as a finite float, or with ``kind=int`` as a whole number (no truncation).
+
+    Raises :class:`ValidationError` naming ``where`` otherwise.
+    """
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ValidationError(f"{where}: expected a whole number, got {value!r}")
+        return int(number)
+    return number

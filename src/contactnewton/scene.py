@@ -40,7 +40,7 @@ from .dynamics import (
     compute_free_motion,
     integrate_correction,
 )
-from .errors import NonFiniteStateError, ParseError, ValidationError
+from .errors import NonFiniteStateError, ParseError, ValidationError, as_number
 from .linalg import Factorization
 from .mesh import TetMesh, box_mesh, load_mesh, surface_triangles, surface_vertices
 from .solver import (
@@ -186,21 +186,6 @@ def _mapping(value, where, keys=None):
     return value
 
 
-def _number(value, where, kind=float):
-    """``value`` as a finite float, or with ``kind=int`` as a whole number (no truncation)."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: expected a number, got {value!r}") from None
-    if not np.isfinite(number):
-        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
-    if kind is int:
-        if not number.is_integer():
-            raise ValidationError(f"{where}: expected a whole number, got {value!r}")
-        return int(number)
-    return number
-
-
 def _array(value, where, dtype=np.float64):
     """``value`` as a flat finite array; an integer ``dtype`` takes whole numbers only."""
     try:
@@ -277,26 +262,26 @@ def _load_soft(entry, name, base_dir):
             raise ValidationError(f"{name}: fixed_region.axis must be x, y or z")
         region = (
             axis,
-            _number(region["min"], f"{name}.fixed_region.min") if "min" in region else None,
-            _number(region["max"], f"{name}.fixed_region.max") if "max" in region else None,
+            as_number(region["min"], f"{name}.fixed_region.min") if "min" in region else None,
+            as_number(region["max"], f"{name}.fixed_region.max") if "max" in region else None,
         )
         fixed = np.union1d(fixed, _region_nodes(mesh, region))
     extra = entry.get("extra_force")
     return SoftSpec(
         name=name,
         mesh=mesh,
-        young=_number(material.get("young", 1e4), f"{name}.material.young"),
-        poisson=_number(material.get("poisson", 0.3), f"{name}.material.poisson"),
-        density=_number(material.get("density", 1000.0), f"{name}.material.density"),
-        rayleigh_mass=_number(material.get("rayleigh_mass", 0.1), f"{name}.material.rayleigh_mass"),
-        rayleigh_stiffness=_number(
+        young=as_number(material.get("young", 1e4), f"{name}.material.young"),
+        poisson=as_number(material.get("poisson", 0.3), f"{name}.material.poisson"),
+        density=as_number(material.get("density", 1000.0), f"{name}.material.density"),
+        rayleigh_mass=as_number(material.get("rayleigh_mass", 0.1), f"{name}.material.rayleigh_mass"),
+        rayleigh_stiffness=as_number(
             material.get("rayleigh_stiffness", 0.1), f"{name}.material.rayleigh_stiffness"
         ),
         fixed_nodes=fixed,
         fixed_region=region,
         velocity=_vec3(entry.get("velocity", (0, 0, 0)), name),
         node_mass=(
-            _number(entry["node_mass"], f"{name}.node_mass") if "node_mass" in entry else None
+            as_number(entry["node_mass"], f"{name}.node_mass") if "node_mass" in entry else None
         ),
         extra_force=_vec3(entry["extra_force"], name) if extra is not None else None,
         box_params=box_params,
@@ -351,7 +336,7 @@ def _load_kinematic(entry, name, base_dir):
     spec = MotionSpec(
         axis=_vec3(motion.get("axis", (0, 0, 1)), name),
         center=_vec3(motion.get("center", (0, 0, 0)), name),
-        angular_velocity=_number(
+        angular_velocity=as_number(
             motion.get("angular_velocity", 0.0), f"{name}.motion.angular_velocity"
         ),
         velocity=_vec3(motion.get("velocity", (0, 0, 0)), name),
@@ -360,8 +345,8 @@ def _load_kinematic(entry, name, base_dir):
 
 
 def _load_rigid_sphere(entry, name):
-    mass = _number(_require(entry, "mass", name), f"{name}.mass")
-    radius = _number(_require(entry, "radius", name), f"{name}.radius")
+    mass = as_number(_require(entry, "mass", name), f"{name}.mass")
+    radius = as_number(_require(entry, "radius", name), f"{name}.radius")
     inertia = entry.get("inertia")
     if inertia is None:
         inertia_mat = (0.4 * mass * radius * radius) * np.eye(3)
@@ -417,7 +402,7 @@ def load_scene(path) -> SceneConfig:
                 PlaneSpec(
                     name=name,
                     normal=_vec3(entry.get("normal", (0, 1, 0)), name),
-                    offset=_number(entry.get("offset", 0.0), f"{name}.offset"),
+                    offset=as_number(entry.get("offset", 0.0), f"{name}.offset"),
                 )
             )
         elif kind in ("kinematic_mesh", "static_mesh"):
@@ -436,24 +421,24 @@ def load_scene(path) -> SceneConfig:
     config = SceneConfig(
         objects=objects,
         gravity=_vec3(raw.get("gravity", DEFAULT_GRAVITY), "gravity"),
-        h=_number(raw.get("dt", DEFAULT_DT), "dt"),
-        threshold=_number(raw.get("threshold", DEFAULT_THRESHOLD), "threshold"),
+        h=as_number(raw.get("dt", DEFAULT_DT), "dt"),
+        threshold=as_number(raw.get("threshold", DEFAULT_THRESHOLD), "threshold"),
         pgs=PgsConfig(
-            max_iterations=_number(pgs_raw.get("iterations", 30), "pgs.iterations", int),
-            tolerance=_number(pgs_raw.get("tolerance", 1e-6), "pgs.tolerance"),
-            friction=_number(raw.get("mu", DEFAULT_MU), "mu"),
+            max_iterations=as_number(pgs_raw.get("iterations", 30), "pgs.iterations", int),
+            tolerance=as_number(pgs_raw.get("tolerance", 1e-6), "pgs.tolerance"),
+            friction=as_number(raw.get("mu", DEFAULT_MU), "mu"),
         ),
         newton=NewtonConfig(
             scheme=str(newton_raw.get("scheme", "single")),
-            max_iterations=_number(newton_raw.get("iterations", 5), "newton.iterations", int),
-            penetration_tol=_number(
+            max_iterations=as_number(newton_raw.get("iterations", 5), "newton.iterations", int),
+            penetration_tol=as_number(
                 newton_raw.get("penetration_tol", 1e-5), "newton.penetration_tol"
             ),
         ),
         output=OutputConfig(
             snapshots=bool(out_raw.get("snapshots", True)),
             metrics=bool(out_raw.get("metrics", True)),
-            every=_number(out_raw.get("every", 1), "output.every", int),
+            every=as_number(out_raw.get("every", 1), "output.every", int),
         ),
     )
     return config

@@ -9,12 +9,17 @@ tolerance.
 
 A sweep runs on plain Python floats. Before the sweeps, :func:`pgs` takes
 each group's diagonal-block scalars once (:func:`group_blocks`) and a
-contiguous copy of its column block of W. During the sweeps lambda is a list
-of per-group 3-tuples, and :func:`local_solve` maps float tuples to a float
-tuple. Only the update of the violation by a group's change,
-``h^2 W[:, group] dlambda``, goes through numpy. The formulas and their
-order are those of the array version, so the results are bit-identical to
-it. For the same reason the disk projection keeps ``np.hypot``:
+contiguous copy of its column block of W, pre-scaled by h^2. During the
+sweeps lambda is a list of per-group 3-tuples, and :func:`local_solve` maps
+float tuples to a float tuple. Only the update of the violation by a group
+whose lambda changed goes through numpy, and it allocates nothing: the
+change is written into a reused 3-vector, one gemv with the group's
+``h^2 W[:, group]`` block writes into a reused c-vector, and that vector is
+added to the violation. The local solve's formulas and their order are
+those of the array version, and the sweep is bitwise equal to an array
+oracle that scales W by h^2 before its gemv (``tests/test_solver.py``);
+against the order ``h^2 (W dlambda)`` lambda differs at rounding level only.
+To keep the local solve bitwise, the disk projection keeps ``np.hypot``:
 ``math.hypot`` rounds differently. To keep its cost low, ``np.hypot`` runs
 only when the squared tangential impulse reaches (1 - 1e-6) times the squared
 radius of the disk.
@@ -75,7 +80,7 @@ from .constraints import (
     fast_update_proximity,
     rebuild_W_fast,
 )
-from .errors import SingularBlockError, ValidationError
+from .errors import SingularBlockError, ValidationError, as_number
 from .linalg import Factorization
 
 SCHEMES = ("single", "standard", "fast")
@@ -88,6 +93,9 @@ class PgsConfig:
     friction: float = 0.5
 
     def __post_init__(self):
+        self.max_iterations = as_number(self.max_iterations, "pgs.max_iterations", int)
+        self.tolerance = as_number(self.tolerance, "pgs.tolerance")
+        self.friction = as_number(self.friction, "pgs.friction")
         if self.max_iterations < 1:
             raise ValidationError("pgs.max_iterations must be >= 1")
         if self.tolerance <= 0:
@@ -107,6 +115,10 @@ class NewtonConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}, pick from {SCHEMES}")
+        # zero and negative tolerances are valid: they force iterations
+        self.max_iterations = as_number(self.max_iterations, "newton.max_iterations", int)
+        self.penetration_tol = as_number(self.penetration_tol, "newton.penetration_tol")
+        self.rotation_tol = as_number(self.rotation_tol, "newton.rotation_tol")
         if self.max_iterations < 1:
             raise ValidationError("newton.max_iterations must be >= 1")
 
@@ -225,8 +237,12 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     mu = config.friction
     n_groups = c // 3
     blocks = group_blocks(W, h2)
-    # cols[g] is the contiguous (c, 3) column block W[:, 3g:3g+3]
-    cols = W.reshape(c, n_groups, 3).transpose(1, 0, 2).copy()
+    # cols[g] is the contiguous (c, 3) column block h^2 W[:, 3g:3g+3]
+    scaled = W.reshape(c, n_groups, 3).transpose(1, 0, 2).copy()
+    scaled *= h2
+    cols = list(scaled)
+    dl = np.empty(3)  # a changed group's lambda step
+    step = np.empty(c)  # its update of the violation, h^2 W[:, group] dl
     lam = [_ZERO] * n_groups  # per group, during the sweeps
     lam_vec = np.zeros(c)  # the same values after the last sweep
     delta_cur = delta_base.astype(np.float64).copy()
@@ -242,9 +258,12 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
                 new = local_solve(blocks[g], delta_rows[g].tolist(), old, mu, h2)
             except SingularBlockError as exc:
                 raise SingularBlockError(f"group {g}: {exc}") from None
-            dl = (new[0] - old[0], new[1] - old[1], new[2] - old[2])
-            if dl[0] or dl[1] or dl[2]:
-                delta_cur += h2 * cols[g].dot(np.array(dl))
+            if new != old:
+                dl[0] = new[0] - old[0]
+                dl[1] = new[1] - old[1]
+                dl[2] = new[2] - old[2]
+                np.dot(cols[g], dl, out=step)
+                delta_cur += step
                 lam[g] = new
         lam_prev, lam_vec = lam_vec, np.array(lam).reshape(c)
         num = float(np.linalg.norm(lam_vec - lam_prev))

@@ -1075,9 +1075,6 @@ def both_ways_penetration(sim):
             if ga is gb or not (ga.deformable or gb.deformable):
                 continue
             pairs = collision._vertex_vs_mesh(ga, gb, sim.config.threshold)
-            if not ga.deformable:  # the vertex is a point on A's pose
-                pairs.a = collision._mesh_side(ga, pairs.a.point, pairs.a.nodes,
-                                               pairs.a.weights)
             k = 0 if ga.deformable else 1
             worst[k] = max(worst[k], sim.penetration(pairs, q_by_object, sim.time))
     return worst
@@ -1113,6 +1110,24 @@ class TestOneConstraintPerFeature:
         assert [(step, rank) for step, (rows, rank, _) in enumerate(records)
                 if rank != rows] == []
         assert sum(rows for rows, _, _ in records) > 0
+
+    def test_vertex_query_on_a_posed_mesh_reads_its_vertices(self):
+        # detect never queries a kinematic mesh's vertices, but the query must
+        # still give rows that read back as the vertices, not the pose origin
+        rng = np.random.default_rng(3)
+        pose = random_pose(rng)
+        plate = np.array([[[-1.0, 0, -1], [1, 0, 1], [1, 0, -1]],
+                          [[-1.0, 0, -1], [-1, 0, 1], [1, 0, 1]]])
+        P = np.array([[0.1, -0.005, 0.2], [-0.3, 0.004, 0.1], [0.2, 3.0, -0.4]])
+        kinematic = replace(cloud_geometry(P, object_id=0), deformable=False, pose=pose)
+        soft = soup_geometry(plate, object_id=1)
+        pairs = collision._vertex_vs_mesh(kinematic, soft, threshold=0.01)
+        assert pairs.vertex_id.tolist() == [0, 1]
+        views = {0: pose, 1: soft.points}
+        p_a, _ = refresh_proximity(pairs, views)
+        np.testing.assert_allclose(p_a, P[:2], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(collision.signed_gaps(pairs, views),
+                                   pairs.signed_distance, rtol=0, atol=1e-15)
 
     def test_unpaired_vertices_sink_no_deeper(self):
         # the plate's vertices are no longer constrained against the cube; over

@@ -104,6 +104,8 @@ NON_FINITE = {
     "newton-penetration-tol-nan": (GROUND + "newton: {penetration_tol: .nan}\n",
                                    "newton.penetration_tol:"),
     "gravity-inf": (GROUND + "gravity: [0, -.inf, 0]\n", "gravity:"),
+    # an integer beyond the float range
+    "pgs-iterations-huge": (GROUND + f"pgs: {{iterations: {'9' * 400}}}\n", "pgs.iterations:"),
 }
 
 BAD_SCENES = {

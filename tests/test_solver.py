@@ -43,7 +43,9 @@ SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 # --- reference PGS: the array-based solver the plain-float sweep replaced --------
-# Kept verbatim as the oracle: the float sweep must reproduce it bit for bit.
+# The oracle: the float sweep must reproduce it bit for bit. With
+# ``prescaled=False`` it updates the violation by h^2 (W dlambda), the order
+# the array solver had, which the sweep matches only to rounding.
 
 
 def regularize_reference(W: np.ndarray) -> np.ndarray:
@@ -105,7 +107,9 @@ def local_solve_reference(
     return np.array([ln, lt[0], lt[1]])
 
 
-def pgs_reference(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> PgsResult:
+def pgs_reference(
+    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, prescaled: bool = True
+) -> PgsResult:
     c = len(delta_base)
     if c == 0:
         return PgsResult(np.zeros(0), np.zeros(0), 0, [], True)
@@ -113,6 +117,7 @@ def pgs_reference(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsCo
         raise SingularBlockError(f"W is {W.shape}, violation has {c} rows")
     W = regularize_reference(W)
     h2 = h * h
+    hW = h2 * W
     lam = np.zeros(c)
     delta_cur = delta_base.astype(np.float64).copy()
     eps_history: list[float] = []
@@ -125,7 +130,10 @@ def pgs_reference(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsCo
             new = local_solve_reference(g, W, delta_cur, lam, config.friction, h2)
             dl = new - lam[3 * g : 3 * g + 3]
             if dl.any():
-                delta_cur += h2 * (W[:, 3 * g : 3 * g + 3] @ dl)
+                if prescaled:
+                    delta_cur += hW[:, 3 * g : 3 * g + 3] @ dl
+                else:
+                    delta_cur += h2 * (W[:, 3 * g : 3 * g + 3] @ dl)
                 lam[3 * g : 3 * g + 3] = new
         num = float(np.linalg.norm(lam - lam_prev))
         den = float(np.linalg.norm(lam))
@@ -397,32 +405,66 @@ class TestPgs:
         assert len(calls) == 7 * 4
 
 
-class TestPgsMatchesReference:
-    """The plain-float sweep reproduces the array-based PGS bit for bit."""
+def assert_close_pgs(res, ref, delta_base, rtol=1e-10):
+    """lambda agrees to ``rtol`` relative to its largest entry, and the end
+    violation, which nearly cancels, to ``rtol`` relative to the free one."""
+    assert np.abs(res.lam - ref.lam).max() <= rtol * np.abs(ref.lam).max()
+    assert np.abs(res.delta_end - ref.delta_end).max() <= rtol * np.abs(delta_base).max()
 
-    @staticmethod
-    def random_problem(rng, singular):
-        groups = int(rng.integers(2, 7))
-        c = 3 * groups
-        B = rng.standard_normal((c, c))
-        if singular:  # group 1's tangent rows coincide: its block gets the shift
-            B[5] = B[4]
-            W = B @ B.T
+
+def random_problem(rng, singular):
+    groups = int(rng.integers(2, 7))
+    c = 3 * groups
+    B = rng.standard_normal((c, c))
+    if singular:  # group 1's tangent rows coincide: its block gets the shift
+        B[5] = B[4]
+        W = B @ B.T
+    else:
+        W = B @ B.T + rng.uniform(0.1, c) * np.eye(c)
+    return W, rng.uniform(-0.01, 0.005, c)
+
+
+def random_cases(mu):
+    """24 random problems with friction ``mu``, half run to convergence and
+    half to a sweep cap, every third with a singular block."""
+    rng = np.random.default_rng(int(10 * mu) + 1)
+    for trial in range(24):
+        W, delta = random_problem(rng, singular=trial % 3 == 0)
+        if trial % 2:
+            cfg = PgsConfig(max_iterations=400, tolerance=1e-5, friction=mu)
         else:
-            W = B @ B.T + rng.uniform(0.1, c) * np.eye(c)
-        return W, rng.uniform(-0.01, 0.005, c)
+            cfg = PgsConfig(max_iterations=int(rng.integers(1, 40)),
+                            tolerance=1e-300, friction=mu)
+        yield W, delta, cfg
+
+
+@pytest.fixture(scope="class")
+def grasp_rotate_pgs_inputs():
+    """(W, delta, h, config) of every PGS call in the first 2 steps of grasp_rotate."""
+    recorded = []
+    pgs_now = solver.pgs
+
+    def recording(W, delta, h, config):
+        recorded.append((W.copy(), delta.copy(), h, config))
+        return pgs_now(W, delta, h, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "pgs", recording)
+        sim = Simulation(load_scene(SCENES / "grasp_rotate.scn"))
+        for _ in range(2):
+            sim.step()
+    assert len(recorded) >= 2 and all(len(d) for _, d, _, _ in recorded)
+    return recorded
+
+
+class TestPgsMatchesReference:
+    """The plain-float sweep reproduces the array-based PGS bit for bit, and
+    the unscaled-update oracle to rounding."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
     def test_random_problems(self, mu):
-        rng = np.random.default_rng(int(10 * mu) + 1)
         seen = set()
-        for trial in range(24):
-            W, delta = self.random_problem(rng, singular=trial % 3 == 0)
-            if trial % 2:
-                cfg = PgsConfig(max_iterations=400, tolerance=1e-5, friction=mu)
-            else:
-                cfg = PgsConfig(max_iterations=int(rng.integers(1, 40)),
-                                tolerance=1e-300, friction=mu)
+        for W, delta, cfg in random_cases(mu):
             res = pgs(W, delta, 0.01, cfg)
             assert_same_pgs(res, pgs_reference(W, delta, 0.01, cfg))
             seen.add("converged" if res.converged else "max_iterations")
@@ -430,28 +472,35 @@ class TestPgsMatchesReference:
                 seen.add("regularized")
         assert seen == {"converged", "max_iterations", "regularized"}
 
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
+    def test_random_problems_match_unscaled_update(self, mu):
+        for W, delta, cfg in random_cases(mu):
+            assert_close_pgs(pgs(W, delta, 0.01, cfg),
+                             pgs_reference(W, delta, 0.01, cfg, prescaled=False), delta)
+
     def test_regularize_matches_reference(self):
         rng = np.random.default_rng(2)
         for trial in range(12):
-            W, _ = self.random_problem(rng, singular=trial % 2 == 0)
+            W, _ = random_problem(rng, singular=trial % 2 == 0)
             assert np.array_equal(regularize(W), regularize_reference(W))
         W = np.zeros((6, 6))
         assert np.array_equal(regularize(W), regularize_reference(W))
 
-    def test_grasp_rotate_inputs(self, monkeypatch):
-        recorded = []
-
-        def recording(W, delta, h, config):
-            recorded.append((W.copy(), delta.copy(), h, config))
-            return pgs(W, delta, h, config)
-
-        monkeypatch.setattr(solver, "pgs", recording)
-        sim = Simulation(load_scene(SCENES / "grasp_rotate.scn"))
-        for _ in range(2):
-            sim.step()
-        assert len(recorded) >= 2 and all(len(d) for _, d, _, _ in recorded)
-        for W, delta, h, config in recorded:
+    def test_grasp_rotate_inputs(self, grasp_rotate_pgs_inputs):
+        for W, delta, h, config in grasp_rotate_pgs_inputs:
             assert_same_pgs(pgs(W, delta, h, config), pgs_reference(W, delta, h, config))
+
+    def test_grasp_rotate_inputs_match_unscaled_update(self, grasp_rotate_pgs_inputs):
+        for W, delta, h, config in grasp_rotate_pgs_inputs:
+            assert_close_pgs(pgs(W, delta, h, config),
+                             pgs_reference(W, delta, h, config, prescaled=False), delta)
+
+    def test_arguments_unmodified(self):
+        for trial, (W, delta, cfg) in enumerate(random_cases(0.3)):
+            W_in, delta_in = W.copy(), delta.copy()
+            pgs(W, delta, 0.01, cfg)
+            assert np.array_equal(W, W_in), trial
+            assert np.array_equal(delta, delta_in), trial
 
 
 # a block resting on the plane with its bottom node layer fixed: every
@@ -651,3 +700,29 @@ class TestNewtonSchemes:
             PgsConfig(max_iterations=0)
         with pytest.raises(ValidationError):
             PgsConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("config, field", [
+        (PgsConfig, "max_iterations"),
+        (PgsConfig, "tolerance"),
+        (PgsConfig, "friction"),
+        (NewtonConfig, "max_iterations"),
+        (NewtonConfig, "penetration_tol"),
+        (NewtonConfig, "rotation_tol"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "a"])
+    def test_config_rejects_non_finite_numbers(self, config, field, value):
+        prefix = "pgs" if config is PgsConfig else "newton"
+        with pytest.raises(ValidationError, match=f"{prefix}.{field}"):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("config", [PgsConfig, NewtonConfig])
+    def test_config_rejects_fractional_counts(self, config):
+        with pytest.raises(ValidationError, match="max_iterations: expected a whole number"):
+            config(max_iterations=2.5)
+        assert config(max_iterations=3.0).max_iterations == 3
+        assert type(config(max_iterations=np.int64(3)).max_iterations) is int
+
+    def test_newton_tolerances_may_be_zero_or_negative(self):
+        for tol in (0.0, -1.0):
+            ncfg = NewtonConfig(penetration_tol=tol, rotation_tol=tol)
+            assert (ncfg.penetration_tol, ncfg.rotation_tol) == (tol, tol)

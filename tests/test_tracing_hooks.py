@@ -63,6 +63,28 @@ def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
         assert calls[name] > 0, name
 
 
+def test_pgs_calls_local_solve_once_per_group_and_sweep(monkeypatch):
+    # the tracer's solver.local_solve_calls counts the module global, so a
+    # sweep that inlined the local solve would read 0 there
+    calls = count_calls(monkeypatch, solver, ("local_solve",))
+    expected = []
+
+    def pgs(W, delta, h, config, _fn=solver.pgs):
+        before = calls["local_solve"]
+        res = _fn(W, delta, h, config)
+        expected.append((calls["local_solve"] - before, len(delta) // 3 * res.iterations))
+        return res
+
+    monkeypatch.setattr(solver, "pgs", pgs)
+    config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
+    newton = replace(config.newton, scheme="fast", max_iterations=2, penetration_tol=-1.0,
+                     rotation_tol=-1.0)
+    Simulation(replace(config, newton=newton)).step()
+    assert len(expected) == 2
+    for counted, groups_times_sweeps in expected:
+        assert counted == groups_times_sweeps > 0
+
+
 @pytest.mark.parametrize("scheme", ["single", "standard", "fast"])
 def test_step_looks_up_detection_and_gaps_through_collision(monkeypatch, scheme):
     # one detection on the step-start states, and the signed gaps of its
