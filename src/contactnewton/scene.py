@@ -341,12 +341,16 @@ def _load_kinematic(entry, name, base_dir):
         ),
         velocity=_vec3(motion.get("velocity", (0, 0, 0)), name),
     )
+    if spec.angular_velocity != 0.0 and not np.linalg.norm(spec.axis) > 0:
+        raise ValidationError(f"{name}.motion.axis: a rotating object needs a nonzero axis")
     return KinematicMeshSpec(name=name, points=points, triangles=tris, motion=spec)
 
 
 def _load_rigid_sphere(entry, name):
     mass = as_number(_require(entry, "mass", name), f"{name}.mass")
     radius = as_number(_require(entry, "radius", name), f"{name}.radius")
+    if radius <= 0:
+        raise ValidationError(f"{name}.radius: must be positive, got {radius}")
     inertia = entry.get("inertia")
     if inertia is None:
         inertia_mat = (0.4 * mass * radius * radius) * np.eye(3)
@@ -391,6 +395,8 @@ def load_scene(path) -> SceneConfig:
     for i, entry in enumerate(raw_objects):
         entry = _mapping(entry, f"objects[{i}]")
         name = entry.get("name", f"object{i}")
+        if any(spec.name == name for spec in objects):
+            raise ValidationError(f"{name}: duplicate object name")
         kind = _require(entry, "type", name)
         if kind not in _OBJECT_KEYS:
             raise ValidationError(f"{name}: unknown object type {kind!r}")

@@ -8,17 +8,22 @@ stops when the relative change of lambda drops below the configured
 tolerance.
 
 A sweep runs on plain Python floats. Before the sweeps, :func:`pgs` takes
-each group's diagonal-block scalars once (:func:`group_blocks`) and a
-contiguous copy of its column block of W, pre-scaled by h^2. During the
-sweeps lambda is a list of per-group 3-tuples, and :func:`local_solve` maps
-float tuples to a float tuple. Only the update of the violation by a group
-whose lambda changed goes through numpy, and it allocates nothing: the
-change is written into a reused 3-vector, one gemv with the group's
-``h^2 W[:, group]`` block writes into a reused c-vector, and that vector is
-added to the violation. The local solve's formulas and their order are
-those of the array version, and the sweep is bitwise equal to an array
-oracle that scales W by h^2 before its gemv (``tests/test_solver.py``);
-against the order ``h^2 (W dlambda)`` lambda differs at rounding level only.
+each group's diagonal-block scalars once (:func:`group_blocks`) and builds one
+(n_groups, 3, c + 1) array whose block g is ``[h^2 W[3g:3g+3, :] |
+delta_base[3g:3g+3]]``. Lambda is held in one (c + 1) array that ends in 1,
+so the block times lambda is group g's violation at the current lambda: a
+visit reads it with one gemv and hands it to :func:`local_solve` as floats.
+The local solve maps float tuples to a float tuple, and a group whose lambda
+changed writes its 3 entries into the array through a memoryview. Besides
+that gemv, only the stop test (norms of the first c entries against the
+previous sweep's copy) and the final ``delta_end`` go through numpy. The row
+read sums the same products ``W[g rows, j] lambda_j`` as updating the whole
+violation by each changed group's columns would, so it needs no symmetry of
+W, and results move against that column order through summation order only.
+The local solve's formulas and their order are those of the array version,
+and the sweep is bitwise equal to an array oracle that reads rows the same
+way (``tests/test_solver.py``); against both column-update orders lambda
+differs at rounding level only.
 To keep the local solve bitwise, the disk projection keeps ``np.hypot``:
 ``math.hypot`` rounds differently. To keep its cost low, ``np.hypot`` runs
 only when the squared tangential impulse reaches (1 - 1e-6) times the squared
@@ -197,8 +202,8 @@ def local_solve(
     if not Wnn > 0:
         raise SingularBlockError(f"normal compliance {Wnn} not positive")
     ln_old = lam[0]
-    ln = max(0.0, ln_old - delta[0] / (h2 * Wnn))
-    if ln == 0.0:
+    ln = ln_old - delta[0] / (h2 * Wnn)
+    if not ln > 0.0:  # also -0.0 and NaN
         return _ZERO
     if mu == 0.0:
         return (ln, 0.0, 0.0)
@@ -237,44 +242,40 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     mu = config.friction
     n_groups = c // 3
     blocks = group_blocks(W, h2)
-    # cols[g] is the contiguous (c, 3) column block h^2 W[:, 3g:3g+3]
-    scaled = W.reshape(c, n_groups, 3).transpose(1, 0, 2).copy()
-    scaled *= h2
-    cols = list(scaled)
-    dl = np.empty(3)  # a changed group's lambda step
-    step = np.empty(c)  # its update of the violation, h^2 W[:, group] dl
-    lam = [_ZERO] * n_groups  # per group, during the sweeps
-    lam_vec = np.zeros(c)  # the same values after the last sweep
-    delta_cur = delta_base.astype(np.float64).copy()
-    delta_rows = delta_cur.reshape(n_groups, 3)
+    # rows[g] is the contiguous (3, c + 1) block [h^2 W[3g:3g+3, :] | delta_base[3g:3g+3]]
+    rows = np.empty((n_groups, 3, c + 1))
+    np.multiply(W.reshape(n_groups, 3, c), h2, out=rows[:, :, :c])
+    rows[:, :, c] = delta_base.reshape(n_groups, 3)
+    reads = [row.dot for row in rows]  # reads[g](lam) is group g's violation
+    lam = np.zeros(c + 1)
+    lam[c] = 1.0
+    lam_items = memoryview(lam)  # single entries as Python floats, not numpy scalars
+    lam_now = lam[:c]
+    lam_prev = np.zeros(c)  # lam_now after the previous sweep
     eps_history: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
         for g in range(n_groups):
-            old = lam[g]
+            i = 3 * g
+            old = (lam_items[i], lam_items[i + 1], lam_items[i + 2])
             try:
-                new = local_solve(blocks[g], delta_rows[g].tolist(), old, mu, h2)
+                new = local_solve(blocks[g], reads[g](lam).tolist(), old, mu, h2)
             except SingularBlockError as exc:
                 raise SingularBlockError(f"group {g}: {exc}") from None
             if new != old:
-                dl[0] = new[0] - old[0]
-                dl[1] = new[1] - old[1]
-                dl[2] = new[2] - old[2]
-                np.dot(cols[g], dl, out=step)
-                delta_cur += step
-                lam[g] = new
-        lam_prev, lam_vec = lam_vec, np.array(lam).reshape(c)
-        num = float(np.linalg.norm(lam_vec - lam_prev))
-        den = float(np.linalg.norm(lam_vec))
+                lam_items[i], lam_items[i + 1], lam_items[i + 2] = new
+        num = float(np.linalg.norm(lam_now - lam_prev))
+        den = float(np.linalg.norm(lam_now))
         eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
         eps_history.append(eps)
         if eps <= config.tolerance:
             converged = True
             break
-    delta_end = delta_base + h2 * (W @ lam_vec)
-    return PgsResult(lam_vec, delta_end, iterations, eps_history, converged)
+        lam_prev[:] = lam_now
+    delta_end = delta_base + h2 * (W @ lam_now)
+    return PgsResult(lam_now, delta_end, iterations, eps_history, converged)
 
 
 # --- recursive correction schemes ----------------------------------------------

@@ -108,6 +108,21 @@ NON_FINITE = {
     "pgs-iterations-huge": (GROUND + f"pgs: {{iterations: {'9' * 400}}}\n", "pgs.iterations:"),
 }
 
+BALL = "name: ball, type: rigid_sphere, mass: 1"
+
+# (scene text, the key the error must name): values the physics cannot use
+BAD_VALUES = {
+    "sphere-radius-negative": (f"objects: [{{{BALL}, radius: -0.1}}]\n", "ball.radius:"),
+    "sphere-radius-zero": (f"objects: [{{{BALL}, radius: 0}}]\n", "ball.radius:"),
+    "motion-axis-zero": (f"objects: [{{name: plate, type: kinematic_mesh, {PLATE}, "
+                         "motion: {axis: [0, 0, 0], angular_velocity: 1.0}}]\n",
+                         "plate.motion.axis:"),
+    "duplicate-name": (f"objects: [{{{BALL}, radius: 0.1}}, {{name: ball, type: plane}}]\n",
+                       "ball: duplicate object name"),
+    "duplicate-default-name": ("objects: [{type: plane}, {name: object0, type: plane}]\n",
+                               "object0: duplicate object name"),
+}
+
 BAD_SCENES = {
     "objects-list-of-int": "objects: [1]\n",
     "objects-mapping": "objects: {a: 1}\n",
@@ -119,6 +134,7 @@ BAD_SCENES = {
     **{name: text for name, (text, _) in UNKNOWN_KEYS.items()},
     **{name: text for name, (text, _) in FRACTIONAL_COUNTS.items()},
     **{name: text for name, (text, _) in NON_FINITE.items()},
+    **{name: text for name, (text, _) in BAD_VALUES.items()},
 }
 
 
@@ -154,6 +170,22 @@ def test_non_finite_value_names_its_key(tmp_path, text, message):
     with pytest.raises(ValidationError) as info:
         load_scene(write_scene(tmp_path, text))
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("text, message", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_value_names_its_key(tmp_path, text, message):
+    with pytest.raises(ValidationError) as info:
+        load_scene(write_scene(tmp_path, text))
+    assert str(info.value).startswith(message)
+
+
+def test_zero_axis_without_rotation_is_valid(tmp_path):
+    config = load_scene(write_scene(tmp_path, (
+        f"objects: [{{name: plate, type: kinematic_mesh, {PLATE}, "
+        "motion: {axis: [0, 0, 0], angular_velocity: 0, velocity: [0, 0.1, 0]}}]\n")))
+    [plate] = config.objects
+    assert plate.motion.axis == (0.0, 0.0, 0.0)
+    assert plate.motion.velocity == (0.0, 0.1, 0.0)
 
 
 def test_whole_float_counts_load_as_integers(tmp_path):

@@ -43,9 +43,14 @@ SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 # --- reference PGS: the array-based solver the plain-float sweep replaced --------
-# The oracle: the float sweep must reproduce it bit for bit. With
-# ``prescaled=False`` it updates the violation by h^2 (W dlambda), the order
-# the array solver had, which the sweep matches only to rounding.
+# The oracle. With ``update="rows"`` a group's violation is read when the group
+# is visited, as delta_base[g] + (h^2 W)[g rows] @ lambda, taken as one gemv of
+# the row block [h^2 W | delta_base] with [lambda; 1]; the sweep must reproduce
+# it bit for bit. The two column-update orders keep the whole violation current
+# instead, adding each changed group's step: ``"columns"`` as (h^2 W)[:, g] @
+# dlambda, ``"unscaled"`` as h^2 (W[:, g] @ dlambda), the order the array solver
+# had. Both differ from the row read only in summation order, so the sweep
+# matches them to rounding.
 
 
 def regularize_reference(W: np.ndarray) -> np.ndarray:
@@ -108,7 +113,7 @@ def local_solve_reference(
 
 
 def pgs_reference(
-    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, prescaled: bool = True
+    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, update: str = "rows"
 ) -> PgsResult:
     c = len(delta_base)
     if c == 0:
@@ -118,6 +123,7 @@ def pgs_reference(
     W = regularize_reference(W)
     h2 = h * h
     hW = h2 * W
+    row_blocks = np.hstack([hW, delta_base[:, None]])  # [h^2 W | delta_base]
     lam = np.zeros(c)
     delta_cur = delta_base.astype(np.float64).copy()
     eps_history: list[float] = []
@@ -127,14 +133,17 @@ def pgs_reference(
         iterations += 1
         lam_prev = lam.copy()
         for g in range(c // 3):
+            rows = slice(3 * g, 3 * g + 3)
+            if update == "rows":
+                delta_cur[rows] = row_blocks[rows] @ np.append(lam, 1.0)
             new = local_solve_reference(g, W, delta_cur, lam, config.friction, h2)
-            dl = new - lam[3 * g : 3 * g + 3]
+            dl = new - lam[rows]
             if dl.any():
-                if prescaled:
-                    delta_cur += hW[:, 3 * g : 3 * g + 3] @ dl
-                else:
-                    delta_cur += h2 * (W[:, 3 * g : 3 * g + 3] @ dl)
-                lam[3 * g : 3 * g + 3] = new
+                if update == "columns":
+                    delta_cur += hW[:, rows] @ dl
+                elif update == "unscaled":
+                    delta_cur += h2 * (W[:, rows] @ dl)
+                lam[rows] = new
         num = float(np.linalg.norm(lam - lam_prev))
         den = float(np.linalg.norm(lam))
         eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
@@ -234,6 +243,18 @@ class TestLocalSolve:
         W = np.eye(3)
         out = solve_block(W, np.array([0.01, -1.0, 0.5]), np.zeros(3), mu=0.5, h2=1e-4)
         assert np.array_equal(out, np.zeros(3))
+
+    @pytest.mark.parametrize("ln_old, delta_n", [(-0.0, 0.0), (0.0, 0.0), (0.0, np.nan)],
+                             ids=["minus-zero", "zero", "nan"])
+    def test_normal_impulse_not_positive_gives_zero(self, ln_old, delta_n):
+        # the normal row ln_old - delta_n / (h^2 Wnn) comes out -0.0, 0.0 or
+        # NaN: the group gets the shared +0.0 triple, as max(0.0, ln) gave
+        W = np.eye(3)
+        delta, lam = np.array([delta_n, -1.0, 0.5]), np.array([ln_old, 0.3, -0.1])
+        out = solve_block(W, delta, lam, mu=0.5, h2=1e-4)
+        assert out is solver._ZERO
+        assert not np.signbit(out).any()
+        assert np.array_equal(out, local_solve_reference(0, W, delta, lam, 0.5, 1e-4))
 
     def test_singular_block_raises(self):
         W = np.zeros((3, 3))
@@ -458,8 +479,8 @@ def grasp_rotate_pgs_inputs():
 
 
 class TestPgsMatchesReference:
-    """The plain-float sweep reproduces the array-based PGS bit for bit, and
-    the unscaled-update oracle to rounding."""
+    """The plain-float sweep reproduces the row-read array PGS bit for bit,
+    and both column-update oracles to rounding."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
     def test_random_problems(self, mu):
@@ -476,7 +497,13 @@ class TestPgsMatchesReference:
     def test_random_problems_match_unscaled_update(self, mu):
         for W, delta, cfg in random_cases(mu):
             assert_close_pgs(pgs(W, delta, 0.01, cfg),
-                             pgs_reference(W, delta, 0.01, cfg, prescaled=False), delta)
+                             pgs_reference(W, delta, 0.01, cfg, update="unscaled"), delta)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
+    def test_random_problems_match_column_update(self, mu):
+        for W, delta, cfg in random_cases(mu):
+            assert_close_pgs(pgs(W, delta, 0.01, cfg),
+                             pgs_reference(W, delta, 0.01, cfg, update="columns"), delta)
 
     def test_regularize_matches_reference(self):
         rng = np.random.default_rng(2)
@@ -493,7 +520,15 @@ class TestPgsMatchesReference:
     def test_grasp_rotate_inputs_match_unscaled_update(self, grasp_rotate_pgs_inputs):
         for W, delta, h, config in grasp_rotate_pgs_inputs:
             assert_close_pgs(pgs(W, delta, h, config),
-                             pgs_reference(W, delta, h, config, prescaled=False), delta)
+                             pgs_reference(W, delta, h, config, update="unscaled"), delta)
+
+    def test_grasp_rotate_inputs_match_column_update(self, grasp_rotate_pgs_inputs):
+        # rounding moves lambda, but not the sweep count or the verdict
+        for W, delta, h, config in grasp_rotate_pgs_inputs:
+            res = pgs(W, delta, h, config)
+            ref = pgs_reference(W, delta, h, config, update="columns")
+            assert_close_pgs(res, ref, delta)
+            assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
 
     def test_arguments_unmodified(self):
         for trial, (W, delta, cfg) in enumerate(random_cases(0.3)):
