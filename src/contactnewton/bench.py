@@ -28,16 +28,20 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .errors import ParseError, ValidationError, as_number
+from .errors import ParseError, ValidationError
 from .scene import (
     OutputConfig,
     SceneConfig,
     Simulation,
     SoftSpec,
+    _count,
     _mapping,
+    _require,
+    _settings,
     load_scene,
     with_box_divisions,
 )
+from .solver import SCHEMES
 
 PAPER_PER_ITERATION_SPEEDUP = 6.97
 PAPER_TOTAL_SPEEDUP = 3.20
@@ -67,19 +71,23 @@ class BenchSpec:
         if not self.resolutions:
             raise ValidationError("bench needs at least one resolution")
         for scheme in self.schemes:
-            if scheme not in ("standard", "fast", "single"):
+            if scheme not in SCHEMES:
                 raise ValidationError(f"unknown bench scheme {scheme!r}")
 
 
-_SPEC_KEYS = ("scene", "resolutions", "schemes", "repetitions", "warmup",
-              "newton_iterations", "pgs_iterations")
-
-
-def _list(raw, key, default):
-    value = raw.get(key, default)
+def _list(value, where):
     if not isinstance(value, list):
-        raise ValidationError(f"bench.{key}: expected a list, got {value!r}")
+        raise ValidationError(f"{where}: expected a list, got {value!r}")
     return value
+
+
+def _counts(value, where):
+    return [_count(n, where) for n in _list(value, where)]
+
+
+_SPEC = {"resolutions": ("resolutions", _counts), "schemes": ("schemes", _list),
+         **{key: (key, _count)
+            for key in ("repetitions", "warmup", "newton_iterations", "pgs_iterations")}}
 
 
 def load_bench_spec(path) -> BenchSpec:
@@ -90,22 +98,14 @@ def load_bench_spec(path) -> BenchSpec:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "scene" not in raw:
         raise ParseError(f"{path}: bench spec needs at least a 'scene' key")
-    _mapping(raw, "bench", _SPEC_KEYS)
+    _mapping(raw, "bench", ("scene", *_SPEC))
+    _require(raw, "resolutions", "bench")
     scene_path = raw["scene"]
     if not isinstance(scene_path, str):
         raise ValidationError(f"bench.scene: expected a file name, got {scene_path!r}")
     if not os.path.isabs(scene_path):
         scene_path = os.path.join(os.path.dirname(os.path.abspath(path)), scene_path)
-    count = lambda key, default: as_number(raw.get(key, default), f"bench.{key}", int)
-    return BenchSpec(
-        scene=scene_path,
-        resolutions=[as_number(r, "bench.resolutions", int) for r in _list(raw, "resolutions", [])],
-        schemes=_list(raw, "schemes", ["standard", "fast"]),
-        repetitions=count("repetitions", 5),
-        warmup=count("warmup", 3),
-        newton_iterations=count("newton_iterations", 5),
-        pgs_iterations=count("pgs_iterations", 30),
-    )
+    return BenchSpec(scene=scene_path, **_settings(raw, "bench", _SPEC))
 
 
 def _base_divisions(config: SceneConfig):

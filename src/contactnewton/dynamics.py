@@ -45,9 +45,6 @@ class MechanicalState:
                 f"q and v dimensions disagree: {self.q.shape} vs {self.v.shape}"
             )
 
-    def copy(self) -> "MechanicalState":
-        return MechanicalState(self.q.copy(), self.v.copy())
-
 
 @dataclass
 class FreeMotion:
@@ -110,7 +107,12 @@ def lumped_masses(nodes: np.ndarray, tets: np.ndarray, density: float) -> np.nda
 
 @dataclass
 class SoftBody:
-    """Linear-FE tetrahedral body (or a bare particle cloud with explicit masses)."""
+    """Linear-FE tetrahedral body, or a bare particle cloud with a uniform node mass.
+
+    ``node_mass`` (kg, > 0) gives every node that mass in place of the masses
+    lumped from the tets; a body without tets needs it. ``extra_force`` is a
+    constant force (N) applied to every node on top of gravity.
+    """
 
     mesh: TetMesh
     young: float = 1e4
@@ -119,8 +121,8 @@ class SoftBody:
     rayleigh_mass: float = 0.1
     rayleigh_stiffness: float = 0.1
     fixed_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    node_masses: np.ndarray | None = None
-    extra_node_force: np.ndarray | None = None  # constant (3,) N applied per node
+    node_mass: float | None = None
+    extra_force: tuple | None = None
 
     def __post_init__(self):
         if self.young <= 0:
@@ -137,14 +139,17 @@ class SoftBody:
                 f"fixed node ids {self.fixed_nodes[outside].tolist()} outside "
                 f"[0, {self.mesh.n_nodes})"
             )
-        if self.node_masses is not None:
-            self.node_masses = np.asarray(self.node_masses, dtype=np.float64)
-            if self.node_masses.shape != (self.mesh.n_nodes,):
-                raise ValidationError("node_masses must list one mass per node")
-        elif self.mesh.n_tets == 0:
-            raise ValidationError("a body without tets needs explicit node_masses")
+        if self.node_mass is None:
+            if self.mesh.n_tets == 0:
+                raise ValidationError("a body without tets needs a node_mass")
+            self._masses = lumped_masses(self.mesh.nodes, self.mesh.tets, self.density)
+            if self._masses.min() <= 0:
+                raise ValidationError("every node needs positive mass: a node is in no tet")
+        elif not self.node_mass > 0:
+            raise ValidationError(f"node_mass must be positive, got {self.node_mass}")
+        else:
+            self._masses = np.full(self.mesh.n_nodes, self.node_mass, dtype=np.float64)
         self._stiffness = None
-        self._masses = None
         self._system = None  # (h, A) of the last assemble
 
     @property
@@ -159,13 +164,6 @@ class SoftBody:
         return mask
 
     def masses(self) -> np.ndarray:
-        if self._masses is None:
-            if self.node_masses is not None:
-                self._masses = self.node_masses.copy()
-            else:
-                self._masses = lumped_masses(self.mesh.nodes, self.mesh.tets, self.density)
-            if self._masses.min(initial=np.inf) <= 0 and self.mesh.n_nodes:
-                raise ValidationError("every node needs positive mass")
         return self._masses
 
     def stiffness(self) -> sp.csr_matrix:
@@ -215,8 +213,8 @@ class SoftBody:
 
         g = np.asarray(gravity, dtype=np.float64)
         f_ext = (m3 * np.tile(g, self.mesh.n_nodes)).astype(np.float64)
-        if self.extra_node_force is not None:
-            f_ext += np.tile(np.asarray(self.extra_node_force, dtype=np.float64), self.mesh.n_nodes)
+        if self.extra_force is not None:
+            f_ext += np.tile(np.asarray(self.extra_force, dtype=np.float64), self.mesh.n_nodes)
         Kv = self.stiffness() @ state.v
         b = h * (f_ext - self.internal_force(state.q, state.v, Kv)) - h * h * Kv
         b[fixed] = 0.0
@@ -230,12 +228,14 @@ class RigidBody:
     """Six-DOF rigid body; collision geometry is a sphere of given radius."""
 
     mass: float
-    inertia: np.ndarray  # (3, 3) body frame, kg m^2
+    inertia: np.ndarray | None = None  # (3, 3) body frame, kg m^2; default: solid sphere
     radius: float = 0.1
 
     def __post_init__(self):
         if self.mass <= 0:
             raise ValidationError(f"rigid mass must be positive, got {self.mass}")
+        if self.inertia is None:
+            self.inertia = (0.4 * self.mass * self.radius * self.radius) * np.eye(3)
         self.inertia = np.asarray(self.inertia, dtype=np.float64).reshape(3, 3)
         eig = np.linalg.eigvalsh(0.5 * (self.inertia + self.inertia.T))
         if eig.min() <= 0:

@@ -40,9 +40,15 @@ from .dynamics import (
     compute_free_motion,
     integrate_correction,
 )
-from .errors import NonFiniteStateError, ParseError, ValidationError, as_number
+from .errors import (
+    ContactNewtonError,
+    NonFiniteStateError,
+    ParseError,
+    ValidationError,
+    as_number,
+)
 from .linalg import Factorization
-from .mesh import TetMesh, box_mesh, load_mesh, surface_triangles, surface_vertices
+from .mesh import box_mesh, load_mesh, surface_triangles, surface_vertices
 from .solver import (
     IterationStats,
     NewtonConfig,
@@ -51,11 +57,6 @@ from .solver import (
     newton_fast,
     newton_standard,
 )
-
-DEFAULT_GRAVITY = (0.0, -9.81, 0.0)
-DEFAULT_DT = 0.01
-DEFAULT_THRESHOLD = 0.01
-DEFAULT_MU = 0.5
 
 SNAPSHOT_MAGIC = "CONTACTNEWTON-SNAPSHOT 1"
 
@@ -66,17 +67,9 @@ SNAPSHOT_MAGIC = "CONTACTNEWTON-SNAPSHOT 1"
 @dataclass
 class SoftSpec:
     name: str
-    mesh: TetMesh
-    young: float = 1e4
-    poisson: float = 0.3
-    density: float = 1000.0
-    rayleigh_mass: float = 0.1
-    rayleigh_stiffness: float = 0.1
-    fixed_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    body: SoftBody
     fixed_region: tuple | None = None  # (axis, min or None, max or None), re-applied on re-mesh
     velocity: tuple = (0.0, 0.0, 0.0)
-    node_mass: float | None = None  # uniform per-node mass for tetless bodies
-    extra_force: tuple | None = None  # constant per-node force, N
     box_params: dict | None = None  # procedural box origin of the mesh, if any
 
 
@@ -90,11 +83,9 @@ class PlaneSpec:
 @dataclass
 class RigidSphereSpec:
     name: str
-    mass: float
-    radius: float
+    body: RigidBody
     position: tuple = (0.0, 0.0, 0.0)
     velocity: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    inertia: np.ndarray | None = None  # default: solid sphere
 
 
 @dataclass
@@ -122,6 +113,11 @@ class OutputConfig:
     every: int = 1
 
     def __post_init__(self):
+        for key in ("snapshots", "metrics"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValidationError(
+                    f"output.{key}: expected true or false, got {getattr(self, key)!r}"
+                )
         if self.every < 1:
             raise ValidationError(f"output.every must be >= 1, got {self.every}")
 
@@ -129,10 +125,10 @@ class OutputConfig:
 @dataclass
 class SceneConfig:
     objects: list
-    gravity: tuple = DEFAULT_GRAVITY
-    h: float = DEFAULT_DT
-    threshold: float = DEFAULT_THRESHOLD
-    pgs: PgsConfig = field(default_factory=lambda: PgsConfig(friction=DEFAULT_MU))
+    gravity: tuple = (0.0, -9.81, 0.0)
+    h: float = 0.01
+    threshold: float = 0.01
+    pgs: PgsConfig = field(default_factory=PgsConfig)
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -146,25 +142,18 @@ class SceneConfig:
 
 
 # --- scene file parsing ---------------------------------------------------------
+#
+# A section's settings are read through a table that maps each scene key to
+# the dataclass field it sets and the parser of its value. Only the keys a
+# file sets are passed on, so the dataclass default is the one default of
+# each setting; a value the physics cannot use is refused by the dataclass
+# that holds it, and the loader names the object in that error.
 
 
 def _require(mapping, key, where):
     if key not in mapping:
         raise ValidationError(f"{where}: missing required key '{key}'")
     return mapping[key]
-
-
-_TOP_KEYS = ("objects", "gravity", "dt", "threshold", "mu", "pgs", "newton", "output")
-_KINEMATIC_KEYS = ("name", "type", "plate", "mesh", "motion")
-_OBJECT_KEYS = {
-    "soft": ("name", "type", "mesh", "material", "fixed_nodes", "fixed_region", "velocity",
-             "node_mass", "extra_force"),
-    "plane": ("name", "type", "normal", "offset"),
-    "kinematic_mesh": _KINEMATIC_KEYS,
-    "static_mesh": _KINEMATIC_KEYS,
-    "rigid_sphere": ("name", "type", "mass", "radius", "position", "velocity", "inertia"),
-}
-_MESH_KEYS = ("file", "box")
 
 
 def _mapping(value, where, keys=None):
@@ -186,6 +175,25 @@ def _mapping(value, where, keys=None):
     return value
 
 
+def _settings(section, where, table):
+    """Keyword arguments for the keys of ``table`` that ``section`` sets.
+
+    ``table`` maps a scene key to ``(field, parse)``; ``parse(value, path)``
+    converts the value and names ``path``, ``<where>.<key>``, in its error.
+    """
+    prefix = f"{where}." if where else ""
+    return {name: parse(section[key], prefix + key)
+            for key, (name, parse) in table.items() if key in section}
+
+
+def _as_is(value, where):
+    return value
+
+
+def _count(value, where):
+    return as_number(value, where, int)
+
+
 def _array(value, where, dtype=np.float64):
     """``value`` as a flat finite array; an integer ``dtype`` takes whole numbers only."""
     try:
@@ -201,6 +209,10 @@ def _array(value, where, dtype=np.float64):
     return arr
 
 
+def _node_ids(value, where):
+    return _array(value, where, np.int64)
+
+
 def _vec3(value, where):
     arr = _array(value, where)
     if arr.shape != (3,):
@@ -208,13 +220,81 @@ def _vec3(value, where):
     return tuple(arr)
 
 
+def _direction(value, where):
+    """A nonzero 3-vector, as given (not normalized)."""
+    vec = _vec3(value, where)
+    if not np.linalg.norm(vec) > 0:
+        raise ValidationError(f"{where}: must be nonzero, got {value!r}")
+    return vec
+
+
+def _twist(value, where):
+    """A rigid velocity: 3 linear, or 6 linear + angular components."""
+    arr = _array(value, where)
+    if arr.shape == (3,):
+        arr = np.concatenate([arr, np.zeros(3)])
+    if arr.shape != (6,):
+        raise ValidationError(f"{where}: rigid velocity needs 3 or 6 components")
+    return tuple(arr)
+
+
+def _inertia(value, where):
+    arr = _array(value, where)
+    if arr.size not in (3, 9):
+        raise ValidationError(f"{where}: inertia needs 3 or 9 components")
+    return np.diag(arr) if arr.size == 3 else arr.reshape(3, 3)
+
+
+def _named(name, build, **kwargs):
+    """``build(**kwargs)``, with the object's name in front of any error it raises."""
+    try:
+        return build(**kwargs)
+    except ContactNewtonError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
+_TOP = {"gravity": ("gravity", _vec3), "dt": ("h", as_number),
+        "threshold": ("threshold", as_number)}
+_FRICTION = {"mu": ("friction", as_number)}
+_PGS = {"iterations": ("max_iterations", _count), "tolerance": ("tolerance", as_number)}
+_NEWTON = {"scheme": ("scheme", _as_is), "iterations": ("max_iterations", _count),
+           "penetration_tol": ("penetration_tol", as_number)}
+_OUTPUT = {"snapshots": ("snapshots", _as_is), "metrics": ("metrics", _as_is),
+           "every": ("every", _count)}
+_TOP_KEYS = ("objects", *_TOP, *_FRICTION, "pgs", "newton", "output")
+
+_BOX = {"center": ("center", _vec3)}
+_MATERIAL = {key: (key, as_number)
+             for key in ("young", "poisson", "density", "rayleigh_mass", "rayleigh_stiffness")}
+_SOFT_BODY = {"fixed_nodes": ("fixed_nodes", _node_ids), "node_mass": ("node_mass", as_number),
+              "extra_force": ("extra_force", _vec3)}
+_SOFT = {"velocity": ("velocity", _vec3)}
+_PLANE = {"normal": ("normal", _direction), "offset": ("offset", as_number)}
+_MOTION = {"axis": ("axis", _vec3), "center": ("center", _vec3),
+           "angular_velocity": ("angular_velocity", as_number), "velocity": ("velocity", _vec3)}
+_RIGID_BODY = {"mass": ("mass", as_number), "inertia": ("inertia", _inertia)}
+_RIGID = {"position": ("position", _vec3), "velocity": ("velocity", _twist)}
+
+_KINEMATIC_KEYS = ("name", "type", "plate", "mesh", "motion")
+_OBJECT_KEYS = {
+    "soft": ("name", "type", "mesh", "material", "fixed_region", *_SOFT_BODY, *_SOFT),
+    "plane": ("name", "type", *_PLANE),
+    "kinematic_mesh": _KINEMATIC_KEYS,
+    "static_mesh": _KINEMATIC_KEYS,
+    "rigid_sphere": ("name", "type", "radius", *_RIGID_BODY, *_RIGID),
+}
+_MESH_KEYS = ("file", "box")
+
+
 def _box_params(box, where):
-    box = _mapping(box, where, ("size", "divisions", "center"))
+    box = _mapping(box, where, ("size", "divisions", *_BOX))
     divisions = _array(_require(box, "divisions", where), f"{where}.divisions", np.int64)
+    if divisions.shape != (3,):
+        raise ValidationError(f"{where}.divisions: expected 3 components, got {divisions.tolist()}")
     return {
-        "size": _vec3(_require(box, "size", where), where),
+        "size": _vec3(_require(box, "size", where), f"{where}.size"),
         "divisions": tuple(int(d) for d in divisions),
-        "center": _vec3(box.get("center", (0, 0, 0)), where),
+        **_settings(box, where, _BOX),
     }
 
 
@@ -242,62 +322,49 @@ def _load_mesh(section, name, base_dir):
         return load_mesh(path), None
     if "box" in mesh_spec:
         box_params = _box_params(mesh_spec["box"], f"{name}.mesh.box")
-        return box_mesh(**box_params), box_params
+        return _named(name, box_mesh, **box_params), box_params
     raise ValidationError(f"{name}: mesh needs either 'file' or 'box'")
+
+
+def _fixed_region(region, where):
+    region = _mapping(region, where, ("axis", "min", "max"))
+    axis = {"x": 0, "y": 1, "z": 2}.get(region.get("axis"), region.get("axis"))
+    if axis not in (0, 1, 2):
+        raise ValidationError(f"{where}.axis: must be x, y or z")
+    bounds = _settings(region, where, {"min": ("min", as_number), "max": ("max", as_number)})
+    return axis, bounds.get("min"), bounds.get("max")
 
 
 def _load_soft(entry, name, base_dir):
     mesh, box_params = _load_mesh(_require(entry, "mesh", name), name, base_dir)
-
-    material = _mapping(
-        entry.get("material"), f"{name}.material",
-        ("young", "poisson", "density", "rayleigh_mass", "rayleigh_stiffness"),
-    )
-    fixed = _array(entry.get("fixed_nodes", []), f"{name}.fixed_nodes", np.int64)
-    region = entry.get("fixed_region")
-    if region is not None:
-        region = _mapping(region, f"{name}.fixed_region", ("axis", "min", "max"))
-        axis = {"x": 0, "y": 1, "z": 2}.get(region.get("axis"), region.get("axis"))
-        if axis not in (0, 1, 2):
-            raise ValidationError(f"{name}: fixed_region.axis must be x, y or z")
-        region = (
-            axis,
-            as_number(region["min"], f"{name}.fixed_region.min") if "min" in region else None,
-            as_number(region["max"], f"{name}.fixed_region.max") if "max" in region else None,
+    body = _settings(entry, name, _SOFT_BODY)
+    body.update(_settings(
+        _mapping(entry.get("material"), f"{name}.material", _MATERIAL),
+        f"{name}.material", _MATERIAL,
+    ))
+    region = None
+    if "fixed_region" in entry:
+        region = _fixed_region(entry["fixed_region"], f"{name}.fixed_region")
+        nodes = _region_nodes(mesh, region)
+        body["fixed_nodes"] = (
+            np.union1d(body["fixed_nodes"], nodes) if "fixed_nodes" in body else nodes
         )
-        fixed = np.union1d(fixed, _region_nodes(mesh, region))
-    extra = entry.get("extra_force")
     return SoftSpec(
         name=name,
-        mesh=mesh,
-        young=as_number(material.get("young", 1e4), f"{name}.material.young"),
-        poisson=as_number(material.get("poisson", 0.3), f"{name}.material.poisson"),
-        density=as_number(material.get("density", 1000.0), f"{name}.material.density"),
-        rayleigh_mass=as_number(material.get("rayleigh_mass", 0.1), f"{name}.material.rayleigh_mass"),
-        rayleigh_stiffness=as_number(
-            material.get("rayleigh_stiffness", 0.1), f"{name}.material.rayleigh_stiffness"
-        ),
-        fixed_nodes=fixed,
+        body=_named(name, SoftBody, mesh=mesh, **body),
         fixed_region=region,
-        velocity=_vec3(entry.get("velocity", (0, 0, 0)), name),
-        node_mass=(
-            as_number(entry["node_mass"], f"{name}.node_mass") if "node_mass" in entry else None
-        ),
-        extra_force=_vec3(entry["extra_force"], name) if extra is not None else None,
         box_params=box_params,
+        **_settings(entry, name, _SOFT),
     )
 
 
-def _plate_mesh(entry, name):
-    center = np.asarray(_vec3(_require(entry, "center", name), name))
-    normal = np.asarray(_vec3(_require(entry, "normal", name), name))
-    nn = np.linalg.norm(normal)
-    if nn == 0:
-        raise ValidationError(f"{name}: plate normal must be nonzero")
-    normal = normal / nn
-    size = _array(entry.get("size", (0.1, 0.1)), f"{name}.plate.size")
-    if size.shape != (2,):
-        raise ValidationError(f"{name}: plate size needs 2 components")
+def _plate_mesh(plate, where):
+    center = np.asarray(_vec3(_require(plate, "center", where), f"{where}.center"))
+    normal = np.asarray(_direction(_require(plate, "normal", where), f"{where}.normal"))
+    normal = normal / np.linalg.norm(normal)
+    size = _array(plate.get("size", (0.1, 0.1)), f"{where}.size")
+    if size.shape != (2,) or not (size > 0).all():
+        raise ValidationError(f"{where}.size: expected 2 positive components, got {size.tolist()}")
     w, hgt = float(size[0]), float(size[1])
     u = np.cross(normal, [0.0, 0.0, 1.0])
     if np.linalg.norm(u) < 1e-6:
@@ -322,60 +389,32 @@ def _plate_mesh(entry, name):
 
 def _load_kinematic(entry, name, base_dir):
     if "plate" in entry:
-        points, tris = _plate_mesh(
-            _mapping(entry["plate"], f"{name}.plate", ("center", "normal", "size")), name
-        )
+        where = f"{name}.plate"
+        points, tris = _plate_mesh(_mapping(entry["plate"], where, ("center", "normal", "size")),
+                                   where)
     elif "mesh" in entry:
         mesh, _ = _load_mesh(entry["mesh"], name, base_dir)
         points, tris = mesh.nodes, surface_triangles(mesh)
     else:
         raise ValidationError(f"{name}: kinematic object needs 'plate' or 'mesh'")
-    motion = _mapping(
-        entry.get("motion"), f"{name}.motion", ("axis", "center", "angular_velocity", "velocity")
-    )
-    spec = MotionSpec(
-        axis=_vec3(motion.get("axis", (0, 0, 1)), name),
-        center=_vec3(motion.get("center", (0, 0, 0)), name),
-        angular_velocity=as_number(
-            motion.get("angular_velocity", 0.0), f"{name}.motion.angular_velocity"
-        ),
-        velocity=_vec3(motion.get("velocity", (0, 0, 0)), name),
-    )
-    if spec.angular_velocity != 0.0 and not np.linalg.norm(spec.axis) > 0:
-        raise ValidationError(f"{name}.motion.axis: a rotating object needs a nonzero axis")
-    return KinematicMeshSpec(name=name, points=points, triangles=tris, motion=spec)
+    where = f"{name}.motion"
+    motion = MotionSpec(**_settings(_mapping(entry.get("motion"), where, _MOTION), where, _MOTION))
+    if motion.angular_velocity != 0.0 and not np.linalg.norm(motion.axis) > 0:
+        raise ValidationError(f"{where}.axis: a rotating object needs a nonzero axis")
+    return KinematicMeshSpec(name=name, points=points, triangles=tris, motion=motion)
 
 
 def _load_rigid_sphere(entry, name):
-    mass = as_number(_require(entry, "mass", name), f"{name}.mass")
+    _require(entry, "mass", name)
     radius = as_number(_require(entry, "radius", name), f"{name}.radius")
     if radius <= 0:
         raise ValidationError(f"{name}.radius: must be positive, got {radius}")
-    inertia = entry.get("inertia")
-    if inertia is None:
-        inertia_mat = (0.4 * mass * radius * radius) * np.eye(3)
-    else:
-        arr = _array(inertia, f"{name}.inertia")
-        if arr.size not in (3, 9):
-            raise ValidationError(f"{name}: inertia needs 3 or 9 components")
-        inertia_mat = np.diag(arr) if arr.size == 3 else arr.reshape(3, 3)
-    vel = _array(entry.get("velocity", np.zeros(6)), f"{name}.velocity")
-    if vel.shape == (3,):
-        vel = np.concatenate([vel, np.zeros(3)])
-    if vel.shape != (6,):
-        raise ValidationError(f"{name}: rigid velocity needs 3 or 6 components")
-    return RigidSphereSpec(
-        name=name,
-        mass=mass,
-        radius=radius,
-        position=_vec3(entry.get("position", (0, 0, 0)), name),
-        velocity=tuple(vel),
-        inertia=inertia_mat,
-    )
+    body = _named(name, RigidBody, radius=radius, **_settings(entry, name, _RIGID_BODY))
+    return RigidSphereSpec(name=name, body=body, **_settings(entry, name, _RIGID))
 
 
 def load_scene(path) -> SceneConfig:
-    """Parse and validate a scene file; defaults are documented in the README."""
+    """Parse a scene file into validated bodies; defaults are documented in the README."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -404,13 +443,7 @@ def load_scene(path) -> SceneConfig:
         if kind == "soft":
             objects.append(_load_soft(entry, name, base_dir))
         elif kind == "plane":
-            objects.append(
-                PlaneSpec(
-                    name=name,
-                    normal=_vec3(entry.get("normal", (0, 1, 0)), name),
-                    offset=as_number(entry.get("offset", 0.0), f"{name}.offset"),
-                )
-            )
+            objects.append(PlaneSpec(name=name, **_settings(entry, name, _PLANE)))
         elif kind in ("kinematic_mesh", "static_mesh"):
             spec = _load_kinematic(entry, name, base_dir)
             if kind == "static_mesh" and spec.motion != MotionSpec():
@@ -419,35 +452,15 @@ def load_scene(path) -> SceneConfig:
         else:
             objects.append(_load_rigid_sphere(entry, name))
 
-    pgs_raw = _mapping(raw.get("pgs"), "pgs", ("iterations", "tolerance"))
-    newton_raw = _mapping(
-        raw.get("newton"), "newton", ("scheme", "iterations", "penetration_tol")
-    )
-    out_raw = _mapping(raw.get("output"), "output", ("snapshots", "metrics", "every"))
-    config = SceneConfig(
+    sections = {key: _mapping(raw.get(key), key, table)
+                for key, table in (("pgs", _PGS), ("newton", _NEWTON), ("output", _OUTPUT))}
+    return SceneConfig(
         objects=objects,
-        gravity=_vec3(raw.get("gravity", DEFAULT_GRAVITY), "gravity"),
-        h=as_number(raw.get("dt", DEFAULT_DT), "dt"),
-        threshold=as_number(raw.get("threshold", DEFAULT_THRESHOLD), "threshold"),
-        pgs=PgsConfig(
-            max_iterations=as_number(pgs_raw.get("iterations", 30), "pgs.iterations", int),
-            tolerance=as_number(pgs_raw.get("tolerance", 1e-6), "pgs.tolerance"),
-            friction=as_number(raw.get("mu", DEFAULT_MU), "mu"),
-        ),
-        newton=NewtonConfig(
-            scheme=str(newton_raw.get("scheme", "single")),
-            max_iterations=as_number(newton_raw.get("iterations", 5), "newton.iterations", int),
-            penetration_tol=as_number(
-                newton_raw.get("penetration_tol", 1e-5), "newton.penetration_tol"
-            ),
-        ),
-        output=OutputConfig(
-            snapshots=bool(out_raw.get("snapshots", True)),
-            metrics=bool(out_raw.get("metrics", True)),
-            every=as_number(out_raw.get("every", 1), "output.every", int),
-        ),
+        **_settings(raw, "", _TOP),
+        pgs=PgsConfig(**_settings(sections["pgs"], "pgs", _PGS), **_settings(raw, "", _FRICTION)),
+        newton=NewtonConfig(**_settings(sections["newton"], "newton", _NEWTON)),
+        output=OutputConfig(**_settings(sections["output"], "output", _OUTPUT)),
     )
-    return config
 
 
 def with_box_divisions(config: SceneConfig, divisions) -> SceneConfig:
@@ -460,7 +473,8 @@ def with_box_divisions(config: SceneConfig, divisions) -> SceneConfig:
     objects = list(config.objects)
     for i, spec in enumerate(objects):
         if isinstance(spec, SoftSpec) and spec.box_params is not None:
-            if not np.array_equal(spec.fixed_nodes, _region_nodes(spec.mesh, spec.fixed_region)):
+            body = spec.body
+            if not np.array_equal(body.fixed_nodes, _region_nodes(body.mesh, spec.fixed_region)):
                 raise ValidationError(
                     f"{spec.name}: fixed_nodes name nodes of the original mesh "
                     "and cannot be carried over to a re-meshed box"
@@ -468,10 +482,8 @@ def with_box_divisions(config: SceneConfig, divisions) -> SceneConfig:
             params = dict(spec.box_params)
             params["divisions"] = tuple(int(d) for d in divisions)
             mesh = box_mesh(**params)
-            objects[i] = replace(
-                spec, mesh=mesh, box_params=params,
-                fixed_nodes=_region_nodes(mesh, spec.fixed_region),
-            )
+            body = replace(body, mesh=mesh, fixed_nodes=_region_nodes(mesh, spec.fixed_region))
+            objects[i] = replace(spec, body=body, box_params=params)
             return replace(config, objects=objects)
     raise ValidationError("scene has no procedural soft box to re-mesh")
 
@@ -486,22 +498,10 @@ class _SoftRuntime:
     def __init__(self, oid, spec: SoftSpec):
         self.oid = oid
         self.spec = spec
-        node_masses = None
-        if spec.node_mass is not None:
-            node_masses = np.full(spec.mesh.n_nodes, spec.node_mass)
-        self.body = SoftBody(
-            spec.mesh,
-            young=spec.young,
-            poisson=spec.poisson,
-            density=spec.density,
-            rayleigh_mass=spec.rayleigh_mass,
-            rayleigh_stiffness=spec.rayleigh_stiffness,
-            fixed_nodes=spec.fixed_nodes,
-            node_masses=node_masses,
-            extra_node_force=np.asarray(spec.extra_force) if spec.extra_force else None,
-        )
-        self.triangles = surface_triangles(spec.mesh)
-        self.vertex_ids = surface_vertices(self.triangles) if len(self.triangles) else np.arange(spec.mesh.n_nodes)
+        self.body = spec.body
+        self.triangles = surface_triangles(self.body.mesh)
+        self.vertex_ids = (surface_vertices(self.triangles) if len(self.triangles)
+                           else np.arange(self.body.mesh.n_nodes))
         self.state = self.body.initial_state(spec.velocity)
         self.factorization = None  # A is constant (linear material): built once
 
@@ -538,7 +538,7 @@ class _RigidRuntime:
     def __init__(self, oid, spec: RigidSphereSpec):
         self.oid = oid
         self.spec = spec
-        self.body = RigidBody(mass=spec.mass, inertia=spec.inertia, radius=spec.radius)
+        self.body = spec.body
         self.rotation = np.eye(3)
         q = np.concatenate([np.asarray(spec.position, dtype=np.float64), np.zeros(3)])
         self.state = MechanicalState(q, np.asarray(spec.velocity, dtype=np.float64))
@@ -552,7 +552,7 @@ class _RigidRuntime:
         return SphereGeometry(
             object_id=self.oid,
             center=pose.position,
-            radius=self.spec.radius,
+            radius=self.body.radius,
             pose=pose,
         )
 

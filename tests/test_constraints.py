@@ -47,7 +47,7 @@ def random_frame(seed):
 def point_mass_pair(mass=1.0, height=-0.002):
     """One-node body of the given mass touching the plane y = 0."""
     mesh = TetMesh(np.array([[0.0, height, 0.0]]), np.zeros((0, 4)))
-    body = SoftBody(mesh, node_masses=np.array([mass]), rayleigh_mass=0.0)
+    body = SoftBody(mesh, node_mass=mass, rayleigh_mass=0.0)
     pair = ProximityPair(
         object_a=0,
         object_b=1,
@@ -199,8 +199,8 @@ class TestDelassus:
         # two identical point masses in touching contact: W doubles
         mesh_a = TetMesh(np.array([[0.0, 0.0, 0.0]]), np.zeros((0, 4)))
         mesh_b = TetMesh(np.array([[0.0, -0.001, 0.0]]), np.zeros((0, 4)))
-        body_a = SoftBody(mesh_a, node_masses=np.array([2.0]), rayleigh_mass=0.0)
-        body_b = SoftBody(mesh_b, node_masses=np.array([2.0]), rayleigh_mass=0.0)
+        body_a = SoftBody(mesh_a, node_mass=2.0, rayleigh_mass=0.0)
+        body_b = SoftBody(mesh_b, node_mass=2.0, rayleigh_mass=0.0)
         pair = ProximityPair(
             object_a=0,
             object_b=1,

@@ -49,7 +49,7 @@ def element_stiffness_bmatrix(verts, young, poisson):
 
 def point_mass_body(mass=2.0, position=(0.0, 0.0, 0.0)):
     mesh = TetMesh(np.array([position]), np.zeros((0, 4)))
-    return SoftBody(mesh, node_masses=np.array([mass]), rayleigh_mass=0.0)
+    return SoftBody(mesh, node_mass=mass, rayleigh_mass=0.0)
 
 
 REGULAR_TET = np.array(
@@ -118,6 +118,16 @@ class TestAssembly:
             SoftBody(mesh, poisson=0.5)
         with pytest.raises(ValidationError):
             SoftBody(mesh, density=0.0)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan")])
+    def test_node_mass_rejected_at_construction(self, mass):
+        with pytest.raises(ValidationError, match="node_mass must be positive"):
+            point_mass_body(mass)
+
+    def test_node_in_no_tet_rejected_at_construction(self):
+        nodes = np.vstack([REGULAR_TET, [[5.0, 5.0, 5.0]]])
+        with pytest.raises(ValidationError, match="every node needs positive mass"):
+            SoftBody(TetMesh(nodes, np.array([[0, 1, 2, 3]])))
 
     @pytest.mark.parametrize("node", [-2, 100, 8])
     def test_fixed_node_out_of_range_rejected(self, node):

@@ -7,6 +7,7 @@ import pytest
 from contactnewton import cli, solver
 from contactnewton.errors import NonFiniteStateError, ParseError, ValidationError
 from contactnewton.scene import (
+    MotionSpec,
     Simulation,
     load_scene,
     load_snapshot,
@@ -121,6 +122,35 @@ BAD_VALUES = {
                        "ball: duplicate object name"),
     "duplicate-default-name": ("objects: [{type: plane}, {name: object0, type: plane}]\n",
                                "object0: duplicate object name"),
+    "plane-normal-zero": ("objects: [{name: ground, type: plane, normal: [0, 0, 0]}]\n",
+                          "ground.normal:"),
+    "plate-size-zero": ("objects: [{name: plate, type: kinematic_mesh, plate: "
+                        "{center: [0, 0, 0], normal: [0, 1, 0], size: [0, 0.2]}}]\n",
+                        "plate.plate.size:"),
+    "snapshots-string": (GROUND + 'output: {snapshots: "false"}\n', "output.snapshots:"),
+    "metrics-number": (GROUND + "output: {metrics: 0}\n", "output.metrics:"),
+    "box-divisions-two": ("objects: [{name: block, type: soft, mesh: {box: "
+                          "{size: [1, 1, 1], divisions: [1, 1]}}}]\n",
+                          "block.mesh.box.divisions:"),
+    # the bodies' own checks, run by the loader and prefixed with the object
+    "young-zero": (f"objects: [{{name: block, type: soft, {BOX}, material: {{young: 0}}}}]\n",
+                   "block: young modulus"),
+    "young-negative": (f"objects: [{{name: block, type: soft, {BOX}, material: {{young: -1}}}}]\n",
+                       "block: young modulus"),
+    "poisson-half": (f"objects: [{{name: block, type: soft, {BOX}, material: {{poisson: 0.5}}}}]\n",
+                     "block: poisson ratio"),
+    "density-zero": (f"objects: [{{name: block, type: soft, {BOX}, material: {{density: 0}}}}]\n",
+                     "block: density"),
+    "node-mass-zero": (f"objects: [{{name: block, type: soft, {BOX}, node_mass: 0}}]\n",
+                       "block: node_mass"),
+    "node-mass-negative": (f"objects: [{{name: block, type: soft, {BOX}, node_mass: -1}}]\n",
+                           "block: node_mass"),
+    "fixed-node-out-of-range": (f"objects: [{{name: block, type: soft, {BOX}, "
+                                "fixed_nodes: [99]}]\n", "block: fixed node ids [99]"),
+    "sphere-mass-negative": ("objects: [{name: ball, type: rigid_sphere, mass: -1, radius: 0.1}]\n",
+                             "ball: rigid mass"),
+    "sphere-inertia-not-spd": (f"objects: [{{{BALL}, radius: 0.1, inertia: [1, 0, -1]}}]\n",
+                               "ball: rigid inertia"),
 }
 
 BAD_SCENES = {
@@ -131,6 +161,8 @@ BAD_SCENES = {
     "output-every-zero": GROUND + "output: {every: 0}\n",
     "soft-empty-mesh": "objects: [{name: block, type: soft, mesh: {}}]\n",
     "kinematic-empty-mesh": "objects: [{name: block, type: kinematic_mesh, mesh: {}}]\n",
+    "box-size-zero": ("objects: [{name: block, type: soft, mesh: {box: "
+                      "{size: [1, 0, 1], divisions: [1, 1, 1]}}}]\n"),
     **{name: text for name, (text, _) in UNKNOWN_KEYS.items()},
     **{name: text for name, (text, _) in FRACTIONAL_COUNTS.items()},
     **{name: text for name, (text, _) in NON_FINITE.items()},
@@ -179,6 +211,31 @@ def test_bad_value_names_its_key(tmp_path, text, message):
     assert str(info.value).startswith(message)
 
 
+def test_minimal_scene_loads_the_readme_defaults(tmp_path):
+    config = load_scene(write_scene(tmp_path, (
+        f"objects: [{{name: block, type: soft, {BOX}}}, {{name: ball, type: rigid_sphere, "
+        f"mass: 2, radius: 0.5}}, {{name: plate, type: kinematic_mesh, {PLATE}}}, "
+        "{name: ground, type: plane}]\n")))
+    assert (config.gravity, config.h, config.threshold) == ((0.0, -9.81, 0.0), 0.01, 0.01)
+    pgs, newton, output = config.pgs, config.newton, config.output
+    assert (pgs.max_iterations, pgs.tolerance, pgs.friction) == (30, 1e-6, 0.5)
+    assert (newton.scheme, newton.max_iterations, newton.penetration_tol) == ("single", 5, 1e-5)
+    assert (output.snapshots, output.metrics, output.every) == (True, True, 1)
+    block, ball, plate, ground = config.objects
+    body = block.body
+    assert (body.young, body.poisson, body.density) == (1e4, 0.3, 1000.0)
+    assert (body.rayleigh_mass, body.rayleigh_stiffness) == (0.1, 0.1)
+    assert (body.fixed_nodes.size, body.node_mass, body.extra_force) == (0, None, None)
+    assert block.velocity == (0.0, 0.0, 0.0)
+    assert np.array_equal(body.mesh.nodes.min(axis=0), -body.mesh.nodes.max(axis=0))  # centered
+    assert (ball.position, ball.velocity) == ((0.0, 0.0, 0.0), (0.0,) * 6)
+    assert np.array_equal(ball.body.inertia, 0.2 * np.eye(3))  # solid sphere, 0.4 m r^2
+    assert plate.motion == MotionSpec(axis=(0.0, 0.0, 1.0), center=(0.0, 0.0, 0.0),
+                                      angular_velocity=0.0, velocity=(0.0, 0.0, 0.0))
+    assert np.ptp(plate.points, axis=0) == pytest.approx([0.1, 0.0, 0.1])  # plate size
+    assert (ground.normal, ground.offset) == ((0.0, 1.0, 0.0), 0.0)
+
+
 def test_zero_axis_without_rotation_is_valid(tmp_path):
     config = load_scene(write_scene(tmp_path, (
         f"objects: [{{name: plate, type: kinematic_mesh, {PLATE}, "
@@ -193,6 +250,11 @@ def test_whole_float_counts_load_as_integers(tmp_path):
         tmp_path, GROUND + "pgs: {iterations: 3.0}\nnewton: {iterations: 2.0}\n"))
     assert (config.pgs.max_iterations, config.newton.max_iterations) == (3, 2)
     assert isinstance(config.pgs.max_iterations, int)
+
+
+def test_box_mesh_error_names_the_object(tmp_path):
+    with pytest.raises(ParseError, match="^block: invalid box mesh"):
+        load_scene(write_scene(tmp_path, BAD_SCENES["box-size-zero"]))
 
 
 @pytest.mark.parametrize("kind", ["soft", "kinematic"])
@@ -269,9 +331,9 @@ def test_remeshed_box_keeps_its_fixed_region(tmp_path):
     remeshed = with_box_divisions(load_scene(write_scene(tmp_path, COLUMN)), (3, 7, 3))
     fresh = load_scene(write_scene(tmp_path, COLUMN.replace("[2, 4, 2]", "[3, 7, 3]")))
     [spec], [want] = remeshed.objects, fresh.objects
-    assert np.array_equal(spec.fixed_nodes, want.fixed_nodes)
-    assert len(spec.fixed_nodes) == 16  # the bottom layer of a 3 x 3 box
-    assert np.all(spec.mesh.nodes[spec.fixed_nodes, 1] <= 0.0)
+    assert np.array_equal(spec.body.fixed_nodes, want.body.fixed_nodes)
+    assert len(spec.body.fixed_nodes) == 16  # the bottom layer of a 3 x 3 box
+    assert np.all(spec.body.mesh.nodes[spec.body.fixed_nodes, 1] <= 0.0)
 
 
 def test_remeshing_explicit_fixed_nodes_is_refused(tmp_path):
@@ -460,6 +522,17 @@ def test_prepare_step_commits_nothing(seam_config):
     # the fast scheme's W_g cache may now hold the step's columns, so only
     # the solve count can differ
     assert outcome(sim, sim.step()) == outcome(fresh, fresh.step())
+
+
+def test_simulations_sharing_one_config_step_as_from_two_loads(tmp_path):
+    # the loaded bodies and their caches are shared; factorizations are not
+    path = write_scene(tmp_path, MIXED_SCENE)
+    config = load_scene(path)
+    shared = Simulation(config), Simulation(config)
+    separate = Simulation(load_scene(path)), Simulation(load_scene(path))
+    for _ in range(3):
+        for one, other in zip(shared, separate):
+            assert outcome(one, one.step()) == outcome(other, other.step())
 
 
 def test_verify_prepares_the_first_steps_pairs(seam_config):
