@@ -41,10 +41,13 @@ ways, but a kinematic or static mesh's vertices are never paired: pairing a
 plate corner against a soft body's triangle as well as the soft vertices
 against the plate duplicated rows of S, left W singular and stalled PGS. So
 a vertex of a non-deformable mesh that enters a soft body is not
-constrained. The mesh query runs on blocks of vertices against all of B's
-triangles at once, at most ``QUERY_ENTRIES`` vertex x triangle entries per
-block so memory stays bounded, and each entry uses the formulas of a
-one-point query, so the pairs are bitwise those of a query per vertex.
+constrained. A pinned vertex of a soft body carries no DOFs either: the
+scene leaves it out of the mesh's ``vertex_ids``, so it is never paired and
+every A side gives W a positive-definite diagonal block. The mesh query
+runs on blocks of vertices against all of B's triangles at once, at most
+``QUERY_ENTRIES`` vertex x triangle entries per block so memory stays
+bounded, and each entry uses the formulas of a one-point query, so the
+pairs are bitwise those of a query per vertex.
 There is no distance cull against B's bounding box: a vertex behind an open
 plate or deep inside B has signed distance -dist, which passes the gate
 however far away it is, and culling it would change the pair list.

@@ -180,10 +180,16 @@ def _settings(section, where, table):
 
     ``table`` maps a scene key to ``(field, parse)``; ``parse(value, path)``
     converts the value and names ``path``, ``<where>.<key>``, in its error.
+    A key written with no value (YAML null) is an error.
     """
     prefix = f"{where}." if where else ""
-    return {name: parse(section[key], prefix + key)
-            for key, (name, parse) in table.items() if key in section}
+    out = {}
+    for key, (name, parse) in table.items():
+        if key in section:
+            if section[key] is None:
+                raise ValidationError(f"{prefix}{key}: no value given")
+            out[name] = parse(section[key], prefix + key)
+    return out
 
 
 def _as_is(value, where):
@@ -500,8 +506,10 @@ class _SoftRuntime:
         self.spec = spec
         self.body = spec.body
         self.triangles = surface_triangles(self.body.mesh)
-        self.vertex_ids = (surface_vertices(self.triangles) if len(self.triangles)
-                           else np.arange(self.body.mesh.n_nodes))
+        ids = (surface_vertices(self.triangles) if len(self.triangles)
+               else np.arange(self.body.mesh.n_nodes))
+        # a pinned vertex carries no DOFs, so it is never paired
+        self.vertex_ids = np.setdiff1d(ids, self.body.fixed_nodes)
         self.state = self.body.initial_state(spec.velocity)
         self.factorization = None  # A is constant (linear material): built once
 
@@ -872,7 +880,7 @@ class Simulation:
         self.step_index += 1
         self.last_pairs = ctx.pairs
         self.last_frames = result.final_frames
-        self.last_lam = lam = result.lam_history[-1]
+        self.last_lam = lam = result.lam
 
         lam_groups = lam.reshape(-1, 3) if lam.size else np.zeros((0, 3))
         lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)

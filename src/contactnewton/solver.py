@@ -5,7 +5,9 @@ one group's 3 x 3 block with every other group frozen: the normal row is
 updated first (clamped at zero), then the tangential pair is solved exactly
 and projected onto the friction disk of radius mu * lambda_n. The sweep
 stops when the relative change of lambda drops below the configured
-tolerance.
+tolerance. Every diagonal block must be positive definite, as it is when
+each A side carries DOFs (detection pairs no pinned vertex); the local
+solve raises :class:`SingularBlockError` on a block that is not.
 
 A sweep runs on plain Python floats. Before the sweeps, :func:`pgs` takes
 each group's diagonal-block scalars once (:func:`group_blocks`) and builds one
@@ -137,31 +139,6 @@ class PgsResult:
     converged: bool
 
 
-def regularize(W: np.ndarray) -> np.ndarray:
-    """Shift singular per-group diagonal blocks so every local solve is posed.
-
-    Applied only to groups whose 3 x 3 block is (numerically) singular: a
-    contact whose nodes are all fixed has its rows of S zeroed, so its block
-    is zero. The shift is 1e-10 trace(W) / c (1e-30 when W is zero).
-    """
-    c = W.shape[0]
-    if c == 0:
-        return W
-    shift = 1e-10 * np.trace(W) / c
-    if shift <= 0:
-        shift = 1e-30
-    blocks = W[_block_index(c)]
-    eigs = np.linalg.eigvalsh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
-    scale = np.maximum(np.abs(eigs).max(axis=1), 1e-300)
-    singular = np.flatnonzero(eigs.min(axis=1) <= 1e-12 * scale)
-    if singular.size == 0:
-        return W
-    out = W.copy()
-    for g in singular:
-        out[3 * g : 3 * g + 3, 3 * g : 3 * g + 3] += shift * np.eye(3)
-    return out
-
-
 def _block_index(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Fancy index picking the (c // 3, 3, 3) diagonal group blocks of a c x c matrix."""
     rows = np.arange(3 * (c // 3)).reshape(-1, 3)
@@ -237,7 +214,6 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
         return PgsResult(np.zeros(0), np.zeros(0), 0, [], True)
     if W.shape != (c, c) or c % 3:
         raise SingularBlockError(f"W is {W.shape}, violation has {c} rows (3 per group)")
-    W = regularize(W)
     h2 = h * h
     mu = config.friction
     n_groups = c // 3
@@ -318,6 +294,7 @@ class IterationStats:
 class CorrectionResult:
     dv_by_object: dict[int, np.ndarray]
     lam_history: list[np.ndarray]  # (c,) grouped (lambda_n, lambda_t1, lambda_t2) per iteration
+    lam: np.ndarray = field(default_factory=lambda: np.zeros(0))  # step's force in final frames
     iterations: list[IterationStats] = field(default_factory=list)
     final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
@@ -358,8 +335,10 @@ def _newton(
     D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W, ``move(D, lam,
     r)`` returns the new relative proximity positions, and
     ``finish(accumulated)`` turns the summed impulse D_k^T lambda_k into
-    ``dv_by_object``. The operations must look up their module-level names
-    when called: the layer tracer of the benchmark patches those names.
+    ``dv_by_object``. The step's force ``lam`` is that sum in the final
+    frames, D_K sum_k D_k^T lambda_k. The operations must look up their
+    module-level names when called: the layer tracer of the benchmark
+    patches those names.
     """
     D = assemble_direction(ctx.detection_frames)
     r = ctx.r0
@@ -403,6 +382,7 @@ def _newton(
     result.dv_by_object = finish(accumulated)
     result.final_correction_time = time.perf_counter() - t0
     result.final_frames = D
+    result.lam = np.einsum("gij,gj->gi", D, accumulated.reshape(-1, 3)).ravel()
     return result
 
 

@@ -20,7 +20,7 @@ from contactnewton.verify import (
     check_scheme_equivalence,
     prepare,
 )
-from test_scene import MIXED_SCENE, blow_up_scene_text, write_scene
+from test_scene import MIXED_SCENE, PINNED_BOX, blow_up_scene_text, write_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -125,6 +125,28 @@ def test_verify_passes_on_rigid_and_plane_attachments(tmp_path, capsys):
     assert [line.split()[:2] for line in lines] == [
         ["PASS", "congruence-identity:"], ["PASS", "complementarity:"],
         ["PASS", "scheme-equivalence:"]]
+
+
+def test_verify_passes_on_pinned_box(tmp_path, capsys):
+    # pinned vertices are not paired, so every W block is posed
+    scene = write_scene(tmp_path, PINNED_BOX, "pinned.scn")
+    assert cli.main(["verify", "--scene", str(scene)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "congruence-identity:"], ["PASS", "complementarity:"],
+        ["PASS", "scheme-equivalence:"]]
+
+
+def test_run_on_pinned_box_reports_less_than_its_weight(tmp_path, capsys):
+    # 20 of the 25 bottom vertices are paired; the 5 pinned ones carry part
+    # of the 1 kg box's weight
+    scene = write_scene(tmp_path, PINNED_BOX, "pinned.scn")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scene", str(scene), "--steps", "5", "--out", str(out)]) == 0
+    with open(out / "metrics.csv") as fh:
+        metrics = list(csv.DictReader(fh))
+    assert [m["c_groups"] for m in metrics] == ["20"] * 5
+    assert all(0.0 < float(m["lambda_n_sum"]) < 9.81 for m in metrics)
 
 
 def clear_thread_vars(monkeypatch):

@@ -1,10 +1,11 @@
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contactnewton import cli, solver
+from contactnewton import cli, scene, solver
 from contactnewton.errors import NonFiniteStateError, ParseError, ValidationError
 from contactnewton.scene import (
     MotionSpec,
@@ -42,6 +43,20 @@ objects:
     type: kinematic_mesh
     plate: {center: [0.0, 0.2, 0.0], normal: [0.0, -1.0, 0.0], size: [0.1, 0.1]}
     motion: {axis: [0.0, 1.0, 0.0], angular_velocity: 1.0}
+  - name: ground
+    type: plane
+"""
+
+# a 1 kg box on the ground with 5 of its 25 bottom vertices pinned
+PINNED_BOX = """\
+dt: 0.01
+threshold: 0.01
+newton: {scheme: fast}
+objects:
+  - name: box
+    type: soft
+    mesh: {box: {size: [0.1, 0.1, 0.1], divisions: [4, 4, 4], center: [0.0, 0.0498, 0.0]}}
+    fixed_region: {axis: x, max: -0.049}
   - name: ground
     type: plane
 """
@@ -109,6 +124,15 @@ NON_FINITE = {
     "pgs-iterations-huge": (GROUND + f"pgs: {{iterations: {'9' * 400}}}\n", "pgs.iterations:"),
 }
 
+# (scene text, the key the error must name): a key written with no value
+NO_VALUE = {
+    "extra-force-none": (f"objects: [{{name: block, type: soft, {BOX}, extra_force: }}]\n",
+                         "block.extra_force: no value given"),
+    "velocity-none": (f"objects: [{{name: block, type: soft, {BOX}, velocity: }}]\n",
+                      "block.velocity: no value given"),
+    "dt-none": (GROUND + "dt:\n", "dt: no value given"),
+}
+
 BALL = "name: ball, type: rigid_sphere, mass: 1"
 
 # (scene text, the key the error must name): values the physics cannot use
@@ -166,6 +190,7 @@ BAD_SCENES = {
     **{name: text for name, (text, _) in UNKNOWN_KEYS.items()},
     **{name: text for name, (text, _) in FRACTIONAL_COUNTS.items()},
     **{name: text for name, (text, _) in NON_FINITE.items()},
+    **{name: text for name, (text, _) in NO_VALUE.items()},
     **{name: text for name, (text, _) in BAD_VALUES.items()},
 }
 
@@ -211,6 +236,19 @@ def test_bad_value_names_its_key(tmp_path, text, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("text, message", NO_VALUE.values(), ids=NO_VALUE.keys())
+def test_key_without_value_says_so(tmp_path, text, message):
+    with pytest.raises(ValidationError) as info:
+        load_scene(write_scene(tmp_path, text))
+    assert str(info.value) == message
+
+
+def test_empty_section_reads_as_defaults(tmp_path):
+    config = load_scene(write_scene(
+        tmp_path, f"pgs:\nobjects: [{{name: block, type: soft, {BOX}, material: }}]\n"))
+    assert (config.pgs.max_iterations, config.objects[0].body.young) == (30, 1e4)
+
+
 def test_minimal_scene_loads_the_readme_defaults(tmp_path):
     config = load_scene(write_scene(tmp_path, (
         f"objects: [{{name: block, type: soft, {BOX}}}, {{name: ball, type: rigid_sphere, "
@@ -234,6 +272,16 @@ def test_minimal_scene_loads_the_readme_defaults(tmp_path):
                                       angular_velocity=0.0, velocity=(0.0, 0.0, 0.0))
     assert np.ptp(plate.points, axis=0) == pytest.approx([0.1, 0.0, 0.1])  # plate size
     assert (ground.normal, ground.offset) == ((0.0, 1.0, 0.0), 0.0)
+
+
+def test_readme_scene_key_table_lists_every_loader_key():
+    readme = (SCENES.parent / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    sections = (("pgs", scene._PGS), ("newton", scene._NEWTON), ("output", scene._OUTPUT))
+    accepted = ["objects", *scene._TOP, *scene._FRICTION,
+                *(f"{name}.{key}" for name, keys in sections for key in keys)]
+    assert sorted(documented) == sorted(accepted)
 
 
 def test_zero_axis_without_rotation_is_valid(tmp_path):
@@ -539,3 +587,111 @@ def test_verify_prepares_the_first_steps_pairs(seam_config):
     sim = Simulation(seam_config)
     sim.step()
     assert same_contacts(prepare(seam_config).pairs, sim.last_pairs)
+
+
+# --- every shipped scene under every scheme, plus the pinned box ----------------
+
+SCHEMES = ("single", "standard", "fast")
+SHIPPED = [(path.stem, scheme) for path in sorted(SCENES.glob("*.scn")) for scheme in SCHEMES]
+
+
+@pytest.fixture(scope="module", params=SHIPPED + [("pinned_box", s) for s in SCHEMES],
+                ids=lambda p: "-".join(p))
+def recorded_steps(request, tmp_path_factory):
+    """Two steps of a scene under one scheme: per step, the detection of the
+    committed states before it, the context it prepared, its report and the
+    penetration of its pairs at the committed positions after it; and every
+    W handed to PGS."""
+    name, scheme = request.param
+    path = SCENES / f"{name}.scn"
+    if name == "pinned_box":
+        path = write_scene(tmp_path_factory.mktemp("pinned"), PINNED_BOX)
+    config = load_scene(path)
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme=scheme)))
+    prepared, handed = [], []
+    prepare_now, pgs_now = sim.prepare_step, solver.pgs
+
+    def recording_prepare():
+        prepared.append(prepare_now())
+        return prepared[-1]
+
+    def recording_pgs(W, delta, h, config):
+        handed.append(W.copy())
+        return pgs_now(W, delta, h, config)
+
+    steps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "prepare_step", recording_prepare)
+        mp.setattr(solver, "pgs", recording_pgs)
+        for _ in range(2):
+            detected = sim.detect(committed(sim), sim.time)
+            report = sim.step()
+            q = {oid: state.q for oid, state in committed(sim).items()}
+            pen = sim.penetration(sim.last_pairs, q, sim.time)
+            steps.append((detected, prepared[-1].ctx, report, pen))
+    return steps, handed
+
+
+def test_every_scheme_detects_the_next_steps_pairs_from_committed_states(recorded_steps):
+    for (pairs, frames), ctx, _, _ in recorded_steps[0]:
+        assert len(pairs) > 0
+        assert same_contacts(pairs, ctx.pairs)
+        assert same_bits(frames, ctx.detection_frames)
+
+
+def test_every_scheme_measures_pen_after_at_committed_positions(recorded_steps):
+    for _, _, report, pen in recorded_steps[0]:
+        assert same_bits(pen, report.pen_after)
+
+
+def test_every_w_handed_to_pgs_has_positive_definite_blocks(recorded_steps):
+    handed = recorded_steps[1]
+    assert handed
+    for W in handed:
+        g = np.arange(len(W) // 3)
+        blocks = W.reshape(len(g), 3, len(g), 3)[g, :, g, :]
+        eigs = np.linalg.eigvalsh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
+        assert (eigs.min(axis=1) > 1e-12 * np.abs(eigs).max(axis=1)).all()
+
+
+# --- the reported force: the step's, in the final frames --------------------------
+
+
+@pytest.mark.parametrize("scheme", ["standard", "fast"])
+def test_forced_iterations_report_the_steps_force(scheme):
+    # each forced iteration adds a small increment; the column's weight is
+    # carried by their sum
+    config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 6, 7))
+    newton = replace(config.newton, scheme=scheme, max_iterations=5,
+                     penetration_tol=-1.0, rotation_tol=-1.0)
+    sim = Simulation(replace(config, newton=newton))
+    column = config.objects[0]
+    weight = column.body.density * np.prod(column.box_params["size"]) * 9.81
+    for _ in range(6):
+        report = sim.step()
+        assert report.newton_iterations == 5
+        assert report.lambda_n_sum > 0.5 * weight
+        assert report.lambda_n_sum == sim.last_lam[0::3].sum()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_iteration_steps_report_the_pgs_force(scheme):
+    config = load_scene(SCENES / "grasp_rotate.scn")
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme=scheme,
+                                                    max_iterations=1)))
+    solved = []
+    pgs_now = solver.pgs
+
+    def recording_pgs(*args):
+        res = pgs_now(*args)
+        solved.append(res.lam)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "pgs", recording_pgs)
+        for _ in range(3):
+            report = sim.step()
+            lam = solved[-1]
+            assert report.newton_iterations == 1
+            assert np.abs(sim.last_lam - lam).max() <= 1e-12 * np.abs(lam).max()
+            assert report.lambda_n_max == sim.last_lam[0::3].max()

@@ -36,7 +36,6 @@ from contactnewton.solver import (
     newton_fast,
     newton_standard,
     pgs,
-    regularize,
 )
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -51,26 +50,6 @@ SCENES = Path(__file__).resolve().parents[1] / "scenes"
 # dlambda, ``"unscaled"`` as h^2 (W[:, g] @ dlambda), the order the array solver
 # had. Both differ from the row read only in summation order, so the sweep
 # matches them to rounding.
-
-
-def regularize_reference(W: np.ndarray) -> np.ndarray:
-    c = W.shape[0]
-    if c == 0:
-        return W
-    shift = 1e-10 * np.trace(W) / c
-    if shift <= 0:
-        shift = 1e-30
-    out = None
-    for g in range(c // 3):
-        blk = W[3 * g : 3 * g + 3, 3 * g : 3 * g + 3]
-        sym = 0.5 * (blk + blk.T)
-        eigs = np.linalg.eigvalsh(sym)
-        scale = max(abs(eigs).max(), 1e-300)
-        if eigs.min() <= 1e-12 * scale:
-            if out is None:
-                out = W.copy()
-            out[3 * g : 3 * g + 3, 3 * g : 3 * g + 3] += shift * np.eye(3)
-    return W if out is None else out
 
 
 def local_solve_reference(
@@ -120,7 +99,6 @@ def pgs_reference(
         return PgsResult(np.zeros(0), np.zeros(0), 0, [], True)
     if W.shape != (c, c):
         raise SingularBlockError(f"W is {W.shape}, violation has {c} rows")
-    W = regularize_reference(W)
     h2 = h * h
     hW = h2 * W
     row_blocks = np.hstack([hW, delta_base[:, None]])  # [h^2 W | delta_base]
@@ -384,17 +362,15 @@ class TestPgs:
         assert np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.delta_end, r2.delta_end)
 
-    def test_duplicate_contacts_regularized(self):
+    def test_duplicate_contacts_resolved(self):
         # a duplicated contact leaves both diagonal blocks regular but the
-        # system singular (rank 3); regularize does not fire, and PGS must
-        # still resolve the penetration
+        # system singular (rank 3); PGS must still resolve the penetration
         W1 = np.diag([1.0, 1.0, 1.0])
         W = np.zeros((6, 6))
         W[:3, :3] = W1
         W[3:, 3:] = W1
         W[:3, 3:] = W1
         W[3:, :3] = W1  # rank 3: duplicated contact
-        assert regularize(W) is W
         delta = np.array([-0.01, 0, 0, -0.01, 0, 0.0])
         res = pgs(W, delta, 0.01, PgsConfig(max_iterations=300, tolerance=1e-10))
         assert res.delta_end[::3].min() >= -1e-6
@@ -433,24 +409,20 @@ def assert_close_pgs(res, ref, delta_base, rtol=1e-10):
     assert np.abs(res.delta_end - ref.delta_end).max() <= rtol * np.abs(delta_base).max()
 
 
-def random_problem(rng, singular):
+def random_problem(rng):
     groups = int(rng.integers(2, 7))
     c = 3 * groups
     B = rng.standard_normal((c, c))
-    if singular:  # group 1's tangent rows coincide: its block gets the shift
-        B[5] = B[4]
-        W = B @ B.T
-    else:
-        W = B @ B.T + rng.uniform(0.1, c) * np.eye(c)
+    W = B @ B.T + rng.uniform(0.1, c) * np.eye(c)
     return W, rng.uniform(-0.01, 0.005, c)
 
 
 def random_cases(mu):
     """24 random problems with friction ``mu``, half run to convergence and
-    half to a sweep cap, every third with a singular block."""
+    half to a sweep cap."""
     rng = np.random.default_rng(int(10 * mu) + 1)
     for trial in range(24):
-        W, delta = random_problem(rng, singular=trial % 3 == 0)
+        W, delta = random_problem(rng)
         if trial % 2:
             cfg = PgsConfig(max_iterations=400, tolerance=1e-5, friction=mu)
         else:
@@ -489,9 +461,7 @@ class TestPgsMatchesReference:
             res = pgs(W, delta, 0.01, cfg)
             assert_same_pgs(res, pgs_reference(W, delta, 0.01, cfg))
             seen.add("converged" if res.converged else "max_iterations")
-            if regularize(W) is not W:
-                seen.add("regularized")
-        assert seen == {"converged", "max_iterations", "regularized"}
+        assert seen == {"converged", "max_iterations"}
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
     def test_random_problems_match_unscaled_update(self, mu):
@@ -504,14 +474,6 @@ class TestPgsMatchesReference:
         for W, delta, cfg in random_cases(mu):
             assert_close_pgs(pgs(W, delta, 0.01, cfg),
                              pgs_reference(W, delta, 0.01, cfg, update="columns"), delta)
-
-    def test_regularize_matches_reference(self):
-        rng = np.random.default_rng(2)
-        for trial in range(12):
-            W, _ = random_problem(rng, singular=trial % 2 == 0)
-            assert np.array_equal(regularize(W), regularize_reference(W))
-        W = np.zeros((6, 6))
-        assert np.array_equal(regularize(W), regularize_reference(W))
 
     def test_grasp_rotate_inputs(self, grasp_rotate_pgs_inputs):
         for W, delta, h, config in grasp_rotate_pgs_inputs:
@@ -538,8 +500,8 @@ class TestPgsMatchesReference:
             assert np.array_equal(delta, delta_in), trial
 
 
-# a block resting on the plane with its bottom node layer fixed: every
-# contact is on fixed DOFs
+# a block resting on the plane with its bottom node layer pinned: only those
+# vertices lie within the threshold of the plane
 FIXED_ON_PLANE = """\
 dt: 0.01
 threshold: 0.01
@@ -553,30 +515,20 @@ objects:
 """
 
 
-def test_contacts_on_fixed_nodes_are_regularized(tmp_path, monkeypatch):
-    # the contact rows of S are zeroed, so every group's W block is zero and
-    # only regularize's shift gives the local solve a normal compliance
+def test_pinned_vertices_are_not_paired(tmp_path):
+    # without its pin the bottom layer's 9 vertices would be paired
+    path = tmp_path / "free.scn"
+    path.write_text(FIXED_ON_PLANE.replace("    fixed_region: {axis: y, max: 0.0}\n", ""))
+    assert Simulation(load_scene(path)).step().c_groups == 9
     path = tmp_path / "fixed.scn"
     path.write_text(FIXED_ON_PLANE)
     sim = Simulation(load_scene(path))
-    regularize_now = solver.regularize
-    shifted = []
-
-    def recording_regularize(W):
-        out = regularize_now(W)
-        shifted.append(out is not W)
-        return out
-
-    monkeypatch.setattr(solver, "regularize", recording_regularize)
     block = sim.dynamic_objects[0]
     q0 = block.state.q.copy()
     fixed = block.body.fixed_mask
+    assert fixed.reshape(-1, 3).all(axis=1).sum() == 9
     for _ in range(3):
-        ctx = sim.prepare_step().ctx
-        assert ctx.pairs.a.nodes[:, 0].tolist() == np.flatnonzero(fixed[::3]).tolist()
-        assert ctx.S_by_object[block.oid].count_nonzero() == 0
-        assert sim.step().c_groups == 9
-    assert shifted == [True] * 3
+        assert sim.step().c_groups == 0
     assert np.array_equal(block.state.q[fixed], q0[fixed])
     assert np.isfinite(block.state.q).all() and (block.state.q != q0).any()
 
