@@ -31,6 +31,24 @@ To keep the local solve bitwise, the disk projection keeps ``np.hypot``:
 only when the squared tangential impulse reaches (1 - 1e-6) times the squared
 radius of the disk.
 
+A visit whose local solve provably returns zero again is skipped. A group at
+lambda = 0 gets zero back exactly when its normal violation reads
+delta_n >= 0. Let omega_g = max_j |h^2 W[3g, j]| and let ``moved`` be the sum
+of |d lambda|_1 over every lambda write of the call. Once a group read
+delta_rec at lambda = 0 and got zero back with ``moved`` at m_rec, its exact
+violation can since have fallen by at most omega_g (moved - m_rec). So its
+visits are skipped while delta_rec - omega_g (moved - m_rec) exceeds the
+margin rho (|delta_rec| + omega_g m_rec) + 1e-300. The margin covers the
+rounding of both row reads, each at most (c + 1) u (|delta_base| + omega_g
+|lambda|_1) with u = 2^-53 and |lambda|_1 <= moved, and the rounding of
+``moved``'s running sum, at most (writes) u moved. Hence rho = 8 u (c + 4 +
+groups x the sweep cap), the last term bounding the writes. The absolute
+term covers underflow. A skipped visit leaves lambda as the local solve would
+have, so lambda, the sweep count and ``delta_end`` are bitwise those of the
+sweep that visits every group; ``PgsResult.local_solves`` counts the visits
+that ran. Input with NaN or infinity raises :class:`NonFiniteStateError`
+before the first sweep, which also keeps the bound's arithmetic finite.
+
 The recursive correction is one Newton loop, :func:`_newton`. Its only
 proximity state is the stacked relative position r = pA - pB, one 3-row per
 pair. Each iteration re-linearizes the directions from r (stopping when they
@@ -69,6 +87,7 @@ report and ``newton.csv`` are built from these records alone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -87,7 +106,7 @@ from .constraints import (
     fast_update_proximity,
     rebuild_W_fast,
 )
-from .errors import SingularBlockError, ValidationError, as_number
+from .errors import NonFiniteStateError, SingularBlockError, ValidationError, as_number
 from .linalg import Factorization
 
 SCHEMES = ("single", "standard", "fast")
@@ -137,6 +156,7 @@ class PgsResult:
     iterations: int
     eps_history: list[float]
     converged: bool
+    local_solves: int = 0  # local_solve calls the sweeps made; skipped visits make none
 
 
 def _block_index(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +179,11 @@ def group_blocks(W: np.ndarray, h2: float) -> list[tuple[float, ...]]:
 
 
 _ZERO = (0.0, 0.0, 0.0)
+
+# The skip test's rounding margin (module docstring): rho = _SKIP_ROUNDING *
+# (c + 4 + groups x sweeps) relative, plus _SKIP_FLOOR absolute for underflow.
+_SKIP_ROUNDING = 8 * 2.0**-53
+_SKIP_FLOOR = 1e-300
 
 
 def local_solve(
@@ -208,6 +233,9 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     """Sweep the groups until the relative lambda change drops below tolerance.
 
     Returns lambda and the end-of-step violation delta_base + h^2 W lambda.
+    Visits that provably leave a separated group at zero are skipped (module
+    docstring). A non-finite entry in W or delta_base raises
+    :class:`NonFiniteStateError` naming the first bad group.
     """
     c = len(delta_base)
     if c == 0:
@@ -222,26 +250,47 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     rows = np.empty((n_groups, 3, c + 1))
     np.multiply(W.reshape(n_groups, 3, c), h2, out=rows[:, :, :c])
     rows[:, :, c] = delta_base.reshape(n_groups, 3)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        g = int(np.argmin(finite.all(axis=(1, 2))))
+        what = "violation" if finite[g, :, :c].all() else "compliance row"
+        raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
     reads = [row.dot for row in rows]  # reads[g](lam) is group g's violation
     lam = np.zeros(c + 1)
     lam[c] = 1.0
     lam_items = memoryview(lam)  # single entries as Python floats, not numpy scalars
     lam_now = lam[:c]
     lam_prev = np.zeros(c)  # lam_now after the previous sweep
+    # the skip bound (module docstring): group g's visits are skipped while
+    # moved, the summed |d lambda|_1 of every write, is below skip_until[g]
+    omega = np.abs(rows[:, 0, :c]).max(axis=1).tolist()
+    rel = _SKIP_ROUNDING * (c + 4 + n_groups * config.max_iterations)
+    moved = 0.0
+    skip_until = [-math.inf] * n_groups
+    skipped = 0
     eps_history: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
         for g in range(n_groups):
+            if moved < skip_until[g]:
+                skipped += 1
+                continue
             i = 3 * g
             old = (lam_items[i], lam_items[i + 1], lam_items[i + 2])
+            delta = reads[g](lam).tolist()
             try:
-                new = local_solve(blocks[g], reads[g](lam).tolist(), old, mu, h2)
+                new = local_solve(blocks[g], delta, old, mu, h2)
             except SingularBlockError as exc:
                 raise SingularBlockError(f"group {g}: {exc}") from None
             if new != old:
                 lam_items[i], lam_items[i + 1], lam_items[i + 2] = new
+                moved += abs(new[0] - old[0]) + abs(new[1] - old[1]) + abs(new[2] - old[2])
+            elif new is _ZERO:  # separated, and stays so until moved reaches the limit
+                dn = delta[0]
+                margin = rel * (abs(dn) + omega[g] * moved) + _SKIP_FLOOR
+                skip_until[g] = moved + (dn - margin) / omega[g]
         num = float(np.linalg.norm(lam_now - lam_prev))
         den = float(np.linalg.norm(lam_now))
         eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
@@ -251,7 +300,8 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
             break
         lam_prev[:] = lam_now
     delta_end = delta_base + h2 * (W @ lam_now)
-    return PgsResult(lam_now, delta_end, iterations, eps_history, converged)
+    local_solves = n_groups * iterations - skipped
+    return PgsResult(lam_now, delta_end, iterations, eps_history, converged, local_solves)
 
 
 # --- recursive correction schemes ----------------------------------------------
@@ -285,6 +335,7 @@ class IterationStats:
     pgs_time: float
     correction_time: float  # moving r
     pgs_iterations: int
+    pgs_local_solves: int  # local solves PGS ran, skipped visits excluded
     pgs_eps: float
     pgs_converged: bool
     rotation: float  # frame turn measured before the iteration, 0 in the first
@@ -370,6 +421,7 @@ def _newton(
                 pgs_time=t2 - t1,
                 correction_time=t3 - t2,
                 pgs_iterations=res.iterations,
+                pgs_local_solves=res.local_solves,
                 pgs_eps=res.eps_history[-1] if res.eps_history else 0.0,
                 pgs_converged=res.converged,
                 rotation=rotation,

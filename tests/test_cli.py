@@ -101,6 +101,8 @@ def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
         mine = [r for r in rows if r["step"] == m["step"]]
         assert [r["iteration"] for r in mine] == [str(k) for k in range(len(mine))]
         assert sum(int(r["pgs_iterations"]) for r in mine) == int(m["pgs_iterations_total"])
+        for r in mine:  # one local solve per group and sweep at most, skips excluded
+            assert 0 < int(r["pgs_local_solves"]) <= int(m["c_groups"]) * int(r["pgs_iterations"])
         assert str(all(r["pgs_converged"] == "True" for r in mine)) == m["pgs_converged"]
     assert any(m["newton_iterations"] != "1" for m in metrics)
     assert any(m["pgs_converged"] == "False" for m in metrics)

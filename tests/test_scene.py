@@ -462,6 +462,25 @@ def test_non_finite_correction_commits_nothing(monkeypatch):
     assert sim.objects[0].state is state
 
 
+@pytest.mark.parametrize("scheme", ["single", "standard", "fast"])
+def test_non_finite_violation_stops_pgs_and_commits_nothing(monkeypatch, scheme):
+    # a NaN violation used to read as a separated contact in PGS, and the
+    # Newton loop then stopped on "penetration" with the NaN unreported
+    def nan_violation(D, r, _fn=solver.compute_violation):
+        delta = _fn(D, r)
+        delta[3] = np.nan
+        return delta
+
+    monkeypatch.setattr(solver, "compute_violation", nan_violation)
+    config = load_scene(SCENES / "block_on_plane.scn")
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme=scheme)))
+    state = sim.objects[0].state
+    with pytest.raises(NonFiniteStateError, match="group 1: non-finite violation"):
+        sim.step()
+    assert (sim.time, sim.step_index) == (0.0, 0)
+    assert sim.objects[0].state is state
+
+
 def test_step_reports_system_solves():
     config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 4, 7))
     sim = Simulation(replace(config, newton=replace(config.newton, scheme="fast")))

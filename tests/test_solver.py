@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from contactnewton.constraints import (
     compute_violation,
 )
 from contactnewton.dynamics import SoftBody, compute_free_motion
-from contactnewton.errors import SingularBlockError, ValidationError
+from contactnewton.errors import NonFiniteStateError, SingularBlockError, ValidationError
 from contactnewton.linalg import Factorization
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
-from contactnewton.scene import Simulation, load_scene
+from contactnewton.scene import Simulation, load_scene, with_box_divisions
 from contactnewton.solver import (
     NewtonConfig,
     PgsConfig,
@@ -383,8 +384,9 @@ class TestPgs:
         with pytest.raises(SingularBlockError, match="group 1: normal compliance"):
             pgs(W, delta, 0.01, PgsConfig())
 
-    def test_one_local_solve_per_group_and_sweep(self, monkeypatch):
-        # the benchmark's tracer counts local_solve through the module global
+    def test_local_solves_run_through_the_module_global(self, monkeypatch):
+        # the benchmark's tracer counts local_solve through the module global,
+        # and every visit the skip test does not pass makes one call
         calls = []
         inner = solver.local_solve
 
@@ -397,9 +399,122 @@ class TestPgs:
         B = rng.standard_normal((12, 12))
         W = B @ B.T + 12 * np.eye(12)
         delta = rng.uniform(-0.01, 0.0, 12)
+        delta[3] = 0.05  # group 1 stays separated, so its later visits are skipped
         res = pgs(W, delta, 0.01, PgsConfig(max_iterations=7, tolerance=1e-300, friction=0.3))
         assert res.iterations == 7 and not res.converged
-        assert len(calls) == 7 * 4
+        assert len(calls) == res.local_solves
+        assert 7 * 3 < res.local_solves < 7 * 4
+
+    @pytest.mark.parametrize("where", ["violation", "compliance row"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, where, bad):
+        # a NaN violation used to read as separated (lambda 0, "converged"),
+        # and an inf in W gave lambda 0 everywhere after 1 sweep
+        W = 2.0 * np.eye(9)
+        delta = np.array([-0.01, 0, 0, -0.01, 0, 0, -0.01, 0, 0])
+        if where == "violation":
+            delta[3] = bad
+        else:
+            W[4, 7] = bad
+        with pytest.raises(NonFiniteStateError, match=f"group 1: non-finite {where}"):
+            pgs(W, delta, 0.01, PgsConfig())
+
+
+def separated_problem(rng):
+    """A weakly coupled problem whose groups mostly start separated (delta_n > 0),
+    with at least one group penetrating."""
+    groups = int(rng.integers(3, 9))
+    c = 3 * groups
+    B = rng.standard_normal((c, c))
+    W = B @ B.T / c + rng.uniform(0.5, 2.0) * np.eye(c)
+    delta = rng.uniform(-0.01, 0.01, c)
+    delta[::3] = rng.uniform(0.0, 0.01, groups)
+    penetrating = rng.choice(groups, int(rng.integers(1, groups // 2 + 1)), replace=False)
+    delta[3 * penetrating] = rng.uniform(-0.005, -0.001, len(penetrating))
+    return W, delta
+
+
+@pytest.fixture(scope="class")
+def bench_column_pgs_inputs():
+    """(W, delta, h, config) of every PGS call in 2 steps of bench_column at
+    divisions (7, 6, 7), under the benchmark's 5 Newton x 30 PGS iterations.
+
+    Negative tolerances force the iterations: at these divisions a 0.0 rotation
+    tolerance stops most steps after one. Past the first iteration only a few
+    of the 64 groups stay active.
+    """
+    config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 6, 7))
+    newton = replace(config.newton, scheme="fast", max_iterations=5, penetration_tol=-1.0,
+                     rotation_tol=-1.0)
+    config = replace(config, newton=newton, pgs=replace(config.pgs, max_iterations=30))
+    recorded = []
+    pgs_now = solver.pgs
+
+    def recording(W, delta, h, config):
+        recorded.append((W.copy(), delta.copy(), h, config))
+        return pgs_now(W, delta, h, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "pgs", recording)
+        sim = Simulation(config)
+        for _ in range(2):
+            sim.step()
+    assert len(recorded) == 10
+    return recorded
+
+
+class TestPgsSkipsSeparatedGroups:
+    """A skipped visit is one whose local solve would have returned zero again:
+    lambda, the sweeps and delta_end stay bitwise those of the oracle that
+    visits every group, while fewer local solves run."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_random_separated_problems(self, mu):
+        rng = np.random.default_rng(17 + int(10 * mu))
+        seen = set()
+        for trial in range(24):
+            W, delta = separated_problem(rng)
+            if trial % 2:
+                cfg = PgsConfig(max_iterations=400, tolerance=1e-5, friction=mu)
+            else:
+                cfg = PgsConfig(max_iterations=int(rng.integers(2, 40)), tolerance=1e-300,
+                                friction=mu)
+            res = pgs(W, delta, 0.01, cfg)
+            assert_same_pgs(res, pgs_reference(W, delta, 0.01, cfg))
+            assert res.local_solves < len(delta) // 3 * res.iterations, trial
+            seen.add(res.converged)
+        assert seen == {True, False}
+
+    def test_bench_column_inputs(self, bench_column_pgs_inputs):
+        for k, (W, delta, h, config) in enumerate(bench_column_pgs_inputs):
+            res = pgs(W, delta, h, config)
+            assert_same_pgs(res, pgs_reference(W, delta, h, config))
+            visits = len(delta) // 3 * res.iterations
+            if k % 5:  # past each step's first Newton iteration
+                assert 0 < res.local_solves < visits, k
+            else:
+                assert res.local_solves == visits, k
+
+    @pytest.mark.parametrize("push", [1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 2.0])
+    def test_group_pushed_into_contact_is_visited(self, push):
+        # group 0 starts separated by 1e-15 and is recorded; group 1's force
+        # then lowers group 0's violation by push * 1e-15 through the largest
+        # entry of group 0's row, so the skip bound is tight, and the group
+        # must be visited again once that turns its violation negative
+        h, eps = 0.01, 1e-15
+        W = np.diag([0.5, 1.0, 1.0, 2.0, 1.0, 1.0])
+        W[0, 3] = W[3, 0] = -0.9
+        lam1 = push * eps / (h * h * 0.9)
+        delta = np.array([eps, 0.0, 0.0, -h * h * 2.0 * lam1, 0.0, 0.0])
+        cfg = PgsConfig(max_iterations=3, tolerance=1e-300, friction=0.0)
+        res = pgs(W, delta, h, cfg)
+        ref = pgs_reference(W, delta, h, cfg)
+        assert_same_pgs(res, ref)
+        if push > 1.0:
+            assert ref.lam[0] > 0.0
+            assert res.local_solves == 2 * res.iterations
+        elif push < 1.0 - 1e-12:  # still separated by more than the margin: skipped
+            assert res.local_solves < 2 * res.iterations
 
 
 def assert_close_pgs(res, ref, delta_base, rtol=1e-10):

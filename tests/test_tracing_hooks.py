@@ -63,16 +63,18 @@ def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
         assert calls[name] > 0, name
 
 
-def test_pgs_calls_local_solve_once_per_group_and_sweep(monkeypatch):
+def test_pgs_calls_local_solve_through_the_module_global(monkeypatch):
     # the tracer's solver.local_solve_calls counts the module global, so a
-    # sweep that inlined the local solve would read 0 there
+    # sweep that inlined the local solve would read 0 there; skipped visits
+    # make no call, and PgsResult.local_solves counts the calls made
     calls = count_calls(monkeypatch, solver, ("local_solve",))
     expected = []
 
     def pgs(W, delta, h, config, _fn=solver.pgs):
         before = calls["local_solve"]
         res = _fn(W, delta, h, config)
-        expected.append((calls["local_solve"] - before, len(delta) // 3 * res.iterations))
+        expected.append((calls["local_solve"] - before, res.local_solves,
+                         len(delta) // 3 * res.iterations))
         return res
 
     monkeypatch.setattr(solver, "pgs", pgs)
@@ -81,8 +83,9 @@ def test_pgs_calls_local_solve_once_per_group_and_sweep(monkeypatch):
                      rotation_tol=-1.0)
     Simulation(replace(config, newton=newton)).step()
     assert len(expected) == 2
-    for counted, groups_times_sweeps in expected:
-        assert counted == groups_times_sweeps > 0
+    for counted, local_solves, groups_times_sweeps in expected:
+        assert counted == local_solves
+        assert 0 < local_solves <= groups_times_sweeps
 
 
 @pytest.mark.parametrize("scheme", ["single", "standard", "fast"])
