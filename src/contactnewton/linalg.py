@@ -1,16 +1,19 @@
 """Sparse symmetric linear algebra: storage, factorization, solves.
 
 The system matrices assembled by the dynamics module are symmetric positive
-definite by construction, so the factorization is a pivot-free symmetric
-elimination (SuperLU in symmetric mode with diagonal pivoting disabled).
-A non-positive pivot is reported as :class:`NotSPDError`.
+definite by construction (linear FEM keeps them constant, too), so each is
+factored once as a banded Cholesky: a reverse Cuthill-McKee ordering packs
+the matrix into a narrow band, and LAPACK's ``dpbtrf``/``dpbtrs`` factor it
+and solve on it. A pivot that is not positive and finite is reported as
+:class:`NotSPDError`, naming the DOF where it arose.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionMismatchError, NotSPDError
 
@@ -49,7 +52,19 @@ class SparseSym:
 
 
 class Factorization:
-    """Factorization of a :class:`SparseSym`, reusable for many solves.
+    """Banded Cholesky factorization of a :class:`SparseSym`, reusable for many solves.
+
+    The DOFs are reordered by reverse Cuthill-McKee, ``perm[k]`` being the
+    DOF at position k, so that ``P A Pᵀ`` has a narrow half-bandwidth ``bw``.
+    Its upper band is packed in LAPACK ``'U'`` band storage, a Fortran-order
+    ``(bw + 1, n)`` array of ``n·(bw+1)`` doubles, and factored in place by
+    ``dpbtrf`` as ``Uᵀ U``. A solve permutes the right-hand side, runs
+    ``dpbtrs`` (which solves one column at a time, so a column of
+    :meth:`solve_multi` equals :meth:`solve` of that column bit for bit) and
+    scatters the result back. The one SPD check is on the pivots: ``dpbtrf``
+    stops at the first one that is not positive, and a NaN or infinity in A
+    leaves a non-finite pivot; either is reported as :class:`NotSPDError`
+    naming the original DOF of that pivot.
 
     ``solve_count`` tracks how many backsolves went through this object,
     which lets callers assert that a code path performs no system solves.
@@ -63,30 +78,48 @@ class Factorization:
     object mutable: do not share it across threads while the cache fills.
     """
 
-    __slots__ = ("dim", "_lu", "solve_count", "_rows", "_row_of")
+    __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_rows", "_row_of")
 
     def __init__(self, matrix: SparseSym):
-        csc = matrix.csr.tocsc()
-        try:
-            lu = splu(
-                csc,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:  # SuperLU reports exact singularity
-            raise NotSPDError(f"factorization failed: {exc}") from exc
-        pivots = lu.U.diagonal()
-        if not np.all(pivots > 0.0):
+        csr = matrix.csr
+        n = matrix.dim
+        perm = reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)
+        at = np.empty(n, dtype=np.intp)
+        at[perm] = np.arange(n)
+        coo = csr.tocoo()
+        i, j = at[coo.row], at[coo.col]
+        upper = i <= j
+        i, j, values = i[upper], j[upper], coo.data[upper]
+        bw = int((j - i).max(initial=0))
+        # entry (i, j) of the upper band sits at ab[bw + i - j, j]; bincount
+        # sums duplicate entries
+        band = np.bincount((bw + i - j) + (bw + 1) * j, weights=values,
+                           minlength=(bw + 1) * n).reshape((bw + 1, n), order="F")
+        band, info = dpbtrf(band, overwrite_ab=True)
+        # dpbtrf stops at the first pivot <= 0 (info > 0) but passes a NaN
+        # one on, so the first bad pivot is the first non-finite one it
+        # accepted, else the one it stopped at
+        accepted = info - 1 if info > 0 else n
+        finite = np.isfinite(band[bw, :accepted])
+        bad = accepted if finite.all() else int(np.argmin(finite))
+        if bad < n:
+            dof = int(perm[bad])
+            what = "non-positive" if bad == info - 1 else "non-finite"
             raise NotSPDError(
-                f"non-positive pivot encountered (min {pivots.min():.3e}); "
-                "check masses, materials and time step"
+                f"{what} pivot at DOF {dof} (node {dof // 3}, component "
+                f"{'xyz'[dof % 3]}); check masses, materials and time step"
             )
-        self.dim = matrix.dim
-        self._lu = lu
+        self.dim = n
+        self._perm = perm
+        self._at = at
+        self._band = band
         self.solve_count = 0
         self._rows = np.zeros((0, self.dim))
         self._row_of = np.full(self.dim, -1, dtype=np.int64)
+
+    def _backsolve(self, B: np.ndarray) -> np.ndarray:
+        X, _ = dpbtrs(self._band, B[self._perm], overwrite_b=True)
+        return X[self._at]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
@@ -95,7 +128,7 @@ class Factorization:
                 f"rhs has shape {b.shape}, expected ({self.dim},)"
             )
         self.solve_count += 1
-        return self._lu.solve(b)
+        return self._backsolve(b)
 
     def solve_multi(self, B: np.ndarray) -> np.ndarray:
         """Solve A X = B column by column on the shared factorization."""
@@ -105,7 +138,7 @@ class Factorization:
                 f"rhs block has shape {B.shape}, expected ({self.dim}, k)"
             )
         self.solve_count += B.shape[1]
-        return self._lu.solve(B)
+        return self._backsolve(B)
 
     def _check_dofs(self, dofs) -> np.ndarray:
         dofs = np.asarray(dofs, dtype=np.int64)

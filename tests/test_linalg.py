@@ -1,9 +1,18 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
+from scipy.spatial.transform import Rotation
 
+from contactnewton.dynamics import RigidBody
 from contactnewton.errors import DimensionMismatchError, NotSPDError
 from contactnewton.linalg import Factorization, SparseSym
+from contactnewton.scene import SoftSpec, load_scene
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 def random_spd(dim, seed, shift=10.0):
@@ -277,3 +286,94 @@ class TestInverseColumnsTimes:
         assert np.array_equal(F.inverse_columns_times(np.zeros(0, dtype=int), np.zeros(0)),
                               np.zeros(6))
         assert F.solve_count == 2
+
+
+def chain_spd(n_nodes):
+    """Tridiagonal SPD over 3 DOFs per node: 10 on the diagonal, -1 beside it."""
+    dim = 3 * n_nodes
+    return sp.diags([-np.ones(dim - 1), 10.0 * np.ones(dim), -np.ones(dim - 1)],
+                    [-1, 0, 1]).toarray()
+
+
+def factor_quietly(A):
+    """Factorization of A with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return Factorization(SparseSym(A, check=False))
+
+
+class TestSpdCheckNamesDof:
+    def test_non_positive_pivot_names_its_dof(self):
+        A = chain_spd(4)
+        A[7, 7] = -50.0  # node 2, y
+        with pytest.raises(NotSPDError, match=r"non-positive pivot at DOF 7 \(node 2, component y\)"):
+            factor_quietly(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_diagonal_names_its_dof(self, bad):
+        A = chain_spd(4)
+        A[5, 5] = bad  # node 1, z
+        with pytest.raises(NotSPDError, match=r"pivot at DOF 5 \(node 1, component z\)") as exc:
+            factor_quietly(A)
+        assert exc.value.__cause__ is None and exc.value.__context__ is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_off_diagonal_raises(self, bad):
+        A = chain_spd(4)
+        A[3, 4] = A[4, 3] = bad
+        with pytest.raises(NotSPDError, match=r"pivot at DOF [34] \(node 1, component [xy]\)") as exc:
+            factor_quietly(A)
+        assert exc.value.__cause__ is None and exc.value.__context__ is None
+
+
+def soft_system(scene):
+    """The system matrix A of the first soft body of a shipped scene."""
+    cfg = load_scene(SCENES / scene)
+    spec = next(o for o in cfg.objects if isinstance(o, SoftSpec))
+    A, _ = spec.body.assemble(spec.body.initial_state(spec.velocity), cfg.h, cfg.gravity)
+    return A
+
+
+def relative_error(x, oracle):
+    return np.abs(x - oracle).max() / np.abs(oracle).max()
+
+
+class TestStructures:
+    @pytest.mark.parametrize("scene, dofs", [("bench_column.scn", 9024),
+                                             ("grasp_rotate.scn", 648)])
+    def test_shipped_system_matches_spsolve(self, scene, dofs):
+        A = soft_system(scene)
+        assert A.dim == dofs
+        F = Factorization(A)
+        B = np.random.default_rng(dofs).standard_normal((dofs, 2))
+        assert relative_error(F.solve(B[:, 0]), spsolve(A.csr.tocsc(), B[:, 0])) <= 1e-12
+        X = F.solve_multi(B)
+        assert relative_error(X, spsolve(A.csr.tocsc(), B)) <= 1e-12
+
+    def test_two_disconnected_components(self):
+        a = sparse_spd(30, 4).csr
+        b = sparse_spd(20, 5).csr
+        mix = np.random.default_rng(6).permutation(50)  # interleave the components
+        A = sp.block_diag([a, b]).tocsr()[mix][:, mix]
+        rhs = np.random.default_rng(8).standard_normal(50)
+        x = Factorization(SparseSym(A)).solve(rhs)
+        assert relative_error(x, np.linalg.solve(A.toarray(), rhs)) <= 1e-12
+
+    def test_point_mass_diagonal(self):
+        A = soft_system("point_mass.scn")
+        assert A.dim == 3 and sp.triu(A.csr, 1).nnz == 0  # bandwidth 0
+        b = np.array([1.0, -2.0, 3.0])
+        assert relative_error(Factorization(A).solve(b), b / A.csr.diagonal()) <= 1e-15
+
+    def test_one_by_one_block(self):  # test_scalar_diag covers solve
+        F = Factorization(SparseSym(np.array([[4.0]])))
+        assert np.array_equal(F.solve_multi(np.array([[2.0, -8.0]])), [[0.5, -2.0]])
+
+    def test_rigid_full_world_inertia(self):
+        body = RigidBody(mass=2.0, inertia=[[3.0, 0.4, -0.2], [0.4, 2.0, 0.1], [-0.2, 0.1, 1.5]])
+        rotation = Rotation.from_rotvec([0.3, -0.7, 0.5]).as_matrix()
+        A, _ = body.assemble(rotation, 0.01, (0.0, -9.81, 0.0))
+        dense = A.toarray()
+        assert np.count_nonzero(dense[3:, 3:]) == 9  # a full world inertia block
+        b = np.random.default_rng(3).standard_normal(6)
+        assert relative_error(Factorization(A).solve(b), np.linalg.solve(dense, b)) <= 1e-12
