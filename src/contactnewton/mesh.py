@@ -83,20 +83,15 @@ def box_mesh(size, divisions, center=(0.0, 0.0, 0.0)) -> TetMesh:
     gz, gy, gx = np.meshgrid(zs, ys, xs, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
-    def nid(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    tets = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                corner = [
-                    nid(i + (b & 1), j + ((b >> 1) & 1), k + ((b >> 2) & 1))
-                    for b in range(8)
-                ]
-                for t in _KUHN_TETS:
-                    tets.append([corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]])
-    mesh = TetMesh(nodes, np.array(tets, dtype=np.int64))
+    # cells x-fastest; a cell's corner b sits at its base node plus offset[b]
+    sx, sy = 1, nx + 1
+    sz = sy * (ny + 1)
+    base = (sz * np.arange(nz)[:, None, None] + sy * np.arange(ny)[:, None]
+            + sx * np.arange(nx)).ravel()
+    bits = np.arange(8)
+    offset = sx * (bits & 1) + sy * ((bits >> 1) & 1) + sz * ((bits >> 2) & 1)
+    tets = (base[:, None, None] + offset[np.array(_KUHN_TETS)]).reshape(-1, 4)
+    mesh = TetMesh(nodes, tets)
     check_positive_volumes(mesh, "box_mesh")
     return mesh
 
@@ -107,19 +102,21 @@ _TET_FACES = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
 
 
 def surface_triangles(mesh: TetMesh) -> np.ndarray:
-    """Oriented boundary triangles (outward normals), sorted deterministically."""
-    faces = {}
-    for tet in mesh.tets:
-        for fa, fb, fc in _TET_FACES:
-            tri = (int(tet[fa]), int(tet[fb]), int(tet[fc]))
-            key = tuple(sorted(tri))
-            if key in faces:
-                faces[key] = None  # interior face, seen twice
-            else:
-                faces[key] = tri
-    boundary = [tri for tri in faces.values() if tri is not None]
-    boundary.sort()
-    return np.array(boundary, dtype=np.int64).reshape(-1, 3)
+    """Oriented boundary triangles (outward normals), sorted deterministically.
+
+    A face is on the boundary when exactly one tet has it; it keeps that
+    tet's winding. The rows are in lexicographic order.
+    """
+    faces = mesh.tets[:, _TET_FACES].reshape(-1, 3)
+    keys = np.sort(faces, axis=1)  # the same key for both windings of a face
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys) + 1, dtype=bool)  # where a run of equal keys starts, then the end
+    first[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    once = starts[:-1][np.diff(starts) == 1]
+    boundary = faces[order[once]]
+    return boundary[np.lexsort(boundary.T[::-1])]
 
 
 def surface_vertices(triangles: np.ndarray) -> np.ndarray:

@@ -10,26 +10,31 @@ each A side carries DOFs (detection pairs no pinned vertex); the local
 solve raises :class:`SingularBlockError` on a block that is not.
 
 A sweep runs on plain Python floats. Before the sweeps, :func:`pgs` takes
-each group's diagonal-block scalars once (:func:`group_blocks`) and builds one
-(n_groups, 3, c + 1) array whose block g is ``[h^2 W[3g:3g+3, :] |
-delta_base[3g:3g+3]]``. Lambda is held in one (c + 1) array that ends in 1,
-so the block times lambda is group g's violation at the current lambda: a
-visit reads it with one gemv and hands it to :func:`local_solve` as floats.
-The local solve maps float tuples to a float tuple, and a group whose lambda
-changed writes its 3 entries into the array through a memoryview. Besides
-that gemv, only the stop test (norms of the first c entries against the
-previous sweep's copy) and the final ``delta_end`` go through numpy. The row
-read sums the same products ``W[g rows, j] lambda_j`` as updating the whole
-violation by each changed group's columns would, so it needs no symmetry of
-W, and results move against that column order through summation order only.
-The local solve's formulas and their order are those of the array version,
-and the sweep is bitwise equal to an array oracle that reads rows the same
-way (``tests/test_solver.py``); against both column-update orders lambda
-differs at rounding level only.
-To keep the local solve bitwise, the disk projection keeps ``np.hypot``:
-``math.hypot`` rounds differently. To keep its cost low, ``np.hypot`` runs
-only when the squared tangential impulse reaches (1 - 1e-6) times the squared
-radius of the disk.
+each group's diagonal-block scalars once (:func:`group_blocks`, with the
+h^2 products the local solve needs) and builds one (n_groups, 3, c + 1)
+array whose block g is ``[h^2 W[3g:3g+3, :] | delta_base[3g:3g+3]]``.
+Lambda is held in one (c + 1) array that ends in 1, so the block times
+lambda is group g's violation at the current lambda: a visit reads it with
+one gemv and hands it to :func:`local_solve` as floats, together with the
+group's current lambda from a list of float triples. The local solve maps
+float tuples to a float tuple, and a group whose lambda changed replaces its
+triple and writes its 3 entries into the array through a memoryview. Besides
+that gemv, only the stop test (``sqrt(x . x)``, what ``np.linalg.norm``
+computes for a 1-D float array, of the first c entries and of their change
+since the previous sweep) and the final ``delta_end`` go through numpy. The
+row read sums the same products ``W[g rows, j] lambda_j`` as updating the
+whole violation by each changed group's columns would, so it needs no
+symmetry of W, and results move against that column order through summation
+order only. The local solve's formulas and their order are those of the
+array version, and the sweep is bitwise equal to an array oracle that reads
+rows the same way (``tests/test_solver.py``); against both column-update
+orders lambda differs at rounding level only. The disk projection takes the
+tangential length as ``abs(complex(lt0, lt1))``: CPython's complex ``abs``
+calls the C library's ``hypot``, as ``np.hypot`` does, at a fraction of a
+numpy call's cost (``math.hypot`` rounds differently), so it runs on every
+friction visit. Where that length overflows although both components are
+finite, complex ``abs`` raises ``OverflowError`` (``np.hypot`` returned inf)
+and :func:`pgs` raises :class:`NonFiniteStateError` naming the group.
 
 A visit whose local solve provably returns zero again is skipped. A group at
 lambda = 0 gets zero back exactly when its normal violation reads
@@ -159,23 +164,20 @@ class PgsResult:
     local_solves: int = 0  # local_solve calls the sweeps made; skipped visits make none
 
 
-def _block_index(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fancy index picking the (c // 3, 3, 3) diagonal group blocks of a c x c matrix."""
-    rows = np.arange(3 * (c // 3)).reshape(-1, 3)
-    return rows[:, :, None], rows[:, None, :]
-
-
 def group_blocks(W: np.ndarray, h2: float) -> list[tuple[float, ...]]:
     """Per group, the plain floats ``local_solve`` reads from W's diagonal block.
 
-    Each entry is ``(Wnn, W_t1n, W_t2n, T00, T01, T10, T11, det)`` with
-    ``T = h2 * W_tt`` the tangential block and ``det`` its determinant.
+    Each entry is ``(Wnn, h2 Wnn, h2 W_t1n, h2 W_t2n, T00, T01, T10, T11,
+    det)`` with ``T = h2 * W_tt`` the tangential block and ``det`` its
+    determinant.
     """
-    out = []
-    for (wnn, _, _), (wt1n, w11, w12), (wt2n, w21, w22) in W[_block_index(len(W))].tolist():
-        T00, T01, T10, T11 = h2 * w11, h2 * w12, h2 * w21, h2 * w22
-        out.append((wnn, wt1n, wt2n, T00, T01, T10, T11, T00 * T11 - T01 * T10))
-    return out
+    n = len(W) // 3
+    B = W.reshape(n, 3, n, 3).diagonal(axis1=0, axis2=2)  # B[i, j, g] = W[3g + i, 3g + j]
+    hB = h2 * B
+    T00, T01, T10, T11 = hB[1, 1], hB[1, 2], hB[2, 1], hB[2, 2]
+    det = T00 * T11 - T01 * T10
+    columns = (B[0, 0], hB[0, 0], hB[1, 0], hB[2, 0], T00, T01, T10, T11, det)
+    return list(zip(*np.stack(columns).tolist()))
 
 
 _ZERO = (0.0, 0.0, 0.0)
@@ -191,20 +193,20 @@ def local_solve(
     delta: Sequence[float],
     lam: Sequence[float],
     mu: float,
-    h2: float,
 ) -> tuple[float, float, float]:
     """One group's Signorini/Coulomb block solve with the others frozen.
 
     ``block`` is the group's entry of :func:`group_blocks`, ``delta`` its
     violation at the current lambda and ``lam`` its current lambda. Normal row
     first, then the exact tangential 2 x 2 solve, then the disk projection.
-    Returns the group's new lambda.
+    Returns the group's new lambda. Raises ``OverflowError`` when the
+    tangential impulse's length overflows a float.
     """
-    Wnn, Wt1n, Wt2n, T00, T01, T10, T11, det = block
+    Wnn, hWnn, hWt1n, hWt2n, T00, T01, T10, T11, det = block
     if not Wnn > 0:
         raise SingularBlockError(f"normal compliance {Wnn} not positive")
     ln_old = lam[0]
-    ln = ln_old - delta[0] / (h2 * Wnn)
+    ln = ln_old - delta[0] / hWnn
     if not ln > 0.0:  # also -0.0 and NaN
         return _ZERO
     if mu == 0.0:
@@ -212,20 +214,16 @@ def local_solve(
     if not det > 0:
         raise SingularBlockError("tangential block singular")
     # stick trial: zero the tangential gap exactly
-    rhs0 = -(delta[1] + h2 * Wt1n * (ln - ln_old))
-    rhs1 = -(delta[2] + h2 * Wt2n * (ln - ln_old))
+    rhs0 = -(delta[1] + hWt1n * (ln - ln_old))
+    rhs1 = -(delta[2] + hWt2n * (ln - ln_old))
     lt0 = lam[1] + (T11 * rhs0 - T01 * rhs1) / det
     lt1 = lam[2] + (T00 * rhs1 - T10 * rhs0) / det
     radius = mu * ln
-    rr = radius * radius
-    # Project only when |lt| may reach the disk edge: the 1e-6 margin covers
-    # the rounding of the squares wherever rr is a normal float.
-    if lt0 * lt0 + lt1 * lt1 >= 0.999999 * rr or rr < 1e-290:
-        nt = float(np.hypot(lt0, lt1))
-        if nt > radius:
-            scale = radius / nt
-            lt0 *= scale
-            lt1 *= scale
+    nt = abs(complex(lt0, lt1))  # C hypot, as np.hypot
+    if nt > radius:
+        scale = radius / nt
+        lt0 *= scale
+        lt1 *= scale
     return (ln, lt0, lt1)
 
 
@@ -235,7 +233,8 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     Returns lambda and the end-of-step violation delta_base + h^2 W lambda.
     Visits that provably leave a separated group at zero are skipped (module
     docstring). A non-finite entry in W or delta_base raises
-    :class:`NonFiniteStateError` naming the first bad group.
+    :class:`NonFiniteStateError` naming the first bad group, and so does a
+    local solve whose tangential impulse length overflows.
     """
     c = len(delta_base)
     if c == 0:
@@ -258,7 +257,8 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     reads = [row.dot for row in rows]  # reads[g](lam) is group g's violation
     lam = np.zeros(c + 1)
     lam[c] = 1.0
-    lam_items = memoryview(lam)  # single entries as Python floats, not numpy scalars
+    lam_items = memoryview(lam)  # writes single entries from Python floats
+    lam_groups = [_ZERO] * n_groups  # lam's groups as float triples
     lam_now = lam[:c]
     lam_prev = np.zeros(c)  # lam_now after the previous sweep
     # the skip bound (module docstring): group g's visits are skipped while
@@ -277,23 +277,29 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
             if moved < skip_until[g]:
                 skipped += 1
                 continue
-            i = 3 * g
-            old = (lam_items[i], lam_items[i + 1], lam_items[i + 2])
+            old = lam_groups[g]
             delta = reads[g](lam).tolist()
             try:
-                new = local_solve(blocks[g], delta, old, mu, h2)
+                new = local_solve(blocks[g], delta, old, mu)
             except SingularBlockError as exc:
                 raise SingularBlockError(f"group {g}: {exc}") from None
+            except OverflowError:
+                raise NonFiniteStateError(
+                    f"group {g}: tangential impulse overflows in the local solve"
+                ) from None
             if new != old:
+                lam_groups[g] = new
+                i = 3 * g
                 lam_items[i], lam_items[i + 1], lam_items[i + 2] = new
                 moved += abs(new[0] - old[0]) + abs(new[1] - old[1]) + abs(new[2] - old[2])
             elif new is _ZERO:  # separated, and stays so until moved reaches the limit
                 dn = delta[0]
                 margin = rel * (abs(dn) + omega[g] * moved) + _SKIP_FLOOR
                 skip_until[g] = moved + (dn - margin) / omega[g]
-        num = float(np.linalg.norm(lam_now - lam_prev))
-        den = float(np.linalg.norm(lam_now))
-        eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
+        step = lam_now - lam_prev
+        num = math.sqrt(step.dot(step))  # np.linalg.norm of a 1-D float array
+        den = math.sqrt(lam_now.dot(lam_now))
+        eps = 0.0 if num == 0.0 else (math.inf if den == 0.0 else num / den)
         eps_history.append(eps)
         if eps <= config.tolerance:
             converged = True

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from contactnewton.errors import ParseError
 from contactnewton.mesh import (
+    _KUHN_TETS,
+    _TET_FACES,
     TetMesh,
     box_mesh,
     load_mesh,
@@ -80,3 +84,72 @@ def test_out_of_range_tet_index(tmp_path):
     path.write_text("nodes 2\n0 0 0\n1 0 0\ntets 1\n0 1 2 3\n")
     with pytest.raises(ParseError):
         load_mesh(path)
+
+
+# --- the loop versions the array code replaced, kept as oracles -------------------
+
+MESHES = Path(__file__).resolve().parents[1] / "scenes" / "meshes"
+
+
+def box_tets_loop(divisions):
+    nx, ny, nz = divisions
+
+    def nid(i, j, k):
+        return i + (nx + 1) * (j + (ny + 1) * k)
+
+    tets = []
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                corner = [
+                    nid(i + (b & 1), j + ((b >> 1) & 1), k + ((b >> 2) & 1))
+                    for b in range(8)
+                ]
+                for t in _KUHN_TETS:
+                    tets.append([corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]])
+    return np.array(tets, dtype=np.int64)
+
+
+def surface_triangles_loop(mesh):
+    faces = {}
+    for tet in mesh.tets:
+        for fa, fb, fc in _TET_FACES:
+            tri = (int(tet[fa]), int(tet[fb]), int(tet[fc]))
+            key = tuple(sorted(tri))
+            if key in faces:
+                faces[key] = None  # interior face, seen twice
+            else:
+                faces[key] = tri
+    boundary = [tri for tri in faces.values() if tri is not None]
+    boundary.sort()
+    return np.array(boundary, dtype=np.int64).reshape(-1, 3)
+
+
+# the shipped scenes' boxes (bench_column, grasp_rotate, two_body_press) and a few more
+BOX_DIVISIONS = [(7, 46, 7), (5, 5, 5), (4, 4, 4), (1, 1, 1), (1, 1, 3), (3, 1, 2), (2, 5, 1)]
+
+
+@pytest.mark.parametrize("divisions", BOX_DIVISIONS, ids=lambda d: "x".join(map(str, d)))
+def test_box_mesh_and_surface_match_the_loop_versions(divisions):
+    m = box_mesh((0.1, 0.2, 0.3), divisions)
+    assert np.array_equal(m.tets, box_tets_loop(divisions))
+    tris = surface_triangles(m)
+    assert tris.dtype == np.int64
+    assert np.array_equal(tris, surface_triangles_loop(m))
+
+
+@pytest.mark.parametrize("name", ["block.mesh", "point.mesh"])
+def test_surface_of_shipped_meshes_matches_the_loop_version(name):
+    m = load_mesh(MESHES / name)
+    assert np.array_equal(surface_triangles(m), surface_triangles_loop(m))
+
+
+def test_surface_matches_the_loop_version_on_non_manifold_tets():
+    # random tets over 8 nodes share faces two, three or more times, and some
+    # repeat whole; a face is on the boundary only when exactly one tet has it
+    rng = np.random.default_rng(3)
+    tets = np.array([rng.choice(8, 4, replace=False) for _ in range(40)])
+    m = TetMesh(rng.standard_normal((8, 3)), tets)
+    for count in (0, 1, 2, 5, 40):
+        sub = TetMesh(m.nodes, m.tets[:count])
+        assert np.array_equal(surface_triangles(sub), surface_triangles_loop(sub)), count

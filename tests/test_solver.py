@@ -184,7 +184,7 @@ def normal_only_to_groups(W_n, delta_n):
 
 def solve_block(W, delta, lam, mu, h2):
     """local_solve on group 0 of W, the way pgs feeds it."""
-    return local_solve(group_blocks(W, h2)[0], tuple(delta), tuple(lam), mu, h2)
+    return local_solve(group_blocks(W, h2)[0], tuple(delta), tuple(lam), mu)
 
 
 class TestLocalSolve:
@@ -242,13 +242,14 @@ class TestLocalSolve:
 
     @pytest.mark.parametrize(
         "ratio, hypot_calls",
-        [(0.5, 0), (1.0 - 5e-8, 1), (1.0 + 5e-8, 1), (2.0, 1)],
+        [(0.5, 0), (1.0 - 5e-8, 0), (1.0 + 5e-8, 0), (2.0, 0)],
         ids=["inside", "just-inside", "just-outside", "outside"],
     )
     def test_cone_boundary(self, monkeypatch, ratio, hypot_calls):
-        # the stick trial puts |lambda_t| at ratio * mu * lambda_n; np.hypot
-        # runs only near or past the disk edge, and the result must equal the
-        # array solver's bit for bit on either side of that pre-check
+        # the stick trial puts |lambda_t| at ratio * mu * lambda_n; the disk
+        # projection takes C hypot through abs(complex), never np.hypot, and
+        # the result must equal the array solver's bit for bit on either side
+        # of the disk edge
         rng = np.random.default_rng(11)
         B = rng.standard_normal((3, 3))
         W = B @ B.T + 3 * np.eye(3)
@@ -418,6 +419,39 @@ class TestPgs:
             W[4, 7] = bad
         with pytest.raises(NonFiniteStateError, match=f"group 1: non-finite {where}"):
             pgs(W, delta, 0.01, PgsConfig())
+
+    def test_overflowing_tangential_length_is_refused(self):
+        # W and the violation are finite, but group 1's stick trial gives
+        # lambda_t = (1.5e308, 1.5e308), whose length overflows a float
+        W = np.eye(6)
+        delta = np.array([-0.01, 0.0, 0.0, -1.0, -1.5e304, -1.5e304])
+        with pytest.raises(NonFiniteStateError, match="group 1: tangential impulse overflows"):
+            pgs(W, delta, 0.01, PgsConfig())
+
+
+def test_complex_abs_is_numpy_hypot():
+    # local_solve takes the tangential length as abs(complex(a, b)), which
+    # must round as np.hypot does; a finite pair whose length overflows
+    # raises OverflowError where np.hypot returns inf. Seeded pairs: unit
+    # scale, exponents across the float range, subnormals, and every pair of
+    # a few special values.
+    rng = np.random.default_rng(29)
+    n = 50_000
+    unit = rng.standard_normal((n, 2))
+    wide = rng.standard_normal((n, 2)) * 2.0 ** rng.integers(-1070, 1020, (n, 2))
+    subnormal = rng.uniform(-1.0, 1.0, (n, 2)) * 2.0**-1022
+    specials = [0.0, -0.0, np.inf, -np.inf, 1.0, -3.5, 5e-324, 1e-300, 1e300, 1.7e308]
+    special = np.array(list(itertools.product(specials, repeat=2)))
+    pairs = np.vstack([unit, wide, subnormal, special])
+    with np.errstate(over="ignore"):
+        expected = np.hypot(pairs[:, 0], pairs[:, 1])
+    overflows = np.isinf(expected) & np.isfinite(pairs).all(axis=1)
+    assert overflows.any()
+    got = [abs(complex(a, b)) for a, b in pairs[~overflows].tolist()]
+    assert np.array_equal(np.array(got).view(np.int64), expected[~overflows].view(np.int64))
+    for a, b in pairs[overflows].tolist():
+        with pytest.raises(OverflowError):
+            abs(complex(a, b))
 
 
 def separated_problem(rng):
