@@ -42,7 +42,7 @@ from .errors import (
     SingularBlockError,
     ValidationError,
 )
-from .linalg import Factorization, SparseSym
+from .linalg import Factorization
 from .mesh import TetMesh, box_mesh, load_mesh, save_mesh
 from .scene import (
     SceneConfig,

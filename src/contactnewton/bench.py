@@ -30,7 +30,6 @@ import yaml
 
 from .errors import ParseError, ValidationError
 from .scene import (
-    OutputConfig,
     SceneConfig,
     Simulation,
     SoftSpec,
@@ -52,6 +51,9 @@ BENCH_FIELDS = (
     "newton_iter_ms", "step_total_ms", "update_fraction",
 )
 
+# the smallest valid count of each setting; timing rows need 3 repetitions
+_LEAST = {"repetitions": 3, "warmup": 0, "newton_iterations": 1, "pgs_iterations": 1}
+
 
 @dataclass
 class BenchSpec:
@@ -64,15 +66,21 @@ class BenchSpec:
     pgs_iterations: int = 30
 
     def __post_init__(self):
-        if self.repetitions < 3:
-            raise ValidationError("bench repetitions must be >= 3 for timing rows")
-        if list(self.resolutions) != sorted(set(self.resolutions)):
-            raise ValidationError("bench resolutions must be strictly increasing")
-        if not self.resolutions:
-            raise ValidationError("bench needs at least one resolution")
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ValidationError(f"bench.{key}: must be >= {least}, got {getattr(self, key)}")
+        resolutions = list(self.resolutions)
+        if not resolutions or min(resolutions) < 1 or resolutions != sorted(set(resolutions)):
+            raise ValidationError(
+                f"bench.resolutions: expected strictly increasing counts >= 1, got {resolutions}"
+            )
+        if not self.schemes:
+            raise ValidationError("bench.schemes: needs at least one scheme")
         for scheme in self.schemes:
             if scheme not in SCHEMES:
-                raise ValidationError(f"unknown bench scheme {scheme!r}")
+                raise ValidationError(
+                    f"bench.schemes: unknown scheme {scheme!r}, pick from {SCHEMES}"
+                )
 
 
 def _list(value, where):
@@ -130,7 +138,6 @@ def measure_cell(config: SceneConfig, scheme: str, spec: BenchSpec) -> dict:
             rotation_tol=-1.0,
         ),
         pgs=replace(config.pgs, max_iterations=spec.pgs_iterations),
-        output=OutputConfig(snapshots=False, metrics=False),
     )
     sim = Simulation(cfg)
     warm = [sim.step() for _ in range(spec.warmup)]

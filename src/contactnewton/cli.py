@@ -10,7 +10,6 @@ verify lines do not depend on how a threaded BLAS splits its sums.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -52,26 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    from dataclasses import astuple, fields, replace
+    from dataclasses import replace
 
     from .scene import Simulation, load_scene, run
-    from .solver import IterationStats
 
     config = load_scene(args.scene)
     if args.scheme:
         config = replace(config, newton=replace(config.newton, scheme=args.scheme))
-    sim = Simulation(config)
-    os.makedirs(args.out, exist_ok=True)
-    # written step by step, like metrics.csv, so a failed run keeps its rows
-    with open(os.path.join(args.out, "newton.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "iteration", *(f.name for f in fields(IterationStats))])
-
-        def write_iterations(rep):
-            for k, it in enumerate(rep.iterations):
-                writer.writerow([rep.step, k, *astuple(it)])
-
-        reports = run(sim, args.steps, out_dir=args.out, on_step=write_iterations)
+    reports = run(Simulation(config), args.steps, out_dir=args.out)
     last = reports[-1]
     print(
         f"{len(reports)} steps of {os.path.basename(args.scene)} "

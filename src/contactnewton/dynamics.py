@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonFiniteForceError, ValidationError
-from .linalg import Factorization, SparseSym
+from .linalg import Factorization
 from .mesh import TetMesh, check_positive_volumes, tet_volumes
 
 
@@ -189,7 +189,7 @@ class SoftBody:
         v = np.tile(np.asarray(velocity, dtype=np.float64), self.mesh.n_nodes)
         return MechanicalState(self.mesh.nodes.ravel().copy(), v)
 
-    def assemble(self, state: MechanicalState, h: float, gravity) -> tuple[SparseSym, np.ndarray]:
+    def assemble(self, state: MechanicalState, h: float, gravity) -> tuple[sp.csr_matrix, np.ndarray]:
         if h <= 0:
             raise ValidationError(f"time step must be positive, got {h}")
         m3 = np.repeat(self.masses(), 3)
@@ -208,7 +208,8 @@ class SoftBody:
             rows = np.concatenate([rows, np.arange(self.n_dofs)])
             cols = np.concatenate([cols, np.arange(self.n_dofs)])
             vals = np.concatenate([vals, diag])
-            self._system = (h, SparseSym.from_triplets(self.n_dofs, rows, cols, vals, check=False))
+            shape = (self.n_dofs, self.n_dofs)
+            self._system = (h, sp.csr_matrix((vals, (rows, cols)), shape=shape))
         A = self._system[1]
 
         g = np.asarray(gravity, dtype=np.float64)
@@ -249,7 +250,7 @@ class RigidBody:
     def fixed_mask(self) -> np.ndarray:
         return np.zeros(6, dtype=bool)
 
-    def assemble(self, rotation: np.ndarray, h: float, gravity) -> tuple[SparseSym, np.ndarray]:
+    def assemble(self, rotation: np.ndarray, h: float, gravity) -> tuple[sp.csr_matrix, np.ndarray]:
         """Generalized mass and external impulse; no internal forces."""
         if h <= 0:
             raise ValidationError(f"time step must be positive, got {h}")
@@ -260,7 +261,7 @@ class RigidBody:
         b[:3] = h * self.mass * np.asarray(gravity, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise NonFiniteForceError("assembled right-hand side is not finite")
-        return SparseSym(sp.csr_matrix(A), check=False), b
+        return sp.csr_matrix(A), b
 
 
 def compute_free_motion(

@@ -1,4 +1,4 @@
-"""Sparse symmetric linear algebra: storage, factorization, solves.
+"""Sparse symmetric linear algebra: factorization and solves.
 
 The system matrices assembled by the dynamics module are symmetric positive
 definite by construction (linear FEM keeps them constant, too), so each is
@@ -6,6 +6,11 @@ factored once as a banded Cholesky: a reverse Cuthill-McKee ordering packs
 the matrix into a narrow band, and LAPACK's ``dpbtrf``/``dpbtrs`` factor it
 and solve on it. A pivot that is not positive and finite is reported as
 :class:`NotSPDError`, naming the DOF where it arose.
+
+:class:`Factorization` takes the assembled matrix (scipy sparse or dense) as
+it is and reads only its upper triangle, so it does not check symmetry: the
+assemblers build symmetric matrices, and the one setting from outside that
+enters A, a rigid body's inertia, is checked when a scene is loaded.
 """
 
 from __future__ import annotations
@@ -17,42 +22,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionMismatchError, NotSPDError
 
-_SYM_RTOL = 1e-12
-
-
-class SparseSym:
-    """Square symmetric sparse matrix (CSR storage)."""
-
-    __slots__ = ("csr",)
-
-    def __init__(self, mat, check: bool = True):
-        csr = sp.csr_matrix(mat, dtype=np.float64)
-        if csr.shape[0] != csr.shape[1]:
-            raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
-        if check:
-            scale = max(np.abs(csr.data).max(initial=0.0), 1.0)
-            asym = abs(csr - csr.T)
-            if asym.nnz and asym.data.max() > _SYM_RTOL * scale:
-                raise DimensionMismatchError(
-                    f"matrix is not symmetric (max asymmetry {asym.data.max():.3e})"
-                )
-        self.csr = csr
-
-    @property
-    def dim(self) -> int:
-        return self.csr.shape[0]
-
-    @classmethod
-    def from_triplets(cls, dim, rows, cols, values, check: bool = True) -> "SparseSym":
-        mat = sp.coo_matrix((values, (rows, cols)), shape=(dim, dim))
-        return cls(mat, check=check)
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
-
 
 class Factorization:
-    """Banded Cholesky factorization of a :class:`SparseSym`, reusable for many solves.
+    """Banded Cholesky factorization of a symmetric matrix, reusable for many solves.
 
     The DOFs are reordered by reverse Cuthill-McKee, ``perm[k]`` being the
     DOF at position k, so that ``P A Pᵀ`` has a narrow half-bandwidth ``bw``.
@@ -80,9 +52,11 @@ class Factorization:
 
     __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_rows", "_row_of")
 
-    def __init__(self, matrix: SparseSym):
-        csr = matrix.csr
-        n = matrix.dim
+    def __init__(self, matrix):
+        csr = sp.csr_matrix(matrix, dtype=np.float64)
+        n = csr.shape[0]
+        if csr.shape != (n, n):
+            raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
         perm = reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)
         at = np.empty(n, dtype=np.intp)
         at[perm] = np.arange(n)

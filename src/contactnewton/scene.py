@@ -20,11 +20,12 @@ the free and at the final positions.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -59,6 +60,8 @@ from .solver import (
 )
 
 SNAPSHOT_MAGIC = "CONTACTNEWTON-SNAPSHOT 1"
+# relative asymmetry a 9-component rigid inertia may carry, against its largest entry
+_SYM_RTOL = 1e-12
 
 
 # --- object specifications ------------------------------------------------------
@@ -248,7 +251,14 @@ def _inertia(value, where):
     arr = _array(value, where)
     if arr.size not in (3, 9):
         raise ValidationError(f"{where}: inertia needs 3 or 9 components")
-    return np.diag(arr) if arr.size == 3 else arr.reshape(3, 3)
+    inertia = np.diag(arr) if arr.size == 3 else arr.reshape(3, 3)
+    # the factorization of the rigid system reads only its upper triangle
+    asymmetry = np.abs(inertia - inertia.T).max()
+    if asymmetry > _SYM_RTOL * max(np.abs(inertia).max(), 1.0):
+        raise ValidationError(
+            f"{where}: must be symmetric, got {value!r} (max asymmetry {asymmetry:.3e})"
+        )
+    return inertia
 
 
 def _named(name, build, **kwargs):
@@ -996,43 +1006,41 @@ def load_snapshot(path) -> Snapshot:
     return Snapshot(step, t, objects, pairs)
 
 
-def run(
-    sim: Simulation,
-    n_steps: int,
-    out_dir=None,
-    on_step=None,
-) -> list[StepReport]:
-    """Advance ``n_steps`` steps, writing snapshots and metrics per the output config."""
+def run(sim: Simulation, n_steps: int, out_dir=None) -> list[StepReport]:
+    """Advance ``n_steps`` steps, writing snapshots and metrics per the output config.
+
+    The metrics, ``metrics.csv`` (per step) and ``newton.csv`` (per Newton
+    iteration), are written step by step, so a failed run keeps its rows.
+    """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     out = sim.config.output
-    writer = None
-    metrics_fh = None
-    snap_dir = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if out.metrics:
-            metrics_fh = open(os.path.join(out_dir, "metrics.csv"), "w", newline="")
-            writer = csv.writer(metrics_fh)
-            writer.writerow(StepReport.CSV_FIELDS)
-        if out.snapshots:
-            snap_dir = os.path.join(out_dir, "snapshots")
-            os.makedirs(snap_dir, exist_ok=True)
+    metrics = newton = snap_dir = None
     reports = []
-    try:
+    with contextlib.ExitStack() as files:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            if out.metrics:
+                metrics, newton = (
+                    csv.writer(files.enter_context(
+                        open(os.path.join(out_dir, name), "w", newline="")))
+                    for name in ("metrics.csv", "newton.csv")
+                )
+                metrics.writerow(StepReport.CSV_FIELDS)
+                newton.writerow(["step", "iteration", *(f.name for f in fields(IterationStats))])
+            if out.snapshots:
+                snap_dir = os.path.join(out_dir, "snapshots")
+                os.makedirs(snap_dir, exist_ok=True)
         for _ in range(n_steps):
             report = sim.step()
             reports.append(report)
-            if writer is not None:
-                writer.writerow(report.csv_row())
+            if metrics is not None:
+                metrics.writerow(report.csv_row())
+                for k, it in enumerate(report.iterations):
+                    newton.writerow([report.step, k, *astuple(it)])
             if snap_dir is not None and (report.step % out.every == 0):
                 save_snapshot(
                     take_snapshot(sim),
                     os.path.join(snap_dir, f"step_{report.step:06d}.bin"),
                 )
-            if on_step is not None:
-                on_step(report)
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
     return reports

@@ -84,7 +84,10 @@ The two schemes bind them as follows:
             motion is the step's only backsolve.
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
-loop is exactly the classic single-correction scheme.
+loop is exactly the classic single-correction scheme. Every later iteration
+re-linearizes; there is no frozen-direction variant. Negative tolerances
+force every iteration, since penetration and frame turn are never negative:
+``contactnewton verify`` compares the two schemes on this loop that way.
 
 Each iteration leaves one :class:`IterationStats` record, and the step's
 report and ``newton.csv`` are built from these records alone.
@@ -140,7 +143,6 @@ class NewtonConfig:
     scheme: str = "single"
     max_iterations: int = 5
     penetration_tol: float = 1e-5
-    relinearize: bool = True  # off only in verify's scheme-equivalence check
     rotation_tol: float = 1e-4
 
     def __post_init__(self):
@@ -403,7 +405,7 @@ def _newton(
     result = CorrectionResult({}, [])
     for k in range(ncfg.max_iterations):
         rotation = 0.0
-        if k > 0 and ncfg.relinearize:
+        if k > 0:
             new_frames = relinearize(r, D)
             rotation = max_frame_rotation(D, new_frames)
             D = assemble_direction(new_frames)

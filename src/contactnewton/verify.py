@@ -8,7 +8,10 @@ Three checks back the `verify` CLI command:
   complementarity       Signorini and Coulomb residuals after a converged
                         PGS solve on the first step's contact problem;
   scheme-equivalence    standard and fast recursive corrections agree on
-                        lambda and positions when re-linearization is off.
+                        lambda and velocity corrections over 4 forced
+                        iterations of the production Newton loop, whose
+                        directions are re-linearized in every iteration
+                        after the first.
 
 Every check probes the first step of the scene through one shared context
 from :func:`prepare`; the correction schemes only read it.
@@ -104,8 +107,12 @@ def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
 
 
 def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResult:
-    """With re-linearization disabled the two recursive schemes must agree."""
-    ncfg = dict(max_iterations=4, relinearize=False, penetration_tol=1e-12)
+    """The two recursive schemes must agree, iteration by iteration.
+
+    Negative tolerances force all 4 iterations: penetration and frame turn
+    are never negative, so neither stop test can end the loop early.
+    """
+    ncfg = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
     pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=config.pgs.friction)
     if not ctx.pairs:
         return CheckResult("scheme-equivalence", False, "scene has no contacts")

@@ -108,6 +108,21 @@ def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
     assert any(m["pgs_converged"] == "False" for m in metrics)
 
 
+def test_run_without_metrics_writes_neither_csv(tmp_path):
+    text = PINNED_BOX + "output: {metrics: false}\n"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scene", str(write_scene(tmp_path, text)), "--steps", "2",
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["snapshots"]
+
+
+def test_run_scheme_choices_are_the_solver_schemes(capsys):
+    # the CLI spells the schemes out so that it need not import numpy to parse
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["run", "--help"])
+    assert f"--scheme {{{','.join(solver.SCHEMES)}}}" in capsys.readouterr().out
+
+
 def test_verify_passes_on_block_on_plane(capsys):
     assert cli.main(["verify", "--scene", str(SCENES / "block_on_plane.scn")]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -217,6 +232,13 @@ BAD_SPECS = {
     "repetitions-fraction": (COLUMN + "resolutions: [4]\nrepetitions: 3.9\n",
                              "bench.repetitions:"),
     "resolutions-fraction": (COLUMN + "resolutions: [4.5]\n", "bench.resolutions:"),
+    "resolutions-zero": (COLUMN + "resolutions: [0]\n", "bench.resolutions:"),
+    "warmup-negative": (COLUMN + "resolutions: [4]\nwarmup: -2\n", "bench.warmup:"),
+    "schemes-empty": (COLUMN + "resolutions: [4]\nschemes: []\n", "bench.schemes:"),
+    "newton-iterations-zero": (COLUMN + "resolutions: [4]\nnewton_iterations: 0\n",
+                               "bench.newton_iterations:"),
+    "pgs-iterations-zero": (COLUMN + "resolutions: [4]\npgs_iterations: 0\n",
+                            "bench.pgs_iterations:"),
 }
 
 
@@ -246,6 +268,21 @@ def prepared(scene):
 def test_verify_check_passes_on_shipped_scene(scene, check):
     result = check(*prepared(scene))
     assert result.passed, result.detail
+
+
+def test_scheme_equivalence_fails_when_fast_keeps_its_detection_frame_W(monkeypatch):
+    # the check runs re-linearized iterations, so a fast rebuild that ignores
+    # the turned directions must fail it
+    kept = []
+
+    def detection_frame_W(D, wg, _rebuild=solver.rebuild_W_fast):
+        if not kept:
+            kept.append(_rebuild(D, wg))
+        return kept[0]
+
+    monkeypatch.setattr(solver, "rebuild_W_fast", detection_frame_W)
+    result = check_scheme_equivalence(*prepared(SCENES / "grasp_rotate.scn"))
+    assert len(kept) == 1 and not result.passed, result.detail
 
 
 def complementarity_reference(config, ctx):

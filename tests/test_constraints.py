@@ -24,7 +24,7 @@ from contactnewton.constraints import (
 )
 from contactnewton.dynamics import MechanicalState, RigidBody, SoftBody, compute_free_motion
 from contactnewton.errors import DimensionMismatchError
-from contactnewton.linalg import Factorization, SparseSym
+from contactnewton.linalg import Factorization
 from contactnewton.solver import _penetration
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
 from pairs_reference import AttachKind, Attachment, ProximityPair, to_contacts
@@ -483,7 +483,7 @@ class TestWgGather:
         body, pair = point_mass_pair()
         S = build_signed_mapping(pair, 0, 3)
         with pytest.raises(DimensionMismatchError):
-            assemble_Wg({0: S}, {0: Factorization(SparseSym(np.eye(6)))})
+            assemble_Wg({0: S}, {0: Factorization(np.eye(6))})
 
 
 class TestViolation:

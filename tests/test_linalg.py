@@ -9,7 +9,7 @@ from scipy.spatial.transform import Rotation
 
 from contactnewton.dynamics import RigidBody
 from contactnewton.errors import DimensionMismatchError, NotSPDError
-from contactnewton.linalg import Factorization, SparseSym
+from contactnewton.linalg import Factorization
 from contactnewton.scene import SoftSpec, load_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -37,40 +37,37 @@ def dense_gaussian_elimination(A, b):
     return x
 
 
-class TestSparseSym:
+class TestFactorizeSolve:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatchError):
-            SparseSym(np.ones((2, 3)))
+            Factorization(np.ones((2, 3)))
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DimensionMismatchError):
-            SparseSym(np.array([[1.0, 2.0], [0.5, 1.0]]))
+    def test_takes_dense_and_sparse_matrices(self):
+        A = random_spd(5, 0)
+        b = np.random.default_rng(1).standard_normal(5)
+        dense, sparse = Factorization(A), Factorization(sp.csr_matrix(A))
+        assert dense.dim == sparse.dim == 5
+        assert np.array_equal(dense.solve(b), sparse.solve(b))
 
-    def test_accepts_symmetric(self):
-        A = SparseSym(random_spd(5, 0))
-        assert A.dim == 5
-
-
-class TestFactorizeSolve:
     def test_identity(self):
-        F = Factorization(SparseSym(sp.eye(3)))
+        F = Factorization(sp.eye(3))
         assert np.allclose(F.solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_diagonal(self):
-        F = Factorization(SparseSym(sp.diags([2.0, 4.0])))
+        F = Factorization(sp.diags([2.0, 4.0]))
         assert np.allclose(F.solve(np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_zero_rhs(self):
-        F = Factorization(SparseSym(sp.eye(4)))
+        F = Factorization(sp.eye(4))
         assert np.array_equal(F.solve(np.zeros(4)), np.zeros(4))
 
     def test_scalar_diag(self):
-        F = Factorization(SparseSym(sp.diags([4.0])))
+        F = Factorization(sp.diags([4.0]))
         assert np.allclose(F.solve(np.array([2.0])), [0.5])
 
     def test_residual_random_spd(self):
         A = random_spd(10, 42)
-        F = Factorization(SparseSym(A))
+        F = Factorization(A)
         b = np.random.default_rng(7).standard_normal(10)
         x = F.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
@@ -78,35 +75,35 @@ class TestFactorizeSolve:
     def test_matches_dense_elimination_oracle(self):
         A = random_spd(6, 3)
         b = np.random.default_rng(11).standard_normal(6)
-        x = Factorization(SparseSym(A)).solve(b)
+        x = Factorization(A).solve(b)
         assert np.linalg.norm(x - dense_gaussian_elimination(A, b)) <= 1e-10
 
     def test_not_spd_detected(self):
         A = random_spd(6, 5)
         A[2, 2] = -50.0
         with pytest.raises(NotSPDError):
-            Factorization(SparseSym(A))
+            Factorization(A)
 
     def test_singular_detected(self):
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
         with pytest.raises(NotSPDError):
-            Factorization(SparseSym(A))
+            Factorization(A)
 
     def test_dimension_mismatch(self):
-        F = Factorization(SparseSym(sp.eye(3)))
+        F = Factorization(sp.eye(3))
         with pytest.raises(DimensionMismatchError):
             F.solve(np.zeros(4))
 
     def test_deterministic_bit_identical(self):
         A = random_spd(20, 9)
         b = np.random.default_rng(1).standard_normal(20)
-        x1 = Factorization(SparseSym(A)).solve(b)
-        x2 = Factorization(SparseSym(A)).solve(b)
+        x1 = Factorization(A).solve(b)
+        x2 = Factorization(A).solve(b)
         assert np.array_equal(x1, x2)
 
     def test_solve_count(self):
-        F = Factorization(SparseSym(sp.eye(3)))
+        F = Factorization(sp.eye(3))
         assert F.solve_count == 0
         F.solve(np.zeros(3))
         F.solve_multi(np.zeros((3, 4)))
@@ -116,28 +113,28 @@ class TestFactorizeSolve:
 class TestSolveMulti:
     def test_identity_rhs_gives_inverse(self):
         A = random_spd(6, 21)
-        F = Factorization(SparseSym(A))
+        F = Factorization(A)
         X = F.solve_multi(np.eye(6))
         for j in range(6):
-            assert np.array_equal(X[:, j], Factorization(SparseSym(A)).solve(np.eye(6)[:, j]))
+            assert np.array_equal(X[:, j], Factorization(A).solve(np.eye(6)[:, j]))
         assert np.allclose(A @ X, np.eye(6), atol=1e-10)
 
     def test_duplicate_columns(self):
-        F = Factorization(SparseSym(random_spd(5, 2)))
+        F = Factorization(random_spd(5, 2))
         b = np.random.default_rng(3).standard_normal(5)
         X = F.solve_multi(np.column_stack([b, b]))
         assert np.array_equal(X[:, 0], X[:, 1])
 
     def test_columnwise_matches_solve(self):
         A = random_spd(10, 17)
-        F = Factorization(SparseSym(A))
+        F = Factorization(A)
         B = np.random.default_rng(5).standard_normal((10, 3))
         X = F.solve_multi(B)
         for j in range(3):
             assert np.linalg.norm(X[:, j] - F.solve(B[:, j])) <= 1e-12
 
     def test_shape_check(self):
-        F = Factorization(SparseSym(sp.eye(4)))
+        F = Factorization(sp.eye(4))
         with pytest.raises(DimensionMismatchError):
             F.solve_multi(np.zeros((3, 2)))
 
@@ -145,7 +142,7 @@ class TestSolveMulti:
         # ||A F.solve_multi(B) - B||_inf <= 1e-9 ||B||_inf over seeded SPD systems
         for dim in (2, 7, 23, 50):
             A = random_spd(dim, dim)
-            F = Factorization(SparseSym(A))
+            F = Factorization(A)
             B = np.random.default_rng(dim + 1).standard_normal((dim, 4))
             X = F.solve_multi(B)
             assert np.abs(A @ X - B).max() <= 1e-9 * np.abs(B).max()
@@ -155,7 +152,7 @@ class TestSolveMulti:
 class TestInverseBlock:
     def test_matches_dense_inverse(self):
         A = random_spd(15, 41)
-        F = Factorization(SparseSym(A))
+        F = Factorization(A)
         inv = np.linalg.inv(A)
         for dofs in ([3, 0, 11], [14, 3, 7, 0, 9]):
             block = F.inverse_block(dofs)
@@ -163,7 +160,7 @@ class TestInverseBlock:
             assert np.abs(block - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_solves_only_new_columns(self):
-        F = Factorization(SparseSym(random_spd(12, 5)))
+        F = Factorization(random_spd(12, 5))
         F.inverse_block([4, 1, 9])
         assert F.solve_count == 3
         first = F.inverse_block([4, 1, 9])
@@ -173,14 +170,14 @@ class TestInverseBlock:
         assert np.array_equal(block[np.ix_([2, 4, 0], [2, 4, 0])], first)
 
     def test_rejects_bad_dofs(self):
-        F = Factorization(SparseSym(sp.eye(4)))
+        F = Factorization(sp.eye(4))
         for dofs in ([0, 4], [-1], [[0, 1]]):
             with pytest.raises(DimensionMismatchError):
                 F.inverse_block(dofs)
         assert F.solve_count == 0
 
     def test_empty_dofs(self):
-        F = Factorization(SparseSym(random_spd(6, 3)))
+        F = Factorization(random_spd(6, 3))
         assert F.inverse_block([]).shape == (0, 0)
         assert F.solve_count == 0
 
@@ -216,7 +213,7 @@ class PerColumnCache:
 
 def sparse_spd(dim, seed):
     B = sp.random(dim, dim, density=0.05, random_state=seed, format="csr")
-    return SparseSym(B @ B.T + 10.0 * sp.eye(dim))
+    return B @ B.T + 10.0 * sp.eye(dim)
 
 
 class TestCacheGrowth:
@@ -238,7 +235,7 @@ class TestCacheGrowth:
 class TestInverseColumnsTimes:
     def test_matches_dense_inverse(self):
         A = random_spd(15, 41)
-        F = Factorization(SparseSym(A))
+        F = Factorization(A)
         inv = np.linalg.inv(A)
         rng = np.random.default_rng(2)
         for dofs in ([3, 0, 11], [14, 3, 7, 0, 9], [5, 5, 2]):  # a repeated DOF adds up
@@ -250,7 +247,7 @@ class TestInverseColumnsTimes:
 
     def test_equals_a_backsolve_of_the_scattered_rhs(self):
         A = random_spd(20, 6)
-        F = Factorization(SparseSym(A))
+        F = Factorization(A)
         dofs = np.array([2, 17, 8, 11])
         x = np.random.default_rng(7).standard_normal(4)
         b = np.zeros(20)
@@ -259,7 +256,7 @@ class TestInverseColumnsTimes:
         assert np.abs(F.inverse_columns_times(dofs, x) - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_solves_only_new_columns(self):
-        F = Factorization(SparseSym(random_spd(12, 5)))
+        F = Factorization(random_spd(12, 5))
         x = np.ones(3)
         F.inverse_block([4, 1, 9])
         assert F.solve_count == 3
@@ -271,7 +268,7 @@ class TestInverseColumnsTimes:
         assert F.solve_count == 5  # and inverse_block reuses them
 
     def test_rejects_bad_dofs_and_x(self):
-        F = Factorization(SparseSym(sp.eye(4)))
+        F = Factorization(sp.eye(4))
         for dofs in ([0, 4], [-1], [[0, 1]]):
             with pytest.raises(DimensionMismatchError):
                 F.inverse_columns_times(dofs, np.ones(np.size(dofs)))
@@ -280,7 +277,7 @@ class TestInverseColumnsTimes:
         assert F.solve_count == 0
 
     def test_empty_dofs(self):
-        F = Factorization(SparseSym(random_spd(6, 3)))
+        F = Factorization(random_spd(6, 3))
         assert np.array_equal(F.inverse_columns_times([], []), np.zeros(6))
         F.inverse_block([1, 2])
         assert np.array_equal(F.inverse_columns_times(np.zeros(0, dtype=int), np.zeros(0)),
@@ -299,7 +296,7 @@ def factor_quietly(A):
     """Factorization of A with every warning turned into an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return Factorization(SparseSym(A, check=False))
+        return Factorization(A)
 
 
 class TestSpdCheckNamesDof:
@@ -343,30 +340,30 @@ class TestStructures:
                                              ("grasp_rotate.scn", 648)])
     def test_shipped_system_matches_spsolve(self, scene, dofs):
         A = soft_system(scene)
-        assert A.dim == dofs
+        assert A.shape == (dofs, dofs)
         F = Factorization(A)
         B = np.random.default_rng(dofs).standard_normal((dofs, 2))
-        assert relative_error(F.solve(B[:, 0]), spsolve(A.csr.tocsc(), B[:, 0])) <= 1e-12
+        assert relative_error(F.solve(B[:, 0]), spsolve(A.tocsc(), B[:, 0])) <= 1e-12
         X = F.solve_multi(B)
-        assert relative_error(X, spsolve(A.csr.tocsc(), B)) <= 1e-12
+        assert relative_error(X, spsolve(A.tocsc(), B)) <= 1e-12
 
     def test_two_disconnected_components(self):
-        a = sparse_spd(30, 4).csr
-        b = sparse_spd(20, 5).csr
+        a = sparse_spd(30, 4)
+        b = sparse_spd(20, 5)
         mix = np.random.default_rng(6).permutation(50)  # interleave the components
         A = sp.block_diag([a, b]).tocsr()[mix][:, mix]
         rhs = np.random.default_rng(8).standard_normal(50)
-        x = Factorization(SparseSym(A)).solve(rhs)
+        x = Factorization(A).solve(rhs)
         assert relative_error(x, np.linalg.solve(A.toarray(), rhs)) <= 1e-12
 
     def test_point_mass_diagonal(self):
         A = soft_system("point_mass.scn")
-        assert A.dim == 3 and sp.triu(A.csr, 1).nnz == 0  # bandwidth 0
+        assert A.shape == (3, 3) and sp.triu(A, 1).nnz == 0  # bandwidth 0
         b = np.array([1.0, -2.0, 3.0])
-        assert relative_error(Factorization(A).solve(b), b / A.csr.diagonal()) <= 1e-15
+        assert relative_error(Factorization(A).solve(b), b / A.diagonal()) <= 1e-15
 
     def test_one_by_one_block(self):  # test_scalar_diag covers solve
-        F = Factorization(SparseSym(np.array([[4.0]])))
+        F = Factorization(np.array([[4.0]]))
         assert np.array_equal(F.solve_multi(np.array([[2.0, -8.0]])), [[0.5, -2.0]])
 
     def test_rigid_full_world_inertia(self):

@@ -175,6 +175,11 @@ BAD_VALUES = {
                              "ball: rigid mass"),
     "sphere-inertia-not-spd": (f"objects: [{{{BALL}, radius: 0.1, inertia: [1, 0, -1]}}]\n",
                                "ball: rigid inertia"),
+    # its symmetric part is positive definite, but the factorization reads
+    # only the upper triangle: a unit torque about x turned (5.26, -4.74, 0)
+    "sphere-inertia-asymmetric": (f"objects: [{{{BALL}, radius: 0.1, "
+                                  "inertia: [1, 0.9, 0, 0, 1, 0, 0, 0, 1]}]\n",
+                                  "ball.inertia:"),
 }
 
 BAD_SCENES = {

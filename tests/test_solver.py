@@ -725,8 +725,14 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
 PLANE_ID = 99
 
 
-def falling_block_setup(center_y=0.0495, vy=-0.05):
+def falling_block_setup(center_y=0.0495, vy=-0.05, tilt=0.0):
+    """A soft block over the plane y = 0, turned by ``tilt`` rad about z."""
     m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2), center=(0.0, center_y, 0.0))
+    if tilt:
+        c, s = np.cos(tilt), np.sin(tilt)
+        center = np.array([0.0, center_y, 0.0])
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        m = TetMesh((m.nodes - center) @ turn.T + center, m.tets)
     body = SoftBody(m, young=5e4, poisson=0.3)
     tris = surface_triangles(m)
     geom = MeshGeometry(
@@ -763,15 +769,19 @@ class TestNewtonSchemes:
         res = newton_fast(ctx, NewtonConfig(scheme="fast"), PgsConfig())
         assert np.array_equal(res.dv_by_object[0], np.zeros_like(res.dv_by_object[0]))
 
-    def test_schemes_agree_with_frozen_frames(self):
-        bodies, pairs = falling_block_setup()
-        cfgn = dict(max_iterations=4, relinearize=False, penetration_tol=1e-12)
+    def test_schemes_agree_under_forced_relinearized_iterations(self):
+        # negative tolerances force all 4 iterations, each after the first
+        # in re-linearized directions; only the tilted block's lower edge
+        # penetrates, and the pairs that keep a gap turn as the block moves
+        bodies, pairs = falling_block_setup(center_y=0.052, tilt=0.1)
+        cfgn = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
         pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=0.5)
         ctx1, *_ = build_context((bodies, pairs))
         std = newton_standard(ctx1, NewtonConfig(scheme="standard", **cfgn), pcfg)
         ctx2, *_ = build_context((bodies, pairs))
         fast = newton_fast(ctx2, NewtonConfig(scheme="fast", **cfgn), pcfg)
-        assert len(std.lam_history) == len(fast.lam_history)
+        assert len(std.lam_history) == len(fast.lam_history) == 4
+        assert any(it.rotation > 0.0 for it in fast.iterations)
         scale = max(max(np.abs(l).max() for l in std.lam_history), 1e-12)
         for ls, lf in zip(std.lam_history, fast.lam_history):
             assert np.abs(ls - lf).max() <= 1e-8 * scale
