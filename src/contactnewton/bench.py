@@ -33,11 +33,11 @@ from .scene import (
     SceneConfig,
     Simulation,
     SoftSpec,
-    _count,
-    _mapping,
-    _require,
-    _settings,
+    as_count,
+    as_mapping,
     load_scene,
+    read_settings,
+    require,
     with_box_divisions,
 )
 from .solver import SCHEMES
@@ -90,11 +90,11 @@ def _list(value, where):
 
 
 def _counts(value, where):
-    return [_count(n, where) for n in _list(value, where)]
+    return [as_count(n, where) for n in _list(value, where)]
 
 
 _SPEC = {"resolutions": ("resolutions", _counts), "schemes": ("schemes", _list),
-         **{key: (key, _count)
+         **{key: (key, as_count)
             for key in ("repetitions", "warmup", "newton_iterations", "pgs_iterations")}}
 
 
@@ -106,14 +106,14 @@ def load_bench_spec(path) -> BenchSpec:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "scene" not in raw:
         raise ParseError(f"{path}: bench spec needs at least a 'scene' key")
-    _mapping(raw, "bench", ("scene", *_SPEC))
-    _require(raw, "resolutions", "bench")
+    as_mapping(raw, "bench", ("scene", *_SPEC))
+    require(raw, "resolutions", "bench")
     scene_path = raw["scene"]
     if not isinstance(scene_path, str):
         raise ValidationError(f"bench.scene: expected a file name, got {scene_path!r}")
     if not os.path.isabs(scene_path):
         scene_path = os.path.join(os.path.dirname(os.path.abspath(path)), scene_path)
-    return BenchSpec(scene=scene_path, **_settings(raw, "bench", _SPEC))
+    return BenchSpec(scene=scene_path, **read_settings(raw, "bench", _SPEC))
 
 
 def _base_divisions(config: SceneConfig):

@@ -163,7 +163,9 @@ def assemble_Wg(
 
     Each object adds S_J A^-1[J][:, J] S_J^T over its contact DOFs J
     (:func:`contact_dofs`, derived here unless ``dofs_by_object`` holds them);
-    :meth:`Factorization.inverse_block` supplies the middle factor.
+    :meth:`Factorization.inverse_block` supplies the middle factor. S_J stays
+    sparse, each of its rows holding a few nonzeros, so both products cost
+    O(|J|²) and not the O(|J|³) of a dense S_J.
     """
     ids = sorted(S_by_object)
     if not ids:
@@ -180,8 +182,9 @@ def assemble_Wg(
         J = contact_dofs(S) if dofs_by_object is None else dofs_by_object[oid]
         if J.size == 0:
             continue
-        SJ = S.tocsr()[:, J].toarray()
-        wg += SJ @ F.inverse_block(J) @ SJ.T
+        SJ = S.tocsr()[:, J]
+        X = SJ @ F.inverse_block(J)
+        wg += (SJ @ X.T).T
     return wg
 
 

@@ -25,6 +25,9 @@ from .errors import NonFiniteForceError, ValidationError
 from .linalg import Factorization
 from .mesh import TetMesh, check_positive_volumes, tet_volumes
 
+# relative asymmetry a rigid inertia may carry, against its largest entry
+_SYM_RTOL = 1e-12
+
 
 @dataclass
 class MechanicalState:
@@ -238,6 +241,12 @@ class RigidBody:
         if self.inertia is None:
             self.inertia = (0.4 * self.mass * self.radius * self.radius) * np.eye(3)
         self.inertia = np.asarray(self.inertia, dtype=np.float64).reshape(3, 3)
+        # the factorization of the rigid system reads only its upper triangle
+        asymmetry = np.abs(self.inertia - self.inertia.T).max()
+        if asymmetry > _SYM_RTOL * max(np.abs(self.inertia).max(), 1.0):
+            raise ValidationError(
+                f"rigid inertia must be symmetric, max asymmetry {asymmetry:.3e}"
+            )
         eig = np.linalg.eigvalsh(0.5 * (self.inertia + self.inertia.T))
         if eig.min() <= 0:
             raise ValidationError("rigid inertia must be symmetric positive definite")

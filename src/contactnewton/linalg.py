@@ -7,16 +7,24 @@ the matrix into a narrow band, and LAPACK's ``dpbtrf``/``dpbtrs`` factor it
 and solve on it. A pivot that is not positive and finite is reported as
 :class:`NotSPDError`, naming the DOF where it arose.
 
+The columns of A^-1 that :class:`Factorization` caches for the fast scheme
+are filled by a second solve on the same band, blocked and level-3 (BLAS
+``dtrsm``/``dtrmm`` over blocks of ``bw`` rows), which streams the band
+once per pass for all new columns where ``dpbtrs`` streams it twice per
+column. A filled column matches :meth:`Factorization.solve` of its unit
+vector to rounding, not bit for bit.
+
 :class:`Factorization` takes the assembled matrix (scipy sparse or dense) as
 it is and reads only its upper triangle, so it does not check symmetry: the
 assemblers build symmetric matrices, and the one setting from outside that
-enters A, a rigid body's inertia, is checked when a scene is loaded.
+enters A, a rigid body's inertia, is checked by :class:`~.dynamics.RigidBody`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -44,10 +52,12 @@ class Factorization:
     The object caches the columns of A^-1 it has solved for, as the rows of
     one dense array (A is symmetric, so column d of A^-1 is also its row d):
     ``_row_of[d]`` is the row of ``_rows`` holding DOF d, or -1. A column is
-    solved once, on a unit right-hand side through :meth:`solve_multi`, and
-    lives as long as this factorization; :meth:`inverse_block` and
-    :meth:`inverse_columns_times` only gather from it. The cache makes the
-    object mutable: do not share it across threads while the cache fills.
+    solved once, by the blocked band solve of :meth:`_unit_columns` (not by
+    ``dpbtrs``, so it matches :meth:`solve` of the unit vector to rounding,
+    not bit for bit), and lives as long as this factorization;
+    :meth:`inverse_block` and :meth:`inverse_columns_times` only gather from
+    it. The cache makes the object mutable: do not share it across threads
+    while the cache fills.
     """
 
     __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_rows", "_row_of")
@@ -122,11 +132,75 @@ class Factorization:
             )
         return dofs
 
+    def _u_block(self, i: int, j: int, rows: int, cols: int) -> np.ndarray:
+        """``U[i:i+rows, j:j+cols]`` as a strided view of the factored band, not a copy.
+
+        ``U[i, j]`` sits at flat index ``bw + i + bw·j`` of the Fortran-order
+        band, so the view steps 1 element down a column and ``bw`` across; with
+        ``rows == bw`` it is Fortran-contiguous and BLAS reads it in place.
+        Only its entries inside the band are U's, the others being other band
+        entries, so a caller hands BLAS only a triangle that lies in the band.
+        """
+        bw = self._band.shape[0] - 1
+        step = self._band.itemsize
+        # the constructor refuses a view that reaches past the buffer
+        return np.ndarray((rows, cols), np.float64, self._band.reshape(-1, order="F"),
+                          step * (bw + i + bw * j), (step, bw * step))
+
+    def _unit_columns(self, dofs: np.ndarray) -> np.ndarray:
+        """A^-1 e_d for each d of ``dofs``, as the rows of a ``(len(dofs), dim)`` array.
+
+        A blocked level-3 solve of ``Uᵀ U X = E`` over blocks of ``bw`` rows
+        (the last one shorter), run on ``Xᵀ`` so that a block of right-hand
+        sides is a Fortran-contiguous slice that BLAS overwrites in place. In
+        the band, the diagonal block ``U_ss`` is upper triangular, the coupling
+        ``U_st`` to the next block lower triangular, and U has no other nonzero
+        block. The forward pass solves ``Y_sᵀ U_ss = E_sᵀ - Y_pᵀ U_ps`` block by
+        block (``dtrmm`` for the coupling, ``dtrsm`` for the diagonal block),
+        the backward pass ``X_sᵀ U_ssᵀ = Y_sᵀ - X_tᵀ U_stᵀ``. Where the last
+        block is shorter, its coupling splits into a triangle and a dense part
+        (a matmul), and BLAS gets a copy of its triangles, which are not
+        contiguous in the band. Each column counts in ``solve_count``.
+        """
+        n, k = self.dim, len(dofs)
+        bw = self._band.shape[0] - 1
+        self.solve_count += k
+        W = np.zeros((n, k))  # Xᵀ by rows, in permuted order
+        W[self._at[dofs], np.arange(k)] = 1.0
+        if bw == 0:  # U is the band's one row, a diagonal
+            W /= self._band[0][:, None]
+            W /= self._band[0][:, None]
+            return W[self._at].T
+        starts = range(0, n, bw)
+        for s in starts:
+            b = min(bw, n - s)
+            Yt = W[s:s + b].T
+            if s:
+                Pt = W[s - bw:s].T
+                C = self._u_block(s - bw, s, bw, b)
+                Yt -= dtrmm(1.0, C[:b], Pt[:, :b], side=1, lower=1)
+                if b < bw:
+                    Yt -= Pt[:, b:] @ C[b:]
+            dtrsm(1.0, self._u_block(s, s, b, b), Yt, side=1, overwrite_b=1)
+        for s in reversed(starts):
+            b = min(bw, n - s)
+            Xt = W[s:s + b].T
+            t = s + bw
+            if t < n:
+                bt = min(bw, n - t)
+                Nt = W[t:t + bt].T
+                C = self._u_block(s, t, bw, bt)
+                Xt[:, :bt] -= dtrmm(1.0, C[:bt], Nt, side=1, lower=1, trans_a=1)
+                if bt < bw:
+                    Xt[:, bt:] -= Nt @ C[bt:].T
+            dtrsm(1.0, self._u_block(s, s, b, b), Xt, side=1, trans_a=1, overwrite_b=1)
+        return W[self._at].T
+
     def _cached_rows(self, dofs: np.ndarray) -> np.ndarray:
         """Rows of the cache holding ``dofs``, solving for the DOFs not cached yet.
 
         New DOFs are solved in order of first appearance, all in one
-        :meth:`solve_multi` call.
+        :meth:`_unit_columns` call.
         """
         rows = self._row_of[dofs]
         missing = rows < 0
@@ -134,11 +208,9 @@ class Factorization:
             new = dofs[missing]
             _, first = np.unique(new, return_index=True)
             new = new[np.sort(first)]
-            E = np.zeros((self.dim, len(new)))
-            E[new, np.arange(len(new))] = 1.0
-            X = self.solve_multi(E)
+            X = self._unit_columns(new)
             self._row_of[new] = np.arange(len(self._rows), len(self._rows) + len(new))
-            self._rows = np.concatenate([self._rows, X.T])
+            self._rows = np.concatenate([self._rows, X])
             rows = self._row_of[dofs]
         return rows
 

@@ -60,8 +60,6 @@ from .solver import (
 )
 
 SNAPSHOT_MAGIC = "CONTACTNEWTON-SNAPSHOT 1"
-# relative asymmetry a 9-component rigid inertia may carry, against its largest entry
-_SYM_RTOL = 1e-12
 
 
 # --- object specifications ------------------------------------------------------
@@ -151,15 +149,19 @@ class SceneConfig:
 # file sets are passed on, so the dataclass default is the one default of
 # each setting; a value the physics cannot use is refused by the dataclass
 # that holds it, and the loader names the object in that error.
+#
+# ``require``, ``as_mapping``, ``read_settings`` and ``as_count`` are the
+# public table API; the bench spec loader reads its file through them too.
 
 
-def _require(mapping, key, where):
+def require(mapping, key, where):
+    """``mapping[key]``; a missing key is a :class:`ValidationError` naming ``where``."""
     if key not in mapping:
         raise ValidationError(f"{where}: missing required key '{key}'")
     return mapping[key]
 
 
-def _mapping(value, where, keys=None):
+def as_mapping(value, where, keys=None):
     """A scene section as a dict; an absent or empty section reads as {}.
 
     With ``keys`` given, any other key is an error: a misspelt key would
@@ -178,7 +180,7 @@ def _mapping(value, where, keys=None):
     return value
 
 
-def _settings(section, where, table):
+def read_settings(section, where, table):
     """Keyword arguments for the keys of ``table`` that ``section`` sets.
 
     ``table`` maps a scene key to ``(field, parse)``; ``parse(value, path)``
@@ -199,7 +201,8 @@ def _as_is(value, where):
     return value
 
 
-def _count(value, where):
+def as_count(value, where):
+    """``value`` as a whole number, as :func:`~.errors.as_number` with ``kind=int``."""
     return as_number(value, where, int)
 
 
@@ -251,14 +254,7 @@ def _inertia(value, where):
     arr = _array(value, where)
     if arr.size not in (3, 9):
         raise ValidationError(f"{where}: inertia needs 3 or 9 components")
-    inertia = np.diag(arr) if arr.size == 3 else arr.reshape(3, 3)
-    # the factorization of the rigid system reads only its upper triangle
-    asymmetry = np.abs(inertia - inertia.T).max()
-    if asymmetry > _SYM_RTOL * max(np.abs(inertia).max(), 1.0):
-        raise ValidationError(
-            f"{where}: must be symmetric, got {value!r} (max asymmetry {asymmetry:.3e})"
-        )
-    return inertia
+    return np.diag(arr) if arr.size == 3 else arr.reshape(3, 3)
 
 
 def _named(name, build, **kwargs):
@@ -272,11 +268,11 @@ def _named(name, build, **kwargs):
 _TOP = {"gravity": ("gravity", _vec3), "dt": ("h", as_number),
         "threshold": ("threshold", as_number)}
 _FRICTION = {"mu": ("friction", as_number)}
-_PGS = {"iterations": ("max_iterations", _count), "tolerance": ("tolerance", as_number)}
-_NEWTON = {"scheme": ("scheme", _as_is), "iterations": ("max_iterations", _count),
+_PGS = {"iterations": ("max_iterations", as_count), "tolerance": ("tolerance", as_number)}
+_NEWTON = {"scheme": ("scheme", _as_is), "iterations": ("max_iterations", as_count),
            "penetration_tol": ("penetration_tol", as_number)}
 _OUTPUT = {"snapshots": ("snapshots", _as_is), "metrics": ("metrics", _as_is),
-           "every": ("every", _count)}
+           "every": ("every", as_count)}
 _TOP_KEYS = ("objects", *_TOP, *_FRICTION, "pgs", "newton", "output")
 
 _BOX = {"center": ("center", _vec3)}
@@ -303,14 +299,14 @@ _MESH_KEYS = ("file", "box")
 
 
 def _box_params(box, where):
-    box = _mapping(box, where, ("size", "divisions", *_BOX))
-    divisions = _array(_require(box, "divisions", where), f"{where}.divisions", np.int64)
+    box = as_mapping(box, where, ("size", "divisions", *_BOX))
+    divisions = _array(require(box, "divisions", where), f"{where}.divisions", np.int64)
     if divisions.shape != (3,):
         raise ValidationError(f"{where}.divisions: expected 3 components, got {divisions.tolist()}")
     return {
-        "size": _vec3(_require(box, "size", where), f"{where}.size"),
+        "size": _vec3(require(box, "size", where), f"{where}.size"),
         "divisions": tuple(int(d) for d in divisions),
-        **_settings(box, where, _BOX),
+        **read_settings(box, where, _BOX),
     }
 
 
@@ -330,7 +326,7 @@ def _region_nodes(mesh, region):
 
 def _load_mesh(section, name, base_dir):
     """The tet mesh of a ``mesh`` section, and its box parameters (None for a file)."""
-    mesh_spec = _mapping(section, f"{name}.mesh", _MESH_KEYS)
+    mesh_spec = as_mapping(section, f"{name}.mesh", _MESH_KEYS)
     if "file" in mesh_spec:
         path = os.path.join(base_dir, mesh_spec["file"])
         if not os.path.exists(path):
@@ -343,19 +339,19 @@ def _load_mesh(section, name, base_dir):
 
 
 def _fixed_region(region, where):
-    region = _mapping(region, where, ("axis", "min", "max"))
+    region = as_mapping(region, where, ("axis", "min", "max"))
     axis = {"x": 0, "y": 1, "z": 2}.get(region.get("axis"), region.get("axis"))
     if axis not in (0, 1, 2):
         raise ValidationError(f"{where}.axis: must be x, y or z")
-    bounds = _settings(region, where, {"min": ("min", as_number), "max": ("max", as_number)})
+    bounds = read_settings(region, where, {"min": ("min", as_number), "max": ("max", as_number)})
     return axis, bounds.get("min"), bounds.get("max")
 
 
 def _load_soft(entry, name, base_dir):
-    mesh, box_params = _load_mesh(_require(entry, "mesh", name), name, base_dir)
-    body = _settings(entry, name, _SOFT_BODY)
-    body.update(_settings(
-        _mapping(entry.get("material"), f"{name}.material", _MATERIAL),
+    mesh, box_params = _load_mesh(require(entry, "mesh", name), name, base_dir)
+    body = read_settings(entry, name, _SOFT_BODY)
+    body.update(read_settings(
+        as_mapping(entry.get("material"), f"{name}.material", _MATERIAL),
         f"{name}.material", _MATERIAL,
     ))
     region = None
@@ -370,13 +366,13 @@ def _load_soft(entry, name, base_dir):
         body=_named(name, SoftBody, mesh=mesh, **body),
         fixed_region=region,
         box_params=box_params,
-        **_settings(entry, name, _SOFT),
+        **read_settings(entry, name, _SOFT),
     )
 
 
 def _plate_mesh(plate, where):
-    center = np.asarray(_vec3(_require(plate, "center", where), f"{where}.center"))
-    normal = np.asarray(_direction(_require(plate, "normal", where), f"{where}.normal"))
+    center = np.asarray(_vec3(require(plate, "center", where), f"{where}.center"))
+    normal = np.asarray(_direction(require(plate, "normal", where), f"{where}.normal"))
     normal = normal / np.linalg.norm(normal)
     size = _array(plate.get("size", (0.1, 0.1)), f"{where}.size")
     if size.shape != (2,) or not (size > 0).all():
@@ -406,7 +402,7 @@ def _plate_mesh(plate, where):
 def _load_kinematic(entry, name, base_dir):
     if "plate" in entry:
         where = f"{name}.plate"
-        points, tris = _plate_mesh(_mapping(entry["plate"], where, ("center", "normal", "size")),
+        points, tris = _plate_mesh(as_mapping(entry["plate"], where, ("center", "normal", "size")),
                                    where)
     elif "mesh" in entry:
         mesh, _ = _load_mesh(entry["mesh"], name, base_dir)
@@ -414,19 +410,20 @@ def _load_kinematic(entry, name, base_dir):
     else:
         raise ValidationError(f"{name}: kinematic object needs 'plate' or 'mesh'")
     where = f"{name}.motion"
-    motion = MotionSpec(**_settings(_mapping(entry.get("motion"), where, _MOTION), where, _MOTION))
+    motion = MotionSpec(**read_settings(as_mapping(entry.get("motion"), where, _MOTION),
+                                        where, _MOTION))
     if motion.angular_velocity != 0.0 and not np.linalg.norm(motion.axis) > 0:
         raise ValidationError(f"{where}.axis: a rotating object needs a nonzero axis")
     return KinematicMeshSpec(name=name, points=points, triangles=tris, motion=motion)
 
 
 def _load_rigid_sphere(entry, name):
-    _require(entry, "mass", name)
-    radius = as_number(_require(entry, "radius", name), f"{name}.radius")
+    require(entry, "mass", name)
+    radius = as_number(require(entry, "radius", name), f"{name}.radius")
     if radius <= 0:
         raise ValidationError(f"{name}.radius: must be positive, got {radius}")
-    body = _named(name, RigidBody, radius=radius, **_settings(entry, name, _RIGID_BODY))
-    return RigidSphereSpec(name=name, body=body, **_settings(entry, name, _RIGID))
+    body = _named(name, RigidBody, radius=radius, **read_settings(entry, name, _RIGID_BODY))
+    return RigidSphereSpec(name=name, body=body, **read_settings(entry, name, _RIGID))
 
 
 def load_scene(path) -> SceneConfig:
@@ -440,7 +437,7 @@ def load_scene(path) -> SceneConfig:
         raise ParseError(f"{loc}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: scene file must be a mapping")
-    _mapping(raw, "scene", _TOP_KEYS)
+    as_mapping(raw, "scene", _TOP_KEYS)
     base_dir = os.path.dirname(os.path.abspath(path))
 
     raw_objects = raw.get("objects", [])
@@ -448,18 +445,18 @@ def load_scene(path) -> SceneConfig:
         raise ValidationError(f"objects: expected a list, got {raw_objects!r}")
     objects = []
     for i, entry in enumerate(raw_objects):
-        entry = _mapping(entry, f"objects[{i}]")
+        entry = as_mapping(entry, f"objects[{i}]")
         name = entry.get("name", f"object{i}")
         if any(spec.name == name for spec in objects):
             raise ValidationError(f"{name}: duplicate object name")
-        kind = _require(entry, "type", name)
+        kind = require(entry, "type", name)
         if kind not in _OBJECT_KEYS:
             raise ValidationError(f"{name}: unknown object type {kind!r}")
-        _mapping(entry, name, _OBJECT_KEYS[kind])
+        as_mapping(entry, name, _OBJECT_KEYS[kind])
         if kind == "soft":
             objects.append(_load_soft(entry, name, base_dir))
         elif kind == "plane":
-            objects.append(PlaneSpec(name=name, **_settings(entry, name, _PLANE)))
+            objects.append(PlaneSpec(name=name, **read_settings(entry, name, _PLANE)))
         elif kind in ("kinematic_mesh", "static_mesh"):
             spec = _load_kinematic(entry, name, base_dir)
             if kind == "static_mesh" and spec.motion != MotionSpec():
@@ -468,14 +465,15 @@ def load_scene(path) -> SceneConfig:
         else:
             objects.append(_load_rigid_sphere(entry, name))
 
-    sections = {key: _mapping(raw.get(key), key, table)
+    sections = {key: as_mapping(raw.get(key), key, table)
                 for key, table in (("pgs", _PGS), ("newton", _NEWTON), ("output", _OUTPUT))}
     return SceneConfig(
         objects=objects,
-        **_settings(raw, "", _TOP),
-        pgs=PgsConfig(**_settings(sections["pgs"], "pgs", _PGS), **_settings(raw, "", _FRICTION)),
-        newton=NewtonConfig(**_settings(sections["newton"], "newton", _NEWTON)),
-        output=OutputConfig(**_settings(sections["output"], "output", _OUTPUT)),
+        **read_settings(raw, "", _TOP),
+        pgs=PgsConfig(**read_settings(sections["pgs"], "pgs", _PGS),
+                      **read_settings(raw, "", _FRICTION)),
+        newton=NewtonConfig(**read_settings(sections["newton"], "newton", _NEWTON)),
+        output=OutputConfig(**read_settings(sections["output"], "output", _OUTPUT)),
     )
 
 

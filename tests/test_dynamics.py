@@ -129,6 +129,12 @@ class TestAssembly:
         with pytest.raises(ValidationError, match="every node needs positive mass"):
             SoftBody(TetMesh(nodes, np.array([[0, 1, 2, 3]])))
 
+    def test_asymmetric_inertia_rejected_at_construction(self):
+        # its symmetric part is positive definite, but the factorization of the
+        # rigid system reads only the upper triangle
+        with pytest.raises(ValidationError, match="rigid inertia must be symmetric"):
+            RigidBody(mass=1, inertia=[[1, 0.9, 0], [0, 1, 0], [0, 0, 1]])
+
     @pytest.mark.parametrize("node", [-2, 100, 8])
     def test_fixed_node_out_of_range_rejected(self, node):
         mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1))  # 8 nodes

@@ -184,11 +184,12 @@ class TestInverseBlock:
 
 class PerColumnCache:
     """The dict-of-columns cache ``inverse_block`` used before the cache became
-    one array; its method body is kept verbatim as the bitwise oracle."""
+    one array, kept as the bitwise oracle of the cache's bookkeeping. It draws
+    its columns from the fill the cache runs, the blocked ``_unit_columns``."""
 
     def __init__(self, F: Factorization):
         self.dim = F.dim
-        self.solve_multi = F.solve_multi
+        self.unit_columns = F._unit_columns
         self._inverse_columns: dict[int, np.ndarray] = {}
 
     def inverse_block(self, dofs) -> np.ndarray:
@@ -200,11 +201,9 @@ class PerColumnCache:
         cache = self._inverse_columns
         new = [d for d in dict.fromkeys(dofs.tolist()) if d not in cache]
         if new:
-            E = np.zeros((self.dim, len(new)))
-            E[new, np.arange(len(new))] = 1.0
-            X = self.solve_multi(E)
+            X = self.unit_columns(np.array(new))
             for j, d in enumerate(new):
-                cache[d] = X[:, j]
+                cache[d] = X[j]
         block = np.empty((len(dofs), len(dofs)))
         for j, d in enumerate(dofs.tolist()):
             block[:, j] = cache[d][dofs]
@@ -374,3 +373,56 @@ class TestStructures:
         assert np.count_nonzero(dense[3:, 3:]) == 9  # a full world inertia block
         b = np.random.default_rng(3).standard_normal(6)
         assert relative_error(Factorization(A).solve(b), np.linalg.solve(dense, b)) <= 1e-12
+
+
+def bandwidth(F):
+    return F._band.shape[0] - 1
+
+
+def rigid_system(inertia=((3.0, 0.4, -0.2), (0.4, 2.0, 0.1), (-0.2, 0.1, 1.5)),
+                 rotvec=(0.3, -0.7, 0.5)):
+    body = RigidBody(mass=2.0, inertia=np.array(inertia))
+    A, _ = body.assemble(Rotation.from_rotvec(rotvec).as_matrix(), 0.01, (0, 0, 0))
+    return A
+
+
+def assert_fill_matches_solve(F, dofs):
+    """Each row of the blocked fill against a dpbtrs solve of its unit vector."""
+    X = F._unit_columns(np.asarray(dofs))
+    assert X.shape == (len(dofs), F.dim)
+    for row, d in zip(X, dofs):
+        e = np.zeros(F.dim)
+        e[d] = 1.0
+        assert relative_error(row, F.solve(e)) <= 1e-12
+
+
+class TestUnitColumnFill:
+    """The blocked level-3 fill of the A^-1 cache matches solve to rounding."""
+
+    @pytest.mark.parametrize("scene, dofs, bw", [("bench_column.scn", 9024, 266),
+                                                 ("grasp_rotate.scn", 648, 113)])
+    def test_shipped_system(self, scene, dofs, bw):
+        F = Factorization(soft_system(scene))
+        assert (F.dim, bandwidth(F)) == (dofs, bw)  # a shorter last block
+        picks = [0, dofs - 1, *np.random.default_rng(dofs).choice(dofs, 6, replace=False)]
+        assert_fill_matches_solve(F, picks)
+        assert F.solve_count == 2 * len(picks)  # the fill counts its columns
+
+    # (system, dim, bw): diagonals, a last block shorter than bw, the band as
+    # wide as the matrix (a last block of one row), blocks of one row, and the
+    # rigid body's full world inertia
+    EDGES = {
+        "diagonal": (lambda: soft_system("point_mass.scn"), 3, 0),
+        "rigid-diagonal": (lambda: rigid_system(np.diag([3.0, 0.5, 1.5]), (0, 0, 0)), 6, 0),
+        "short-last-block": (lambda: sparse_spd(60, 8), 60, 36),
+        "dense": (lambda: random_spd(7, 4), 7, 6),
+        "one-row-blocks": (lambda: random_spd(2, 5), 2, 1),
+        "rigid": (rigid_system, 6, 2),
+    }
+
+    @pytest.mark.parametrize("system, dim, bw", EDGES.values(), ids=EDGES.keys())
+    def test_edge_shapes(self, system, dim, bw):
+        F = Factorization(system())
+        assert (F.dim, bandwidth(F)) == (dim, bw)
+        assert_fill_matches_solve(F, np.arange(dim))
+        assert_fill_matches_solve(F, [dim - 1])  # one column

@@ -179,7 +179,7 @@ BAD_VALUES = {
     # only the upper triangle: a unit torque about x turned (5.26, -4.74, 0)
     "sphere-inertia-asymmetric": (f"objects: [{{{BALL}, radius: 0.1, "
                                   "inertia: [1, 0.9, 0, 0, 1, 0, 0, 0, 1]}]\n",
-                                  "ball.inertia:"),
+                                  "ball: rigid inertia must be symmetric"),
 }
 
 BAD_SCENES = {
