@@ -1,0 +1,8 @@
+"""``python -m contactnewton``: the same commands as the ``contactnewton`` entry point."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

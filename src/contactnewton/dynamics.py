@@ -9,6 +9,13 @@ with B = rayleigh_mass * M + rayleigh_stiffness * K. Because the material
 is linear, K (and hence the system matrix) is constant, so the
 factorization is reused across the whole simulation.
 
+K is assembled once per body by node-pair blocks: each tet's gradients
+come from edge cross products, its 10 upper 3x3 blocks (node pairs a <= b
+in global id) are summed into the unique node-pair blocks with one
+``np.bincount`` per component, and the off-diagonal blocks are mirrored,
+so K is exactly symmetric and stores one full block per pair of nodes
+that share a tet.
+
 Rigid bodies carry 6 velocity DOFs (linear + angular); their system matrix
 is the generalized mass with world-frame inertia, and the right-hand side
 is the external impulse only.
@@ -23,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import NonFiniteForceError, ValidationError
 from .linalg import Factorization
-from .mesh import TetMesh, check_positive_volumes, tet_volumes
+from .mesh import TetMesh, check_positive_volumes
 
 # relative asymmetry a rigid inertia may carry, against its largest entry
 _SYM_RTOL = 1e-12
@@ -64,48 +71,92 @@ def lame_parameters(young: float, poisson: float) -> tuple[float, float]:
 
 
 def shape_gradients(nodes: np.ndarray, tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constant shape-function gradients per tet: (m, 4, 3), and volumes."""
+    """Constant shape-function gradients per tet: (m, 4, 3), and volumes.
+
+    With edges e_i = x_i - x_0, the gradients of nodes 1..3 are
+    e2 x e3, e3 x e1 and e1 x e2 over 6V, and node 0's is minus their sum.
+    The volumes are those of ``mesh.tet_volumes``, bit for bit.
+    """
     a = nodes[tets[:, 0]]
-    edges = np.stack(
-        [nodes[tets[:, i]] - a for i in (1, 2, 3)], axis=2
-    )  # (m, 3, 3), columns are edge vectors
-    vols = np.linalg.det(edges) / 6.0
-    inv = np.linalg.inv(edges)  # rows of inv are gradients of nodes 1..3
+    e1, e2, e3 = (nodes[tets[:, i]] - a for i in (1, 2, 3))
     grads = np.empty((len(tets), 4, 3))
-    grads[:, 1:, :] = inv
-    grads[:, 0, :] = -inv.sum(axis=1)
-    return grads, vols
+    grads[:, 1] = np.cross(e2, e3)
+    grads[:, 2] = np.cross(e3, e1)
+    grads[:, 3] = np.cross(e1, e2)
+    six_v = np.einsum("ij,ij->i", grads[:, 3], e3)
+    grads[:, 1:] /= six_v[:, None, None]
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return grads, six_v / 6.0
+
+
+# the 10 local node pairs (a, b), a <= b, of a tet
+_PAIR_A = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
+_PAIR_B = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 
 
 def assemble_stiffness(nodes: np.ndarray, tets: np.ndarray, young: float, poisson: float) -> sp.csr_matrix:
-    """Global stiffness of constant-strain tetrahedra (isotropic linear elasticity)."""
-    n_dofs = 3 * len(nodes)
+    """Global stiffness of constant-strain tetrahedra (isotropic linear elasticity).
+
+    Block (a, b) of an element matrix is
+    V (lam g_a g_b^T + mu g_b g_a^T + mu (g_a . g_b) I), and block (b, a) is
+    its transpose. Each tet contributes its 10 blocks with a <= b in global
+    node id; they are summed into the unique upper node-pair blocks with one
+    ``np.bincount`` per component, and each off-diagonal block is mirrored
+    into its transposed place. So K == K^T bit for bit, and K stores one full
+    3x3 block per pair of nodes that share a tet.
+    """
+    n = len(nodes)
     if len(tets) == 0:
-        return sp.csr_matrix((n_dofs, n_dofs))
+        return sp.csr_matrix((3 * n, 3 * n))
     lam, mu = lame_parameters(young, poisson)
     grads, vols = shape_gradients(nodes, tets)
-    # block (a, b) of the element matrix:
-    #   V * (lam * g_a g_b^T + mu * g_b g_a^T + mu * (g_a . g_b) I)
-    blocks = lam * np.einsum("e,eai,ebj->eabij", vols, grads, grads)
-    blocks += mu * np.einsum("e,ebi,eaj->eabij", vols, grads, grads)
-    dots = np.einsum("eai,ebi->eab", grads, grads)
-    blocks += mu * np.einsum("e,eab,ij->eabij", vols, dots, np.eye(3))
 
-    dof = 3 * tets[:, :, None] + np.arange(3)[None, None, :]  # (m, 4, 3)
-    rows = np.broadcast_to(dof[:, :, None, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(dof[:, None, :, None, :], blocks.shape).ravel()
-    K = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
+    # pairs laid out (10, m), gradients (3, 10, m); each pair is oriented
+    # so that p is its node with the lower global id
+    ids = tets.T
+    ia, ib = ids[_PAIR_A], ids[_PAIR_B]
+    swap = ia > ib
+    g = np.ascontiguousarray(grads.transpose(2, 1, 0))  # (3, 4, m)
+    gp = np.where(swap, g[:, _PAIR_B], g[:, _PAIR_A])
+    gq = np.where(swap, g[:, _PAIR_A], g[:, _PAIR_B])
+    key = (np.minimum(ia, ib) * n + np.maximum(ia, ib)).ravel()
+    upper, slot = np.unique(key, return_inverse=True)
+    rows, cols = np.divmod(upper, n)
+
+    lam_v = lam * vols
+    mu_v = mu * vols
+    mu_dot = mu_v * np.einsum("ikm,ikm->km", gp, gq)
+    blocks = np.empty((len(upper), 3, 3))
+    w = np.empty(ia.shape)
+    t = np.empty(ia.shape)
+    for i in range(3):
+        for j in range(3):
+            # lam V (p_i q_j) + mu V (q_i p_j): with p == q on a diagonal pair
+            # this is symmetric in i, j bit for bit
+            np.multiply(gp[i], gq[j], out=w)
+            w *= lam_v
+            np.multiply(gq[i], gp[j], out=t)
+            t *= mu_v
+            w += t
+            if i == j:
+                w += mu_dot
+            blocks[:, i, j] = np.bincount(slot, weights=w.ravel(), minlength=len(upper))
+
+    off = rows != cols
+    block_rows = np.concatenate([rows, cols[off]])
+    block_cols = np.concatenate([cols, rows[off]])
+    blocks = np.concatenate([blocks, blocks[off].transpose(0, 2, 1)])
+    order = np.argsort(block_rows * n + block_cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(block_rows, minlength=n), out=indptr[1:])
+    K = sp.bsr_matrix((blocks[order], block_cols[order], indptr), shape=(3 * n, 3 * n))
     return K.tocsr()
 
 
-def lumped_masses(nodes: np.ndarray, tets: np.ndarray, density: float) -> np.ndarray:
-    """Per-node lumped mass from tet volumes (kg)."""
-    masses = np.zeros(len(nodes))
-    if len(tets):
-        share = density * tet_volumes(nodes, tets) / 4.0
-        for i in range(4):
-            np.add.at(masses, tets[:, i], share)
-    return masses
+def lumped_masses(tets: np.ndarray, vols: np.ndarray, density: float, n_nodes: int) -> np.ndarray:
+    """Per-node lumped mass (kg): a quarter of each tet's mass to each of its nodes."""
+    share = density * vols / 4.0
+    return np.bincount(tets.T.ravel(), weights=np.tile(share, 4), minlength=n_nodes)
 
 
 @dataclass
@@ -134,7 +185,7 @@ class SoftBody:
             raise ValidationError(f"poisson ratio must be in [0, 0.5), got {self.poisson}")
         if self.density <= 0:
             raise ValidationError(f"density must be positive, got {self.density}")
-        check_positive_volumes(self.mesh, "soft body")
+        vols = check_positive_volumes(self.mesh, "soft body")
         self.fixed_nodes = np.asarray(self.fixed_nodes, dtype=np.int64)
         outside = (self.fixed_nodes < 0) | (self.fixed_nodes >= self.mesh.n_nodes)
         if outside.any():
@@ -145,13 +196,17 @@ class SoftBody:
         if self.node_mass is None:
             if self.mesh.n_tets == 0:
                 raise ValidationError("a body without tets needs a node_mass")
-            self._masses = lumped_masses(self.mesh.nodes, self.mesh.tets, self.density)
+            self._masses = lumped_masses(self.mesh.tets, vols, self.density, self.mesh.n_nodes)
             if self._masses.min() <= 0:
                 raise ValidationError("every node needs positive mass: a node is in no tet")
         elif not self.node_mass > 0:
             raise ValidationError(f"node_mass must be positive, got {self.node_mass}")
         else:
             self._masses = np.full(self.mesh.n_nodes, self.node_mass, dtype=np.float64)
+        fixed = np.zeros((self.mesh.n_nodes, 3), dtype=bool)
+        fixed[self.fixed_nodes] = True
+        fixed.flags.writeable = False
+        self._fixed_mask = fixed.ravel()
         self._stiffness = None
         self._system = None  # (h, A) of the last assemble
 
@@ -161,10 +216,8 @@ class SoftBody:
 
     @property
     def fixed_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        for node in self.fixed_nodes:
-            mask[3 * node : 3 * node + 3] = True
-        return mask
+        """Read-only: True on every DOF of a fixed node."""
+        return self._fixed_mask
 
     def masses(self) -> np.ndarray:
         return self._masses

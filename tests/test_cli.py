@@ -2,6 +2,8 @@ import csv
 import functools
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +27,17 @@ from test_scene import MIXED_SCENE, PINNED_BOX, blow_up_scene_text, write_scene
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "contactnewton", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: contactnewton" in proc.stdout
+    assert all(cmd in proc.stdout for cmd in ("run", "bench", "verify"))
 
 
 def test_run_writes_outputs(tmp_path, capsys):

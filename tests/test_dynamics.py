@@ -1,18 +1,27 @@
+import functools
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from contactnewton.dynamics import (
     MechanicalState,
     RigidBody,
     SoftBody,
+    assemble_stiffness,
     compute_free_motion,
     integrate_correction,
     lame_parameters,
     lumped_masses,
+    shape_gradients,
 )
 from contactnewton.errors import DegenerateTetError, NonFiniteForceError, ValidationError
 from contactnewton.linalg import Factorization
-from contactnewton.mesh import TetMesh, box_mesh, tet_volumes
+from contactnewton.mesh import TetMesh, box_mesh, check_positive_volumes, load_mesh, tet_volumes
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 def element_stiffness_bmatrix(verts, young, poisson):
@@ -45,6 +54,30 @@ def element_stiffness_bmatrix(verts, young, poisson):
             [gz, 0, gx],
         ]
     return vol * B.T @ C @ B
+
+
+def jittered_box(size, divisions, seed):
+    """A box mesh whose nodes are moved by up to 15% of the smallest cell edge."""
+    m = box_mesh(size, divisions)
+    step = min(np.asarray(size) / np.asarray(divisions))
+    rng = np.random.default_rng(seed)
+    mesh = TetMesh(m.nodes + rng.uniform(-0.15, 0.15, m.nodes.shape) * step, m.tets)
+    check_positive_volumes(mesh, "jittered box")
+    return mesh
+
+
+@functools.lru_cache(maxsize=1)
+def column_mesh():
+    """The 7 x 46 x 7 box of bench_column.scn: 3008 nodes, 13524 tets."""
+    return box_mesh((0.07, 0.46, 0.07), (7, 46, 7), center=(0.0, 0.2298, 0.0))
+
+
+def shared_tet_pattern(mesh):
+    """Node x node pattern: True where two nodes (or a node and itself) share a tet."""
+    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
+    cols = np.tile(mesh.tets, (1, 4)).ravel()
+    ones = np.ones(len(rows), dtype=np.int8)
+    return sp.csr_matrix((ones, (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
 
 
 def point_mass_body(mass=2.0, position=(0.0, 0.0, 0.0)):
@@ -161,8 +194,92 @@ class TestAssembly:
 
     def test_lumped_mass_total(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
-        masses = lumped_masses(m.nodes, m.tets, density=1000.0)
+        masses = lumped_masses(m.tets, tet_volumes(m.nodes, m.tets), 1000.0, m.n_nodes)
         assert abs(masses.sum() - 1.0) <= 1e-12  # 1e-3 m^3 * 1000 kg/m^3
+
+    def test_lumped_masses_match_the_add_at_passes_bitwise(self):
+        m = column_mesh()
+        share = 1000.0 * tet_volumes(m.nodes, m.tets) / 4.0
+        want = np.zeros(m.n_nodes)
+        for i in range(4):
+            np.add.at(want, m.tets[:, i], share)
+        body = SoftBody(m, density=1000.0)
+        assert np.array_equal(body.masses(), want)
+
+    def test_fixed_mask_built_once_and_read_only(self):
+        mesh = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
+        fixed = np.flatnonzero(mesh.nodes[:, 1] <= mesh.nodes[:, 1].min())  # the bottom face
+        body = SoftBody(mesh, fixed_nodes=fixed)
+        want = np.zeros(body.n_dofs, dtype=bool)
+        for node in fixed:
+            want[3 * node : 3 * node + 3] = True
+        assert np.array_equal(body.fixed_mask, want)
+        assert body.fixed_mask is body.fixed_mask
+        with pytest.raises(ValueError):
+            body.fixed_mask[0] = False
+        assert not SoftBody(mesh).fixed_mask.any()
+
+
+class TestStiffnessAssembly:
+    @pytest.mark.parametrize("mesh", [
+        pytest.param(lambda: jittered_box((0.1, 0.12, 0.09), (2, 3, 2), seed=5), id="jittered-box"),
+        pytest.param(lambda: load_mesh(SCENES / "meshes" / "block.mesh"), id="block.mesh"),
+    ])
+    def test_stiffness_matches_summed_bmatrix_oracle(self, mesh):
+        mesh = mesh()
+        young, poisson = 3e4, 0.35
+        K_oracle = np.zeros((3 * mesh.n_nodes, 3 * mesh.n_nodes))
+        for tet in mesh.tets:
+            dofs = (3 * tet[:, None] + np.arange(3)).ravel()
+            K_oracle[np.ix_(dofs, dofs)] += element_stiffness_bmatrix(mesh.nodes[tet], young, poisson)
+        K = assemble_stiffness(mesh.nodes, mesh.tets, young, poisson).toarray()
+        assert np.abs(K - K_oracle).max() <= 1e-12 * np.abs(K_oracle).max()
+
+    def test_column_stiffness_exactly_symmetric(self):
+        m = column_mesh()
+        K = assemble_stiffness(m.nodes, m.tets, 1e5, 0.3)
+        assert (K != K.T).nnz == 0
+
+    @pytest.mark.parametrize("mesh, nnz", [
+        pytest.param(column_mesh, 349_578, id="bench_column"),
+        pytest.param(lambda: load_mesh(SCENES / "meshes" / "block.mesh"), 11_997, id="block.mesh"),
+    ])
+    def test_one_full_block_per_node_pair(self, mesh, nnz):
+        # the pattern, and so the RCM order and band of the factorization,
+        # is that of one full 3x3 block per pair of nodes sharing a tet
+        mesh = mesh()
+        K = assemble_stiffness(mesh.nodes, mesh.tets, 1e5, 0.3)
+        pairs = shared_tet_pattern(mesh)
+        assert K.nnz == 9 * pairs.nnz == nnz
+        want = sp.kron(pairs, np.ones((3, 3), dtype=np.int8), format="csr")
+        want.sort_indices()
+        K.sort_indices()
+        assert np.array_equal(K.indptr, want.indptr)
+        assert np.array_equal(K.indices, want.indices)
+
+    def test_gradient_identities(self):
+        m = jittered_box((0.1, 0.12, 0.09), (3, 4, 3), seed=11)
+        grads, vols = shape_gradients(m.nodes, m.tets)
+        scale = np.abs(grads).max()
+        # sum_a g_a = 0 and sum_a x_a g_a^T = I: the interpolation reproduces
+        # constants and linear fields
+        assert np.abs(grads.sum(axis=1)).max() <= 1e-12 * scale
+        moments = np.einsum("eai,eaj->eij", m.nodes[m.tets], grads)
+        assert np.abs(moments - np.eye(3)).max() <= 1e-12
+        assert np.array_equal(vols, tet_volumes(m.nodes, m.tets))
+
+    def test_column_assembly_peak_memory(self):
+        # numpy reports its buffers to tracemalloc, so the peak does not
+        # depend on the host's speed; a COO assembly over (m, 4, 4, 3, 3)
+        # element blocks peaks at about 94 MB here
+        m = column_mesh()
+        tracemalloc.start()
+        try:
+            assemble_stiffness(m.nodes, m.tets, 1e5, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6
 
 
 class TestFreeMotion:
