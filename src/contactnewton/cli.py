@@ -2,7 +2,8 @@
 
 Thread control: CONTACT_NEWTON_THREADS caps the BLAS/OpenMP pools backing
 numpy and the sparse solver. It must take effect before numpy is imported,
-so this module defers all heavy imports into the command handlers. `bench`
+so this module and the package root import nothing heavy; the command
+handlers import what they need after the cap is set. `bench`
 and `verify` pin the cap to 1 by default: timings stay clean, and the
 verify lines do not depend on how a threaded BLAS splits its sums.
 """

@@ -164,8 +164,7 @@ class SoftBody:
     """Linear-FE tetrahedral body, or a bare particle cloud with a uniform node mass.
 
     ``node_mass`` (kg, > 0) gives every node that mass in place of the masses
-    lumped from the tets; a body without tets needs it. ``extra_force`` is a
-    constant force (N) applied to every node on top of gravity.
+    lumped from the tets; a body without tets needs it.
     """
 
     mesh: TetMesh
@@ -176,7 +175,6 @@ class SoftBody:
     rayleigh_stiffness: float = 0.1
     fixed_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     node_mass: float | None = None
-    extra_force: tuple | None = None
 
     def __post_init__(self):
         if self.young <= 0:
@@ -270,8 +268,6 @@ class SoftBody:
 
         g = np.asarray(gravity, dtype=np.float64)
         f_ext = (m3 * np.tile(g, self.mesh.n_nodes)).astype(np.float64)
-        if self.extra_force is not None:
-            f_ext += np.tile(np.asarray(self.extra_force, dtype=np.float64), self.mesh.n_nodes)
         Kv = self.stiffness() @ state.v
         b = h * (f_ext - self.internal_force(state.q, state.v, Kv)) - h * h * Kv
         b[fixed] = 0.0

@@ -123,20 +123,10 @@ def surface_vertices(triangles: np.ndarray) -> np.ndarray:
     return np.unique(triangles.ravel())
 
 
-def save_mesh(mesh: TetMesh, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.n_nodes}\n")
-        for x, y, z in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-        fh.write(f"tets {mesh.n_tets}\n")
-        for a, b, c, d in mesh.tets:
-            fh.write(f"{a} {b} {c} {d}\n")
-
-
 def load_mesh(path) -> TetMesh:
-    nodes = []
-    tets = []
-    expect = None  # ("nodes"|"tets", remaining)
+    rows = {"nodes": [], "tets": []}
+    declared = {}  # the line count each section header gives
+    section = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -144,22 +134,27 @@ def load_mesh(path) -> TetMesh:
                 continue
             parts = line.split()
             try:
-                if parts[0] in ("nodes", "tets"):
-                    expect = (parts[0], int(parts[1]))
-                elif expect is None:
+                if parts[0] in rows:
+                    section = parts[0]
+                    declared[section] = int(parts[1])
+                elif section is None:
                     raise ValueError("data before section header")
-                elif expect[0] == "nodes":
-                    nodes.append([float(v) for v in parts[:3]])
+                elif section == "nodes":
+                    rows["nodes"].append([float(v) for v in parts[:3]])
                     if len(parts) != 3:
                         raise ValueError("node line needs 3 coordinates")
                 else:
-                    tets.append([int(v) for v in parts[:4]])
+                    rows["tets"].append([int(v) for v in parts[:4]])
                     if len(parts) != 4:
                         raise ValueError("tet line needs 4 indices")
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    mesh = TetMesh(
-        np.array(nodes, dtype=np.float64).reshape(-1, 3),
-        np.array(tets, dtype=np.int64).reshape(-1, 4),
+    for section, count in declared.items():
+        if len(rows[section]) != count:
+            raise ParseError(
+                f"{path}: section '{section}' declares {count} lines, has {len(rows[section])}"
+            )
+    return TetMesh(
+        np.array(rows["nodes"], dtype=np.float64).reshape(-1, 3),
+        np.array(rows["tets"], dtype=np.int64).reshape(-1, 4),
     )
-    return mesh

@@ -16,13 +16,16 @@ given states at a given time. :meth:`Simulation.penetration` is the one
 penetration measure: the worst geometric gap of given pairs at given
 positions. A step's ``pen_before`` and ``pen_after`` are that measure at
 the free and at the final positions.
+
+:func:`run` writes a snapshot of the committed state as one uncompressed
+``snapshots/step_NNNNNN.npz`` (see :func:`save_snapshot` for its keys); read
+it back with ``np.load``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -58,9 +61,6 @@ from .solver import (
     newton_fast,
     newton_standard,
 )
-
-SNAPSHOT_MAGIC = "CONTACTNEWTON-SNAPSHOT 1"
-
 
 # --- object specifications ------------------------------------------------------
 
@@ -278,8 +278,7 @@ _TOP_KEYS = ("objects", *_TOP, *_FRICTION, "pgs", "newton", "output")
 _BOX = {"center": ("center", _vec3)}
 _MATERIAL = {key: (key, as_number)
              for key in ("young", "poisson", "density", "rayleigh_mass", "rayleigh_stiffness")}
-_SOFT_BODY = {"fixed_nodes": ("fixed_nodes", _node_ids), "node_mass": ("node_mass", as_number),
-              "extra_force": ("extra_force", _vec3)}
+_SOFT_BODY = {"fixed_nodes": ("fixed_nodes", _node_ids), "node_mass": ("node_mass", as_number)}
 _SOFT = {"velocity": ("velocity", _vec3)}
 _PLANE = {"normal": ("normal", _direction), "offset": ("offset", as_number)}
 _MOTION = {"axis": ("axis", _vec3), "center": ("center", _vec3),
@@ -328,7 +327,10 @@ def _load_mesh(section, name, base_dir):
     """The tet mesh of a ``mesh`` section, and its box parameters (None for a file)."""
     mesh_spec = as_mapping(section, f"{name}.mesh", _MESH_KEYS)
     if "file" in mesh_spec:
-        path = os.path.join(base_dir, mesh_spec["file"])
+        file = mesh_spec["file"]
+        if not isinstance(file, str):
+            raise ValidationError(f"{name}.mesh.file: expected a path, got {file!r}")
+        path = os.path.join(base_dir, file)
         if not os.path.exists(path):
             raise ValidationError(f"{name}: mesh file does not exist: {path}")
         return load_mesh(path), None
@@ -340,9 +342,10 @@ def _load_mesh(section, name, base_dir):
 
 def _fixed_region(region, where):
     region = as_mapping(region, where, ("axis", "min", "max"))
-    axis = {"x": 0, "y": 1, "z": 2}.get(region.get("axis"), region.get("axis"))
-    if axis not in (0, 1, 2):
-        raise ValidationError(f"{where}.axis: must be x, y or z")
+    axis = region.get("axis")
+    if axis not in ("x", "y", "z"):
+        raise ValidationError(f"{where}.axis: must be x, y or z, got {axis!r}")
+    axis = "xyz".index(axis)
     bounds = read_settings(region, where, {"min": ("min", as_number), "max": ("max", as_number)})
     return axis, bounds.get("min"), bounds.get("max")
 
@@ -450,8 +453,8 @@ def load_scene(path) -> SceneConfig:
         if any(spec.name == name for spec in objects):
             raise ValidationError(f"{name}: duplicate object name")
         kind = require(entry, "type", name)
-        if kind not in _OBJECT_KEYS:
-            raise ValidationError(f"{name}: unknown object type {kind!r}")
+        if not isinstance(kind, str) or kind not in _OBJECT_KEYS:
+            raise ValidationError(f"{name}.type: unknown object type {kind!r}")
         as_mapping(entry, name, _OBJECT_KEYS[kind])
         if kind == "soft":
             objects.append(_load_soft(entry, name, base_dir))
@@ -914,94 +917,22 @@ class Simulation:
 # --- persistence -----------------------------------------------------------------
 
 
-@dataclass
-class Snapshot:
-    step: int
-    time: float
-    objects: list  # (oid, kind, q, v)
-    pairs: list  # (object_a, object_b, p_a, p_b, frame(3x3), lam(3))
+def save_snapshot(sim: Simulation, path) -> None:
+    """Write the committed state to ``path`` as one uncompressed ``.npz``.
 
-
-def take_snapshot(sim: Simulation) -> Snapshot:
-    objects = []
+    Keys: ``step`` and ``time``; ``kind``, one string per object id;
+    ``q_<oid>`` and ``v_<oid>`` per object, as ``saved_state`` gives them;
+    and per proximity pair ``object_a``, ``object_b``, ``p_a``, ``p_b``,
+    ``frames`` (p, 3, 3) and ``lam`` (p, 3). Read it back with ``np.load``.
+    """
+    arrays = {"kind": [obj.kind for obj in sim.objects]}
     for obj in sim.objects:
-        objects.append((obj.oid, obj.kind, *obj.saved_state()))
+        arrays[f"q_{obj.oid}"], arrays[f"v_{obj.oid}"] = obj.saved_state()
     c = sim.last_pairs
-    pairs = list(zip(c.a.object_id.tolist(), c.b.object_id.tolist(), c.a.point, c.b.point,
-                     sim.last_frames, sim.last_lam.reshape(-1, 3)))
-    return Snapshot(sim.step_index, sim.time, objects, pairs)
-
-
-def save_snapshot(snap: Snapshot, path) -> None:
-    """Self-describing binary: text header, float64 little-endian payload."""
-    header = io.StringIO()
-    header.write(SNAPSHOT_MAGIC + "\n")
-    header.write(f"step {snap.step}\n")
-    header.write(f"time {snap.time!r}\n")
-    header.write(f"objects {len(snap.objects)}\n")
-    payload = []
-    for oid, kind, q, v in snap.objects:
-        header.write(f"obj {oid} {kind} {len(q)} {len(v)}\n")
-        payload.append(np.asarray(q, dtype="<f8"))
-        payload.append(np.asarray(v, dtype="<f8"))
-    header.write(f"pairs {len(snap.pairs)}\n")
-    for oa, ob, pa, pb, frame, lam in snap.pairs:
-        header.write(f"pair {oa} {ob}\n")
-        payload.append(np.asarray(pa, dtype="<f8"))
-        payload.append(np.asarray(pb, dtype="<f8"))
-        payload.append(np.asarray(frame, dtype="<f8").ravel())
-        payload.append(np.asarray(lam, dtype="<f8"))
-    header.write("end\n")
-    with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode("ascii"))
-        for arr in payload:
-            fh.write(arr.tobytes())
-
-
-def load_snapshot(path) -> Snapshot:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    end_marker = b"end\n"
-    pos = blob.find(end_marker)
-    if pos < 0 or not blob.startswith(SNAPSHOT_MAGIC.encode("ascii")):
-        raise ParseError(f"{path}: not a snapshot file")
-    try:
-        it = iter(blob[:pos].decode("ascii").splitlines()[1:])
-        step = int(next(it).split()[1])
-        t = float(next(it).split()[1])
-        obj_dims = []
-        for _ in range(int(next(it).split()[1])):
-            _, oid, kind, nq, nv = next(it).split()
-            obj_dims.append((int(oid), kind, int(nq), int(nv)))
-        pair_ids = []
-        for _ in range(int(next(it).split()[1])):
-            _, oa, ob = next(it).split()
-            pair_ids.append((int(oa), int(ob)))
-    except (StopIteration, IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed snapshot header ({exc})") from exc
-    payload = blob[pos + len(end_marker):]
-    expected = sum(nq + nv for _, _, nq, nv in obj_dims) + 18 * len(pair_ids)
-    if len(payload) != 8 * expected:
-        raise ParseError(
-            f"{path}: payload is {len(payload)} bytes, the header describes {8 * expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f8")
-    cursor = 0
-    objects = []
-    for oid, kind, nq, nv in obj_dims:
-        q = data[cursor : cursor + nq].copy()
-        cursor += nq
-        v = data[cursor : cursor + nv].copy()
-        cursor += nv
-        objects.append((oid, kind, q, v))
-    pairs = []
-    for oa, ob in pair_ids:
-        pa = data[cursor : cursor + 3].copy(); cursor += 3
-        pb = data[cursor : cursor + 3].copy(); cursor += 3
-        frame = data[cursor : cursor + 9].copy().reshape(3, 3); cursor += 9
-        lam = data[cursor : cursor + 3].copy(); cursor += 3
-        pairs.append((oa, ob, pa, pb, frame, lam))
-    return Snapshot(step, t, objects, pairs)
+    with open(path, "wb") as fh:  # an open file: numpy adds no suffix
+        np.savez(fh, step=sim.step_index, time=sim.time, **arrays,
+                 object_a=c.a.object_id, object_b=c.b.object_id, p_a=c.a.point,
+                 p_b=c.b.point, frames=sim.last_frames, lam=sim.last_lam.reshape(-1, 3))
 
 
 def run(sim: Simulation, n_steps: int, out_dir=None) -> list[StepReport]:
@@ -1037,8 +968,5 @@ def run(sim: Simulation, n_steps: int, out_dir=None) -> list[StepReport]:
                 for k, it in enumerate(report.iterations):
                     newton.writerow([report.step, k, *astuple(it)])
             if snap_dir is not None and (report.step % out.every == 0):
-                save_snapshot(
-                    take_snapshot(sim),
-                    os.path.join(snap_dir, f"step_{report.step:06d}.bin"),
-                )
+                save_snapshot(sim, os.path.join(snap_dir, f"step_{report.step:06d}.npz"))
     return reports

@@ -57,7 +57,7 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert len(rows) - 1 == sum(int(m["newton_iterations"]) for m in metrics)
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
-        "step_000000.bin", "step_000001.bin", "step_000002.bin"]
+        "step_000000.npz", "step_000001.npz", "step_000002.npz"]
     assert "3 steps of point_mass.scn" in capsys.readouterr().out
 
 

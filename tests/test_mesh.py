@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from contactnewton.mesh import (
     TetMesh,
     box_mesh,
     load_mesh,
-    save_mesh,
     surface_triangles,
     surface_vertices,
     tet_volumes,
@@ -56,13 +56,38 @@ def test_surface_of_box_excludes_interior():
     assert len(surface_vertices(tris)) == 26  # 27 nodes minus the center
 
 
-def test_mesh_roundtrip(tmp_path):
-    m = box_mesh((0.1, 0.2, 0.1), (2, 1, 2))
+# node lines in repr form, so a float parse that rounds would show
+NODES = ["0.0 -0.00020000000000000573 0.1", "0.30000000000000004 0.0 0.1", "0.0 0.1 0.1",
+         "1e-05 0.0 -0.7071067811865476", "-0.5 0.5 0.5"]
+TETS = ["0 1 2 3", "4 2 1 3"]
+
+
+def mesh_text(nodes=NODES, tets=TETS):
+    """A mesh file whose headers declare 5 nodes and 2 tets, whatever lines follow."""
+    return "\n".join(["nodes 5  # a comment", *nodes, "", "tets 2", *tets]) + "\n"
+
+
+def test_mesh_text_loads_exactly(tmp_path):
     path = tmp_path / "m.mesh"
-    save_mesh(m, path)
-    loaded = load_mesh(path)
-    assert np.array_equal(loaded.nodes, m.nodes)
-    assert np.array_equal(loaded.tets, m.tets)
+    path.write_text(mesh_text())
+    m = load_mesh(path)
+    assert np.array_equal(m.nodes, [[0.0, -0.00020000000000000573, 0.1],
+                                    [0.30000000000000004, 0.0, 0.1], [0.0, 0.1, 0.1],
+                                    [1e-05, 0.0, -0.7071067811865476], [-0.5, 0.5, 0.5]])
+    assert np.array_equal(m.tets, [[0, 1, 2, 3], [4, 2, 1, 3]])
+    assert (m.nodes.dtype, m.tets.dtype) == (np.float64, np.int64)
+
+
+@pytest.mark.parametrize("section, lines", [
+    ("nodes", NODES[:4]), ("nodes", NODES + NODES[:1]), ("tets", TETS[:1]), ("tets", TETS * 2)],
+    ids=["nodes-too-few", "nodes-too-many", "tets-too-few", "tets-too-many"])
+def test_section_line_count_must_match_its_header(tmp_path, section, lines):
+    path = tmp_path / "count.mesh"
+    path.write_text(mesh_text(**{section: lines}))
+    count = len(NODES) if section == "nodes" else len(TETS)
+    message = f"{path}: section '{section}' declares {count} lines, has {len(lines)}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_mesh(path)
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -136,6 +161,12 @@ def test_box_mesh_and_surface_match_the_loop_versions(divisions):
     tris = surface_triangles(m)
     assert tris.dtype == np.int64
     assert np.array_equal(tris, surface_triangles_loop(m))
+
+
+@pytest.mark.parametrize("name, n_nodes, n_tets", [("block.mesh", 125, 384), ("point.mesh", 1, 0)])
+def test_shipped_meshes_load_with_their_declared_counts(name, n_nodes, n_tets):
+    m = load_mesh(MESHES / name)
+    assert (m.n_nodes, m.n_tets) == (n_nodes, n_tets)
 
 
 @pytest.mark.parametrize("name", ["block.mesh", "point.mesh"])

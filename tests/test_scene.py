@@ -11,9 +11,7 @@ from contactnewton.scene import (
     MotionSpec,
     Simulation,
     load_scene,
-    load_snapshot,
     save_snapshot,
-    take_snapshot,
     with_box_divisions,
 )
 from contactnewton.verify import prepare
@@ -126,14 +124,24 @@ NON_FINITE = {
 
 # (scene text, the key the error must name): a key written with no value
 NO_VALUE = {
-    "extra-force-none": (f"objects: [{{name: block, type: soft, {BOX}, extra_force: }}]\n",
-                         "block.extra_force: no value given"),
     "velocity-none": (f"objects: [{{name: block, type: soft, {BOX}, velocity: }}]\n",
                       "block.velocity: no value given"),
     "dt-none": (GROUND + "dt:\n", "dt: no value given"),
 }
 
 BALL = "name: ball, type: rigid_sphere, mass: 1"
+
+# (scene text, the key the error must name): a list, number or bool where
+# the loader wants a string
+NON_STRING = {
+    "type-list": ("objects: [{name: block, type: [soft]}]\n", "block.type:"),
+    "mesh-file-number": ("objects: [{name: block, type: soft, mesh: {file: 5}}]\n",
+                         "block.mesh.file:"),
+    **{f"fixed-region-axis-{name}": (f"objects: [{{name: block, type: soft, {BOX}, "
+                                     f"fixed_region: {{axis: {axis}, max: 0}}}}]\n",
+                                     "block.fixed_region.axis:")
+       for name, axis in (("bool", "true"), ("float", "1.0"), ("list", "[1]"))},
+}
 
 # (scene text, the key the error must name): values the physics cannot use
 BAD_VALUES = {
@@ -180,6 +188,7 @@ BAD_VALUES = {
     "sphere-inertia-asymmetric": (f"objects: [{{{BALL}, radius: 0.1, "
                                   "inertia: [1, 0.9, 0, 0, 1, 0, 0, 0, 1]}]\n",
                                   "ball: rigid inertia must be symmetric"),
+    **NON_STRING,
 }
 
 BAD_SCENES = {
@@ -268,7 +277,7 @@ def test_minimal_scene_loads_the_readme_defaults(tmp_path):
     body = block.body
     assert (body.young, body.poisson, body.density) == (1e4, 0.3, 1000.0)
     assert (body.rayleigh_mass, body.rayleigh_stiffness) == (0.1, 0.1)
-    assert (body.fixed_nodes.size, body.node_mass, body.extra_force) == (0, None, None)
+    assert (body.fixed_nodes.size, body.node_mass) == (0, None)
     assert block.velocity == (0.0, 0.0, 0.0)
     assert np.array_equal(body.mesh.nodes.min(axis=0), -body.mesh.nodes.max(axis=0))  # centered
     assert (ball.position, ball.velocity) == ((0.0, 0.0, 0.0), (0.0,) * 6)
@@ -325,6 +334,7 @@ def test_cli_run_reports_bad_scene(tmp_path, capsys, text):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_mixed_scene_steps_and_commits(tmp_path):
@@ -342,33 +352,25 @@ def test_mixed_scene_steps_and_commits(tmp_path):
 def test_snapshot_round_trip(tmp_path):
     sim = Simulation(load_scene(write_scene(tmp_path, MIXED_SCENE)))
     sim.step()
-    snap = take_snapshot(sim)
-    path = tmp_path / "step.bin"
-    save_snapshot(snap, path)
-    back = load_snapshot(path)
-    assert (back.step, back.time) == (snap.step, snap.time)
-    kinds = [(0, "soft"), (1, "rigid"), (2, "kinematic"), (3, "plane")]
-    assert [o[:2] for o in back.objects] == kinds
-    for ours, theirs in zip(snap.objects, back.objects):
-        assert ours[:2] == theirs[:2]
-        assert np.array_equal(ours[2], theirs[2]) and np.array_equal(ours[3], theirs[3])
-    assert np.linalg.norm(back.objects[1][2][3:]) == pytest.approx(1.0)  # unit quaternion
-    assert len(back.pairs) == len(snap.pairs) > 0
-    for ours, theirs in zip(snap.pairs, back.pairs):
-        assert ours[:2] == theirs[:2]
-        for a, b in zip(ours[2:], theirs[2:]):
-            assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("cut", [8, 96])
-def test_truncated_snapshot_raises(tmp_path, cut):
-    sim = Simulation(load_scene(SCENES / "block_on_plane.scn"))
-    sim.step()
-    path = tmp_path / "step.bin"
-    save_snapshot(take_snapshot(sim), path)
-    path.write_bytes(path.read_bytes()[:-cut])
-    with pytest.raises(ParseError):
-        load_snapshot(path)
+    path = tmp_path / "step.npz"
+    save_snapshot(sim, path)
+    c = sim.last_pairs
+    want = {
+        "step": 1, "time": sim.time, "kind": ["soft", "rigid", "kinematic", "plane"],
+        "object_a": c.a.object_id, "object_b": c.b.object_id, "p_a": c.a.point,
+        "p_b": c.b.point, "frames": sim.last_frames, "lam": sim.last_lam.reshape(-1, 3),
+    }
+    for obj in sim.objects:
+        want[f"q_{obj.oid}"], want[f"v_{obj.oid}"] = obj.saved_state()
+    with np.load(path) as snap:
+        assert sorted(snap.files) == sorted(want)
+        for key, value in want.items():
+            value = np.asarray(value)
+            assert (snap[key].dtype, snap[key].shape) == (value.dtype, value.shape), key
+            assert snap[key].tobytes() == value.tobytes(), key  # bitwise
+        assert len(snap["object_a"]) > 0 and snap["frames"].shape[1:] == (3, 3)
+        # the rigid sphere's q: its position, then its orientation quaternion
+        assert np.linalg.norm(snap["q_1"][3:]) == pytest.approx(1.0)
 
 
 COLUMN = """\
