@@ -55,8 +55,11 @@ class ValidationError(ContactNewtonError, ValueError):
 def as_number(value, where, kind=float):
     """``value`` as a finite float, or with ``kind=int`` as a whole number (no truncation).
 
-    Raises :class:`ValidationError` naming ``where`` otherwise.
+    Raises :class:`ValidationError` naming ``where`` otherwise; a bool
+    (YAML ``true``/``false``) is not a number, though Python counts it as one.
     """
+    if isinstance(value, bool):
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range

@@ -2,17 +2,27 @@
 
 The system matrices assembled by the dynamics module are symmetric positive
 definite by construction (linear FEM keeps them constant, too), so each is
-factored once as a banded Cholesky: a reverse Cuthill-McKee ordering packs
-the matrix into a narrow band, and LAPACK's ``dpbtrf``/``dpbtrs`` factor it
-and solve on it. A pivot that is not positive and finite is reported as
-:class:`NotSPDError`, naming the DOF where it arose.
+factored once as a banded Cholesky: an ordering packs the matrix into a
+narrow band, and LAPACK's ``dpbtrf``/``dpbtrs`` factor it and solve on it. A
+pivot that is not positive and finite is reported as :class:`NotSPDError`,
+naming the DOF where it arose.
+
+The ordering is reverse Cuthill-McKee (RCM), unless the caller passes the
+body's rest node positions and a sort along its longest axis packs a
+narrower band (:func:`band_ordering`). On an elongated body the sort wins:
+``bench_column``'s 7×46×7 box bands at 194 where RCM gives 266. Only the
+descending sort is tried; an ascending one loses to RCM on the cubes (131,
+95, 551 and 923 on the 5³, 4³, 12³ and 16³ boxes, RCM giving 113, 80, 509
+and 872, the descending sort 110, 77, 509 and 869).
 
 The columns of A^-1 that :class:`Factorization` caches for the fast scheme
 are filled by a second solve on the same band, blocked and level-3 (BLAS
 ``dtrsm``/``dtrmm`` over blocks of ``bw`` rows), which streams the band
 once per pass for all new columns where ``dpbtrs`` streams it twice per
-column. A filled column matches :meth:`Factorization.solve` of its unit
-vector to rounding, not bit for bit.
+column. Its forward pass starts at the block holding the first requested
+DOF, so on the column, whose bottom-layer contact DOFs the descending sort
+puts last, it runs over the last two of 47 blocks. A filled column matches
+:meth:`Factorization.solve` of its unit vector to rounding, not bit for bit.
 
 :class:`Factorization` takes the assembled matrix (scipy sparse or dense) as
 it is and reads only its upper triangle, so it does not check symmetry: the
@@ -31,50 +41,85 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from .errors import DimensionMismatchError, NotSPDError
 
 
+def band_ordering(csr: sp.csr_matrix, points=None) -> tuple[np.ndarray, int]:
+    """``(perm, bw)``: the DOF order of the banded factor and its half-bandwidth.
+
+    ``perm[k]`` is the DOF at position k and ``bw`` the largest ``k_j - k_i``
+    over the entries (i, j) of ``csr``. The order is reverse Cuthill-McKee,
+    unless ``points``, the ``(dim / 3, 3)`` rest positions of the nodes that
+    own DOFs ``3i..3i+2``, are given and a stable sort of the nodes by
+    descending coordinate along the axis of largest extent bands narrower;
+    a tie keeps RCM.
+    """
+    n = csr.shape[0]
+    perms = [reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)]
+    if points is not None:
+        points = np.asarray(points, dtype=np.float64)
+        if points.shape != (n // 3, 3) or 3 * len(points) != n:
+            raise DimensionMismatchError(
+                f"points have shape {points.shape}, expected ({n // 3}, 3) for {n} DOFs"
+            )
+        axis = int(np.argmax(np.ptp(points, axis=0)))
+        nodes = np.argsort(-points[:, axis], kind="stable")
+        perms.append((3 * nodes[:, None] + np.arange(3)).ravel())
+    coo = csr.tocoo()
+
+    def half_band(perm):
+        at = np.empty(n, dtype=np.intp)
+        at[perm] = np.arange(n)
+        return int((at[coo.col] - at[coo.row]).max(initial=0))
+
+    # min keeps the first of equals, RCM
+    return min(((perm, half_band(perm)) for perm in perms), key=lambda pb: pb[1])
+
+
 class Factorization:
     """Banded Cholesky factorization of a symmetric matrix, reusable for many solves.
 
-    The DOFs are reordered by reverse Cuthill-McKee, ``perm[k]`` being the
-    DOF at position k, so that ``P A Pᵀ`` has a narrow half-bandwidth ``bw``.
-    Its upper band is packed in LAPACK ``'U'`` band storage, a Fortran-order
-    ``(bw + 1, n)`` array of ``n·(bw+1)`` doubles, and factored in place by
-    ``dpbtrf`` as ``Uᵀ U``. A solve permutes the right-hand side, runs
-    ``dpbtrs`` (which solves one column at a time, so a column of
-    :meth:`solve_multi` equals :meth:`solve` of that column bit for bit) and
-    scatters the result back. The one SPD check is on the pivots: ``dpbtrf``
-    stops at the first one that is not positive, and a NaN or infinity in A
-    leaves a non-finite pivot; either is reported as :class:`NotSPDError`
-    naming the original DOF of that pivot.
+    The DOFs are reordered by :func:`band_ordering`, ``perm[k]`` being the
+    DOF at position k and ``at`` its inverse, so that ``P A Pᵀ`` has a
+    narrow half-bandwidth ``bw``. ``points``, the rest positions of a body's
+    nodes, lets the ordering try a sort along the body's longest axis; with
+    none it is reverse Cuthill-McKee. The upper band is packed in LAPACK
+    ``'U'`` band storage, a Fortran-order ``(bw + 1, n)`` array of
+    ``n·(bw+1)`` doubles, and factored in place by ``dpbtrf`` as ``Uᵀ U``. A
+    solve permutes the right-hand side, runs ``dpbtrs`` (which solves one
+    column at a time, so a column of :meth:`solve_multi` equals
+    :meth:`solve` of that column bit for bit) and scatters the result back.
+    The one SPD check is on the pivots: ``dpbtrf`` stops at the first one
+    that is not positive, and a NaN or infinity in A leaves a non-finite
+    pivot; either is reported as :class:`NotSPDError` naming the original
+    DOF of that pivot.
 
     ``solve_count`` tracks how many backsolves went through this object,
     which lets callers assert that a code path performs no system solves.
 
-    The object caches the columns of A^-1 it has solved for, as the rows of
-    one dense array (A is symmetric, so column d of A^-1 is also its row d):
-    ``_row_of[d]`` is the row of ``_rows`` holding DOF d, or -1. A column is
-    solved once, by the blocked band solve of :meth:`_unit_columns` (not by
-    ``dpbtrs``, so it matches :meth:`solve` of the unit vector to rounding,
-    not bit for bit), and lives as long as this factorization;
-    :meth:`inverse_block` and :meth:`inverse_columns_times` only gather from
-    it. The cache makes the object mutable: do not share it across threads
-    while the cache fills.
+    The object caches the columns of A^-1 it has solved for, in the layout
+    the fill solves them in: ``_cols`` holds one column per cached DOF, its
+    rows in permuted order (row k is DOF ``perm[k]``), and ``_col_of[d]`` is
+    the column holding DOF d, or -1. A column is solved once, by the
+    blocked band solve of :meth:`_unit_columns` (not by ``dpbtrs``, so it
+    matches :meth:`solve` of the unit vector to rounding, not bit for bit),
+    and lives as long as this factorization; :meth:`inverse_block` and
+    :meth:`inverse_columns_times` only gather from it through ``at``. The
+    cache makes the object mutable: do not share it across threads while the
+    cache fills.
     """
 
-    __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_rows", "_row_of")
+    __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_cols", "_col_of")
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, points=None):
         csr = sp.csr_matrix(matrix, dtype=np.float64)
         n = csr.shape[0]
         if csr.shape != (n, n):
             raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
-        perm = reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)
+        perm, bw = band_ordering(csr, points)
         at = np.empty(n, dtype=np.intp)
         at[perm] = np.arange(n)
         coo = csr.tocoo()
         i, j = at[coo.row], at[coo.col]
         upper = i <= j
         i, j, values = i[upper], j[upper], coo.data[upper]
-        bw = int((j - i).max(initial=0))
         # entry (i, j) of the upper band sits at ab[bw + i - j, j]; bincount
         # sums duplicate entries
         band = np.bincount((bw + i - j) + (bw + 1) * j, weights=values,
@@ -98,8 +143,8 @@ class Factorization:
         self._at = at
         self._band = band
         self.solve_count = 0
-        self._rows = np.zeros((0, self.dim))
-        self._row_of = np.full(self.dim, -1, dtype=np.int64)
+        self._cols = np.zeros((n, 0))
+        self._col_of = np.full(n, -1, dtype=np.int64)
 
     def _backsolve(self, B: np.ndarray) -> np.ndarray:
         X, _ = dpbtrs(self._band, B[self._perm], overwrite_b=True)
@@ -148,7 +193,8 @@ class Factorization:
                           step * (bw + i + bw * j), (step, bw * step))
 
     def _unit_columns(self, dofs: np.ndarray) -> np.ndarray:
-        """A^-1 e_d for each d of ``dofs``, as the rows of a ``(len(dofs), dim)`` array.
+        """A^-1 e_d for each d of ``dofs``, as the columns of a ``(dim, len(dofs))``
+        array whose rows are in permuted order (row k is DOF ``perm[k]``).
 
         A blocked level-3 solve of ``Uᵀ U X = E`` over blocks of ``bw`` rows
         (the last one shorter), run on ``Xᵀ`` so that a block of right-hand
@@ -157,9 +203,12 @@ class Factorization:
         ``U_st`` to the next block lower triangular, and U has no other nonzero
         block. The forward pass solves ``Y_sᵀ U_ss = E_sᵀ - Y_pᵀ U_ps`` block by
         block (``dtrmm`` for the coupling, ``dtrsm`` for the diagonal block),
-        the backward pass ``X_sᵀ U_ssᵀ = Y_sᵀ - X_tᵀ U_stᵀ``. Where the last
-        block is shorter, its coupling splits into a triangle and a dense part
-        (a matmul), and BLAS gets a copy of its triangles, which are not
+        the backward pass ``X_sᵀ U_ssᵀ = Y_sᵀ - X_tᵀ U_stᵀ``. The forward pass
+        starts at the block holding the earliest permuted position among
+        ``dofs``: the blocks before it stay exact zeros, so the result is bit
+        for bit what a pass from the first block gives. Where the last block
+        is shorter, its coupling splits into a triangle and a dense part (a
+        matmul), and BLAS gets a copy of its triangles, which are not
         contiguous in the band. Each column counts in ``solve_count``.
         """
         n, k = self.dim, len(dofs)
@@ -170,12 +219,13 @@ class Factorization:
         if bw == 0:  # U is the band's one row, a diagonal
             W /= self._band[0][:, None]
             W /= self._band[0][:, None]
-            return W[self._at].T
+            return W
         starts = range(0, n, bw)
-        for s in starts:
+        first = int(self._at[dofs].min()) // bw
+        for s in starts[first:]:
             b = min(bw, n - s)
             Yt = W[s:s + b].T
-            if s:
+            if s > starts[first]:
                 Pt = W[s - bw:s].T
                 C = self._u_block(s - bw, s, bw, b)
                 Yt -= dtrmm(1.0, C[:b], Pt[:, :b], side=1, lower=1)
@@ -194,25 +244,27 @@ class Factorization:
                 if bt < bw:
                     Xt[:, bt:] -= Nt @ C[bt:].T
             dtrsm(1.0, self._u_block(s, s, b, b), Xt, side=1, trans_a=1, overwrite_b=1)
-        return W[self._at].T
+        return W
 
-    def _cached_rows(self, dofs: np.ndarray) -> np.ndarray:
-        """Rows of the cache holding ``dofs``, solving for the DOFs not cached yet.
+    def _cached_columns(self, dofs: np.ndarray) -> np.ndarray:
+        """Columns of the cache holding ``dofs``, solving for the DOFs not cached yet.
 
         New DOFs are solved in order of first appearance, all in one
-        :meth:`_unit_columns` call.
+        :meth:`_unit_columns` call, whose array becomes the cache when it is
+        empty (no copy) and is appended to it otherwise.
         """
-        rows = self._row_of[dofs]
-        missing = rows < 0
+        cols = self._col_of[dofs]
+        missing = cols < 0
         if missing.any():
             new = dofs[missing]
             _, first = np.unique(new, return_index=True)
             new = new[np.sort(first)]
             X = self._unit_columns(new)
-            self._row_of[new] = np.arange(len(self._rows), len(self._rows) + len(new))
-            self._rows = np.concatenate([self._rows, X])
-            rows = self._row_of[dofs]
-        return rows
+            m = self._cols.shape[1]
+            self._col_of[new] = np.arange(m, m + len(new))
+            self._cols = np.hstack([self._cols, X]) if m else X
+            cols = self._col_of[dofs]
+        return cols
 
     def inverse_block(self, dofs) -> np.ndarray:
         """A^-1[dofs][:, dofs] as a C-contiguous array, from the cached columns.
@@ -220,14 +272,15 @@ class Factorization:
         Entry (i, j) is entry ``dofs[i]`` of the solved column ``dofs[j]``.
         """
         dofs = self._check_dofs(dofs)
-        rows = self._cached_rows(dofs)
-        return self._rows.T[np.ix_(dofs, rows)]
+        cols = self._cached_columns(dofs)
+        return self._cols[np.ix_(self._at[dofs], cols)]
 
     def inverse_columns_times(self, dofs, x) -> np.ndarray:
         """A^-1[:, dofs] @ x, a vector over all DOFs, from the cached columns.
 
-        x is scattered onto the cache rows (a repeated DOF adds up), then one
-        matrix-vector product with the cache replaces a backsolve.
+        x is scattered onto the cache columns (a repeated DOF adds up), then
+        one matrix-vector product with the cache replaces a backsolve; its
+        permuted rows are gathered back into DOF order.
         """
         dofs = self._check_dofs(dofs)
         x = np.asarray(x, dtype=np.float64)
@@ -235,6 +288,6 @@ class Factorization:
             raise DimensionMismatchError(
                 f"x has shape {x.shape}, expected ({len(dofs)},) for the dofs"
             )
-        rows = self._cached_rows(dofs)
-        z = np.bincount(rows, weights=x, minlength=len(self._rows))
-        return z @ self._rows
+        cols = self._cached_columns(dofs)
+        z = np.bincount(cols, weights=x, minlength=self._cols.shape[1])
+        return (self._cols @ z)[self._at]

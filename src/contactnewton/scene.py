@@ -28,6 +28,7 @@ import contextlib
 import csv
 import os
 import time
+from collections import deque
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -450,6 +451,8 @@ def load_scene(path) -> SceneConfig:
     for i, entry in enumerate(raw_objects):
         entry = as_mapping(entry, f"objects[{i}]")
         name = entry.get("name", f"object{i}")
+        if not isinstance(name, str):
+            raise ValidationError(f"objects[{i}].name: expected a string, got {name!r}")
         if any(spec.name == name for spec in objects):
             raise ValidationError(f"{name}: duplicate object name")
         kind = require(entry, "type", name)
@@ -536,7 +539,7 @@ class _SoftRuntime:
     def assemble(self, state, h, gravity):
         A, b = self.body.assemble(state, h, gravity)
         if self.factorization is None:
-            self.factorization = Factorization(A)
+            self.factorization = Factorization(A, points=self.body.mesh.nodes)
         return self.factorization, b
 
     def view(self, q_by_object, t):
@@ -604,8 +607,15 @@ class _KinematicRuntime:
     def __init__(self, oid, spec: KinematicMeshSpec):
         self.oid = oid
         self.spec = spec
+        # a step asks for the poses at its start and end time only, from
+        # detection and from every view, so the last two are kept
+        self._poses = deque(maxlen=2)
 
     def pose_at(self, t):
+        """The pose at time t; its arrays are read-only, as callers share it."""
+        for seen, pose in self._poses:
+            if seen == t:
+                return pose
         m = self.spec.motion
         axis = np.asarray(m.axis, dtype=np.float64)
         n = np.linalg.norm(axis)
@@ -615,7 +625,10 @@ class _KinematicRuntime:
             rot = Rotation.from_rotvec(axis / n * (m.angular_velocity * t)).as_matrix()
         center = np.asarray(m.center)
         position = center - rot @ center + np.asarray(m.velocity) * t
-        return Pose(rot, position)
+        pose = Pose(rot, position)
+        pose.rotation.flags.writeable = pose.position.flags.writeable = False
+        self._poses.append((t, pose))
+        return pose
 
     def geometry(self, states, t):
         pose = self.pose_at(t)

@@ -147,7 +147,9 @@ class NewtonConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValidationError(f"unknown scheme {self.scheme!r}, pick from {SCHEMES}")
+            raise ValidationError(
+                f"newton.scheme: unknown scheme {self.scheme!r}, pick from {SCHEMES}"
+            )
         # zero and negative tolerances are valid: they force iterations
         self.max_iterations = as_number(self.max_iterations, "newton.max_iterations", int)
         self.penetration_tol = as_number(self.penetration_tol, "newton.penetration_tol")

@@ -4,13 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrsm
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.transform import Rotation
 
-from contactnewton.dynamics import RigidBody
+from contactnewton import linalg
+from contactnewton.dynamics import RigidBody, SoftBody
 from contactnewton.errors import DimensionMismatchError, NotSPDError
-from contactnewton.linalg import Factorization
-from contactnewton.scene import SoftSpec, load_scene
+from contactnewton.linalg import Factorization, band_ordering
+from contactnewton.mesh import box_mesh
+from contactnewton.scene import Simulation, SoftSpec, load_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -185,11 +188,13 @@ class TestInverseBlock:
 class PerColumnCache:
     """The dict-of-columns cache ``inverse_block`` used before the cache became
     one array, kept as the bitwise oracle of the cache's bookkeeping. It draws
-    its columns from the fill the cache runs, the blocked ``_unit_columns``."""
+    its columns from the fill the cache runs, the blocked ``_unit_columns``,
+    and takes each out of the fill's permuted rows into DOF order."""
 
     def __init__(self, F: Factorization):
         self.dim = F.dim
         self.unit_columns = F._unit_columns
+        self.at = F._at
         self._inverse_columns: dict[int, np.ndarray] = {}
 
     def inverse_block(self, dofs) -> np.ndarray:
@@ -203,7 +208,7 @@ class PerColumnCache:
         if new:
             X = self.unit_columns(np.array(new))
             for j, d in enumerate(new):
-                cache[d] = X[j]
+                cache[d] = X[self.at, j]
         block = np.empty((len(dofs), len(dofs)))
         for j, d in enumerate(dofs.tolist()):
             block[:, j] = cache[d][dofs]
@@ -387,13 +392,14 @@ def rigid_system(inertia=((3.0, 0.4, -0.2), (0.4, 2.0, 0.1), (-0.2, 0.1, 1.5)),
 
 
 def assert_fill_matches_solve(F, dofs):
-    """Each row of the blocked fill against a dpbtrs solve of its unit vector."""
+    """Each column of the blocked fill, its rows in permuted order, against a
+    dpbtrs solve of its unit vector."""
     X = F._unit_columns(np.asarray(dofs))
-    assert X.shape == (len(dofs), F.dim)
-    for row, d in zip(X, dofs):
+    assert X.shape == (F.dim, len(dofs))
+    for column, d in zip(X.T, dofs):
         e = np.zeros(F.dim)
         e[d] = 1.0
-        assert relative_error(row, F.solve(e)) <= 1e-12
+        assert relative_error(column[F._at], F.solve(e)) <= 1e-12
 
 
 class TestUnitColumnFill:
@@ -426,3 +432,77 @@ class TestUnitColumnFill:
         assert (F.dim, bandwidth(F)) == (dim, bw)
         assert_fill_matches_solve(F, np.arange(dim))
         assert_fill_matches_solve(F, [dim - 1])  # one column
+
+
+def soft_systems(scene):
+    """(A, rest node positions) of every soft body of a shipped scene."""
+    cfg = load_scene(SCENES / scene)
+    return [(spec.body.assemble(spec.body.initial_state(spec.velocity), cfg.h, cfg.gravity)[0],
+             spec.body.mesh.nodes) for spec in cfg.objects if isinstance(spec, SoftSpec)]
+
+
+def box_system(divisions):
+    body = SoftBody(box_mesh((1.0, 1.0, 1.0), divisions))
+    A, _ = body.assemble(body.initial_state(), 0.01, (0.0, -9.81, 0.0))
+    return A, body.mesh.nodes
+
+
+SHIPPED_SCENES = ("bench_column.scn", "grasp_rotate.scn", "two_body_press.scn",
+                  "block_on_plane.scn", "point_mass.scn")
+
+
+class TestLongAxisOrdering:
+    """With the rest node positions, the factorization keeps the narrower of
+    RCM and a descending sort along the body's longest axis."""
+
+    @pytest.mark.parametrize("scene, bws", [("bench_column.scn", [194]),
+                                            ("grasp_rotate.scn", [110]),
+                                            ("two_body_press.scn", [77, 77]),
+                                            ("block_on_plane.scn", [77])])
+    def test_production_bands(self, scene, bws):
+        cfg = load_scene(SCENES / scene)
+        sim = Simulation(cfg)
+        factors = [obj.assemble(obj.state, cfg.h, cfg.gravity)[0]
+                   for obj in sim.objects if obj.kind == "soft"]
+        assert [bandwidth(F) for F in factors] == bws
+
+    @pytest.mark.parametrize("scene", SHIPPED_SCENES)
+    def test_never_wider_than_rcm_on_shipped_meshes(self, scene):
+        for A, points in soft_systems(scene):
+            csr = A.tocsr()
+            assert band_ordering(csr, points)[1] <= band_ordering(csr)[1]
+
+    @pytest.mark.parametrize("divisions, rcm, chosen", [((12, 12, 12), 509, 509),
+                                                        ((16, 16, 16), 872, 869)])
+    def test_never_wider_than_rcm_on_large_boxes(self, divisions, rcm, chosen):
+        A, points = box_system(divisions)
+        csr = A.tocsr()
+        perm, bw = band_ordering(csr, points)
+        assert (band_ordering(csr)[1], bw) == (rcm, chosen)
+        if rcm == chosen:  # a tie keeps RCM
+            assert np.array_equal(perm, band_ordering(csr)[0])
+
+    def test_rejects_points_of_another_size(self):
+        A, points = soft_systems("grasp_rotate.scn")[0]
+        with pytest.raises(DimensionMismatchError):
+            Factorization(A, points=points[1:])
+
+    def test_fill_of_the_last_dof_runs_one_forward_solve(self, monkeypatch):
+        A, points = soft_systems("bench_column.scn")[0]
+        F = Factorization(A, points=points)
+        calls = []
+
+        def counting_dtrsm(*args, **kwargs):
+            calls.append(kwargs.get("trans_a", 0))
+            return dtrsm(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "dtrsm", counting_dtrsm)
+        F._unit_columns(F._perm[-1:])
+        n_blocks = -(-F.dim // bandwidth(F))
+        assert (calls.count(0), calls.count(1)) == (1, n_blocks)
+
+    def test_fill_matches_solve_for_early_and_late_dofs(self):
+        A, points = soft_systems("bench_column.scn")[0]
+        F = Factorization(A, points=points)
+        assert_fill_matches_solve(F, F._perm[[-1, -200]])  # the forward pass from the end
+        assert_fill_matches_solve(F, F._perm[[3000, 0, -1]])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contactnewton import cli, scene, solver
+from contactnewton.collision import Pose
 from contactnewton.errors import NonFiniteStateError, ParseError, ValidationError
 from contactnewton.scene import (
     MotionSpec,
@@ -141,6 +142,9 @@ NON_STRING = {
                                      f"fixed_region: {{axis: {axis}, max: 0}}}}]\n",
                                      "block.fixed_region.axis:")
        for name, axis in (("bool", "true"), ("float", "1.0"), ("list", "[1]"))},
+    "name-list": ("objects: [{name: [a], type: plane}]\n", "objects[0].name:"),
+    "name-mapping": ("objects: [{name: {a: 1}, type: plane}]\n", "objects[0].name:"),
+    "scheme-list": (GROUND + "newton: {scheme: [fast]}\n", "newton.scheme:"),
 }
 
 # (scene text, the key the error must name): values the physics cannot use
@@ -161,6 +165,8 @@ BAD_VALUES = {
                         "plate.plate.size:"),
     "snapshots-string": (GROUND + 'output: {snapshots: "false"}\n', "output.snapshots:"),
     "metrics-number": (GROUND + "output: {metrics: 0}\n", "output.metrics:"),
+    # YAML true is a Python bool, which Python counts as the integer 1
+    "every-bool": (GROUND + "output: {every: true}\n", "output.every:"),
     "box-divisions-two": ("objects: [{name: block, type: soft, mesh: {box: "
                           "{size: [1, 1, 1], divisions: [1, 1]}}}]\n",
                           "block.mesh.box.divisions:"),
@@ -721,3 +727,29 @@ def test_one_iteration_steps_report_the_pgs_force(scheme):
             assert report.newton_iterations == 1
             assert np.abs(sim.last_lam - lam).max() <= 1e-12 * np.abs(lam).max()
             assert report.lambda_n_max == sim.last_lam[0::3].max()
+
+
+def test_kinematic_poses_are_built_once_per_time(monkeypatch):
+    # detection and every view ask a plate for its pose at the step's start
+    # or end time; the end pose is the next step's start pose
+    built = []
+
+    class CountingPose(Pose):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(scene, "Pose", CountingPose)
+    sim = Simulation(load_scene(SCENES / "grasp_rotate.scn"))
+    plates = [obj for obj in sim.objects if obj.kind == "kinematic"]
+    for per_plate in (2, 1, 1):
+        built.clear()
+        sim.step()
+        assert len(built) == per_plate * len(plates)
+    for t in (0.0, 0.03, 0.01, 0.03):
+        for plate in plates:
+            pose = plate.pose_at(t)
+            fresh = type(plate)(plate.oid, plate.spec).pose_at(t)
+            assert same_bits(pose.rotation, fresh.rotation)
+            assert same_bits(pose.position, fresh.position)
+            assert not (pose.rotation.flags.writeable or pose.position.flags.writeable)
