@@ -17,11 +17,9 @@ Two routes build the c x c compliance (Delassus) operator:
   fast       W = D W_g D^T               (blockwise congruence, independent of n)
 
 with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered once per time step
-from the columns of A^-1 each factorization caches (a soft body's A is
+from the block A^-1[J, J] over the object's contact DOFs J
+(:func:`contact_dofs`), which each factorization caches (a soft body's A is
 constant, so only DOFs entering contact for the first time cost a solve).
-Those columns are A^-1[:, J] for the object's contact DOFs J
-(:func:`contact_dofs`), which is also all the fast scheme's final velocity
-correction h A^-1 S^T D^T lambda needs, so that correction is a gather too.
 D is block diagonal, and every function here takes it as its blocks: the
 (p, 3, 3) frame array that :func:`assemble_direction` checks, with no
 wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in

@@ -15,14 +15,26 @@ descending sort is tried; an ascending one loses to RCM on the cubes (131,
 95, 551 and 923 on the 5³, 4³, 12³ and 16³ boxes, RCM giving 113, 80, 509
 and 872, the descending sort 110, 77, 509 and 869).
 
-The columns of A^-1 that :class:`Factorization` caches for the fast scheme
-are filled by a second solve on the same band, blocked and level-3 (BLAS
-``dtrsm``/``dtrmm`` over blocks of ``bw`` rows), which streams the band
-once per pass for all new columns where ``dpbtrs`` streams it twice per
-column. Its forward pass starts at the block holding the first requested
-DOF, so on the column, whose bottom-layer contact DOFs the descending sort
-puts last, it runs over the last two of 47 blocks. A filled column matches
+The fast scheme needs A^-1 only where contact reaches it, on the block
+A^-1[C, C] over the DOFs C that have been in contact; :class:`Factorization`
+caches that block. New columns are filled by a second solve on the same
+band, blocked and level-3 (BLAS ``dtrsm``/``dtrmm`` over blocks of ``bw``
+rows), which streams the band once per pass for all new columns where
+``dpbtrs`` streams it twice per column. Both passes cover only the rows from
+the block of the earliest permuted position in C down to the last, so on
+the column, whose bottom-layer contact DOFs the descending sort puts last,
+each runs over the last two of 47 blocks. A cached entry matches
 :meth:`Factorization.solve` of its unit vector to rounding, not bit for bit.
+
+A solve whose permuted right-hand side starts with zero rows skips most of
+them: the forward pass ``Uᵀ y = b`` runs on the trailing sub-band, from
+``bw`` rows before the first nonzero row, and only the backward pass covers
+the whole band. The result equals ``dpbtrs`` bit for bit, since ``dpbtrs``
+is the same two triangular band solves and the skipped rows of y are exact
+zeros; the sub-band starts ``bw`` rows early so that every dot product of
+the forward pass keeps its length and its first element, as the BLAS dot
+kernel's rounding depends on both. The fast scheme's final correction, a
+right-hand side on the contact DOFs only, is such a solve.
 
 :class:`Factorization` takes the assembled matrix (scipy sparse or dense) as
 it is and reads only its upper triangle, so it does not check symmetry: the
@@ -35,21 +47,25 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtrmm, dtrsm
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionMismatchError, NotSPDError
 
 
-def band_ordering(csr: sp.csr_matrix, points=None) -> tuple[np.ndarray, int]:
-    """``(perm, bw)``: the DOF order of the banded factor and its half-bandwidth.
+def band_ordering(
+    csr: sp.csr_matrix, points=None
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """``(perm, bw, i, j)``: the DOF order of the banded factor, its
+    half-bandwidth, and the permuted row and column of each stored entry.
 
-    ``perm[k]`` is the DOF at position k and ``bw`` the largest ``k_j - k_i``
-    over the entries (i, j) of ``csr``. The order is reverse Cuthill-McKee,
-    unless ``points``, the ``(dim / 3, 3)`` rest positions of the nodes that
-    own DOFs ``3i..3i+2``, are given and a stable sort of the nodes by
-    descending coordinate along the axis of largest extent bands narrower;
-    a tie keeps RCM.
+    ``perm[k]`` is the DOF at position k, and ``i``, ``j`` are the positions
+    of the row and column of each entry of ``csr`` in storage order (that of
+    ``csr.data``), so ``bw`` is the largest ``j - i``. The order is reverse
+    Cuthill-McKee, unless ``points``, the ``(dim / 3, 3)`` rest positions of
+    the nodes that own DOFs ``3i..3i+2``, are given and a stable sort of the
+    nodes by descending coordinate along the axis of largest extent bands
+    narrower; a tie keeps RCM.
     """
     n = csr.shape[0]
     perms = [reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)]
@@ -62,15 +78,16 @@ def band_ordering(csr: sp.csr_matrix, points=None) -> tuple[np.ndarray, int]:
         axis = int(np.argmax(np.ptp(points, axis=0)))
         nodes = np.argsort(-points[:, axis], kind="stable")
         perms.append((3 * nodes[:, None] + np.arange(3)).ravel())
-    coo = csr.tocoo()
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
 
-    def half_band(perm):
+    def ordered(perm):
         at = np.empty(n, dtype=np.intp)
         at[perm] = np.arange(n)
-        return int((at[coo.col] - at[coo.row]).max(initial=0))
+        i, j = at[rows], at[csr.indices]
+        return perm, int((j - i).max(initial=0)), i, j
 
     # min keeps the first of equals, RCM
-    return min(((perm, half_band(perm)) for perm in perms), key=lambda pb: pb[1])
+    return min(map(ordered, perms), key=lambda ordering: ordering[1])
 
 
 class Factorization:
@@ -83,9 +100,10 @@ class Factorization:
     none it is reverse Cuthill-McKee. The upper band is packed in LAPACK
     ``'U'`` band storage, a Fortran-order ``(bw + 1, n)`` array of
     ``n·(bw+1)`` doubles, and factored in place by ``dpbtrf`` as ``Uᵀ U``. A
-    solve permutes the right-hand side, runs ``dpbtrs`` (which solves one
-    column at a time, so a column of :meth:`solve_multi` equals
-    :meth:`solve` of that column bit for bit) and scatters the result back.
+    solve permutes the right-hand side, runs ``dpbtrs``, or the same two
+    triangular solves skipping leading zero rows (module docstring), and
+    scatters the result back. Both solve one column at a time, so a column
+    of :meth:`solve_multi` equals :meth:`solve` of that column bit for bit.
     The one SPD check is on the pivots: ``dpbtrf`` stops at the first one
     that is not positive, and a NaN or infinity in A leaves a non-finite
     pivot; either is reported as :class:`NotSPDError` naming the original
@@ -94,32 +112,29 @@ class Factorization:
     ``solve_count`` tracks how many backsolves went through this object,
     which lets callers assert that a code path performs no system solves.
 
-    The object caches the columns of A^-1 it has solved for, in the layout
-    the fill solves them in: ``_cols`` holds one column per cached DOF, its
-    rows in permuted order (row k is DOF ``perm[k]``), and ``_col_of[d]`` is
-    the column holding DOF d, or -1. A column is solved once, by the
-    blocked band solve of :meth:`_unit_columns` (not by ``dpbtrs``, so it
-    matches :meth:`solve` of the unit vector to rounding, not bit for bit),
-    and lives as long as this factorization; :meth:`inverse_block` and
-    :meth:`inverse_columns_times` only gather from it through ``at``. The
-    cache makes the object mutable: do not share it across threads while the
-    cache fills.
+    The object caches the block of A^-1 over the DOFs it was asked for:
+    ``_dofs`` lists them in the order they were first asked for,
+    ``_block[a, b]`` is A^-1[_dofs[a], _dofs[b]], and ``_col_of[d]`` is the
+    index of DOF d in ``_dofs``, or -1. New DOFs are solved for once, by the
+    blocked band solve of :meth:`_unit_columns` (not by ``dpbtrs``, so an
+    entry matches :meth:`solve` of the unit vector to rounding, not bit for
+    bit), and stay for the life of this factorization; :meth:`inverse_block`
+    only gathers from the block. The cache makes the object mutable: do not
+    share it across threads while the cache fills.
     """
 
-    __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_cols", "_col_of")
+    __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_dofs", "_block", "_col_of")
 
     def __init__(self, matrix, points=None):
         csr = sp.csr_matrix(matrix, dtype=np.float64)
         n = csr.shape[0]
         if csr.shape != (n, n):
             raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
-        perm, bw = band_ordering(csr, points)
+        perm, bw, i, j = band_ordering(csr, points)
         at = np.empty(n, dtype=np.intp)
         at[perm] = np.arange(n)
-        coo = csr.tocoo()
-        i, j = at[coo.row], at[coo.col]
         upper = i <= j
-        i, j, values = i[upper], j[upper], coo.data[upper]
+        i, j, values = i[upper], j[upper], csr.data[upper]
         # entry (i, j) of the upper band sits at ab[bw + i - j, j]; bincount
         # sums duplicate entries
         band = np.bincount((bw + i - j) + (bw + 1) * j, weights=values,
@@ -143,11 +158,25 @@ class Factorization:
         self._at = at
         self._band = band
         self.solve_count = 0
-        self._cols = np.zeros((n, 0))
+        self._dofs = np.zeros(0, dtype=np.int64)
+        self._block = np.zeros((0, 0))
         self._col_of = np.full(n, -1, dtype=np.int64)
 
     def _backsolve(self, B: np.ndarray) -> np.ndarray:
-        X, _ = dpbtrs(self._band, B[self._perm], overwrite_b=True)
+        """A^-1 B: ``dpbtrs``, or where the permuted B starts with more than
+        ``bw`` zero rows, the forward pass on the trailing sub-band from ``bw``
+        rows before the first nonzero one (module docstring)."""
+        B = B[self._perm]
+        bw = self._band.shape[0] - 1
+        nonzero = B != 0 if B.ndim == 1 else (B != 0).any(axis=1)
+        start = int(np.argmax(nonzero)) - bw  # an all-zero B gives -bw
+        if start <= 0:
+            X, _ = dpbtrs(self._band, B, overwrite_b=True)
+        else:
+            B[start:], _ = dtbtrs(self._band[:, start:], B[start:], trans="T",
+                                  overwrite_b=True)
+            X, _ = dtbtrs(self._band, B, overwrite_b=True)
+        del B  # LAPACK solved a copy of a 2-d B, in Fortran order: free B before the gather
         return X[self._at]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -169,14 +198,6 @@ class Factorization:
         self.solve_count += B.shape[1]
         return self._backsolve(B)
 
-    def _check_dofs(self, dofs) -> np.ndarray:
-        dofs = np.asarray(dofs, dtype=np.int64)
-        if dofs.ndim != 1 or ((dofs < 0) | (dofs >= self.dim)).any():
-            raise DimensionMismatchError(
-                f"dofs must be a 1-d list of indices in [0, {self.dim})"
-            )
-        return dofs
-
     def _u_block(self, i: int, j: int, rows: int, cols: int) -> np.ndarray:
         """``U[i:i+rows, j:j+cols]`` as a strided view of the factored band, not a copy.
 
@@ -192,9 +213,11 @@ class Factorization:
         return np.ndarray((rows, cols), np.float64, self._band.reshape(-1, order="F"),
                           step * (bw + i + bw * j), (step, bw * step))
 
-    def _unit_columns(self, dofs: np.ndarray) -> np.ndarray:
-        """A^-1 e_d for each d of ``dofs``, as the columns of a ``(dim, len(dofs))``
-        array whose rows are in permuted order (row k is DOF ``perm[k]``).
+    def _unit_columns(self, dofs: np.ndarray, lo: int) -> np.ndarray:
+        """Rows ``lo`` to ``dim - 1`` of A^-1 e_d for each d of ``dofs``, in
+        permuted order (row k is DOF ``perm[k]``), as the columns of a
+        ``(dim - lo, len(dofs))`` array; ``lo`` is at most the earliest
+        permuted position among ``dofs``.
 
         A blocked level-3 solve of ``Uᵀ U X = E`` over blocks of ``bw`` rows
         (the last one shorter), run on ``Xᵀ`` so that a block of right-hand
@@ -206,27 +229,35 @@ class Factorization:
         the backward pass ``X_sᵀ U_ssᵀ = Y_sᵀ - X_tᵀ U_stᵀ``. The forward pass
         starts at the block holding the earliest permuted position among
         ``dofs``: the blocks before it stay exact zeros, so the result is bit
-        for bit what a pass from the first block gives. Where the last block
-        is shorter, its coupling splits into a triangle and a dense part (a
-        matmul), and BLAS gets a copy of its triangles, which are not
-        contiguous in the band. Each column counts in ``solve_count``.
+        for bit what a pass from the first block gives. The backward pass
+        stops at the block holding ``lo``, since a block needs only those
+        after it, and the work array holds the rows from that block on.
+        Where the last block is shorter, its coupling splits into a triangle
+        and a dense part (a matmul), and BLAS gets a copy of its triangles,
+        which are not contiguous in the band. Each column counts in
+        ``solve_count``.
         """
         n, k = self.dim, len(dofs)
         bw = self._band.shape[0] - 1
         self.solve_count += k
-        W = np.zeros((n, k))  # Xᵀ by rows, in permuted order
-        W[self._at[dofs], np.arange(k)] = 1.0
+        s0 = lo - lo % bw if bw else lo  # the block grid is anchored at row 0
+        W = np.zeros((n - s0, k))  # Xᵀ by rows, row r being permuted position s0 + r
+        W[self._at[dofs] - s0, np.arange(k)] = 1.0
         if bw == 0:  # U is the band's one row, a diagonal
-            W /= self._band[0][:, None]
-            W /= self._band[0][:, None]
-            return W
-        starts = range(0, n, bw)
-        first = int(self._at[dofs].min()) // bw
+            W /= self._band[0, s0:, None]
+            W /= self._band[0, s0:, None]
+            return W[lo - s0:]
+
+        def rows_t(s, b):  # the rows of positions s..s+b-1, transposed
+            return W[s - s0:s - s0 + b].T
+
+        starts = range(s0, n, bw)
+        first = (int(self._at[dofs].min()) - s0) // bw
         for s in starts[first:]:
             b = min(bw, n - s)
-            Yt = W[s:s + b].T
+            Yt = rows_t(s, b)
             if s > starts[first]:
-                Pt = W[s - bw:s].T
+                Pt = rows_t(s - bw, bw)
                 C = self._u_block(s - bw, s, bw, b)
                 Yt -= dtrmm(1.0, C[:b], Pt[:, :b], side=1, lower=1)
                 if b < bw:
@@ -234,60 +265,49 @@ class Factorization:
             dtrsm(1.0, self._u_block(s, s, b, b), Yt, side=1, overwrite_b=1)
         for s in reversed(starts):
             b = min(bw, n - s)
-            Xt = W[s:s + b].T
+            Xt = rows_t(s, b)
             t = s + bw
             if t < n:
                 bt = min(bw, n - t)
-                Nt = W[t:t + bt].T
+                Nt = rows_t(t, bt)
                 C = self._u_block(s, t, bw, bt)
                 Xt[:, :bt] -= dtrmm(1.0, C[:bt], Nt, side=1, lower=1, trans_a=1)
                 if bt < bw:
                     Xt[:, bt:] -= Nt @ C[bt:].T
             dtrsm(1.0, self._u_block(s, s, b, b), Xt, side=1, trans_a=1, overwrite_b=1)
-        return W
+        return W[lo - s0:]
 
-    def _cached_columns(self, dofs: np.ndarray) -> np.ndarray:
-        """Columns of the cache holding ``dofs``, solving for the DOFs not cached yet.
+    def inverse_block(self, dofs) -> np.ndarray:
+        """A^-1[dofs][:, dofs] as a C-contiguous array, from the cached block.
 
-        New DOFs are solved in order of first appearance, all in one
-        :meth:`_unit_columns` call, whose array becomes the cache when it is
-        empty (no copy) and is appended to it otherwise.
+        DOFs not cached yet are solved for in order of first appearance, all
+        in one :meth:`_unit_columns` call over the rows from the earliest
+        permuted position of a cached or new DOF. Their columns' rows at the
+        cached and new DOFs grow the block, and its new rows at the old
+        columns are the transpose of those columns' old rows, A^-1 being
+        symmetric.
         """
-        cols = self._col_of[dofs]
-        missing = cols < 0
+        dofs = np.asarray(dofs, dtype=np.int64)
+        if dofs.ndim != 1 or ((dofs < 0) | (dofs >= self.dim)).any():
+            raise DimensionMismatchError(
+                f"dofs must be a 1-d list of indices in [0, {self.dim})"
+            )
+        index = self._col_of[dofs]
+        missing = index < 0
         if missing.any():
             new = dofs[missing]
             _, first = np.unique(new, return_index=True)
             new = new[np.sort(first)]
-            X = self._unit_columns(new)
-            m = self._cols.shape[1]
-            self._col_of[new] = np.arange(m, m + len(new))
-            self._cols = np.hstack([self._cols, X]) if m else X
-            cols = self._col_of[dofs]
-        return cols
-
-    def inverse_block(self, dofs) -> np.ndarray:
-        """A^-1[dofs][:, dofs] as a C-contiguous array, from the cached columns.
-
-        Entry (i, j) is entry ``dofs[i]`` of the solved column ``dofs[j]``.
-        """
-        dofs = self._check_dofs(dofs)
-        cols = self._cached_columns(dofs)
-        return self._cols[np.ix_(self._at[dofs], cols)]
-
-    def inverse_columns_times(self, dofs, x) -> np.ndarray:
-        """A^-1[:, dofs] @ x, a vector over all DOFs, from the cached columns.
-
-        x is scattered onto the cache columns (a repeated DOF adds up), then
-        one matrix-vector product with the cache replaces a backsolve; its
-        permuted rows are gathered back into DOF order.
-        """
-        dofs = self._check_dofs(dofs)
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != dofs.shape:
-            raise DimensionMismatchError(
-                f"x has shape {x.shape}, expected ({len(dofs)},) for the dofs"
-            )
-        cols = self._cached_columns(dofs)
-        z = np.bincount(cols, weights=x, minlength=self._cols.shape[1])
-        return (self._cols @ z)[self._at]
+            every = np.concatenate([self._dofs, new])
+            at = self._at[every]
+            lo = int(at.min())
+            columns = self._unit_columns(new, lo)[at - lo]  # A^-1[every, new]
+            m = len(self._dofs)
+            block = np.empty((len(every), len(every)))
+            block[:m, :m] = self._block
+            block[:, m:] = columns
+            block[m:, :m] = columns[:m].T
+            self._dofs, self._block = every, block
+            self._col_of[new] = np.arange(m, len(every))
+            index = self._col_of[dofs]
+        return self._block[np.ix_(index, index)]

@@ -207,8 +207,20 @@ def as_count(value, where):
     return as_number(value, where, int)
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _array(value, where, dtype=np.float64):
-    """``value`` as a flat finite array; an integer ``dtype`` takes whole numbers only."""
+    """``value`` as a flat finite array; an integer ``dtype`` takes whole numbers only.
+
+    A bool (YAML ``true``/``false``) is refused, as by
+    :func:`~.errors.as_number`, though numpy reads it as 1 or 0.
+    """
+    if _holds_bool(value):
+        raise ValidationError(f"{where}: expected a list of numbers, got {value!r}")
     try:
         arr = np.asarray(value, dtype=np.float64).ravel()
     except (TypeError, ValueError):

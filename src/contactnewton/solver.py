@@ -79,9 +79,10 @@ The two schemes bind them as follows:
 
   fast      rebuild W = D W_g D^T (blockwise congruence); move in constraint
             space, r += h^2 W_g D^T lambda, with no system solve; finish
-            with one mechanical correction by the accumulated impulse, a
-            gather from the columns of A^-1 the W_g build cached; the free
-            motion is the step's only backsolve.
+            with one mechanical correction by the accumulated impulse, one
+            backsolve per object, which skips the leading zero rows of its
+            right-hand side (``linalg``). With the free motion, that makes
+            two backsolves per object and step.
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
 loop is exactly the classic single-correction scheme. Every later iteration
@@ -332,7 +333,7 @@ class StepContext:
 
     @cached_property
     def dofs_by_object(self) -> dict[int, np.ndarray]:
-        """Each object's contact DOFs, derived once per step for W_g and the gather."""
+        """Each object's contact DOFs, derived once per step for W_g."""
         return {oid: contact_dofs(S) for oid, S in self.S_by_object.items()}
 
 
@@ -367,25 +368,12 @@ def _penetration(delta_end: np.ndarray) -> float:
     return float(max(0.0, -(normals.min() if normals.size else 0.0)))
 
 
-def _mechanical_correction(
-    ctx: StepContext, t: np.ndarray, gather: bool = False
-) -> dict[int, np.ndarray]:
-    """dv = h A^-1 S^T t per object, t being a proximity-space impulse.
-
-    S^T t is nonzero only on the object's contact DOFs J. With ``gather``,
-    A^-1 S^T t is A^-1[:, J] (S^T t)[J] from the factorization's cached
-    columns; otherwise it is a backsolve.
-    """
-    dv = {}
-    for oid in sorted(ctx.S_by_object):
-        rhs = ctx.S_by_object[oid].T @ t
-        F = ctx.F_by_object[oid]
-        if gather:
-            J = ctx.dofs_by_object[oid]
-            dv[oid] = ctx.h * F.inverse_columns_times(J, rhs[J])
-        else:
-            dv[oid] = ctx.h * F.solve(rhs)
-    return dv
+def _mechanical_correction(ctx: StepContext, t: np.ndarray) -> dict[int, np.ndarray]:
+    """dv = h A^-1 S^T t per object, t being a proximity-space impulse: one
+    backsolve each, which skips the leading zero rows of S^T t (nonzero only
+    on the object's contact DOFs)."""
+    return {oid: ctx.h * ctx.F_by_object[oid].solve(S.T @ t)
+            for oid, S in sorted(ctx.S_by_object.items())}
 
 
 def _newton(
@@ -473,8 +461,7 @@ def newton_fast(
     """Recursive correction with the congruence rebuild and proximity-space updates.
 
     The loop performs no system solves; one mechanical correction with the
-    accumulated impulse runs after it, gathered from the cached columns of
-    A^-1 rather than backsolved.
+    accumulated impulse runs after it, one backsolve per object.
     """
     if ctx.wg is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
@@ -483,6 +470,6 @@ def newton_fast(
         return fast_update_proximity(r, ctx.wg, D, lam, ctx.h)
 
     def finish(accumulated):
-        return _mechanical_correction(ctx, accumulated, gather=True)
+        return _mechanical_correction(ctx, accumulated)
 
     return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg), move, finish)

@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpbtrs, dtbtrs
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.transform import Rotation
 
@@ -185,108 +186,42 @@ class TestInverseBlock:
         assert F.solve_count == 0
 
 
-class PerColumnCache:
-    """The dict-of-columns cache ``inverse_block`` used before the cache became
-    one array, kept as the bitwise oracle of the cache's bookkeeping. It draws
-    its columns from the fill the cache runs, the blocked ``_unit_columns``,
-    and takes each out of the fill's permuted rows into DOF order."""
-
-    def __init__(self, F: Factorization):
-        self.dim = F.dim
-        self.unit_columns = F._unit_columns
-        self.at = F._at
-        self._inverse_columns: dict[int, np.ndarray] = {}
-
-    def inverse_block(self, dofs) -> np.ndarray:
-        dofs = np.asarray(dofs, dtype=np.int64)
-        if dofs.ndim != 1 or ((dofs < 0) | (dofs >= self.dim)).any():
-            raise DimensionMismatchError(
-                f"dofs must be a 1-d list of indices in [0, {self.dim})"
-            )
-        cache = self._inverse_columns
-        new = [d for d in dict.fromkeys(dofs.tolist()) if d not in cache]
-        if new:
-            X = self.unit_columns(np.array(new))
-            for j, d in enumerate(new):
-                cache[d] = X[self.at, j]
-        block = np.empty((len(dofs), len(dofs)))
-        for j, d in enumerate(dofs.tolist()):
-            block[:, j] = cache[d][dofs]
-        return block
-
-
 def sparse_spd(dim, seed):
     B = sp.random(dim, dim, density=0.05, random_state=seed, format="csr")
     return B @ B.T + 10.0 * sp.eye(dim)
 
 
-class TestCacheGrowth:
-    CALLS = ([4, 1, 9], [9, 2, 4, 7, 1], [30, 2, 30, 55, 0], [12, 40, 41, 42, 43, 44, 45, 9],
-             list(range(0, 60, 7)))
+# inverse_block calls, as DOFs of sparse_spd(60, 8) (bw 36, two blocks) and
+# of a diagonal (bw 0), and as permuted positions of banded_spd(300, 6, 7)
+# (bw 6), whose fills reach back to ever earlier blocks
+GROWTH = {
+    "diagonal": (lambda: sp.diags(np.arange(1.0, 8.0)).tocsr(),
+                 lambda F: ([5, 6], [2, 6, 5], [0, 6])),
+    "sparse": (lambda: sparse_spd(60, 8),
+               lambda F: ([4, 1, 9], [9, 2, 4, 7, 1], [30, 2, 30, 55, 0],
+                          [12, 40, 41, 42, 43, 44, 45, 9], list(range(0, 60, 7)))),
+    "banded": (lambda: banded_spd(300, 6, 7),
+               lambda F: [F._perm[p] for p in ([297, 290, 299], [150, 299, 151],
+                                                [5, 297, 0, 5], list(range(1, 300, 37)))]),
+}
 
-    def test_grown_cache_matches_the_per_column_oracle_bitwise(self):
-        A = sparse_spd(60, 8)
-        F, oracle = Factorization(A), PerColumnCache(Factorization(A))
-        for k, dofs in enumerate(self.CALLS):
+
+class TestCacheGrowth:
+    @pytest.mark.parametrize("system, calls", GROWTH.values(), ids=GROWTH.keys())
+    def test_grown_block_matches_the_dense_inverse(self, system, calls):
+        A = system()
+        F = Factorization(A)
+        inv = np.linalg.inv(A.toarray())
+        seen = []
+        for dofs in calls(F):
             block = F.inverse_block(dofs)
             assert block.flags.c_contiguous
-            assert np.array_equal(block, oracle.inverse_block(dofs))
-            for earlier in self.CALLS[: k + 1]:  # blocks gathered before the growth
-                assert np.array_equal(F.inverse_block(earlier), oracle.inverse_block(earlier))
-        assert F.solve_count == len(set().union(*self.CALLS))
-
-
-class TestInverseColumnsTimes:
-    def test_matches_dense_inverse(self):
-        A = random_spd(15, 41)
-        F = Factorization(A)
-        inv = np.linalg.inv(A)
-        rng = np.random.default_rng(2)
-        for dofs in ([3, 0, 11], [14, 3, 7, 0, 9], [5, 5, 2]):  # a repeated DOF adds up
-            x = rng.standard_normal(len(dofs))
-            oracle = inv[:, dofs] @ x
-            got = F.inverse_columns_times(dofs, x)
-            assert got.shape == (15,)
-            assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
-
-    def test_equals_a_backsolve_of_the_scattered_rhs(self):
-        A = random_spd(20, 6)
-        F = Factorization(A)
-        dofs = np.array([2, 17, 8, 11])
-        x = np.random.default_rng(7).standard_normal(4)
-        b = np.zeros(20)
-        b[dofs] = x
-        expect = F.solve(b)
-        assert np.abs(F.inverse_columns_times(dofs, x) - expect).max() <= 1e-13 * np.abs(expect).max()
-
-    def test_solves_only_new_columns(self):
-        F = Factorization(random_spd(12, 5))
-        x = np.ones(3)
-        F.inverse_block([4, 1, 9])
-        assert F.solve_count == 3
-        F.inverse_columns_times([9, 1, 4], x)
-        assert F.solve_count == 3  # every column cached: a gather, no solve
-        F.inverse_columns_times([9, 2, 7], x)
-        assert F.solve_count == 5  # only 2 and 7 were new
-        F.inverse_block([7, 2])
-        assert F.solve_count == 5  # and inverse_block reuses them
-
-    def test_rejects_bad_dofs_and_x(self):
-        F = Factorization(sp.eye(4))
-        for dofs in ([0, 4], [-1], [[0, 1]]):
-            with pytest.raises(DimensionMismatchError):
-                F.inverse_columns_times(dofs, np.ones(np.size(dofs)))
-        with pytest.raises(DimensionMismatchError):
-            F.inverse_columns_times([0, 1], np.ones(3))
-        assert F.solve_count == 0
-
-    def test_empty_dofs(self):
-        F = Factorization(random_spd(6, 3))
-        assert np.array_equal(F.inverse_columns_times([], []), np.zeros(6))
-        F.inverse_block([1, 2])
-        assert np.array_equal(F.inverse_columns_times(np.zeros(0, dtype=int), np.zeros(0)),
-                              np.zeros(6))
-        assert F.solve_count == 2
+            oracle = inv[np.ix_(dofs, dofs)]
+            assert np.abs(block - oracle).max() <= 1e-13 * np.abs(oracle).max()
+            seen.append((dofs, block))
+            for earlier, kept in seen:  # a growth keeps every cached entry
+                assert np.array_equal(F.inverse_block(earlier), kept)
+        assert F.solve_count == len(set().union(*map(list, calls(F))))
 
 
 def chain_spd(n_nodes):
@@ -394,7 +329,7 @@ def rigid_system(inertia=((3.0, 0.4, -0.2), (0.4, 2.0, 0.1), (-0.2, 0.1, 1.5)),
 def assert_fill_matches_solve(F, dofs):
     """Each column of the blocked fill, its rows in permuted order, against a
     dpbtrs solve of its unit vector."""
-    X = F._unit_columns(np.asarray(dofs))
+    X = F._unit_columns(np.asarray(dofs), 0)
     assert X.shape == (F.dim, len(dofs))
     for column, d in zip(X.T, dofs):
         e = np.zeros(F.dim)
@@ -472,12 +407,23 @@ class TestLongAxisOrdering:
             csr = A.tocsr()
             assert band_ordering(csr, points)[1] <= band_ordering(csr)[1]
 
+    @pytest.mark.parametrize("points", [None, "rest"])
+    def test_entry_positions_follow_the_chosen_order(self, points):
+        A, rest = soft_systems("grasp_rotate.scn")[0]
+        csr = A.tocsr()
+        perm, bw, i, j = band_ordering(csr, rest if points else None)
+        at = np.empty_like(perm)
+        at[perm] = np.arange(len(perm))
+        coo = csr.tocoo()  # storage order, that of csr.data
+        assert np.array_equal(i, at[coo.row]) and np.array_equal(j, at[coo.col])
+        assert bw == (j - i).max() == (110 if points else 113)
+
     @pytest.mark.parametrize("divisions, rcm, chosen", [((12, 12, 12), 509, 509),
                                                         ((16, 16, 16), 872, 869)])
     def test_never_wider_than_rcm_on_large_boxes(self, divisions, rcm, chosen):
         A, points = box_system(divisions)
         csr = A.tocsr()
-        perm, bw = band_ordering(csr, points)
+        perm, bw, *_ = band_ordering(csr, points)
         assert (band_ordering(csr)[1], bw) == (rcm, chosen)
         if rcm == chosen:  # a tie keeps RCM
             assert np.array_equal(perm, band_ordering(csr)[0])
@@ -490,14 +436,8 @@ class TestLongAxisOrdering:
     def test_fill_of_the_last_dof_runs_one_forward_solve(self, monkeypatch):
         A, points = soft_systems("bench_column.scn")[0]
         F = Factorization(A, points=points)
-        calls = []
-
-        def counting_dtrsm(*args, **kwargs):
-            calls.append(kwargs.get("trans_a", 0))
-            return dtrsm(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "dtrsm", counting_dtrsm)
-        F._unit_columns(F._perm[-1:])
+        calls = count_calls(monkeypatch, "dtrsm", "trans_a", 0)
+        F._unit_columns(F._perm[-1:], 0)
         n_blocks = -(-F.dim // bandwidth(F))
         assert (calls.count(0), calls.count(1)) == (1, n_blocks)
 
@@ -506,3 +446,158 @@ class TestLongAxisOrdering:
         F = Factorization(A, points=points)
         assert_fill_matches_solve(F, F._perm[[-1, -200]])  # the forward pass from the end
         assert_fill_matches_solve(F, F._perm[[3000, 0, -1]])
+
+
+def column_contact_dofs(points):
+    """The DOFs of the column's bottom layer of nodes, which meets the ground."""
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    bottom = np.flatnonzero(points[:, axis] == points[:, axis].min())
+    return (3 * bottom[:, None] + np.arange(3)).ravel()
+
+
+def count_calls(monkeypatch, name, key, default):
+    """Patch ``linalg.<name>`` to record each call's ``key`` keyword (or ``default``)."""
+    fn = getattr(linalg, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get(key, default))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+class TestContactBlockFill:
+    """The column's contact DOFs are its last 192 permuted positions, so a
+    fill of their block covers its last two blocks only."""
+
+    def test_cold_fill_peak_memory(self):
+        A, points = soft_systems("bench_column.scn")[0]
+        F = Factorization(A, points=points)
+        J = column_contact_dofs(points)
+        assert np.array_equal(np.sort(F._at[J]), np.arange(8832, 9024))
+        tracemalloc.start()
+        try:
+            F.inverse_block(J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6  # the whole 192 columns took 14.3 MB
+
+    def test_fill_runs_dtrsm_on_the_trailing_blocks_only(self, monkeypatch):
+        A, points = soft_systems("bench_column.scn")[0]
+        F = Factorization(A, points=points)
+        J = column_contact_dofs(points)
+        calls = count_calls(monkeypatch, "dtrsm", "trans_a", 0)
+        block = F.inverse_block(J)
+        assert (calls.count(0), calls.count(1)) == (2, 2)  # of 47 blocks
+        assert F.solve_count == len(J)
+        E = np.zeros((F.dim, 4))
+        E[J[[0, 50, 100, 191]], np.arange(4)] = 1.0
+        assert relative_error(block[:, [0, 50, 100, 191]], F.solve_multi(E)[J]) <= 1e-12
+
+    def test_growth_towards_earlier_blocks_matches_solve(self):
+        A, points = soft_systems("bench_column.scn")[0]
+        F = Factorization(A, points=points)
+        J = column_contact_dofs(points)
+        F.inverse_block(J[:96])
+        dofs = np.concatenate([J, F._perm[[4000, 0]]])  # down to the first block
+        block = F.inverse_block(dofs)
+        assert F.solve_count == len(dofs)
+        E = np.zeros((F.dim, len(dofs)))
+        E[dofs, np.arange(len(dofs))] = 1.0
+        assert relative_error(block, F.solve_multi(E)[dofs]) <= 1e-12
+
+
+def dpbtrs_solve(F, B):
+    """A^-1 B by ``dpbtrs`` over the whole band, the reference of every solve."""
+    X, info = dpbtrs(F._band, np.asarray(B, dtype=np.float64)[F._perm])
+    assert info == 0
+    return X[F._at]
+
+
+def assert_bitwise(x, reference):
+    assert x.shape == reference.shape and x.tobytes() == reference.tobytes()
+
+
+def banded_spd(dim, half, seed):
+    """An SPD matrix of half-bandwidth ``half``, its DOFs shuffled."""
+    rng = np.random.default_rng(seed)
+    L = np.tril(np.triu(rng.standard_normal((dim, dim)), -half))
+    mix = rng.permutation(dim)
+    return sp.csr_matrix((L @ L.T + 10.0 * np.eye(dim))[np.ix_(mix, mix)])
+
+
+def rhs_with_zero_lead(F, first, rng, columns=()):
+    """A right-hand side in DOF order whose permuted rows before ``first`` are zero."""
+    B = np.zeros((F.dim, *columns))
+    B[first:] = rng.standard_normal(B[first:].shape)
+    return B[F._at]
+
+
+class TestSkipSolve:
+    """A right-hand side that starts with more than bw zero permuted rows
+    skips them in the forward pass, and equals dpbtrs bit for bit."""
+
+    SYSTEMS = {
+        "random": (lambda: (banded_spd(300, 12, 3), None)),
+        "random-wide": (lambda: (banded_spd(400, 40, 4), None)),
+        "column": (lambda: soft_systems("bench_column.scn")[0]),
+        "grasp": (lambda: soft_systems("grasp_rotate.scn")[0]),
+    }
+
+    @pytest.mark.parametrize("system", SYSTEMS.values(), ids=SYSTEMS.keys())
+    def test_skip_equals_dpbtrs(self, monkeypatch, system):
+        A, points = system()
+        F = Factorization(A, points=points)
+        bw = bandwidth(F)
+        calls = count_calls(monkeypatch, "dtbtrs", "trans", "N")
+        rng = np.random.default_rng(F.dim)
+        firsts = [bw + 1, F.dim - 1, *rng.integers(bw + 1, F.dim, 6)]
+        for first in firsts:
+            b = rhs_with_zero_lead(F, first, rng)
+            b[rng.random(F.dim) < 0.5] = 0.0  # zeros after the first nonzero row too
+            b[F._perm[first]] = 1.0
+            assert_bitwise(F.solve(b), dpbtrs_solve(F, b))
+        B = rhs_with_zero_lead(F, firsts[2], rng, (3,))
+        B[F._perm[:-5], 1] = 0.0  # a column that starts later than the block
+        assert_bitwise(F.solve_multi(B), dpbtrs_solve(F, B))
+        assert calls == ["T", "N"] * (len(firsts) + 1)  # every solve took the skip
+
+    def test_column_correction_rhs(self, monkeypatch):
+        A, points = soft_systems("bench_column.scn")[0]
+        F = Factorization(A, points=points)
+        calls = count_calls(monkeypatch, "dtbtrs", "trans", "N")
+        b = np.zeros(F.dim)
+        b[column_contact_dofs(points)] = np.random.default_rng(2).standard_normal(192)
+        assert_bitwise(F.solve(b), dpbtrs_solve(F, b))
+        assert calls == ["T", "N"]
+
+    def test_multi_rhs_peak_memory(self):
+        A, points = soft_systems("bench_column.scn")[0]
+        F = Factorization(A, points=points)
+        J = column_contact_dofs(points)
+        B = np.zeros((F.dim, len(J)), order="F")  # as the standard scheme's H^T
+        B[J, np.arange(len(J))] = 1.0
+        tracemalloc.start()
+        try:
+            F.solve_multi(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * B.nbytes  # the permuted B and the result, as dpbtrs alone
+
+    def test_dense_rhs_goes_through_dpbtrs(self, monkeypatch):
+        F = Factorization(banded_spd(300, 12, 5))
+        calls = count_calls(monkeypatch, "dtbtrs", "trans", "N")
+        solves = count_calls(monkeypatch, "dpbtrs", "overwrite_b", None)
+        rng = np.random.default_rng(6)
+        # dense, nonzero from permuted row bw on, a block with one dense column, and zero
+        B = [rng.standard_normal(F.dim), rhs_with_zero_lead(F, bandwidth(F), rng),
+             np.column_stack([rhs_with_zero_lead(F, 200, rng), rng.standard_normal(F.dim)]),
+             np.zeros(F.dim)]
+        for b in B:
+            x = F.solve(b) if b.ndim == 1 else F.solve_multi(b)
+            assert_bitwise(x, dpbtrs_solve(F, b))
+        assert (len(solves), calls) == (len(B), [])

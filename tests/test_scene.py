@@ -167,6 +167,13 @@ BAD_VALUES = {
     "metrics-number": (GROUND + "output: {metrics: 0}\n", "output.metrics:"),
     # YAML true is a Python bool, which Python counts as the integer 1
     "every-bool": (GROUND + "output: {every: true}\n", "output.every:"),
+    # numpy reads a bool inside a list as 1 or 0
+    "gravity-bool": (GROUND + "gravity: [true, -9.81, 0]\n", "gravity:"),
+    "fixed-nodes-bool": (f"objects: [{{name: block, type: soft, {BOX}, "
+                         "fixed_nodes: [true]}]\n", "block.fixed_nodes:"),
+    "box-divisions-bool": ("objects: [{name: block, type: soft, mesh: {box: "
+                           "{size: [1, 1, 1], divisions: [true, 1, 1]}}}]\n",
+                           "block.mesh.box.divisions:"),
     "box-divisions-two": ("objects: [{name: block, type: soft, mesh: {box: "
                           "{size: [1, 1, 1], divisions: [1, 1]}}}]\n",
                           "block.mesh.box.divisions:"),
@@ -498,12 +505,12 @@ def test_step_reports_system_solves():
     config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 4, 7))
     sim = Simulation(replace(config, newton=replace(config.newton, scheme="fast")))
     fast = [sim.step() for _ in range(4)]
-    # step 0: the free motion and one unit solve per contact DOF to fill the
-    # cache of A^-1 columns; W_g and the final correction gather from that
-    # cache, so the free motion is a step's only backsolve
+    # a fast step backsolves for the free motion and the final correction;
+    # step 0 also solves one unit column per contact DOF to fill the cached
+    # block of A^-1, from which W_g is gathered
     contact_dofs = 3 * len(set(sim.last_pairs.a.nodes[:, 0].tolist()))
-    assert fast[0].system_solves == 1 + contact_dofs
-    assert [r.system_solves for r in fast[1:]] == [1, 1, 1]
+    assert fast[0].system_solves == 2 + contact_dofs
+    assert [r.system_solves for r in fast[1:]] == [2, 2, 2]
     sim = Simulation(replace(config, newton=replace(config.newton, scheme="standard")))
     for r in (sim.step() for _ in range(4)):
         # the free motion, then per iteration one solve per row of W and

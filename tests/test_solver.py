@@ -789,21 +789,32 @@ class TestNewtonSchemes:
         dv_f = fast.dv_by_object[0]
         assert np.abs(dv_s - dv_f).max() <= 1e-8 * max(np.abs(dv_s).max(), 1e-12)
 
-    def test_fast_loop_performs_no_system_solves(self):
+    def test_fast_loop_performs_no_system_solves(self, monkeypatch):
         bodies, pairs = falling_block_setup()
+        at_correction = []
+
+        def correction(ctx, t, _fn=solver._mechanical_correction):
+            at_correction.append(ctx.F_by_object[0].solve_count)
+            return _fn(ctx, t)
+
+        monkeypatch.setattr(solver, "_mechanical_correction", correction)
         for iterations in (1, 5):
             ctx, *_ = build_context((bodies, pairs))
+            assert list(ctx.S_by_object) == [0]
             F = ctx.F_by_object[0]
             before = F.solve_count
-            newton_fast(
+            at_correction.clear()
+            res = newton_fast(
                 ctx,
                 NewtonConfig(scheme="fast", max_iterations=iterations,
                              penetration_tol=0.0, rotation_tol=0.0),
                 PgsConfig(max_iterations=50),
             )
-            # the loop moves r in constraint space and the final correction
-            # gathers from the cached columns of A^-1: no backsolve at all
-            assert F.solve_count - before == 0
+            assert np.abs(res.lam).max() > 0  # the body carries contact force
+            # the loop moves r in constraint space: no backsolve; the final
+            # correction is one backsolve for the body
+            assert at_correction == [before]
+            assert F.solve_count - before == 1
 
     def test_standard_backsolves_every_iteration_with_wg_set(self, monkeypatch):
         # the correction route follows the scheme, not whether ctx.wg exists

@@ -99,12 +99,13 @@ def test_step_looks_up_detection_and_gaps_through_collision(monkeypatch, scheme)
     assert calls == {"detect": 1, "build_frames": 1, "signed_gaps": 2}
 
 
-def test_fast_step_corrects_once_without_a_backsolve(monkeypatch):
+def test_fast_step_backsolves_only_in_its_one_final_correction(monkeypatch):
     # the tracer's solver.mechanical_correction span must hold the fast final
-    # correction, and that correction gathers instead of backsolving
+    # correction, which is one backsolve; no solve runs in the Newton loop
     inside = []
     corrections = []
     solves_inside = Counter()
+    solves_outside = Counter()
 
     def correction(*args, _fn=solver._mechanical_correction, **kwargs):
         corrections.append(1)
@@ -118,8 +119,7 @@ def test_fast_step_corrects_once_without_a_backsolve(monkeypatch):
         fn = getattr(Factorization, name)
 
         def wrapper(self, *args, **kwargs):
-            if inside:
-                solves_inside[name] += 1
+            (solves_inside if inside else solves_outside)[name] += 1
             return fn(self, *args, **kwargs)
 
         return wrapper
@@ -132,7 +132,10 @@ def test_fast_step_corrects_once_without_a_backsolve(monkeypatch):
     sim = Simulation(replace(config, newton=newton))
     for _ in range(2):
         corrections.clear()
+        solves_inside.clear()
+        solves_outside.clear()
         report = sim.step()
         assert report.c_groups > 0
         assert len(corrections) == 1
-        assert not solves_inside
+        assert solves_inside == {"solve": 1}
+        assert solves_outside == {"solve": 1}  # the free motion
