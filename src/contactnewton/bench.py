@@ -7,9 +7,9 @@ PGS and correction columns are per-Newton-iteration medians; building the
 mapping compliance runs once per step. After the first step that build is a
 gather from the cached block of A^-1 over the contact DOFs, so its median is
 the warm cost and ``build_wg_cold_ms`` reports the cell's first step, which
-fills the cache. ``final_corr_ms`` is the per-step median of the final
-mechanical correction: one backsolve per body for the fast scheme, the sum
-of the per-iteration corrections for the standard one.
+fills the cache. ``final_corr_ms`` is the per-step median of the step's
+final solve, one per body for both schemes: the correction by the summed
+impulse and the rest of the free motion's backward pass together.
 The update fraction is (rebuild + correction) / per-iteration total.
 
 Reference figures from the original GPU study (RTX 3080, cuBLAS/cuSPARSE

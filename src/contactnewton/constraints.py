@@ -141,7 +141,8 @@ def assemble_W_standard(
             )
         if H.nnz == 0:
             continue
-        X = F.solve_multi(H.T.toarray())
+        # C order: the solve's row permutation then gathers whole rows
+        X = F.solve_multi(H.T.toarray(order="C"))
         W += H @ X
     return W
 

@@ -58,8 +58,17 @@ class MechanicalState:
 
 @dataclass
 class FreeMotion:
-    """Unconstrained velocity increment and positions."""
+    """The unconstrained motion of one object, solved only where contact reads it.
 
+    ``y`` is the forward pass of ``dv_free = A^-1 b`` (``Factorization.forward``),
+    which the step's one final solve finishes together with the contact
+    correction. ``dv_free`` and the free positions ``q_free = q + h (v +
+    dv_free)`` hold the rows of the backward pass, which runs only down to
+    the earliest row of the DOFs the contact pairs read; the rows before it
+    are NaN.
+    """
+
+    y: np.ndarray
     dv_free: np.ndarray
     q_free: np.ndarray
 
@@ -323,19 +332,18 @@ class RigidBody:
 
 
 def compute_free_motion(
-    F: Factorization, b: np.ndarray, state: MechanicalState, h: float
+    F: Factorization, b: np.ndarray, state: MechanicalState, h: float, dofs=None
 ) -> FreeMotion:
-    """dv_free = A^-1 b on the factorization of A, and the free positions."""
-    dv = F.solve(b)
-    q_free = state.q + h * (state.v + dv)
-    return FreeMotion(dv, q_free)
+    """The free motion A^-1 b on the factorization of A, and the free positions,
+    on the rows the backward pass reaches from the DOFs ``dofs`` on (all rows
+    when ``dofs`` is None)."""
+    y = F.forward(b)
+    dv = F.backward(y, dofs)
+    return FreeMotion(y, dv, state.q + h * (state.v + dv))
 
 
-def integrate_correction(
-    state: MechanicalState, free: FreeMotion, dv_cor_total: np.ndarray, h: float
-) -> MechanicalState:
-    """Final velocities and positions once all corrective motion is known."""
-    dv_cor_total = np.asarray(dv_cor_total, dtype=np.float64)
-    v_new = state.v + free.dv_free + dv_cor_total
-    q_new = free.q_free + h * dv_cor_total
-    return MechanicalState(q_new, v_new)
+def integrate_correction(state: MechanicalState, dv: np.ndarray, h: float) -> MechanicalState:
+    """The committed state from the step's whole velocity increment ``dv``,
+    free motion and contact correction together: v + dv and q + h (v + dv)."""
+    v_new = state.v + np.asarray(dv, dtype=np.float64)
+    return MechanicalState(state.q + h * v_new, v_new)

@@ -33,8 +33,20 @@ the whole band. The result equals ``dpbtrs`` bit for bit, since ``dpbtrs``
 is the same two triangular band solves and the skipped rows of y are exact
 zeros; the sub-band starts ``bw`` rows early so that every dot product of
 the forward pass keeps its length and its first element, as the BLAS dot
-kernel's rounding depends on both. The fast scheme's final correction, a
-right-hand side on the contact DOFs only, is such a solve.
+kernel's rounding depends on both.
+
+A solve also splits into its two passes, :meth:`Factorization.forward` and
+:meth:`Factorization.backward`, so that a step makes one backward pass per
+body where two solves would make two. Row k of the backward pass ``U x =
+y`` needs only the rows after k, so a pass limited to the trailing rows
+from some ``lo`` gives those rows bit for bit as the whole pass does; the
+free motion runs its backward pass only down to the earliest row that
+contact reads. Forward passes add up, so the step's final solve adds the
+forward pass of the correction's right-hand side, nonzero on the contact
+DOFs only and thus skipping, to the free motion's, and one backward pass
+over the whole band finishes both. On the column, whose contact DOFs the
+descending sort puts in the last two of 47 blocks, a step so makes two
+passes over the whole band where two solves made three.
 
 :class:`Factorization` takes the assembled matrix (scipy sparse or dense) as
 it is and reads only its upper triangle, so it does not check symmetry: the
@@ -104,13 +116,18 @@ class Factorization:
     triangular solves skipping leading zero rows (module docstring), and
     scatters the result back. Both solve one column at a time, so a column
     of :meth:`solve_multi` equals :meth:`solve` of that column bit for bit.
+    :meth:`forward` and :meth:`backward` are the two passes of
+    :meth:`solve` on one right-hand side, bit for bit, the backward one
+    optionally limited to trailing rows.
     The one SPD check is on the pivots: ``dpbtrf`` stops at the first one
     that is not positive, and a NaN or infinity in A leaves a non-finite
     pivot; either is reported as :class:`NotSPDError` naming the original
     DOF of that pivot.
 
-    ``solve_count`` tracks how many backsolves went through this object,
-    which lets callers assert that a code path performs no system solves.
+    ``solve_count`` tracks how many right-hand sides were solved for on this
+    object, one each however its passes are split (:meth:`forward` counts
+    it), which lets callers assert that a code path performs no system
+    solves.
 
     The object caches the block of A^-1 over the DOFs it was asked for:
     ``_dofs`` lists them in the order they were first asked for,
@@ -162,15 +179,20 @@ class Factorization:
         self._block = np.zeros((0, 0))
         self._col_of = np.full(n, -1, dtype=np.int64)
 
-    def _backsolve(self, B: np.ndarray) -> np.ndarray:
-        """A^-1 B: ``dpbtrs``, or where the permuted B starts with more than
-        ``bw`` zero rows, the forward pass on the trailing sub-band from ``bw``
-        rows before the first nonzero one (module docstring)."""
-        B = B[self._perm]
+    def _skip(self, B: np.ndarray) -> int:
+        """The permuted row the forward pass starts from: ``bw`` rows before the
+        first nonzero row of the permuted B, or 0 (module docstring)."""
         bw = self._band.shape[0] - 1
         nonzero = B != 0 if B.ndim == 1 else (B != 0).any(axis=1)
-        start = int(np.argmax(nonzero)) - bw  # an all-zero B gives -bw
-        if start <= 0:
+        return max(int(np.argmax(nonzero)) - bw, 0)  # an all-zero B gives 0
+
+    def _backsolve(self, B: np.ndarray) -> np.ndarray:
+        """A^-1 B: ``dpbtrs``, or where the permuted B starts with more than
+        ``bw`` zero rows, the forward pass on the trailing sub-band from
+        :meth:`_skip`'s row and the backward pass on the whole band."""
+        B = B[self._perm]
+        start = self._skip(B)
+        if start == 0:
             X, _ = dpbtrs(self._band, B, overwrite_b=True)
         else:
             B[start:], _ = dtbtrs(self._band[:, start:], B[start:], trans="T",
@@ -179,14 +201,54 @@ class Factorization:
         del B  # LAPACK solved a copy of a 2-d B, in Fortran order: free B before the gather
         return X[self._at]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def _check_rhs(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"rhs has shape {b.shape}, expected ({self.dim},)"
             )
+        return b
+
+    def solve(self, b: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """A^-1 b; with ``y = forward(b0)`` of an earlier right-hand side,
+        A^-1 (b0 + b), b's forward pass added to y and one backward pass
+        finishing both. b counts once in ``solve_count`` either way."""
+        if y is not None:
+            return self.backward(y + self.forward(b))
+        b = self._check_rhs(b)
         self.solve_count += 1
         return self._backsolve(b)
+
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """The forward pass of a solve: y with ``Uᵀ y = P b``, in permuted
+        order, skipping leading zero rows as :meth:`solve` does.
+
+        :meth:`backward` finishes the solve; the right-hand side counts once
+        in ``solve_count``, here, however its passes are split. Forward
+        passes add up: ``backward(forward(b0) + forward(b1))`` is
+        A^-1 (b0 + b1) to rounding.
+        """
+        y = self._check_rhs(b)[self._perm]
+        self.solve_count += 1
+        start = self._skip(y)
+        y[start:], _ = dtbtrs(self._band[:, start:], y[start:], trans="T", overwrite_b=True)
+        return y
+
+    def backward(self, y: np.ndarray, dofs=None) -> np.ndarray:
+        """A^-1 b in DOF order from ``y = forward(b)``: the backward pass
+        ``U x = y`` on the trailing permuted rows from the earliest position
+        of ``dofs`` (all rows when ``dofs`` is None), NaN on the rows before.
+
+        Row k of the pass needs only the rows after k, so the rows it covers
+        equal those of :meth:`solve` bit for bit. ``y`` is left as it is.
+        """
+        n = self.dim
+        lo = 0 if dofs is None else int(self._at[dofs].min(initial=n))
+        x = np.array(y, dtype=np.float64)
+        x[:lo] = np.nan
+        if lo < n:
+            x[lo:], _ = dtbtrs(self._band[:, lo:], x[lo:], overwrite_b=True)
+        return x[self._at]
 
     def solve_multi(self, B: np.ndarray) -> np.ndarray:
         """Solve A X = B column by column on the shared factorization."""

@@ -9,7 +9,10 @@ meshes, and rigid spheres.
 Each step runs: detect -> linearize -> assemble -> free motion -> violation
 at the free state -> correction scheme (single / standard / fast) ->
 integrate. Detection happens once per step; the correction schemes never
-re-pair. A failed step leaves the previous state untouched.
+re-pair. The free motion is solved only on the rows the detected pairs
+read (each runtime's ``read_dofs``), and the step's final solve, one per
+body, gives the whole velocity increment, free motion and correction
+together. A failed step leaves the previous state untouched.
 
 :meth:`Simulation.detect` is the one detection path: pairs and frames of
 given states at a given time. :meth:`Simulation.penetration` is the one
@@ -557,6 +560,13 @@ class _SoftRuntime:
     def view(self, q_by_object, t):
         return q_by_object[self.oid].reshape(-1, 3)
 
+    def read_dofs(self, pairs):
+        """The DOFs of every node of this body that ``pairs`` read: its A-side
+        vertices and its B-side triangle nodes, pinned ones included."""
+        nodes = np.concatenate([side.nodes[side.object_id == self.oid].ravel()
+                                for side in (pairs.a, pairs.b)])
+        return (3 * nodes[:, None] + np.arange(3)).ravel()
+
     def commit(self, state):
         self.state = state
 
@@ -596,6 +606,10 @@ class _RigidRuntime:
 
     def view(self, q_by_object, t):
         return self.pose_at(q_by_object[self.oid])
+
+    def read_dofs(self, pairs):
+        """All six DOFs: every view of the body reads its pose."""
+        return np.arange(self.body.n_dofs)
 
     def commit(self, state):
         """Fold the rotation increment into the pose; quaternion re-normalized."""
@@ -688,7 +702,7 @@ class StepReport:
     c_groups: int
     dofs: int
     newton_exit: str  # "penetration", "rotation" or "max_iterations"
-    system_solves: int  # backsolves on the step's factorizations
+    system_solves: int  # right-hand sides solved for on the step's factorizations
     pen_before: float
     pen_after: float
     lambda_n_sum: float
@@ -745,9 +759,8 @@ class PreparedStep:
     """What :meth:`Simulation.prepare_step` hands the correction and integration."""
 
     ctx: StepContext
-    free: dict  # FreeMotion by dynamic object id
     pen_before: float  # penetration of the detected pairs at the free positions
-    solves_before: int  # backsolves the step's factorizations had run before the free motion
+    solves_before: int  # solve_count of the step's factorizations before the free motion
     timings: dict  # seconds per phase, keyed by StepReport's t_detect ... t_build_wg
 
 
@@ -827,12 +840,14 @@ class Simulation:
 
         free = {}
         for obj in self.dynamic_objects:
-            # an overflow is caught by the check below, before it reaches PGS
+            # the free motion is solved only on the rows the pairs read, and
+            # an overflow there is caught by the check below, before PGS
+            read = obj.read_dofs(pairs)
             with np.errstate(over="ignore", invalid="ignore"):
                 fm = compute_free_motion(
-                    factorizations[obj.oid], rhs[obj.oid], states[obj.oid], h
+                    factorizations[obj.oid], rhs[obj.oid], states[obj.oid], h, read
                 )
-            if not (np.isfinite(fm.q_free).all() and np.isfinite(fm.dv_free).all()):
+            if not (np.isfinite(fm.y).all() and np.isfinite(fm.q_free[read]).all()):
                 raise NonFiniteStateError(
                     f"step {self.step_index}: object {obj.oid} has a non-finite free "
                     "motion; nothing was committed"
@@ -865,6 +880,7 @@ class Simulation:
             r0=r0,
             h=h,
             refresh=refresh,
+            y_free={oid: fm.y for oid, fm in free.items()},
         )
         t_constraints = time.perf_counter()
 
@@ -877,7 +893,7 @@ class Simulation:
             "t_constraints": t_constraints - t_free,
             "t_build_wg": time.perf_counter() - t_constraints,
         }
-        return PreparedStep(ctx, free, pen_before, solves_before, timings)
+        return PreparedStep(ctx, pen_before, solves_before, timings)
 
     def step(self) -> StepReport:
         t_begin = time.perf_counter()
@@ -895,8 +911,7 @@ class Simulation:
 
         new_states = {}
         for obj in self.dynamic_objects:
-            dv = result.dv_by_object.get(obj.oid, np.zeros(obj.body.n_dofs))
-            state = integrate_correction(obj.state, prep.free[obj.oid], dv, h)
+            state = integrate_correction(obj.state, result.dv_by_object[obj.oid], h)
             if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
                 raise NonFiniteStateError(
                     f"step {self.step_index}: object {obj.oid} would reach a non-finite "

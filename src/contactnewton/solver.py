@@ -62,27 +62,32 @@ PGS on the violation D r, moves r by the resulting impulse, and stops once
 PGS's end-of-step penetration is within ``penetration_tol``. The direction
 matrix D is block diagonal and the loop holds it as its blocks, the (p, 3, 3)
 frame array, so re-linearizing, the rotation test and every product with D
-are array operations with no loop over pairs. A scheme supplies three
+are array operations with no loop over pairs. A scheme supplies two
 operations:
 
   rebuild   W from the current directions D;
-  move      r after the impulse D^T lambda;
-  finish    the mechanical velocity corrections dv by object, once the loop
-            ends; the loop times the call.
+  move      r after the impulse D^T lambda.
 
 The two schemes bind them as follows:
 
   standard  rebuild W = sum H A^-1 H^T (multi-RHS backsolves); move by the
-            mechanical correction dv = h A^-1 S^T D^T lambda and re-evaluate
-            r from the corrected state; finish with the sum of the
-            per-iteration corrections;
+            mechanical correction dv = h A^-1 S^T D^T lambda, one backsolve
+            per object, and re-evaluate r from the corrected state;
 
   fast      rebuild W = D W_g D^T (blockwise congruence); move in constraint
-            space, r += h^2 W_g D^T lambda, with no system solve; finish
-            with one mechanical correction by the accumulated impulse, one
-            backsolve per object, which skips the leading zero rows of its
-            right-hand side (``linalg``). With the free motion, that makes
-            two backsolves per object and step.
+            space, r += h^2 W_g D^T lambda, with no system solve.
+
+Both end the step the same way, timed by the loop: one solve per object,
+dv = A^-1 (b + h S^T sum_k D_k^T lambda_k), free motion and correction
+together (:func:`_mechanical_correction`). The free motion left the forward
+pass of A^-1 b (``y_free``) and only the part of its backward pass that
+contact reads (``scene``). The forward pass of the correction's right-hand
+side skips its leading zero rows (``linalg``), and one backward pass over
+the whole band finishes the sum. So per object a fast step makes one
+forward and one backward pass over the whole band, and two over trailing
+rows only: the free motion's backward pass and the correction's forward
+pass. The standard scheme's per-iteration solves only feed the proximity
+refresh.
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
 loop is exactly the classic single-correction scheme. Every later iteration
@@ -329,6 +334,7 @@ class StepContext:
     r0: np.ndarray  # (p, 3) free-motion relative proximity positions pA - pB
     h: float
     refresh: Callable[[dict[int, np.ndarray]], np.ndarray]  # dv by object -> r
+    y_free: dict[int, np.ndarray]  # forward pass of the free motion A^-1 b per object
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
 
     @cached_property
@@ -354,9 +360,11 @@ class IterationStats:
 
 @dataclass
 class CorrectionResult:
+    # v_new - v by object, free motion and correction: A^-1 (b + h S^T impulse)
     dv_by_object: dict[int, np.ndarray]
     lam_history: list[np.ndarray]  # (c,) grouped (lambda_n, lambda_t1, lambda_t2) per iteration
     lam: np.ndarray = field(default_factory=lambda: np.zeros(0))  # step's force in final frames
+    impulse: np.ndarray = field(default_factory=lambda: np.zeros(0))  # sum D_k^T lambda_k
     iterations: list[IterationStats] = field(default_factory=list)
     final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
@@ -369,23 +377,28 @@ def _penetration(delta_end: np.ndarray) -> float:
 
 
 def _mechanical_correction(ctx: StepContext, t: np.ndarray) -> dict[int, np.ndarray]:
-    """dv = h A^-1 S^T t per object, t being a proximity-space impulse: one
-    backsolve each, which skips the leading zero rows of S^T t (nonzero only
-    on the object's contact DOFs)."""
-    return {oid: ctx.h * ctx.F_by_object[oid].solve(S.T @ t)
+    """The step's velocity increment per object, t being the proximity-space
+    impulse: dv = A^-1 (b + h S^T t), free motion and correction in one solve.
+
+    The forward pass of h S^T t skips its leading zero rows (it is nonzero
+    only on the object's contact DOFs) and adds to the free motion's forward
+    pass ``ctx.y_free``; one backward pass over the whole band finishes both.
+    """
+    return {oid: ctx.F_by_object[oid].solve(ctx.h * (S.T @ t), ctx.y_free[oid])
             for oid, S in sorted(ctx.S_by_object.items())}
 
 
 def _newton(
-    ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig, rebuild, move, finish
+    ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig, rebuild, move
 ) -> CorrectionResult:
     """The recursive correction loop shared by both schemes.
 
-    D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W, ``move(D, lam,
-    r)`` returns the new relative proximity positions, and
-    ``finish(accumulated)`` turns the summed impulse D_k^T lambda_k into
-    ``dv_by_object``. The step's force ``lam`` is that sum in the final
-    frames, D_K sum_k D_k^T lambda_k. The operations must look up their
+    D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W and ``move(D,
+    lam, r)`` returns the new relative proximity positions. Once the loop
+    ends, :func:`_mechanical_correction` turns the summed impulse
+    sum_k D_k^T lambda_k into ``dv_by_object``, the same way for both
+    schemes. The step's force ``lam`` is that sum in the final frames,
+    D_K sum_k D_k^T lambda_k. The operations must look up their
     module-level names when called: the layer tracer of the benchmark
     patches those names.
     """
@@ -429,8 +442,9 @@ def _newton(
             result.exit = "penetration"
             break
     t0 = time.perf_counter()
-    result.dv_by_object = finish(accumulated)
+    result.dv_by_object = _mechanical_correction(ctx, accumulated)
     result.final_correction_time = time.perf_counter() - t0
+    result.impulse = accumulated
     result.final_frames = D
     result.lam = np.einsum("gij,gj->gi", D, accumulated.reshape(-1, 3)).ravel()
     return result
@@ -439,7 +453,9 @@ def _newton(
 def newton_standard(
     ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig
 ) -> CorrectionResult:
-    """Recursive correction rebuilding W by multi-RHS backsolves each iteration."""
+    """Recursive correction rebuilding W by multi-RHS backsolves each iteration
+    and moving r by the mechanical correction of each impulse, one backsolve
+    per object whose sum over the iterations only feeds ``ctx.refresh``."""
     dv = {oid: np.zeros(S.shape[1]) for oid, S in sorted(ctx.S_by_object.items())}
 
     def rebuild(D):
@@ -447,12 +463,12 @@ def newton_standard(
         return assemble_W_standard(H, ctx.F_by_object)
 
     def move(D, lam, r):
-        dv_k = _mechanical_correction(ctx, apply_transposed(D, lam))
-        for oid in dv:
-            dv[oid] = dv[oid] + dv_k[oid]
+        t = apply_transposed(D, lam)
+        for oid, S in sorted(ctx.S_by_object.items()):
+            dv[oid] = dv[oid] + ctx.h * ctx.F_by_object[oid].solve(S.T @ t)
         return ctx.refresh(dv)
 
-    return _newton(ctx, ncfg, pcfg, rebuild, move, lambda accumulated: dv)
+    return _newton(ctx, ncfg, pcfg, rebuild, move)
 
 
 def newton_fast(
@@ -460,8 +476,8 @@ def newton_fast(
 ) -> CorrectionResult:
     """Recursive correction with the congruence rebuild and proximity-space updates.
 
-    The loop performs no system solves; one mechanical correction with the
-    accumulated impulse runs after it, one backsolve per object.
+    The loop performs no system solves; the final solve after it is the
+    only one, as for every scheme.
     """
     if ctx.wg is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
@@ -469,7 +485,4 @@ def newton_fast(
     def move(D, lam, r):
         return fast_update_proximity(r, ctx.wg, D, lam, ctx.h)
 
-    def finish(accumulated):
-        return _mechanical_correction(ctx, accumulated)
-
-    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg), move, finish)
+    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg), move)

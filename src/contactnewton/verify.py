@@ -69,9 +69,10 @@ def check_congruence_identity(config: SceneConfig, ctx: StepContext) -> CheckRes
     if not ctx.pairs:
         return CheckResult("congruence-identity", False, "scene has no contacts")
     err0, scale0 = _identity_error(ctx, ctx.detection_frames)
-    # drive the fast scheme a couple of iterations so directions move
-    ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=0.0,
-                        rotation_tol=0.0)
+    # drive the fast scheme two iterations so directions move; negative
+    # tolerances force the second, re-linearized one (as scheme-equivalence)
+    ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0,
+                        rotation_tol=-1.0)
     result = newton_fast(ctx, ncfg, replace(config.pgs))
     err1, scale1 = _identity_error(ctx, result.final_frames)
     worst = max(err0 / scale0, err1 / scale1)
@@ -110,13 +111,24 @@ def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResu
     """The two recursive schemes must agree, iteration by iteration.
 
     Negative tolerances force all 4 iterations: penetration and frame turn
-    are never negative, so neither stop test can end the loop early.
+    are never negative, so neither stop test can end the loop early. Besides
+    lambda, the check compares the velocity corrections: the sum of the
+    standard scheme's per-iteration solves, as the loop hands it to
+    ``refresh``, against h A^-1 S^T sum_k D_k^T lambda_k of the fast
+    scheme's impulse.
     """
     ncfg = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
     pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=config.pgs.friction)
     if not ctx.pairs:
         return CheckResult("scheme-equivalence", False, "scene has no contacts")
-    std = newton_standard(ctx, NewtonConfig(scheme="standard", **ncfg), pcfg)
+    summed = {}
+
+    def refresh(dv):
+        summed.update(dv)
+        return ctx.refresh(dv)
+
+    std = newton_standard(replace(ctx, refresh=refresh), NewtonConfig(scheme="standard", **ncfg),
+                          pcfg)
     fast = newton_fast(ctx, NewtonConfig(scheme="fast", **ncfg), pcfg)
 
     if len(std.lam_history) != len(fast.lam_history):
@@ -129,9 +141,9 @@ def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResu
     worst = 0.0
     for ls, lf in zip(std.lam_history, fast.lam_history):
         worst = max(worst, float(np.abs(ls - lf).max()) / lam_scale)
-    for oid in sorted(std.dv_by_object):
-        ds = std.dv_by_object[oid]
-        df = fast.dv_by_object.get(oid, np.zeros_like(ds))
+    for oid, ds in sorted(summed.items()):
+        S = ctx.S_by_object[oid]
+        df = ctx.h * ctx.F_by_object[oid].solve(S.T @ fast.impulse)
         dv_scale = max(float(np.abs(ds).max()), 1e-300)
         worst = max(worst, float(np.abs(ds - df).max()) / dv_scale)
     return CheckResult(

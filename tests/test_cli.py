@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactnewton import cli, solver
+from contactnewton import cli, solver, verify
 from contactnewton.constraints import assemble_direction, compute_violation, rebuild_W_fast
 from contactnewton.errors import SingularBlockError
 from contactnewton.scene import load_scene
@@ -49,7 +49,7 @@ def test_run_writes_outputs(tmp_path, capsys):
         metrics = list(csv.DictReader(fh))
     assert len(metrics) == 3
     assert [(m["newton_exit"], m["pgs_converged"], m["system_solves"]) for m in metrics] == [
-        ("penetration", "True", "5")] * 3  # free motion, 3 W columns, 1 correction
+        ("penetration", "True", "6")] * 3  # free motion, 3 W columns, 1 correction, 1 final
     with open(out / "newton.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["step", "iteration", "penetration"]
@@ -327,6 +327,25 @@ def test_complementarity_matches_the_per_group_reference(scene):
     result = check_complementarity(config, ctx)
     assert result.passed == passed
     assert f"worst residual {worst:.3e} " in result.detail
+
+
+@pytest.mark.parametrize("scene", ["block_on_plane.scn", "point_mass.scn", "mixed"])
+def test_congruence_identity_checks_relinearized_directions(tmp_path, monkeypatch, scene):
+    # its second half runs two fast iterations, the second in re-linearized
+    # directions; zero tolerances ended the loop after one on these scenes
+    iterations = []
+
+    def newton_fast(ctx, ncfg, pcfg, _fn=verify.newton_fast):
+        result = _fn(ctx, ncfg, pcfg)
+        iterations.append(len(result.iterations))
+        return result
+
+    monkeypatch.setattr(verify, "newton_fast", newton_fast)
+    path = write_scene(tmp_path, MIXED_SCENE) if scene == "mixed" else SCENES / scene
+    config = load_scene(path)
+    result = check_congruence_identity(config, prepare(config))
+    assert iterations == [2]
+    assert result.passed, result.detail
 
 
 def test_congruence_identity_fails_on_scaled_wg():

@@ -316,15 +316,15 @@ class TestIntegrateCorrection:
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
         free = compute_free_motion(Factorization(A), b, state, h=0.01)
-        out = integrate_correction(state, free, np.zeros(3), h=0.01)
+        out = integrate_correction(state, free.dv_free, h=0.01)
         assert np.array_equal(out.q, free.q_free)
+        assert np.array_equal(out.v, state.v + free.dv_free)
 
     def test_full_cancellation(self):
         body = point_mass_body()
         state = body.initial_state()
-        A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
-        free = compute_free_motion(Factorization(A), b, state, h=0.01)
-        out = integrate_correction(state, free, -free.dv_free, h=0.01)
+        # a correction that cancels the free motion leaves a whole increment of 0
+        out = integrate_correction(state, np.zeros(3), h=0.01)
         assert np.allclose(out.v, np.zeros(3))
         assert np.allclose(out.q, state.q)
 
@@ -336,7 +336,7 @@ class TestIntegrateCorrection:
         A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
         free = compute_free_motion(Factorization(A), b, state, h=0.01)
         parts = [rng.standard_normal(3) * 0.01 for _ in range(4)]
-        batch = integrate_correction(state, free, np.sum(parts, axis=0), h=0.01)
+        batch = integrate_correction(state, free.dv_free + np.sum(parts, axis=0), h=0.01)
         q = free.q_free.copy()
         v = state.v + free.dv_free
         for p in parts:
@@ -359,7 +359,7 @@ class TestProperties:
         h = 0.01
         A, b = body.assemble(state, h=h, gravity=(0, 0, 0))
         free = compute_free_motion(Factorization(A), b, state, h=h)
-        out = integrate_correction(state, free, np.zeros_like(state.v), h=h)
+        out = integrate_correction(state, free.dv_free, h=h)
         m3 = np.repeat(body.masses(), 3)
         p_before = (m3 * state.v).reshape(-1, 3).sum(axis=0)
         p_after = (m3 * out.v).reshape(-1, 3).sum(axis=0)

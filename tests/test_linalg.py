@@ -601,3 +601,63 @@ class TestSkipSolve:
             x = F.solve(b) if b.ndim == 1 else F.solve_multi(b)
             assert_bitwise(x, dpbtrs_solve(F, b))
         assert (len(solves), calls) == (len(B), [])
+
+
+class TestSplitSolve:
+    """``forward`` and ``backward`` are the two passes of ``solve``: the rows
+    a backward pass limited to the trailing rows covers are ``solve``'s bit
+    for bit, and a right-hand side counts once."""
+
+    SYSTEMS = {
+        "column": (lambda: soft_systems("bench_column.scn")[0]),
+        "rcm-cube": (lambda: (box_system((8, 8, 8))[0], None)),
+    }
+
+    @pytest.mark.parametrize("system", SYSTEMS.values(), ids=SYSTEMS.keys())
+    def test_trailing_rows_equal_solve(self, system):
+        A, points = system()
+        F = Factorization(A, points=points)
+        n, bw = F.dim, bandwidth(F)
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n)
+        skipping = rhs_with_zero_lead(F, n - bw // 2, rng)  # its forward pass skips
+        for rhs in (b, skipping):
+            x = F.solve(rhs)
+            y = F.forward(rhs)
+            y0 = y.copy()
+            for lo in (0, 1, n - 1, n - 2 * bw, *rng.integers(1, n, 5)):
+                dofs = F._perm[[lo, *rng.integers(lo, n, 3)]]  # earliest at position lo
+                part = F.backward(y, dofs)[F._perm]
+                assert_bitwise(part[lo:], x[F._perm][lo:])
+                assert np.isnan(part[:lo]).all()
+            assert_bitwise(F.backward(y), x)
+            assert_bitwise(y, y0)  # backward leaves y as it was
+
+    def test_no_dofs_solve_no_rows(self):
+        F = Factorization(banded_spd(300, 12, 7))
+        y = F.forward(np.ones(F.dim))
+        assert np.isnan(F.backward(y, np.zeros(0, dtype=np.int64))).all()
+
+    def test_forward_passes_add_up(self):
+        F = Factorization(banded_spd(300, 12, 8))
+        rng = np.random.default_rng(8)
+        b0 = rng.standard_normal(F.dim)
+        b1 = rhs_with_zero_lead(F, 250, rng)
+        x = F.backward(F.forward(b0) + F.forward(b1))
+        assert np.abs(x - F.solve(b0 + b1)).max() <= 1e-13 * np.abs(x).max()
+        assert_bitwise(F.solve(b1, F.forward(b0)), x)  # the step's final solve
+
+    def test_a_right_hand_side_counts_once(self):
+        F = Factorization(banded_spd(300, 12, 9))
+        y = F.forward(np.ones(F.dim))
+        assert F.solve_count == 1
+        F.backward(y)
+        F.backward(y, F._perm[-3:])
+        assert F.solve_count == 1
+        F.solve(np.ones(F.dim), y)
+        assert F.solve_count == 2
+
+    def test_rejects_a_wrong_shape(self):
+        F = Factorization(sp.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            F.forward(np.zeros(4))

@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -5,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactnewton import cli, scene, solver
+from contactnewton import cli, linalg, scene, solver
 from contactnewton.collision import Pose
+from contactnewton.dynamics import MechanicalState
+from contactnewton.linalg import Factorization
 from contactnewton.errors import NonFiniteStateError, ParseError, ValidationError
 from contactnewton.scene import (
     MotionSpec,
@@ -482,6 +485,28 @@ def test_non_finite_correction_commits_nothing(monkeypatch):
     assert sim.objects[0].state is state
 
 
+def test_non_finite_forward_pass_stops_before_pgs(monkeypatch):
+    # an overflow on a row the free motion's backward pass skips is still a
+    # non-finite free motion: the check reads the whole forward pass
+    def overflowing_forward(self, b, _fn=Factorization.forward):
+        y = _fn(self, b)
+        y[0] = np.inf
+        return y
+
+    def no_pgs(*args, **kwargs):
+        raise AssertionError("PGS ran on a non-finite free motion")
+
+    monkeypatch.setattr(Factorization, "forward", overflowing_forward)
+    monkeypatch.setattr(solver, "pgs", no_pgs)
+    config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (3, 6, 3))
+    sim = Simulation(config)
+    state = sim.objects[0].state
+    with pytest.raises(NonFiniteStateError, match="object 0 has a non-finite free motion"):
+        sim.step()
+    assert (sim.time, sim.step_index) == (0.0, 0)
+    assert sim.objects[0].state is state
+
+
 @pytest.mark.parametrize("scheme", ["single", "standard", "fast"])
 def test_non_finite_violation_stops_pgs_and_commits_nothing(monkeypatch, scheme):
     # a NaN violation used to read as a separated contact in PGS, and the
@@ -513,9 +538,9 @@ def test_step_reports_system_solves():
     assert [r.system_solves for r in fast[1:]] == [2, 2, 2]
     sim = Simulation(replace(config, newton=replace(config.newton, scheme="standard")))
     for r in (sim.step() for _ in range(4)):
-        # the free motion, then per iteration one solve per row of W and
-        # one mechanical correction
-        assert r.system_solves == 1 + r.newton_iterations * (3 * r.c_groups + 1)
+        # the free motion, per iteration one solve per row of W and one
+        # mechanical correction, and the final solve
+        assert r.system_solves == 2 + r.newton_iterations * (3 * r.c_groups + 1)
 
 
 def test_step_reports_newton_exit_and_pgs_convergence():
@@ -760,3 +785,121 @@ def test_kinematic_poses_are_built_once_per_time(monkeypatch):
             assert same_bits(pose.rotation, fresh.rotation)
             assert same_bits(pose.position, fresh.position)
             assert not (pose.rotation.flags.writeable or pose.position.flags.writeable)
+
+
+# a box held only by its pinned face x = 0.05, and a 10 g point falling onto
+# its top face next to that face: the box's only pairs are the point's, whose
+# B triangle holds pinned nodes
+CANTILEVER_WITH_POINT = """\
+dt: 0.01
+threshold: 0.01
+newton: {scheme: fast}
+objects:
+  - name: box
+    type: soft
+    mesh: {box: {size: [0.1, 0.1, 0.1], divisions: [4, 4, 4], center: [0.0, 0.0498, 0.0]}}
+    fixed_region: {axis: x, min: 0.049}
+  - name: point
+    type: soft
+    mesh: {file: point.mesh}
+    node_mass: 0.01
+    velocity: [0.0, -0.5, 0.0]
+"""
+
+
+def cantilever_with_point(tmp_path):
+    (tmp_path / "point.mesh").write_text("nodes 1\n0.045 0.1008 0.01\ntets 0\n")
+    return load_scene(write_scene(tmp_path, CANTILEVER_WITH_POINT))
+
+
+def use_two_solves(monkeypatch):
+    """Make the step solve the free motion and the correction apart, as it
+    did with two solves per body: dv_free = A^-1 b over every row, dv_cor =
+    h A^-1 S^T t, committing v + dv_free + dv_cor and q_free + h dv_cor."""
+    parts = {}
+
+    def correction(ctx, t):
+        dv = {}
+        for oid, S in sorted(ctx.S_by_object.items()):
+            F = ctx.F_by_object[oid]
+            dv_free = F.backward(ctx.y_free[oid])  # F.solve(b) bit for bit
+            dv_cor = ctx.h * F.solve(S.T @ t)
+            dv[oid] = dv_free + dv_cor
+            parts[id(dv[oid])] = dv_free, dv_cor
+        return dv
+
+    def integrate(state, dv, h):
+        dv_free, dv_cor = parts.pop(id(dv))
+        q_free = state.q + h * (state.v + dv_free)
+        return MechanicalState(q_free + h * dv_cor, state.v + dv_free + dv_cor)
+
+    monkeypatch.setattr(solver, "_mechanical_correction", correction)
+    monkeypatch.setattr(scene, "integrate_correction", integrate)
+
+
+ONE_SOLVE_CASES = {
+    **{path.stem: (lambda tmp_path, path=path: load_scene(path))
+       for path in sorted(SCENES.glob("*.scn"))},
+    "mixed": lambda tmp_path: load_scene(write_scene(tmp_path, MIXED_SCENE)),
+    "pinned": lambda tmp_path: load_scene(write_scene(tmp_path, PINNED_BOX)),
+    "cantilever-with-point": cantilever_with_point,
+}
+
+
+@pytest.mark.parametrize("case", ONE_SOLVE_CASES.values(), ids=ONE_SOLVE_CASES.keys())
+def test_one_final_solve_matches_two_solves(tmp_path, monkeypatch, case):
+    # step by step along the run: PGS, stopped at a relative lambda change of
+    # 1e-6, lets rounding differences grow between steps (to 7e-10 relative
+    # after 10 steps of grasp_rotate), so each step starts both ways from the
+    # same state; a state of size 0 is compared against its size at the start
+    sim = Simulation(case(tmp_path))
+    scales = [(np.abs(q).max(), np.abs(v).max())
+              for q, v in (obj.saved_state() for obj in sim.dynamic_objects)]
+    groups = 0
+    for _ in range(10):
+        twin = copy.deepcopy(sim)
+        groups += sim.step().c_groups
+        with monkeypatch.context() as m:
+            use_two_solves(m)
+            twin.step()
+        for obj, ref, (q_scale, v_scale) in zip(sim.dynamic_objects, twin.dynamic_objects,
+                                                scales):
+            (q, v), (q_ref, v_ref) = obj.saved_state(), ref.saved_state()
+            assert np.abs(q - q_ref).max() <= 1e-12 * max(np.abs(q_ref).max(), q_scale)
+            assert np.abs(v - v_ref).max() <= 1e-12 * max(np.abs(v_ref).max(), v_scale)
+    assert groups > 0
+
+
+def test_pinned_nodes_of_a_b_triangle_are_read(tmp_path):
+    # the box's free motion is solved on its trailing band rows only, down to
+    # the earliest node of the point's B triangle, pinned nodes included
+    sim = Simulation(cantilever_with_point(tmp_path))
+    box, point = sim.dynamic_objects
+    pairs, _ = sim.detect({o.oid: o.state for o in sim.dynamic_objects}, sim.time)
+    assert (pairs.a.object_id == point.oid).all() and (pairs.b.object_id == box.oid).all()
+    assert np.isin(pairs.b.nodes, box.body.fixed_nodes).any()
+    read = box.read_dofs(pairs)
+    assert set((3 * pairs.b.nodes[..., None] + np.arange(3)).ravel()) <= set(read)
+    sim.step()
+    assert box.factorization._at[read].min() > 0  # a partial backward pass
+    assert np.isfinite(box.state.q).all()
+
+
+def test_fast_column_step_makes_two_passes_over_the_whole_band(monkeypatch):
+    # the free motion's backward pass and the final solve's forward pass run
+    # on the last of the band's blocks only, where the contact DOFs are
+    sim = Simulation(load_scene(SCENES / "bench_column.scn"))
+    sim.step()  # fills the cached block of A^-1
+    widths = []
+
+    def dtbtrs(ab, b, _fn=linalg.dtbtrs, **kwargs):
+        widths.append((kwargs.get("trans", "N"), ab.shape[1]))
+        return _fn(ab, b, **kwargs)
+
+    monkeypatch.setattr(linalg, "dtbtrs", dtbtrs)
+    monkeypatch.setattr(linalg, "dpbtrs", None)  # a dpbtrs call would be a whole solve
+    sim.step()
+    n = sim.total_dofs()
+    bw = sim.objects[0].factorization._band.shape[0] - 1
+    contact = 3 * 64  # the bottom layer's 64 nodes
+    assert widths == [("T", n), ("N", contact), ("T", contact + bw), ("N", n)]

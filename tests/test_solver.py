@@ -717,6 +717,7 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
         r0=refresh({}),
         h=h,
         refresh=refresh,
+        y_free={oid: fm.y for oid, fm in free.items()},
         wg=assemble_Wg(S, F) if with_wg else None,
     )
     return ctx, bodies, states, free
@@ -777,6 +778,13 @@ class TestNewtonSchemes:
         cfgn = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
         pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=0.5)
         ctx1, *_ = build_context((bodies, pairs))
+        summed = {}
+
+        def refresh(dv, _fn=ctx1.refresh):
+            summed.update(dv)  # the standard loop's summed per-iteration corrections
+            return _fn(dv)
+
+        ctx1.refresh = refresh
         std = newton_standard(ctx1, NewtonConfig(scheme="standard", **cfgn), pcfg)
         ctx2, *_ = build_context((bodies, pairs))
         fast = newton_fast(ctx2, NewtonConfig(scheme="fast", **cfgn), pcfg)
@@ -785,9 +793,13 @@ class TestNewtonSchemes:
         scale = max(max(np.abs(l).max() for l in std.lam_history), 1e-12)
         for ls, lf in zip(std.lam_history, fast.lam_history):
             assert np.abs(ls - lf).max() <= 1e-8 * scale
-        dv_s = std.dv_by_object[0]
-        dv_f = fast.dv_by_object[0]
-        assert np.abs(dv_s - dv_f).max() <= 1e-8 * max(np.abs(dv_s).max(), 1e-12)
+        dv_s = summed[0]
+        dv_f = ctx2.h * ctx2.F_by_object[0].solve(ctx2.S_by_object[0].T @ fast.impulse)
+        assert np.abs(dv_s).max() > 0
+        assert np.abs(dv_s - dv_f).max() <= 1e-8 * np.abs(dv_s).max()
+        # the final solves, free motion included, agree as well
+        dv_s, dv_f = std.dv_by_object[0], fast.dv_by_object[0]
+        assert np.abs(dv_s - dv_f).max() <= 1e-8 * np.abs(dv_s).max()
 
     def test_fast_loop_performs_no_system_solves(self, monkeypatch):
         bodies, pairs = falling_block_setup()
@@ -821,9 +833,9 @@ class TestNewtonSchemes:
         bodies, pairs = falling_block_setup()
         solves = []
 
-        def counting_solve(self, b, _solve=Factorization.solve):
-            solves.append(1)
-            return _solve(self, b)
+        def counting_solve(self, b, y=None, _solve=Factorization.solve):
+            solves.append(y is None)  # False: the final solve, which finishes y
+            return _solve(self, b, y)
 
         monkeypatch.setattr(Factorization, "solve", counting_solve)
         for iterations in (1, 3):
@@ -837,7 +849,8 @@ class TestNewtonSchemes:
                 PgsConfig(max_iterations=50),
             )
             assert len(res.iterations) == iterations
-            assert len(solves) == iterations  # one mechanical correction each
+            # one mechanical correction each, then the final solve
+            assert solves == [True] * iterations + [False]
 
     def test_newton_determinism(self):
         bodies, pairs = falling_block_setup()

@@ -6,7 +6,9 @@ names, or calling the function some other way, breaks the traced benchmark
 run without failing anything else.
 """
 
+import importlib
 import importlib.util
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -101,7 +103,8 @@ def test_step_looks_up_detection_and_gaps_through_collision(monkeypatch, scheme)
 
 def test_fast_step_backsolves_only_in_its_one_final_correction(monkeypatch):
     # the tracer's solver.mechanical_correction span must hold the fast final
-    # correction, which is one backsolve; no solve runs in the Newton loop
+    # solve, traced as a linalg.solve; no solve runs in the Newton loop, and
+    # the free motion's two passes run before it
     inside = []
     corrections = []
     solves_inside = Counter()
@@ -125,7 +128,7 @@ def test_fast_step_backsolves_only_in_its_one_final_correction(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(solver, "_mechanical_correction", correction)
-    for name in ("solve", "solve_multi"):
+    for name in ("solve", "solve_multi", "forward", "backward"):
         monkeypatch.setattr(Factorization, name, counting(name))
     config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
     newton = replace(config.newton, scheme="fast", max_iterations=2, penetration_tol=-1.0)
@@ -137,5 +140,26 @@ def test_fast_step_backsolves_only_in_its_one_final_correction(monkeypatch):
         report = sim.step()
         assert report.c_groups > 0
         assert len(corrections) == 1
-        assert solves_inside == {"solve": 1}
-        assert solves_outside == {"solve": 1}  # the free motion
+        # one solve on the free motion's forward pass, which makes the passes
+        assert solves_inside == {"solve": 1, "forward": 1, "backward": 1}
+        assert solves_outside == {"forward": 1, "backward": 1}  # the free motion
+
+
+@pytest.mark.parametrize("workload", ["column_fast", "grasp_rotate"])
+def test_traced_benchmark_run_passes_its_checks(monkeypatch, workload):
+    # the traced run of the benchmark at tiny size: every traced name is
+    # patched and called, its output checks hold and no solve runs inside a
+    # fast Newton iteration
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("harness", "tracing"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    harness = importlib.import_module("harness")
+    res = harness.run_workload(harness.WORKLOADS[workload], 2, trace=True, tiny=True, setups=1)
+    assert res.checks == []
+    assert res.failure is None
+    assert res.tracer.solves_in_fast_iterations() == 0
+    spans = Counter(span.name for span in res.tracer.spans)
+    steps = 1 + 2  # the set-up's first step and the two timed ones
+    for name in ("dynamics.compute_free_motion", "solver.mechanical_correction",
+                 "dynamics.integrate_correction"):
+        assert spans[name] == steps, name
