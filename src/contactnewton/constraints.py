@@ -141,8 +141,8 @@ def assemble_W_standard(
             )
         if H.nnz == 0:
             continue
-        # C order: the solve's row permutation then gathers whole rows
-        X = F.solve_multi(H.T.toarray(order="C"))
+        # Fortran order: the solve gathers the permuted rows without buffering
+        X = F.solve_multi(H.T.toarray(order="F"))
         W += H @ X
     return W
 
@@ -156,15 +156,13 @@ def contact_dofs(S: sp.spmatrix) -> np.ndarray:
 def assemble_Wg(
     S_by_object: dict[int, sp.spmatrix],
     F_by_object: dict[int, Factorization],
-    dofs_by_object: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p).
 
     Each object adds S_J A^-1[J][:, J] S_J^T over its contact DOFs J
-    (:func:`contact_dofs`, derived here unless ``dofs_by_object`` holds them);
-    :meth:`Factorization.inverse_block` supplies the middle factor. S_J stays
-    sparse, each of its rows holding a few nonzeros, so both products cost
-    O(|J|²) and not the O(|J|³) of a dense S_J.
+    (:func:`contact_dofs`); :meth:`Factorization.inverse_block` supplies the
+    middle factor. S_J stays sparse, each of its rows holding a few nonzeros,
+    so both products cost O(|J|²) and not the O(|J|³) of a dense S_J.
     """
     ids = sorted(S_by_object)
     if not ids:
@@ -178,7 +176,7 @@ def assemble_Wg(
             raise DimensionMismatchError(
                 f"object {oid}: S has {S.shape[1]} columns, factorization dim {F.dim}"
             )
-        J = contact_dofs(S) if dofs_by_object is None else dofs_by_object[oid]
+        J = contact_dofs(S)
         if J.size == 0:
             continue
         SJ = S.tocsr()[:, J]

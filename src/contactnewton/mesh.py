@@ -11,7 +11,7 @@ File format (whitespace separated, ``#`` comments allowed)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -885,7 +885,7 @@ class Simulation:
         t_constraints = time.perf_counter()
 
         if cfg.newton.scheme == "fast":
-            ctx.wg = assemble_Wg(S, factorizations, ctx.dofs_by_object)
+            ctx.wg = assemble_Wg(S, factorizations)
         timings = {
             "t_detect": t_detect - t_begin,
             "t_assemble": t_assemble - t_detect,

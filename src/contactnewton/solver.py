@@ -104,7 +104,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,7 +115,6 @@ from .constraints import (
     assemble_W_standard,
     assemble_direction,
     compute_violation,
-    contact_dofs,
     fast_update_proximity,
     rebuild_W_fast,
 )
@@ -336,11 +334,6 @@ class StepContext:
     refresh: Callable[[dict[int, np.ndarray]], np.ndarray]  # dv by object -> r
     y_free: dict[int, np.ndarray]  # forward pass of the free motion A^-1 b per object
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
-
-    @cached_property
-    def dofs_by_object(self) -> dict[int, np.ndarray]:
-        """Each object's contact DOFs, derived once per step for W_g."""
-        return {oid: contact_dofs(S) for oid, S in self.S_by_object.items()}
 
 
 @dataclass

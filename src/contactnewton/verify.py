@@ -59,7 +59,7 @@ def prepare(config: SceneConfig) -> StepContext:
     """The first step's solver context, with W_g built whatever the scheme."""
     ctx = Simulation(config).prepare_step().ctx
     if ctx.wg is None:
-        ctx.wg = assemble_Wg(ctx.S_by_object, ctx.F_by_object, ctx.dofs_by_object)
+        ctx.wg = assemble_Wg(ctx.S_by_object, ctx.F_by_object)
     return ctx
 
 
@@ -73,7 +73,7 @@ def check_congruence_identity(config: SceneConfig, ctx: StepContext) -> CheckRes
     # tolerances force the second, re-linearized one (as scheme-equivalence)
     ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0,
                         rotation_tol=-1.0)
-    result = newton_fast(ctx, ncfg, replace(config.pgs))
+    result = newton_fast(ctx, ncfg, config.pgs)
     err1, scale1 = _identity_error(ctx, result.final_frames)
     worst = max(err0 / scale0, err1 / scale1)
     return CheckResult(

@@ -235,22 +235,23 @@ class TestDelassus:
         scale = np.abs(W_oracle).max()
         assert np.abs(W - W_oracle).max() <= 1e-9 * scale
 
-    def test_hands_solve_multi_a_c_order_rhs(self, monkeypatch):
-        # the row permutation of a Fortran-order right-hand side is a strided
-        # gather; the C-order one gives W bit for bit
+    def test_hands_solve_multi_a_fortran_order_rhs(self, monkeypatch):
+        # the solve gathers the permuted rows into a Fortran-order block, which
+        # a C-order right-hand side makes a buffered gather; both give W bit
+        # for bit
         body, state, pairs, frames, F, S, h = block_on_plane_context()
         H = assemble_H(assemble_direction(frames), S)
         seen = []
 
         def solve_multi(self, B, _fn=Factorization.solve_multi):
-            seen.append(B.flags.c_contiguous)
+            seen.append(B.flags.f_contiguous)
             return _fn(self, B)
 
         monkeypatch.setattr(Factorization, "solve_multi", solve_multi)
         W = assemble_W_standard({0: H}, {0: F})
         assert seen == [True]
-        fortran = H.T.toarray(order="F")
-        assert W.tobytes() == (H @ F.solve_multi(fortran)).tobytes()
+        c_order = H.T.toarray(order="C")
+        assert W.tobytes() == (H @ F.solve_multi(c_order)).tobytes()
 
     def test_symmetric_psd(self):
         body, state, pairs, frames, F, S, h = block_on_plane_context()

@@ -1,5 +1,6 @@
-"""The package root imports nothing, so the CLI's thread cap reaches BLAS, and
-every function, class and method in ``src`` is called by the program itself."""
+"""The package root imports nothing, so the CLI's thread cap reaches BLAS,
+every function, class and method in ``src`` is called by the program itself,
+and every module-level import in ``src`` is used."""
 
 import ast
 import os
@@ -87,4 +88,21 @@ def test_every_function_and_method_is_called_by_the_program():
                                                   and node.lineno <= line <= node.end_lineno)
                        for name, where, line in refs):
                 unused.append(f"{module}:{node.lineno} {node.name}")
+    assert unused == []
+
+
+def test_every_import_is_used():
+    # a module-level import is used where its module names it, not in a string
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
