@@ -24,12 +24,10 @@ D is block diagonal, and every function here takes it as its blocks: the
 (p, 3, 3) frame array that :func:`assemble_direction` checks, with no
 wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in
 :func:`apply_transposed`, and only :func:`assemble_H` builds the sparse
-matrix. The congruence is two batched matrix products, D_i W_g[i, :] for
-every row group i and then that result times D_j^T for every column group
-j. The fast route
-also moves the relative proximity positions r = pA - pB directly in
-constraint space, r_{k+1} = r_k + h^2 W_g D^T lambda_k, skipping all system
-solves.
+matrix, straight from the blocks. The congruence is two batched
+row-group products, W = (D (D W_g)^T)^T. The fast route also moves the
+relative proximity positions r = pA - pB directly in constraint space,
+r_{k+1} = r_k + h^2 W_g D^T lambda_k, skipping all system solves.
 """
 
 from __future__ import annotations
@@ -119,7 +117,10 @@ def assemble_H(D: np.ndarray, G: sp.spmatrix) -> sp.csr_matrix:
         raise DimensionMismatchError(
             f"direction matrix acts on {c} proximity rows, mapping has {G.shape[0]}"
         )
-    D_sparse = sp.block_diag(list(D), format="csr") if c else sp.csr_matrix((0, 0))
+    # every entry of the blocks, zeros included, as sp.block_diag stores them
+    columns = (3 * np.arange(len(D))[:, None] + np.arange(3)).repeat(3, axis=0)
+    D_sparse = sp.csr_matrix((D.ravel(), columns.ravel(), np.arange(0, 3 * c + 1, 3)),
+                             shape=(c, c))
     return (D_sparse @ G).tocsr()
 
 
@@ -189,16 +190,16 @@ def rebuild_W_fast(D: np.ndarray, wg: np.ndarray) -> np.ndarray:
     """W = D W_g D^T block by block, W[i, j] = D_i W_g[i, j] D_j^T for groups
     i, j, since D is block diagonal; no system solves, cost independent of n.
 
-    Two batched matrix products: X = D W_g by row groups, X[i] = D_i W_g[i, :],
-    then W = X D^T by column groups, W[:, j] = X[:, j] D_j^T.
+    Two batched products by row groups, each on contiguous (3, 3g) rows:
+    X = D W_g, X[i] = D_i W_g[i, :], then Y = D X^T, and W = Y^T.
     """
     g = len(D)
     c = 3 * g
     if wg.shape != (c, c):
         raise DimensionMismatchError(f"direction matrix is {c} rows, W_g is {wg.shape}")
     X = D @ wg.reshape(g, 3, c)  # (g, 3, 3g)
-    W = X.reshape(c, g, 3).transpose(1, 0, 2) @ D.transpose(0, 2, 1)  # (g, 3g, 3)
-    return W.transpose(1, 0, 2).reshape(c, c)
+    Y = D @ X.reshape(c, c).T.reshape(g, 3, c)  # the reshape copies X^T contiguous
+    return Y.reshape(c, c).T.copy()
 
 
 def compute_violation(D: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -1,58 +1,77 @@
 """Projected Gauss-Seidel and the recursive corrective-motion schemes.
 
-PGS sweeps the contact groups in canonical order. Each local solve handles
-one group's 3 x 3 block with every other group frozen: the normal row is
-updated first (clamped at zero), then the tangential pair is solved exactly
-and projected onto the friction disk of radius mu * lambda_n. The sweep
-stops when the relative change of lambda drops below the configured
-tolerance. Every diagonal block must be positive definite, as it is when
-each A side carries DOFs (detection pairs no pinned vertex); the local
-solve raises :class:`SingularBlockError` on a block that is not.
+PGS sweeps the contact groups in canonical order. Each visit solves one
+group's Signorini/Coulomb block with every other group frozen: the normal
+row is solved first (clamped at zero), then the tangential pair is solved
+exactly and projected onto the friction disk of radius mu * lambda_n. The
+sweep stops when the relative change of lambda drops below the configured
+tolerance.
 
-A sweep runs on plain Python floats. Before the sweeps, :func:`pgs` takes
-each group's diagonal-block scalars once (:func:`group_blocks`, with the
-h^2 products the local solve needs) and builds one (n_groups, 3, c + 1)
-array whose block g is ``[h^2 W[3g:3g+3, :] | delta_base[3g:3g+3]]``.
-Lambda is held in one (c + 1) array that ends in 1, so the block times
-lambda is group g's violation at the current lambda: a visit reads it with
-one gemv and hands it to :func:`local_solve` as floats, together with the
-group's current lambda from a list of float triples. The local solve maps
-float tuples to a float tuple, and a group whose lambda changed replaces its
-triple and writes its 3 entries into the array through a memoryview. Besides
-that gemv, only the stop test (``sqrt(x . x)``, what ``np.linalg.norm``
-computes for a 1-D float array, of the first c entries and of their change
-since the previous sweep) and the final ``delta_end`` go through numpy. The
-row read sums the same products ``W[g rows, j] lambda_j`` as updating the
-whole violation by each changed group's columns would, so it needs no
-symmetry of W, and results move against that column order through summation
-order only. The local solve's formulas and their order are those of the
-array version, and the sweep is bitwise equal to an array oracle that reads
-rows the same way (``tests/test_solver.py``); against both column-update
-orders lambda differs at rounding level only. The disk projection takes the
-tangential length as ``abs(complex(lt0, lt1))``: CPython's complex ``abs``
-calls the C library's ``hypot``, as ``np.hypot`` does, at a fraction of a
-numpy call's cost (``math.hypot`` rounds differently), so it runs on every
-friction visit. Where that length overflows although both components are
-finite, complex ``abs`` raises ``OverflowError`` (``np.hypot`` returned inf)
-and :func:`pgs` raises :class:`NonFiniteStateError` naming the group.
+Everything in that block solve but the clamp and the projection is linear
+in lambda, so :func:`pgs` folds it into each group's rows once per call.
+With hW = h^2 W, T = hW[t, t] the group's tangential 2 x 2 block (t its two
+tangential rows, n its normal row) and ``delta_base`` the free violation,
+group g's folded (3, c + 1) block is
+
+  normal      -[hW[n, :] with column n zeroed | delta_base[n]] / hW[n, n]
+  tangential  -T^-1 [hW[t, :] with the group's 3 columns zeroed | delta_base[t]]
+
+and its constants are q = -T^-1 hW[t, n] and det T. Lambda is held in one
+(c + 1) array that ends in 1, so one gemv of the block with it reads
+(a, b0, b1): a is the new lambda_n before the clamp, and b + q a the
+tangential stick trial, the lambda_t that zeroes the group's tangential gap
+at that lambda_n. :func:`local_solve` maps those floats and the group's
+constants to its new lambda triple: zero unless a > 0, else (a, lambda_t)
+with lambda_t projected onto the disk. A group whose lambda changed replaces
+its triple in a list of float triples and writes its 3 entries into the
+array through a memoryview. Besides that gemv, only the stop test
+(``sqrt(x . x)``, what ``np.linalg.norm`` computes for a 1-D float array, of
+the first c entries and of their change since the previous sweep) and the
+final ``delta_end`` go through numpy. The fold is elementwise numpy, and the
+sweep is bitwise equal to an array oracle that folds and reads rows the same
+way (``tests/test_solver.py``). Against the unfolded block solve, which reads
+the group's violation and updates its lambda by increments, lambda differs
+at rounding level only. A group's new lambda is computed outright, not
+added to its old one as an increment, so the sweep can reach a fixed point
+where no bit of lambda changes, where the increments kept moving lambda by
+an ulp. The disk projection takes the tangential length as
+``abs(complex(lt0, lt1))``: CPython's complex ``abs`` calls the C library's
+``hypot``, as ``np.hypot`` does, at a fraction of a numpy call's cost
+(``math.hypot`` rounds differently), so it runs on every friction visit.
 
 A visit whose local solve provably returns zero again is skipped. A group at
-lambda = 0 gets zero back exactly when its normal violation reads
-delta_n >= 0. Let omega_g = max_j |h^2 W[3g, j]| and let ``moved`` be the sum
-of |d lambda|_1 over every lambda write of the call. Once a group read
-delta_rec at lambda = 0 and got zero back with ``moved`` at m_rec, its exact
-violation can since have fallen by at most omega_g (moved - m_rec). So its
-visits are skipped while delta_rec - omega_g (moved - m_rec) exceeds the
-margin rho (|delta_rec| + omega_g m_rec) + 1e-300. The margin covers the
-rounding of both row reads, each at most (c + 1) u (|delta_base| + omega_g
-|lambda|_1) with u = 2^-53 and |lambda|_1 <= moved, and the rounding of
-``moved``'s running sum, at most (writes) u moved. Hence rho = 8 u (c + 4 +
-groups x the sweep cap), the last term bounding the writes. The absolute
-term covers underflow. A skipped visit leaves lambda as the local solve would
-have, so lambda, the sweep count and ``delta_end`` are bitwise those of the
-sweep that visits every group; ``PgsResult.local_solves`` counts the visits
-that ran. Input with NaN or infinity raises :class:`NonFiniteStateError`
-before the first sweep, which also keeps the bound's arithmetic finite.
+lambda = 0 gets zero back exactly when its read gives a <= 0 (or NaN). Let
+omega_g = max_j |hW[n, j]| / hW[n, n]; rounded division is monotone, so it
+bounds every stored entry of the folded normal row. Let ``moved`` be the sum
+of |d lambda|_1 over every lambda write of the call. Once a group read a_rec
+at lambda = 0 and got zero back with ``moved`` at m_rec, its exact a can
+since have risen by at most omega_g (moved - m_rec). So its visits are
+skipped while -a_rec - omega_g (moved - m_rec) exceeds the margin rho (|a_rec|
++ omega_g m_rec) + 1e-300. Both reads use the same stored row, so the fold's
+own rounding is the same in both and enters only through omega_g. The margin
+covers the rounding of both row reads, each at most (c + 1) u (|f| + omega_g
+|lambda|_1) with u = 2^-53, f the row's folded delta_base entry and
+|lambda|_1 <= moved, and the rounding of ``moved``'s running sum, at most
+(writes) u moved. Hence rho = 8 u (c + 4 + groups x the sweep cap), the last
+term bounding the writes. The absolute term covers underflow. A skipped visit
+leaves lambda as the local solve would have, so lambda, the sweep count and
+``delta_end`` are bitwise those of the sweep that visits every group;
+``PgsResult.local_solves`` counts the visits that ran.
+
+Errors are raised where they arise:
+- NaN or infinity in W or delta_base raises :class:`NonFiniteStateError`
+  naming the first bad group and "violation" or "compliance row", before
+  the fold, which also keeps the fold and the skip bound finite;
+- hW[n, n] <= 0 raises :class:`SingularBlockError` ("group g: normal
+  compliance ...") at the fold, before the first sweep;
+- det T <= 0 raises :class:`SingularBlockError` only at a visit that needs
+  T^-1, one with friction on and a > 0; the fold gives such a group zero
+  tangential rows and constants, with no numpy warning;
+- a tangential length that overflows a float (complex ``abs`` raises
+  ``OverflowError`` where ``np.hypot`` returned inf) raises
+  :class:`NonFiniteStateError` naming the group, at that visit.
+Every diagonal block is positive definite when each A side carries DOFs
+(detection pairs no pinned vertex).
 
 The recursive correction is one Newton loop, :func:`_newton`. Its only
 proximity state is the stacked relative position r = pA - pB, one 3-row per
@@ -104,7 +123,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -172,22 +191,6 @@ class PgsResult:
     local_solves: int = 0  # local_solve calls the sweeps made; skipped visits make none
 
 
-def group_blocks(W: np.ndarray, h2: float) -> list[tuple[float, ...]]:
-    """Per group, the plain floats ``local_solve`` reads from W's diagonal block.
-
-    Each entry is ``(Wnn, h2 Wnn, h2 W_t1n, h2 W_t2n, T00, T01, T10, T11,
-    det)`` with ``T = h2 * W_tt`` the tangential block and ``det`` its
-    determinant.
-    """
-    n = len(W) // 3
-    B = W.reshape(n, 3, n, 3).diagonal(axis1=0, axis2=2)  # B[i, j, g] = W[3g + i, 3g + j]
-    hB = h2 * B
-    T00, T01, T10, T11 = hB[1, 1], hB[1, 2], hB[2, 1], hB[2, 2]
-    det = T00 * T11 - T01 * T10
-    columns = (B[0, 0], hB[0, 0], hB[1, 0], hB[2, 0], T00, T01, T10, T11, det)
-    return list(zip(*np.stack(columns).tolist()))
-
-
 _ZERO = (0.0, 0.0, 0.0)
 
 # The skip test's rounding margin (module docstring): rho = _SKIP_ROUNDING *
@@ -196,53 +199,80 @@ _SKIP_ROUNDING = 8 * 2.0**-53
 _SKIP_FLOOR = 1e-300
 
 
+def _fold(W: np.ndarray, delta_base: np.ndarray, h2: float):
+    """The folded row blocks, per-group constants and skip bounds of :func:`pgs`.
+
+    Returns the (n_groups, 3, c + 1) array of folded blocks, a list of
+    ``(q0, q1, det)`` per group and the list of omega_g (module docstring).
+    """
+    c = len(delta_base)
+    n_groups = c // 3
+    rows = np.empty((n_groups, 3, c + 1))
+    np.multiply(W.reshape(n_groups, 3, c), h2, out=rows[:, :, :c])
+    rows[:, :, c] = delta_base.reshape(n_groups, 3)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        g = int(np.argmin(finite.all(axis=(1, 2))))
+        what = "violation" if finite[g, :, :c].all() else "compliance row"
+        raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
+    hW = rows[:, :, :c].reshape(n_groups, 3, n_groups, 3)  # a view of rows
+    groups = np.arange(n_groups)
+    B = hW[groups, :, groups]  # B[g] = hW's diagonal block g, a copy
+    hWnn = B[:, 0, 0]
+    if not (hWnn > 0).all():
+        g = int(np.argmin(hWnn > 0))
+        raise SingularBlockError(f"group {g}: normal compliance {W[3 * g, 3 * g]} not positive")
+    omega = np.abs(rows[:, 0, :c]).max(axis=1) / hWnn
+    hW[groups, 0, groups, 0] = 0.0
+    hW[groups, 1:, groups, :] = 0.0
+    rows[:, 0] /= -hWnn[:, None]
+    t00, t01, t10, t11 = B[:, 1, 1], B[:, 1, 2], B[:, 2, 1], B[:, 2, 2]
+    det = t00 * t11 - t01 * t10
+    den = np.where(det > 0, det, np.inf)  # a singular T's rows and q read 0
+    r0, r1 = rows[:, 1].copy(), rows[:, 2].copy()
+    rows[:, 1] = (t01[:, None] * r1 - t11[:, None] * r0) / den[:, None]
+    rows[:, 2] = (t10[:, None] * r0 - t00[:, None] * r1) / den[:, None]
+    tn0, tn1 = B[:, 1, 0], B[:, 2, 0]
+    q0 = (t01 * tn1 - t11 * tn0) / den
+    q1 = (t10 * tn0 - t00 * tn1) / den
+    return rows, list(zip(q0.tolist(), q1.tolist(), det.tolist())), omega.tolist()
+
+
 def local_solve(
-    block: tuple[float, ...],
-    delta: Sequence[float],
-    lam: Sequence[float],
-    mu: float,
+    a: float, b0: float, b1: float, q0: float, q1: float, det: float, mu: float
 ) -> tuple[float, float, float]:
     """One group's Signorini/Coulomb block solve with the others frozen.
 
-    ``block`` is the group's entry of :func:`group_blocks`, ``delta`` its
-    violation at the current lambda and ``lam`` its current lambda. Normal row
-    first, then the exact tangential 2 x 2 solve, then the disk projection.
-    Returns the group's new lambda. Raises ``OverflowError`` when the
-    tangential impulse's length overflows a float.
+    ``(a, b0, b1)`` is the group's folded read and ``(q0, q1, det)`` its
+    constants (module docstring). The new lambda_n is ``a`` clamped at zero,
+    the stick trial b + q a is projected onto the friction disk. Returns the
+    group's new lambda. Raises ``OverflowError`` when the tangential
+    impulse's length overflows a float.
     """
-    Wnn, hWnn, hWt1n, hWt2n, T00, T01, T10, T11, det = block
-    if not Wnn > 0:
-        raise SingularBlockError(f"normal compliance {Wnn} not positive")
-    ln_old = lam[0]
-    ln = ln_old - delta[0] / hWnn
-    if not ln > 0.0:  # also -0.0 and NaN
+    if not a > 0.0:  # also -0.0 and NaN
         return _ZERO
     if mu == 0.0:
-        return (ln, 0.0, 0.0)
+        return (a, 0.0, 0.0)
     if not det > 0:
         raise SingularBlockError("tangential block singular")
-    # stick trial: zero the tangential gap exactly
-    rhs0 = -(delta[1] + hWt1n * (ln - ln_old))
-    rhs1 = -(delta[2] + hWt2n * (ln - ln_old))
-    lt0 = lam[1] + (T11 * rhs0 - T01 * rhs1) / det
-    lt1 = lam[2] + (T00 * rhs1 - T10 * rhs0) / det
-    radius = mu * ln
+    lt0 = b0 + q0 * a
+    lt1 = b1 + q1 * a
+    radius = mu * a
     nt = abs(complex(lt0, lt1))  # C hypot, as np.hypot
     if nt > radius:
         scale = radius / nt
         lt0 *= scale
         lt1 *= scale
-    return (ln, lt0, lt1)
+    return (a, lt0, lt1)
 
 
 def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> PgsResult:
     """Sweep the groups until the relative lambda change drops below tolerance.
 
     Returns lambda and the end-of-step violation delta_base + h^2 W lambda.
-    Visits that provably leave a separated group at zero are skipped (module
-    docstring). A non-finite entry in W or delta_base raises
-    :class:`NonFiniteStateError` naming the first bad group, and so does a
-    local solve whose tangential impulse length overflows.
+    Each visit is one gemv of the group's folded rows and one
+    :func:`local_solve`; visits that provably leave a separated group at
+    zero are skipped. The module docstring lists the errors raised.
     """
     c = len(delta_base)
     if c == 0:
@@ -252,17 +282,8 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     h2 = h * h
     mu = config.friction
     n_groups = c // 3
-    blocks = group_blocks(W, h2)
-    # rows[g] is the contiguous (3, c + 1) block [h^2 W[3g:3g+3, :] | delta_base[3g:3g+3]]
-    rows = np.empty((n_groups, 3, c + 1))
-    np.multiply(W.reshape(n_groups, 3, c), h2, out=rows[:, :, :c])
-    rows[:, :, c] = delta_base.reshape(n_groups, 3)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        g = int(np.argmin(finite.all(axis=(1, 2))))
-        what = "violation" if finite[g, :, :c].all() else "compliance row"
-        raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
-    reads = [row.dot for row in rows]  # reads[g](lam) is group g's violation
+    rows, consts, omega = _fold(W, delta_base, h2)
+    reads = [row.dot for row in rows]  # reads[g](lam) is group g's (a, b0, b1)
     lam = np.zeros(c + 1)
     lam[c] = 1.0
     lam_items = memoryview(lam)  # writes single entries from Python floats
@@ -271,7 +292,6 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     lam_prev = np.zeros(c)  # lam_now after the previous sweep
     # the skip bound (module docstring): group g's visits are skipped while
     # moved, the summed |d lambda|_1 of every write, is below skip_until[g]
-    omega = np.abs(rows[:, 0, :c]).max(axis=1).tolist()
     rel = _SKIP_ROUNDING * (c + 4 + n_groups * config.max_iterations)
     moved = 0.0
     skip_until = [-math.inf] * n_groups
@@ -285,25 +305,25 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
             if moved < skip_until[g]:
                 skipped += 1
                 continue
-            old = lam_groups[g]
-            delta = reads[g](lam).tolist()
+            a, b0, b1 = reads[g](lam).tolist()
+            q0, q1, det = consts[g]
             try:
-                new = local_solve(blocks[g], delta, old, mu)
+                new = local_solve(a, b0, b1, q0, q1, det, mu)
             except SingularBlockError as exc:
                 raise SingularBlockError(f"group {g}: {exc}") from None
             except OverflowError:
                 raise NonFiniteStateError(
                     f"group {g}: tangential impulse overflows in the local solve"
                 ) from None
+            old = lam_groups[g]
             if new != old:
                 lam_groups[g] = new
                 i = 3 * g
                 lam_items[i], lam_items[i + 1], lam_items[i + 2] = new
                 moved += abs(new[0] - old[0]) + abs(new[1] - old[1]) + abs(new[2] - old[2])
             elif new is _ZERO:  # separated, and stays so until moved reaches the limit
-                dn = delta[0]
-                margin = rel * (abs(dn) + omega[g] * moved) + _SKIP_FLOOR
-                skip_until[g] = moved + (dn - margin) / omega[g]
+                margin = rel * (abs(a) + omega[g] * moved) + _SKIP_FLOOR
+                skip_until[g] = moved + (-a - margin) / omega[g]
         step = lam_now - lam_prev
         num = math.sqrt(step.dot(step))  # np.linalg.norm of a 1-D float array
         den = math.sqrt(lam_now.dot(lam_now))

@@ -88,6 +88,12 @@ def block_on_plane_context(h=0.01, center_y=0.0495, fixed_nodes=()):
     return body, state, pairs, frames, F, S, h
 
 
+def assemble_H_reference(D, G):
+    """H = D G through sp.block_diag, the route the hand-built CSR replaced."""
+    D_sparse = sp.block_diag(list(D), format="csr") if len(D) else sp.csr_matrix((0, 0))
+    return (D_sparse @ G).tocsr()
+
+
 def dense(D):
     """The block-diagonal direction matrix of the (p, 3, 3) blocks D as a dense array."""
     return scipy.linalg.block_diag(*D)
@@ -182,6 +188,24 @@ class TestContactJacobian:
         with pytest.raises(DimensionMismatchError):
             assemble_H(D, S)
 
+    def test_matches_block_diag_product_bitwise(self):
+        # the hand-built CSR of D stores every block entry, zeros included,
+        # as sp.block_diag does: H's pattern, its entry order and every value
+        # with the sign of zero are those of the sp.block_diag product, on
+        # plane frames (many exact zeros) and on random ones
+        body, state, pairs, frames, F, S, h = block_on_plane_context()
+        turned = np.array([random_frame(40 + k) for k in range(len(frames))])
+        for D in (assemble_direction(frames), assemble_direction(turned),
+                  assemble_direction(-frames), assemble_direction(np.zeros((0, 3, 3)))):
+            G = S if len(D) else sp.csr_matrix((0, S.shape[1]))
+            H = assemble_H(D, G)
+            expect = assemble_H_reference(D, G)
+            assert H.shape == expect.shape
+            assert np.array_equal(H.indptr, expect.indptr)
+            assert np.array_equal(H.indices, expect.indices)
+            assert np.array_equal(H.data.view(np.int64), expect.data.view(np.int64))
+            assert np.array_equal(H.toarray().view(np.int64), expect.toarray().view(np.int64))
+
 
 class TestDelassus:
     def test_point_mass_W_is_inverse_mass(self):
@@ -275,6 +299,16 @@ def rebuild_W_fast_reference(D, wg: np.ndarray) -> np.ndarray:
     return np.einsum("gihb,hjb->gihj", blocks, D).reshape(3 * g, 3 * g)
 
 
+def rebuild_W_fast_column_reference(D, wg: np.ndarray) -> np.ndarray:
+    """The product by column groups that the two row-group products replaced:
+    X = D W_g by row groups, then W[:, j] = X[:, j] D_j^T on a transposed view."""
+    g = len(D)
+    c = 3 * g
+    X = D @ wg.reshape(g, 3, c)
+    W = X.reshape(c, g, 3).transpose(1, 0, 2) @ D.transpose(0, 2, 1)
+    return W.transpose(1, 0, 2).reshape(c, c)
+
+
 class TestMappingDelassus:
     def test_point_mass_wg(self):
         body, pair = point_mass_pair(mass=4.0)
@@ -342,6 +376,17 @@ class TestMappingDelassus:
             W = rebuild_W_fast(D, wg)
             assert W.shape == expect.shape == (3 * g, 3 * g)
             assert np.abs(W - expect).max(initial=0.0) <= 1e-15 * np.abs(expect).max(initial=0.0)
+
+    @pytest.mark.parametrize("g", [0, 1, 64, 104])
+    def test_rebuild_matches_column_product_bitwise(self, g):
+        rng = np.random.default_rng(200 + g)
+        D = assemble_direction(np.array([random_frame(300 + s) for s in range(g)]).reshape(-1, 3, 3))
+        B = rng.standard_normal((3 * g, 3 * g))
+        for wg in (B @ B.T, B):  # symmetric, and not
+            W = rebuild_W_fast(D, wg)
+            assert W.flags.c_contiguous
+            expect = rebuild_W_fast_column_reference(D, wg)
+            assert np.array_equal(W.view(np.int64), expect.view(np.int64))
 
     def test_rebuild_matches_einsum_reference_on_block(self):
         body, state, pairs, frames, F, S, h = block_on_plane_context()
