@@ -25,9 +25,11 @@ D is block diagonal, and every function here takes it as its blocks: the
 wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in
 :func:`apply_transposed`, and only :func:`assemble_H` builds the sparse
 matrix, straight from the blocks. The congruence is two batched
-row-group products, W = (D (D W_g)^T)^T. The fast route also moves the
-relative proximity positions r = pA - pB directly in constraint space,
-r_{k+1} = r_k + h^2 W_g D^T lambda_k, skipping all system solves.
+row-group products, W = (D (D W_g)^T)^T. The gather of W_g passes through
+X_o = S_J A^-1[J, J] per object, and :func:`assemble_Wg` returns it too:
+the fast scheme displaces the contact DOFs by dq[J] = h^2 X_o^T f for a
+world impulse f = D^T lambda, the mechanical correction on J, with no
+system solve.
 """
 
 from __future__ import annotations
@@ -157,19 +159,22 @@ def contact_dofs(S: sp.spmatrix) -> np.ndarray:
 def assemble_Wg(
     S_by_object: dict[int, sp.spmatrix],
     F_by_object: dict[int, Factorization],
-) -> np.ndarray:
-    """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p).
+) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p),
+    and ``(J, X_o)`` by object, X_o = S_J A^-1[J, J] over its contact DOFs J.
 
-    Each object adds S_J A^-1[J][:, J] S_J^T over its contact DOFs J
-    (:func:`contact_dofs`); :meth:`Factorization.inverse_block` supplies the
-    middle factor. S_J stays sparse, each of its rows holding a few nonzeros,
-    so both products cost O(|J|²) and not the O(|J|³) of a dense S_J.
+    Each object adds X_o S_J^T (J from :func:`contact_dofs`);
+    :meth:`Factorization.inverse_block` supplies A^-1[J, J]. S_J stays
+    sparse, each of its rows holding a few nonzeros, so both products cost
+    O(|J|²) and not the O(|J|³) of a dense S_J. An object without contact
+    DOFs has no X_o.
     """
     ids = sorted(S_by_object)
     if not ids:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0)), {}
     dim = S_by_object[ids[0]].shape[0]
     wg = np.zeros((dim, dim))
+    X_by_object = {}
     for oid in ids:
         S = S_by_object[oid]
         F = F_by_object[oid]
@@ -183,7 +188,8 @@ def assemble_Wg(
         SJ = S.tocsr()[:, J]
         X = SJ @ F.inverse_block(J)
         wg += (SJ @ X.T).T
-    return wg
+        X_by_object[oid] = (J, X)
+    return wg, X_by_object
 
 
 def rebuild_W_fast(D: np.ndarray, wg: np.ndarray) -> np.ndarray:
@@ -211,12 +217,3 @@ def compute_violation(D: np.ndarray, r: np.ndarray) -> np.ndarray:
         )
     return np.einsum("gij,gj->gi", D, rel.reshape(-1, 3)).ravel()
 
-
-def fast_update_proximity(
-    r: np.ndarray, wg: np.ndarray, D: np.ndarray, lam: np.ndarray, h: float
-) -> np.ndarray:
-    """Relative proximity positions r = pA - pB after one corrective impulse,
-    r + h^2 W_g D^T lambda, without system solves."""
-    if lam.shape != (3 * len(D),):
-        raise DimensionMismatchError(f"lambda has shape {lam.shape}, expected ({3 * len(D)},)")
-    return r + (h * h) * (wg @ apply_transposed(D, lam)).reshape(r.shape)

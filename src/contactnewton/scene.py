@@ -862,11 +862,8 @@ class Simulation:
             for obj in self.dynamic_objects
         }
 
-        def refresh(dv_total):
-            q_by_object = {
-                oid: free[oid].q_free + h * np.asarray(dv_total.get(oid, 0.0))
-                for oid in free
-            }
+        def refresh(dq):
+            q_by_object = {oid: fm.q_free + dq.get(oid, 0.0) for oid, fm in free.items()}
             p_a, p_b = collision.refresh_proximity(pairs, self._views(q_by_object, t_next))
             return p_a - p_b
 
@@ -885,7 +882,7 @@ class Simulation:
         t_constraints = time.perf_counter()
 
         if cfg.newton.scheme == "fast":
-            ctx.wg = assemble_Wg(S, factorizations)
+            ctx.wg, ctx.X_by_object = assemble_Wg(S, factorizations)
         timings = {
             "t_detect": t_detect - t_begin,
             "t_assemble": t_assemble - t_detect,

@@ -73,32 +73,37 @@ Errors are raised where they arise:
 Every diagonal block is positive definite when each A side carries DOFs
 (detection pairs no pinned vertex).
 
-The recursive correction is one Newton loop, :func:`_newton`. Its only
-proximity state is the stacked relative position r = pA - pB, one 3-row per
-pair. Each iteration re-linearizes the directions from r (stopping when they
-turned by no more than ``rotation_tol``), rebuilds the compliance W, runs
-PGS on the violation D r, moves r by the resulting impulse, and stops once
-PGS's end-of-step penetration is within ``penetration_tol``. The direction
-matrix D is block diagonal and the loop holds it as its blocks, the (p, 3, 3)
-frame array, so re-linearizing, the rotation test and every product with D
-are array operations with no loop over pairs. A scheme supplies two
-operations:
+The recursive correction is one Newton loop, :func:`_newton`. Each
+iteration re-linearizes the directions from r = pA - pB, one 3-row per pair
+(stopping when they turned by no more than ``rotation_tol``), rebuilds the
+compliance W, runs PGS on the violation D r, adds D^T lambda to the summed
+world impulse f, re-evaluates r at q_free + dq, dq being the displacement
+that f causes (``ctx.refresh``), and stops once PGS's end-of-step
+penetration is within ``penetration_tol``. The direction matrix D is block
+diagonal and the loop holds it as its blocks, the (p, 3, 3) frame array, so
+re-linearizing, the rotation test and every product with D are array
+operations with no loop over pairs. A scheme supplies two operations:
 
   rebuild   W from the current directions D;
-  move      r after the impulse D^T lambda.
+  move      r after the summed impulse f, through one ``ctx.refresh(dq)``.
 
 The two schemes bind them as follows:
 
-  standard  rebuild W = sum H A^-1 H^T (multi-RHS backsolves); move by the
-            mechanical correction dv = h A^-1 S^T D^T lambda, one backsolve
-            per object, and re-evaluate r from the corrected state;
+  standard  rebuild W = sum H A^-1 H^T (multi-RHS backsolves); move by
+            dq = h^2 A^-1 S^T f, one backsolve per object;
 
-  fast      rebuild W = D W_g D^T (blockwise congruence); move in constraint
-            space, r += h^2 W_g D^T lambda, with no system solve.
+  fast      rebuild W = D W_g D^T (blockwise congruence); move by
+            dq[J] = h^2 X_o^T f on the contact DOFs J, with X_o =
+            S_J A^-1[J, J] from the W_g gather, one gemv per object and no
+            system solve (:func:`fast_update_proximity`).
+
+Re-evaluating r, not linearizing it, is the paper's split of the direction
+D from the mapping S: a rigid side's r follows its turned lever arm, while W
+keeps the lever arm of detection.
 
 Both end the step the same way, timed by the loop: one solve per object,
-dv = A^-1 (b + h S^T sum_k D_k^T lambda_k), free motion and correction
-together (:func:`_mechanical_correction`). The free motion left the forward
+dv = A^-1 (b + h S^T f), free motion and correction together
+(:func:`_mechanical_correction`). The free motion left the forward
 pass of A^-1 b (``y_free``) and only the part of its backward pass that
 contact reads (``scene``). The forward pass of the correction's right-hand
 side skips its leading zero rows (``linalg``), and one backward pass over
@@ -134,7 +139,6 @@ from .constraints import (
     assemble_W_standard,
     assemble_direction,
     compute_violation,
-    fast_update_proximity,
     rebuild_W_fast,
 )
 from .errors import NonFiniteStateError, SingularBlockError, ValidationError, as_number
@@ -351,9 +355,10 @@ class StepContext:
     F_by_object: dict[int, Factorization]
     r0: np.ndarray  # (p, 3) free-motion relative proximity positions pA - pB
     h: float
-    refresh: Callable[[dict[int, np.ndarray]], np.ndarray]  # dv by object -> r
+    refresh: Callable[[dict[int, np.ndarray]], np.ndarray]  # r at q_free + dq, dq by object
     y_free: dict[int, np.ndarray]  # forward pass of the free motion A^-1 b per object
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
+    X_by_object: dict[int, tuple[np.ndarray, np.ndarray]] | None = None  # (J, S_J A^-1[J, J])
 
 
 @dataclass
@@ -363,7 +368,7 @@ class IterationStats:
     penetration: float  # PGS's end-of-step penetration, the stop test's value
     rebuild_time: float
     pgs_time: float
-    correction_time: float  # moving r
+    correction_time: float  # summing the impulse and moving r
     pgs_iterations: int
     pgs_local_solves: int  # local solves PGS ran, skipped visits excluded
     pgs_eps: float
@@ -373,11 +378,10 @@ class IterationStats:
 
 @dataclass
 class CorrectionResult:
-    # v_new - v by object, free motion and correction: A^-1 (b + h S^T impulse)
+    # v_new - v by object, free motion and correction: A^-1 (b + h S^T f)
     dv_by_object: dict[int, np.ndarray]
     lam_history: list[np.ndarray]  # (c,) grouped (lambda_n, lambda_t1, lambda_t2) per iteration
     lam: np.ndarray = field(default_factory=lambda: np.zeros(0))  # step's force in final frames
-    impulse: np.ndarray = field(default_factory=lambda: np.zeros(0))  # sum D_k^T lambda_k
     iterations: list[IterationStats] = field(default_factory=list)
     final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
@@ -389,16 +393,33 @@ def _penetration(delta_end: np.ndarray) -> float:
     return float(max(0.0, -(normals.min() if normals.size else 0.0)))
 
 
-def _mechanical_correction(ctx: StepContext, t: np.ndarray) -> dict[int, np.ndarray]:
-    """The step's velocity increment per object, t being the proximity-space
-    impulse: dv = A^-1 (b + h S^T t), free motion and correction in one solve.
+def _mechanical_correction(ctx: StepContext, f: np.ndarray) -> dict[int, np.ndarray]:
+    """The step's velocity increment per object, f being the summed world
+    impulse: dv = A^-1 (b + h S^T f), free motion and correction in one solve.
 
-    The forward pass of h S^T t skips its leading zero rows (it is nonzero
+    The forward pass of h S^T f skips its leading zero rows (it is nonzero
     only on the object's contact DOFs) and adds to the free motion's forward
     pass ``ctx.y_free``; one backward pass over the whole band finishes both.
     """
-    return {oid: ctx.F_by_object[oid].solve(ctx.h * (S.T @ t), ctx.y_free[oid])
+    return {oid: ctx.F_by_object[oid].solve(ctx.h * (S.T @ f), ctx.y_free[oid])
             for oid, S in sorted(ctx.S_by_object.items())}
+
+
+def fast_update_proximity(ctx: StepContext, f: np.ndarray) -> np.ndarray:
+    """r after the summed world impulse f, with no system solve: the contact
+    DOFs J move by dq[J] = h^2 X_o^T f (X_o from the W_g gather), which is
+    h^2 A^-1 S^T f on J, and ``ctx.refresh`` evaluates r at q_free + dq.
+
+    Other DOFs keep q_free. A soft body's pairs read those only with zero
+    weight or on pinned nodes, which A decouples; a rigid body's pose reads
+    all six, so there the move is exact only if A^-1 couples none to J.
+    """
+    h2 = ctx.h * ctx.h
+    dq = {}
+    for oid, (J, X) in ctx.X_by_object.items():
+        dq[oid] = np.zeros(ctx.S_by_object[oid].shape[1])
+        dq[oid][J] = h2 * (X.T @ f)
+    return ctx.refresh(dq)
 
 
 def _newton(
@@ -406,18 +427,17 @@ def _newton(
 ) -> CorrectionResult:
     """The recursive correction loop shared by both schemes.
 
-    D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W and ``move(D,
-    lam, r)`` returns the new relative proximity positions. Once the loop
-    ends, :func:`_mechanical_correction` turns the summed impulse
-    sum_k D_k^T lambda_k into ``dv_by_object``, the same way for both
-    schemes. The step's force ``lam`` is that sum in the final frames,
-    D_K sum_k D_k^T lambda_k. The operations must look up their
-    module-level names when called: the layer tracer of the benchmark
-    patches those names.
+    D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W and ``move(f)``
+    the relative proximity positions after the summed world impulse f =
+    sum_k D_k^T lambda_k, through one ``ctx.refresh``. Once the loop ends,
+    :func:`_mechanical_correction` turns f into ``dv_by_object``, the same
+    way for both schemes. The step's force ``lam`` is f in the final frames,
+    D_K f. The operations must look up their module-level names when
+    called: the layer tracer of the benchmark patches those names.
     """
     D = assemble_direction(ctx.detection_frames)
     r = ctx.r0
-    accumulated = np.zeros(3 * len(ctx.pairs))
+    f = np.zeros(3 * len(ctx.pairs))
     result = CorrectionResult({}, [])
     for k in range(ncfg.max_iterations):
         rotation = 0.0
@@ -433,9 +453,9 @@ def _newton(
         t1 = time.perf_counter()
         res = pgs(W, compute_violation(D, r), ctx.h, pcfg)
         t2 = time.perf_counter()
-        r = move(D, res.lam, r)
+        f = f + apply_transposed(D, res.lam)
+        r = move(f)
         t3 = time.perf_counter()
-        accumulated += apply_transposed(D, res.lam)
         result.lam_history.append(res.lam)
         pen = _penetration(res.delta_end)
         result.iterations.append(
@@ -455,11 +475,10 @@ def _newton(
             result.exit = "penetration"
             break
     t0 = time.perf_counter()
-    result.dv_by_object = _mechanical_correction(ctx, accumulated)
+    result.dv_by_object = _mechanical_correction(ctx, f)
     result.final_correction_time = time.perf_counter() - t0
-    result.impulse = accumulated
     result.final_frames = D
-    result.lam = np.einsum("gij,gj->gi", D, accumulated.reshape(-1, 3)).ravel()
+    result.lam = np.einsum("gij,gj->gi", D, f.reshape(-1, 3)).ravel()
     return result
 
 
@@ -467,19 +486,16 @@ def newton_standard(
     ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig
 ) -> CorrectionResult:
     """Recursive correction rebuilding W by multi-RHS backsolves each iteration
-    and moving r by the mechanical correction of each impulse, one backsolve
-    per object whose sum over the iterations only feeds ``ctx.refresh``."""
-    dv = {oid: np.zeros(S.shape[1]) for oid, S in sorted(ctx.S_by_object.items())}
+    and moving the nodes by dq = h^2 A^-1 S^T f, one backsolve per object."""
+    h2 = ctx.h * ctx.h
 
     def rebuild(D):
         H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
         return assemble_W_standard(H, ctx.F_by_object)
 
-    def move(D, lam, r):
-        t = apply_transposed(D, lam)
-        for oid, S in sorted(ctx.S_by_object.items()):
-            dv[oid] = dv[oid] + ctx.h * ctx.F_by_object[oid].solve(S.T @ t)
-        return ctx.refresh(dv)
+    def move(f):
+        return ctx.refresh({oid: h2 * ctx.F_by_object[oid].solve(S.T @ f)
+                            for oid, S in sorted(ctx.S_by_object.items())})
 
     return _newton(ctx, ncfg, pcfg, rebuild, move)
 
@@ -487,15 +503,12 @@ def newton_standard(
 def newton_fast(
     ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig
 ) -> CorrectionResult:
-    """Recursive correction with the congruence rebuild and proximity-space updates.
+    """Recursive correction with the congruence rebuild and the gathered move.
 
     The loop performs no system solves; the final solve after it is the
     only one, as for every scheme.
     """
-    if ctx.wg is None:
+    if ctx.wg is None or ctx.X_by_object is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
-
-    def move(D, lam, r):
-        return fast_update_proximity(r, ctx.wg, D, lam, ctx.h)
-
-    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg), move)
+    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg),
+                   lambda f: fast_update_proximity(ctx, f))

@@ -8,7 +8,7 @@ Three checks back the `verify` CLI command:
   complementarity       Signorini and Coulomb residuals after a converged
                         PGS solve on the first step's contact problem;
   scheme-equivalence    standard and fast recursive corrections agree on
-                        lambda and velocity corrections over 4 forced
+                        lambda and velocity increments over 4 forced
                         iterations of the production Newton loop, whose
                         directions are re-linearized in every iteration
                         after the first.
@@ -19,7 +19,7 @@ from :func:`prepare`; the correction schemes only read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def prepare(config: SceneConfig) -> StepContext:
     """The first step's solver context, with W_g built whatever the scheme."""
     ctx = Simulation(config).prepare_step().ctx
     if ctx.wg is None:
-        ctx.wg = assemble_Wg(ctx.S_by_object, ctx.F_by_object)
+        ctx.wg, ctx.X_by_object = assemble_Wg(ctx.S_by_object, ctx.F_by_object)
     return ctx
 
 
@@ -112,23 +112,14 @@ def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResu
 
     Negative tolerances force all 4 iterations: penetration and frame turn
     are never negative, so neither stop test can end the loop early. Besides
-    lambda, the check compares the velocity corrections: the sum of the
-    standard scheme's per-iteration solves, as the loop hands it to
-    ``refresh``, against h A^-1 S^T sum_k D_k^T lambda_k of the fast
-    scheme's impulse.
+    each iteration's lambda, the check compares the step's velocity
+    increments, which both schemes end with the same final solve.
     """
     ncfg = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
     pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=config.pgs.friction)
     if not ctx.pairs:
         return CheckResult("scheme-equivalence", False, "scene has no contacts")
-    summed = {}
-
-    def refresh(dv):
-        summed.update(dv)
-        return ctx.refresh(dv)
-
-    std = newton_standard(replace(ctx, refresh=refresh), NewtonConfig(scheme="standard", **ncfg),
-                          pcfg)
+    std = newton_standard(ctx, NewtonConfig(scheme="standard", **ncfg), pcfg)
     fast = newton_fast(ctx, NewtonConfig(scheme="fast", **ncfg), pcfg)
 
     if len(std.lam_history) != len(fast.lam_history):
@@ -141,11 +132,9 @@ def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResu
     worst = 0.0
     for ls, lf in zip(std.lam_history, fast.lam_history):
         worst = max(worst, float(np.abs(ls - lf).max()) / lam_scale)
-    for oid, ds in sorted(summed.items()):
-        S = ctx.S_by_object[oid]
-        df = ctx.h * ctx.F_by_object[oid].solve(S.T @ fast.impulse)
+    for oid, ds in sorted(std.dv_by_object.items()):
         dv_scale = max(float(np.abs(ds).max()), 1e-300)
-        worst = max(worst, float(np.abs(ds - df).max()) / dv_scale)
+        worst = max(worst, float(np.abs(ds - fast.dv_by_object[oid]).max()) / dv_scale)
     return CheckResult(
         "scheme-equivalence",
         worst <= EQUIVALENCE_RTOL,

@@ -22,7 +22,7 @@ from contactnewton.verify import (
     check_scheme_equivalence,
     prepare,
 )
-from test_scene import MIXED_SCENE, PINNED_BOX, blow_up_scene_text, write_scene
+from test_scene import MIXED_SCENE, PINNED_BOX, SPINNING_BALL, blow_up_scene_text, write_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -150,6 +150,17 @@ def test_verify_passes_on_rigid_and_plane_attachments(tmp_path, capsys):
     scene = tmp_path / "mixed.scn"
     scene.write_text(MIXED_SCENE)
     assert (prepare(load_scene(scene)).pairs.a.lever != 0.0).any()
+    assert cli.main(["verify", "--scene", str(scene)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "congruence-identity:"], ["PASS", "complementarity:"],
+        ["PASS", "scheme-equivalence:"]]
+
+
+def test_verify_passes_on_a_spinning_ball(tmp_path, capsys):
+    # the ball's contact point turns with it over the forced iterations, and
+    # both schemes follow it geometrically
+    scene = write_scene(tmp_path, SPINNING_BALL, "ball.scn")
     assert cli.main(["verify", "--scene", str(scene)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [

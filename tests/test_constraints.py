@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,15 +21,17 @@ from contactnewton.constraints import (
     assemble_Wg,
     build_signed_mapping,
     compute_violation,
-    fast_update_proximity,
     rebuild_W_fast,
 )
 from contactnewton.dynamics import MechanicalState, RigidBody, SoftBody, compute_free_motion
 from contactnewton.errors import DimensionMismatchError
 from contactnewton.linalg import Factorization
-from contactnewton.solver import _penetration
+from contactnewton.scene import load_scene
+from contactnewton.solver import StepContext, _penetration, fast_update_proximity
+from contactnewton.verify import prepare
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
 from pairs_reference import AttachKind, Attachment, ProximityPair, to_contacts
+from test_scene import MIXED_SCENE, SCENES, SPINNING_BALL, write_scene
 
 
 def axes_frame():
@@ -313,13 +317,13 @@ class TestMappingDelassus:
     def test_point_mass_wg(self):
         body, pair = point_mass_pair(mass=4.0)
         A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
-        wg = assemble_Wg({0: build_signed_mapping(pair, 0, 3)}, {0: Factorization(A)})
+        wg, _ = assemble_Wg({0: build_signed_mapping(pair, 0, 3)}, {0: Factorization(A)})
         assert np.abs(wg - 0.25 * np.eye(3)).max() <= 1e-12
 
     def test_fixed_wall_contributes_zero(self):
         # the plane side has no DOFs: W_g is the body's own S A^-1 S^T
         body, state, pairs, frames, F, S, h = block_on_plane_context()
-        wg = assemble_Wg({0: S}, {0: F})
+        wg, _ = assemble_Wg({0: S}, {0: F})
         A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
         Sd = S.toarray()
         oracle = Sd @ np.linalg.solve(A.toarray(), Sd.T)
@@ -331,7 +335,7 @@ class TestMappingDelassus:
         D = assemble_direction(frames)
         H = assemble_H(D, S)
         W_std = assemble_W_standard({0: H}, {0: F})
-        wg = assemble_Wg({0: S}, {0: F})
+        wg, _ = assemble_Wg({0: S}, {0: F})
         W_fast = rebuild_W_fast(D, wg)
         scale = max(np.abs(W_std).max(), 1e-300)
         assert np.abs(W_fast - W_std).max() <= 1e-10 * scale
@@ -344,7 +348,7 @@ class TestMappingDelassus:
         D_rot = assemble_direction(rotated)
         H_rot = assemble_H(D_rot, S)
         W_std = assemble_W_standard({0: H_rot}, {0: F})
-        wg = assemble_Wg({0: S}, {0: F})
+        wg, _ = assemble_Wg({0: S}, {0: F})
         W_fast = rebuild_W_fast(D_rot, wg)
         assert np.abs(W_fast - W_std).max() <= 1e-10 * np.abs(W_std).max()
 
@@ -391,7 +395,7 @@ class TestMappingDelassus:
     def test_rebuild_matches_einsum_reference_on_block(self):
         body, state, pairs, frames, F, S, h = block_on_plane_context()
         D = assemble_direction(frames)
-        wg = assemble_Wg({0: S}, {0: F})
+        wg, _ = assemble_Wg({0: S}, {0: F})
         expect = rebuild_W_fast_reference(D, wg)
         assert np.abs(rebuild_W_fast(D, wg) - expect).max() <= 1e-15 * np.abs(expect).max()
 
@@ -461,9 +465,14 @@ class TestWgGather:
 
     @staticmethod
     def check(S, F, A):
-        wg = assemble_Wg(S, F)
+        wg, X_by_object = assemble_Wg(S, F)
         oracle = dense_wg(S, A)
         assert np.abs(wg - oracle).max() <= 1e-9 * np.abs(oracle).max()
+        for oid, (J, X) in X_by_object.items():  # X_o = S_J A^-1[J, J]
+            assert np.array_equal(J, contact_dofs(S[oid]))
+            expect = S[oid].toarray()[:, J] @ np.linalg.inv(A[oid].toarray())[np.ix_(J, J)]
+            assert np.abs(X - expect).max() <= 1e-9 * np.abs(expect).max()
+        assert set(X_by_object) == {oid for oid in S if contact_dofs(S[oid]).size}
         return wg
 
     def test_vertex_attachments(self):
@@ -579,87 +588,131 @@ def relative_positions(pairs):
     return pairs.a.point - pairs.b.point
 
 
+def proximity_context(pairs, q_by_object, S, F, h, posed_views):
+    """A StepContext whose refresh evaluates r = pA - pB at q + dq, the
+    soft bodies' positions ``q_by_object`` moved by dq; ``posed_views``
+    holds the views of the objects without DOFs."""
+
+    def refresh(dq):
+        views = dict(posed_views)
+        for oid, q in q_by_object.items():
+            views[oid] = (q + dq.get(oid, 0.0)).reshape(-1, 3)
+        p_a, p_b = refresh_proximity(pairs, views)
+        return p_a - p_b
+
+    ctx = StepContext(pairs=pairs, detection_frames=build_frames(pairs), S_by_object=S,
+                      F_by_object=F, r0=refresh({}), h=h, refresh=refresh, y_free={})
+    ctx.wg, ctx.X_by_object = assemble_Wg(S, F)
+    return ctx
+
+
+def block_on_plane_proximity():
+    """(ctx, D) of the block on the plane at its initial positions."""
+    body, state, pairs, frames, F, S, h = block_on_plane_context()
+    ctx = proximity_context(pairs, {0: state.q}, {0: S}, {0: F}, h, {1: Pose.identity()})
+    return ctx, assemble_direction(frames)
+
+
+def solved_move(ctx, f):
+    """The oracle: dq = h^2 A^-1 S^T f per object, by a system solve."""
+    return {oid: ctx.h**2 * ctx.F_by_object[oid].solve(S.T @ f)
+            for oid, S in ctx.S_by_object.items()}
+
+
 class TestFastProximityUpdate:
+    """The fast move displaces the contact DOFs by dq[J] = h^2 X_o^T f with
+    no solve, and re-evaluates r there. Its oracle is the solve h^2 A^-1 S^T f;
+    on node-weighted sides r is linear in dq, so it also equals the
+    constraint-space update r + h^2 W_g f."""
+
     def test_zero_lambda_is_noop(self):
-        body, state, pairs, frames, F, S, h = block_on_plane_context()
-        D = assemble_direction(frames)
-        wg = assemble_Wg({0: S}, {0: F})
-        r = relative_positions(pairs)
-        assert np.array_equal(fast_update_proximity(r, wg, D, np.zeros(3 * len(D)), h), r)
+        ctx, D = block_on_plane_proximity()
+        assert np.array_equal(fast_update_proximity(ctx, np.zeros(3 * len(D))), ctx.r0)
 
     def test_scalar_point_mass(self):
         # the normal gap changes by h^2 lambda_n / m on a point mass
         body, pair = point_mass_pair(mass=2.0)
         A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
-        wg = assemble_Wg({0: build_signed_mapping(pair, 0, 3)}, {0: Factorization(A)})
+        S = {0: build_signed_mapping(pair, 0, 3)}
+        ctx = proximity_context(pair, {0: body.mesh.nodes.ravel()}, S, {0: Factorization(A)},
+                                0.01, {1: Pose.identity()})
         D = assemble_direction([axes_frame()])
-        lam = np.array([3.0, 0.0, 0.0])
-        r = relative_positions(pair)
-        nr = fast_update_proximity(r, wg, D, lam, 0.01)
+        r = ctx.r0
+        nr = fast_update_proximity(ctx, apply_transposed(D, np.array([3.0, 0.0, 0.0])))
         assert nr[0, 1] - r[0, 1] == pytest.approx(0.01**2 * 3.0 / 2.0)
         assert np.array_equal(nr[0, [0, 2]], r[0, [0, 2]])
 
     def test_linearity_in_lambda(self):
-        # k updates with fixed D compose to one update with the summed impulse
-        body, state, pairs, frames, F, S, h = block_on_plane_context()
-        D = assemble_direction(frames)
-        wg = assemble_Wg({0: S}, {0: F})
+        # the moves of separate impulses add up to the move of their sum
+        ctx, D = block_on_plane_proximity()
         rng = np.random.default_rng(5)
-        lams = [rng.standard_normal(3 * len(D)) for _ in range(3)]
-        r = relative_positions(pairs)
-        stepped = r
-        for lam in lams:
-            stepped = fast_update_proximity(stepped, wg, D, lam, h)
-        once = fast_update_proximity(r, wg, D, np.sum(lams, axis=0), h)
-        assert np.abs(stepped - once).max() <= 1e-12
+        fs = [apply_transposed(D, rng.standard_normal(3 * len(D))) for _ in range(3)]
+        summed = ctx.r0 + sum(fast_update_proximity(ctx, f) - ctx.r0 for f in fs)
+        once = fast_update_proximity(ctx, np.sum(fs, axis=0))
+        assert np.abs(summed - once).max() <= 1e-12 * np.abs(ctx.r0).max()
 
     def test_matches_full_mechanical_pipeline(self):
-        # the proximity update equals g(q) after the real corrective motion
-        body, state, pairs, frames, F, S, h = block_on_plane_context()
-        D = assemble_direction(frames)
-        wg = assemble_Wg({0: S}, {0: F})
-        rng = np.random.default_rng(9)
-        lam = np.abs(rng.standard_normal(3 * len(D)))
-
-        fast = fast_update_proximity(relative_positions(pairs), wg, D, lam, h)
-
-        t = apply_transposed(D, lam)
-        dv_cor = h * F.solve(S.T @ t)
-        q_new = state.q + h * dv_cor
-        oa, ob = refresh_proximity(pairs, {0: q_new.reshape(-1, 3), 1: Pose.identity()})
-        assert np.abs(fast - (oa - ob)).max() <= 1e-9
+        # the move equals r after the real corrective motion, by solve
+        ctx, D = block_on_plane_proximity()
+        f = apply_transposed(D, np.abs(np.random.default_rng(9).standard_normal(3 * len(D))))
+        fast = fast_update_proximity(ctx, f)
+        assert np.abs(fast - ctx.r0).max() > 1e-6  # it did move
+        assert np.abs(fast - ctx.refresh(solved_move(ctx, f))).max() <= 1e-12 * np.abs(fast).max()
 
     def test_two_dynamic_bodies_match_mechanical_pipeline(self):
-        # both sides of every pair move: the update must equal pA - pB after
+        # both sides of every pair move: the move must equal pA - pB after
         # each body's own corrective motion, with action and reaction signs
         h = 0.01
         bodies, pairs, S, A = two_boxes_context(h)
-        D = assemble_direction(build_frames(pairs))
         F = {oid: Factorization(a) for oid, a in A.items()}
-        wg = assemble_Wg(S, F)
-        lam = np.abs(np.random.default_rng(4).standard_normal(3 * len(D)))
-
-        fast = fast_update_proximity(relative_positions(pairs), wg, D, lam, h)
-
-        t = apply_transposed(D, lam)
-        views = {
-            oid: (body.mesh.nodes.ravel() + h * h * F[oid].solve(S[oid].T @ t)).reshape(-1, 3)
-            for oid, body in bodies.items()
-        }
-        oa, ob = refresh_proximity(pairs, views)
-        assert np.abs(oa - relative_positions(pairs) - ob).max() > 1e-6  # it did move
-        assert np.abs(fast - (oa - ob)).max() <= 1e-9
+        ctx = proximity_context(pairs, {oid: b.mesh.nodes.ravel() for oid, b in bodies.items()},
+                                S, F, h, {})
+        D = assemble_direction(ctx.detection_frames)
+        f = apply_transposed(D, np.abs(np.random.default_rng(4).standard_normal(3 * len(D))))
+        fast = fast_update_proximity(ctx, f)
+        assert np.abs(fast - ctx.r0).max() > 1e-6  # it did move
+        assert np.abs(fast - ctx.refresh(solved_move(ctx, f))).max() <= 1e-12 * np.abs(fast).max()
 
     def test_gap_linearization(self):
         # delta(after correction) == delta_free + h^2 W lambda for linear maps
-        body, state, pairs, frames, F, S, h = block_on_plane_context()
-        D = assemble_direction(frames)
-        wg = assemble_Wg({0: S}, {0: F})
-        W = rebuild_W_fast(D, wg)
-        rng = np.random.default_rng(2)
-        lam = np.abs(rng.standard_normal(3 * len(D))) * 0.1
-        r = relative_positions(pairs)
-        delta_free = compute_violation(D, r)
-        delta_after = compute_violation(D, fast_update_proximity(r, wg, D, lam, h))
-        predicted = delta_free + h * h * (W @ lam)
+        ctx, D = block_on_plane_proximity()
+        W = rebuild_W_fast(D, ctx.wg)
+        lam = np.abs(np.random.default_rng(2).standard_normal(3 * len(D))) * 0.1
+        delta_free = compute_violation(D, ctx.r0)
+        delta_after = compute_violation(D, fast_update_proximity(ctx, apply_transposed(D, lam)))
+        predicted = delta_free + ctx.h**2 * (W @ lam)
         assert np.abs(delta_after - predicted).max() <= 1e-9
+
+    @pytest.mark.parametrize("case", ["block_on_plane", "two_body_press", "grasp_rotate",
+                                      "mixed", "two_boxes", "spinning_ball"])
+    def test_gathered_move_matches_the_solve(self, tmp_path, case):
+        # dq[J] from the W_g gather is the solve h^2 A^-1 S^T f restricted to
+        # J; where every dynamic side is node-weighted, the new r is also the
+        # constraint-space update r + h^2 W_g f
+        if case == "two_boxes":
+            bodies, pairs, S, A = two_boxes_context()
+            F = {oid: Factorization(a) for oid, a in A.items()}
+            ctx = proximity_context(pairs, {oid: b.mesh.nodes.ravel()
+                                            for oid, b in bodies.items()}, S, F, 0.01, {})
+        else:
+            texts = {"mixed": MIXED_SCENE, "spinning_ball": SPINNING_BALL}
+            path = (write_scene(tmp_path, texts[case]) if case in texts
+                    else SCENES / f"{case}.scn")
+            ctx = prepare(load_scene(path))
+        D = assemble_direction(ctx.detection_frames)
+        f = apply_transposed(D, np.abs(np.random.default_rng(6).standard_normal(3 * len(D))))
+        moves = []
+
+        def recording(dq, _fn=ctx.refresh):
+            moves.append(dq)
+            return _fn(dq)
+
+        r = fast_update_proximity(replace(ctx, refresh=recording), f)
+        (dq,) = moves
+        solved = solved_move(ctx, f)
+        assert set(dq) == set(ctx.X_by_object) and dq
+        for oid, (J, _) in ctx.X_by_object.items():
+            assert np.abs(dq[oid][J] - solved[oid][J]).max() <= 1e-12 * np.abs(solved[oid]).max()
+        if case not in ("mixed", "spinning_ball"):  # no rigid side: r is linear in dq
+            linear = ctx.r0 + ctx.h**2 * (ctx.wg @ f).reshape(ctx.r0.shape)
+            assert np.abs(r - linear).max() <= 1e-12 * np.abs(r).max()

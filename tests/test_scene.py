@@ -49,6 +49,23 @@ objects:
     type: plane
 """
 
+# a rigid ball spinning about z as it lands on the ground: its contact point
+# turns with it within the step, so its lever arm changes
+SPINNING_BALL = """\
+dt: 0.01
+threshold: 0.01
+mu: 0.5
+objects:
+  - name: ball
+    type: rigid_sphere
+    mass: 1.0
+    radius: 0.05
+    position: [0.0, 0.0502, 0.0]
+    velocity: [0.3, -0.8, 0.0, 0.0, 0.0, 20.0]
+  - name: ground
+    type: plane
+"""
+
 # a 1 kg box on the ground with 5 of its 25 bottom vertices pinned
 PINNED_BOX = """\
 dt: 0.01
@@ -759,6 +776,58 @@ def test_one_iteration_steps_report_the_pgs_force(scheme):
             assert report.newton_iterations == 1
             assert np.abs(sim.last_lam - lam).max() <= 1e-12 * np.abs(lam).max()
             assert report.lambda_n_max == sim.last_lam[0::3].max()
+
+
+# --- analytic referee: a point mass on an incline ---------------------------------
+
+
+def incline_scene(theta, scheme):
+    """A 1 kg point resting on a plane tilted by ``theta`` about z, mu 0.5,
+    no damping; the point starts on the plane at rest."""
+    s, c = float(np.sin(theta)), float(np.cos(theta))
+    return f"""\
+dt: 0.01
+mu: 0.5
+newton: {{scheme: {scheme}}}
+objects:
+  - name: point
+    type: soft
+    mesh: {{file: {SCENES / "meshes" / "point.mesh"}}}
+    node_mass: 1.0
+    material: {{rayleigh_mass: 0.0, rayleigh_stiffness: 0.0}}
+  - name: slope
+    type: plane
+    normal: [{s!r}, {c!r}, 0.0]
+    offset: {0.004 * c!r}
+"""
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["shipped", "forced"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("degrees", [20, 35])
+def test_point_mass_on_an_incline_follows_coulomb(tmp_path, degrees, scheme, forced):
+    # below the friction angle (26.6 degrees at mu 0.5) the point sticks;
+    # above it slides at g (sin - mu cos); lambda_n carries m g cos either way
+    theta = np.radians(degrees)
+    config = load_scene(write_scene(tmp_path, incline_scene(theta, scheme)))
+    if forced:
+        config = replace(config, newton=replace(config.newton, max_iterations=4,
+                                                penetration_tol=-1.0, rotation_tol=-1.0))
+    sim = Simulation(config)
+    normal = np.array([np.sin(theta), np.cos(theta), 0.0])
+    g, mu, steps = 9.81, 0.5, 50
+    for _ in range(steps):
+        report = sim.step()
+        assert report.c_groups == 1
+        assert report.lambda_n_sum == pytest.approx(g * np.cos(theta), rel=1e-9)
+    v = sim.dynamic_objects[0].state.v
+    slide = np.linalg.norm(v - (v @ normal) * normal)
+    if degrees == 20:
+        assert slide <= 1e-12
+    else:
+        expected = g * (np.sin(theta) - mu * np.cos(theta))
+        assert expected == pytest.approx(1.60884, rel=1e-5)
+        assert slide / (steps * config.h) == pytest.approx(expected, rel=1e-4)
 
 
 def test_kinematic_poses_are_built_once_per_time(monkeypatch):

@@ -38,6 +38,8 @@ from contactnewton.solver import (
     newton_standard,
     pgs,
 )
+from contactnewton.verify import prepare
+from test_scene import SPINNING_BALL
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -653,14 +655,18 @@ class TestPgsSkipsSeparatedGroups:
         assert seen == {True, False}
 
     def test_bench_column_inputs(self, bench_column_pgs_inputs):
+        # no visit can be skipped in a first sweep; each step's 5th iteration
+        # has nothing left to correct and ends on lambda = 0 in one sweep
         for k, (W, delta, h, config) in enumerate(bench_column_pgs_inputs):
             res = pgs(W, delta, h, config)
             assert_same_pgs(res, pgs_folded_reference(W, delta, h, config))
             visits = len(delta) // 3 * res.iterations
-            if k % 5:  # past each step's first Newton iteration
-                assert 0 < res.local_solves < visits, k
-            else:
+            if k % 5 == 0:  # each step's first Newton iteration
                 assert res.local_solves == visits, k
+            elif res.iterations > 1:
+                assert 0 < res.local_solves < visits, k
+            if k % 5 == 4:
+                assert res.iterations == 1 and not res.lam.any(), k
 
     @pytest.mark.parametrize("push", [1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 2.0])
     def test_group_pushed_into_contact_is_visited(self, push):
@@ -899,16 +905,16 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
         for oid, body in bodies.items()
     }
 
-    def views_at(dv_total):
+    def views_at(dq):
         views = {}
         for oid in bodies:
-            q = free[oid].q_free + h * dv_total.get(oid, 0.0)
+            q = free[oid].q_free + dq.get(oid, 0.0)
             views[oid] = q.reshape(-1, 3)
         views[PLANE_ID] = Pose.identity()
         return views
 
-    def refresh(dv_total):
-        p_a, p_b = refresh_proximity(pairs, views_at(dv_total))
+    def refresh(dq):
+        p_a, p_b = refresh_proximity(pairs, views_at(dq))
         return p_a - p_b
 
     ctx = StepContext(
@@ -920,8 +926,9 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
         h=h,
         refresh=refresh,
         y_free={oid: fm.y for oid, fm in free.items()},
-        wg=assemble_Wg(S, F) if with_wg else None,
     )
+    if with_wg:
+        ctx.wg, ctx.X_by_object = assemble_Wg(S, F)
     return ctx, bodies, states, free
 
 
@@ -979,29 +986,51 @@ class TestNewtonSchemes:
         bodies, pairs = falling_block_setup(center_y=0.052, tilt=0.1)
         cfgn = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
         pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=0.5)
-        ctx1, *_ = build_context((bodies, pairs))
-        summed = {}
+        moves = {}
+        results = {}
+        for scheme, newton in (("standard", newton_standard), ("fast", newton_fast)):
+            ctx, *_ = build_context((bodies, pairs))
 
-        def refresh(dv, _fn=ctx1.refresh):
-            summed.update(dv)  # the standard loop's summed per-iteration corrections
-            return _fn(dv)
+            def refresh(dq, _fn=ctx.refresh, scheme=scheme):
+                moves[scheme] = dq[0]  # the summed impulse's displacement
+                return _fn(dq)
 
-        ctx1.refresh = refresh
-        std = newton_standard(ctx1, NewtonConfig(scheme="standard", **cfgn), pcfg)
-        ctx2, *_ = build_context((bodies, pairs))
-        fast = newton_fast(ctx2, NewtonConfig(scheme="fast", **cfgn), pcfg)
+            ctx.refresh = refresh
+            results[scheme] = newton(ctx, NewtonConfig(scheme=scheme, **cfgn), pcfg)
+        std, fast = results["standard"], results["fast"]
         assert len(std.lam_history) == len(fast.lam_history) == 4
         assert any(it.rotation > 0.0 for it in fast.iterations)
         scale = max(max(np.abs(l).max() for l in std.lam_history), 1e-12)
         for ls, lf in zip(std.lam_history, fast.lam_history):
             assert np.abs(ls - lf).max() <= 1e-8 * scale
-        dv_s = summed[0]
-        dv_f = ctx2.h * ctx2.F_by_object[0].solve(ctx2.S_by_object[0].T @ fast.impulse)
-        assert np.abs(dv_s).max() > 0
-        assert np.abs(dv_s - dv_f).max() <= 1e-8 * np.abs(dv_s).max()
+        # the last move: the standard solve and the fast gather agree on the
+        # contact DOFs, where the fast scheme moves the nodes
+        J = ctx.X_by_object[0][0]
+        dq_s, dq_f = moves["standard"][J], moves["fast"][J]
+        assert np.abs(dq_s).max() > 0
+        assert np.abs(dq_s - dq_f).max() <= 1e-8 * np.abs(dq_s).max()
         # the final solves, free motion included, agree as well
         dv_s, dv_f = std.dv_by_object[0], fast.dv_by_object[0]
         assert np.abs(dv_s - dv_f).max() <= 1e-8 * np.abs(dv_s).max()
+
+    def test_schemes_agree_on_a_spinning_ball(self, tmp_path):
+        # the ball's contact point turns with it: each later iteration finds
+        # the turned lever arm's point still below the plane, under both
+        # schemes, since both move the ball's pose and re-evaluate r
+        path = tmp_path / "ball.scn"
+        path.write_text(SPINNING_BALL)
+        ctx = prepare(load_scene(path))
+        cfgn = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
+        pcfg = PgsConfig(max_iterations=300, tolerance=1e-12, friction=0.5)
+        std = newton_standard(ctx, NewtonConfig(scheme="standard", **cfgn), pcfg)
+        fast = newton_fast(ctx, NewtonConfig(scheme="fast", **cfgn), pcfg)
+        assert len(std.lam_history) == len(fast.lam_history) == 4
+        for ls, lf in zip(std.lam_history, fast.lam_history):
+            assert ls[0] > 0.0
+            assert np.abs(ls - lf).max() <= 1e-12 * np.abs(ls).max()
+        (oid,) = std.dv_by_object
+        dv_s, dv_f = std.dv_by_object[oid], fast.dv_by_object[oid]
+        assert np.abs(dv_s - dv_f).max() <= 1e-12 * np.abs(dv_s).max()
 
     def test_fast_loop_performs_no_system_solves(self, monkeypatch):
         bodies, pairs = falling_block_setup()
@@ -1025,8 +1054,8 @@ class TestNewtonSchemes:
                 PgsConfig(max_iterations=50),
             )
             assert np.abs(res.lam).max() > 0  # the body carries contact force
-            # the loop moves r in constraint space: no backsolve; the final
-            # correction is one backsolve for the body
+            # the loop moves the nodes by the gathered displacement: no
+            # backsolve; the final correction is one backsolve for the body
             assert at_correction == [before]
             assert F.solve_count - before == 1
 

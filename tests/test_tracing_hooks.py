@@ -54,7 +54,8 @@ def count_calls(monkeypatch, module, names) -> Counter:
 
 
 def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
-    names = ("relinearize", "max_frame_rotation", "assemble_direction", "rebuild_W_fast")
+    names = ("relinearize", "max_frame_rotation", "assemble_direction", "rebuild_W_fast",
+             "fast_update_proximity")
     calls = count_calls(monkeypatch, solver, names)
     config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
     # a negative penetration tolerance is never met, so the second iteration
@@ -150,7 +151,8 @@ def test_fast_step_backsolves_only_in_its_one_final_correction(monkeypatch):
 def test_traced_benchmark_run_passes_its_checks(monkeypatch, workload):
     # the traced run of the benchmark at tiny size: every traced name is
     # patched and called, its output checks hold and no solve runs inside a
-    # fast Newton iteration
+    # fast Newton iteration, whose span ends with the proximity move and
+    # holds the move's geometric refresh
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     for name in ("harness", "tracing"):
         monkeypatch.delitem(sys.modules, name, raising=False)
@@ -159,7 +161,16 @@ def test_traced_benchmark_run_passes_its_checks(monkeypatch, workload):
     assert res.checks == []
     assert res.failure is None
     assert res.tracer.solves_in_fast_iterations() == 0
-    spans = Counter(span.name for span in res.tracer.spans)
+    tracer = res.tracer
+    kids = tracer.children()
+    fast = [i for i, span in enumerate(tracer.spans)
+            if span.name == "solver.newton_iteration" and tracer.inside(i, "solver.newton_fast")]
+    assert fast
+    for i in fast:
+        moves = [k for k in kids[i] if tracer.spans[k].name == "constraints.fast_update_proximity"]
+        assert moves == kids[i][-1:]  # one move, and the iteration's last span
+        assert [tracer.spans[k].name for k in kids[moves[0]]] == ["collision.refresh_proximity"]
+    spans = Counter(span.name for span in tracer.spans)
     steps = 1 + 2  # the set-up's first step and the two timed ones
     for name in ("dynamics.compute_free_motion", "solver.mechanical_correction",
                  "dynamics.integrate_correction"):
