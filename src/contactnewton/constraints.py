@@ -18,8 +18,9 @@ Two routes build the c x c compliance (Delassus) operator:
 
 with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered once per time step
 from the block A^-1[J, J] over the object's contact DOFs J
-(:func:`contact_dofs`), which each factorization caches (a soft body's A is
-constant, so only DOFs entering contact for the first time cost a solve).
+(:func:`contact_dofs`, all six of a rigid body), which each factorization
+caches (a soft body's A is constant, so only DOFs entering contact for the
+first time cost a solve).
 D is block diagonal, and every function here takes it as its blocks: the
 (p, 3, 3) frame array that :func:`assemble_direction` checks, with no
 wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in
@@ -151,9 +152,17 @@ def assemble_W_standard(
 
 
 def contact_dofs(S: sp.spmatrix) -> np.ndarray:
-    """The sorted columns of S with a nonzero entry: the DOFs contact reaches."""
+    """The sorted DOFs a contact move displaces: the columns of S with a
+    nonzero entry, or all six of a rigid body that contact reaches.
+
+    Only a rigid body has six DOFs (:func:`build_signed_mapping`), and its
+    pairs read its whole pose, so a DOF that S does not reach, such as a
+    sphere's spin about its contact normal, still moves the contact point
+    once A^-1 couples it to the reached ones.
+    """
     S = S.tocsr()
-    return np.unique(S.indices[S.data != 0.0])
+    J = np.unique(S.indices[S.data != 0.0])
+    return np.arange(6) if J.size and S.shape[1] == 6 else J
 
 
 def assemble_Wg(

@@ -20,24 +20,28 @@ and its constants are q = -T^-1 hW[t, n] and det T. Lambda is held in one
 (c + 1) array that ends in 1, so one gemv of the block with it reads
 (a, b0, b1): a is the new lambda_n before the clamp, and b + q a the
 tangential stick trial, the lambda_t that zeroes the group's tangential gap
-at that lambda_n. :func:`local_solve` maps those floats and the group's
-constants to its new lambda triple: zero unless a > 0, else (a, lambda_t)
-with lambda_t projected onto the disk. A group whose lambda changed replaces
-its triple in a list of float triples and writes its 3 entries into the
-array through a memoryview. Besides that gemv, only the stop test
-(``sqrt(x . x)``, what ``np.linalg.norm`` computes for a 1-D float array, of
-the first c entries and of their change since the previous sweep) and the
-final ``delta_end`` go through numpy. The fold is elementwise numpy, and the
-sweep is bitwise equal to an array oracle that folds and reads rows the same
-way (``tests/test_solver.py``). Against the unfolded block solve, which reads
-the group's violation and updates its lambda by increments, lambda differs
-at rounding level only. A group's new lambda is computed outright, not
-added to its old one as an increment, so the sweep can reach a fixed point
-where no bit of lambda changes, where the increments kept moving lambda by
-an ulp. The disk projection takes the tangential length as
-``abs(complex(lt0, lt1))``: CPython's complex ``abs`` calls the C library's
-``hypot``, as ``np.hypot`` does, at a fraction of a numpy call's cost
-(``math.hypot`` rounds differently), so it runs on every friction visit.
+at that lambda_n. The sweep holds one tuple per group, its block's bound
+``dot``, its constants and the offset 3g of its lambda entries, and the
+gemv writes into one 3-vector reused by every visit, which unpacks to
+Python floats through a memoryview. :func:`local_solve` maps those floats
+and the group's constants to its new lambda triple: zero unless a > 0, else
+(a, lambda_t) with lambda_t projected onto the disk. A group whose lambda
+changed replaces its triple in a list of float triples and writes its 3
+entries into the array through a memoryview. Besides that gemv, only the
+stop test (``sqrt(x . x)``, what ``np.linalg.norm`` computes for a 1-D float
+array, of the first c entries and of their change since the previous sweep,
+taken into one reused buffer) and the final ``delta_end`` go through numpy.
+The fold is elementwise numpy, and the sweep is bitwise equal to an array
+oracle that folds and reads rows the same way (``tests/test_solver.py``).
+Against the unfolded block solve, which reads the group's violation and
+updates its lambda by increments, lambda differs at rounding level only. A
+group's new lambda is computed outright, not added to its old one as an
+increment, so the sweep can reach a fixed point where no bit of lambda
+changes, where the increments kept moving lambda by an ulp. The disk
+projection takes the tangential length as ``abs(complex(lt0, lt1))``:
+CPython's complex ``abs`` calls the C library's ``hypot``, as ``np.hypot``
+does, at a fraction of a numpy call's cost (``math.hypot`` rounds
+differently), so it runs on every friction visit.
 
 A visit whose local solve provably returns zero again is skipped. A group at
 lambda = 0 gets zero back exactly when its read gives a <= 0 (or NaN). Let
@@ -206,8 +210,10 @@ _SKIP_FLOOR = 1e-300
 def _fold(W: np.ndarray, delta_base: np.ndarray, h2: float):
     """The folded row blocks, per-group constants and skip bounds of :func:`pgs`.
 
-    Returns the (n_groups, 3, c + 1) array of folded blocks, a list of
-    ``(q0, q1, det)`` per group and the list of omega_g (module docstring).
+    Returns one tuple ``(read, q0, q1, det, 3g)`` per group, where
+    ``read(lam, got)`` is the bound ``dot`` of its (3, c + 1) folded block and
+    writes (a, b0, b1) into ``got``, and the list of omega_g (module
+    docstring).
     """
     c = len(delta_base)
     n_groups = c // 3
@@ -239,7 +245,8 @@ def _fold(W: np.ndarray, delta_base: np.ndarray, h2: float):
     tn0, tn1 = B[:, 1, 0], B[:, 2, 0]
     q0 = (t01 * tn1 - t11 * tn0) / den
     q1 = (t10 * tn0 - t00 * tn1) / den
-    return rows, list(zip(q0.tolist(), q1.tolist(), det.tolist())), omega.tolist()
+    reads = [row.dot for row in rows]
+    return list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))), omega.tolist()
 
 
 def local_solve(
@@ -286,14 +293,16 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     h2 = h * h
     mu = config.friction
     n_groups = c // 3
-    rows, consts, omega = _fold(W, delta_base, h2)
-    reads = [row.dot for row in rows]  # reads[g](lam) is group g's (a, b0, b1)
+    groups, omega = _fold(W, delta_base, h2)
+    got = np.empty(3)
+    got_items = memoryview(got)  # unpacks to Python floats
     lam = np.zeros(c + 1)
     lam[c] = 1.0
     lam_items = memoryview(lam)  # writes single entries from Python floats
     lam_groups = [_ZERO] * n_groups  # lam's groups as float triples
     lam_now = lam[:c]
     lam_prev = np.zeros(c)  # lam_now after the previous sweep
+    step = np.empty(c)  # lam_now - lam_prev
     # the skip bound (module docstring): group g's visits are skipped while
     # moved, the summed |d lambda|_1 of every write, is below skip_until[g]
     rel = _SKIP_ROUNDING * (c + 4 + n_groups * config.max_iterations)
@@ -305,12 +314,12 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        for g in range(n_groups):
+        for g, (read, q0, q1, det, i) in enumerate(groups):
             if moved < skip_until[g]:
                 skipped += 1
                 continue
-            a, b0, b1 = reads[g](lam).tolist()
-            q0, q1, det = consts[g]
+            read(lam, got)
+            a, b0, b1 = got_items
             try:
                 new = local_solve(a, b0, b1, q0, q1, det, mu)
             except SingularBlockError as exc:
@@ -322,13 +331,16 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
             old = lam_groups[g]
             if new != old:
                 lam_groups[g] = new
-                i = 3 * g
-                lam_items[i], lam_items[i + 1], lam_items[i + 2] = new
-                moved += abs(new[0] - old[0]) + abs(new[1] - old[1]) + abs(new[2] - old[2])
+                n0, n1, n2 = new
+                o0, o1, o2 = old
+                lam_items[i] = n0
+                lam_items[i + 1] = n1
+                lam_items[i + 2] = n2
+                moved += abs(n0 - o0) + abs(n1 - o1) + abs(n2 - o2)
             elif new is _ZERO:  # separated, and stays so until moved reaches the limit
                 margin = rel * (abs(a) + omega[g] * moved) + _SKIP_FLOOR
                 skip_until[g] = moved + (-a - margin) / omega[g]
-        step = lam_now - lam_prev
+        np.subtract(lam_now, lam_prev, out=step)
         num = math.sqrt(step.dot(step))  # np.linalg.norm of a 1-D float array
         den = math.sqrt(lam_now.dot(lam_now))
         eps = 0.0 if num == 0.0 else (math.inf if den == 0.0 else num / den)
@@ -412,7 +424,8 @@ def fast_update_proximity(ctx: StepContext, f: np.ndarray) -> np.ndarray:
 
     Other DOFs keep q_free. A soft body's pairs read those only with zero
     weight or on pinned nodes, which A decouples; a rigid body's pose reads
-    all six, so there the move is exact only if A^-1 couples none to J.
+    all six, and J holds all six (``constraints.contact_dofs``), so the move
+    is exact for both.
     """
     h2 = ctx.h * ctx.h
     dq = {}

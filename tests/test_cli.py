@@ -22,7 +22,8 @@ from contactnewton.verify import (
     check_scheme_equivalence,
     prepare,
 )
-from test_scene import MIXED_SCENE, PINNED_BOX, SPINNING_BALL, blow_up_scene_text, write_scene
+from test_scene import (COUPLED_BALL, MIXED_SCENE, PINNED_BOX, SPINNING_BALL, blow_up_scene_text,
+                        write_scene)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -159,13 +160,15 @@ def test_verify_passes_on_rigid_and_plane_attachments(tmp_path, capsys):
 
 def test_verify_passes_on_a_spinning_ball(tmp_path, capsys):
     # the ball's contact point turns with it over the forced iterations, and
-    # both schemes follow it geometrically
-    scene = write_scene(tmp_path, SPINNING_BALL, "ball.scn")
-    assert cli.main(["verify", "--scene", str(scene)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines] == [
-        ["PASS", "congruence-identity:"], ["PASS", "complementarity:"],
-        ["PASS", "scheme-equivalence:"]]
+    # both schemes follow it geometrically; with the coupled inertia the fast
+    # move must also displace the spin about y, which no lever reaches
+    for name, text in (("isotropic", SPINNING_BALL), ("coupled", COUPLED_BALL)):
+        scene = write_scene(tmp_path, text, f"{name}.scn")
+        assert cli.main(["verify", "--scene", str(scene)]) == 0, name
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["PASS", "congruence-identity:"], ["PASS", "complementarity:"],
+            ["PASS", "scheme-equivalence:"]], (name, lines)
 
 
 def test_verify_passes_on_pinned_box(tmp_path, capsys):
@@ -284,11 +287,24 @@ def prepared(scene):
     return config, prepare(config)
 
 
-# Both checks must hold on every shipped scene. Complementarity is not gated
-# here: it fails on two_body_press, where PGS does not converge in 200 sweeps.
-@pytest.mark.parametrize("check", [check_congruence_identity, check_scheme_equivalence],
-                         ids=["congruence-identity", "scheme-equivalence"])
-@pytest.mark.parametrize("scene", sorted(SCENES.glob("*.scn")), ids=lambda p: p.stem)
+def shipped_scene_checks():
+    """(scene, check) for every shipped scene and verify check; the one known
+    failure, complementarity on two_body_press (PGS does not converge in 200
+    sweeps there), is a strict xfail, so it fails the suite once it passes."""
+    checks = {"congruence-identity": check_congruence_identity,
+              "complementarity": check_complementarity,
+              "scheme-equivalence": check_scheme_equivalence}
+    for scene in sorted(SCENES.glob("*.scn")):
+        for name, check in checks.items():
+            marks = ()
+            if (scene.stem, name) == ("two_body_press", "complementarity"):
+                marks = pytest.mark.xfail(strict=True, reason="PGS unconverged in 200 sweeps")
+            yield pytest.param(scene, check, id=f"{scene.stem}-{name}", marks=marks)
+
+
+# Every verify check must hold on every shipped scene, but for the one
+# strict xfail above.
+@pytest.mark.parametrize("scene, check", shipped_scene_checks())
 def test_verify_check_passes_on_shipped_scene(scene, check):
     result = check(*prepared(scene))
     assert result.passed, result.detail

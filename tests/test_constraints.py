@@ -31,7 +31,7 @@ from contactnewton.solver import StepContext, _penetration, fast_update_proximit
 from contactnewton.verify import prepare
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
 from pairs_reference import AttachKind, Attachment, ProximityPair, to_contacts
-from test_scene import MIXED_SCENE, SCENES, SPINNING_BALL, write_scene
+from test_scene import COUPLED_BALL, MIXED_SCENE, SCENES, SPINNING_BALL, write_scene
 
 
 def axes_frame():
@@ -438,6 +438,13 @@ def contact_dofs(S):
     return np.flatnonzero(np.abs(S.toarray()).sum(axis=0))
 
 
+def moved_dofs(S):
+    """The DOFs the fast move displaces: the contact DOFs, or all six of a
+    rigid body (the only object with six) whose pose the pairs read."""
+    J = contact_dofs(S)
+    return np.arange(6) if J.size and S.shape[1] == 6 else J
+
+
 def rigid_on_soft_pairs(body, vertices):
     """A rigid sphere (object 1) pressing on the given vertices of a soft body
     (object 0), one pair per vertex with the sphere on side A."""
@@ -469,7 +476,7 @@ class TestWgGather:
         oracle = dense_wg(S, A)
         assert np.abs(wg - oracle).max() <= 1e-9 * np.abs(oracle).max()
         for oid, (J, X) in X_by_object.items():  # X_o = S_J A^-1[J, J]
-            assert np.array_equal(J, contact_dofs(S[oid]))
+            assert np.array_equal(J, moved_dofs(S[oid]))
             expect = S[oid].toarray()[:, J] @ np.linalg.inv(A[oid].toarray())[np.ix_(J, J)]
             assert np.abs(X - expect).max() <= 1e-9 * np.abs(expect).max()
         assert set(X_by_object) == {oid for oid in S if contact_dofs(S[oid]).size}
@@ -548,7 +555,7 @@ class TestWgGather:
             S = {0: build_signed_mapping(pairs, 0, soft.n_dofs),
                  1: build_signed_mapping(pairs, 1, 6)}
             self.check(S, F, A)
-            assert F[1].solve_count == len(contact_dofs(S[1])) <= 6
+            assert F[1].solve_count == 6  # the whole pose
             assert F_soft.solve_count == soft_solves
 
     def test_shape_mismatch(self):
@@ -684,18 +691,20 @@ class TestFastProximityUpdate:
         assert np.abs(delta_after - predicted).max() <= 1e-9
 
     @pytest.mark.parametrize("case", ["block_on_plane", "two_body_press", "grasp_rotate",
-                                      "mixed", "two_boxes", "spinning_ball"])
+                                      "mixed", "two_boxes", "spinning_ball", "coupled_ball"])
     def test_gathered_move_matches_the_solve(self, tmp_path, case):
         # dq[J] from the W_g gather is the solve h^2 A^-1 S^T f restricted to
-        # J; where every dynamic side is node-weighted, the new r is also the
-        # constraint-space update r + h^2 W_g f
+        # J, which holds all six DOFs of a rigid body, so there dq is the
+        # whole solve; where every dynamic side is node-weighted, the new r is
+        # also the constraint-space update r + h^2 W_g f
         if case == "two_boxes":
             bodies, pairs, S, A = two_boxes_context()
             F = {oid: Factorization(a) for oid, a in A.items()}
             ctx = proximity_context(pairs, {oid: b.mesh.nodes.ravel()
                                             for oid, b in bodies.items()}, S, F, 0.01, {})
         else:
-            texts = {"mixed": MIXED_SCENE, "spinning_ball": SPINNING_BALL}
+            texts = {"mixed": MIXED_SCENE, "spinning_ball": SPINNING_BALL,
+                     "coupled_ball": COUPLED_BALL}
             path = (write_scene(tmp_path, texts[case]) if case in texts
                     else SCENES / f"{case}.scn")
             ctx = prepare(load_scene(path))
@@ -712,7 +721,10 @@ class TestFastProximityUpdate:
         solved = solved_move(ctx, f)
         assert set(dq) == set(ctx.X_by_object) and dq
         for oid, (J, _) in ctx.X_by_object.items():
-            assert np.abs(dq[oid][J] - solved[oid][J]).max() <= 1e-12 * np.abs(solved[oid]).max()
-        if case not in ("mixed", "spinning_ball"):  # no rigid side: r is linear in dq
+            moved = slice(None) if len(dq[oid]) == 6 else J  # a rigid body: every DOF
+            assert np.abs(dq[oid][moved] - solved[oid][moved]).max() <= (
+                1e-12 * np.abs(solved[oid]).max())
+        # no rigid side: r is linear in dq
+        if case in ("block_on_plane", "two_body_press", "grasp_rotate", "two_boxes"):
             linear = ctx.r0 + ctx.h**2 * (ctx.wg @ f).reshape(ctx.r0.shape)
             assert np.abs(r - linear).max() <= 1e-12 * np.abs(r).max()

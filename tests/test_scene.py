@@ -66,6 +66,12 @@ objects:
     type: plane
 """
 
+# the spinning ball with an inertia that couples its spin about y, which no
+# lever on the ground reaches (S's omega_y column is zero), to its spin about z
+COUPLED_BALL = SPINNING_BALL.replace(
+    "    radius: 0.05\n",
+    "    radius: 0.05\n    inertia: [1.5e-3, 0, 0, 0, 1.0e-3, 5.0e-4, 0, 5.0e-4, 2.0e-3]\n")
+
 # a 1 kg box on the ground with 5 of its 25 bottom vertices pinned
 PINNED_BOX = """\
 dt: 0.01

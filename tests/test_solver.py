@@ -394,6 +394,18 @@ class TestPgs:
         assert res.iterations == 0
         assert res.lam.size == 0
 
+    def test_read_into_a_reused_buffer_is_bitwise(self):
+        # a visit reads (a, b0, b1) with row.dot(lam, got), one (3, c + 1)
+        # block of the folded rows into a reused 3-vector; at every width it
+        # must give the product that row.dot(lam) allocates
+        rng = np.random.default_rng(30)
+        got = np.empty(3)
+        for width in range(4, 401):
+            row = rng.standard_normal((2, 3, width))[1]
+            lam = rng.standard_normal(width)
+            row.dot(lam, got)
+            assert np.array_equal(got, row.dot(lam)), width
+
     def test_single_contact_matches_closed_form(self):
         W = np.diag([0.5, 1.0, 1.0])
         delta = np.array([-0.002, 0.0, 0.0])
@@ -603,6 +615,23 @@ def separated_problem(rng):
     return W, delta
 
 
+def record_pgs_calls(config, steps):
+    """(W, delta, h, config) of every PGS call in the first ``steps`` steps."""
+    recorded = []
+    pgs_now = solver.pgs
+
+    def recording(W, delta, h, config):
+        recorded.append((W.copy(), delta.copy(), h, config))
+        return pgs_now(W, delta, h, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "pgs", recording)
+        sim = Simulation(config)
+        for _ in range(steps):
+            sim.step()
+    return recorded
+
+
 @pytest.fixture(scope="class")
 def bench_column_pgs_inputs():
     """(W, delta, h, config) of every PGS call in 2 steps of bench_column at
@@ -616,20 +645,18 @@ def bench_column_pgs_inputs():
     newton = replace(config.newton, scheme="fast", max_iterations=5, penetration_tol=-1.0,
                      rotation_tol=-1.0)
     config = replace(config, newton=newton, pgs=replace(config.pgs, max_iterations=30))
-    recorded = []
-    pgs_now = solver.pgs
-
-    def recording(W, delta, h, config):
-        recorded.append((W.copy(), delta.copy(), h, config))
-        return pgs_now(W, delta, h, config)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "pgs", recording)
-        sim = Simulation(config)
-        for _ in range(2):
-            sim.step()
+    recorded = record_pgs_calls(config, 2)
     assert len(recorded) == 10
     return recorded
+
+
+@pytest.fixture(scope="class")
+def grasp_rotate_wide_pgs_inputs():
+    """(W, delta, h, config) of grasp_rotate's PGS calls past c = 270 in its
+    first 19 steps. The widest has c = 306 (102 groups), the most the
+    shipped scene reaches; bench_column's have c = 192."""
+    recorded = record_pgs_calls(load_scene(SCENES / "grasp_rotate.scn"), 19)
+    return [call for call in recorded if len(call[1]) > 270]
 
 
 class TestPgsSkipsSeparatedGroups:
@@ -667,6 +694,16 @@ class TestPgsSkipsSeparatedGroups:
                 assert 0 < res.local_solves < visits, k
             if k % 5 == 4:
                 assert res.iterations == 1 and not res.lam.any(), k
+
+    def test_grasp_rotate_wide_inputs(self, grasp_rotate_wide_pgs_inputs):
+        # the slip scene's widest reads, past bench_column's, many visits skipped
+        widths = []
+        for W, delta, h, config in grasp_rotate_wide_pgs_inputs:
+            res = pgs(W, delta, h, config)
+            assert_same_pgs(res, pgs_folded_reference(W, delta, h, config))
+            assert 0 < res.local_solves < len(delta) // 3 * res.iterations
+            widths.append(len(delta))
+        assert max(widths) == 306 and len(widths) >= 3
 
     @pytest.mark.parametrize("push", [1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 2.0])
     def test_group_pushed_into_contact_is_visited(self, push):
@@ -736,18 +773,7 @@ def random_cases(mu):
 @pytest.fixture(scope="class")
 def grasp_rotate_pgs_inputs():
     """(W, delta, h, config) of every PGS call in the first 2 steps of grasp_rotate."""
-    recorded = []
-    pgs_now = solver.pgs
-
-    def recording(W, delta, h, config):
-        recorded.append((W.copy(), delta.copy(), h, config))
-        return pgs_now(W, delta, h, config)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "pgs", recording)
-        sim = Simulation(load_scene(SCENES / "grasp_rotate.scn"))
-        for _ in range(2):
-            sim.step()
+    recorded = record_pgs_calls(load_scene(SCENES / "grasp_rotate.scn"), 2)
     assert len(recorded) >= 2 and all(len(d) for _, d, _, _ in recorded)
     return recorded
 
