@@ -52,8 +52,13 @@ class ValidationError(ContactNewtonError, ValueError):
     """A parsed configuration violates an invariant."""
 
 
+# from 2**53 on a float no longer holds every whole number exactly
+MAX_WHOLE = 2**53
+
+
 def as_number(value, where, kind=float):
-    """``value`` as a finite float, or with ``kind=int`` as a whole number (no truncation).
+    """``value`` as a finite float, or with ``kind=int`` as a whole number (no
+    truncation) of size below :data:`MAX_WHOLE`.
 
     Raises :class:`ValidationError` naming ``where`` otherwise; a bool
     (YAML ``true``/``false``) is not a number, though Python counts it as one.
@@ -71,5 +76,8 @@ def as_number(value, where, kind=float):
     if kind is int:
         if not number.is_integer():
             raise ValidationError(f"{where}: expected a whole number, got {value!r}")
+        if abs(number) >= MAX_WHOLE:
+            raise ValidationError(f"{where}: expected a whole number of size below 2**53, "
+                                  f"got {value!r}")
         return int(number)
     return number

@@ -33,21 +33,20 @@ backward pass only down to the earliest row that contact reads. Forward
 passes add up, so the step's final solve adds the forward pass of the
 correction's right-hand side, nonzero on the contact DOFs only and thus
 skipping, to the free motion's, and one backward pass over the whole band
-finishes both. On the column, whose contact DOFs the descending sort puts
-in the last two of 47 blocks, a step so makes two passes over the whole
-band where two solves made three.
+finishes both. On the column, whose 192 contact DOFs the descending sort
+puts last of 9024 positions, a step so makes two passes over the whole band
+where two solves made three.
 
 The fast scheme needs A^-1 only where contact reaches it, on the block
 A^-1[C, C] over the DOFs C that have been in contact; :class:`Factorization`
-caches that block. New columns are filled by a blocked level-3 solve on the
-same band (BLAS ``dtrsm``/``dtrmm`` over blocks of ``bw`` rows), which
-streams the band once per pass for all new columns where ``dtbtrs`` streams
-it once per pass per column. Both passes cover only the rows from the block
-of the earliest permuted position in C down to the last, so on the column
-each runs over the last two of 47 blocks; on a 2-core host it fills the
-column's 192 contact DOFs in 1.4 ms, against 3.3 ms for the two ``dtbtrs``
-passes over the same rows. A cached entry matches
-:meth:`Factorization.solve` of its unit vector to rounding, not bit for bit.
+caches that block. New columns are filled by the same two passes on the
+unit vectors of the new DOFs: the forward pass skips as a solve's does,
+from ``bw`` rows before the earliest new DOF's permuted position, and the
+backward pass stops at the earliest position in C, the first row the block
+reads. A cached entry so equals the entry of :meth:`Factorization.solve` of
+a unit vector bit for bit, that of the later cached of its two DOFs. On
+the column each pass of the first fill runs over at most the last 386 of
+9024 rows.
 
 :class:`Factorization` takes the assembled matrix (scipy sparse or dense) as
 it is and reads only its upper triangle, so it does not check symmetry: the
@@ -59,7 +58,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -131,12 +129,14 @@ class Factorization:
     The object caches the block of A^-1 over the DOFs it was asked for:
     ``_dofs`` lists them in the order they were first asked for,
     ``_block[a, b]`` is A^-1[_dofs[a], _dofs[b]], and ``_col_of[d]`` is the
-    index of DOF d in ``_dofs``, or -1. New DOFs are solved for once, by the
-    blocked band solve of :meth:`_unit_columns` (so an entry matches
-    :meth:`solve` of the unit vector to rounding, not bit for bit), and stay
-    for the life of this factorization; :meth:`inverse_block` only gathers
-    from the block. The cache makes the object mutable: do not share it
-    across threads while the cache fills.
+    index of DOF d in ``_dofs``, or -1. New DOFs are solved for once, by
+    the two passes of a solve, and stay for the life of this factorization;
+    :meth:`inverse_block` only gathers from the block. ``_block[a, b]`` is
+    so bit for bit the entry at ``_dofs[a]`` of :meth:`solve` of the unit
+    vector of ``_dofs[b]``, unless ``_dofs[a]`` was cached by a later fill,
+    which wrote the entry from its own column, A^-1 being symmetric. The
+    cache makes the object mutable: do not share it across threads while
+    the cache fills.
     """
 
     __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_dofs", "_block", "_col_of")
@@ -234,94 +234,18 @@ class Factorization:
             x[lo:], _ = dtbtrs(self._band[:, lo:], x[lo:], overwrite_b=True)
         return x[self._at]
 
-    def _u_block(self, i: int, j: int, rows: int, cols: int) -> np.ndarray:
-        """``U[i:i+rows, j:j+cols]`` as a strided view of the factored band, not a copy.
-
-        ``U[i, j]`` sits at flat index ``bw + i + bw·j`` of the Fortran-order
-        band, so the view steps 1 element down a column and ``bw`` across; with
-        ``rows == bw`` it is Fortran-contiguous and BLAS reads it in place.
-        Only its entries inside the band are U's, the others being other band
-        entries, so a caller hands BLAS only a triangle that lies in the band.
-        """
-        bw = self._band.shape[0] - 1
-        step = self._band.itemsize
-        # the constructor refuses a view that reaches past the buffer
-        return np.ndarray((rows, cols), np.float64, self._band.reshape(-1, order="F"),
-                          step * (bw + i + bw * j), (step, bw * step))
-
-    def _unit_columns(self, dofs: np.ndarray, lo: int) -> np.ndarray:
-        """Rows ``lo`` to ``dim - 1`` of A^-1 e_d for each d of ``dofs``, in
-        permuted order (row k is DOF ``perm[k]``), as the columns of a
-        ``(dim - lo, len(dofs))`` array; ``lo`` is at most the earliest
-        permuted position among ``dofs``.
-
-        A blocked level-3 solve of ``Uᵀ U X = E`` over blocks of ``bw`` rows
-        (the last one shorter), run on ``Xᵀ`` so that a block of right-hand
-        sides is a Fortran-contiguous slice that BLAS overwrites in place. In
-        the band, the diagonal block ``U_ss`` is upper triangular, the coupling
-        ``U_st`` to the next block lower triangular, and U has no other nonzero
-        block. The forward pass solves ``Y_sᵀ U_ss = E_sᵀ - Y_pᵀ U_ps`` block by
-        block (``dtrmm`` for the coupling, ``dtrsm`` for the diagonal block),
-        the backward pass ``X_sᵀ U_ssᵀ = Y_sᵀ - X_tᵀ U_stᵀ``. The forward pass
-        starts at the block holding the earliest permuted position among
-        ``dofs``: the blocks before it stay exact zeros, so the result is bit
-        for bit what a pass from the first block gives. The backward pass
-        stops at the block holding ``lo``, since a block needs only those
-        after it, and the work array holds the rows from that block on.
-        Where the last block is shorter, its coupling splits into a triangle
-        and a dense part (a matmul), and BLAS gets a copy of its triangles,
-        which are not contiguous in the band. Each column counts in
-        ``solve_count``.
-        """
-        n, k = self.dim, len(dofs)
-        bw = self._band.shape[0] - 1
-        self.solve_count += k
-        s0 = lo - lo % bw if bw else lo  # the block grid is anchored at row 0
-        W = np.zeros((n - s0, k))  # Xᵀ by rows, row r being permuted position s0 + r
-        W[self._at[dofs] - s0, np.arange(k)] = 1.0
-        if bw == 0:  # U is the band's one row, a diagonal
-            W /= self._band[0, s0:, None]
-            W /= self._band[0, s0:, None]
-            return W[lo - s0:]
-
-        def rows_t(s, b):  # the rows of positions s..s+b-1, transposed
-            return W[s - s0:s - s0 + b].T
-
-        starts = range(s0, n, bw)
-        first = (int(self._at[dofs].min()) - s0) // bw
-        for s in starts[first:]:
-            b = min(bw, n - s)
-            Yt = rows_t(s, b)
-            if s > starts[first]:
-                Pt = rows_t(s - bw, bw)
-                C = self._u_block(s - bw, s, bw, b)
-                Yt -= dtrmm(1.0, C[:b], Pt[:, :b], side=1, lower=1)
-                if b < bw:
-                    Yt -= Pt[:, b:] @ C[b:]
-            dtrsm(1.0, self._u_block(s, s, b, b), Yt, side=1, overwrite_b=1)
-        for s in reversed(starts):
-            b = min(bw, n - s)
-            Xt = rows_t(s, b)
-            t = s + bw
-            if t < n:
-                bt = min(bw, n - t)
-                Nt = rows_t(t, bt)
-                C = self._u_block(s, t, bw, bt)
-                Xt[:, :bt] -= dtrmm(1.0, C[:bt], Nt, side=1, lower=1, trans_a=1)
-                if bt < bw:
-                    Xt[:, bt:] -= Nt @ C[bt:].T
-            dtrsm(1.0, self._u_block(s, s, b, b), Xt, side=1, trans_a=1, overwrite_b=1)
-        return W[lo - s0:]
-
     def inverse_block(self, dofs) -> np.ndarray:
         """A^-1[dofs][:, dofs] as a C-contiguous array, from the cached block.
 
-        DOFs not cached yet are solved for in order of first appearance, all
-        in one :meth:`_unit_columns` call over the rows from the earliest
-        permuted position of a cached or new DOF. Their columns' rows at the
-        cached and new DOFs grow the block, and its new rows at the old
-        columns are the transpose of those columns' old rows, A^-1 being
-        symmetric.
+        DOFs not cached yet are solved for together, in order of first
+        appearance: a forward pass on their unit vectors as :meth:`forward`
+        runs it, from ``bw`` rows before the earliest permuted position among
+        them, then a backward pass down to ``lo``, the earliest position of a
+        cached or new DOF. The work array holds only the permuted rows from
+        the earlier of the two starts on, and each new DOF counts once in
+        ``solve_count``. The new columns' rows at the cached and new DOFs
+        grow the block, and its new rows at the old columns are the transpose
+        of those columns' old rows, A^-1 being symmetric.
         """
         dofs = np.asarray(dofs, dtype=np.int64)
         if dofs.ndim != 1 or ((dofs < 0) | (dofs >= self.dim)).any():
@@ -336,8 +260,16 @@ class Factorization:
             new = new[np.sort(first)]
             every = np.concatenate([self._dofs, new])
             at = self._at[every]
+            start = max(int(self._at[new].min()) - (self._band.shape[0] - 1), 0)
             lo = int(at.min())
-            columns = self._unit_columns(new, lo)[at - lo]  # A^-1[every, new]
+            top = min(start, lo)
+            X = np.zeros((self.dim - top, len(new)), order="F")  # permuted rows from top on
+            X[self._at[new] - top, np.arange(len(new))] = 1.0
+            X[start - top:], _ = dtbtrs(self._band[:, start:], X[start - top:], trans="T",
+                                        overwrite_b=True)
+            X[lo - top:], _ = dtbtrs(self._band[:, lo:], X[lo - top:], overwrite_b=True)
+            self.solve_count += len(new)
+            columns = X[at - top]  # A^-1[every, new]
             m = len(self._dofs)
             block = np.empty((len(every), len(every)))
             block[:m, :m] = self._block

@@ -49,6 +49,7 @@ from .dynamics import (
     integrate_correction,
 )
 from .errors import (
+    MAX_WHOLE,
     ContactNewtonError,
     NonFiniteStateError,
     ParseError,
@@ -217,7 +218,8 @@ def _holds_bool(value) -> bool:
 
 
 def _array(value, where, dtype=np.float64):
-    """``value`` as a flat finite array; an integer ``dtype`` takes whole numbers only.
+    """``value`` as a flat finite array; an integer ``dtype`` takes whole
+    numbers of size below :data:`~.errors.MAX_WHOLE` only.
 
     A bool (YAML ``true``/``false``) is refused, as by
     :func:`~.errors.as_number`, though numpy reads it as 1 or 0.
@@ -233,6 +235,9 @@ def _array(value, where, dtype=np.float64):
     if np.issubdtype(dtype, np.integer):
         if not (arr == np.round(arr)).all():
             raise ValidationError(f"{where}: expected whole numbers, got {value!r}")
+        if (np.abs(arr) >= MAX_WHOLE).any():  # 1e308 would not even cast
+            raise ValidationError(f"{where}: expected whole numbers of size below 2**53, "
+                                  f"got {value!r}")
         return arr.astype(dtype)
     return arr
 
@@ -347,8 +352,8 @@ def _load_mesh(section, name, base_dir):
         if not isinstance(file, str):
             raise ValidationError(f"{name}.mesh.file: expected a path, got {file!r}")
         path = os.path.join(base_dir, file)
-        if not os.path.exists(path):
-            raise ValidationError(f"{name}: mesh file does not exist: {path}")
+        if not os.path.isfile(path):
+            raise ValidationError(f"{name}: no mesh file at {path}")
         return load_mesh(path), None
     if "box" in mesh_spec:
         box_params = _box_params(mesh_spec["box"], f"{name}.mesh.box")

@@ -191,9 +191,9 @@ def sparse_spd(dim, seed):
     return B @ B.T + 10.0 * sp.eye(dim)
 
 
-# inverse_block calls, as DOFs of sparse_spd(60, 8) (bw 36, two blocks) and
-# of a diagonal (bw 0), and as permuted positions of banded_spd(300, 6, 7)
-# (bw 6), whose fills reach back to ever earlier blocks
+# inverse_block calls, as DOFs of sparse_spd(60, 8) (bw 36) and of a
+# diagonal (bw 0), and as permuted positions of banded_spd(300, 6, 7) (bw 6),
+# whose fills reach back to ever earlier rows
 GROWTH = {
     "diagonal": (lambda: sp.diags(np.arange(1.0, 8.0)).tocsr(),
                  lambda F: ([5, 6], [2, 6, 5], [0, 6])),
@@ -326,32 +326,43 @@ def rigid_system(inertia=((3.0, 0.4, -0.2), (0.4, 2.0, 0.1), (-0.2, 0.1, 1.5)),
     return A
 
 
-def assert_fill_matches_solve(F, dofs):
-    """Each column of the blocked fill, its rows in permuted order, against a
-    solve of its unit vector."""
-    X = F._unit_columns(np.asarray(dofs), 0)
-    assert X.shape == (F.dim, len(dofs))
-    for column, d in zip(X.T, dofs):
-        e = np.zeros(F.dim)
-        e[d] = 1.0
-        assert relative_error(column[F._at], F.solve(e)) <= 1e-12
+def unit_solves(F, dofs):
+    """solve_multi of the unit vectors of ``dofs``, its rows at ``dofs``."""
+    E = np.zeros((F.dim, len(dofs)))
+    E[dofs, np.arange(len(dofs))] = 1.0
+    return F.solve_multi(E)[dofs]
+
+
+def assert_fills_are_solves(F, calls):
+    """Each ``inverse_block`` call of ``calls`` on a fresh ``F`` against
+    solve_multi of the unit vectors of its DOFs, bit for bit. Entry (a, b)
+    is b's column at a unless a was first asked for by a later call: the
+    block's rows at older columns are the transpose of the newer columns."""
+    first = np.full(F.dim, len(calls))  # the call that first asked for each DOF
+    for k, dofs in enumerate(map(np.asarray, calls)):
+        first[dofs] = np.minimum(first[dofs], k)
+        X = unit_solves(F, dofs)
+        newer = first[dofs][:, None] > first[dofs]
+        assert_bitwise(F.inverse_block(dofs), np.where(newer, X.T, X))
 
 
 class TestUnitColumnFill:
-    """The blocked level-3 fill of the A^-1 cache matches solve to rounding."""
+    """The A^-1 cache fills its new columns by the two passes of a solve of
+    their unit vectors, so each entry equals solve bit for bit, also where a
+    fill reaches rows before those of the cached DOFs."""
 
     @pytest.mark.parametrize("scene, dofs, bw", [("bench_column.scn", 9024, 266),
                                                  ("grasp_rotate.scn", 648, 113)])
     def test_shipped_system(self, scene, dofs, bw):
         F = Factorization(soft_system(scene))
-        assert (F.dim, bandwidth(F)) == (dofs, bw)  # a shorter last block
-        picks = [0, dofs - 1, *np.random.default_rng(dofs).choice(dofs, 6, replace=False)]
-        assert_fill_matches_solve(F, picks)
-        assert F.solve_count == 2 * len(picks)  # the fill counts its columns
+        assert (F.dim, bandwidth(F)) == (dofs, bw)
+        picks = np.random.default_rng(dofs).choice(dofs, 6, replace=False)
+        assert_fills_are_solves(F, [F._perm[[-1, -bw]], [*F._perm[[-3, 0]], *picks],
+                                    [dofs - 1, *picks[:3]]])
 
-    # (system, dim, bw): diagonals, a last block shorter than bw, the band as
-    # wide as the matrix (a last block of one row), blocks of one row, and the
-    # rigid body's full world inertia
+    # (system, dim, bw): diagonals, a band narrower than the matrix, the band
+    # as wide as the matrix, a 2 x 2 system, and the rigid body's full world
+    # inertia
     EDGES = {
         "diagonal": (lambda: soft_system("point_mass.scn"), 3, 0),
         "rigid-diagonal": (lambda: rigid_system(np.diag([3.0, 0.5, 1.5]), (0, 0, 0)), 6, 0),
@@ -365,8 +376,8 @@ class TestUnitColumnFill:
     def test_edge_shapes(self, system, dim, bw):
         F = Factorization(system())
         assert (F.dim, bandwidth(F)) == (dim, bw)
-        assert_fill_matches_solve(F, np.arange(dim))
-        assert_fill_matches_solve(F, [dim - 1])  # one column
+        # one column, the last, then every DOF down to the first row
+        assert_fills_are_solves(F, [F._perm[-1:], np.arange(dim)])
 
 
 def soft_systems(scene):
@@ -436,16 +447,16 @@ class TestLongAxisOrdering:
     def test_fill_of_the_last_dof_runs_one_forward_solve(self, monkeypatch):
         A, points = soft_systems("bench_column.scn")[0]
         F = Factorization(A, points=points)
-        calls = count_calls(monkeypatch, "dtrsm", "trans_a", 0)
-        F._unit_columns(F._perm[-1:], 0)
-        n_blocks = -(-F.dim // bandwidth(F))
-        assert (calls.count(0), calls.count(1)) == (1, n_blocks)
+        widths = []
+        calls = count_calls(monkeypatch, "dtbtrs", "trans", "N", widths)
+        F.inverse_block(F._perm[-1:])
+        assert list(zip(calls, widths)) == [("T", bandwidth(F) + 1), ("N", 1)]
 
     def test_fill_matches_solve_for_early_and_late_dofs(self):
         A, points = soft_systems("bench_column.scn")[0]
         F = Factorization(A, points=points)
-        assert_fill_matches_solve(F, F._perm[[-1, -200]])  # the forward pass from the end
-        assert_fill_matches_solve(F, F._perm[[3000, 0, -1]])
+        # the forward pass from the end, then a growth down to the first row
+        assert_fills_are_solves(F, [F._perm[[-1, -200]], F._perm[[3000, 0, -1]]])
 
 
 def column_contact_dofs(points):
@@ -455,13 +466,17 @@ def column_contact_dofs(points):
     return (3 * bottom[:, None] + np.arange(3)).ravel()
 
 
-def count_calls(monkeypatch, name, key, default):
-    """Patch ``linalg.<name>`` to record each call's ``key`` keyword (or ``default``)."""
+def count_calls(monkeypatch, name, key, default, widths=None):
+    """Patch ``linalg.<name>`` to record each call's ``key`` keyword (or
+    ``default``), and in ``widths``, if given, the column count of its first
+    argument, a band's."""
     fn = getattr(linalg, name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get(key, default))
+        if widths is not None:
+            widths.append(args[0].shape[1])
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(linalg, name, counting)
@@ -470,7 +485,7 @@ def count_calls(monkeypatch, name, key, default):
 
 class TestContactBlockFill:
     """The column's contact DOFs are its last 192 permuted positions, so a
-    fill of their block covers its last two blocks only."""
+    fill of their block covers the last 192 + bw rows only."""
 
     def test_cold_fill_peak_memory(self):
         A, points = soft_systems("bench_column.scn")[0]
@@ -485,29 +500,25 @@ class TestContactBlockFill:
             tracemalloc.stop()
         assert peak <= 2e6  # the whole 192 columns took 14.3 MB
 
-    def test_fill_runs_dtrsm_on_the_trailing_blocks_only(self, monkeypatch):
+    def test_cold_fill_runs_two_passes_on_the_trailing_rows_only(self, monkeypatch):
         A, points = soft_systems("bench_column.scn")[0]
         F = Factorization(A, points=points)
         J = column_contact_dofs(points)
-        calls = count_calls(monkeypatch, "dtrsm", "trans_a", 0)
+        widths = []
+        calls = count_calls(monkeypatch, "dtbtrs", "trans", "N", widths)
         block = F.inverse_block(J)
-        assert (calls.count(0), calls.count(1)) == (2, 2)  # of 47 blocks
+        # of 9024 rows: from bw before the first contact DOF, then from it
+        assert list(zip(calls, widths)) == [("T", len(J) + bandwidth(F)), ("N", len(J))]
         assert F.solve_count == len(J)
-        E = np.zeros((F.dim, 4))
-        E[J[[0, 50, 100, 191]], np.arange(4)] = 1.0
-        assert relative_error(block[:, [0, 50, 100, 191]], F.solve_multi(E)[J]) <= 1e-12
+        assert_bitwise(block, unit_solves(F, J))
 
     def test_growth_towards_earlier_blocks_matches_solve(self):
         A, points = soft_systems("bench_column.scn")[0]
         F = Factorization(A, points=points)
         J = column_contact_dofs(points)
-        F.inverse_block(J[:96])
-        dofs = np.concatenate([J, F._perm[[4000, 0]]])  # down to the first block
-        block = F.inverse_block(dofs)
-        assert F.solve_count == len(dofs)
-        E = np.zeros((F.dim, len(dofs)))
-        E[dofs, np.arange(len(dofs))] = 1.0
-        assert relative_error(block, F.solve_multi(E)[dofs]) <= 1e-12
+        dofs = np.concatenate([J, F._perm[[4000, 0]]])  # down to the first row
+        assert_fills_are_solves(F, [J[:96], dofs])
+        assert F.solve_count == 96 + 2 * len(dofs)  # the fills', then the references'
 
 
 def dpbtrs_solve(F, B):

@@ -133,6 +133,11 @@ FRACTIONAL_COUNTS = {
                                "block.mesh.box.divisions:"),
     "fixed-nodes-fraction": (f"objects: [{{name: block, type: soft, {BOX}, "
                              "fixed_nodes: [0, 1.5]}]\n", "block.fixed_nodes:"),
+    # whole numbers past 2**53, where a float no longer holds every one
+    "pgs-iterations-huge-float": (GROUND + "pgs: {iterations: 1.0e+308}\n", "pgs.iterations:"),
+    "box-divisions-huge": ("objects: [{name: block, type: soft, mesh: {box: "
+                           "{size: [1, 1, 1], divisions: [1.0e+308, 1, 1]}}}]\n",
+                           "block.mesh.box.divisions:"),
 }
 
 # (scene text, the key the error must name): NaN fails every comparison, so
@@ -237,6 +242,7 @@ BAD_SCENES = {
     "dt-text": GROUND + "dt: abc\n",
     "output-every-zero": GROUND + "output: {every: 0}\n",
     "soft-empty-mesh": "objects: [{name: block, type: soft, mesh: {}}]\n",
+    "soft-mesh-directory": 'objects: [{name: block, type: soft, mesh: {file: ""}}]\n',
     "kinematic-empty-mesh": "objects: [{name: block, type: kinematic_mesh, mesh: {}}]\n",
     "box-size-zero": ("objects: [{name: block, type: soft, mesh: {box: "
                       "{size: [1, 0, 1], divisions: [1, 1, 1]}}}]\n"),
