@@ -26,8 +26,6 @@ import os
 import statistics
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 from .errors import ParseError, ValidationError
 from .scene import (
     SceneConfig,
@@ -37,6 +35,7 @@ from .scene import (
     as_mapping,
     load_scene,
     read_settings,
+    read_yaml_mapping,
     require,
     with_box_divisions,
 )
@@ -99,12 +98,8 @@ _SPEC = {"resolutions": ("resolutions", _counts), "schemes": ("schemes", _list),
 
 
 def load_bench_spec(path) -> BenchSpec:
-    try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict) or "scene" not in raw:
+    raw = read_yaml_mapping(path, "bench spec")
+    if "scene" not in raw:
         raise ParseError(f"{path}: bench spec needs at least a 'scene' key")
     as_mapping(raw, "bench", ("scene", *_SPEC))
     require(raw, "resolutions", "bench")

@@ -7,13 +7,14 @@ narrow band and LAPACK's ``dpbtrf`` factors it as ``Uᵀ U``. A pivot that is
 not positive and finite is reported as :class:`NotSPDError`, naming the DOF
 where it arose.
 
-The ordering is reverse Cuthill-McKee (RCM), unless the caller passes the
-body's rest node positions and a sort along its longest axis packs a
-narrower band (:func:`band_ordering`). On an elongated body the sort wins:
-``bench_column``'s 7×46×7 box bands at 194 where RCM gives 266. Only the
-descending sort is tried; an ascending one loses to RCM on the cubes (131,
-95, 551 and 923 on the 5³, 4³, 12³ and 16³ boxes, RCM giving 113, 80, 509
-and 872, the descending sort 110, 77, 509 and 869).
+The order is one rule (:func:`band_ordering`): a body given its rest node
+positions has its nodes sorted by descending coordinate along its longest
+axis, and a matrix given none (a rigid sphere's 6×6 system) keeps its own
+order. On every shipped body and ``bench.spec`` resolution the sort bands
+no wider than reverse Cuthill-McKee (RCM), as the tests check: 194 against
+266 on ``bench_column``'s 7×46×7 box, 110, 77, 509 and 869 against 113,
+80, 509 and 872 on the 5³, 4³, 12³ and 16³ boxes. An ascending sort loses
+to RCM on the cubes (131, 95, 551 and 923).
 
 Every solve, of one right-hand side or of a block, is two passes of LAPACK's
 ``dtbtrs`` on the band: :meth:`Factorization.forward`, a transposed pass
@@ -59,46 +60,29 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dtbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionMismatchError, NotSPDError
 
 
-def band_ordering(
-    csr: sp.csr_matrix, points=None
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """``(perm, bw, i, j)``: the DOF order of the banded factor, its
-    half-bandwidth, and the permuted row and column of each stored entry.
+def band_ordering(n: int, points=None) -> np.ndarray:
+    """The DOF order of the banded factor of an ``n``-DOF system: ``perm[k]``
+    is the DOF at position k.
 
-    ``perm[k]`` is the DOF at position k, and ``i``, ``j`` are the positions
-    of the row and column of each entry of ``csr`` in storage order (that of
-    ``csr.data``), so ``bw`` is the largest ``j - i``. The order is reverse
-    Cuthill-McKee, unless ``points``, the ``(dim / 3, 3)`` rest positions of
-    the nodes that own DOFs ``3i..3i+2``, are given and a stable sort of the
-    nodes by descending coordinate along the axis of largest extent bands
-    narrower; a tie keeps RCM.
+    With ``points``, the ``(n / 3, 3)`` rest positions of the nodes that own
+    DOFs ``3i..3i+2``, it is a stable sort of the nodes by descending
+    coordinate along the axis of largest extent, each node's three DOFs
+    together; without, it is the identity.
     """
-    n = csr.shape[0]
-    perms = [reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)]
-    if points is not None:
-        points = np.asarray(points, dtype=np.float64)
-        if points.shape != (n // 3, 3) or 3 * len(points) != n:
-            raise DimensionMismatchError(
-                f"points have shape {points.shape}, expected ({n // 3}, 3) for {n} DOFs"
-            )
-        axis = int(np.argmax(np.ptp(points, axis=0)))
-        nodes = np.argsort(-points[:, axis], kind="stable")
-        perms.append((3 * nodes[:, None] + np.arange(3)).ravel())
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-
-    def ordered(perm):
-        at = np.empty(n, dtype=np.intp)
-        at[perm] = np.arange(n)
-        i, j = at[rows], at[csr.indices]
-        return perm, int((j - i).max(initial=0)), i, j
-
-    # min keeps the first of equals, RCM
-    return min(map(ordered, perms), key=lambda ordering: ordering[1])
+    if points is None:
+        return np.arange(n)
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape != (n // 3, 3) or 3 * len(points) != n:
+        raise DimensionMismatchError(
+            f"points have shape {points.shape}, expected ({n // 3}, 3) for {n} DOFs"
+        )
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    nodes = np.argsort(-points[:, axis], kind="stable")
+    return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
 class Factorization:
@@ -107,8 +91,8 @@ class Factorization:
     The DOFs are reordered by :func:`band_ordering`, ``perm[k]`` being the
     DOF at position k and ``at`` its inverse, so that ``P A Pᵀ`` has a
     narrow half-bandwidth ``bw``. ``points``, the rest positions of a body's
-    nodes, lets the ordering try a sort along the body's longest axis; with
-    none it is reverse Cuthill-McKee. The upper band is packed in LAPACK
+    nodes, orders them along the body's longest axis; with none the matrix
+    keeps its own order. The upper band is packed in LAPACK
     ``'U'`` band storage, a Fortran-order ``(bw + 1, n)`` array of
     ``n·(bw+1)`` doubles, and factored in place by ``dpbtrf`` as ``Uᵀ U``.
     Every solve is :meth:`forward` then :meth:`backward` (module
@@ -146,9 +130,13 @@ class Factorization:
         n = csr.shape[0]
         if csr.shape != (n, n):
             raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
-        perm, bw, i, j = band_ordering(csr, points)
+        perm = band_ordering(n, points)
         at = np.empty(n, dtype=np.intp)
         at[perm] = np.arange(n)
+        # the permuted row and column of each stored entry, in storage order
+        i = at[np.repeat(np.arange(n), np.diff(csr.indptr))]
+        j = at[csr.indices]
+        bw = int((j - i).max(initial=0))
         upper = i <= j
         i, j, values = i[upper], j[upper], csr.data[upper]
         # entry (i, j) of the upper band sits at ab[bw + i - j, j]; bincount

@@ -450,17 +450,27 @@ def _load_rigid_sphere(entry, name):
     return RigidSphereSpec(name=name, body=body, **read_settings(entry, name, _RIGID))
 
 
-def load_scene(path) -> SceneConfig:
-    """Parse a scene file into validated bodies; defaults are documented in the README."""
+def read_yaml_mapping(path, what: str) -> dict:
+    """The top-level mapping of the YAML ``what`` file at ``path``; each failure
+    is a one-line :class:`ParseError` naming the path, a syntax error as ``path:line: problem``."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes are a YAMLError too
             raw = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the {what} file: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f"{path}:{mark.line + 1}" if mark is not None else str(path)
-        raise ParseError(f"{loc}: {exc}") from exc
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ParseError(f"{loc}: {problem}") from exc
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: scene file must be a mapping")
+        raise ParseError(f"{path}: {what} file must be a mapping")
+    return raw
+
+
+def load_scene(path) -> SceneConfig:
+    """Parse a scene file into validated bodies; defaults are documented in the README."""
+    raw = read_yaml_mapping(path, "scene")
     as_mapping(raw, "scene", _TOP_KEYS)
     base_dir = os.path.dirname(os.path.abspath(path))
 

@@ -495,6 +495,13 @@ def _newton(
     return result
 
 
+def rebuild_W_standard(D: np.ndarray, ctx: StepContext) -> np.ndarray:
+    """The standard W = sum H A^-1 H^T at the frames D, by multi-RHS backsolves;
+    its operations are looked up when called, as :func:`_newton` requires."""
+    H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
+    return assemble_W_standard(H, ctx.F_by_object)
+
+
 def newton_standard(
     ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig
 ) -> CorrectionResult:
@@ -502,15 +509,11 @@ def newton_standard(
     and moving the nodes by dq = h^2 A^-1 S^T f, one backsolve per object."""
     h2 = ctx.h * ctx.h
 
-    def rebuild(D):
-        H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
-        return assemble_W_standard(H, ctx.F_by_object)
-
     def move(f):
         return ctx.refresh({oid: h2 * ctx.F_by_object[oid].solve(S.T @ f)
                             for oid, S in sorted(ctx.S_by_object.items())})
 
-    return _newton(ctx, ncfg, pcfg, rebuild, move)
+    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_standard(D, ctx), move)
 
 
 def newton_fast(

@@ -23,16 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (
-    assemble_H,
-    assemble_W_standard,
-    assemble_Wg,
-    assemble_direction,
-    compute_violation,
-    rebuild_W_fast,
-)
+from .constraints import assemble_Wg, assemble_direction, compute_violation, rebuild_W_fast
 from .scene import SceneConfig, Simulation
-from .solver import NewtonConfig, PgsConfig, StepContext, newton_fast, newton_standard, pgs
+from .solver import (NewtonConfig, PgsConfig, StepContext, newton_fast, newton_standard, pgs,
+                     rebuild_W_standard)
 
 IDENTITY_RTOL = 1e-9
 EQUIVALENCE_RTOL = 1e-8
@@ -48,8 +42,7 @@ class CheckResult:
 
 def _identity_error(ctx, frames) -> tuple[float, float]:
     D = assemble_direction(frames)
-    H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
-    W_std = assemble_W_standard(H, ctx.F_by_object)
+    W_std = rebuild_W_standard(D, ctx)
     W_fast = rebuild_W_fast(D, ctx.wg)
     scale = max(np.abs(W_std).max(initial=0.0), 1e-300)
     return float(np.abs(W_fast - W_std).max(initial=0.0)), scale

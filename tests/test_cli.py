@@ -280,6 +280,24 @@ def test_bench_reports_bad_spec(tmp_path, capsys, monkeypatch, text, message):
     assert "Traceback" not in err
 
 
+# (the command line before the file, text of a file whose YAML breaks on its
+# line 3); the spec is refused before anything is written to --out
+MALFORMED = {
+    "scene": (["verify", "--scene"], "dt: 0.01\ngravity: [0, -9.81, 0]\n  pgs: 3\n"),
+    "spec": (["bench", "--out", "out", "--spec"], COLUMN + "resolutions: [4\nwarmup: 2\n"),
+}
+
+
+@pytest.mark.parametrize("args, text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_yaml_is_one_error_line(tmp_path, capsys, monkeypatch, args, text):
+    clear_thread_vars(monkeypatch)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert cli.main([*args, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: ") and len(err.splitlines()) == 1
+
+
 # one prepared context per scene serves both checks, which only read it
 @functools.cache
 def prepared(scene):

@@ -245,8 +245,8 @@ class TestStiffnessAssembly:
         pytest.param(lambda: load_mesh(SCENES / "meshes" / "block.mesh"), 11_997, id="block.mesh"),
     ])
     def test_one_full_block_per_node_pair(self, mesh, nnz):
-        # the pattern, and so the RCM order and band of the factorization,
-        # is that of one full 3x3 block per pair of nodes sharing a tet
+        # the pattern, and so the band of the factorization, is that of one
+        # full 3x3 block per pair of nodes sharing a tet
         mesh = mesh()
         K = assemble_stiffness(mesh.nodes, mesh.tets, 1e5, 0.3)
         pairs = shared_tet_pattern(mesh)

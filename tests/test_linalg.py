@@ -5,16 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.transform import Rotation
 
 from contactnewton import linalg
+from contactnewton.bench import load_bench_spec
 from contactnewton.dynamics import RigidBody, SoftBody
 from contactnewton.errors import DimensionMismatchError, NotSPDError
 from contactnewton.linalg import Factorization, band_ordering
 from contactnewton.mesh import box_mesh
-from contactnewton.scene import Simulation, SoftSpec, load_scene
+from contactnewton.scene import Simulation, SoftSpec, load_scene, with_box_divisions
+from test_tracing_hooks import load_harness
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -191,9 +194,9 @@ def sparse_spd(dim, seed):
     return B @ B.T + 10.0 * sp.eye(dim)
 
 
-# inverse_block calls, as DOFs of sparse_spd(60, 8) (bw 36) and of a
-# diagonal (bw 0), and as permuted positions of banded_spd(300, 6, 7) (bw 6),
-# whose fills reach back to ever earlier rows
+# inverse_block calls, as DOFs of sparse_spd(60, 8) (bw 53), of a diagonal
+# (bw 0) and of banded_spd(300, 6, 7) (bw 6), whose fills reach back to ever
+# earlier rows
 GROWTH = {
     "diagonal": (lambda: sp.diags(np.arange(1.0, 8.0)).tocsr(),
                  lambda F: ([5, 6], [2, 6, 5], [0, 6])),
@@ -201,8 +204,8 @@ GROWTH = {
                lambda F: ([4, 1, 9], [9, 2, 4, 7, 1], [30, 2, 30, 55, 0],
                           [12, 40, 41, 42, 43, 44, 45, 9], list(range(0, 60, 7)))),
     "banded": (lambda: banded_spd(300, 6, 7),
-               lambda F: [F._perm[p] for p in ([297, 290, 299], [150, 299, 151],
-                                                [5, 297, 0, 5], list(range(1, 300, 37)))]),
+               lambda F: ([297, 290, 299], [150, 299, 151], [5, 297, 0, 5],
+                          list(range(1, 300, 37)))),
 }
 
 
@@ -264,10 +267,7 @@ class TestSpdCheckNamesDof:
 
 def soft_system(scene):
     """The system matrix A of the first soft body of a shipped scene."""
-    cfg = load_scene(SCENES / scene)
-    spec = next(o for o in cfg.objects if isinstance(o, SoftSpec))
-    A, _ = spec.body.assemble(spec.body.initial_state(spec.velocity), cfg.h, cfg.gravity)
-    return A
+    return soft_systems(scene)[0][0]
 
 
 def relative_error(x, oracle):
@@ -351,10 +351,11 @@ class TestUnitColumnFill:
     their unit vectors, so each entry equals solve bit for bit, also where a
     fill reaches rows before those of the cached DOFs."""
 
-    @pytest.mark.parametrize("scene, dofs, bw", [("bench_column.scn", 9024, 266),
-                                                 ("grasp_rotate.scn", 648, 113)])
+    @pytest.mark.parametrize("scene, dofs, bw", [("bench_column.scn", 9024, 194),
+                                                 ("grasp_rotate.scn", 648, 110)])
     def test_shipped_system(self, scene, dofs, bw):
-        F = Factorization(soft_system(scene))
+        A, points = soft_systems(scene)[0]
+        F = Factorization(A, points=points)  # as the program factors it
         assert (F.dim, bandwidth(F)) == (dofs, bw)
         picks = np.random.default_rng(dofs).choice(dofs, 6, replace=False)
         assert_fills_are_solves(F, [F._perm[[-1, -bw]], [*F._perm[[-3, 0]], *picks],
@@ -366,7 +367,7 @@ class TestUnitColumnFill:
     EDGES = {
         "diagonal": (lambda: soft_system("point_mass.scn"), 3, 0),
         "rigid-diagonal": (lambda: rigid_system(np.diag([3.0, 0.5, 1.5]), (0, 0, 0)), 6, 0),
-        "short-last-block": (lambda: sparse_spd(60, 8), 60, 36),
+        "short-last-block": (lambda: banded_spd(60, 36, 8), 60, 36),
         "dense": (lambda: random_spd(7, 4), 7, 6),
         "one-row-blocks": (lambda: random_spd(2, 5), 2, 1),
         "rigid": (rigid_system, 6, 2),
@@ -381,8 +382,9 @@ class TestUnitColumnFill:
 
 
 def soft_systems(scene):
-    """(A, rest node positions) of every soft body of a shipped scene."""
-    cfg = load_scene(SCENES / scene)
+    """(A, rest node positions) of every soft body of a shipped scene, or of
+    a loaded scene config."""
+    cfg = load_scene(SCENES / scene) if isinstance(scene, str) else scene
     return [(spec.body.assemble(spec.body.initial_state(spec.velocity), cfg.h, cfg.gravity)[0],
              spec.body.mesh.nodes) for spec in cfg.objects if isinstance(spec, SoftSpec)]
 
@@ -393,13 +395,33 @@ def box_system(divisions):
     return A, body.mesh.nodes
 
 
-SHIPPED_SCENES = ("bench_column.scn", "grasp_rotate.scn", "two_body_press.scn",
-                  "block_on_plane.scn", "point_mass.scn")
+def order_bandwidth(A, perm):
+    """The half-bandwidth of A with its DOFs in the order ``perm``."""
+    coo = sp.coo_matrix(A)
+    at = np.empty_like(perm)
+    at[perm] = np.arange(len(perm))
+    return int(np.abs(at[coo.row] - at[coo.col]).max(initial=0))
+
+
+def rcm_bandwidth(A):
+    """The half-bandwidth of A in reverse Cuthill-McKee order, the tests'
+    reference for the program's sort."""
+    csr = sp.csr_matrix(A)
+    return order_bandwidth(csr, reverse_cuthill_mckee(csr, symmetric_mode=True))
+
+
+def sort_bandwidth(A, points):
+    """The half-bandwidth of A in the program's order for rest positions ``points``."""
+    return order_bandwidth(A, band_ordering(A.shape[0], points))
+
+
+SHIPPED_SCENES = tuple(sorted(path.name for path in SCENES.glob("*.scn")))
 
 
 class TestLongAxisOrdering:
-    """With the rest node positions, the factorization keeps the narrower of
-    RCM and a descending sort along the body's longest axis."""
+    """With the rest node positions, the factorization sorts the nodes along
+    the body's longest axis, and that order bands no wider than reverse
+    Cuthill-McKee (RCM) on every shipped body and bench resolution."""
 
     @pytest.mark.parametrize("scene, bws", [("bench_column.scn", [194]),
                                             ("grasp_rotate.scn", [110]),
@@ -415,29 +437,53 @@ class TestLongAxisOrdering:
     @pytest.mark.parametrize("scene", SHIPPED_SCENES)
     def test_never_wider_than_rcm_on_shipped_meshes(self, scene):
         for A, points in soft_systems(scene):
-            csr = A.tocsr()
-            assert band_ordering(csr, points)[1] <= band_ordering(csr)[1]
+            assert sort_bandwidth(A, points) <= rcm_bandwidth(A)
+
+    def test_never_wider_than_rcm_on_benchmarked_columns(self):
+        # every resolution of bench.spec; perfbench's tiny smoke-test column
+        # (7 x 6 x 7 over the column's 0.07 x 0.46 x 0.07 m) is the one body
+        # where RCM bands narrower: the sort's y layers of 8 x 8 nodes give
+        # 194, while RCM, which mixes the layers, reaches 191
+        spec = load_bench_spec(SCENES / "bench.spec")
+        column = load_scene(spec.scene)
+        nx, _, nz = next(s.box_params["divisions"] for s in column.objects
+                         if isinstance(s, SoftSpec))
+
+        def bands(divisions):
+            [(A, points)] = soft_systems(with_box_divisions(column, divisions))
+            return sort_bandwidth(A, points), rcm_bandwidth(A)
+
+        for resolution in spec.resolutions:
+            sort, rcm = bands((nx, resolution, nz))
+            assert sort <= rcm, resolution
+        tiny = {w.tiny_divisions for w in load_harness().WORKLOADS.values()} - {None}
+        assert {divisions: bands(divisions) for divisions in tiny} == {(7, 6, 7): (194, 191)}
 
     @pytest.mark.parametrize("points", [None, "rest"])
     def test_entry_positions_follow_the_chosen_order(self, points):
+        # the factor equals dpbtrf of P A P^T's upper band, packed from the
+        # dense matrix in the order of band_ordering: the sort, or with no
+        # positions the matrix's own order
         A, rest = soft_systems("grasp_rotate.scn")[0]
-        csr = A.tocsr()
-        perm, bw, i, j = band_ordering(csr, rest if points else None)
-        at = np.empty_like(perm)
-        at[perm] = np.arange(len(perm))
-        coo = csr.tocoo()  # storage order, that of csr.data
-        assert np.array_equal(i, at[coo.row]) and np.array_equal(j, at[coo.col])
-        assert bw == (j - i).max() == (110 if points else 113)
+        points = rest if points else None
+        F = Factorization(A, points=points)
+        perm = band_ordering(F.dim, points)
+        assert np.array_equal(F._perm, perm)
+        dense = A.toarray()[np.ix_(perm, perm)]
+        bw = order_bandwidth(A, perm)
+        assert bandwidth(F) == bw == (131 if points is None else 110)
+        band = np.zeros((bw + 1, F.dim), order="F")
+        for d in range(bw + 1):  # diagonal d of the upper triangle, right-aligned
+            band[bw - d, d:] = np.diagonal(dense, d)
+        band, info = dpbtrf(band)
+        assert info == 0
+        assert_bitwise(F._band, band)
 
     @pytest.mark.parametrize("divisions, rcm, chosen", [((12, 12, 12), 509, 509),
                                                         ((16, 16, 16), 872, 869)])
     def test_never_wider_than_rcm_on_large_boxes(self, divisions, rcm, chosen):
         A, points = box_system(divisions)
-        csr = A.tocsr()
-        perm, bw, *_ = band_ordering(csr, points)
-        assert (band_ordering(csr)[1], bw) == (rcm, chosen)
-        if rcm == chosen:  # a tie keeps RCM
-            assert np.array_equal(perm, band_ordering(csr)[0])
+        assert (rcm_bandwidth(A), sort_bandwidth(A, points)) == (rcm, chosen)
 
     def test_rejects_points_of_another_size(self):
         A, points = soft_systems("grasp_rotate.scn")[0]
@@ -533,11 +579,11 @@ def assert_bitwise(x, reference):
 
 
 def banded_spd(dim, half, seed):
-    """An SPD matrix of half-bandwidth ``half``, its DOFs shuffled."""
+    """An SPD matrix of half-bandwidth ``half`` in its own order, which a
+    factorization given no positions keeps."""
     rng = np.random.default_rng(seed)
     L = np.tril(np.triu(rng.standard_normal((dim, dim)), -half))
-    mix = rng.permutation(dim)
-    return sp.csr_matrix((L @ L.T + 10.0 * np.eye(dim))[np.ix_(mix, mix)])
+    return sp.csr_matrix(L @ L.T + 10.0 * np.eye(dim))
 
 
 def rhs_with_zero_lead(F, first, rng, columns=()):
@@ -626,7 +672,7 @@ class TestSplitSolve:
 
     SYSTEMS = {
         "column": (lambda: soft_systems("bench_column.scn")[0]),
-        "rcm-cube": (lambda: (box_system((8, 8, 8))[0], None)),
+        "unsorted-cube": (lambda: (box_system((8, 8, 8))[0], None)),
     }
 
     @pytest.mark.parametrize("system", SYSTEMS.values(), ids=SYSTEMS.keys())

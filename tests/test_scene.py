@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from contactnewton import cli, linalg, scene, solver
+from contactnewton.bench import load_bench_spec
 from contactnewton.collision import Pose
 from contactnewton.dynamics import MechanicalState
 from contactnewton.linalg import Factorization
@@ -264,6 +265,18 @@ def write_scene(tmp_path, text, name="scene.scn"):
 def test_bad_scene_raises_package_error(tmp_path, text):
     with pytest.raises((ParseError, ValidationError)):
         load_scene(write_scene(tmp_path, text))
+
+
+@pytest.mark.parametrize("load", [load_scene, load_bench_spec], ids=["scene", "bench-spec"])
+@pytest.mark.parametrize("where, problem", [("missing", "cannot read"),
+                                            ("directory", "cannot read"),
+                                            ("not-utf8", "unacceptable character")])
+def test_unreadable_file_raises_parse_error_naming_it(tmp_path, load, where, problem):
+    path = tmp_path if where == "directory" else tmp_path / "file.scn"
+    if where == "not-utf8":
+        path.write_bytes(b"dt: 0.01\nname: \xff\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {problem}"):
+        load(path)
 
 
 @pytest.mark.parametrize("text, message", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())

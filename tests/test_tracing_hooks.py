@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` replaces each ``(owner, attr)`` of its ``TRACED``
 table through ``owner.__dict__[attr]``, so renaming or deleting one of those
 names, or calling the function some other way, breaks the traced benchmark
-run without failing anything else.
+run without failing anything else. The same holds for the config fields
+``perfbench/harness.py`` sets.
 """
 
 import importlib
@@ -27,6 +28,34 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_harness():
+    """``perfbench/harness.py`` as a module. It imports its sibling ``tracing``
+    as a top-level module, so ``perfbench/`` is on ``sys.path`` while it loads;
+    its dataclasses look their module up in ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location("perfbench_harness", ROOT / "perfbench" / "harness.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return module
+
+
+def test_harness_builds_every_workload_config():
+    # scene_config sets NewtonConfig and PgsConfig fields by name (the
+    # column's rotation_tol, for one), so renaming or deleting such a field
+    # fails here rather than in every benchmark run
+    harness = load_harness()
+    assert harness.WORKLOADS
+    for workload in harness.WORKLOADS.values():
+        config = harness.scene_config(workload, tiny=True)
+        if workload.scheme is not None:
+            assert config.newton.scheme == workload.scheme
+            assert (config.newton.penetration_tol, config.newton.rotation_tol) == (0.0, 0.0)
+        assert not (config.output.metrics or config.output.snapshots)
 
 
 def test_every_traced_name_exists():
@@ -61,6 +90,19 @@ def test_fast_newton_iteration_calls_the_traced_solver_names(monkeypatch):
     # a negative penetration tolerance is never met, so the second iteration
     # re-linearizes whatever the first one left
     newton = replace(config.newton, scheme="fast", max_iterations=2, penetration_tol=-1.0)
+    Simulation(replace(config, newton=newton)).step()
+    for name in names:
+        assert calls[name] > 0, name
+
+
+def test_standard_newton_iteration_calls_the_traced_solver_names(monkeypatch):
+    # the tracer opens a standard iteration's span at solver.assemble_H, so
+    # the W rebuild must look it up in solver's globals when called
+    names = ("relinearize", "max_frame_rotation", "assemble_direction", "assemble_H",
+             "assemble_W_standard")
+    calls = count_calls(monkeypatch, solver, names)
+    config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
+    newton = replace(config.newton, scheme="standard", max_iterations=2, penetration_tol=-1.0)
     Simulation(replace(config, newton=newton)).step()
     for name in names:
         assert calls[name] > 0, name
