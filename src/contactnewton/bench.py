@@ -3,11 +3,12 @@
 For every (resolution, scheme) cell the harness re-meshes the scene's
 procedural soft box, runs warmup steps, then measures per-phase wall times
 over the configured repetitions. Reported numbers are medians: the rebuild,
-PGS and correction columns are per-Newton-iteration medians; building the
-mapping compliance runs once per step. After the first step that build is a
-gather from the cached block of A^-1 over the contact DOFs, so its median is
-the warm cost and ``build_wg_cold_ms`` reports the cell's first step, which
-fills the cache. ``final_corr_ms`` is the per-step median of the step's
+PGS and correction columns are per-Newton-iteration medians; the mapping
+compliance W_g is built or reused once per step. A step whose attachments
+repeat the previous step's takes that step's W_g, so on a resting scene the
+median ``build_wg_ms`` times only that check, while ``build_wg_cold_ms``
+reports the cell's first step, a full gather that fills the cached block of
+A^-1. ``final_corr_ms`` is the per-step median of the step's
 final solve, one per body for both schemes: the correction by the summed
 impulse and the rest of the free motion's backward pass together.
 The update fraction is (rebuild + correction) / per-iteration total.

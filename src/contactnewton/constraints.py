@@ -16,11 +16,12 @@ Two routes build the c x c compliance (Delassus) operator:
   standard   W = sum_obj H A^-1 H^T      (multi-RHS backsolves, n-dimensional)
   fast       W = D W_g D^T               (blockwise congruence, independent of n)
 
-with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered once per time step
-from the block A^-1[J, J] over the object's contact DOFs J
+with W_g = sum_obj S A^-1 S^T, a (3p, 3p) array gathered, when the step's
+attachments differ from the previous step's (or a rigid body's A was
+factored anew), from the block A^-1[J, J] over the object's contact DOFs J
 (:func:`contact_dofs`, all six of a rigid body), which each factorization
 caches (a soft body's A is constant, so only DOFs entering contact for the
-first time cost a solve).
+first time cost a solve). The scene keeps S, W_g and X_o between steps.
 D is block diagonal, and every function here takes it as its blocks: the
 (p, 3, 3) frame array that :func:`assemble_direction` checks, with no
 wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in

@@ -14,6 +14,13 @@ read (each runtime's ``read_dofs``), and the step's final solve, one per
 body, gives the whole velocity increment, free motion and correction
 together. A failed step leaves the previous state untouched.
 
+The signed mappings S, and under the fast scheme W_g and X_o, are rebuilt
+only when a step's attachments differ from the previous committed step's
+(each side's object ids, node ids, weights and lever arms, compared byte
+for byte) or, for W_g and X_o, when its factorizations are other objects
+(a rigid body factors anew each step). Otherwise the step takes that
+step's arrays, read-only and bit for bit what a rebuild would compute.
+
 :meth:`Simulation.detect` is the one detection path: pairs and frames of
 given states at a given time. :meth:`Simulation.penetration` is the one
 penetration measure: the worst geometric gap of given pairs at given
@@ -718,6 +725,7 @@ class StepReport:
     dofs: int
     newton_exit: str  # "penetration", "rotation" or "max_iterations"
     system_solves: int  # right-hand sides solved for on the step's factorizations
+    mapping_reused: bool  # S (and under the fast scheme W_g, X_o) taken from the previous step
     pen_before: float
     pen_after: float
     lambda_n_sum: float
@@ -734,8 +742,8 @@ class StepReport:
 
     CSV_FIELDS = (
         "step", "time", "c_groups", "dofs", "newton_iterations", "newton_exit",
-        "pgs_iterations_total", "pgs_converged", "system_solves", "pen_before",
-        "pen_after", "lambda_n_sum", "lambda_n_max", "lambda_t_max", "t_detect",
+        "pgs_iterations_total", "pgs_converged", "system_solves", "mapping_reused",
+        "pen_before", "pen_after", "lambda_n_sum", "lambda_n_max", "lambda_t_max", "t_detect",
         "t_assemble", "t_free", "t_constraints", "t_build_wg", "t_rebuild_w",
         "t_pgs", "t_correction", "t_final_correction", "t_step",
     )
@@ -769,6 +777,29 @@ class StepReport:
         return sum(it.correction_time for it in self.iterations)
 
 
+@dataclass(frozen=True)
+class _Mapping:
+    """A step's signed mappings and, under the fast scheme, its read-only W_g
+    and (J, X_o) by object, with what they were built from."""
+
+    attachments: tuple  # from _attachments, compared byte for byte
+    S_by_object: dict
+    F_by_object: dict  # the step's factorizations, compared with `is`
+    wg: np.ndarray | None = None
+    X_by_object: dict | None = None
+
+
+def _attachments(pairs) -> tuple:
+    """What the signed mappings are built from, as bytes: each side's object
+    ids, node ids, weights and lever arms."""
+    return tuple(arr.tobytes() for side in (pairs.a, pairs.b)
+                 for arr in (side.object_id, side.nodes, side.weights, side.lever))
+
+
+def _same_objects(x: dict, y: dict) -> bool:
+    return x.keys() == y.keys() and all(x[k] is y[k] for k in x)
+
+
 @dataclass
 class PreparedStep:
     """What :meth:`Simulation.prepare_step` hands the correction and integration."""
@@ -777,6 +808,8 @@ class PreparedStep:
     pen_before: float  # penetration of the detected pairs at the free positions
     solves_before: int  # solve_count of the step's factorizations before the free motion
     timings: dict  # seconds per phase, keyed by StepReport's t_detect ... t_build_wg
+    mapping: _Mapping  # kept for the next step once this one commits
+    mapping_reused: bool  # the mapping is the previous step's
 
 
 # --- simulation ------------------------------------------------------------------
@@ -804,6 +837,7 @@ class Simulation:
         self.last_pairs = collision.Contacts.empty()
         self.last_frames = np.zeros((0, 3, 3))
         self.last_lam = np.zeros(0)
+        self._mapping = None  # the last committed step's _Mapping, if none has missed it since
 
     @property
     def dynamic_objects(self):
@@ -831,7 +865,8 @@ class Simulation:
     def prepare_step(self) -> PreparedStep:
         """Run the pre-correction pipeline (detect through free violation).
 
-        Commits nothing; the correction scheme and integration consume the
+        Commits nothing, though a step whose attachments differ drops the
+        kept mapping; the correction scheme and integration consume the
         record. Exposed so the verification command can probe the exact
         operators a step would use.
         """
@@ -870,12 +905,20 @@ class Simulation:
             free[obj.oid] = fm
         t_free = time.perf_counter()
 
-        S = {
-            obj.oid: build_signed_mapping(
-                pairs, obj.oid, obj.body.n_dofs, obj.body.fixed_mask
-            )
-            for obj in self.dynamic_objects
-        }
+        previous = self._mapping
+        attachments = _attachments(pairs)
+        if previous is not None and previous.attachments == attachments:
+            S = previous.S_by_object
+        else:
+            # a step that misses drops the kept mapping, which no later step
+            # can match, so its arrays are freed before the new ones are built
+            previous = self._mapping = None
+            S = {
+                obj.oid: build_signed_mapping(
+                    pairs, obj.oid, obj.body.n_dofs, obj.body.fixed_mask
+                )
+                for obj in self.dynamic_objects
+            }
 
         def refresh(dq):
             q_by_object = {oid: fm.q_free + dq.get(oid, 0.0) for oid, fm in free.items()}
@@ -887,7 +930,7 @@ class Simulation:
         ctx = StepContext(
             pairs=pairs,
             detection_frames=frames,
-            S_by_object=S,
+            S_by_object=dict(S),
             F_by_object=factorizations,
             r0=r0,
             h=h,
@@ -896,8 +939,19 @@ class Simulation:
         )
         t_constraints = time.perf_counter()
 
+        wg = X = None
+        reused = previous is not None
         if cfg.newton.scheme == "fast":
-            ctx.wg, ctx.X_by_object = assemble_Wg(S, factorizations)
+            reused = (reused and previous.wg is not None
+                      and _same_objects(previous.F_by_object, factorizations))
+            if reused:
+                wg, X = previous.wg, previous.X_by_object
+            else:
+                wg, X = assemble_Wg(S, factorizations)
+                for array in (wg, *(a for JX in X.values() for a in JX)):
+                    array.flags.writeable = False
+            ctx.wg, ctx.X_by_object = wg, dict(X)
+        mapping = _Mapping(attachments, S, dict(factorizations), wg, X)
         timings = {
             "t_detect": t_detect - t_begin,
             "t_assemble": t_assemble - t_detect,
@@ -905,7 +959,7 @@ class Simulation:
             "t_constraints": t_constraints - t_free,
             "t_build_wg": time.perf_counter() - t_constraints,
         }
-        return PreparedStep(ctx, pen_before, solves_before, timings)
+        return PreparedStep(ctx, pen_before, solves_before, timings, mapping, reused)
 
     def step(self) -> StepReport:
         t_begin = time.perf_counter()
@@ -944,6 +998,7 @@ class Simulation:
         self.last_pairs = ctx.pairs
         self.last_frames = result.final_frames
         self.last_lam = lam = result.lam
+        self._mapping = prep.mapping
 
         lam_groups = lam.reshape(-1, 3) if lam.size else np.zeros((0, 3))
         lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)
@@ -954,6 +1009,7 @@ class Simulation:
             dofs=self.total_dofs(),
             newton_exit=result.exit,
             system_solves=system_solves,
+            mapping_reused=prep.mapping_reused,
             pen_before=prep.pen_before,
             pen_after=pen_after,
             lambda_n_sum=float(lam_groups[:, 0].sum()) if len(lam_groups) else 0.0,

@@ -10,13 +10,17 @@ tolerance.
 Everything in that block solve but the clamp and the projection is linear
 in lambda, so :func:`pgs` folds it into each group's rows once per call.
 With hW = h^2 W, T = hW[t, t] the group's tangential 2 x 2 block (t its two
-tangential rows, n its normal row) and ``delta_base`` the free violation,
-group g's folded (3, c + 1) block is
+tangential rows, n its normal row), ``delta_base`` the free violation and
+P_g = blockdiag(-1 / hW[n, n], -T^-1) (zero in T^-1's place for a singular
+T), group g's folded (3, c + 1) block is
 
-  normal      -[hW[n, :] with column n zeroed | delta_base[n]] / hW[n, n]
-  tangential  -T^-1 [hW[t, :] with the group's 3 columns zeroed | delta_base[t]]
+  [(h^2 P_g) W[g's rows, :] | P_g delta_base[g's rows]]
 
-and its constants are q = -T^-1 hW[t, n] and det T. Lambda is held in one
+with its normal row's column n and its tangential rows' 3 group columns
+then zeroed: the normal row is -[hW[n, :] | delta_base[n]] / hW[n, n] and
+the tangential rows are -T^-1 [hW[t, :] | delta_base[t]]. Its constants
+are q = -T^-1 hW[t, n], the tangential rows' column n before it is
+zeroed, and det T. Lambda is held in one
 (c + 1) array that ends in 1, so one gemv of the block with it reads
 (a, b0, b1): a is the new lambda_n before the clamp, and b + q a the
 tangential stick trial, the lambda_t that zeroes the group's tangential gap
@@ -31,8 +35,10 @@ entries into the array through a memoryview. Besides that gemv, only the
 stop test (``sqrt(x . x)``, what ``np.linalg.norm`` computes for a 1-D float
 array, of the first c entries and of their change since the previous sweep,
 taken into one reused buffer) and the final ``delta_end`` go through numpy.
-The fold is elementwise numpy, and the sweep is bitwise equal to an array
-oracle that folds and reads rows the same way (``tests/test_solver.py``).
+The fold is two batched products over all groups, (h^2 P) W and P
+delta_base, and the sweep is bitwise equal to an array oracle that folds
+group by group with the same products and reads rows the same way
+(``tests/test_solver.py``).
 Against the unfolded block solve, which reads the group's violation and
 updates its lambda by increments, lambda differs at rounding level only. A
 group's new lambda is computed outright, not added to its old one as an
@@ -45,8 +51,9 @@ differently), so it runs on every friction visit.
 
 A visit whose local solve provably returns zero again is skipped. A group at
 lambda = 0 gets zero back exactly when its read gives a <= 0 (or NaN). Let
-omega_g = max_j |hW[n, j]| / hW[n, n]; rounded division is monotone, so it
-bounds every stored entry of the folded normal row. Let ``moved`` be the sum
+omega_g be the largest magnitude stored in the group's folded normal row,
+taken before its own entry (about 1) is zeroed, so it bounds every stored
+entry of that row by construction. Let ``moved`` be the sum
 of |d lambda|_1 over every lambda write of the call. Once a group read a_rec
 at lambda = 0 and got zero back with ``moved`` at m_rec, its exact a can
 since have risen by at most omega_g (moved - m_rec). So its visits are
@@ -65,7 +72,7 @@ leaves lambda as the local solve would have, so lambda, the sweep count and
 Errors are raised where they arise:
 - NaN or infinity in W or delta_base raises :class:`NonFiniteStateError`
   naming the first bad group and "violation" or "compliance row", before
-  the fold, which also keeps the fold and the skip bound finite;
+  the fold's products, which also keeps the fold and the skip bound finite;
 - hW[n, n] <= 0 raises :class:`SingularBlockError` ("group g: normal
   compliance ...") at the fold, before the first sweep;
 - det T <= 0 raises :class:`SingularBlockError` only at a visit that needs
@@ -217,34 +224,37 @@ def _fold(W: np.ndarray, delta_base: np.ndarray, h2: float):
     """
     c = len(delta_base)
     n_groups = c // 3
-    rows = np.empty((n_groups, 3, c + 1))
-    np.multiply(W.reshape(n_groups, 3, c), h2, out=rows[:, :, :c])
-    rows[:, :, c] = delta_base.reshape(n_groups, 3)
-    finite = np.isfinite(rows)
+    W3 = W.reshape(n_groups, 3, c)
+    delta3 = delta_base.reshape(n_groups, 3)
+    finite_rows = np.isfinite(W3).all(axis=(1, 2))
+    finite = finite_rows & np.isfinite(delta3).all(axis=1)
     if not finite.all():
-        g = int(np.argmin(finite.all(axis=(1, 2))))
-        what = "violation" if finite[g, :, :c].all() else "compliance row"
+        g = int(np.argmin(finite))
+        what = "violation" if finite_rows[g] else "compliance row"
         raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
-    hW = rows[:, :, :c].reshape(n_groups, 3, n_groups, 3)  # a view of rows
     groups = np.arange(n_groups)
-    B = hW[groups, :, groups]  # B[g] = hW's diagonal block g, a copy
+    B = h2 * W3.reshape(n_groups, 3, n_groups, 3)[groups, :, groups]  # hW's diagonal blocks
     hWnn = B[:, 0, 0]
     if not (hWnn > 0).all():
         g = int(np.argmin(hWnn > 0))
         raise SingularBlockError(f"group {g}: normal compliance {W[3 * g, 3 * g]} not positive")
-    omega = np.abs(rows[:, 0, :c]).max(axis=1) / hWnn
-    hW[groups, 0, groups, 0] = 0.0
-    hW[groups, 1:, groups, :] = 0.0
-    rows[:, 0] /= -hWnn[:, None]
     t00, t01, t10, t11 = B[:, 1, 1], B[:, 1, 2], B[:, 2, 1], B[:, 2, 2]
     det = t00 * t11 - t01 * t10
     den = np.where(det > 0, det, np.inf)  # a singular T's rows and q read 0
-    r0, r1 = rows[:, 1].copy(), rows[:, 2].copy()
-    rows[:, 1] = (t01[:, None] * r1 - t11[:, None] * r0) / den[:, None]
-    rows[:, 2] = (t10[:, None] * r0 - t00[:, None] * r1) / den[:, None]
-    tn0, tn1 = B[:, 1, 0], B[:, 2, 0]
-    q0 = (t01 * tn1 - t11 * tn0) / den
-    q1 = (t10 * tn0 - t00 * tn1) / den
+    P = np.zeros((n_groups, 3, 3))  # blockdiag(-1 / hW[n, n], -T^-1)
+    P[:, 0, 0] = -1.0 / hWnn
+    P[:, 1, 1] = -t11 / den
+    P[:, 1, 2] = t01 / den
+    P[:, 2, 1] = t10 / den
+    P[:, 2, 2] = -t00 / den
+    rows = np.empty((n_groups, 3, c + 1))
+    np.matmul(h2 * P, W3, out=rows[:, :, :c])
+    rows[:, :, c] = (P @ delta3[:, :, None])[:, :, 0]
+    folded = rows[:, :, :c].reshape(n_groups, 3, n_groups, 3)  # a view of rows
+    omega = np.abs(rows[:, 0, :c]).max(axis=1)
+    q0, q1 = folded[groups, 1, groups, 0], folded[groups, 2, groups, 0]
+    folded[groups, 0, groups, 0] = 0.0
+    folded[groups, 1:, groups, :] = 0.0
     reads = [row.dot for row in rows]
     return list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))), omega.tolist()
 

@@ -51,6 +51,8 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert len(metrics) == 3
     assert [(m["newton_exit"], m["pgs_converged"], m["system_solves"]) for m in metrics] == [
         ("penetration", "True", "6")] * 3  # free motion, 3 W columns, 1 correction, 1 final
+    # the point rests on the plane: from step 1 on, S is the previous step's
+    assert [m["mapping_reused"] for m in metrics] == ["False", "True", "True"]
     with open(out / "newton.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["step", "iteration", "penetration"]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactnewton import cli, linalg, scene, solver
+from contactnewton import cli, collision, linalg, scene, solver
 from contactnewton.bench import load_bench_spec
 from contactnewton.collision import Pose
 from contactnewton.dynamics import MechanicalState
@@ -996,3 +996,127 @@ def test_fast_column_step_makes_two_passes_over_the_whole_band(monkeypatch):
     bw = sim.objects[0].factorization._band.shape[0] - 1
     contact = 3 * 64  # the bottom layer's 64 nodes
     assert widths == [("T", n), ("N", contact), ("T", contact + bw), ("N", n)]
+
+
+# --- S, W_g and X_o reused while the attachments repeat ---------------------------
+
+
+def fast_config(name, divisions=None):
+    config = load_scene(SCENES / f"{name}.scn")
+    if divisions is not None:
+        config = with_box_divisions(config, divisions)
+    return replace(config, newton=replace(config.newton, scheme="fast"))
+
+
+def spinning_ball_config(tmp_path):
+    config = load_scene(write_scene(tmp_path, SPINNING_BALL))
+    return replace(config, newton=replace(config.newton, scheme="fast"))
+
+
+def count_builds(monkeypatch):
+    """Calls of the two builders the reuse skips, per kind, as the step looks them up."""
+    calls = {"S": 0, "W_g": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scene, "build_signed_mapping",
+                        counting("S", scene.build_signed_mapping))
+    monkeypatch.setattr(scene, "assemble_Wg", counting("W_g", scene.assemble_Wg))
+    return calls
+
+
+def builds_per_step(sim, calls, steps):
+    """(S builds, W_g builds, mapping_reused) of each of ``steps`` steps."""
+    seen = []
+    for _ in range(steps):
+        before = dict(calls)
+        report = sim.step()
+        seen.append((calls["S"] - before["S"], calls["W_g"] - before["W_g"],
+                     report.mapping_reused))
+    return seen
+
+
+@pytest.mark.parametrize("config", [fast_config("block_on_plane"),
+                                    fast_config("bench_column", (7, 6, 7))],
+                         ids=["block_on_plane", "bench_column"])
+def test_repeated_attachments_build_nothing_after_the_first_step(monkeypatch, config):
+    calls = count_builds(monkeypatch)
+    sim = Simulation(config)
+    objects = len(sim.dynamic_objects)
+    assert builds_per_step(sim, calls, 4) == [(objects, 1, False)] + [(0, 0, True)] * 3
+
+
+def step_decisions(sim, report):
+    """What a step decides, bitwise: committed states, lambda, frames,
+    pen_after and every Newton iteration's record but its times."""
+    arrays = [sim.last_lam, sim.last_frames, np.float64(report.pen_after)]
+    arrays += [a for obj in sim.objects for a in obj.saved_state()]
+    stats = [(it.penetration, it.pgs_iterations, it.pgs_local_solves, it.pgs_eps,
+              it.pgs_converged, it.rotation) for it in report.iterations]
+    return repr(stats), [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+@pytest.mark.parametrize("name", ["block_on_plane", "bench_column", "grasp_rotate", "ball"])
+def test_reused_mapping_steps_as_a_rebuilt_one(tmp_path, name):
+    if name == "ball":
+        config = spinning_ball_config(tmp_path)
+    else:
+        config = fast_config(name, (7, 6, 7) if name == "bench_column" else None)
+    config = replace(config, newton=replace(config.newton, max_iterations=3,
+                                            penetration_tol=-1.0, rotation_tol=-1.0))
+    reusing, rebuilding = Simulation(config), Simulation(config)
+    reused = []
+    for _ in range(6):
+        rebuilding._mapping = None
+        report = reusing.step()
+        reused.append(report.mapping_reused)
+        assert step_decisions(reusing, report) == step_decisions(rebuilding, rebuilding.step())
+    assert any(reused) == (name != "ball")
+
+
+def test_changing_attachments_rebuild_every_step(monkeypatch, tmp_path):
+    # the press's barycentric weights move each step; the ball's rigid A is
+    # factored anew each step, so only its S is the previous step's
+    calls = count_builds(monkeypatch)
+    sim = Simulation(fast_config("two_body_press"))
+    assert builds_per_step(sim, calls, 4) == [(2, 1, False)] * 4
+    sim = Simulation(spinning_ball_config(tmp_path))
+    assert builds_per_step(sim, calls, 4) == [(1, 1, False)] + [(0, 1, False)] * 3
+
+
+def test_a_vertex_leaving_and_rejoining_contact_rebuilds(monkeypatch):
+    sim = Simulation(fast_config("block_on_plane"))
+    detect_now = sim.detect
+
+    def detect(states, t):
+        pairs, frames = detect_now(states, t)
+        if sim.step_index == 1:  # the last pair leaves for one step
+            keep = np.arange(len(pairs) - 1)
+            return collision._take(pairs, keep), frames[keep]
+        return pairs, frames
+
+    monkeypatch.setattr(sim, "detect", detect)
+    calls = count_builds(monkeypatch)
+    assert builds_per_step(sim, calls, 4) == [(1, 1, False)] * 3 + [(0, 0, True)]
+
+
+def test_cached_wg_and_x_are_read_only():
+    sim = Simulation(fast_config("block_on_plane"))
+    sim.step()
+    ctx = sim.prepare_step().ctx
+    assert ctx.wg is sim._mapping.wg
+    for array in (ctx.wg, *(X for _, X in ctx.X_by_object.values())):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] += 1.0
+
+
+def test_mapping_reused_is_reported():
+    # block_on_plane as shipped (single scheme), and the press under fast
+    sim = Simulation(load_scene(SCENES / "block_on_plane.scn"))
+    assert [sim.step().mapping_reused for _ in range(4)] == [False, True, True, True]
+    sim = Simulation(load_scene(SCENES / "two_body_press.scn"))
+    assert [sim.step().mapping_reused for _ in range(4)] == [False] * 4

@@ -157,30 +157,34 @@ def pgs_reference(
 
 def fold_reference(W: np.ndarray, delta_base: np.ndarray, h2: float):
     """The folded rows F (c, c + 1), q (groups, 2) and det T (groups,) group by
-    group: F's normal row is -[hW[n, :] with column n zeroed | delta_base[n]] /
-    hW[n, n], its tangential rows -T^-1 [hW[t, :] with the group's columns
-    zeroed | delta_base[t]], and q = -T^-1 hW[t, n]."""
+    group. With hW = h^2 W, T = hW[t, t] and P = blockdiag(-1 / hW[n, n],
+    -T^-1) (a singular T's block zero), F's rows are [(h^2 P) W[g rows] |
+    P delta_base[g rows]], q is their tangential rows' column n, and then
+    the normal row's column n and the tangential rows' group columns are
+    zeroed."""
     c = len(delta_base)
-    hW = h2 * W
-    F = np.hstack([hW, delta_base[:, None]])
+    F = np.zeros((c, c + 1))
     q = np.zeros((c // 3, 2))
     det = np.zeros(c // 3)
     for g in range(c // 3):
+        rows = slice(3 * g, 3 * g + 3)
         n, t0, t1 = 3 * g, 3 * g + 1, 3 * g + 2
-        hWnn = hW[n, n]
+        hB = h2 * W[rows, rows]
+        hWnn = hB[0, 0]
         if not hWnn > 0:
             raise SingularBlockError(f"group {g}: normal compliance {W[n, n]} not positive")
-        F[n, n] = 0.0
-        F[n] = F[n] / -hWnn
-        F[t0:t1 + 1, n:t1 + 1] = 0.0
-        T = hW[t0:t1 + 1, t0:t1 + 1]
+        T = hB[1:, 1:]
         det[g] = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
         den = det[g] if det[g] > 0 else np.inf  # unused rows of a singular T read 0
-        r0, r1 = F[t0].copy(), F[t1].copy()
-        F[t0] = (T[0, 1] * r1 - T[1, 1] * r0) / den
-        F[t1] = (T[1, 0] * r0 - T[0, 0] * r1) / den
-        q[g] = ((T[0, 1] * hW[t1, n] - T[1, 1] * hW[t0, n]) / den,
-                (T[1, 0] * hW[t0, n] - T[0, 0] * hW[t1, n]) / den)
+        P = np.zeros((3, 3))
+        P[0, 0] = -1.0 / hWnn
+        P[1, 1], P[1, 2] = -T[1, 1] / den, T[0, 1] / den
+        P[2, 1], P[2, 2] = T[1, 0] / den, -T[0, 0] / den
+        F[rows, :c] = (h2 * P) @ W[rows]
+        F[rows, c] = P @ delta_base[rows]
+        q[g] = F[t0:t1 + 1, n]
+        F[n, n] = 0.0
+        F[t0:t1 + 1, rows] = 0.0
     return F, q, det
 
 
@@ -708,6 +712,19 @@ class TestPgsSkipsSeparatedGroups:
             assert 0 < res.local_solves < len(delta) // 3 * res.iterations
             widths.append(len(delta))
         assert max(widths) == 306 and len(widths) >= 3
+
+    def test_omega_bounds_every_stored_normal_entry(self, bench_column_pgs_inputs,
+                                                    grasp_rotate_wide_pgs_inputs):
+        # the skip bound reads the folded normal row through omega_g, so
+        # omega_g must be at least each of its stored entries, bit for bit
+        for W, delta, h, config in bench_column_pgs_inputs + grasp_rotate_wide_pgs_inputs:
+            groups, omega = solver._fold(W, delta, h * h)
+            c = len(delta)
+            normal = np.array([read.__self__[0, :c] for read, *_ in groups])
+            F, _, _ = fold_reference(W, delta, h * h)
+            assert np.array_equal(normal, F[0::3, :c])
+            assert (np.abs(normal).max(axis=1) <= omega).all()
+            assert (np.asarray(omega) >= 1.0 - 1e-12).all()  # the own entry, about 1, included
 
     @pytest.mark.parametrize("push", [1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 2.0])
     def test_group_pushed_into_contact_is_visited(self, push):
