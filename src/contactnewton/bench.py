@@ -12,6 +12,9 @@ A^-1. ``final_corr_ms`` is the per-step median of the step's
 final solve, one per body for both schemes: the correction by the summed
 impulse and the rest of the free motion's backward pass together.
 The update fraction is (rebuild + correction) / per-iteration total.
+``newton_iter_iqr_ms`` and ``step_total_iqr_ms`` are the interquartile
+ranges of the per-iteration and per-step samples, so a difference between
+two runs can be read against the spread of each.
 
 Reference figures from the original GPU study (RTX 3080, cuBLAS/cuSPARSE
 pipeline): per-iteration speedup 6.97x, whole-scheme speedup 3.20x, update
@@ -48,7 +51,8 @@ PAPER_TOTAL_SPEEDUP = 3.20
 BENCH_FIELDS = (
     "resolution", "dofs", "constraints", "scheme", "build_wg_ms",
     "build_wg_cold_ms", "final_corr_ms", "rebuild_w_ms", "pgs_ms", "corr_ms",
-    "newton_iter_ms", "step_total_ms", "update_fraction",
+    "newton_iter_ms", "newton_iter_iqr_ms", "step_total_ms", "step_total_iqr_ms",
+    "update_fraction",
 )
 
 # the smallest valid count of each setting; timing rows need 3 repetitions
@@ -164,9 +168,20 @@ def measure_cell(config: SceneConfig, scheme: str, spec: BenchSpec) -> dict:
         "pgs_ms": 1e3 * med(pgs_t),
         "corr_ms": 1e3 * med(corr),
         "newton_iter_ms": 1e3 * med_iter,
+        "newton_iter_iqr_ms": 1e3 * _iqr(iter_total),
         "step_total_ms": 1e3 * med(step_total),
+        "step_total_iqr_ms": 1e3 * _iqr(step_total),
         "update_fraction": update_fraction,
     }
+
+
+def _iqr(xs) -> float:
+    """Interquartile range of the samples, quartiles interpolated linearly;
+    0.0 for fewer than two."""
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q3 - q1
 
 
 def run_bench(spec: BenchSpec) -> tuple[list[dict], str]:
@@ -192,7 +207,7 @@ def summarize(rows: list[dict], spec: BenchSpec) -> str:
     header = (
         f"{'res':>5} {'DOFs':>7} {'cst':>6} {'scheme':>9} {'build Wg':>10} "
         f"{'cold Wg':>10} {'final corr':>10} {'rebuild W':>10} {'PGS':>9} {'corr':>9} "
-        f"{'Newton it':>10} {'step':>9} {'update':>7}"
+        f"{'Newton it':>10} {'it IQR':>9} {'step':>9} {'step IQR':>9} {'update':>7}"
     )
     lines.append(header)
     for row in rows:
@@ -201,7 +216,8 @@ def summarize(rows: list[dict], spec: BenchSpec) -> str:
             f"{row['scheme']:>9} {row['build_wg_ms']:>8.2f}ms {row['build_wg_cold_ms']:>8.2f}ms "
             f"{row['final_corr_ms']:>8.2f}ms {row['rebuild_w_ms']:>8.2f}ms "
             f"{row['pgs_ms']:>7.2f}ms {row['corr_ms']:>7.2f}ms {row['newton_iter_ms']:>8.2f}ms "
-            f"{row['step_total_ms']:>7.2f}ms {100 * row['update_fraction']:>6.1f}%"
+            f"{row['newton_iter_iqr_ms']:>7.2f}ms {row['step_total_ms']:>7.2f}ms "
+            f"{row['step_total_iqr_ms']:>7.2f}ms {100 * row['update_fraction']:>6.1f}%"
         )
     by_res = {}
     for row in rows:

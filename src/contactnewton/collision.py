@@ -16,8 +16,9 @@ one of two forms, the one its object's view takes:
 
 Newton iterations only re-linearize directions from updated proximity
 positions. :func:`refresh_proximity` and :func:`signed_gaps` loop over the
-objects, not the pairs: the rows of one object are read in one batched
-product, whose rows are bitwise the one-pair products (:func:`_rowmat`).
+objects, not the pairs: the rows of one object, grouped once per side
+(:attr:`Side.groups`), are read in one batched product, whose rows are
+bitwise the one-pair products (:func:`_rowmat`).
 The product accumulates into a zeroed output, so a vertex or plane foot
 coordinate that is exactly -0.0 reads as +0.0.
 
@@ -60,6 +61,7 @@ planes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +103,10 @@ class Side:
 
     A node-weighted row reads ``nodes`` and ``weights``; a posed row reads
     ``local`` and has node ids (-1, -1, -1), which is how the mapping tells
-    a rigid side from a deformable one.
+    a rigid side from a deformable one. The rows of each object are grouped
+    once, on first use (:attr:`groups`); a side is not edited after
+    detection, and :func:`_take` and :func:`_concat` build new sides, which
+    group their own rows.
     """
 
     object_id: np.ndarray  # (p,) int64
@@ -110,6 +115,12 @@ class Side:
     weights: np.ndarray  # (p, 3)
     local: np.ndarray  # (p, 3) point in the object's frame
     lever: np.ndarray  # (p, 3) rigid side: world lever arm surface - center at detection
+
+    @cached_property
+    def groups(self) -> tuple:
+        """``(object id, rows)`` for each object on this side, ids ascending."""
+        ids = self.object_id
+        return tuple((oid, np.flatnonzero(ids == oid)) for oid in np.unique(ids).tolist())
 
 
 @dataclass
@@ -419,13 +430,26 @@ def _rowmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _frames_from_normals(n: np.ndarray) -> np.ndarray:
-    """Frames (p, 3, 3) with rows (n, t1, t2) for unit normals n (p, 3)."""
+    """Frames (p, 3, 3) with rows (n, t1, t2) for unit normals n (p, 3).
+
+    Each row is written in place; t2 = n x t1 takes ``np.cross``'s products
+    and differences component by component, so it is bitwise that call.
+    """
+    frames = np.empty((len(n), 3, 3))
+    frames[:, 0] = n
+    t1 = frames[:, 1]
     # e_x . n is n_x exactly, and likewise e_z . n is n_z
-    t1 = _T1_REFERENCE - n[:, :1] * n
+    np.subtract(_T1_REFERENCE, n[:, :1] * n, out=t1)
     short = np.sqrt(_rowdot(t1, t1)) < 1e-6
     t1[short] = _T1_FALLBACK - n[short, 2:] * n[short]
-    t1 = t1 / np.sqrt(_rowdot(t1, t1))[:, None]
-    return np.stack([n, t1, np.cross(n, t1)], axis=1)
+    t1 /= np.sqrt(_rowdot(t1, t1))[:, None]
+    (n0, n1, n2), (b0, b1, b2), (c0, c1, c2) = n.T, t1.T, frames[:, 2].T
+    tmp = np.empty(len(n))
+    for c, x, y, u, w in ((c0, n1, b2, n2, b1), (c1, n2, b0, n0, b2), (c2, n0, b1, n1, b0)):
+        np.multiply(x, y, out=c)
+        np.multiply(u, w, out=tmp)
+        c -= tmp
+    return frames
 
 
 def build_frames(contacts: Contacts) -> np.ndarray:
@@ -465,6 +489,8 @@ def relinearize(r: np.ndarray, previous: np.ndarray) -> np.ndarray:
     cos = _rowdot(n, previous[:, 0])
     n = np.where((cos < 0)[:, None], -n, n)  # after the flip n . n_old is |cos|
     moved = (norm > COINCIDENT_EPS) & ~(np.abs(cos) < _MAX_TILT_COS)
+    if moved.all():
+        return _frames_from_normals(n)
     frames = previous.copy()
     frames[moved] = _frames_from_normals(n[moved])
     return frames
@@ -483,8 +509,8 @@ def max_frame_rotation(old: np.ndarray, new: np.ndarray) -> float:
 
 def _objects(side: Side, views: dict):
     """(rows, view) for each object on ``side``: one batch per object, not per pair."""
-    for oid in np.unique(side.object_id).tolist():
-        yield np.flatnonzero(side.object_id == oid), views[oid]
+    for oid, rows in side.groups:
+        yield rows, views[oid]
 
 
 def _side_points(side: Side, views: dict) -> np.ndarray:

@@ -27,7 +27,9 @@ D is block diagonal, and every function here takes it as its blocks: the
 wrapper. D r is one einsum in :func:`compute_violation`, D^T lambda one in
 :func:`apply_transposed`, and only :func:`assemble_H` builds the sparse
 matrix, straight from the blocks. The congruence is two batched
-row-group products, W = (D (D W_g)^T)^T. The gather of W_g passes through
+row-group products, W = D (D W_g^T)^T = D (W_g D^T), and W_g is held
+Fortran-ordered (the transpose of a C-ordered W_g^T), so neither product
+copies a transpose. The gather of W_g passes through
 X_o = S_J A^-1[J, J] per object, and :func:`assemble_Wg` returns it too:
 the fast scheme displaces the contact DOFs by dq[J] = h^2 X_o^T f for a
 world impulse f = D^T lambda, the mechanical correction on J, with no
@@ -177,13 +179,14 @@ def assemble_Wg(
     :meth:`Factorization.inverse_block` supplies A^-1[J, J]. S_J stays
     sparse, each of its rows holding a few nonzeros, so both products cost
     O(|J|²) and not the O(|J|³) of a dense S_J. An object without contact
-    DOFs has no X_o.
+    DOFs has no X_o. W_g is returned Fortran-ordered, as the transpose of
+    the C-ordered sum of X_o S_J^T, for :func:`rebuild_W_fast` to read by rows.
     """
     ids = sorted(S_by_object)
     if not ids:
         return np.zeros((0, 0)), {}
     dim = S_by_object[ids[0]].shape[0]
-    wg = np.zeros((dim, dim))
+    wg_t = np.zeros((dim, dim))  # W_g^T
     X_by_object = {}
     for oid in ids:
         S = S_by_object[oid]
@@ -197,25 +200,28 @@ def assemble_Wg(
             continue
         SJ = S.tocsr()[:, J]
         X = SJ @ F.inverse_block(J)
-        wg += (SJ @ X.T).T
+        wg_t += SJ @ X.T
         X_by_object[oid] = (J, X)
-    return wg, X_by_object
+    return wg_t.T, X_by_object
 
 
 def rebuild_W_fast(D: np.ndarray, wg: np.ndarray) -> np.ndarray:
     """W = D W_g D^T block by block, W[i, j] = D_i W_g[i, j] D_j^T for groups
     i, j, since D is block diagonal; no system solves, cost independent of n.
 
-    Two batched products by row groups, each on contiguous (3, 3g) rows:
-    X = D W_g, X[i] = D_i W_g[i, :], then Y = D X^T, and W = Y^T.
+    Two batched products by row groups: V = D W_g^T, V[i] = D_i W_g[:, i]^T,
+    then W = D V^T, since V^T = W_g D^T. Each reshape only splits the row
+    axis, so it is a view for any layout of W_g, BLAS reads a transposed
+    operand in place, and the result is C-contiguous: no transposed copy is
+    made. The first product reads contiguous rows when W_g is
+    Fortran-ordered, as :func:`assemble_Wg` returns it.
     """
     g = len(D)
     c = 3 * g
     if wg.shape != (c, c):
         raise DimensionMismatchError(f"direction matrix is {c} rows, W_g is {wg.shape}")
-    X = D @ wg.reshape(g, 3, c)  # (g, 3, 3g)
-    Y = D @ X.reshape(c, c).T.reshape(g, 3, c)  # the reshape copies X^T contiguous
-    return Y.reshape(c, c).T.copy()
+    V = D @ wg.T.reshape(g, 3, c)  # (g, 3, 3g)
+    return (D @ V.reshape(c, c).T.reshape(g, 3, c)).reshape(c, c)
 
 
 def compute_violation(D: np.ndarray, r: np.ndarray) -> np.ndarray:

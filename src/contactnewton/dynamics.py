@@ -7,7 +7,9 @@ integrated with backward Euler: the step solves
 
 with B = rayleigh_mass * M + rayleigh_stiffness * K. Because the material
 is linear, K (and hence the system matrix) is constant, so the
-factorization is reused across the whole simulation.
+factorization is reused across the whole simulation, and the right-hand
+side takes one product with K:
+h (f_ext - rayleigh_mass M v) - K (h (q - q0) + (h rayleigh_stiffness + h^2) v).
 
 K is assembled once per body by node-pair blocks: each tet's gradients
 come from edge cross products, its 10 upper 3x3 blocks (node pairs a <= b
@@ -236,18 +238,6 @@ class SoftBody:
             )
         return self._stiffness
 
-    def internal_force(self, q: np.ndarray, v: np.ndarray, Kv=None) -> np.ndarray:
-        """f(q, v) = K (q - q0) + (rayleigh_mass M + rayleigh_stiffness K) v.
-
-        ``Kv`` is K v, for a caller that already has it.
-        """
-        K = self.stiffness()
-        m3 = np.repeat(self.masses(), 3)
-        disp = q - self.mesh.nodes.ravel()
-        if Kv is None:
-            Kv = K @ v
-        return K @ disp + self.rayleigh_mass * (m3 * v) + self.rayleigh_stiffness * Kv
-
     def initial_state(self, velocity=(0.0, 0.0, 0.0)) -> MechanicalState:
         v = np.tile(np.asarray(velocity, dtype=np.float64), self.mesh.n_nodes)
         return MechanicalState(self.mesh.nodes.ravel().copy(), v)
@@ -275,10 +265,15 @@ class SoftBody:
             self._system = (h, sp.csr_matrix((vals, (rows, cols)), shape=shape))
         A = self._system[1]
 
+        # h (f_ext - f(q, v)) - h^2 K v, the K terms of the internal force
+        # f(q, v) = K (q - q0) + (rayleigh_mass M + rayleigh_stiffness K) v
+        # gathered into one product; the finite check reports an overflow
         g = np.asarray(gravity, dtype=np.float64)
         f_ext = (m3 * np.tile(g, self.mesh.n_nodes)).astype(np.float64)
-        Kv = self.stiffness() @ state.v
-        b = h * (f_ext - self.internal_force(state.q, state.v, Kv)) - h * h * Kv
+        disp = state.q - self.mesh.nodes.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_arg = h * disp + (h * self.rayleigh_stiffness + h * h) * state.v
+            b = h * (f_ext - self.rayleigh_mass * (m3 * state.v)) - self.stiffness() @ k_arg
         b[fixed] = 0.0
         if not np.all(np.isfinite(b)):
             raise NonFiniteForceError("assembled right-hand side is not finite")

@@ -696,6 +696,11 @@ class _KinematicRuntime:
         return np.zeros(0), np.zeros(0)
 
 
+_WORLD = Pose.identity()  # every plane's view, shared, so read-only
+_WORLD.rotation.flags.writeable = False
+_WORLD.position.flags.writeable = False
+
+
 class _PlaneRuntime:
     kind = "plane"
     dynamic = False
@@ -708,7 +713,7 @@ class _PlaneRuntime:
         return PlaneGeometry(object_id=self.oid, normal=self.spec.normal, offset=self.spec.offset)
 
     def view(self, q_by_object, t):
-        return Pose.identity()  # a plane's points are fixed world points
+        return _WORLD  # a plane's points are fixed world points
 
     def saved_state(self):
         return np.zeros(0), np.zeros(0)

@@ -226,6 +226,9 @@ def test_bench_tiny_spec(tmp_path, capsys, monkeypatch):
     assert [(r["resolution"], r["scheme"]) for r in rows] == [("4", "standard"), ("4", "fast")]
     # the fast cell's first step fills the cache of A^-1 columns
     assert float(rows[1]["build_wg_cold_ms"]) > 0.0
+    for row in rows:
+        assert float(row["newton_iter_iqr_ms"]) >= 0.0
+        assert float(row["step_total_iqr_ms"]) >= 0.0
     assert re.search(r"resolution 4: fast is \d+\.\d+x faster per Newton iteration",
                      capsys.readouterr().out)
 

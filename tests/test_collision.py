@@ -1054,6 +1054,59 @@ class TestProximityMatchesReference:
 
 
 
+def assert_fresh_groups(side):
+    """``side.groups`` equals a grouping of its rows computed now."""
+    expect = [(oid, np.flatnonzero(side.object_id == oid))
+              for oid in np.unique(side.object_id).tolist()]
+    got = side.groups
+    assert [oid for oid, _ in got] == [oid for oid, _ in expect]
+    for (_, rows), (_, want) in zip(got, expect):
+        assert np.array_equal(rows, want)
+
+
+class TestSideGroups:
+    @pytest.mark.parametrize("scene", ["bench_column.scn", "block_on_plane.scn",
+                                       "grasp_rotate.scn", "point_mass.scn",
+                                       "two_body_press.scn", "mixed"])
+    def test_detected_groups_match_a_fresh_grouping(self, monkeypatch, tmp_path, scene):
+        detected = []
+        detect_now = collision.detect
+
+        def recording_detect(geometries, threshold):
+            detected.append(detect_now(geometries, threshold))
+            return detected[-1]
+
+        monkeypatch.setattr(collision, "detect", recording_detect)
+        if scene == "mixed":
+            path = tmp_path / "mixed.scn"
+            path.write_text(MIXED_SCENE)
+        else:
+            path = SCENES / scene
+        sim = Simulation(load_scene(path))
+        for _ in range(4):
+            sim.step()
+        monkeypatch.undo()
+        assert len(detected) == 4 and any(len(contacts) for contacts in detected)
+        for contacts in detected:
+            for side in (contacts.a, contacts.b):
+                # the steps filled the cache, so these are the groups they read
+                assert "groups" in vars(side) or not len(contacts)
+                assert_fresh_groups(side)
+
+    def test_take_and_concat_group_their_own_rows(self):
+        contacts = to_contacts(random_attached_pairs(np.random.default_rng(9), 60))
+        for side in (contacts.a, contacts.b):
+            assert len(side.groups) > 1  # fills the source sides' caches
+        rows = np.flatnonzero(contacts.b.object_id != contacts.b.object_id[0])
+        parts = [collision._take(contacts, rows), collision._take(contacts.a, rows[::-1]),
+                 collision._concat([contacts, collision._take(contacts, rows)]),
+                 collision._concat([contacts.b, contacts.a])]
+        for part in parts:
+            for side in (part.a, part.b) if isinstance(part, collision.Contacts) else (part,):
+                assert "groups" not in vars(side)
+                assert_fresh_groups(side)
+
+
 # --- one independent constraint per contact feature ---------------------------
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -304,13 +305,13 @@ def rebuild_W_fast_reference(D, wg: np.ndarray) -> np.ndarray:
 
 
 def rebuild_W_fast_column_reference(D, wg: np.ndarray) -> np.ndarray:
-    """The product by column groups that the two row-group products replaced:
-    X = D W_g by row groups, then W[:, j] = X[:, j] D_j^T on a transposed view."""
+    """W = D (W_g D^T) by column groups, then row groups: Y[:, j] = W_g[:, j] D_j^T
+    on a transposed view, then W[i, :] = D_i Y[i, :]."""
     g = len(D)
     c = 3 * g
-    X = D @ wg.reshape(g, 3, c)
-    W = X.reshape(c, g, 3).transpose(1, 0, 2) @ D.transpose(0, 2, 1)
-    return W.transpose(1, 0, 2).reshape(c, c)
+    Y = wg.reshape(c, g, 3).transpose(1, 0, 2) @ D.transpose(0, 2, 1)  # (g, c, 3)
+    wg_dt = Y.transpose(1, 0, 2).reshape(c, c)  # W_g D^T
+    return (D @ wg_dt.reshape(g, 3, c)).reshape(c, c)
 
 
 class TestMappingDelassus:
@@ -387,10 +388,27 @@ class TestMappingDelassus:
         D = assemble_direction(np.array([random_frame(300 + s) for s in range(g)]).reshape(-1, 3, 3))
         B = rng.standard_normal((3 * g, 3 * g))
         for wg in (B @ B.T, B):  # symmetric, and not
-            W = rebuild_W_fast(D, wg)
-            assert W.flags.c_contiguous
             expect = rebuild_W_fast_column_reference(D, wg)
-            assert np.array_equal(W.view(np.int64), expect.view(np.int64))
+            for layout in (wg, np.asfortranarray(wg)):
+                W = rebuild_W_fast(D, layout)
+                assert W.flags.c_contiguous
+                assert np.array_equal(W.view(np.int64), expect.view(np.int64))
+
+    def test_rebuild_peak_memory(self):
+        # the result and the intermediate D W_g^T hold 2.0 c^2 doubles; each
+        # transposed (c, c) copy would add 1.0 c^2
+        g = 64
+        c = 3 * g
+        D = assemble_direction(np.array([random_frame(400 + s) for s in range(g)]))
+        wg = np.random.default_rng(4).standard_normal((c, c))
+        for layout in (wg, np.asfortranarray(wg)):
+            tracemalloc.start()
+            try:
+                rebuild_W_fast(D, layout)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.1 * 8 * c * c
 
     def test_rebuild_matches_einsum_reference_on_block(self):
         body, state, pairs, frames, F, S, h = block_on_plane_context()
@@ -473,6 +491,7 @@ class TestWgGather:
     @staticmethod
     def check(S, F, A):
         wg, X_by_object = assemble_Wg(S, F)
+        assert wg.T.flags.c_contiguous  # rebuild_W_fast reads W_g^T by rows
         oracle = dense_wg(S, A)
         assert np.abs(wg - oracle).max() <= 1e-9 * np.abs(oracle).max()
         for oid, (J, X) in X_by_object.items():  # X_o = S_J A^-1[J, J]

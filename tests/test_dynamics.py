@@ -375,12 +375,37 @@ class TestProperties:
         Factorization(A)  # SPD: must not raise
 
     def test_force_finite_difference_matches_stiffness(self):
+        # the right-hand side is linear in q with slope -h K: b(q + dq) - b(q) = -h K dq
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
         body = SoftBody(m, young=1e4, poisson=0.3)
         state = body.initial_state()
         rng = np.random.default_rng(8)
+        state.v = 0.1 * rng.standard_normal(state.v.shape)
         dq = 1e-6 * rng.standard_normal(state.q.shape)
-        f0 = body.internal_force(state.q, state.v)
-        f1 = body.internal_force(state.q + dq, state.v)
-        Kdq = body.stiffness() @ dq
-        assert np.abs((f1 - f0) - Kdq).max() <= 1e-8 * max(np.abs(Kdq).max(), 1e-30)
+        h = 0.01
+        _, b0 = body.assemble(state, h, gravity=(0, -9.81, 0))
+        _, b1 = body.assemble(MechanicalState(state.q + dq, state.v), h, gravity=(0, -9.81, 0))
+        hKdq = h * (body.stiffness() @ dq)
+        assert np.abs((b1 - b0) + hKdq).max() <= 1e-8 * max(np.abs(hKdq).max(), 1e-30)
+
+    def test_rhs_matches_two_product_formula(self):
+        # the two-product form, h (f_ext - f(q, v)) - h^2 K v with K (q - q0) and K v apart
+        m = box_mesh((0.1, 0.1, 0.15), (2, 2, 3))
+        body = SoftBody(m, young=2e4, poisson=0.35, rayleigh_mass=0.3,
+                        rayleigh_stiffness=0.05, fixed_nodes=[0, 1])
+        rng = np.random.default_rng(21)
+        state = body.initial_state()
+        state.q = state.q + 0.003 * rng.standard_normal(state.q.shape)
+        state.v = 0.2 * rng.standard_normal(state.v.shape)
+        h = 0.02
+        _, b = body.assemble(state, h, gravity=(0, -9.81, 0))
+
+        K = body.stiffness()
+        m3 = np.repeat(body.masses(), 3)
+        f_ext = m3 * np.tile([0.0, -9.81, 0.0], m.n_nodes)
+        disp = state.q - m.nodes.ravel()
+        Kv = K @ state.v
+        f = K @ disp + body.rayleigh_mass * (m3 * state.v) + body.rayleigh_stiffness * Kv
+        expect = h * (f_ext - f) - h * h * Kv
+        expect[body.fixed_mask] = 0.0
+        assert np.abs(b - expect).max() <= 1e-12 * np.abs(expect).max()
