@@ -132,10 +132,9 @@ def measure_cell(config: SceneConfig, scheme: str, spec: BenchSpec) -> dict:
             scheme=scheme,
             max_iterations=spec.newton_iterations,
             # benchmark every configured iteration; no early exit: penetration
-            # and frame turn are never negative, while 0.0 would stop a step
-            # whose penetration or turn reads exactly 0.0
+            # is never negative, while 0.0 would stop a step whose
+            # penetration reads exactly 0.0
             penetration_tol=-1.0,
-            rotation_tol=-1.0,
         ),
         pgs=replace(config.pgs, max_iterations=spec.pgs_iterations),
     )

@@ -14,24 +14,29 @@ one of two forms, the one its object's view takes:
                  local point. A plane's view is the identity pose, so its
                  foot point is its own local point.
 
-Newton iterations only re-linearize directions from updated proximity
-positions. :func:`refresh_proximity` and :func:`signed_gaps` loop over the
-objects, not the pairs: the rows of one object, grouped once per side
-(:attr:`Side.groups`), are read in one batched product, whose rows are
-bitwise the one-pair products (:func:`_rowmat`).
+Newton iterations never re-pair: each move evaluates one
+:class:`Proximity` record of the frozen pairs, r = pA - pB, the unit
+normals of the supporting elements (:func:`element_normals`) and the
+signed gaps, all from one set of views. :func:`refresh_proximity` and
+:func:`element_normals` loop over the objects, not the pairs: the rows of
+one object, grouped once per side (:attr:`Side.groups`), are read in one
+batched product, whose rows are bitwise the one-pair products
+(:func:`_rowmat`).
 The product accumulates into a zeroed output, so a vertex or plane foot
 coordinate that is exactly -0.0 reads as +0.0.
 
-Frame rule: the normal is the normalized pA - pB, oriented to agree with
-the supporting element's outward normal captured at detection (so a
-penetrating pair still points along the separation direction); it falls
-back to that element normal when the points nearly coincide. Frames are one
-(p, 3, 3) array with rows (n, t1, t2) per pair, the blocks of the direction
-matrix D; t1 is the x axis projected off n (the z axis where that is nearly
-parallel to n). Building, re-linearizing and comparing frames are array
-operations over all pairs, and every row is bitwise what a one-pair
-computation gives, because the row-wise dot products run the one-pair dot
-kernel (:func:`_rowdot`).
+Frame rule: at detection the normal is the normalized pA - pB, oriented to
+agree with the supporting element's outward normal captured at detection
+(so a penetrating pair still points along the separation direction); it
+falls back to that element normal when the points nearly coincide. Each
+later Newton iteration takes the supporting element's normal at the moved
+state as it is, never flipped to agree with the previous frame. Frames are
+one (p, 3, 3) array with rows (n, t1, t2) per pair, the blocks of the
+direction matrix D; t1 is the x axis projected off n (the z axis where that
+is nearly parallel to n), built by :func:`relinearize` for both rules.
+Building and comparing frames are array operations over all pairs, and
+every row is bitwise what a one-pair computation gives, because the
+row-wise dot products run the one-pair dot kernel (:func:`_rowdot`).
 
 Narrow phase: each surface vertex of a deformable mesh A is paired with
 every plane and with its closest triangle of every other mesh B (near-ties
@@ -429,11 +434,14 @@ def _rowmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ M)[:, 0]
 
 
-def _frames_from_normals(n: np.ndarray) -> np.ndarray:
+def relinearize(n: np.ndarray) -> np.ndarray:
     """Frames (p, 3, 3) with rows (n, t1, t2) for unit normals n (p, 3).
 
-    Each row is written in place; t2 = n x t1 takes ``np.cross``'s products
-    and differences component by component, so it is bitwise that call.
+    Detection passes its pA - pB normals (:func:`build_frames`); each later
+    Newton iteration passes the supporting elements' normals at the moved
+    state (:func:`element_normals`). Each row is written in place; t2 = n x
+    t1 takes ``np.cross``'s products and differences component by
+    component, so it is bitwise that call.
     """
     frames = np.empty((len(n), 3, 3))
     frames[:, 0] = n
@@ -466,34 +474,7 @@ def build_frames(contacts: Contacts) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.where(apart[:, None], d / norm[:, None], ref / ref_norm[:, None])
     n = np.where((apart & (_rowdot(n, ref) < 0))[:, None], -n, n)
-    return _frames_from_normals(n)
-
-
-_MAX_TILT_COS = 0.5  # 60 degrees per re-linearization
-
-
-def relinearize(r: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Frames (p, 3, 3) re-evaluated on updated relative proximity positions r = pA - pB.
-
-    Attachments are untouched. A pair keeps its previous frame when its row
-    of r carries no usable direction: points that have (nearly)
-    collapsed, or a direction that jumped implausibly far from the previous
-    normal in one iteration, which happens when tangential slip drags pA
-    past pB and the difference vector stops tracking the contact geometry.
-    """
-    if len(r) != len(previous):
-        raise DimensionMismatchError(f"{len(r)} proximity rows but {len(previous)} frames")
-    norm = np.sqrt(_rowdot(r, r))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = r / norm[:, None]
-    cos = _rowdot(n, previous[:, 0])
-    n = np.where((cos < 0)[:, None], -n, n)  # after the flip n . n_old is |cos|
-    moved = (norm > COINCIDENT_EPS) & ~(np.abs(cos) < _MAX_TILT_COS)
-    if moved.all():
-        return _frames_from_normals(n)
-    frames = previous.copy()
-    frames[moved] = _frames_from_normals(n[moved])
-    return frames
+    return relinearize(n)
 
 
 def max_frame_rotation(old: np.ndarray, new: np.ndarray) -> float:
@@ -507,15 +488,11 @@ def max_frame_rotation(old: np.ndarray, new: np.ndarray) -> float:
 # --- proximity positions -----------------------------------------------------
 
 
-def _objects(side: Side, views: dict):
-    """(rows, view) for each object on ``side``: one batch per object, not per pair."""
-    for oid, rows in side.groups:
-        yield rows, views[oid]
-
-
 def _side_points(side: Side, views: dict) -> np.ndarray:
+    """Each row's point under ``views``, read in one batch per object, not per pair."""
     points = np.empty((len(side.object_id), 3))
-    for rows, view in _objects(side, views):
+    for oid, rows in side.groups:
+        view = views[oid]
         if isinstance(view, Pose):
             points[rows] = _rowmat(side.local[rows], view.rotation.T) + view.position
         else:
@@ -533,26 +510,62 @@ def refresh_proximity(contacts: Contacts, views: dict) -> tuple[np.ndarray, np.n
     return _side_points(contacts.a, views), _side_points(contacts.b, views)
 
 
-def signed_gaps(contacts: Contacts, views: dict) -> np.ndarray:
-    """Geometric gap of every pair: distance of the A point above the current
-    supporting element plane, negative when interpenetrating.
+def element_normals(contacts: Contacts, views: dict, normals=None) -> np.ndarray:
+    """Unit outward normal (p, 3) of every pair's supporting element, its B side.
 
-    The element normal of a posed B side is its detection-time normal turned
-    by B's pose; a node-weighted B side takes the normal of its triangle's
+    A posed B side's normal is its detection-time element normal turned by
+    B's pose; a node-weighted B side takes the normal of its triangle's
     current nodes, or the detection-time normal if that triangle is
-    degenerate. Unlike the frame-projected violation this is immune to
-    tangential slip, so it is the honest end-of-step interpenetration measure.
+    degenerate. Only the rows of B objects in ``views`` are evaluated; the
+    others keep their rows of ``normals`` (by default the detection-time
+    normals), so the sides whose views do not move within a step can be
+    evaluated once and the rest at every move.
     """
-    p_a, p_b = refresh_proximity(contacts, views)
-    normals = contacts.ref_normal.copy()
+    out = (contacts.ref_normal if normals is None else normals).copy()
     b = contacts.b
-    for rows, view in _objects(b, views):
+    for oid, rows in b.groups:
+        view = views.get(oid)
+        if view is None:
+            continue
         if isinstance(view, Pose):
-            normals[rows] = _rowmat(contacts.local_normal[rows], view.rotation.T)
+            out[rows] = _rowmat(contacts.local_normal[rows], view.rotation.T)
             continue
         tri = np.asarray(view)[b.nodes[rows]]
         n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         norm = np.sqrt(_rowdot(n, n))
         ok = norm > 0
-        normals[rows[ok]] = n[ok] / norm[ok, None]
-    return _rowdot(normals, p_a - p_b)
+        out[rows[ok]] = n[ok] / norm[ok, None]
+    return out
+
+
+@dataclass(frozen=True)
+class Proximity:
+    """The frozen pairs under one set of views: what a Newton move evaluates."""
+
+    r: np.ndarray  # (p, 3) relative proximity positions pA - pB
+    normals: np.ndarray  # (p, 3) the supporting elements' unit normals
+    gaps: np.ndarray  # (p,) signed gaps normals . r, negative when interpenetrating
+
+
+def proximity(contacts: Contacts, views: dict, normals: np.ndarray) -> Proximity:
+    """The :class:`Proximity` record of ``contacts`` under ``views``, with the
+    supporting elements' ``normals`` evaluated on the same views."""
+    p_a, p_b = refresh_proximity(contacts, views)
+    r = p_a - p_b
+    return Proximity(r, normals, _rowdot(normals, r))
+
+
+def penetration(gaps: np.ndarray) -> float:
+    """Worst penetration of signed gaps, max(0, -min), and 0.0 without gaps."""
+    return float(max(0.0, -gaps.min())) if len(gaps) else 0.0
+
+
+def signed_gaps(contacts: Contacts, views: dict) -> np.ndarray:
+    """Geometric gap of every pair: distance of the A point above the current
+    supporting element plane (:func:`element_normals`), negative when
+    interpenetrating.
+
+    Unlike the frame-projected violation this is immune to tangential slip,
+    so it is the honest end-of-step interpenetration measure.
+    """
+    return proximity(contacts, views, element_normals(contacts, views)).gaps

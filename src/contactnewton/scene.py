@@ -728,7 +728,7 @@ class StepReport:
     time: float
     c_groups: int
     dofs: int
-    newton_exit: str  # "penetration", "rotation" or "max_iterations"
+    newton_exit: str  # "penetration" or "max_iterations"
     system_solves: int  # right-hand sides solved for on the step's factorizations
     mapping_reused: bool  # S (and under the fast scheme W_g, X_o) taken from the previous step
     pen_before: float
@@ -865,7 +865,7 @@ class Simulation:
         (0.0 without pairs): geometric, so a stale-direction scheme cannot grade itself."""
         if not len(pairs):
             return 0.0
-        return float(max(0.0, -collision.signed_gaps(pairs, self._views(q_by_object, t)).min()))
+        return collision.penetration(collision.signed_gaps(pairs, self._views(q_by_object, t)))
 
     def prepare_step(self) -> PreparedStep:
         """Run the pre-correction pipeline (detect through free violation).
@@ -925,19 +925,26 @@ class Simulation:
                 for obj in self.dynamic_objects
             }
 
+        # the views of objects without DOFs do not move within the step, so
+        # their supporting elements' normals are evaluated once, at t_next
+        fixed_normals = collision.element_normals(pairs, {
+            obj.oid: obj.view({}, t_next) for obj in self.objects if not obj.dynamic})
+
         def refresh(dq):
             q_by_object = {oid: fm.q_free + dq.get(oid, 0.0) for oid, fm in free.items()}
-            p_a, p_b = collision.refresh_proximity(pairs, self._views(q_by_object, t_next))
-            return p_a - p_b
+            views = self._views(q_by_object, t_next)
+            moving = {oid: views[oid] for oid in q_by_object}
+            normals = collision.element_normals(pairs, moving, fixed_normals)
+            return collision.proximity(pairs, views, normals)
 
-        r0 = refresh({})
-        pen_before = self.penetration(pairs, {oid: fm.q_free for oid, fm in free.items()}, t_next)
+        at_free = refresh({})
+        pen_before = collision.penetration(at_free.gaps)
         ctx = StepContext(
             pairs=pairs,
             detection_frames=frames,
             S_by_object=dict(S),
             F_by_object=factorizations,
-            r0=r0,
+            r0=at_free.r,
             h=h,
             refresh=refresh,
             y_free={oid: fm.y for oid, fm in free.items()},

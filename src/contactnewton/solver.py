@@ -8,7 +8,7 @@ sweep stops when the relative change of lambda drops below the configured
 tolerance.
 
 Everything in that block solve but the clamp and the projection is linear
-in lambda, so :func:`pgs` folds it into each group's rows once per call.
+in lambda, so :func:`pgs` folds it into each group's rows once per W.
 With hW = h^2 W, T = hW[t, t] the group's tangential 2 x 2 block (t its two
 tangential rows, n its normal row), ``delta_base`` the free violation and
 P_g = blockdiag(-1 / hW[n, n], -T^-1) (zero in T^-1's place for a singular
@@ -72,7 +72,8 @@ leaves lambda as the local solve would have, so lambda, the sweep count and
 Errors are raised where they arise:
 - NaN or infinity in W or delta_base raises :class:`NonFiniteStateError`
   naming the first bad group and "violation" or "compliance row", before
-  the fold's products, which also keeps the fold and the skip bound finite;
+  the fold's products, which also keeps the fold and the skip bound finite
+  (a kept fold's W passed this check when it was folded);
 - hW[n, n] <= 0 raises :class:`SingularBlockError` ("group g: normal
   compliance ...") at the fold, before the first sweep;
 - det T <= 0 raises :class:`SingularBlockError` only at a visit that needs
@@ -84,19 +85,41 @@ Errors are raised where they arise:
 Every diagonal block is positive definite when each A side carries DOFs
 (detection pairs no pinned vertex).
 
-The recursive correction is one Newton loop, :func:`_newton`. Each
-iteration re-linearizes the directions from r = pA - pB, one 3-row per pair
-(stopping when they turned by no more than ``rotation_tol``), rebuilds the
-compliance W, runs PGS on the violation D r, adds D^T lambda to the summed
-world impulse f, re-evaluates r at q_free + dq, dq being the displacement
-that f causes (``ctx.refresh``), and stops once PGS's end-of-step
-penetration is within ``penetration_tol``. The direction matrix D is block
-diagonal and the loop holds it as its blocks, the (p, 3, 3) frame array, so
-re-linearizing, the rotation test and every product with D are array
-operations with no loop over pairs. A scheme supplies two operations:
+The recursive correction is one Newton loop, :func:`_newton`. Iteration 1
+takes the detection-time frames. Each later iteration takes every pair's
+normal from its supporting element at the state the previous iteration's
+move left (``relinearize`` of the record's ``normals``: a plane's normal, a
+posed mesh's element normal at its pose at the step's end, a soft
+triangle's normal at its moved nodes), never flipped to agree with the
+previous frame. Then it rebuilds the compliance W, runs PGS on the
+violation D r, adds D^T lambda to the summed world impulse f, and moves:
+``ctx.refresh`` evaluates one :class:`~contactnewton.collision.Proximity`
+record at q_free + dq, dq being the displacement that f causes, holding
+r = pA - pB, the element normals and the signed gaps, all from one set of
+views. The loop stops once the worst geometric penetration of that record
+is within ``penetration_tol`` (exit ``penetration``), or after
+``max_iterations`` (exit ``max_iterations``). Nothing else stops it: the
+frame turn is measured (``max_frame_rotation``) but only reported, and
+``NewtonConfig.rotation_tol`` is accepted but read by nothing. The loop
+does not re-query the supporting element: each pair keeps the vertex and
+element of detection. The direction matrix D is block diagonal and the
+loop holds it as its blocks, the (p, 3, 3) frame array, so re-linearizing
+and every product with D are array operations with no loop over pairs. A
+scheme supplies two operations:
 
   rebuild   W from the current directions D;
-  move      r after the summed impulse f, through one ``ctx.refresh(dq)``.
+  move      the record after the summed impulse f, through one
+            ``ctx.refresh(dq)``.
+
+When an iteration's frames equal the previous iteration's bit for bit, so
+does its W, and PGS keeps the previous call's :class:`Fold`: the (h^2 P) W
+rows, the per-group constants and the skip bounds depend on W and h only,
+so only the P delta_base column is recomputed, and lambda is bitwise that
+of a fresh fold. On a plane or a kinematic plate the element frames repeat
+from the third iteration on, and from the second where detection's frames
+already are the element's; a soft B triangle turns with its nodes, so there
+the fold is rebuilt. The rebuild of W still runs in every iteration: the
+benchmark's tracer opens its iteration span there.
 
 The two schemes bind them as follows:
 
@@ -108,9 +131,10 @@ The two schemes bind them as follows:
             S_J A^-1[J, J] from the W_g gather, one gemv per object and no
             system solve (:func:`fast_update_proximity`).
 
-Re-evaluating r, not linearizing it, is the paper's split of the direction
-D from the mapping S: a rigid side's r follows its turned lever arm, while W
-keeps the lever arm of detection.
+Re-evaluating r and the element normals, not linearizing them, is the
+paper's split of the direction D from the mapping S: a rigid side's r
+follows its turned lever arm, and the directions follow the geometry at the
+step's end, while W keeps the lever arm of detection.
 
 Both end the step the same way, timed by the loop: one solve per object,
 dv = A^-1 (b + h S^T f), free motion and correction together
@@ -126,9 +150,10 @@ refresh.
 
 Iteration 1 always uses the detection-time directions, so a 1-iteration
 loop is exactly the classic single-correction scheme. Every later iteration
-re-linearizes; there is no frozen-direction variant. Negative tolerances
-force every iteration, since penetration and frame turn are never negative:
-``contactnewton verify`` compares the two schemes on this loop that way.
+re-linearizes; there is no frozen-direction variant. A negative
+``penetration_tol`` forces every iteration, since penetration is never
+negative: ``contactnewton verify`` compares the two schemes on this loop
+that way.
 
 Each iteration leaves one :class:`IterationStats` record, and the step's
 report and ``newton.csv`` are built from these records alone.
@@ -143,7 +168,7 @@ from typing import Callable
 
 import numpy as np
 
-from .collision import Contacts, max_frame_rotation, relinearize
+from .collision import Contacts, Proximity, max_frame_rotation, penetration, relinearize
 from .constraints import (
     apply_transposed,
     assemble_H,
@@ -181,7 +206,7 @@ class NewtonConfig:
     scheme: str = "single"
     max_iterations: int = 5
     penetration_tol: float = 1e-5
-    rotation_tol: float = 1e-4
+    rotation_tol: float = 1e-4  # accepted and checked, but stops nothing (module docstring)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -197,6 +222,23 @@ class NewtonConfig:
 
 
 @dataclass
+class Fold:
+    """What :func:`pgs` folds from W and h alone, kept while W repeats.
+
+    ``groups`` holds one tuple ``(read, q0, q1, det, 3g)`` per group, where
+    ``read(lam, got)`` is the bound ``dot`` of its (3, c + 1) block of
+    ``rows`` and writes (a, b0, b1) into ``got``; ``omega`` holds omega_g
+    (module docstring). Column c of ``rows``, P delta_base, is the one part
+    that depends on the violation: each call writes its own into it.
+    """
+
+    rows: np.ndarray  # (groups, 3, c + 1) folded row blocks
+    P: np.ndarray  # (groups, 3, 3) blockdiag(-1 / hW[n, n], -T^-1)
+    groups: list
+    omega: list
+
+
+@dataclass
 class PgsResult:
     lam: np.ndarray
     delta_end: np.ndarray
@@ -204,6 +246,7 @@ class PgsResult:
     eps_history: list[float]
     converged: bool
     local_solves: int = 0  # local_solve calls the sweeps made; skipped visits make none
+    fold: Fold | None = None  # what the call folded from W and h, for a call with the same W
 
 
 _ZERO = (0.0, 0.0, 0.0)
@@ -214,24 +257,11 @@ _SKIP_ROUNDING = 8 * 2.0**-53
 _SKIP_FLOOR = 1e-300
 
 
-def _fold(W: np.ndarray, delta_base: np.ndarray, h2: float):
-    """The folded row blocks, per-group constants and skip bounds of :func:`pgs`.
-
-    Returns one tuple ``(read, q0, q1, det, 3g)`` per group, where
-    ``read(lam, got)`` is the bound ``dot`` of its (3, c + 1) folded block and
-    writes (a, b0, b1) into ``got``, and the list of omega_g (module
-    docstring).
-    """
-    c = len(delta_base)
+def _fold(W: np.ndarray, h2: float) -> Fold:
+    """The folded rows (h^2 P) W, per-group constants and skip bounds of :func:`pgs`."""
+    c = len(W)
     n_groups = c // 3
     W3 = W.reshape(n_groups, 3, c)
-    delta3 = delta_base.reshape(n_groups, 3)
-    finite_rows = np.isfinite(W3).all(axis=(1, 2))
-    finite = finite_rows & np.isfinite(delta3).all(axis=1)
-    if not finite.all():
-        g = int(np.argmin(finite))
-        what = "violation" if finite_rows[g] else "compliance row"
-        raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
     groups = np.arange(n_groups)
     B = h2 * W3.reshape(n_groups, 3, n_groups, 3)[groups, :, groups]  # hW's diagonal blocks
     hWnn = B[:, 0, 0]
@@ -249,14 +279,14 @@ def _fold(W: np.ndarray, delta_base: np.ndarray, h2: float):
     P[:, 2, 2] = -t00 / den
     rows = np.empty((n_groups, 3, c + 1))
     np.matmul(h2 * P, W3, out=rows[:, :, :c])
-    rows[:, :, c] = (P @ delta3[:, :, None])[:, :, 0]
     folded = rows[:, :, :c].reshape(n_groups, 3, n_groups, 3)  # a view of rows
     omega = np.abs(rows[:, 0, :c]).max(axis=1)
     q0, q1 = folded[groups, 1, groups, 0], folded[groups, 2, groups, 0]
     folded[groups, 0, groups, 0] = 0.0
     folded[groups, 1:, groups, :] = 0.0
     reads = [row.dot for row in rows]
-    return list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))), omega.tolist()
+    return Fold(rows, P, list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))),
+                omega.tolist())
 
 
 def local_solve(
@@ -287,11 +317,16 @@ def local_solve(
     return (a, lt0, lt1)
 
 
-def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> PgsResult:
+def pgs(
+    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, fold: Fold | None = None
+) -> PgsResult:
     """Sweep the groups until the relative lambda change drops below tolerance.
 
-    Returns lambda and the end-of-step violation delta_base + h^2 W lambda.
-    Each visit is one gemv of the group's folded rows and one
+    Returns lambda and the end-of-step violation delta_base + h^2 W lambda,
+    and the call's :class:`Fold`. Given the fold of an earlier call with the
+    same W and h, bit for bit, the call takes it and computes only its
+    P delta_base column; the result is bitwise that of a fresh fold. Each
+    visit is one gemv of the group's folded rows and one
     :func:`local_solve`; visits that provably leave a separated group at
     zero are skipped. The module docstring lists the errors raised.
     """
@@ -303,7 +338,18 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
     h2 = h * h
     mu = config.friction
     n_groups = c // 3
-    groups, omega = _fold(W, delta_base, h2)
+    delta3 = delta_base.reshape(n_groups, 3)
+    # a kept fold's W passed this check when it was folded
+    finite_rows = np.isfinite(W.reshape(n_groups, 3 * c)).all(axis=1) if fold is None else True
+    finite = finite_rows & np.isfinite(delta3).all(axis=1)
+    if not finite.all():
+        g = int(np.argmin(finite))
+        what = "compliance row" if fold is None and not finite_rows[g] else "violation"
+        raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
+    if fold is None:
+        fold = _fold(W, h2)
+    fold.rows[:, :, c] = (fold.P @ delta3[:, :, None])[:, :, 0]
+    groups, omega = fold.groups, fold.omega
     got = np.empty(3)
     got_items = memoryview(got)  # unpacks to Python floats
     lam = np.zeros(c + 1)
@@ -361,7 +407,7 @@ def pgs(W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig) -> P
         lam_prev[:] = lam_now
     delta_end = delta_base + h2 * (W @ lam_now)
     local_solves = n_groups * iterations - skipped
-    return PgsResult(lam_now, delta_end, iterations, eps_history, converged, local_solves)
+    return PgsResult(lam_now, delta_end, iterations, eps_history, converged, local_solves, fold)
 
 
 # --- recursive correction schemes ----------------------------------------------
@@ -377,7 +423,7 @@ class StepContext:
     F_by_object: dict[int, Factorization]
     r0: np.ndarray  # (p, 3) free-motion relative proximity positions pA - pB
     h: float
-    refresh: Callable[[dict[int, np.ndarray]], np.ndarray]  # r at q_free + dq, dq by object
+    refresh: Callable[[dict[int, np.ndarray]], Proximity]  # the record at q_free + dq, by object
     y_free: dict[int, np.ndarray]  # forward pass of the free motion A^-1 b per object
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
     X_by_object: dict[int, tuple[np.ndarray, np.ndarray]] | None = None  # (J, S_J A^-1[J, J])
@@ -387,7 +433,7 @@ class StepContext:
 class IterationStats:
     """One Newton iteration; ``newton.csv`` has a column per field, in this order."""
 
-    penetration: float  # PGS's end-of-step penetration, the stop test's value
+    penetration: float  # worst geometric penetration after the move, the stop test's value
     rebuild_time: float
     pgs_time: float
     correction_time: float  # summing the impulse and moving r
@@ -395,7 +441,8 @@ class IterationStats:
     pgs_local_solves: int  # local solves PGS ran, skipped visits excluded
     pgs_eps: float
     pgs_converged: bool
-    rotation: float  # frame turn measured before the iteration, 0 in the first
+    rotation: float  # frame turn measured before the iteration, 0 in the first; stops nothing
+    fold_reused: bool  # the frames repeated the previous iteration's, so PGS kept its fold
 
 
 @dataclass
@@ -407,12 +454,7 @@ class CorrectionResult:
     iterations: list[IterationStats] = field(default_factory=list)
     final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
-    exit: str = "max_iterations"  # why the loop stopped; else "penetration" or "rotation"
-
-
-def _penetration(delta_end: np.ndarray) -> float:
-    normals = delta_end.reshape(-1, 3)[:, 0] if delta_end.size else np.zeros(0)
-    return float(max(0.0, -(normals.min() if normals.size else 0.0)))
+    exit: str = "max_iterations"  # why the loop stopped; else "penetration"
 
 
 def _mechanical_correction(ctx: StepContext, f: np.ndarray) -> dict[int, np.ndarray]:
@@ -427,10 +469,11 @@ def _mechanical_correction(ctx: StepContext, f: np.ndarray) -> dict[int, np.ndar
             for oid, S in sorted(ctx.S_by_object.items())}
 
 
-def fast_update_proximity(ctx: StepContext, f: np.ndarray) -> np.ndarray:
-    """r after the summed world impulse f, with no system solve: the contact
-    DOFs J move by dq[J] = h^2 X_o^T f (X_o from the W_g gather), which is
-    h^2 A^-1 S^T f on J, and ``ctx.refresh`` evaluates r at q_free + dq.
+def fast_update_proximity(ctx: StepContext, f: np.ndarray) -> Proximity:
+    """The proximity record after the summed world impulse f, with no system
+    solve: the contact DOFs J move by dq[J] = h^2 X_o^T f (X_o from the W_g
+    gather), which is h^2 A^-1 S^T f on J, and ``ctx.refresh`` evaluates the
+    record at q_free + dq.
 
     Other DOFs keep q_free. A soft body's pairs read those only with zero
     weight or on pinned nodes, which A decouples; a rigid body's pose reads
@@ -451,36 +494,41 @@ def _newton(
     """The recursive correction loop shared by both schemes.
 
     D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W and ``move(f)``
-    the relative proximity positions after the summed world impulse f =
+    the :class:`Proximity` record after the summed world impulse f =
     sum_k D_k^T lambda_k, through one ``ctx.refresh``. Once the loop ends,
     :func:`_mechanical_correction` turns f into ``dv_by_object``, the same
     way for both schemes. The step's force ``lam`` is f in the final frames,
     D_K f. The operations must look up their module-level names when
-    called: the layer tracer of the benchmark patches those names.
+    called: the layer tracer of the benchmark patches those names, and opens
+    its iteration span at the rebuild, which therefore runs in every
+    iteration, kept fold or not.
     """
     D = assemble_direction(ctx.detection_frames)
     r = ctx.r0
     f = np.zeros(3 * len(ctx.pairs))
     result = CorrectionResult({}, [])
+    fold = None
     for k in range(ncfg.max_iterations):
         rotation = 0.0
         if k > 0:
-            new_frames = relinearize(r, D)
-            rotation = max_frame_rotation(D, new_frames)
-            D = assemble_direction(new_frames)
-            if rotation <= ncfg.rotation_tol:
-                result.exit = "rotation"
-                break
+            frames = assemble_direction(relinearize(prox.normals))
+            rotation = max_frame_rotation(D, frames)
+            if frames.tobytes() != D.tobytes():
+                fold = None
+            D = frames
+        fold_reused = fold is not None
         t0 = time.perf_counter()
         W = rebuild(D)
         t1 = time.perf_counter()
-        res = pgs(W, compute_violation(D, r), ctx.h, pcfg)
+        res = pgs(W, compute_violation(D, r), ctx.h, pcfg, fold=fold)
+        fold, res.fold = res.fold, None  # held by the loop alone: a stale fold is freed at once
         t2 = time.perf_counter()
         f = f + apply_transposed(D, res.lam)
-        r = move(f)
+        prox = move(f)
+        r = prox.r
         t3 = time.perf_counter()
         result.lam_history.append(res.lam)
-        pen = _penetration(res.delta_end)
+        pen = penetration(prox.gaps)
         result.iterations.append(
             IterationStats(
                 penetration=pen,
@@ -492,6 +540,7 @@ def _newton(
                 pgs_eps=res.eps_history[-1] if res.eps_history else 0.0,
                 pgs_converged=res.converged,
                 rotation=rotation,
+                fold_reused=fold_reused,
             )
         )
         if pen <= ncfg.penetration_tol:

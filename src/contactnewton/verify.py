@@ -10,8 +10,9 @@ Three checks back the `verify` CLI command:
   scheme-equivalence    standard and fast recursive corrections agree on
                         lambda and velocity increments over 4 forced
                         iterations of the production Newton loop, whose
-                        directions are re-linearized in every iteration
-                        after the first.
+                        directions are re-linearized at the supporting
+                        elements' normals in every iteration after the
+                        first.
 
 Every check probes the first step of the scene through one shared context
 from :func:`prepare`; the correction schemes only read it.
@@ -62,10 +63,9 @@ def check_congruence_identity(config: SceneConfig, ctx: StepContext) -> CheckRes
     if not ctx.pairs:
         return CheckResult("congruence-identity", False, "scene has no contacts")
     err0, scale0 = _identity_error(ctx, ctx.detection_frames)
-    # drive the fast scheme two iterations so directions move; negative
-    # tolerances force the second, re-linearized one (as scheme-equivalence)
-    ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0,
-                        rotation_tol=-1.0)
+    # drive the fast scheme two iterations so directions move; a negative
+    # tolerance forces the second, re-linearized one (as scheme-equivalence)
+    ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0)
     result = newton_fast(ctx, ncfg, config.pgs)
     err1, scale1 = _identity_error(ctx, result.final_frames)
     worst = max(err0 / scale0, err1 / scale1)
@@ -103,12 +103,12 @@ def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
 def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResult:
     """The two recursive schemes must agree, iteration by iteration.
 
-    Negative tolerances force all 4 iterations: penetration and frame turn
-    are never negative, so neither stop test can end the loop early. Besides
+    A negative tolerance forces all 4 iterations: penetration is never
+    negative, so the stop test cannot end the loop early. Besides
     each iteration's lambda, the check compares the step's velocity
     increments, which both schemes end with the same final solve.
     """
-    ncfg = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
+    ncfg = dict(max_iterations=4, penetration_tol=-1.0)
     pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=config.pgs.friction)
     if not ctx.pairs:
         return CheckResult("scheme-equivalence", False, "scene has no contacts")

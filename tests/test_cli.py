@@ -81,11 +81,11 @@ def test_failed_run_keeps_the_newton_rows_of_completed_steps(tmp_path, monkeypat
     # a third step that fails leaves the first two steps' rows in both files
     calls = []
 
-    def failing_pgs(W, delta, h, config, _pgs=solver.pgs):
+    def failing_pgs(W, delta, h, config, fold=None, _pgs=solver.pgs):
         calls.append(1)
         if len(calls) == 3:
             raise SingularBlockError("injected failure")
-        return _pgs(W, delta, h, config)
+        return _pgs(W, delta, h, config, fold=fold)
 
     monkeypatch.setattr(solver, "pgs", failing_pgs)
     out = tmp_path / "third"
@@ -120,6 +120,11 @@ def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
         for r in mine:  # one local solve per group and sweep at most, skips excluded
             assert 0 < int(r["pgs_local_solves"]) <= int(m["c_groups"]) * int(r["pgs_iterations"])
         assert str(all(r["pgs_converged"] == "True" for r in mine)) == m["pgs_converged"]
+        # the loop stops on the geometric penetration after a move, 1e-7 m
+        # in this scene, and the first iteration has no fold to keep
+        stops = [float(r["penetration"]) <= 1e-7 for r in mine]
+        assert stops == [False] * (len(mine) - 1) + [m["newton_exit"] == "penetration"]
+        assert mine[0]["fold_reused"] == "False"
     assert any(m["newton_iterations"] != "1" for m in metrics)
     assert any(m["pgs_converged"] == "False" for m in metrics)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from contactnewton import collision, solver
 from contactnewton.collision import (
-    _MAX_TILT_COS,
     _T1_FALLBACK,
     _T1_REFERENCE,
     COINCIDENT_EPS,
@@ -22,6 +21,7 @@ from contactnewton.collision import (
     build_frames,
     closest_points_on_triangles,
     detect,
+    element_normals,
     max_frame_rotation,
     refresh_proximity,
     relinearize,
@@ -299,18 +299,14 @@ class TestFrames:
         assert np.allclose(t1, [0, 0, 1])  # x is parallel to n, fall back to z
 
     def test_relinearize_fixed_point(self):
-        pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
-        frames = frames_of(pairs)
-        again = relinearize(np.array([[0.0, 0.01, 0.0]]), frames)
-        assert np.array_equal(again[0, 0], frames[0, 0])
-        assert np.array_equal(again[0, 1], frames[0, 1])
+        # a frame's own normal gives the frame back, bit for bit
+        frames = frames_of([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))])
+        assert_bitwise_equal(relinearize(frames[:, 0]), frames)
 
     def test_relinearize_rotation_oracle(self):
-        pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
-        frames = frames_of(pairs)
+        frames = frames_of([self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))])
         ang = np.deg2rad(10)
-        p_new = 0.01 * np.array([[np.sin(ang), np.cos(ang), 0.0]])
-        new = relinearize(p_new, frames)
+        new = relinearize(np.array([[np.sin(ang), np.cos(ang), 0.0]]))
         assert max_frame_rotation(frames, new) == pytest.approx(ang, abs=1e-12)
         F = new[0]
         assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-9
@@ -322,15 +318,8 @@ class TestFrames:
         with pytest.raises(DimensionMismatchError):
             max_frame_rotation(frames[:1], frames)
 
-    def test_relinearize_collapse_keeps_previous(self):
-        pairs = [self._pair((0.0, 0.01, 0.0), (0.0, 0.0, 0.0))]
-        frames = frames_of(pairs)
-        new = relinearize(np.zeros((1, 3)) + 1e-12, frames)
-        assert np.array_equal(new[0], frames[0])
-
     def test_frame_continuity(self):
-        # small proximity perturbations rotate the normal proportionally once
-        # the separation is comfortably nonzero
+        # small turns of the normal turn the frame proportionally
         rng = np.random.default_rng(17)
         for _ in range(20):
             d = rng.standard_normal(3)
@@ -340,7 +329,7 @@ class TestFrames:
             [f0] = frames_of([pair])
             eps = rng.standard_normal(3)
             eps *= 1e-8 / np.linalg.norm(eps)
-            [f1] = relinearize((d + eps)[None], f0[None])
+            [f1] = relinearize(unit(d + eps)[None])
             assert np.linalg.norm(f1[0] - f0[0]) <= 1e-6
 
 
@@ -579,22 +568,9 @@ def build_frames_reference(pairs) -> list[ContactFrame]:
     return [_frame_from_direction(p.p_a - p.p_b, p.ref_normal) for p in pairs]
 
 
-def relinearize_reference(r: np.ndarray, previous: list[ContactFrame]):
-    frames = []
-    for d, old in zip(r, previous, strict=True):
-        norm = np.linalg.norm(d)
-        if norm <= COINCIDENT_EPS:
-            frames.append(old)
-            continue
-        n = d / norm
-        if n @ old.n < 0:
-            n = -n
-        if n @ old.n < _MAX_TILT_COS:
-            frames.append(old)
-            continue
-        t1, t2 = _tangents(n)
-        frames.append(ContactFrame(n, t1, t2))
-    return frames
+def relinearize_reference(normals: np.ndarray) -> list[ContactFrame]:
+    """Frames at given unit normals, taken as they are."""
+    return [ContactFrame(n, *_tangents(n)) for n in normals]
 
 
 def max_frame_rotation_reference(old: list[ContactFrame], new: list[ContactFrame]) -> float:
@@ -616,25 +592,30 @@ def frame_list(array):
     return [ContactFrame(*rows) for rows in array]
 
 
-MARK = 7.0  # tangent rows of the previous frames: a kept frame still carries it
+def element_normal_reference(contacts, views) -> np.ndarray:
+    """Each pair's supporting element normal, one pair at a time: a posed B
+    side's detection-time normal turned by its pose, a node-weighted one's
+    triangle normal at its current nodes (the detection-time normal for a
+    degenerate triangle), as it is, with no flip."""
+    normals = []
+    for i, oid in enumerate(contacts.b.object_id.tolist()):
+        view = views[oid]
+        if isinstance(view, Pose):
+            normals.append(view.rotation @ contacts.local_normal[i])
+            continue
+        tri = np.asarray(view)[contacts.b.nodes[i]]
+        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        norm = np.linalg.norm(n)
+        normals.append(n / norm if norm > 0 else contacts.ref_normal[i])
+    return np.array(normals).reshape(-1, 3)
 
 
-def check_relinearize(r, previous):
-    """relinearize against the reference, with the kept-frame masks compared.
-
-    The rule reads only the previous normals, so the previous tangent rows are
-    set to MARK: a kept frame keeps them and a re-evaluated one cannot.
-    Returns the kept mask.
-    """
-    previous = previous.copy()
-    previous[:, 1:] = MARK
-    old = frame_list(previous)
-    expect = relinearize_reference(r, old)
-    kept = np.array([f is o for f, o in zip(expect, old)], dtype=bool).reshape(-1)
-    got = relinearize(r, previous)
-    assert_bitwise_equal(got, frame_array(expect))
-    assert np.array_equal(got[:, 1, 0] == MARK, kept)
-    return kept
+def check_relinearize(normals):
+    """relinearize against the reference, bit for bit; returns the frames."""
+    got = relinearize(normals)
+    assert_bitwise_equal(got, frame_array(relinearize_reference(normals)).reshape(-1, 3, 3))
+    assert_bitwise_equal(got[:, 0], normals)  # the normal as given: never flipped
+    return got
 
 
 def unit(v):
@@ -651,12 +632,6 @@ def random_pairs(rng, count):
         ref = unit(rng.standard_normal(3)) * rng.uniform(0.6, 2.0)
         pairs.append(frame_pair(p_b + d, p_b, ref))
     return pairs
-
-
-def tilted(n_old, angle, rng, length=0.01):
-    """A direction at ``angle`` radians from the unit normal n_old."""
-    u = unit(np.cross(n_old, rng.standard_normal(3)))
-    return length * (np.cos(angle) * n_old + np.sin(angle) * u)
 
 
 class TestFramesMatchReference:
@@ -706,49 +681,31 @@ class TestFramesMatchReference:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_relinearize_random(self, seed):
+        # unit normals anywhere, and within 1e-6 of the x axis, where the
+        # tangent falls back to the z axis, on either side of that limit
         rng = np.random.default_rng(seed)
-        previous = frames_of(random_pairs(rng, 120))
-        n_old = previous[:, 0]
-        r = np.empty((120, 3))
-        for i in range(120):
-            kind = i % 6
-            if kind == 0:  # anywhere, including beyond the tilt limit
-                r[i] = unit(rng.standard_normal(3)) * 10.0 ** rng.uniform(-12.0, 0.0)
-            elif kind == 1:  # at or below the coincidence limit
-                r[i] = unit(rng.standard_normal(3)) * COINCIDENT_EPS * rng.choice([0.0, 0.5, 1.0])
-            elif kind in (2, 3):  # just under and just over 60 degrees
-                r[i] = tilted(n_old[i], np.pi / 3 + rng.choice([-1e-7, 1e-7]), rng)
-            elif kind == 4:  # the same, pointing against n_old (flipped)
-                r[i] = -tilted(n_old[i], np.pi / 3 + rng.choice([-1e-7, 1e-7]), rng)
-            else:  # a small turn
-                r[i] = tilted(n_old[i], rng.uniform(0.0, 0.1), rng)
-        kept = check_relinearize(r, previous)
-        assert kept.any() and not kept.all()
-        assert_max_rotation_matches(previous, relinearize(r, previous))
+        normals = np.array([unit(rng.standard_normal(3)) for _ in range(120)])
+        near_x = normals[::4]
+        near_x[:, 0] = rng.choice([-1.0, 1.0], len(near_x))
+        near_x[:, 1:] *= 10.0 ** rng.uniform(-8.0, -5.0, (len(near_x), 1))
+        normals[::4] = [unit(n) for n in near_x]
+        check_relinearize(normals)
+        short = [np.linalg.norm(_T1_REFERENCE - n[0] * n) < 1e-6 for n in normals]
+        assert any(short) and not all(short)
 
     def test_relinearize_along_x_uses_fallback_tangent(self):
-        previous = frames_of([
-            self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0)),
-            self._pair((-0.01, 0.001, 0.0), (0, 0, 0), (-1, 0, 0)),
-        ])
-        r = np.array([[0.02, 0.0, 0.0], [-0.02, 0.0, 0.0]])
-        check_relinearize(r, previous)
-        assert np.array_equal(relinearize(r, previous)[:, 1], [[0, 0, 1], [0, 0, 1.0]])
+        frames = check_relinearize(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+        assert np.array_equal(frames[:, 1], [[0, 0, 1], [0, 0, 1.0]])
 
-    def test_relinearize_at_the_tilt_and_tangent_limits(self):
-        up = self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))
-        along_x = self._pair((0.01, 0.0, 0.0), (0, 0, 0), (1, 0, 0))
-        previous = frames_of([up, up, along_x, along_x, along_x])
-        x = 1.7320508075688774  # (x, 1, 0) normalizes to a y component of exactly 0.5
-        assert unit(np.array([x, 1.0, 0.0]))[1] == _MAX_TILT_COS
-        r = np.array([
-            [x, 1.0, 0.0],  # exactly 60 degrees from n_old: re-evaluated
-            [-x, -1.0, 0.0],  # the same after the flip
-            [1.0, 1e-7, 0.0],  # within 1e-6 of the x axis: tangent falls back to z
-            [-1.0, 0.0, 3e-7],
-            [1.0, 2e-6, 0.0],  # just outside: tangent stays the projected x axis
-        ])
-        assert not check_relinearize(r, previous).any()
+    def test_relinearize_at_the_tangent_limits(self):
+        normals = np.array([unit(np.array(d)) for d in (
+            (1.0, 1e-7, 0.0),  # within 1e-6 of the x axis: tangent falls back to z
+            (-1.0, 0.0, 3e-7),
+            (1.0, 2e-6, 0.0),  # just outside: tangent stays the projected x axis
+        )])
+        frames = check_relinearize(normals)
+        assert np.array_equal(frames[0, 1], [0.0, 0.0, 1.0])
+        assert abs(frames[2, 1, 1]) > 0.99
 
     def test_rotation_limits(self):
         axes = frames_of([
@@ -764,38 +721,41 @@ class TestFramesMatchReference:
             assert_max_rotation_matches(old, new)
 
     def test_relinearize_no_pairs(self):
-        check_relinearize(np.zeros((0, 3)), np.zeros((0, 3, 3)))
+        assert check_relinearize(np.zeros((0, 3))).shape == (0, 3, 3)
         assert max_frame_rotation(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == 0.0
-
-    def test_relinearize_length_mismatch_raises(self):
-        frames = frames_of([self._pair((0.0, 0.01, 0.0), (0, 0, 0), (0, 1, 0))] * 2)
-        with pytest.raises(DimensionMismatchError):
-            relinearize(np.ones((3, 3)), frames)
-        with pytest.raises(DimensionMismatchError):
-            relinearize(np.ones((1, 3)), frames)
 
     @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn"])
     def test_recorded_scene_frames_match_reference(self, monkeypatch, scene):
-        # every re-linearization of two forced fast steps, on the real r
-        recorded = []
+        # every re-linearization of two forced fast steps: its normals are
+        # the supporting elements' at the previous move's views, by the
+        # per-pair reference, and its frames are the reference frames at them
+        moves, frames = [], []
+        proximity_now, relinearize_now = collision.proximity, solver.relinearize
 
-        def recording(r, previous):
-            recorded.append((r.copy(), previous.copy()))
-            return relinearize(r, previous)
+        def recording_proximity(contacts, views, normals):
+            moves.append((contacts, views, normals))
+            return proximity_now(contacts, views, normals)
 
-        monkeypatch.setattr(solver, "relinearize", recording)
+        def recording_relinearize(normals):
+            frames.append((len(moves), normals.copy()))
+            return relinearize_now(normals)
+
+        monkeypatch.setattr(collision, "proximity", recording_proximity)
+        monkeypatch.setattr(solver, "relinearize", recording_relinearize)
         config = load_scene(SCENES / scene)
-        newton = replace(config.newton, scheme="fast", max_iterations=5,
-                         penetration_tol=0.0, rotation_tol=0.0)
+        newton = replace(config.newton, scheme="fast", max_iterations=5, penetration_tol=-1.0)
         sim = Simulation(replace(config, newton=newton))
         for _ in range(2):
             sim.step()
             expect = build_frames_reference(pair_rows(sim.last_pairs))
             assert_bitwise_equal(build_frames(sim.last_pairs), frame_array(expect))
-        assert len(recorded) >= 4
-        for r, previous in recorded:
-            check_relinearize(r, previous)
-            assert_max_rotation_matches(previous, relinearize(r, previous))
+        monkeypatch.undo()
+        assert len(frames) == 8
+        for count, normals in frames:
+            contacts, views, _ = moves[count - 1]  # the move that preceded it
+            expect = element_normal_reference(contacts, views)
+            assert_bitwise_equal(normals, expect)
+            check_relinearize(normals)
 
 
 def assert_max_rotation_matches(old, new):
@@ -1052,6 +1012,122 @@ class TestProximityMatchesReference:
         for contacts, views in calls:
             assert_same_proximity(contacts, detected[id(contacts)][1], views)
 
+
+
+class TestElementNormals:
+    """Each later Newton iteration's normals are the supporting elements' at
+    the moved state, taken as they are: never flipped to agree with the
+    detection normal or the previous frame."""
+
+    def test_plane_keeps_its_normal_under_any_move(self):
+        rng = np.random.default_rng(11)
+        plane = PlaneGeometry(object_id=1, normal=(0.3, 1.0, -0.2), offset=0.05)
+        P = rng.uniform(-0.2, 0.2, (40, 3))
+        P -= np.outer(P @ plane.normal - plane.offset - rng.uniform(-0.01, 0.01, 40),
+                      plane.normal)
+        contacts = detect([cloud_geometry(P), plane], threshold=0.01)
+        assert len(contacts) > 10
+        for moved in (P, P - 0.05 * plane.normal):  # the second sinks every vertex
+            views = {0: moved, 1: Pose.identity()}
+            normals = element_normals(contacts, views)
+            assert_bitwise_equal(normals, element_normal_reference(contacts, views))
+            assert (normals == plane.normal).all()
+            record = collision.proximity(contacts, views, normals)
+            pairs = detect_reference([cloud_geometry(P), plane], 0.01)
+            assert_bitwise_equal(record.gaps, signed_gaps_reference(pairs, views))
+            assert_bitwise_equal(check_relinearize(normals)[:, 0], normals)
+        assert (record.gaps < 0).all()  # sunk: r turned against n, which stays
+
+    def test_plate_is_posed_at_the_end_of_the_step(self):
+        # a turning plate's rows read its pose at t_next, evaluated once per
+        # step: no move changes them, and they differ from detection's
+        sim = Simulation(load_scene(SCENES / "grasp_rotate.scn"))
+        sim.step()
+        ctx = sim.prepare_step().ctx
+        pairs, t_next = ctx.pairs, sim.time + sim.config.h
+        plates = [obj for obj in sim.objects if obj.kind == "kinematic"]
+        views = {obj.oid: obj.pose_at(t_next) for obj in plates}
+        on_plate = np.isin(pairs.b.object_id, list(views))
+        assert on_plate.all()
+        expect = element_normal_reference(pairs, views)
+        assert not np.array_equal(expect, pairs.ref_normal)
+        (cube,) = sim.dynamic_objects
+        dq = np.random.default_rng(2).uniform(-1e-3, 1e-3, cube.body.n_dofs)
+        for move in ({}, {cube.oid: dq}):
+            assert_bitwise_equal(ctx.refresh(move).normals, expect)
+
+    def test_soft_triangle_turns_with_its_nodes_unflipped(self):
+        # a soft B triangle's normal follows its moved nodes, even when the
+        # move turns it over: the normal then opposes the detection normal
+        rng = np.random.default_rng(12)
+        tris = rng.uniform(-1.0, 1.0, (6, 3, 3))
+        cloud = cloud_geometry(feature_points(rng, tris, 40))
+        soup = soup_geometry(tris)
+        contacts = detect([cloud, soup], threshold=0.05)
+        assert len(contacts) > 0
+        nodes = soup.points + rng.uniform(-0.05, 0.05, soup.points.shape)
+        flipped = nodes.copy()
+        flipped[0::3], flipped[1::3] = nodes[1::3], nodes[0::3]  # every triangle turned over
+        for moved in (nodes, flipped):
+            views = {0: cloud.points, 1: moved}
+            normals = element_normals(contacts, views)
+            assert_bitwise_equal(normals, element_normal_reference(contacts, views))
+            check_relinearize(normals)
+        assert (_rowdot_reference(normals, contacts.ref_normal) < 0).all()
+
+    def test_rows_of_objects_without_a_view_keep_the_given_normals(self):
+        rng = np.random.default_rng(13)
+        pairs = random_attached_pairs(rng, 120)
+        contacts = to_contacts(pairs)
+        views = random_views(rng)
+        everything = element_normals(contacts, views)
+        assert_bitwise_equal(element_normals(contacts, {}), contacts.ref_normal)
+        fixed = {oid: views[oid] for oid in (KINEMATIC, PLANE)}
+        moving = {oid: views[oid] for oid in (SOFT_B, RIGID)}
+        once = element_normals(contacts, fixed)
+        assert_bitwise_equal(element_normals(contacts, moving, once), everything)
+
+    def test_penetration_of_gaps(self):
+        assert collision.penetration(np.array([0.02, -0.01, -0.003])) == 0.01
+        assert collision.penetration(np.array([0.02, 0.0])) == 0.0
+        assert collision.penetration(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn",
+                                       "block_on_plane.scn", "mixed"])
+    def test_step_record_matches_a_full_evaluation(self, tmp_path, scene):
+        # the step's refresh evaluates the colliders' normals once; its
+        # record equals one evaluated from scratch on the same views
+        if scene == "mixed":
+            path = tmp_path / "mixed.scn"
+            path.write_text(MIXED_SCENE)
+        else:
+            path = SCENES / scene
+        sim = Simulation(load_scene(path))
+        sim.step()
+        prep = sim.prepare_step()
+        ctx, t_next = prep.ctx, sim.time + sim.config.h
+        rng = np.random.default_rng(14)
+        for dq in ({}, {oid: rng.uniform(-1e-3, 1e-3, S.shape[1])
+                        for oid, S in ctx.S_by_object.items()}):
+            record = ctx.refresh(dq)
+            captured = {}
+
+            def capture(contacts, views, _fn=refresh_proximity):
+                captured["views"] = views
+                return _fn(contacts, views)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(collision, "refresh_proximity", capture)
+                again = ctx.refresh(dq)
+            views = captured["views"]
+            full = collision.proximity(ctx.pairs, views, element_normals(ctx.pairs, views))
+            for got in (record, again):
+                assert_bitwise_equal(got, full)
+        assert_bitwise_equal(prep.pen_before, collision.penetration(ctx.refresh({}).gaps))
+
+
+def _rowdot_reference(a, b):
+    return np.array([x @ y for x, y in zip(a, b)])
 
 
 def assert_fresh_groups(side):

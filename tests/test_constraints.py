@@ -12,7 +12,8 @@ from contactnewton.collision import (
     Pose,
     build_frames,
     detect,
-    refresh_proximity,
+    element_normals,
+    proximity,
 )
 from contactnewton.constraints import (
     apply_transposed,
@@ -28,7 +29,7 @@ from contactnewton.dynamics import MechanicalState, RigidBody, SoftBody, compute
 from contactnewton.errors import DimensionMismatchError
 from contactnewton.linalg import Factorization
 from contactnewton.scene import load_scene
-from contactnewton.solver import StepContext, _penetration, fast_update_proximity
+from contactnewton.solver import StepContext, fast_update_proximity
 from contactnewton.verify import prepare
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
 from pairs_reference import AttachKind, Attachment, ProximityPair, to_contacts
@@ -589,7 +590,6 @@ class TestViolation:
         D = assemble_direction([axes_frame()])
         v = compute_violation(D, np.array([[0.0, -0.01, 0.0]]))
         assert v[0] == pytest.approx(-0.01)
-        assert _penetration(v) == pytest.approx(0.01)
 
     def test_zero_gap(self):
         D = assemble_direction([axes_frame()])
@@ -615,19 +615,18 @@ def relative_positions(pairs):
 
 
 def proximity_context(pairs, q_by_object, S, F, h, posed_views):
-    """A StepContext whose refresh evaluates r = pA - pB at q + dq, the
-    soft bodies' positions ``q_by_object`` moved by dq; ``posed_views``
+    """A StepContext whose refresh evaluates the proximity record at q + dq,
+    the soft bodies' positions ``q_by_object`` moved by dq; ``posed_views``
     holds the views of the objects without DOFs."""
 
     def refresh(dq):
         views = dict(posed_views)
         for oid, q in q_by_object.items():
             views[oid] = (q + dq.get(oid, 0.0)).reshape(-1, 3)
-        p_a, p_b = refresh_proximity(pairs, views)
-        return p_a - p_b
+        return proximity(pairs, views, element_normals(pairs, views))
 
     ctx = StepContext(pairs=pairs, detection_frames=build_frames(pairs), S_by_object=S,
-                      F_by_object=F, r0=refresh({}), h=h, refresh=refresh, y_free={})
+                      F_by_object=F, r0=refresh({}).r, h=h, refresh=refresh, y_free={})
     ctx.wg, ctx.X_by_object = assemble_Wg(S, F)
     return ctx
 
@@ -653,7 +652,7 @@ class TestFastProximityUpdate:
 
     def test_zero_lambda_is_noop(self):
         ctx, D = block_on_plane_proximity()
-        assert np.array_equal(fast_update_proximity(ctx, np.zeros(3 * len(D))), ctx.r0)
+        assert np.array_equal(fast_update_proximity(ctx, np.zeros(3 * len(D))).r, ctx.r0)
 
     def test_scalar_point_mass(self):
         # the normal gap changes by h^2 lambda_n / m on a point mass
@@ -664,7 +663,7 @@ class TestFastProximityUpdate:
                                 0.01, {1: Pose.identity()})
         D = assemble_direction([axes_frame()])
         r = ctx.r0
-        nr = fast_update_proximity(ctx, apply_transposed(D, np.array([3.0, 0.0, 0.0])))
+        nr = fast_update_proximity(ctx, apply_transposed(D, np.array([3.0, 0.0, 0.0]))).r
         assert nr[0, 1] - r[0, 1] == pytest.approx(0.01**2 * 3.0 / 2.0)
         assert np.array_equal(nr[0, [0, 2]], r[0, [0, 2]])
 
@@ -673,17 +672,17 @@ class TestFastProximityUpdate:
         ctx, D = block_on_plane_proximity()
         rng = np.random.default_rng(5)
         fs = [apply_transposed(D, rng.standard_normal(3 * len(D))) for _ in range(3)]
-        summed = ctx.r0 + sum(fast_update_proximity(ctx, f) - ctx.r0 for f in fs)
-        once = fast_update_proximity(ctx, np.sum(fs, axis=0))
+        summed = ctx.r0 + sum(fast_update_proximity(ctx, f).r - ctx.r0 for f in fs)
+        once = fast_update_proximity(ctx, np.sum(fs, axis=0)).r
         assert np.abs(summed - once).max() <= 1e-12 * np.abs(ctx.r0).max()
 
     def test_matches_full_mechanical_pipeline(self):
         # the move equals r after the real corrective motion, by solve
         ctx, D = block_on_plane_proximity()
         f = apply_transposed(D, np.abs(np.random.default_rng(9).standard_normal(3 * len(D))))
-        fast = fast_update_proximity(ctx, f)
+        fast = fast_update_proximity(ctx, f).r
         assert np.abs(fast - ctx.r0).max() > 1e-6  # it did move
-        assert np.abs(fast - ctx.refresh(solved_move(ctx, f))).max() <= 1e-12 * np.abs(fast).max()
+        assert np.abs(fast - ctx.refresh(solved_move(ctx, f)).r).max() <= 1e-12 * np.abs(fast).max()
 
     def test_two_dynamic_bodies_match_mechanical_pipeline(self):
         # both sides of every pair move: the move must equal pA - pB after
@@ -695,9 +694,9 @@ class TestFastProximityUpdate:
                                 S, F, h, {})
         D = assemble_direction(ctx.detection_frames)
         f = apply_transposed(D, np.abs(np.random.default_rng(4).standard_normal(3 * len(D))))
-        fast = fast_update_proximity(ctx, f)
+        fast = fast_update_proximity(ctx, f).r
         assert np.abs(fast - ctx.r0).max() > 1e-6  # it did move
-        assert np.abs(fast - ctx.refresh(solved_move(ctx, f))).max() <= 1e-12 * np.abs(fast).max()
+        assert np.abs(fast - ctx.refresh(solved_move(ctx, f)).r).max() <= 1e-12 * np.abs(fast).max()
 
     def test_gap_linearization(self):
         # delta(after correction) == delta_free + h^2 W lambda for linear maps
@@ -705,7 +704,7 @@ class TestFastProximityUpdate:
         W = rebuild_W_fast(D, ctx.wg)
         lam = np.abs(np.random.default_rng(2).standard_normal(3 * len(D))) * 0.1
         delta_free = compute_violation(D, ctx.r0)
-        delta_after = compute_violation(D, fast_update_proximity(ctx, apply_transposed(D, lam)))
+        delta_after = compute_violation(D, fast_update_proximity(ctx, apply_transposed(D, lam)).r)
         predicted = delta_free + ctx.h**2 * (W @ lam)
         assert np.abs(delta_after - predicted).max() <= 1e-9
 
@@ -735,7 +734,7 @@ class TestFastProximityUpdate:
             moves.append(dq)
             return _fn(dq)
 
-        r = fast_update_proximity(replace(ctx, refresh=recording), f)
+        r = fast_update_proximity(replace(ctx, refresh=recording), f).r
         (dq,) = moves
         solved = solved_move(ctx, f)
         assert set(dq) == set(ctx.X_by_object) and dq

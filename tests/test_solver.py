@@ -13,7 +13,8 @@ from contactnewton.collision import (
     Pose,
     build_frames,
     detect,
-    refresh_proximity,
+    element_normals,
+    proximity,
 )
 from contactnewton.constraints import (
     assemble_direction,
@@ -22,6 +23,7 @@ from contactnewton.constraints import (
     assemble_Wg,
     build_signed_mapping,
     compute_violation,
+    rebuild_W_fast,
 )
 from contactnewton.dynamics import SoftBody, compute_free_motion
 from contactnewton.errors import NonFiniteStateError, SingularBlockError, ValidationError
@@ -624,9 +626,9 @@ def record_pgs_calls(config, steps):
     recorded = []
     pgs_now = solver.pgs
 
-    def recording(W, delta, h, config):
+    def recording(W, delta, h, config, **kwargs):
         recorded.append((W.copy(), delta.copy(), h, config))
-        return pgs_now(W, delta, h, config)
+        return pgs_now(W, delta, h, config, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "pgs", recording)
@@ -657,8 +659,8 @@ def bench_column_pgs_inputs():
 @pytest.fixture(scope="class")
 def grasp_rotate_wide_pgs_inputs():
     """(W, delta, h, config) of grasp_rotate's PGS calls past c = 270 in its
-    first 19 steps. The widest has c = 306 (102 groups), the most the
-    shipped scene reaches; bench_column's have c = 192."""
+    first 19 steps. The widest has c = 300 (100 groups); bench_column's have
+    c = 192."""
     recorded = record_pgs_calls(load_scene(SCENES / "grasp_rotate.scn"), 19)
     return [call for call in recorded if len(call[1]) > 270]
 
@@ -711,16 +713,17 @@ class TestPgsSkipsSeparatedGroups:
             assert_same_pgs(res, pgs_folded_reference(W, delta, h, config))
             assert 0 < res.local_solves < len(delta) // 3 * res.iterations
             widths.append(len(delta))
-        assert max(widths) == 306 and len(widths) >= 3
+        assert max(widths) == 300 and len(widths) >= 3
 
     def test_omega_bounds_every_stored_normal_entry(self, bench_column_pgs_inputs,
                                                     grasp_rotate_wide_pgs_inputs):
         # the skip bound reads the folded normal row through omega_g, so
         # omega_g must be at least each of its stored entries, bit for bit
         for W, delta, h, config in bench_column_pgs_inputs + grasp_rotate_wide_pgs_inputs:
-            groups, omega = solver._fold(W, delta, h * h)
+            fold = solver._fold(W, h * h)
             c = len(delta)
-            normal = np.array([read.__self__[0, :c] for read, *_ in groups])
+            normal = np.array([read.__self__[0, :c] for read, *_ in fold.groups])
+            omega = fold.omega
             F, _, _ = fold_reference(W, delta, h * h)
             assert np.array_equal(normal, F[0::3, :c])
             assert (np.abs(normal).max(axis=1) <= omega).all()
@@ -876,13 +879,16 @@ class TestPgsMatchesReference:
             assert np.array_equal(delta, delta_in), trial
 
 
-# grasp_rotate's first 4 steps as recorded at cf6d847, before the fold: per
-# step, each Newton iteration's (pgs_iterations, pgs_local_solves), and
-# digests of the cube's committed displacement q - q0 (its norm, its dot with
-# a seeded normal vector, and its summed |x|, |y| and |z| components)
-GRASP_ROTATE_COUNTS = [[(159, 11448)], [(152, 10944)], [(130, 9360)], [(110, 7799)]]
-GRASP_ROTATE_DIGESTS = [0.37146746293945565, 0.5838046239226047,
-                        3.6118394620906766, 3.0295633226203376, 0.2437805763081685]
+# grasp_rotate's first 4 steps: per step, each Newton iteration's
+# (pgs_iterations, pgs_local_solves), and digests of the cube's committed
+# displacement q - q0 (its norm, its dot with a seeded normal vector, and its
+# summed |x|, |y| and |z| components). The first iterations are as recorded
+# at cf6d847, before the fold; the fourth step's second iteration, in the
+# plates' element frames at the step's end, came with the geometric stop.
+GRASP_ROTATE_COUNTS = [[(159, 11448)], [(152, 10944)], [(130, 9360)],
+                       [(110, 7799), (76, 2082)]]
+GRASP_ROTATE_DIGESTS = [0.37251522703467854, 0.5844442655039406,
+                        3.6303723340556546, 3.0292123743702493, 0.24890751008456555]
 
 
 def test_grasp_rotate_convergence_counts_are_pinned():
@@ -961,15 +967,15 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
         return views
 
     def refresh(dq):
-        p_a, p_b = refresh_proximity(pairs, views_at(dq))
-        return p_a - p_b
+        views = views_at(dq)
+        return proximity(pairs, views, element_normals(pairs, views))
 
     ctx = StepContext(
         pairs=pairs,
         detection_frames=build_frames(pairs),
         S_by_object=S,
         F_by_object=F,
-        r0=refresh({}),
+        r0=refresh({}).r,
         h=h,
         refresh=refresh,
         y_free={oid: fm.y for oid, fm in free.items()},
@@ -1028,8 +1034,9 @@ class TestNewtonSchemes:
 
     def test_schemes_agree_under_forced_relinearized_iterations(self):
         # negative tolerances force all 4 iterations, each after the first
-        # in re-linearized directions; only the tilted block's lower edge
-        # penetrates, and the pairs that keep a gap turn as the block moves
+        # in the plane's element frames; only the tilted block's lower edge
+        # penetrates. Those frames repeat from the third iteration on, whose
+        # PGS calls keep the previous fold
         bodies, pairs = falling_block_setup(center_y=0.052, tilt=0.1)
         cfgn = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
         pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=0.5)
@@ -1046,7 +1053,8 @@ class TestNewtonSchemes:
             results[scheme] = newton(ctx, NewtonConfig(scheme=scheme, **cfgn), pcfg)
         std, fast = results["standard"], results["fast"]
         assert len(std.lam_history) == len(fast.lam_history) == 4
-        assert any(it.rotation > 0.0 for it in fast.iterations)
+        for res in (std, fast):
+            assert [it.fold_reused for it in res.iterations][2:] == [True, True]
         scale = max(max(np.abs(l).max() for l in std.lam_history), 1e-12)
         for ls, lf in zip(std.lam_history, fast.lam_history):
             assert np.abs(ls - lf).max() <= 1e-8 * scale
@@ -1174,3 +1182,95 @@ class TestNewtonSchemes:
         for tol in (0.0, -1.0):
             ncfg = NewtonConfig(penetration_tol=tol, rotation_tol=tol)
             assert (ncfg.penetration_tol, ncfg.rotation_tol) == (tol, tol)
+
+
+# --- the geometric stop and the kept fold ------------------------------------------
+
+
+def record_loop_pgs(config, steps):
+    """The reports of ``steps`` steps, and per PGS call of the Newton loop
+    (W, delta, h, config, whether a fold was handed in, the result)."""
+    calls = []
+    pgs_now = solver.pgs
+
+    def recording(W, delta, h, config, fold=None):
+        res = pgs_now(W, delta, h, config, fold=fold)
+        calls.append((W.copy(), delta.copy(), h, config, fold is not None, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "pgs", recording)
+        sim = Simulation(config)
+        reports = [sim.step() for _ in range(steps)]
+    return reports, calls
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("scene", ["block_on_plane", "bench_column", "two_body_press"])
+def test_kept_fold_gives_the_fresh_folds_result(scene):
+    # every PGS call of forced iterations, refolded from scratch: lambda,
+    # delta_end and the counts are bitwise those the loop recorded. A call
+    # keeps the fold when its frames, hence its W, repeat the previous
+    # iteration's: from the third iteration on against a plane, never where
+    # soft B triangles turn with their nodes
+    config = load_scene(SCENES / f"{scene}.scn")
+    if scene == "bench_column":
+        config = with_box_divisions(config, (7, 6, 7))
+    newton = replace(config.newton, scheme="fast", max_iterations=4, penetration_tol=-1.0)
+    reports, calls = record_loop_pgs(replace(config, newton=newton), 2)
+    stats = [it for report in reports for it in report.iterations]
+    assert len(stats) == len(calls) == 8
+    assert [it.fold_reused for it in stats] == [kept for *_, kept, _ in calls]
+    for k, (W, delta, h, cfg, kept, res) in enumerate(calls):
+        fresh = pgs(W, delta, h, cfg)
+        assert same_bits(res.lam, fresh.lam) and same_bits(res.delta_end, fresh.delta_end), k
+        assert (res.iterations, res.local_solves, res.eps_history) == (
+            fresh.iterations, fresh.local_solves, fresh.eps_history), k
+        if kept:
+            assert same_bits(W, calls[k - 1][0]), k
+    kept = [[it.fold_reused for it in report.iterations] for report in reports]
+    if scene == "two_body_press":
+        assert not any(map(any, kept))
+    else:
+        assert all(step[0] is False and all(step[2:]) for step in kept)
+
+
+def test_kept_fold_still_checks_the_violation():
+    # a kept fold skips the compliance rows' finite check, not the violation's
+    bodies, pairs = falling_block_setup()
+    ctx, *_ = build_context((bodies, pairs))
+    D = assemble_direction(ctx.detection_frames)
+    W = rebuild_W_fast(D, ctx.wg)
+    delta = compute_violation(D, ctx.r0)
+    first = pgs(W, delta, ctx.h, PgsConfig())
+    bad = delta.copy()
+    bad[4] = np.nan
+    with pytest.raises(NonFiniteStateError, match="group 1: non-finite violation"):
+        pgs(W, bad, ctx.h, PgsConfig(), fold=first.fold)
+    again = pgs(W, delta, ctx.h, PgsConfig(), fold=first.fold)
+    assert same_bits(again.lam, first.lam) and same_bits(again.delta_end, first.delta_end)
+
+
+def test_grasp_rotate_recurses_under_both_recursive_schemes():
+    # the loop stops on the geometric gap after each move: some step of the
+    # shipped scene needs a second iteration, in the plates' frames at the
+    # step's end, and both recursive schemes count the same iterations and
+    # sweeps over a fixed step count
+    config = load_scene(SCENES / "grasp_rotate.scn")
+    counts = {}
+    for scheme in ("fast", "standard"):
+        sim = Simulation(replace(config, newton=replace(config.newton, scheme=scheme)))
+        reports = [sim.step() for _ in range(8)]
+        assert {report.newton_exit for report in reports} <= {"penetration", "max_iterations"}
+        for report in reports:
+            pen = [it.penetration for it in report.iterations]
+            tol = config.newton.penetration_tol
+            assert all(p > tol for p in pen[:-1])
+            assert (pen[-1] <= tol) == (report.newton_exit == "penetration")
+        counts[scheme] = [[it.pgs_iterations for it in report.iterations] for report in reports]
+    assert counts["fast"] == counts["standard"]
+    assert max(map(len, counts["fast"])) == 2

@@ -115,9 +115,9 @@ def test_pgs_calls_local_solve_through_the_module_global(monkeypatch):
     calls = count_calls(monkeypatch, solver, ("local_solve",))
     expected = []
 
-    def pgs(W, delta, h, config, _fn=solver.pgs):
+    def pgs(W, delta, h, config, fold=None, _fn=solver.pgs):
         before = calls["local_solve"]
-        res = _fn(W, delta, h, config)
+        res = _fn(W, delta, h, config, fold=fold)
         expected.append((calls["local_solve"] - before, res.local_solves,
                          len(delta) // 3 * res.iterations))
         return res
@@ -136,12 +136,13 @@ def test_pgs_calls_local_solve_through_the_module_global(monkeypatch):
 @pytest.mark.parametrize("scheme", ["single", "standard", "fast"])
 def test_step_looks_up_detection_and_gaps_through_collision(monkeypatch, scheme):
     # one detection on the step-start states, and the signed gaps of its
-    # pairs at the free and at the final positions (pen_before, pen_after)
+    # pairs at the final positions (pen_after); pen_before reads the gaps
+    # of the proximity record at the free positions
     calls = count_calls(monkeypatch, collision, ("detect", "build_frames", "signed_gaps"))
     config = load_scene(ROOT / "scenes" / "block_on_plane.scn")
     report = Simulation(replace(config, newton=replace(config.newton, scheme=scheme))).step()
     assert report.c_groups > 0
-    assert calls == {"detect": 1, "build_frames": 1, "signed_gaps": 2}
+    assert calls == {"detect": 1, "build_frames": 1, "signed_gaps": 1}
 
 
 def test_fast_step_backsolves_only_in_its_one_final_correction(monkeypatch):
