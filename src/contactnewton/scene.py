@@ -20,6 +20,10 @@ only when a step's attachments differ from the previous committed step's
 for byte) or, for W_g and X_o, when its factorizations are other objects
 (a rigid body factors anew each step). Otherwise the step takes that
 step's arrays, read-only and bit for bit what a rebuild would compute.
+A fast step that takes the previous step's W_g also takes its final
+frames D, its W and PGS's fold of W (``solver.Operators``) when the
+detection normals equal D's bit for bit; otherwise it drops them before
+the Newton loop builds its own.
 
 :meth:`Simulation.detect` is the one detection path: pairs and frames of
 given states at a given time. :meth:`Simulation.penetration` is the one
@@ -68,6 +72,7 @@ from .mesh import box_mesh, load_mesh, surface_triangles, surface_vertices
 from .solver import (
     IterationStats,
     NewtonConfig,
+    Operators,
     PgsConfig,
     StepContext,
     newton_fast,
@@ -792,6 +797,7 @@ class _Mapping:
     F_by_object: dict  # the step's factorizations, compared with `is`
     wg: np.ndarray | None = None
     X_by_object: dict | None = None
+    operators: Operators | None = None  # the fast step's final D, W and fold, read-only
 
 
 def _attachments(pairs) -> tuple:
@@ -871,7 +877,8 @@ class Simulation:
         """Run the pre-correction pipeline (detect through free violation).
 
         Commits nothing, though a step whose attachments differ drops the
-        kept mapping; the correction scheme and integration consume the
+        kept mapping, and one that cannot start from its operators drops
+        those; the correction scheme and integration consume the
         record. Exposed so the verification command can probe the exact
         operators a step would use.
         """
@@ -956,6 +963,13 @@ class Simulation:
         if cfg.newton.scheme == "fast":
             reused = (reused and previous.wg is not None
                       and _same_objects(previous.F_by_object, factorizations))
+            ops = previous.operators if reused else None
+            if ops is not None and frames[:, 0].tobytes() == ops.D[:, 0].tobytes():
+                # equal normals give equal frames: start from the kept ones
+                ctx.detection_frames, ctx.kept = ops.D, ops
+            elif previous is not None and previous.operators is not None:
+                # the kept W and fold are freed before the loop builds new ones
+                self._mapping = replace(previous, operators=None)
             if reused:
                 wg, X = previous.wg, previous.X_by_object
             else:
@@ -1010,7 +1024,10 @@ class Simulation:
         self.last_pairs = ctx.pairs
         self.last_frames = result.final_frames
         self.last_lam = lam = result.lam
-        self._mapping = prep.mapping
+        ops = result.operators  # the fast scheme's, for the next step
+        if ops is not None:
+            ops.D.flags.writeable = ops.W.flags.writeable = False
+        self._mapping = replace(prep.mapping, operators=ops)
 
         lam_groups = lam.reshape(-1, 3) if lam.size else np.zeros((0, 3))
         lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)

@@ -111,15 +111,33 @@ scheme supplies two operations:
   move      the record after the summed impulse f, through one
             ``ctx.refresh(dq)``.
 
-When an iteration's frames equal the previous iteration's bit for bit, so
-does its W, and PGS keeps the previous call's :class:`Fold`: the (h^2 P) W
-rows, the per-group constants and the skip bounds depend on W and h only,
-so only the P delta_base column is recomputed, and lambda is bitwise that
-of a fresh fold. On a plane or a kinematic plate the element frames repeat
-from the third iteration on, and from the second where detection's frames
-already are the element's; a soft B triangle turns with its nodes, so there
-the fold is rebuilt. The rebuild of W still runs in every iteration: the
-benchmark's tracer opens its iteration span there.
+An iteration re-linearizes only when the record's normals differ bit for
+bit from the normals the current D was built from, which are D's first
+rows: detection's frames and ``relinearize``'s are built from their
+normals, so equal normals would give equal frames. Otherwise D stays the
+same object, ``max_frame_rotation`` is not called (the turn reads 0.0),
+and whatever depends on D alone is kept. PGS keeps the previous call's
+:class:`Fold`: the (h^2 P) W rows, the per-group constants and the skip
+bounds depend on W and h only, so only the P delta_base column is
+recomputed, and lambda is bitwise that of a fresh fold. The fast scheme
+also keeps W: :func:`~contactnewton.constraints.rebuild_W_fast` returns the
+W it built for the same D and W_g objects with no products. It is still
+called once per iteration, since the benchmark's tracer opens its iteration
+span there. The standard scheme rebuilds its W by multi-RHS solves in
+every iteration: it is the paper's baseline, which ``contactnewton bench``
+times against the fast scheme. On a plane or a kinematic plate the
+element normals repeat from the third iteration on, and from the second
+where detection's normals already are the element's (``bench_column``'s
+are, in every iteration); a soft B triangle turns with its nodes, so there
+everything is rebuilt.
+
+A fast step also keeps its last :class:`Operators`, the final D, its W
+and PGS's fold of it, for the next step (``StepContext.kept``). The scene
+hands them on while the step's attachments and factorizations repeat, so
+that W_g is the same object, and the detection normals equal D's bit for
+bit; the step then takes D as its detection frames, and its first
+iteration rebuilds and folds nothing. Otherwise the scene drops them
+before the new ones are built.
 
 The two schemes bind them as follows:
 
@@ -225,16 +243,17 @@ class NewtonConfig:
 class Fold:
     """What :func:`pgs` folds from W and h alone, kept while W repeats.
 
-    ``groups`` holds one tuple ``(read, q0, q1, det, 3g)`` per group, where
-    ``read(lam, got)`` is the bound ``dot`` of its (3, c + 1) block of
-    ``rows`` and writes (a, b0, b1) into ``got``; ``omega`` holds omega_g
-    (module docstring). Column c of ``rows``, P delta_base, is the one part
-    that depends on the violation: each call writes its own into it.
+    ``constants`` holds one tuple ``(q0, q1, det, 3g)`` per group and
+    ``omega`` holds omega_g (module docstring). Column c of ``rows``,
+    P delta_base, is the one part that depends on the violation: each call
+    writes its own into it. Each call also binds its own reads of ``rows``,
+    so the fold holds arrays and floats only, and a copy of it (a
+    ``copy.deepcopy`` of a simulation that keeps one) reads its own rows.
     """
 
     rows: np.ndarray  # (groups, 3, c + 1) folded row blocks
     P: np.ndarray  # (groups, 3, 3) blockdiag(-1 / hW[n, n], -T^-1)
-    groups: list
+    constants: list
     omega: list
 
 
@@ -284,8 +303,7 @@ def _fold(W: np.ndarray, h2: float) -> Fold:
     q0, q1 = folded[groups, 1, groups, 0], folded[groups, 2, groups, 0]
     folded[groups, 0, groups, 0] = 0.0
     folded[groups, 1:, groups, :] = 0.0
-    reads = [row.dot for row in rows]
-    return Fold(rows, P, list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))),
+    return Fold(rows, P, list(zip(q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))),
                 omega.tolist())
 
 
@@ -349,7 +367,10 @@ def pgs(
     if fold is None:
         fold = _fold(W, h2)
     fold.rows[:, :, c] = (fold.P @ delta3[:, :, None])[:, :, 0]
-    groups, omega = fold.groups, fold.omega
+    # per group: the bound ``dot`` of its (3, c + 1) block of rows, which
+    # writes its read (a, b0, b1) into ``got``, and its constants
+    groups = [(row.dot, *k) for row, k in zip(fold.rows, fold.constants)]
+    omega = fold.omega
     got = np.empty(3)
     got_items = memoryview(got)  # unpacks to Python floats
     lam = np.zeros(c + 1)
@@ -413,6 +434,19 @@ def pgs(
 # --- recursive correction schemes ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class Operators:
+    """Frames D and what depends on them alone: W = D W_g D^T at the W_g
+    object ``wg`` and PGS's :class:`Fold` of W. A fast step hands its last
+    ones to the next step, which starts from them while its detection frames
+    are D and its W_g is the same object (module docstring)."""
+
+    D: np.ndarray  # (p, 3, 3), read-only
+    wg: np.ndarray
+    W: np.ndarray  # read-only
+    fold: Fold
+
+
 @dataclass
 class StepContext:
     """Everything the correction schemes need for one time step."""
@@ -427,6 +461,7 @@ class StepContext:
     y_free: dict[int, np.ndarray]  # forward pass of the free motion A^-1 b per object
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
     X_by_object: dict[int, tuple[np.ndarray, np.ndarray]] | None = None  # (J, S_J A^-1[J, J])
+    kept: Operators | None = None  # the previous fast step's, whose D is detection_frames
 
 
 @dataclass
@@ -441,8 +476,8 @@ class IterationStats:
     pgs_local_solves: int  # local solves PGS ran, skipped visits excluded
     pgs_eps: float
     pgs_converged: bool
-    rotation: float  # frame turn measured before the iteration, 0 in the first; stops nothing
-    fold_reused: bool  # the frames repeated the previous iteration's, so PGS kept its fold
+    rotation: float  # frame turn measured before the iteration, 0 if D is kept; stops nothing
+    fold_reused: bool  # D is the previous iteration's (in the first, the previous step's)
 
 
 @dataclass
@@ -455,6 +490,8 @@ class CorrectionResult:
     final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
     exit: str = "max_iterations"  # why the loop stopped; else "penetration"
+    fold: Fold | None = None  # PGS's fold of the last iteration's W
+    operators: Operators | None = None  # the fast scheme's last D, W and fold, for the next step
 
 
 def _mechanical_correction(ctx: StepContext, f: np.ndarray) -> dict[int, np.ndarray]:
@@ -498,30 +535,32 @@ def _newton(
     sum_k D_k^T lambda_k, through one ``ctx.refresh``. Once the loop ends,
     :func:`_mechanical_correction` turns f into ``dv_by_object``, the same
     way for both schemes. The step's force ``lam`` is f in the final frames,
-    D_K f. The operations must look up their module-level names when
-    called: the layer tracer of the benchmark patches those names, and opens
-    its iteration span at the rebuild, which therefore runs in every
-    iteration, kept fold or not.
+    D_K f. An iteration re-linearizes only when the record's normals differ
+    bit for bit from D's own, the normals D was built from; otherwise D stays
+    the same object, and PGS keeps its fold, which depends on W and h alone.
+    The operations must look up their module-level names when called: the
+    layer tracer of the benchmark patches those names, and opens its
+    iteration span at the rebuild, which therefore runs in every iteration,
+    W kept or not.
     """
     D = assemble_direction(ctx.detection_frames)
+    kept = ctx.kept
+    fold = kept.fold if kept is not None and kept.D is D and kept.wg is ctx.wg else None
     r = ctx.r0
     f = np.zeros(3 * len(ctx.pairs))
     result = CorrectionResult({}, [])
-    fold = None
     for k in range(ncfg.max_iterations):
         rotation = 0.0
-        if k > 0:
+        if k > 0 and prox.normals.tobytes() != D[:, 0].tobytes():
             frames = assemble_direction(relinearize(prox.normals))
             rotation = max_frame_rotation(D, frames)
-            if frames.tobytes() != D.tobytes():
-                fold = None
-            D = frames
+            D, fold = frames, None  # a stale fold is freed before the new one is built
         fold_reused = fold is not None
         t0 = time.perf_counter()
         W = rebuild(D)
         t1 = time.perf_counter()
         res = pgs(W, compute_violation(D, r), ctx.h, pcfg, fold=fold)
-        fold, res.fold = res.fold, None  # held by the loop alone: a stale fold is freed at once
+        fold, res.fold = res.fold, None  # held by the loop alone
         t2 = time.perf_counter()
         f = f + apply_transposed(D, res.lam)
         prox = move(f)
@@ -550,6 +589,7 @@ def _newton(
     result.dv_by_object = _mechanical_correction(ctx, f)
     result.final_correction_time = time.perf_counter() - t0
     result.final_frames = D
+    result.fold = fold
     result.lam = np.einsum("gij,gj->gi", D, f.reshape(-1, 3)).ravel()
     return result
 
@@ -585,5 +625,15 @@ def newton_fast(
     """
     if ctx.wg is None or ctx.X_by_object is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
-    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_fast(D, ctx.wg),
-                   lambda f: fast_update_proximity(ctx, f))
+    kept = ctx.kept
+    last = None if kept is None else (kept.D, kept.wg, kept.W)  # (D, W_g, W) of the last rebuild
+
+    def rebuild(D):
+        nonlocal last
+        W = rebuild_W_fast(D, ctx.wg, last)
+        last = (D, ctx.wg, W)
+        return W
+
+    result = _newton(ctx, ncfg, pcfg, rebuild, lambda f: fast_update_proximity(ctx, f))
+    result.operators = Operators(*last, result.fold)
+    return result

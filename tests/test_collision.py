@@ -574,13 +574,13 @@ def relinearize_reference(normals: np.ndarray) -> list[ContactFrame]:
 
 
 def max_frame_rotation_reference(old: list[ContactFrame], new: list[ContactFrame]) -> float:
-    """Largest angle between corresponding normals, radians."""
+    """Largest angle between corresponding normals, radians, 2 asin(|n_o - n_n| / 2)."""
     if len(old) != len(new):
         raise DimensionMismatchError(f"{len(old)} old frames but {len(new)} new frames")
     worst = 0.0
     for fo, fn in zip(old, new):
-        c = float(np.clip(fo.n @ fn.n, -1.0, 1.0))
-        worst = max(worst, float(np.arccos(c)))
+        d = fo.n - fn.n
+        worst = max(worst, float(2.0 * np.arcsin(min(0.5 * np.sqrt(d @ d), 1.0))))
     return worst
 
 
@@ -720,28 +720,61 @@ class TestFramesMatchReference:
         for old, new in ((axes, axes), (axes, flipped), (random, random), (random, random[::-1])):
             assert_max_rotation_matches(old, new)
 
+    def test_rotation_of_equal_normals_is_zero(self):
+        # arccos of the dot product read up to 2.6e-8 rad for equal normals
+        frames = frames_of(random_pairs(np.random.default_rng(3), 200))
+        assert max_frame_rotation(frames, frames) == 0.0
+        assert max_frame_rotation(frames, relinearize(frames[:, 0].copy())) == 0.0
+
+    @pytest.mark.parametrize("angle", [1e-9, 1e-7, 1e-4, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-6])
+    def test_rotation_of_known_turns(self, angle):
+        # a unit normal turned by ``angle`` about a perpendicular axis reads
+        # that angle within the rounding of the normals' entries, a few ulps
+        # absolute, which near pi the half-chord's closeness to 1 amplifies
+        # by 1 / cos(angle / 2); arccos read 0 for turns below about 1e-8
+        rng = np.random.default_rng(11)
+        n0 = np.array([unit(rng.standard_normal(3)) for _ in range(20)])
+        u = np.array([unit(np.cross(n, rng.standard_normal(3))) for n in n0])
+        n1 = np.cos(angle) * n0 + np.sin(angle) * u
+        for old, new in zip(n0, n1):
+            got = max_frame_rotation(relinearize(old[None]), relinearize(new[None]))
+            bound = 8 * np.finfo(float).eps * (1.0 + angle / np.cos(angle / 2))
+            assert abs(got - angle) <= bound, (got, angle)
+
     def test_relinearize_no_pairs(self):
         assert check_relinearize(np.zeros((0, 3))).shape == (0, 3, 3)
         assert max_frame_rotation(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == 0.0
 
-    @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn"])
-    def test_recorded_scene_frames_match_reference(self, monkeypatch, scene):
-        # every re-linearization of two forced fast steps: its normals are
-        # the supporting elements' at the previous move's views, by the
-        # per-pair reference, and its frames are the reference frames at them
-        moves, frames = [], []
+    @pytest.mark.parametrize("scene, relinearized", [("grasp_rotate.scn", 2),
+                                                      ("two_body_press.scn", 7)],
+                             ids=["grasp_rotate.scn", "two_body_press.scn"])
+    def test_recorded_scene_frames_match_reference(self, monkeypatch, scene, relinearized):
+        # every later iteration of two forced fast steps: the previous move's
+        # normals are the supporting elements' at its views, by the per-pair
+        # reference; the iteration re-linearizes at them, to the reference
+        # frames, exactly when they differ from its frames' normals bit for
+        # bit, and keeps those frames as the same object otherwise. The
+        # plates turn between the first two iterations only; soft B
+        # triangles turn with their nodes in most iterations
+        moves, events = [], []
         proximity_now, relinearize_now = collision.proximity, solver.relinearize
+        rebuild_now = solver.rebuild_W_fast
 
         def recording_proximity(contacts, views, normals):
             moves.append((contacts, views, normals))
             return proximity_now(contacts, views, normals)
 
         def recording_relinearize(normals):
-            frames.append((len(moves), normals.copy()))
+            events.append(("relinearize", len(moves), normals.copy()))
             return relinearize_now(normals)
+
+        def recording_rebuild(D, wg, kept=None):
+            events.append(("rebuild", len(moves), D))
+            return rebuild_now(D, wg, kept)
 
         monkeypatch.setattr(collision, "proximity", recording_proximity)
         monkeypatch.setattr(solver, "relinearize", recording_relinearize)
+        monkeypatch.setattr(solver, "rebuild_W_fast", recording_rebuild)
         config = load_scene(SCENES / scene)
         newton = replace(config.newton, scheme="fast", max_iterations=5, penetration_tol=-1.0)
         sim = Simulation(replace(config, newton=newton))
@@ -750,12 +783,22 @@ class TestFramesMatchReference:
             expect = build_frames_reference(pair_rows(sim.last_pairs))
             assert_bitwise_equal(build_frames(sim.last_pairs), frame_array(expect))
         monkeypatch.undo()
-        assert len(frames) == 8
-        for count, normals in frames:
-            contacts, views, _ = moves[count - 1]  # the move that preceded it
-            expect = element_normal_reference(contacts, views)
-            assert_bitwise_equal(normals, expect)
-            check_relinearize(normals)
+        rebuilds = [i for i, event in enumerate(events) if event[0] == "rebuild"]
+        assert len(rebuilds) == 10
+        for step in (rebuilds[:5], rebuilds[5:]):
+            for before, now in zip(step, step[1:]):
+                (_, _, D_before), (_, count, D) = events[before], events[now]
+                contacts, views, normals = moves[count - 1]  # the move that preceded it
+                assert_bitwise_equal(normals, element_normal_reference(contacts, views))
+                between = events[before + 1:now]
+                if normals.tobytes() == D_before[:, 0].tobytes():
+                    assert between == [] and D is D_before
+                else:
+                    [(kind, at, relinearized_at)] = between
+                    assert kind == "relinearize" and at == count
+                    assert_bitwise_equal(relinearized_at, normals)
+                    assert_bitwise_equal(D, check_relinearize(normals))
+        assert sum(event[0] == "relinearize" for event in events) == relinearized
 
 
 def assert_max_rotation_matches(old, new):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactnewton import solver
+from contactnewton import scene, solver
 from contactnewton.collision import (
     MeshGeometry,
     PlaneGeometry,
@@ -15,6 +15,7 @@ from contactnewton.collision import (
     detect,
     element_normals,
     proximity,
+    relinearize,
 )
 from contactnewton.constraints import (
     assemble_direction,
@@ -722,7 +723,7 @@ class TestPgsSkipsSeparatedGroups:
         for W, delta, h, config in bench_column_pgs_inputs + grasp_rotate_wide_pgs_inputs:
             fold = solver._fold(W, h * h)
             c = len(delta)
-            normal = np.array([read.__self__[0, :c] for read, *_ in fold.groups])
+            normal = fold.rows[:, 0, :c]
             omega = fold.omega
             F, _, _ = fold_reference(W, delta, h * h)
             assert np.array_equal(normal, F[0::3, :c])
@@ -1187,22 +1188,35 @@ class TestNewtonSchemes:
 # --- the geometric stop and the kept fold ------------------------------------------
 
 
-def record_loop_pgs(config, steps):
-    """The reports of ``steps`` steps, and per PGS call of the Newton loop
-    (W, delta, h, config, whether a fold was handed in, the result)."""
-    calls = []
-    pgs_now = solver.pgs
+def record_loop(config, steps):
+    """The simulation, the reports of ``steps`` fast steps, and what the
+    loop ran, in order: ("ctx", ctx) per step, then per iteration
+    ("pgs", W, delta, h, config, whether a fold was handed in, result) and
+    ("move", the proximity record)."""
+    events = []
+    pgs_now, move_now, newton_now = solver.pgs, solver.fast_update_proximity, scene.newton_fast
 
-    def recording(W, delta, h, config, fold=None):
+    def recording_newton(ctx, ncfg, pcfg):
+        events.append(("ctx", ctx))
+        return newton_now(ctx, ncfg, pcfg)
+
+    def recording_pgs(W, delta, h, config, fold=None):
         res = pgs_now(W, delta, h, config, fold=fold)
-        calls.append((W.copy(), delta.copy(), h, config, fold is not None, res))
+        events.append(("pgs", W.copy(), delta.copy(), h, config, fold is not None, res))
         return res
 
+    def recording_move(ctx, f):
+        prox = move_now(ctx, f)
+        events.append(("move", prox))
+        return prox
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "pgs", recording)
+        mp.setattr(scene, "newton_fast", recording_newton)
+        mp.setattr(solver, "pgs", recording_pgs)
+        mp.setattr(solver, "fast_update_proximity", recording_move)
         sim = Simulation(config)
         reports = [sim.step() for _ in range(steps)]
-    return reports, calls
+    return sim, reports, events
 
 
 def same_bits(x, y):
@@ -1210,33 +1224,87 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("scene", ["block_on_plane", "bench_column", "two_body_press"])
-def test_kept_fold_gives_the_fresh_folds_result(scene):
-    # every PGS call of forced iterations, refolded from scratch: lambda,
-    # delta_end and the counts are bitwise those the loop recorded. A call
-    # keeps the fold when its frames, hence its W, repeat the previous
-    # iteration's: from the third iteration on against a plane, never where
+@pytest.mark.parametrize("scene_name, kept", [
+    # the plane's normals are (0, 1, 0) and detection's (-0, 1, -0), so the
+    # first step re-linearizes once; the second keeps everything from the first
+    ("block_on_plane", [[False, False, True, True], [True] * 4]),
+    ("bench_column", [[False, False, True, True], [True] * 4]),
     # soft B triangles turn with their nodes
-    config = load_scene(SCENES / f"{scene}.scn")
-    if scene == "bench_column":
+    ("two_body_press", [[False] * 4] * 2),
+    # the plates turn between the first two iterations and between steps,
+    # though the second step keeps the first step's W_g
+    ("grasp_rotate", [[False, False, True, True]] * 2),
+], ids=["block_on_plane", "bench_column", "two_body_press", "grasp_rotate"])
+def test_kept_fold_gives_the_fresh_folds_result(scene_name, kept):
+    # every PGS call of two steps of forced iterations, rebuilt from scratch:
+    # the frames from detection or from the previous move's normals, W_g
+    # gathered from fresh signed mappings, W = D W_g D^T and a fresh fold.
+    # W, the violation, lambda, delta_end and the counts are bitwise those the
+    # loop recorded, so no kept D, W or fold outlives a change of the normals
+    # or of W_g, within a step or across steps
+    config = load_scene(SCENES / f"{scene_name}.scn")
+    if scene_name == "bench_column":
         config = with_box_divisions(config, (7, 6, 7))
     newton = replace(config.newton, scheme="fast", max_iterations=4, penetration_tol=-1.0)
-    reports, calls = record_loop_pgs(replace(config, newton=newton), 2)
-    stats = [it for report in reports for it in report.iterations]
-    assert len(stats) == len(calls) == 8
-    assert [it.fold_reused for it in stats] == [kept for *_, kept, _ in calls]
-    for k, (W, delta, h, cfg, kept, res) in enumerate(calls):
-        fresh = pgs(W, delta, h, cfg)
-        assert same_bits(res.lam, fresh.lam) and same_bits(res.delta_end, fresh.delta_end), k
-        assert (res.iterations, res.local_solves, res.eps_history) == (
-            fresh.iterations, fresh.local_solves, fresh.eps_history), k
-        if kept:
-            assert same_bits(W, calls[k - 1][0]), k
-    kept = [[it.fold_reused for it in report.iterations] for report in reports]
-    if scene == "two_body_press":
-        assert not any(map(any, kept))
-    else:
-        assert all(step[0] is False and all(step[2:]) for step in kept)
+    sim, reports, events = record_loop(replace(config, newton=newton), 2)
+    assert [[it.fold_reused for it in report.iterations] for report in reports] == kept
+    assert reports[1].mapping_reused is (scene_name != "two_body_press")
+    calls = 0
+    for event in events:
+        if event[0] == "ctx":
+            ctx = event[1]
+            S = {obj.oid: build_signed_mapping(ctx.pairs, obj.oid, obj.body.n_dofs,
+                                               obj.body.fixed_mask)
+                 for obj in sim.dynamic_objects}
+            wg, _ = assemble_Wg(S, ctx.F_by_object)
+            D, r = build_frames(ctx.pairs), ctx.r0
+        elif event[0] == "move":
+            D, r = relinearize(event[1].normals), event[1].r
+        else:
+            _, W, delta, h, cfg, folded, res = event
+            assert folded is kept[calls // 4][calls % 4], calls
+            fresh_W = rebuild_W_fast(D, wg)
+            fresh_delta = compute_violation(D, r)
+            assert same_bits(W, fresh_W) and same_bits(delta, fresh_delta), calls
+            fresh = pgs(fresh_W, fresh_delta, h, cfg)
+            assert same_bits(res.lam, fresh.lam) and same_bits(res.delta_end, fresh.delta_end), calls
+            assert (res.iterations, res.local_solves, res.eps_history) == (
+                fresh.iterations, fresh.local_solves, fresh.eps_history), calls
+            calls += 1
+    assert calls == 8
+
+
+def test_kept_operators_need_their_frames_and_wg():
+    # a step starts from the kept W and fold only when its detection frames
+    # are the kept D and its W_g is the kept one; a new W_g or new frames
+    # rebuild W and fold it afresh
+    bodies, pairs = falling_block_setup()
+    ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0)
+    ctx, *_ = build_context((bodies, pairs))
+    ops = newton_fast(ctx, ncfg, PgsConfig()).operators
+    assert ops.wg is ctx.wg
+    first_W = []
+
+    def recording_pgs(W, delta, h, config, fold=None, _fn=solver.pgs):
+        first_W.append(W)
+        return _fn(W, delta, h, config, fold=fold)
+
+    detection = build_frames(pairs)
+    assert not same_bits(detection, ops.D)  # the plane's normals are not detection's
+    cases = {
+        "kept": (ops.D, ops.wg, True),
+        "new W_g": (ops.D, 1.01 * ops.wg, False),
+        "new frames": (detection, ops.wg, False),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "pgs", recording_pgs)
+        for name, (frames, wg, reused) in cases.items():
+            ctx.detection_frames, ctx.wg, ctx.kept = frames, wg, ops
+            first_W.clear()
+            res = newton_fast(ctx, ncfg, PgsConfig())
+            assert res.iterations[0].fold_reused is reused, name
+            assert (first_W[0] is ops.W) is reused, name
+            assert same_bits(first_W[0], rebuild_W_fast(frames, wg)), name
 
 
 def test_kept_fold_still_checks_the_violation():

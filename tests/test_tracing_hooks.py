@@ -108,6 +108,57 @@ def test_standard_newton_iteration_calls_the_traced_solver_names(monkeypatch):
         assert calls[name] > 0, name
 
 
+@pytest.mark.parametrize("scene, forced", [("bench_column.scn", True), ("grasp_rotate.scn", False)])
+def test_fast_step_rebuilds_once_per_iteration_and_relinearizes_moved_normals(
+        monkeypatch, scene, forced):
+    # the tracer opens a fast iteration's span at solver.rebuild_W_fast, so it
+    # runs once per iteration though W is kept; relinearize and
+    # max_frame_rotation run only where the previous move's normals differ
+    # from the frames' own, bit for bit
+    events = []
+
+    def recording(name):
+        fn = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            events.append((name, args[0], result))
+            return result
+
+        return wrapper
+
+    for name in ("rebuild_W_fast", "relinearize", "max_frame_rotation", "fast_update_proximity"):
+        monkeypatch.setattr(solver, name, recording(name))
+    config = load_scene(ROOT / "scenes" / scene)
+    newton = replace(config.newton, scheme="fast")
+    if forced:
+        newton = replace(newton, max_iterations=5, penetration_tol=-1.0)
+    sim = Simulation(replace(config, newton=newton))
+    sim.step()  # the column's detection normals are (-0, 1, -0), the plane's (0, 1, 0)
+    moved = iterations = 0
+    for _ in range(4):
+        events.clear()
+        report = sim.step()
+        expected, turned, D, prox = [], [], None, None
+        for name, arg, result in events:
+            if name == "rebuild_W_fast":
+                turned.append(prox is not None and prox.normals.tobytes() != D[:, 0].tobytes())
+                expected += ["relinearize", "max_frame_rotation"] * turned[-1] + [name]
+                D = arg
+            elif name == "fast_update_proximity":
+                expected.append(name)
+                prox = result
+        assert [name for name, *_ in events] == expected
+        assert len(turned) == len(report.iterations)
+        for it, turn in zip(report.iterations, turned):
+            assert it.fold_reused is not turn or it is report.iterations[0]
+            assert turn or it.rotation == 0.0
+        moved += sum(turned)
+        iterations += len(turned)
+    assert iterations > 4
+    assert (moved > 0) is (scene == "grasp_rotate.scn")
+
+
 def test_pgs_calls_local_solve_through_the_module_global(monkeypatch):
     # the tracer's solver.local_solve_calls counts the module global, so a
     # sweep that inlined the local solve would read 0 there; skipped visits
