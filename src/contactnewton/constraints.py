@@ -205,7 +205,7 @@ def assemble_Wg(
     return wg_t.T, X_by_object
 
 
-def rebuild_W_fast(D: np.ndarray, wg: np.ndarray, kept: tuple | None = None) -> np.ndarray:
+def rebuild_W_fast(D: np.ndarray, wg: np.ndarray, kept=None) -> np.ndarray:
     """W = D W_g D^T block by block, W[i, j] = D_i W_g[i, j] D_j^T for groups
     i, j, since D is block diagonal; no system solves, cost independent of n.
 
@@ -216,15 +216,16 @@ def rebuild_W_fast(D: np.ndarray, wg: np.ndarray, kept: tuple | None = None) -> 
     made. The first product reads contiguous rows when W_g is
     Fortran-ordered, as :func:`assemble_Wg` returns it.
 
-    ``kept`` is the ``(D, W_g, W)`` of an earlier call. When D and W_g are
-    those very objects, its W is returned with no products: no caller
-    writes to frames or to W_g once built, so the same objects give the
-    same W bit for bit. The fast Newton loop calls this in every iteration,
-    W kept or not, because it is the iteration's first operation: the
-    benchmark's layer tracer opens its iteration span at this call.
+    ``kept`` is the Newton loop's held :class:`~contactnewton.solver.Operators`,
+    or None. When D and W_g are its very objects, its W is returned with no
+    products: no caller writes to frames or to W_g once built, so the same
+    objects give the same W bit for bit. The fast Newton loop calls this in
+    every iteration, W kept or not, because it is the iteration's first
+    operation: the benchmark's layer tracer opens its iteration span at this
+    call.
     """
-    if kept is not None and kept[0] is D and kept[1] is wg:
-        return kept[2]
+    if kept is not None and kept.D is D and kept.wg is wg:
+        return kept.W
     g = len(D)
     c = 3 * g
     if wg.shape != (c, c):

@@ -64,14 +64,12 @@ class FreeMotion:
 
     ``y`` is the forward pass of ``dv_free = A^-1 b`` (``Factorization.forward``),
     which the step's one final solve finishes together with the contact
-    correction. ``dv_free`` and the free positions ``q_free = q + h (v +
-    dv_free)`` hold the rows of the backward pass, which runs only down to
-    the earliest row of the DOFs the contact pairs read; the rows before it
-    are NaN.
+    correction. The free positions ``q_free = q + h (v + dv_free)`` hold the
+    rows of the backward pass, which runs only down to the earliest row of
+    the DOFs the contact pairs read; the rows before it are NaN.
     """
 
     y: np.ndarray
-    dv_free: np.ndarray
     q_free: np.ndarray
 
 
@@ -334,7 +332,7 @@ def compute_free_motion(
     when ``dofs`` is None)."""
     y = F.forward(b)
     dv = F.backward(y, dofs)
-    return FreeMotion(y, dv, state.q + h * (state.v + dv))
+    return FreeMotion(y, state.q + h * (state.v + dv))
 
 
 def integrate_correction(state: MechanicalState, dv: np.ndarray, h: float) -> MechanicalState:

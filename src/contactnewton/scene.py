@@ -20,10 +20,9 @@ only when a step's attachments differ from the previous committed step's
 for byte) or, for W_g and X_o, when its factorizations are other objects
 (a rigid body factors anew each step). Otherwise the step takes that
 step's arrays, read-only and bit for bit what a rebuild would compute.
-A fast step that takes the previous step's W_g also takes its final
-frames D, its W and PGS's fold of W (``solver.Operators``) when the
-detection normals equal D's bit for bit; otherwise it drops them before
-the Newton loop builds its own.
+A fast step that takes the previous step's W_g also hands the Newton loop
+that step's last frames D, its W and PGS's fold of W
+(``solver.Operators``), and the loop alone decides whether to keep them.
 
 :meth:`Simulation.detect` is the one detection path: pairs and frames of
 given states at a given time. :meth:`Simulation.penetration` is the one
@@ -265,10 +264,20 @@ def _vec3(value, where):
     return tuple(arr)
 
 
+def _scaled_vec3(value, where):
+    """A 3-vector scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), so that its norm neither overflows nor
+    underflows. The scaling is exact, so its normalization has the bits of
+    the given vector's wherever that one's norm neither overflows nor
+    underflows. A zero vector stays zero."""
+    vec = np.array(_vec3(value, where))
+    return tuple(np.ldexp(vec, -np.frexp(np.abs(vec).max())[1]))
+
+
 def _direction(value, where):
-    """A nonzero 3-vector, as given (not normalized)."""
-    vec = _vec3(value, where)
-    if not np.linalg.norm(vec) > 0:
+    """A nonzero 3-vector, scaled as :func:`_scaled_vec3` (not normalized)."""
+    vec = _scaled_vec3(value, where)
+    if not any(vec):
         raise ValidationError(f"{where}: must be nonzero, got {value!r}")
     return vec
 
@@ -314,7 +323,7 @@ _MATERIAL = {key: (key, as_number)
 _SOFT_BODY = {"fixed_nodes": ("fixed_nodes", _node_ids), "node_mass": ("node_mass", as_number)}
 _SOFT = {"velocity": ("velocity", _vec3)}
 _PLANE = {"normal": ("normal", _direction), "offset": ("offset", as_number)}
-_MOTION = {"axis": ("axis", _vec3), "center": ("center", _vec3),
+_MOTION = {"axis": ("axis", _scaled_vec3), "center": ("center", _vec3),
            "angular_velocity": ("angular_velocity", as_number), "velocity": ("velocity", _vec3)}
 _RIGID_BODY = {"mass": ("mass", as_number), "inertia": ("inertia", _inertia)}
 _RIGID = {"position": ("position", _vec3), "velocity": ("velocity", _twist)}
@@ -448,7 +457,7 @@ def _load_kinematic(entry, name, base_dir):
     where = f"{name}.motion"
     motion = MotionSpec(**read_settings(as_mapping(entry.get("motion"), where, _MOTION),
                                         where, _MOTION))
-    if motion.angular_velocity != 0.0 and not np.linalg.norm(motion.axis) > 0:
+    if motion.angular_velocity != 0.0 and not any(motion.axis):
         raise ValidationError(f"{where}.axis: a rotating object needs a nonzero axis")
     return KinematicMeshSpec(name=name, points=points, triangles=tris, motion=motion)
 
@@ -877,8 +886,7 @@ class Simulation:
         """Run the pre-correction pipeline (detect through free violation).
 
         Commits nothing, though a step whose attachments differ drops the
-        kept mapping, and one that cannot start from its operators drops
-        those; the correction scheme and integration consume the
+        kept mapping; the correction scheme and integration consume the
         record. Exposed so the verification command can probe the exact
         operators a step would use.
         """
@@ -963,15 +971,9 @@ class Simulation:
         if cfg.newton.scheme == "fast":
             reused = (reused and previous.wg is not None
                       and _same_objects(previous.F_by_object, factorizations))
-            ops = previous.operators if reused else None
-            if ops is not None and frames[:, 0].tobytes() == ops.D[:, 0].tobytes():
-                # equal normals give equal frames: start from the kept ones
-                ctx.detection_frames, ctx.kept = ops.D, ops
-            elif previous is not None and previous.operators is not None:
-                # the kept W and fold are freed before the loop builds new ones
-                self._mapping = replace(previous, operators=None)
             if reused:
                 wg, X = previous.wg, previous.X_by_object
+                ctx.kept = previous.operators
             else:
                 wg, X = assemble_Wg(S, factorizations)
                 for array in (wg, *(a for JX in X.values() for a in JX)):
@@ -1022,9 +1024,9 @@ class Simulation:
         self.time = t_next
         self.step_index += 1
         self.last_pairs = ctx.pairs
-        self.last_frames = result.final_frames
+        self.last_frames = result.operators.D
         self.last_lam = lam = result.lam
-        ops = result.operators  # the fast scheme's, for the next step
+        ops = result.operators if cfg.newton.scheme == "fast" else None  # for the next step
         if ops is not None:
             ops.D.flags.writeable = ops.W.flags.writeable = False
         self._mapping = replace(prep.mapping, operators=ops)

@@ -111,33 +111,33 @@ scheme supplies two operations:
   move      the record after the summed impulse f, through one
             ``ctx.refresh(dq)``.
 
-An iteration re-linearizes only when the record's normals differ bit for
-bit from the normals the current D was built from, which are D's first
-rows: detection's frames and ``relinearize``'s are built from their
-normals, so equal normals would give equal frames. Otherwise D stays the
-same object, ``max_frame_rotation`` is not called (the turn reads 0.0),
-and whatever depends on D alone is kept. PGS keeps the previous call's
-:class:`Fold`: the (h^2 P) W rows, the per-group constants and the skip
-bounds depend on W and h only, so only the P delta_base column is
+One rule decides what carries over, in every iteration, the first
+included. The loop holds the last :class:`Operators`: D, the W_g object
+its W was built at, W and PGS's :class:`Fold` of W. It keeps them when
+their ``wg`` is ``ctx.wg`` and the iteration's normals equal D's first rows
+bit for bit; iteration 1's normals are detection's, a later iteration's the
+previous move's. Detection's frames and ``relinearize``'s are built from
+their normals, so equal normals would give equal frames. Kept, D stays the
+same object, ``max_frame_rotation`` is not called (the turn reads 0.0), and
+PGS takes the kept fold: the (h^2 P) W rows, the per-group constants and
+the skip bounds depend on W and h only, so only the P delta_base column is
 recomputed, and lambda is bitwise that of a fresh fold. The fast scheme
 also keeps W: :func:`~contactnewton.constraints.rebuild_W_fast` returns the
-W it built for the same D and W_g objects with no products. It is still
-called once per iteration, since the benchmark's tracer opens its iteration
-span there. The standard scheme rebuilds its W by multi-RHS solves in
-every iteration: it is the paper's baseline, which ``contactnewton bench``
-times against the fast scheme. On a plane or a kinematic plate the
-element normals repeat from the third iteration on, and from the second
-where detection's normals already are the element's (``bench_column``'s
-are, in every iteration); a soft B triangle turns with its nodes, so there
-everything is rebuilt.
+kept W when D and W_g are its objects, with no products. It is still called
+once per iteration, since the benchmark's tracer opens its iteration span
+there. The standard scheme rebuilds its W by multi-RHS solves in every
+iteration: it is the paper's baseline, which ``contactnewton bench`` times
+against the fast scheme. Otherwise the loop drops the held operators and
+builds D afresh, from detection's frames in iteration 1 and by
+``relinearize`` later, and the rebuild and PGS make a new W and fold.
 
-A fast step also keeps its last :class:`Operators`, the final D, its W
-and PGS's fold of it, for the next step (``StepContext.kept``). The scene
-hands them on while the step's attachments and factorizations repeat, so
-that W_g is the same object, and the detection normals equal D's bit for
-bit; the step then takes D as its detection frames, and its first
-iteration rebuilds and folds nothing. Otherwise the scene drops them
-before the new ones are built.
+The loop starts from ``ctx.kept``: the scene hands a fast step the previous
+step's last operators while it reuses that step's W_g, so that the rule can
+keep them in iteration 1, and none otherwise. On a plane or a kinematic
+plate the element normals repeat from the third iteration on, and from the
+second where detection's normals already are the element's
+(``bench_column``'s are, in every iteration and step); a soft B triangle
+turns with its nodes, so there everything is rebuilt.
 
 The two schemes bind them as follows:
 
@@ -436,15 +436,15 @@ def pgs(
 
 @dataclass(frozen=True)
 class Operators:
-    """Frames D and what depends on them alone: W = D W_g D^T at the W_g
-    object ``wg`` and PGS's :class:`Fold` of W. A fast step hands its last
-    ones to the next step, which starts from them while its detection frames
-    are D and its W_g is the same object (module docstring)."""
+    """Frames D and what depends on them alone: W at D (under ``fast``
+    D W_g D^T at the W_g object ``wg``) and PGS's :class:`Fold` of W. The
+    Newton loop holds its last ones and keeps them while its normals are D's
+    and its W_g is ``wg`` (module docstring)."""
 
-    D: np.ndarray  # (p, 3, 3), read-only
-    wg: np.ndarray
-    W: np.ndarray  # read-only
-    fold: Fold
+    D: np.ndarray  # (p, 3, 3)
+    wg: np.ndarray | None
+    W: np.ndarray
+    fold: Fold | None  # None without pairs
 
 
 @dataclass
@@ -461,7 +461,7 @@ class StepContext:
     y_free: dict[int, np.ndarray]  # forward pass of the free motion A^-1 b per object
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
     X_by_object: dict[int, tuple[np.ndarray, np.ndarray]] | None = None  # (J, S_J A^-1[J, J])
-    kept: Operators | None = None  # the previous fast step's, whose D is detection_frames
+    kept: Operators | None = None  # the previous fast step's last, while its W_g is wg
 
 
 @dataclass
@@ -487,11 +487,9 @@ class CorrectionResult:
     lam_history: list[np.ndarray]  # (c,) grouped (lambda_n, lambda_t1, lambda_t2) per iteration
     lam: np.ndarray = field(default_factory=lambda: np.zeros(0))  # step's force in final frames
     iterations: list[IterationStats] = field(default_factory=list)
-    final_frames: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     final_correction_time: float = 0.0
     exit: str = "max_iterations"  # why the loop stopped; else "penetration"
-    fold: Fold | None = None  # PGS's fold of the last iteration's W
-    operators: Operators | None = None  # the fast scheme's last D, W and fold, for the next step
+    operators: Operators | None = None  # the last iteration's D, W and fold
 
 
 def _mechanical_correction(ctx: StepContext, f: np.ndarray) -> dict[int, np.ndarray]:
@@ -530,41 +528,46 @@ def _newton(
 ) -> CorrectionResult:
     """The recursive correction loop shared by both schemes.
 
-    D is the (p, 3, 3) frame array. ``rebuild(D)`` returns W and ``move(f)``
-    the :class:`Proximity` record after the summed world impulse f =
+    D is the (p, 3, 3) frame array. ``rebuild(D, kept)`` returns W, given the
+    held :class:`Operators` ``kept`` (None once dropped), and ``move(f)`` the
+    :class:`Proximity` record after the summed world impulse f =
     sum_k D_k^T lambda_k, through one ``ctx.refresh``. Once the loop ends,
     :func:`_mechanical_correction` turns f into ``dv_by_object``, the same
     way for both schemes. The step's force ``lam`` is f in the final frames,
-    D_K f. An iteration re-linearizes only when the record's normals differ
-    bit for bit from D's own, the normals D was built from; otherwise D stays
-    the same object, and PGS keeps its fold, which depends on W and h alone.
-    The operations must look up their module-level names when called: the
-    layer tracer of the benchmark patches those names, and opens its
-    iteration span at the rebuild, which therefore runs in every iteration,
-    W kept or not.
+    D_K f, and ``operators`` the last iteration's. Every iteration, the
+    first included, keeps the held operators when their ``wg`` is ``ctx.wg``
+    and its normals are D's bit for bit; otherwise it drops them and builds
+    D afresh (module docstring). The operations must look up their
+    module-level names when called: the layer tracer of the benchmark
+    patches those names, and opens its iteration span at the rebuild, which
+    therefore runs in every iteration, W kept or not.
     """
-    D = assemble_direction(ctx.detection_frames)
-    kept = ctx.kept
-    fold = kept.fold if kept is not None and kept.D is D and kept.wg is ctx.wg else None
+    ops = ctx.kept
+    normals = ctx.detection_frames[:, 0]
     r = ctx.r0
     f = np.zeros(3 * len(ctx.pairs))
     result = CorrectionResult({}, [])
     for k in range(ncfg.max_iterations):
         rotation = 0.0
-        if k > 0 and prox.normals.tobytes() != D[:, 0].tobytes():
-            frames = assemble_direction(relinearize(prox.normals))
-            rotation = max_frame_rotation(D, frames)
-            D, fold = frames, None  # a stale fold is freed before the new one is built
-        fold_reused = fold is not None
+        reused = (ops is not None and ops.wg is ctx.wg
+                  and normals.tobytes() == ops.D[:, 0].tobytes())
+        if reused:
+            D = ops.D
+        else:
+            ops = None  # within a step its fold is the loop's alone: freed before PGS folds anew
+            frames = assemble_direction(relinearize(normals) if k else ctx.detection_frames)
+            if k:
+                rotation = max_frame_rotation(D, frames)
+            D = frames
         t0 = time.perf_counter()
-        W = rebuild(D)
+        W = rebuild(D, ops)
         t1 = time.perf_counter()
-        res = pgs(W, compute_violation(D, r), ctx.h, pcfg, fold=fold)
-        fold, res.fold = res.fold, None  # held by the loop alone
+        res = pgs(W, compute_violation(D, r), ctx.h, pcfg, fold=ops.fold if reused else None)
+        ops, res.fold = Operators(D, ctx.wg, W, res.fold), None  # held by ops alone
         t2 = time.perf_counter()
         f = f + apply_transposed(D, res.lam)
         prox = move(f)
-        r = prox.r
+        r, normals = prox.r, prox.normals
         t3 = time.perf_counter()
         result.lam_history.append(res.lam)
         pen = penetration(prox.gaps)
@@ -579,7 +582,7 @@ def _newton(
                 pgs_eps=res.eps_history[-1] if res.eps_history else 0.0,
                 pgs_converged=res.converged,
                 rotation=rotation,
-                fold_reused=fold_reused,
+                fold_reused=reused,
             )
         )
         if pen <= ncfg.penetration_tol:
@@ -588,8 +591,7 @@ def _newton(
     t0 = time.perf_counter()
     result.dv_by_object = _mechanical_correction(ctx, f)
     result.final_correction_time = time.perf_counter() - t0
-    result.final_frames = D
-    result.fold = fold
+    result.operators = ops
     result.lam = np.einsum("gij,gj->gi", D, f.reshape(-1, 3)).ravel()
     return result
 
@@ -612,7 +614,7 @@ def newton_standard(
         return ctx.refresh({oid: h2 * ctx.F_by_object[oid].solve(S.T @ f)
                             for oid, S in sorted(ctx.S_by_object.items())})
 
-    return _newton(ctx, ncfg, pcfg, lambda D: rebuild_W_standard(D, ctx), move)
+    return _newton(ctx, ncfg, pcfg, lambda D, kept: rebuild_W_standard(D, ctx), move)
 
 
 def newton_fast(
@@ -625,15 +627,5 @@ def newton_fast(
     """
     if ctx.wg is None or ctx.X_by_object is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
-    kept = ctx.kept
-    last = None if kept is None else (kept.D, kept.wg, kept.W)  # (D, W_g, W) of the last rebuild
-
-    def rebuild(D):
-        nonlocal last
-        W = rebuild_W_fast(D, ctx.wg, last)
-        last = (D, ctx.wg, W)
-        return W
-
-    result = _newton(ctx, ncfg, pcfg, rebuild, lambda f: fast_update_proximity(ctx, f))
-    result.operators = Operators(*last, result.fold)
-    return result
+    return _newton(ctx, ncfg, pcfg, lambda D, kept: rebuild_W_fast(D, ctx.wg, kept),
+                   lambda f: fast_update_proximity(ctx, f))

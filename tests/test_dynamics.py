@@ -287,27 +287,33 @@ class TestFreeMotion:
         body = point_mass_body()
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, 0, 0))
-        free = compute_free_motion(Factorization(A), b, state, h=0.01)
-        assert np.array_equal(free.dv_free, np.zeros(3))
+        F = Factorization(A)
+        free = compute_free_motion(F, b, state, h=0.01)
+        dv_free = F.backward(free.y)  # A^-1 b
+        assert np.array_equal(dv_free, np.zeros(3))
         assert np.array_equal(free.q_free, state.q)
 
     def test_point_mass_gravity(self):
         body = point_mass_body(mass=2.0)
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10.0, 0))
-        free = compute_free_motion(Factorization(A), b, state, h=0.01)
-        assert np.allclose(free.dv_free, [0.0, -0.1, 0.0])
-        assert np.allclose(free.q_free, state.q + 0.01 * free.dv_free)
+        F = Factorization(A)
+        free = compute_free_motion(F, b, state, h=0.01)
+        dv_free = F.backward(free.y)  # A^-1 b
+        assert np.allclose(dv_free, [0.0, -0.1, 0.0])
+        assert np.allclose(free.q_free, state.q + 0.01 * dv_free)
 
     def test_fixed_face_tet_matches_dense_oracle(self):
         mesh = TetMesh(REGULAR_TET * 0.1, np.array([[0, 1, 2, 3]]))
         body = SoftBody(mesh, young=5e4, poisson=0.3, fixed_nodes=np.array([0, 1, 2]))
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -9.81, 0))
-        free = compute_free_motion(Factorization(A), b, state, h=0.01)
+        F = Factorization(A)
+        free = compute_free_motion(F, b, state, h=0.01)
+        dv_free = F.backward(free.y)  # A^-1 b
         x_oracle = np.linalg.solve(A.toarray(), b)
-        assert np.linalg.norm(free.dv_free - x_oracle) <= 1e-10
-        assert np.array_equal(free.dv_free[:9], np.zeros(9))  # fixed nodes do not move
+        assert np.linalg.norm(dv_free - x_oracle) <= 1e-10
+        assert np.array_equal(dv_free[:9], np.zeros(9))  # fixed nodes do not move
 
 
 class TestIntegrateCorrection:
@@ -315,10 +321,12 @@ class TestIntegrateCorrection:
         body = point_mass_body()
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
-        free = compute_free_motion(Factorization(A), b, state, h=0.01)
-        out = integrate_correction(state, free.dv_free, h=0.01)
+        F = Factorization(A)
+        free = compute_free_motion(F, b, state, h=0.01)
+        dv_free = F.backward(free.y)  # A^-1 b
+        out = integrate_correction(state, dv_free, h=0.01)
         assert np.array_equal(out.q, free.q_free)
-        assert np.array_equal(out.v, state.v + free.dv_free)
+        assert np.array_equal(out.v, state.v + dv_free)
 
     def test_full_cancellation(self):
         body = point_mass_body()
@@ -334,11 +342,13 @@ class TestIntegrateCorrection:
         body = point_mass_body()
         state = body.initial_state()
         A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
-        free = compute_free_motion(Factorization(A), b, state, h=0.01)
+        F = Factorization(A)
+        free = compute_free_motion(F, b, state, h=0.01)
+        dv_free = F.backward(free.y)  # A^-1 b
         parts = [rng.standard_normal(3) * 0.01 for _ in range(4)]
-        batch = integrate_correction(state, free.dv_free + np.sum(parts, axis=0), h=0.01)
+        batch = integrate_correction(state, dv_free + np.sum(parts, axis=0), h=0.01)
         q = free.q_free.copy()
-        v = state.v + free.dv_free
+        v = state.v + dv_free
         for p in parts:
             v = v + p
             q = q + 0.01 * p
@@ -358,8 +368,10 @@ class TestProperties:
         state.v = 0.1 * rng.standard_normal(state.v.shape)
         h = 0.01
         A, b = body.assemble(state, h=h, gravity=(0, 0, 0))
-        free = compute_free_motion(Factorization(A), b, state, h=h)
-        out = integrate_correction(state, free.dv_free, h=h)
+        F = Factorization(A)
+        free = compute_free_motion(F, b, state, h=h)
+        dv_free = F.backward(free.y)  # A^-1 b
+        out = integrate_correction(state, dv_free, h=h)
         m3 = np.repeat(body.masses(), 3)
         p_before = (m3 * state.v).reshape(-1, 3).sum(axis=0)
         p_after = (m3 * out.v).reshape(-1, 3).sum(axis=0)

@@ -1,6 +1,7 @@
 """The package root imports nothing, so the CLI's thread cap reaches BLAS,
 every function, class and method in ``src`` is called by the program itself,
-and every module-level import in ``src`` is used."""
+every dataclass field in ``src`` is read by it, and every module-level
+import in ``src`` is used."""
 
 import ast
 import os
@@ -89,6 +90,42 @@ def test_every_function_and_method_is_called_by_the_program():
                        for name, where, line in refs):
                 unused.append(f"{module}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def dataclass_fields(tree):
+    """(class name, field declaration) of every annotated field of a dataclass."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    # a class handed to ``fields(...)`` is read field by field (IterationStats'
+    # fields are the newton.csv columns), so its fields are exempt
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    refs = [(name, module, line) for module, tree in trees.items()
+            for name, line in references(tree)]
+    listed = {node.args[0].id for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fields"
+              and node.args and isinstance(node.args[0], ast.Name)}
+    unread = []
+    for module, tree in trees.items():
+        for cls, item in dataclass_fields(tree):
+            name = item.target.id
+            if cls in listed:
+                continue
+            # the field's own declaration does not count
+            if not any(ref == name and not (where == module
+                                            and item.lineno <= line <= item.end_lineno)
+                       for ref, where, line in refs):
+                unread.append(f"{module}:{item.lineno} {cls}.{name}")
+    assert unread == []
 
 
 def test_every_import_is_used():

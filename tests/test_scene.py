@@ -358,6 +358,29 @@ def test_readme_scene_key_table_lists_every_loader_key():
     assert sorted(documented) == sorted(accepted)
 
 
+# (vector, its twin): a finite vector whose norm overflows or underflows is
+# scaled by a power of two where it is read, exactly, so its scene steps as
+# its twin's, bit for bit, with no numpy warning (warnings are errors)
+SCALED_VECTORS = {
+    "plane-normal-huge": ("normal: [1.0e308, 1.0e308, 0]", "normal: [1, 1, 0]"),
+    "plane-normal-tiny": ("normal: [0, 1.0e-200, 0]", "normal: [0, 1, 0]"),
+    "motion-axis-huge": ("axis: [0, 1.0e308, 0]", "axis: [0, 1, 0]"),
+}
+
+
+@pytest.mark.parametrize("vector, twin", SCALED_VECTORS.values(), ids=SCALED_VECTORS.keys())
+def test_huge_or_tiny_direction_steps_as_its_twin(tmp_path, vector, twin):
+    def stepped(setting):
+        if setting.startswith("normal"):  # the ground is MIXED_SCENE's last object
+            text = MIXED_SCENE + f"    {setting}\n"
+        else:  # the plate's spin axis
+            text = MIXED_SCENE.replace("axis: [0.0, 1.0, 0.0]", setting)
+        sim = Simulation(load_scene(write_scene(tmp_path, text)))
+        return [outcome(sim, sim.step()) for _ in range(2)]
+
+    assert stepped(vector) == stepped(twin)
+
+
 def test_zero_axis_without_rotation_is_valid(tmp_path):
     config = load_scene(write_scene(tmp_path, (
         f"objects: [{{name: plate, type: kinematic_mesh, {PLATE}, "
@@ -659,6 +682,26 @@ def test_detect_on_committed_states_gives_the_next_steps_pairs(seam_config):
         assert len(pairs) > 0
         assert same_contacts(pairs, sim.last_pairs)
         assert same_bits(frames, detection_frames)
+
+
+@pytest.mark.parametrize("scheme", ["fast", "standard"])
+def test_prepare_step_hands_on_detections_frames_and_the_kept_operators(scheme):
+    # prepare_step compares no normals: its frames are detection's, bit for
+    # bit, and under fast it hands on the previous step's last operators
+    # whenever it reuses that step's W_g; the Newton loop alone decides to
+    # keep them, which the column's repeated plane normals do
+    config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 6, 7))
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme=scheme)))
+    for step in range(2):
+        _, frames = sim.detect(committed(sim), sim.time)
+        ctx = sim.prepare_step().ctx
+        assert same_bits(ctx.detection_frames, frames)
+        report = sim.step()
+        if scheme == "standard" or step == 0:
+            assert ctx.kept is None
+        else:
+            assert report.mapping_reused and ctx.kept.wg is ctx.wg
+            assert report.iterations[0].fold_reused
 
 
 def test_penetration_at_committed_positions_is_pen_after(seam_config):

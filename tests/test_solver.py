@@ -1275,9 +1275,9 @@ def test_kept_fold_gives_the_fresh_folds_result(scene_name, kept):
 
 
 def test_kept_operators_need_their_frames_and_wg():
-    # a step starts from the kept W and fold only when its detection frames
-    # are the kept D and its W_g is the kept one; a new W_g or new frames
-    # rebuild W and fold it afresh
+    # a step starts from the kept W and fold only when its detection normals
+    # are the kept D's bit for bit, in whatever array, and its W_g is the
+    # kept one; a new W_g or new normals rebuild W and fold it afresh
     bodies, pairs = falling_block_setup()
     ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0)
     ctx, *_ = build_context((bodies, pairs))
@@ -1293,6 +1293,7 @@ def test_kept_operators_need_their_frames_and_wg():
     assert not same_bits(detection, ops.D)  # the plane's normals are not detection's
     cases = {
         "kept": (ops.D, ops.wg, True),
+        "equal frames, new array": (ops.D.copy(), ops.wg, True),
         "new W_g": (ops.D, 1.01 * ops.wg, False),
         "new frames": (detection, ops.wg, False),
     }
