@@ -473,7 +473,9 @@ def build_frames(contacts: Contacts) -> np.ndarray:
         raise DegenerateFrameError("coincident proximity points and no element normal")
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.where(apart[:, None], d / norm[:, None], ref / ref_norm[:, None])
-    n = np.where((apart & (_rowdot(n, ref) < 0))[:, None], -n, n)
+    # 0 - n flips every nonzero component as -n does and gives +0 for zeros,
+    # so a flipped normal along an axis has the bytes of the element's normal
+    n = np.where((apart & (_rowdot(n, ref) < 0))[:, None], 0.0 - n, n)
     return relinearize(n)
 
 

@@ -216,16 +216,15 @@ def rebuild_W_fast(D: np.ndarray, wg: np.ndarray, kept=None) -> np.ndarray:
     made. The first product reads contiguous rows when W_g is
     Fortran-ordered, as :func:`assemble_Wg` returns it.
 
-    ``kept`` is the Newton loop's held :class:`~contactnewton.solver.Operators`,
-    or None. When D and W_g are its very objects, its W is returned with no
-    products: no caller writes to frames or to W_g once built, so the same
-    objects give the same W bit for bit. The fast Newton loop calls this in
-    every iteration, W kept or not, because it is the iteration's first
+    ``kept`` is the W the Newton loop holds for these frames, or None. It
+    is returned as it is, with no products: the loop keeps W only while D
+    repeats, and W_g is fixed within a step. The fast Newton loop calls this
+    in every iteration, W kept or not, because it is the iteration's first
     operation: the benchmark's layer tracer opens its iteration span at this
     call.
     """
-    if kept is not None and kept.D is D and kept.wg is wg:
-        return kept.W
+    if kept is not None:
+        return kept
     g = len(D)
     c = 3 * g
     if wg.shape != (c, c):

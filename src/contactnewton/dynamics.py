@@ -247,15 +247,18 @@ class SoftBody:
         fixed = self.fixed_mask
 
         # A = (1 + h a) M + (h b + h^2) K, with fixed rows/cols replaced by
-        # identity; it depends on h alone (linear material), so it is kept
+        # identity; it depends on h alone (linear material), so it is kept.
+        # A huge h or mass may overflow its products, as it does the
+        # right-hand side's, which the finite check below reports
         if self._system is None or self._system[0] != h:
             K = self.stiffness().tocoo()
             k_scale = h * self.rayleigh_stiffness + h * h
             keep = ~(fixed[K.row] | fixed[K.col])
             rows = K.row[keep]
             cols = K.col[keep]
-            vals = k_scale * K.data[keep]
-            diag = np.where(fixed, 1.0, (1.0 + h * self.rayleigh_mass) * m3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = k_scale * K.data[keep]
+                diag = np.where(fixed, 1.0, (1.0 + h * self.rayleigh_mass) * m3)
             rows = np.concatenate([rows, np.arange(self.n_dofs)])
             cols = np.concatenate([cols, np.arange(self.n_dofs)])
             vals = np.concatenate([vals, diag])
@@ -267,9 +270,9 @@ class SoftBody:
         # f(q, v) = K (q - q0) + (rayleigh_mass M + rayleigh_stiffness K) v
         # gathered into one product; the finite check reports an overflow
         g = np.asarray(gravity, dtype=np.float64)
-        f_ext = (m3 * np.tile(g, self.mesh.n_nodes)).astype(np.float64)
         disp = state.q - self.mesh.nodes.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
+            f_ext = (m3 * np.tile(g, self.mesh.n_nodes)).astype(np.float64)
             k_arg = h * disp + (h * self.rayleigh_stiffness + h * h) * state.v
             b = h * (f_ext - self.rayleigh_mass * (m3 * state.v)) - self.stiffness() @ k_arg
         b[fixed] = 0.0

@@ -20,9 +20,8 @@ only when a step's attachments differ from the previous committed step's
 for byte) or, for W_g and X_o, when its factorizations are other objects
 (a rigid body factors anew each step). Otherwise the step takes that
 step's arrays, read-only and bit for bit what a rebuild would compute.
-A fast step that takes the previous step's W_g also hands the Newton loop
-that step's last frames D, its W and PGS's fold of W
-(``solver.Operators``), and the loop alone decides whether to keep them.
+Nothing that depends on the frames D crosses a step: the Newton loop builds
+D, W and PGS's fold afresh in every step and keeps them within it.
 
 :meth:`Simulation.detect` is the one detection path: pairs and frames of
 given states at a given time. :meth:`Simulation.penetration` is the one
@@ -71,7 +70,6 @@ from .mesh import box_mesh, load_mesh, surface_triangles, surface_vertices
 from .solver import (
     IterationStats,
     NewtonConfig,
-    Operators,
     PgsConfig,
     StepContext,
     newton_fast,
@@ -806,7 +804,6 @@ class _Mapping:
     F_by_object: dict  # the step's factorizations, compared with `is`
     wg: np.ndarray | None = None
     X_by_object: dict | None = None
-    operators: Operators | None = None  # the fast step's final D, W and fold, read-only
 
 
 def _attachments(pairs) -> tuple:
@@ -973,7 +970,6 @@ class Simulation:
                       and _same_objects(previous.F_by_object, factorizations))
             if reused:
                 wg, X = previous.wg, previous.X_by_object
-                ctx.kept = previous.operators
             else:
                 wg, X = assemble_Wg(S, factorizations)
                 for array in (wg, *(a for JX in X.values() for a in JX)):
@@ -1024,12 +1020,9 @@ class Simulation:
         self.time = t_next
         self.step_index += 1
         self.last_pairs = ctx.pairs
-        self.last_frames = result.operators.D
+        self.last_frames = result.frames
         self.last_lam = lam = result.lam
-        ops = result.operators if cfg.newton.scheme == "fast" else None  # for the next step
-        if ops is not None:
-            ops.D.flags.writeable = ops.W.flags.writeable = False
-        self._mapping = replace(prep.mapping, operators=ops)
+        self._mapping = prep.mapping
 
         lam_groups = lam.reshape(-1, 3) if lam.size else np.zeros((0, 3))
         lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)

@@ -24,7 +24,7 @@ zeroed, and det T. Lambda is held in one
 (c + 1) array that ends in 1, so one gemv of the block with it reads
 (a, b0, b1): a is the new lambda_n before the clamp, and b + q a the
 tangential stick trial, the lambda_t that zeroes the group's tangential gap
-at that lambda_n. The sweep holds one tuple per group, its block's bound
+at that lambda_n. The fold holds one tuple per group, its block's bound
 ``dot``, its constants and the offset 3g of its lambda entries, and the
 gemv writes into one 3-vector reused by every visit, which unpacks to
 Python floats through a memoryview. :func:`local_solve` maps those floats
@@ -111,33 +111,28 @@ scheme supplies two operations:
   move      the record after the summed impulse f, through one
             ``ctx.refresh(dq)``.
 
-One rule decides what carries over, in every iteration, the first
-included. The loop holds the last :class:`Operators`: D, the W_g object
-its W was built at, W and PGS's :class:`Fold` of W. It keeps them when
-their ``wg`` is ``ctx.wg`` and the iteration's normals equal D's first rows
-bit for bit; iteration 1's normals are detection's, a later iteration's the
-previous move's. Detection's frames and ``relinearize``'s are built from
-their normals, so equal normals would give equal frames. Kept, D stays the
-same object, ``max_frame_rotation`` is not called (the turn reads 0.0), and
-PGS takes the kept fold: the (h^2 P) W rows, the per-group constants and
-the skip bounds depend on W and h only, so only the P delta_base column is
-recomputed, and lambda is bitwise that of a fresh fold. The fast scheme
-also keeps W: :func:`~contactnewton.constraints.rebuild_W_fast` returns the
-kept W when D and W_g are its objects, with no products. It is still called
-once per iteration, since the benchmark's tracer opens its iteration span
-there. The standard scheme rebuilds its W by multi-RHS solves in every
-iteration: it is the paper's baseline, which ``contactnewton bench`` times
-against the fast scheme. Otherwise the loop drops the held operators and
-builds D afresh, from detection's frames in iteration 1 and by
-``relinearize`` later, and the rebuild and PGS make a new W and fold.
+Each step starts holding nothing: iteration 1 builds D from detection's
+frames, W and PGS's :class:`Fold` of W. A later iteration keeps all three
+when the previous move's normals equal D's first rows bit for bit;
+``relinearize`` builds frames from their normals, so equal normals would
+give equal frames. Kept, D stays the same object, ``max_frame_rotation``
+is not called (the turn reads 0.0), and PGS takes the kept fold: the
+(h^2 P) W rows, the per-group constants and the skip bounds depend on W and
+h only, so only the P delta_base column is recomputed, and lambda is
+bitwise that of a fresh fold. The fast scheme also keeps W:
+:func:`~contactnewton.constraints.rebuild_W_fast` returns the kept W with
+no products. It is still called once per iteration, since the benchmark's
+tracer opens its iteration span there. The standard scheme rebuilds its W
+by multi-RHS solves in every iteration: it is the paper's baseline, which
+``contactnewton bench`` times against the fast scheme. Otherwise the loop
+drops W and the fold before new ones are built and re-linearizes D. No D,
+W or fold carries over to the next step; the step's last D is only
+reported (``CorrectionResult.frames``).
 
-The loop starts from ``ctx.kept``: the scene hands a fast step the previous
-step's last operators while it reuses that step's W_g, so that the rule can
-keep them in iteration 1, and none otherwise. On a plane or a kinematic
-plate the element normals repeat from the third iteration on, and from the
-second where detection's normals already are the element's
-(``bench_column``'s are, in every iteration and step); a soft B triangle
-turns with its nodes, so there everything is rebuilt.
+On a plane or a kinematic plate the element normals repeat from the second
+iteration on wherever detection's normals already are the element's
+(``bench_column``'s are, in every step), and from the third otherwise; a
+soft B triangle turns with its nodes, so there everything is rebuilt.
 
 The two schemes bind them as follows:
 
@@ -243,17 +238,17 @@ class NewtonConfig:
 class Fold:
     """What :func:`pgs` folds from W and h alone, kept while W repeats.
 
-    ``constants`` holds one tuple ``(q0, q1, det, 3g)`` per group and
-    ``omega`` holds omega_g (module docstring). Column c of ``rows``,
-    P delta_base, is the one part that depends on the violation: each call
-    writes its own into it. Each call also binds its own reads of ``rows``,
-    so the fold holds arrays and floats only, and a copy of it (a
-    ``copy.deepcopy`` of a simulation that keeps one) reads its own rows.
+    ``groups`` holds one tuple ``(read, q0, q1, det, 3g)`` per group, where
+    ``read(lam, got)`` is the bound ``dot`` of its (3, c + 1) block of
+    ``rows`` and writes (a, b0, b1) into ``got``; ``omega`` holds omega_g
+    (module docstring). Column c of ``rows``, P delta_base, is the one part
+    that depends on the violation: each call writes its own into it. The
+    Newton loop keeps a fold within one step only.
     """
 
     rows: np.ndarray  # (groups, 3, c + 1) folded row blocks
     P: np.ndarray  # (groups, 3, 3) blockdiag(-1 / hW[n, n], -T^-1)
-    constants: list
+    groups: list
     omega: list
 
 
@@ -303,7 +298,8 @@ def _fold(W: np.ndarray, h2: float) -> Fold:
     q0, q1 = folded[groups, 1, groups, 0], folded[groups, 2, groups, 0]
     folded[groups, 0, groups, 0] = 0.0
     folded[groups, 1:, groups, :] = 0.0
-    return Fold(rows, P, list(zip(q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))),
+    reads = [row.dot for row in rows]
+    return Fold(rows, P, list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))),
                 omega.tolist())
 
 
@@ -367,10 +363,7 @@ def pgs(
     if fold is None:
         fold = _fold(W, h2)
     fold.rows[:, :, c] = (fold.P @ delta3[:, :, None])[:, :, 0]
-    # per group: the bound ``dot`` of its (3, c + 1) block of rows, which
-    # writes its read (a, b0, b1) into ``got``, and its constants
-    groups = [(row.dot, *k) for row, k in zip(fold.rows, fold.constants)]
-    omega = fold.omega
+    groups, omega = fold.groups, fold.omega
     got = np.empty(3)
     got_items = memoryview(got)  # unpacks to Python floats
     lam = np.zeros(c + 1)
@@ -434,19 +427,6 @@ def pgs(
 # --- recursive correction schemes ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Operators:
-    """Frames D and what depends on them alone: W at D (under ``fast``
-    D W_g D^T at the W_g object ``wg``) and PGS's :class:`Fold` of W. The
-    Newton loop holds its last ones and keeps them while its normals are D's
-    and its W_g is ``wg`` (module docstring)."""
-
-    D: np.ndarray  # (p, 3, 3)
-    wg: np.ndarray | None
-    W: np.ndarray
-    fold: Fold | None  # None without pairs
-
-
 @dataclass
 class StepContext:
     """Everything the correction schemes need for one time step."""
@@ -461,7 +441,6 @@ class StepContext:
     y_free: dict[int, np.ndarray]  # forward pass of the free motion A^-1 b per object
     wg: np.ndarray | None = None  # (3p, 3p) W_g = sum S A^-1 S^T
     X_by_object: dict[int, tuple[np.ndarray, np.ndarray]] | None = None  # (J, S_J A^-1[J, J])
-    kept: Operators | None = None  # the previous fast step's last, while its W_g is wg
 
 
 @dataclass
@@ -477,7 +456,7 @@ class IterationStats:
     pgs_eps: float
     pgs_converged: bool
     rotation: float  # frame turn measured before the iteration, 0 if D is kept; stops nothing
-    fold_reused: bool  # D is the previous iteration's (in the first, the previous step's)
+    fold_reused: bool  # D and the fold (fast: W too) are the last iteration's; never in the first
 
 
 @dataclass
@@ -489,7 +468,7 @@ class CorrectionResult:
     iterations: list[IterationStats] = field(default_factory=list)
     final_correction_time: float = 0.0
     exit: str = "max_iterations"  # why the loop stopped; else "penetration"
-    operators: Operators | None = None  # the last iteration's D, W and fold
+    frames: np.ndarray | None = None  # the last iteration's D
 
 
 def _mechanical_correction(ctx: StepContext, f: np.ndarray) -> dict[int, np.ndarray]:
@@ -528,42 +507,38 @@ def _newton(
 ) -> CorrectionResult:
     """The recursive correction loop shared by both schemes.
 
-    D is the (p, 3, 3) frame array. ``rebuild(D, kept)`` returns W, given the
-    held :class:`Operators` ``kept`` (None once dropped), and ``move(f)`` the
-    :class:`Proximity` record after the summed world impulse f =
-    sum_k D_k^T lambda_k, through one ``ctx.refresh``. Once the loop ends,
-    :func:`_mechanical_correction` turns f into ``dv_by_object``, the same
-    way for both schemes. The step's force ``lam`` is f in the final frames,
-    D_K f, and ``operators`` the last iteration's. Every iteration, the
-    first included, keeps the held operators when their ``wg`` is ``ctx.wg``
-    and its normals are D's bit for bit; otherwise it drops them and builds
-    D afresh (module docstring). The operations must look up their
-    module-level names when called: the layer tracer of the benchmark
+    D is the (p, 3, 3) frame array. ``rebuild(D, W)`` returns W at D, given
+    the W held for the same D or None, and ``move(f)`` the :class:`Proximity`
+    record after the summed world impulse f = sum_k D_k^T lambda_k, through
+    one ``ctx.refresh``. Once the loop ends, :func:`_mechanical_correction`
+    turns f into ``dv_by_object``, the same way for both schemes. The step's
+    force ``lam`` is f in the final frames, D_K f, and ``frames`` is D_K.
+    The loop starts each step holding nothing, and a later iteration keeps
+    D, W and the fold when the previous move's normals are D's bit for bit;
+    otherwise it drops W and the fold and builds D afresh (module
+    docstring). No W or fold leaves the loop. The operations must look up
+    their module-level names when called: the layer tracer of the benchmark
     patches those names, and opens its iteration span at the rebuild, which
     therefore runs in every iteration, W kept or not.
     """
-    ops = ctx.kept
-    normals = ctx.detection_frames[:, 0]
+    D = W = fold = normals = None
     r = ctx.r0
     f = np.zeros(3 * len(ctx.pairs))
     result = CorrectionResult({}, [])
     for k in range(ncfg.max_iterations):
         rotation = 0.0
-        reused = (ops is not None and ops.wg is ctx.wg
-                  and normals.tobytes() == ops.D[:, 0].tobytes())
-        if reused:
-            D = ops.D
-        else:
-            ops = None  # within a step its fold is the loop's alone: freed before PGS folds anew
+        reused = k > 0 and normals.tobytes() == D[:, 0].tobytes()
+        if not reused:
+            W = fold = None  # freed before the rebuild and PGS make new ones
             frames = assemble_direction(relinearize(normals) if k else ctx.detection_frames)
             if k:
                 rotation = max_frame_rotation(D, frames)
             D = frames
         t0 = time.perf_counter()
-        W = rebuild(D, ops)
+        W = rebuild(D, W)
         t1 = time.perf_counter()
-        res = pgs(W, compute_violation(D, r), ctx.h, pcfg, fold=ops.fold if reused else None)
-        ops, res.fold = Operators(D, ctx.wg, W, res.fold), None  # held by ops alone
+        res = pgs(W, compute_violation(D, r), ctx.h, pcfg, fold=fold)
+        fold, res.fold = res.fold, None  # held by the loop alone
         t2 = time.perf_counter()
         f = f + apply_transposed(D, res.lam)
         prox = move(f)
@@ -591,7 +566,7 @@ def _newton(
     t0 = time.perf_counter()
     result.dv_by_object = _mechanical_correction(ctx, f)
     result.final_correction_time = time.perf_counter() - t0
-    result.operators = ops
+    result.frames = D
     result.lam = np.einsum("gij,gj->gi", D, f.reshape(-1, 3)).ravel()
     return result
 
@@ -614,7 +589,7 @@ def newton_standard(
         return ctx.refresh({oid: h2 * ctx.F_by_object[oid].solve(S.T @ f)
                             for oid, S in sorted(ctx.S_by_object.items())})
 
-    return _newton(ctx, ncfg, pcfg, lambda D, kept: rebuild_W_standard(D, ctx), move)
+    return _newton(ctx, ncfg, pcfg, lambda D, W: rebuild_W_standard(D, ctx), move)
 
 
 def newton_fast(
@@ -627,5 +602,5 @@ def newton_fast(
     """
     if ctx.wg is None or ctx.X_by_object is None:
         raise ValidationError("fast scheme needs the mapping compliance built upfront")
-    return _newton(ctx, ncfg, pcfg, lambda D, kept: rebuild_W_fast(D, ctx.wg, kept),
+    return _newton(ctx, ncfg, pcfg, lambda D, W: rebuild_W_fast(D, ctx.wg, W),
                    lambda f: fast_update_proximity(ctx, f))

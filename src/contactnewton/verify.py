@@ -67,7 +67,7 @@ def check_congruence_identity(config: SceneConfig, ctx: StepContext) -> CheckRes
     # tolerance forces the second, re-linearized one (as scheme-equivalence)
     ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0)
     result = newton_fast(ctx, ncfg, config.pgs)
-    err1, scale1 = _identity_error(ctx, result.operators.D)
+    err1, scale1 = _identity_error(ctx, result.frames)
     worst = max(err0 / scale0, err1 / scale1)
     return CheckResult(
         "congruence-identity",

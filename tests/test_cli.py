@@ -121,8 +121,7 @@ def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
             assert 0 < int(r["pgs_local_solves"]) <= int(m["c_groups"]) * int(r["pgs_iterations"])
         assert str(all(r["pgs_converged"] == "True" for r in mine)) == m["pgs_converged"]
         # the loop stops on the geometric penetration after a move, 1e-7 m
-        # in this scene, and the plates turn between steps, so no step's first
-        # iteration keeps the previous step's fold
+        # in this scene, and a step's first iteration holds no fold to keep
         stops = [float(r["penetration"]) <= 1e-7 for r in mine]
         assert stops == [False] * (len(mine) - 1) + [m["newton_exit"] == "penetration"]
         assert mine[0]["fold_reused"] == "False"

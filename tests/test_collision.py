@@ -109,6 +109,16 @@ class TestDetect:
         assert len(pairs) == 4
         assert pairs.signed_distance == pytest.approx([-0.02] * 4)
 
+    def test_penetrating_vertex_gets_the_planes_frame_bytes(self):
+        # a penetrating pair's normal is flipped from (0, -1, 0); the flip
+        # must give +0, not -0, components, so detection's frames are the
+        # plane's bit for bit, which the Newton loop's keep rule compares
+        m = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), center=(0.3, 0.03, -0.2))
+        plane = PlaneGeometry(object_id=1, normal=(0, 1, 0), offset=0.0)
+        pairs = detect([mesh_geometry(m, 0), plane], threshold=0.01)
+        assert len(pairs) == 4 and (pairs.signed_distance < 0).all()
+        assert_bitwise_equal(build_frames(pairs), relinearize(np.tile(plane.normal, (4, 1))))
+
     def test_canonical_order(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 1, 2), center=(0.0, 0.049, 0.0))
         geom = mesh_geometry(m, 3)
@@ -548,7 +558,7 @@ def _frame_from_direction(d: np.ndarray, ref: np.ndarray | None) -> ContactFrame
     if norm > COINCIDENT_EPS:
         n = d / norm
         if ref is not None and n @ ref < 0:
-            n = -n
+            n = 0.0 - n  # +0, not -0, for a zero component
     elif ref is not None and np.linalg.norm(ref) > 0.5:
         n = ref / np.linalg.norm(ref)
     else:

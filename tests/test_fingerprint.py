@@ -3,9 +3,9 @@ import json
 
 import fingerprint
 
-# a kept W_g, W and fold across steps (the column and the block on its plane),
-# re-linearized frames every iteration (soft-soft), turning plates, a rigid
-# ball and every scheme
+# a kept W_g across steps and a kept W and fold within a step (the column and
+# the block on its plane), re-linearized frames every iteration (soft-soft),
+# turning plates, a rigid ball and every scheme
 CASES = ["bench_column-fast-forced", "block_on_plane-fast-scene", "two_body_press-fast-forced",
          "grasp_rotate-standard-scene", "MIXED_SCENE-fast-forced", "COUPLED_BALL-single-scene"]
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -1225,14 +1227,13 @@ def same_bits(x, y):
 
 
 @pytest.mark.parametrize("scene_name, kept", [
-    # the plane's normals are (0, 1, 0) and detection's (-0, 1, -0), so the
-    # first step re-linearizes once; the second keeps everything from the first
-    ("block_on_plane", [[False, False, True, True], [True] * 4]),
-    ("bench_column", [[False, False, True, True], [True] * 4]),
+    # detection's normals are the plane's bit for bit, so each step builds
+    # D, W and the fold once and keeps them; a step starts holding nothing
+    ("block_on_plane", [[False, True, True, True]] * 2),
+    ("bench_column", [[False, True, True, True]] * 2),
     # soft B triangles turn with their nodes
     ("two_body_press", [[False] * 4] * 2),
-    # the plates turn between the first two iterations and between steps,
-    # though the second step keeps the first step's W_g
+    # the plates turn between the first two iterations
     ("grasp_rotate", [[False, False, True, True]] * 2),
 ], ids=["block_on_plane", "bench_column", "two_body_press", "grasp_rotate"])
 def test_kept_fold_gives_the_fresh_folds_result(scene_name, kept):
@@ -1241,7 +1242,7 @@ def test_kept_fold_gives_the_fresh_folds_result(scene_name, kept):
     # gathered from fresh signed mappings, W = D W_g D^T and a fresh fold.
     # W, the violation, lambda, delta_end and the counts are bitwise those the
     # loop recorded, so no kept D, W or fold outlives a change of the normals
-    # or of W_g, within a step or across steps
+    # within a step, or its step
     config = load_scene(SCENES / f"{scene_name}.scn")
     if scene_name == "bench_column":
         config = with_box_divisions(config, (7, 6, 7))
@@ -1274,40 +1275,6 @@ def test_kept_fold_gives_the_fresh_folds_result(scene_name, kept):
     assert calls == 8
 
 
-def test_kept_operators_need_their_frames_and_wg():
-    # a step starts from the kept W and fold only when its detection normals
-    # are the kept D's bit for bit, in whatever array, and its W_g is the
-    # kept one; a new W_g or new normals rebuild W and fold it afresh
-    bodies, pairs = falling_block_setup()
-    ncfg = NewtonConfig(scheme="fast", max_iterations=2, penetration_tol=-1.0)
-    ctx, *_ = build_context((bodies, pairs))
-    ops = newton_fast(ctx, ncfg, PgsConfig()).operators
-    assert ops.wg is ctx.wg
-    first_W = []
-
-    def recording_pgs(W, delta, h, config, fold=None, _fn=solver.pgs):
-        first_W.append(W)
-        return _fn(W, delta, h, config, fold=fold)
-
-    detection = build_frames(pairs)
-    assert not same_bits(detection, ops.D)  # the plane's normals are not detection's
-    cases = {
-        "kept": (ops.D, ops.wg, True),
-        "equal frames, new array": (ops.D.copy(), ops.wg, True),
-        "new W_g": (ops.D, 1.01 * ops.wg, False),
-        "new frames": (detection, ops.wg, False),
-    }
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "pgs", recording_pgs)
-        for name, (frames, wg, reused) in cases.items():
-            ctx.detection_frames, ctx.wg, ctx.kept = frames, wg, ops
-            first_W.clear()
-            res = newton_fast(ctx, ncfg, PgsConfig())
-            assert res.iterations[0].fold_reused is reused, name
-            assert (first_W[0] is ops.W) is reused, name
-            assert same_bits(first_W[0], rebuild_W_fast(frames, wg)), name
-
-
 def test_kept_fold_still_checks_the_violation():
     # a kept fold skips the compliance rows' finite check, not the violation's
     bodies, pairs = falling_block_setup()
@@ -1322,6 +1289,34 @@ def test_kept_fold_still_checks_the_violation():
         pgs(W, bad, ctx.h, PgsConfig(), fold=first.fold)
     again = pgs(W, delta, ctx.h, PgsConfig(), fold=first.fold)
     assert same_bits(again.lam, first.lam) and same_bits(again.delta_end, first.delta_end)
+
+
+@pytest.mark.parametrize("scene_name", ["bench_column", "grasp_rotate"])
+def test_no_w_or_fold_outlives_its_step(monkeypatch, scene_name):
+    # every W the fast rebuild returns and every fold PGS makes is freed by
+    # the end of its step, also where the next step reuses the step's W_g
+    made = []
+
+    def tracked(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "rebuild_W_fast", tracked(solver.rebuild_W_fast))
+    monkeypatch.setattr(solver, "_fold", tracked(solver._fold))
+    config = load_scene(SCENES / f"{scene_name}.scn")
+    if scene_name == "bench_column":
+        config = with_box_divisions(config, (7, 6, 7))
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme="fast")))
+    for _ in range(3):
+        made.clear()
+        sim.step()
+        gc.collect()
+        assert len(made) >= 2
+        assert [ref for ref in made if ref() is not None] == []
 
 
 def test_grasp_rotate_recurses_under_both_recursive_schemes():
