@@ -13,10 +13,11 @@ h (f_ext - rayleigh_mass M v) - K (h (q - q0) + (h rayleigh_stiffness + h^2) v).
 
 K is assembled once per body by node-pair blocks: each tet's gradients
 come from edge cross products, its 10 upper 3x3 blocks (node pairs a <= b
-in global id) are summed into the unique node-pair blocks with one
-``np.bincount`` per component, and the off-diagonal blocks are mirrored,
-so K is exactly symmetric and stores one full block per pair of nodes
-that share a tet.
+in global id) are summed into the unique node-pair blocks one local pair
+at a time, so no array holds more than one pair's terms, and the
+off-diagonal blocks are mirrored, so K is exactly symmetric and stores one
+full block per pair of nodes that share a tet. The system matrix is built
+in K's own CSR pattern.
 
 Rigid bodies carry 6 velocity DOFs (linear + angular); their system matrix
 is the generalized mass with world-frame inertia, and the right-hand side
@@ -103,62 +104,73 @@ _PAIR_A = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
 _PAIR_B = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 
 
+def _upper_blocks(nodes: np.ndarray, tets: np.ndarray, young: float, poisson: float):
+    """The summed upper node-pair blocks of :func:`assemble_stiffness`:
+    ``(rows, cols, blocks)``, ``rows <= cols`` in node ids, sorted by pair."""
+    n = len(nodes)
+    lam, mu = lame_parameters(young, poisson)
+    grads, vols = shape_gradients(nodes, tets)
+    g = np.ascontiguousarray(grads.transpose(2, 1, 0))  # (3, 4, m)
+
+    # pairs laid out (10, m); slot[k, e] is the upper block of tet e's pair k
+    ia, ib = tets.T[_PAIR_A], tets.T[_PAIR_B]
+    key = np.minimum(ia, ib) * n + np.maximum(ia, ib)
+    upper, slot = np.unique(key.ravel(), return_inverse=True)
+    slot = slot.reshape(key.shape)
+    swaps = ia > ib
+
+    lam_v = lam * vols
+    mu_v = mu * vols
+    sums = np.zeros((9, len(upper)))  # component 3 i + j of every upper block
+    w = np.empty(len(tets))
+    t = np.empty(len(tets))
+    for k, (a, b) in enumerate(zip(_PAIR_A, _PAIR_B)):
+        # each pair is oriented so that p is its node with the lower global id
+        gp = np.where(swaps[k], g[:, b], g[:, a])
+        gq = np.where(swaps[k], g[:, a], g[:, b])
+        mu_dot = mu_v * np.einsum("im,im->m", gp, gq)
+        for i in range(3):
+            for j in range(3):
+                # lam V (p_i q_j) + mu V (q_i p_j): with p == q on a diagonal pair
+                # this is symmetric in i, j bit for bit
+                np.multiply(gp[i], gq[j], out=w)
+                w *= lam_v
+                np.multiply(gq[i], gp[j], out=t)
+                t *= mu_v
+                w += t
+                if i == j:
+                    w += mu_dot
+                np.add.at(sums[3 * i + j], slot[k], w)
+    rows, cols = np.divmod(upper, n)
+    return rows, cols, sums.T.reshape(-1, 3, 3)
+
+
 def assemble_stiffness(nodes: np.ndarray, tets: np.ndarray, young: float, poisson: float) -> sp.csr_matrix:
     """Global stiffness of constant-strain tetrahedra (isotropic linear elasticity).
 
     Block (a, b) of an element matrix is
     V (lam g_a g_b^T + mu g_b g_a^T + mu (g_a . g_b) I), and block (b, a) is
     its transpose. Each tet contributes its 10 blocks with a <= b in global
-    node id; they are summed into the unique upper node-pair blocks with one
-    ``np.bincount`` per component, and each off-diagonal block is mirrored
-    into its transposed place. So K == K^T bit for bit, and K stores one full
-    3x3 block per pair of nodes that share a tet.
+    node id; they are summed into the unique upper node-pair blocks one local
+    pair at a time, each with an ``np.add.at`` per component, which adds in
+    tet order: every block sums its terms local pair first, then tet. Each
+    off-diagonal block is mirrored into its transposed place. So K == K^T bit
+    for bit, and K stores one full 3x3 block per pair of nodes that share a
+    tet. The temporaries are O(m) arrays of one local pair, and the summing
+    ones are gone before K is laid out.
     """
     n = len(nodes)
     if len(tets) == 0:
         return sp.csr_matrix((3 * n, 3 * n))
-    lam, mu = lame_parameters(young, poisson)
-    grads, vols = shape_gradients(nodes, tets)
-
-    # pairs laid out (10, m), gradients (3, 10, m); each pair is oriented
-    # so that p is its node with the lower global id
-    ids = tets.T
-    ia, ib = ids[_PAIR_A], ids[_PAIR_B]
-    swap = ia > ib
-    g = np.ascontiguousarray(grads.transpose(2, 1, 0))  # (3, 4, m)
-    gp = np.where(swap, g[:, _PAIR_B], g[:, _PAIR_A])
-    gq = np.where(swap, g[:, _PAIR_A], g[:, _PAIR_B])
-    key = (np.minimum(ia, ib) * n + np.maximum(ia, ib)).ravel()
-    upper, slot = np.unique(key, return_inverse=True)
-    rows, cols = np.divmod(upper, n)
-
-    lam_v = lam * vols
-    mu_v = mu * vols
-    mu_dot = mu_v * np.einsum("ikm,ikm->km", gp, gq)
-    blocks = np.empty((len(upper), 3, 3))
-    w = np.empty(ia.shape)
-    t = np.empty(ia.shape)
-    for i in range(3):
-        for j in range(3):
-            # lam V (p_i q_j) + mu V (q_i p_j): with p == q on a diagonal pair
-            # this is symmetric in i, j bit for bit
-            np.multiply(gp[i], gq[j], out=w)
-            w *= lam_v
-            np.multiply(gq[i], gp[j], out=t)
-            t *= mu_v
-            w += t
-            if i == j:
-                w += mu_dot
-            blocks[:, i, j] = np.bincount(slot, weights=w.ravel(), minlength=len(upper))
-
+    rows, cols, blocks = _upper_blocks(nodes, tets, young, poisson)
     off = rows != cols
     block_rows = np.concatenate([rows, cols[off]])
     block_cols = np.concatenate([cols, rows[off]])
-    blocks = np.concatenate([blocks, blocks[off].transpose(0, 2, 1)])
     order = np.argsort(block_rows * n + block_cols)
+    blocks = np.concatenate([blocks, blocks[off].transpose(0, 2, 1)])[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(block_rows, minlength=n), out=indptr[1:])
-    K = sp.bsr_matrix((blocks[order], block_cols[order], indptr), shape=(3 * n, 3 * n))
+    K = sp.bsr_matrix((blocks, block_cols[order], indptr), shape=(3 * n, 3 * n))
     return K.tocsr()
 
 
@@ -248,22 +260,35 @@ class SoftBody:
 
         # A = (1 + h a) M + (h b + h^2) K, with fixed rows/cols replaced by
         # identity; it depends on h alone (linear material), so it is kept.
+        # It is built in K's own CSR: K's entries scaled, those of a fixed row
+        # or column dropped but for its diagonal, a diagonal put in the rows
+        # of a node in no tet (which store none), and the mass diagonal added.
         # A huge h or mass may overflow its products, as it does the
         # right-hand side's, which the finite check below reports
         if self._system is None or self._system[0] != h:
-            K = self.stiffness().tocoo()
+            K = self.stiffness()
+            n = self.n_dofs
+            rows = np.repeat(np.arange(n), np.diff(K.indptr))
+            on_diag = rows == K.indices
+            keep = on_diag | ~(fixed[rows] | fixed[K.indices])
+            rows, on_diag, indices = rows[keep], on_diag[keep], K.indices[keep]
             k_scale = h * self.rayleigh_stiffness + h * h
-            keep = ~(fixed[K.row] | fixed[K.col])
-            rows = K.row[keep]
-            cols = K.col[keep]
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = k_scale * K.data[keep]
-                diag = np.where(fixed, 1.0, (1.0 + h * self.rayleigh_mass) * m3)
-            rows = np.concatenate([rows, np.arange(self.n_dofs)])
-            cols = np.concatenate([cols, np.arange(self.n_dofs)])
-            vals = np.concatenate([vals, diag])
-            shape = (self.n_dofs, self.n_dofs)
-            self._system = (h, sp.csr_matrix((vals, (rows, cols)), shape=shape))
+                data = k_scale * K.data[keep]
+                diag = (1.0 + h * self.rayleigh_mass) * m3
+            counts = np.bincount(rows, minlength=n)
+            bare = np.flatnonzero(counts == 0)
+            if bare.size:
+                at = (np.cumsum(counts) - counts)[bare]
+                data = np.insert(data, at, 0.0)
+                indices = np.insert(indices, at, bare)
+                on_diag = np.insert(on_diag, at, True)
+                counts[bare] = 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                data[on_diag] = np.where(fixed, 1.0, data[on_diag] + diag)
+            indptr = np.zeros(n + 1, dtype=K.indptr.dtype)
+            np.cumsum(counts, out=indptr[1:])
+            self._system = (h, sp.csr_matrix((data, indices, indptr), shape=(n, n)))
         A = self._system[1]
 
         # h (f_ext - f(q, v)) - h^2 K v, the K terms of the internal force

@@ -105,14 +105,21 @@ def surface_triangles(mesh: TetMesh) -> np.ndarray:
     """Oriented boundary triangles (outward normals), sorted deterministically.
 
     A face is on the boundary when exactly one tet has it; it keeps that
-    tet's winding. The rows are in lexicographic order.
+    tet's winding. The rows are in lexicographic order. A face is found by
+    the int64 code ``(a n + b) n + c`` of its sorted node ids a <= b <= c,
+    n the node count, whose order is the lexicographic one; a mesh of
+    2^21 nodes or more, whose codes could overflow, is refused.
     """
+    n = mesh.n_nodes
+    if n >= 2**21:
+        raise ParseError(f"surface extraction takes fewer than 2**21 nodes, got {n}")
     faces = mesh.tets[:, _TET_FACES].reshape(-1, 3)
     keys = np.sort(faces, axis=1)  # the same key for both windings of a face
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    first = np.ones(len(keys) + 1, dtype=bool)  # where a run of equal keys starts, then the end
-    first[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
+    codes = (keys[:, 0] * n + keys[:, 1]) * n + keys[:, 2]
+    order = np.argsort(codes)
+    codes = codes[order]
+    first = np.ones(len(codes) + 1, dtype=bool)  # where a run of equal codes starts, then the end
+    first[1:-1] = codes[1:] != codes[:-1]
     starts = np.flatnonzero(first)
     once = starts[:-1][np.diff(starts) == 1]
     boundary = faces[order[once]]

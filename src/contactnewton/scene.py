@@ -29,6 +29,11 @@ penetration measure: the worst geometric gap of given pairs at given
 positions. A step's ``pen_before`` and ``pen_after`` are that measure at
 the free and at the final positions.
 
+``scipy.spatial.transform.Rotation`` is imported inside the rigid and
+kinematic runtimes' methods that turn something, not with this module: it
+adds about 8 MB of resident memory, which a scene of soft bodies, planes
+and still colliders never needs.
+
 :func:`run` writes a snapshot of the committed state as one uncompressed
 ``snapshots/step_NNNNNN.npz`` (see :func:`save_snapshot` for its keys); read
 it back with ``np.load``.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import time
 from collections import deque
@@ -45,7 +51,6 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
-from scipy.spatial.transform import Rotation
 
 from . import collision
 from .collision import MeshGeometry, PlaneGeometry, Pose, SphereGeometry
@@ -337,14 +342,31 @@ _OBJECT_KEYS = {
 _MESH_KEYS = ("file", "box")
 
 
+# The most nodes a procedural box may have. Meshing a box of 10^5 nodes
+# takes about 0.2 GB, one of 10^6 about 1.5 GB; the benchmark column has 3008.
+MAX_BOX_NODES = 100_000
+
+
+def _box_divisions(divisions, where):
+    """``divisions`` as 3 whole numbers; a box of more than
+    :data:`MAX_BOX_NODES` nodes is refused before it is meshed."""
+    divisions = _array(divisions, where, np.int64)
+    if divisions.shape != (3,):
+        raise ValidationError(f"{where}: expected 3 components, got {divisions.tolist()}")
+    divisions = tuple(int(d) for d in divisions)
+    nodes = math.prod(d + 1 for d in divisions)
+    if min(divisions) >= 1 and nodes > MAX_BOX_NODES:
+        raise ValidationError(
+            f"{where}: {list(divisions)} make {nodes} nodes, more than {MAX_BOX_NODES}"
+        )
+    return divisions
+
+
 def _box_params(box, where):
     box = as_mapping(box, where, ("size", "divisions", *_BOX))
-    divisions = _array(require(box, "divisions", where), f"{where}.divisions", np.int64)
-    if divisions.shape != (3,):
-        raise ValidationError(f"{where}.divisions: expected 3 components, got {divisions.tolist()}")
     return {
         "size": _vec3(require(box, "size", where), f"{where}.size"),
-        "divisions": tuple(int(d) for d in divisions),
+        "divisions": _box_divisions(require(box, "divisions", where), f"{where}.divisions"),
         **read_settings(box, where, _BOX),
     }
 
@@ -549,7 +571,7 @@ def with_box_divisions(config: SceneConfig, divisions) -> SceneConfig:
                     "and cannot be carried over to a re-meshed box"
                 )
             params = dict(spec.box_params)
-            params["divisions"] = tuple(int(d) for d in divisions)
+            params["divisions"] = _box_divisions(divisions, f"{spec.name}.mesh.box.divisions")
             mesh = box_mesh(**params)
             body = replace(body, mesh=mesh, fixed_nodes=_region_nodes(mesh, spec.fixed_region))
             objects[i] = replace(spec, body=body, box_params=params)
@@ -622,6 +644,8 @@ class _RigidRuntime:
         self.state = MechanicalState(q, np.asarray(spec.velocity, dtype=np.float64))
 
     def pose_at(self, q):
+        from scipy.spatial.transform import Rotation
+
         rot = Rotation.from_rotvec(q[3:]).as_matrix() @ self.rotation
         return Pose(rot, q[:3])
 
@@ -647,6 +671,8 @@ class _RigidRuntime:
 
     def commit(self, state):
         """Fold the rotation increment into the pose; quaternion re-normalized."""
+        from scipy.spatial.transform import Rotation
+
         rot = Rotation.from_rotvec(state.q[3:]) * Rotation.from_matrix(self.rotation)
         quat = rot.as_quat()
         self.rotation = Rotation.from_quat(quat / np.linalg.norm(quat)).as_matrix()
@@ -656,6 +682,8 @@ class _RigidRuntime:
 
     def saved_state(self):
         """Position and orientation quaternion, and the 6-DOF velocity."""
+        from scipy.spatial.transform import Rotation
+
         quat = Rotation.from_matrix(self.rotation).as_quat()
         return np.concatenate([self.state.q[:3], quat]), self.state.v.copy()
 
@@ -682,6 +710,8 @@ class _KinematicRuntime:
         if n == 0 or m.angular_velocity == 0.0:
             rot = np.eye(3)
         else:
+            from scipy.spatial.transform import Rotation
+
             rot = Rotation.from_rotvec(axis / n * (m.angular_velocity * t)).as_matrix()
         center = np.asarray(m.center)
         position = center - rot @ center + np.asarray(m.velocity) * t

@@ -70,6 +70,8 @@ leaves lambda as the local solve would have, so lambda, the sweep count and
 ``PgsResult.local_solves`` counts the visits that ran.
 
 Errors are raised where they arise:
+- a time step whose square overflows (h^2 scales W) raises
+  :class:`NonFiniteStateError`, before any product with it;
 - NaN or infinity in W or delta_base raises :class:`NonFiniteStateError`
   naming the first bad group and "violation" or "compliance row", before
   the fold's products, which also keeps the fold and the skip bound finite
@@ -350,6 +352,8 @@ def pgs(
     if W.shape != (c, c) or c % 3:
         raise SingularBlockError(f"W is {W.shape}, violation has {c} rows (3 per group)")
     h2 = h * h
+    if not math.isfinite(h2):
+        raise NonFiniteStateError(f"time step {h!r} squared is not finite")
     mu = config.friction
     n_groups = c // 3
     delta3 = delta_base.reshape(n_groups, 3)

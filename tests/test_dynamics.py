@@ -20,6 +20,10 @@ from contactnewton.dynamics import (
 from contactnewton.errors import DegenerateTetError, NonFiniteForceError, ValidationError
 from contactnewton.linalg import Factorization
 from contactnewton.mesh import TetMesh, box_mesh, check_positive_volumes, load_mesh, tet_volumes
+from contactnewton.scene import SoftSpec, load_scene, with_box_divisions
+
+import stiffness_reference  # beside this file
+from test_scene import PINNED_BOX, write_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -220,6 +224,54 @@ class TestAssembly:
         assert not SoftBody(mesh).fixed_mask.any()
 
 
+def scene_body(name, divisions=None):
+    """The soft body of a shipped scene, its box re-meshed to ``divisions``."""
+    config = load_scene(SCENES / name)
+    if divisions is not None:
+        config = with_box_divisions(config, divisions)
+    return next(spec.body for spec in config.objects if isinstance(spec, SoftSpec))
+
+
+def stray_nodes_body():
+    """A box with a node in no tet before and after its own, one of them and
+    one box node pinned: rows of K with no entries, fixed and free."""
+    box = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
+    nodes = np.vstack([[1.0, 1.0, 1.0], box.nodes, [2.0, 2.0, 2.0]])
+    return SoftBody(TetMesh(nodes, box.tets + 1), node_mass=0.5, fixed_nodes=[0, 5])
+
+
+# the column at the benchmark's two extreme resolutions, grasp_rotate's cube,
+# a pinned box, and bodies whose K has empty rows
+BATCHED_REFERENCE_BODIES = {
+    "column-7x46x7": lambda tmp: scene_body("bench_column.scn"),
+    "column-7x6x7": lambda tmp: scene_body("bench_column.scn", (7, 6, 7)),
+    "grasp_rotate-cube": lambda tmp: scene_body("grasp_rotate.scn"),
+    "pinned-box": lambda tmp: next(
+        spec.body for spec in load_scene(write_scene(tmp, PINNED_BOX)).objects
+        if isinstance(spec, SoftSpec)),
+    "stray-nodes": lambda tmp: stray_nodes_body(),
+    "point-mass": lambda tmp: point_mass_body(),
+}
+
+
+def assert_same_csr(got, want):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+@pytest.mark.parametrize("make", BATCHED_REFERENCE_BODIES.values(),
+                         ids=BATCHED_REFERENCE_BODIES.keys())
+def test_k_and_a_are_the_batched_assemblys_bytes(tmp_path, make):
+    body = make(tmp_path)
+    mesh = body.mesh
+    assert_same_csr(body.stiffness(), stiffness_reference.assemble_stiffness(
+        mesh.nodes, mesh.tets, body.young, body.poisson))
+    for h in (0.01, 0.003):
+        A, _ = body.assemble(body.initial_state(), h, (0.0, -9.81, 0.0))
+        assert_same_csr(A, stiffness_reference.system_matrix(body, h))
+
+
 class TestStiffnessAssembly:
     @pytest.mark.parametrize("mesh", [
         pytest.param(lambda: jittered_box((0.1, 0.12, 0.09), (2, 3, 2), seed=5), id="jittered-box"),
@@ -270,16 +322,24 @@ class TestStiffnessAssembly:
 
     def test_column_assembly_peak_memory(self):
         # numpy reports its buffers to tracemalloc, so the peak does not
-        # depend on the host's speed; a COO assembly over (m, 4, 4, 3, 3)
-        # element blocks peaks at about 94 MB here
+        # depend on the host's speed. K itself is 4.2 MB; summing one local
+        # pair at a time peaks at about 12 MB here, the batched sum over
+        # (3, 10, m) gradients at about 29 MB, and a COO assembly over
+        # (m, 4, 4, 3, 3) element blocks at about 94 MB. Building A in K's
+        # CSR peaks at about 8 MB, a COO round trip at about 18 MB
         m = column_mesh()
+        body = SoftBody(m, young=1e5)
         tracemalloc.start()
         try:
-            assemble_stiffness(m.nodes, m.tets, 1e5, 0.3)
-            peak = tracemalloc.get_traced_memory()[1]
+            body.stiffness()
+            held, peak_k = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            body.assemble(body.initial_state(), 0.01, (0.0, -9.81, 0.0))
+            peak_a = tracemalloc.get_traced_memory()[1] - held  # above K and the masses
         finally:
             tracemalloc.stop()
-        assert peak <= 48e6
+        assert peak_k <= 16e6
+        assert peak_a <= 12e6
 
 
 class TestFreeMotion:

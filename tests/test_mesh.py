@@ -184,3 +184,15 @@ def test_surface_matches_the_loop_version_on_non_manifold_tets():
     for count in (0, 1, 2, 5, 40):
         sub = TetMesh(m.nodes, m.tets[:count])
         assert np.array_equal(surface_triangles(sub), surface_triangles_loop(sub)), count
+
+
+def test_surface_refuses_a_mesh_whose_face_codes_could_overflow():
+    # a face's code (a n + b) n + c fits an int64 for n < 2**21; the nodes are
+    # a broadcast view, so the mesh allocates no coordinates
+    nodes = np.broadcast_to(np.zeros(3), (2**21, 3))
+    m = TetMesh(nodes, UNIT_TET.tets)
+    assert m.n_nodes == 2**21
+    with pytest.raises(ParseError, match=r"fewer than 2\*\*21 nodes, got 2097152"):
+        surface_triangles(m)
+    smaller = TetMesh(nodes[1:], UNIT_TET.tets)
+    assert len(surface_triangles(smaller)) == 4

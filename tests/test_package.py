@@ -1,4 +1,5 @@
 """The package root imports nothing, so the CLI's thread cap reaches BLAS,
+a scene imports rotations only where something turns,
 every function, class and method in ``src`` is called by the program itself,
 every dataclass field in ``src`` is read by it, and every module-level
 import in ``src`` is used."""
@@ -13,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "contactnewton"
+SCENES = SRC.parent / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "CONTACT_NEWTON_THREADS")
 
@@ -32,6 +34,17 @@ def test_import_loads_no_numpy_scipy_or_yaml(module):
     out = run_python(f"import sys, {module}\n"
                      "print(sorted(m for m in ('numpy', 'scipy', 'yaml') if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("scene, turns", [("bench_column", False), ("grasp_rotate", True)])
+def test_rotations_are_imported_only_where_something_turns(scene, turns):
+    # scipy.spatial costs about 8 MB resident; the resting column has no
+    # rigid body and no turning collider, grasp_rotate's plates turn
+    out = run_python("import sys\n"
+                     "from contactnewton.scene import Simulation, load_scene\n"
+                     f"Simulation(load_scene({str(SCENES / f'{scene}.scn')!r})).step()\n"
+                     "print('scipy.spatial' in sys.modules)")
+    assert out.strip() == str(turns)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status") or (os.cpu_count() or 1) < 2,

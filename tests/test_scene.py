@@ -197,6 +197,9 @@ BAD_VALUES = {
                        "ball: duplicate object name"),
     "duplicate-default-name": ("objects: [{type: plane}, {name: object0, type: plane}]\n",
                                "object0: duplicate object name"),
+    "box-too-many-nodes": ("objects: [{name: block, type: soft, mesh: {box: "
+                           "{size: [1, 1, 1], divisions: [1000000, 5, 5]}}}]\n",
+                           "block.mesh.box.divisions: [1000000, 5, 5] make 36000036 nodes"),
     "plane-normal-zero": ("objects: [{name: ground, type: plane, normal: [0, 0, 0]}]\n",
                           "ground.normal:"),
     "plate-size-zero": ("objects: [{name: plate, type: kinematic_mesh, plate: "
@@ -386,23 +389,33 @@ def test_huge_or_tiny_direction_steps_as_its_twin(tmp_path, vector, twin):
     assert stepped(vector) == stepped(twin)
 
 
-# (shipped scene, its line, the line in its place): a huge finite time step
-# or node mass overflows the system matrix and the right-hand side, which is
-# reported by the right-hand side's finite check, with no numpy warning
-# (warnings are errors)
+# (shipped scene, {its line: the line in its place}, error, message): a huge
+# finite time step or node mass overflows the system matrix and the
+# right-hand side, which is reported by the right-hand side's finite check;
+# a lone node with no gravity and no Rayleigh terms keeps both finite, and
+# PGS reports the overflowed h^2; all with no numpy warning (warnings are
+# errors)
 HUGE_INPUTS = {
-    "dt-huge": ("block_on_plane", "dt: 0.01", "dt: 1.0e308"),
-    "node-mass-huge": ("point_mass", "node_mass: 1.0", "node_mass: 1.0e308"),
+    "dt-huge": ("block_on_plane", {"dt: 0.01": "dt: 1.0e308"},
+                NonFiniteForceError, "assembled right-hand side is not finite"),
+    "node-mass-huge": ("point_mass", {"node_mass: 1.0": "node_mass: 1.0e308"},
+                       NonFiniteForceError, "assembled right-hand side is not finite"),
+    "dt-huge-no-gravity": ("point_mass", {"dt: 0.01": "dt: 1.0e308",
+                                          "gravity: [0.0, -9.81, 0.0]": "gravity: [0.0, 0.0, 0.0]"},
+                           NonFiniteStateError, "time step 1e\\+308 squared is not finite"),
 }
 
 
-@pytest.mark.parametrize("name, line, huge", HUGE_INPUTS.values(), ids=HUGE_INPUTS.keys())
-def test_huge_time_step_or_mass_fails_the_step_cleanly(tmp_path, name, line, huge):
+@pytest.mark.parametrize("name, lines, error, message", HUGE_INPUTS.values(),
+                         ids=HUGE_INPUTS.keys())
+def test_huge_time_step_or_mass_fails_the_step_cleanly(tmp_path, name, lines, error, message):
     text = (SCENES / f"{name}.scn").read_text()
-    assert line in text
-    text = text.replace(line, huge).replace("meshes/", f"{SCENES / 'meshes'}/")
+    for line, huge in lines.items():
+        assert line in text
+        text = text.replace(line, huge)
+    text = text.replace("meshes/", f"{SCENES / 'meshes'}/")
     sim = Simulation(load_scene(write_scene(tmp_path, text)))
-    with pytest.raises(NonFiniteForceError, match="assembled right-hand side is not finite"):
+    with pytest.raises(error, match=message):
         sim.step()
     assert sim.step_index == 0
 
@@ -498,6 +511,17 @@ def test_remeshed_box_keeps_its_fixed_region(tmp_path):
     assert np.array_equal(spec.body.fixed_nodes, want.body.fixed_nodes)
     assert len(spec.body.fixed_nodes) == 16  # the bottom layer of a 3 x 3 box
     assert np.all(spec.body.mesh.nodes[spec.body.fixed_nodes, 1] <= 0.0)
+
+
+def test_box_node_bound_holds_at_load_and_on_remeshing(tmp_path):
+    # the bound is on (nx + 1)(ny + 1)(nz + 1), checked before anything is meshed
+    assert scene._box_divisions([99, 9, 99], "b") == (99, 9, 99)  # 10^5 nodes
+    with pytest.raises(ValidationError, match=r"^b: \[99, 9, 100\] make 101000 nodes, more "
+                       r"than 100000$"):
+        scene._box_divisions([99, 9, 100], "b")
+    config = load_scene(write_scene(tmp_path, COLUMN))
+    with pytest.raises(ValidationError, match="^column.mesh.box.divisions: "):
+        with_box_divisions(config, (1_000_000, 5, 5))
 
 
 def test_remeshing_explicit_fixed_nodes_is_refused(tmp_path):
