@@ -16,8 +16,15 @@ come from edge cross products, its 10 upper 3x3 blocks (node pairs a <= b
 in global id) are summed into the unique node-pair blocks one local pair
 at a time, so no array holds more than one pair's terms, and the
 off-diagonal blocks are mirrored, so K is exactly symmetric and stores one
-full block per pair of nodes that share a tet. The system matrix is built
-in K's own CSR pattern.
+full block per pair of nodes that share a tet. A tet so thin or so large
+that a product of its gradients overflows gives a non-finite K, which is
+reported as :class:`~.errors.NonFiniteForceError` before K is laid out.
+
+The system matrix A is never held whole: :meth:`SoftBody.system_rows`
+hands the factorization A's CSR rows a block of ``_ROW_BLOCK`` rows at a
+time, each computed from K's rows in K's own pattern, and
+:class:`~.linalg.Factorization` packs its band from them. A body keeps K,
+which every step's right-hand side reads, and its factorization.
 
 Rigid bodies carry 6 velocity DOFs (linear + angular); their system matrix
 is the generalized mass with world-frame inertia, and the right-hand side
@@ -32,11 +39,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonFiniteForceError, ValidationError
-from .linalg import Factorization
+from .linalg import Factorization, RowBlocks
 from .mesh import TetMesh, check_positive_volumes
 
 # relative asymmetry a rigid inertia may carry, against its largest entry
 _SYM_RTOL = 1e-12
+# rows of the system matrix per block of SoftBody.system_rows: on the column
+# (about 39 stored entries a row) a block's temporaries stay near 1 MB
+_ROW_BLOCK = 512
 
 
 @dataclass
@@ -157,12 +167,19 @@ def assemble_stiffness(nodes: np.ndarray, tets: np.ndarray, young: float, poisso
     off-diagonal block is mirrored into its transposed place. So K == K^T bit
     for bit, and K stores one full 3x3 block per pair of nodes that share a
     tet. The temporaries are O(m) arrays of one local pair, and the summing
-    ones are gone before K is laid out.
+    ones are gone before K is laid out. A non-finite block raises
+    :class:`NonFiniteForceError`.
     """
     n = len(nodes)
     if len(tets) == 0:
         return sp.csr_matrix((3 * n, 3 * n))
-    rows, cols, blocks = _upper_blocks(nodes, tets, young, poisson)
+    # a tet too thin or too large for the float range overflows its
+    # gradients or their products, which the finite check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols, blocks = _upper_blocks(nodes, tets, young, poisson)
+    if not np.isfinite(blocks).all():
+        raise NonFiniteForceError("stiffness is not finite: a tet is too thin or too "
+                                  "large for the float range")
     off = rows != cols
     block_rows = np.concatenate([rows, cols[off]])
     block_cols = np.concatenate([cols, rows[off]])
@@ -227,7 +244,6 @@ class SoftBody:
         fixed.flags.writeable = False
         self._fixed_mask = fixed.ravel()
         self._stiffness = None
-        self._system = None  # (h, A) of the last assemble
 
     @property
     def n_dofs(self) -> int:
@@ -252,44 +268,64 @@ class SoftBody:
         v = np.tile(np.asarray(velocity, dtype=np.float64), self.mesh.n_nodes)
         return MechanicalState(self.mesh.nodes.ravel().copy(), v)
 
-    def assemble(self, state: MechanicalState, h: float, gravity) -> tuple[sp.csr_matrix, np.ndarray]:
+    def system_rows(self, h: float) -> RowBlocks:
+        """The system matrix A = (1 + h a) M + (h b + h^2) K at time step h,
+        fixed rows and columns replaced by identity, as CSR rows a block of
+        ``_ROW_BLOCK`` at a time (:class:`~.linalg.RowBlocks`); A is never
+        held whole.
+
+        Each block is computed from K's rows in K's own pattern: K's entries
+        scaled, those of a fixed row or column dropped but for its diagonal,
+        a diagonal put in the rows of a node in no tet (which store none),
+        and the mass diagonal added. A huge h or mass may overflow these
+        products, as it does the right-hand side's: :meth:`assemble`'s
+        finite check reports it, else the factorization's pivot check.
+        """
         if h <= 0:
             raise ValidationError(f"time step must be positive, got {h}")
-        m3 = np.repeat(self.masses(), 3)
-        fixed = self.fixed_mask
+        return RowBlocks(self.n_dofs, lambda: self._system_blocks(h))
 
-        # A = (1 + h a) M + (h b + h^2) K, with fixed rows/cols replaced by
-        # identity; it depends on h alone (linear material), so it is kept.
-        # It is built in K's own CSR: K's entries scaled, those of a fixed row
-        # or column dropped but for its diagonal, a diagonal put in the rows
-        # of a node in no tet (which store none), and the mass diagonal added.
-        # A huge h or mass may overflow its products, as it does the
-        # right-hand side's, which the finite check below reports
-        if self._system is None or self._system[0] != h:
-            K = self.stiffness()
-            n = self.n_dofs
-            rows = np.repeat(np.arange(n), np.diff(K.indptr))
-            on_diag = rows == K.indices
-            keep = on_diag | ~(fixed[rows] | fixed[K.indices])
-            rows, on_diag, indices = rows[keep], on_diag[keep], K.indices[keep]
-            k_scale = h * self.rayleigh_stiffness + h * h
+    def _system_blocks(self, h: float):
+        K = self.stiffness()
+        n = self.n_dofs
+        fixed = self.fixed_mask
+        pinned = fixed.any()  # else every entry of K is kept
+        k_scale = h * self.rayleigh_stiffness + h * h
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = (1.0 + h * self.rayleigh_mass) * np.repeat(self.masses(), 3)
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n)
+            start, stop = K.indptr[lo], K.indptr[hi]
+            counts = np.diff(K.indptr[lo:hi + 1])
+            rows = np.repeat(np.arange(lo, hi), counts)
+            indices, data = K.indices[start:stop], K.data[start:stop]
+            on_diag = rows == indices
+            if pinned:
+                keep = on_diag | ~(fixed[rows] | fixed[indices])
+                rows, on_diag, indices, data = rows[keep], on_diag[keep], indices[keep], data[keep]
+                counts = np.bincount(rows - lo, minlength=hi - lo)
             with np.errstate(over="ignore", invalid="ignore"):
-                data = k_scale * K.data[keep]
-                diag = (1.0 + h * self.rayleigh_mass) * m3
-            counts = np.bincount(rows, minlength=n)
+                data = k_scale * data
             bare = np.flatnonzero(counts == 0)
             if bare.size:
                 at = (np.cumsum(counts) - counts)[bare]
                 data = np.insert(data, at, 0.0)
-                indices = np.insert(indices, at, bare)
+                indices = np.insert(indices, at, lo + bare)
                 on_diag = np.insert(on_diag, at, True)
                 counts[bare] = 1
             with np.errstate(over="ignore", invalid="ignore"):
-                data[on_diag] = np.where(fixed, 1.0, data[on_diag] + diag)
-            indptr = np.zeros(n + 1, dtype=K.indptr.dtype)
+                data[on_diag] = np.where(fixed[lo:hi], 1.0, data[on_diag] + diag[lo:hi])
+            indptr = np.zeros(hi - lo + 1, dtype=K.indptr.dtype)
             np.cumsum(counts, out=indptr[1:])
-            self._system = (h, sp.csr_matrix((data, indices, indptr), shape=(n, n)))
-        A = self._system[1]
+            yield lo, indptr, indices, data
+
+    def assemble(self, state: MechanicalState, h: float, gravity) -> np.ndarray:
+        """The right-hand side b of the step from ``state``; the system
+        matrix is :meth:`system_rows`, constant for a fixed h."""
+        if h <= 0:
+            raise ValidationError(f"time step must be positive, got {h}")
+        m3 = np.repeat(self.masses(), 3)
+        fixed = self.fixed_mask
 
         # h (f_ext - f(q, v)) - h^2 K v, the K terms of the internal force
         # f(q, v) = K (q - q0) + (rayleigh_mass M + rayleigh_stiffness K) v
@@ -303,7 +339,7 @@ class SoftBody:
         b[fixed] = 0.0
         if not np.all(np.isfinite(b)):
             raise NonFiniteForceError("assembled right-hand side is not finite")
-        return A, b
+        return b
 
 
 @dataclass

@@ -24,7 +24,7 @@ class DegenerateTetError(ContactNewtonError, ValueError):
 
 
 class NonFiniteForceError(ContactNewtonError, ValueError):
-    """An assembled force vector contains NaN or infinity."""
+    """An assembled stiffness or force vector contains NaN or infinity."""
 
 
 class NonFiniteStateError(ContactNewtonError, ValueError):

@@ -50,12 +50,20 @@ the column each pass of the first fill runs over at most the last 386 of
 9024 rows.
 
 :class:`Factorization` takes the assembled matrix (scipy sparse or dense) as
-it is and reads only its upper triangle, so it does not check symmetry: the
-assemblers build symmetric matrices, and the one setting from outside that
-enters A, a rigid body's inertia, is checked by :class:`~.dynamics.RigidBody`.
+it is, or a :class:`RowBlocks` that hands it the matrix's CSR rows a block
+at a time, as a soft body's system matrix comes (:meth:`~.dynamics.SoftBody.
+system_rows`), so that the matrix is never held whole. It makes two passes
+over the blocks, the first for ``bw``, the second to add the upper entries
+into the band, so its temporaries are those of one block. It reads only
+the upper triangle, so it does not check symmetry: the assemblers build
+symmetric matrices, and the one setting from outside that enters A, a rigid
+body's inertia, is checked by :class:`~.dynamics.RigidBody`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,6 +93,25 @@ def band_ordering(n: int, points=None) -> np.ndarray:
     return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
+@dataclass(frozen=True)
+class RowBlocks:
+    """An ``n``-by-``n`` matrix given by its CSR rows a block at a time.
+
+    Each call of ``blocks`` starts a new pass over the rows, in order, and
+    yields ``(lo, indptr, indices, data)`` per block: the CSR arrays of rows
+    ``lo`` to ``lo + len(indptr) - 2``, ``indptr`` starting at 0.
+    """
+
+    n: int
+    blocks: Callable[[], Iterable[tuple]]
+
+
+def _permuted_entries(at: np.ndarray, lo: int, indptr: np.ndarray, indices: np.ndarray):
+    """The permuted row and column of each stored entry of a block of CSR
+    rows from ``lo`` on, in storage order."""
+    return np.repeat(at[lo:lo + len(indptr) - 1], np.diff(indptr)), at[indices]
+
+
 class Factorization:
     """Banded Cholesky factorization of a symmetric matrix, reusable for many solves.
 
@@ -92,7 +119,9 @@ class Factorization:
     DOF at position k and ``at`` its inverse, so that ``P A Pᵀ`` has a
     narrow half-bandwidth ``bw``. ``points``, the rest positions of a body's
     nodes, orders them along the body's longest axis; with none the matrix
-    keeps its own order. The upper band is packed in LAPACK
+    keeps its own order. ``matrix`` is a scipy sparse or dense matrix, or a
+    :class:`RowBlocks`, which is read twice: once for ``bw``, once to add
+    its upper entries into the band. The upper band is packed in LAPACK
     ``'U'`` band storage, a Fortran-order ``(bw + 1, n)`` array of
     ``n·(bw+1)`` doubles, and factored in place by ``dpbtrf`` as ``Uᵀ U``.
     Every solve is :meth:`forward` then :meth:`backward` (module
@@ -126,23 +155,28 @@ class Factorization:
     __slots__ = ("dim", "_perm", "_at", "_band", "solve_count", "_dofs", "_block", "_col_of")
 
     def __init__(self, matrix, points=None):
-        csr = sp.csr_matrix(matrix, dtype=np.float64)
-        n = csr.shape[0]
-        if csr.shape != (n, n):
-            raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
+        if not isinstance(matrix, RowBlocks):
+            csr = sp.csr_matrix(matrix, dtype=np.float64)
+            if csr.shape[0] != csr.shape[1]:
+                raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
+            matrix = RowBlocks(csr.shape[0], lambda: [(0, csr.indptr, csr.indices, csr.data)])
+        n = matrix.n
         perm = band_ordering(n, points)
         at = np.empty(n, dtype=np.intp)
         at[perm] = np.arange(n)
-        # the permuted row and column of each stored entry, in storage order
-        i = at[np.repeat(np.arange(n), np.diff(csr.indptr))]
-        j = at[csr.indices]
-        bw = int((j - i).max(initial=0))
-        upper = i <= j
-        i, j, values = i[upper], j[upper], csr.data[upper]
-        # entry (i, j) of the upper band sits at ab[bw + i - j, j]; bincount
-        # sums duplicate entries
-        band = np.bincount((bw + i - j) + (bw + 1) * j, weights=values,
-                           minlength=(bw + 1) * n).reshape((bw + 1, n), order="F")
+        bw = 0
+        for lo, indptr, indices, _ in matrix.blocks():
+            i, j = _permuted_entries(at, lo, indptr, indices)
+            bw = max(bw, int((j - i).max(initial=0)))
+        band = np.zeros((bw + 1, n), order="F")
+        # entry (i, j) of the upper band sits at ab[bw + i - j, j], which is
+        # (bw + i - j) + (bw + 1) j = bw (j + 1) + i of the raveled band
+        flat = band.reshape(-1, order="F")  # a view
+        for lo, indptr, indices, data in matrix.blocks():
+            i, j = _permuted_entries(at, lo, indptr, indices)
+            upper = i <= j
+            # sequential: duplicates are summed in storage order onto 0.0
+            np.add.at(flat, (bw * (j + 1) + i)[upper], data[upper])
         band, info = dpbtrf(band, overwrite_ab=True)
         # dpbtrf stops at the first pivot <= 0 (info > 0) but passes a NaN
         # one on, so the first bad pivot is the first non-finite one it

@@ -38,10 +38,22 @@ class TetMesh:
         return len(self.tets)
 
 
+# tets per block of tet_volumes: its temporaries stay near 0.5 MB
+_TET_BLOCK = 2048
+
+
 def tet_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Signed volumes, positive for correctly oriented tets."""
-    a, b, c, d = (nodes[tets[:, i]] for i in range(4))
-    return np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) / 6.0
+    """Signed volumes, positive for correctly oriented tets.
+
+    Computed ``_TET_BLOCK`` tets at a time; each volume is the same product
+    of its own tet's coordinates, bit for bit, whatever the block.
+    """
+    vols = np.empty(len(tets))
+    for lo in range(0, len(tets), _TET_BLOCK):
+        block = tets[lo:lo + _TET_BLOCK]
+        a, b, c, d = (nodes[block[:, i]] for i in range(4))
+        vols[lo:lo + len(block)] = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) / 6.0
+    return vols
 
 
 def check_positive_volumes(mesh: TetMesh, where: str = "mesh") -> np.ndarray:
@@ -108,21 +120,28 @@ def surface_triangles(mesh: TetMesh) -> np.ndarray:
     tet's winding. The rows are in lexicographic order. A face is found by
     the int64 code ``(a n + b) n + c`` of its sorted node ids a <= b <= c,
     n the node count, whose order is the lexicographic one; a mesh of
-    2^21 nodes or more, whose codes could overflow, is refused.
+    2^21 nodes or more, whose codes could overflow, is refused. The sorted
+    ids are held as int32 and freed once the codes exist, and a boundary
+    face's winding is read back from its tet, so no array of all faces'
+    windings is kept.
     """
     n = mesh.n_nodes
     if n >= 2**21:
         raise ParseError(f"surface extraction takes fewer than 2**21 nodes, got {n}")
-    faces = mesh.tets[:, _TET_FACES].reshape(-1, 3)
-    keys = np.sort(faces, axis=1)  # the same key for both windings of a face
-    codes = (keys[:, 0] * n + keys[:, 1]) * n + keys[:, 2]
+    # face f is face f % 4 of tet f // 4; both windings of a face sort alike
+    keys = mesh.tets.astype(np.int32)[:, _TET_FACES].reshape(-1, 3)
+    keys.sort(axis=1)
+    codes = (keys[:, 0] * np.int64(n) + keys[:, 1]) * n + keys[:, 2]
+    del keys
     order = np.argsort(codes)
     codes = codes[order]
     first = np.ones(len(codes) + 1, dtype=bool)  # where a run of equal codes starts, then the end
     first[1:-1] = codes[1:] != codes[:-1]
+    del codes
     starts = np.flatnonzero(first)
-    once = starts[:-1][np.diff(starts) == 1]
-    boundary = faces[order[once]]
+    once = order[starts[:-1][np.diff(starts) == 1]]
+    tet, face = np.divmod(once, 4)
+    boundary = mesh.tets[tet[:, None], np.array(_TET_FACES)[face]]
     return boundary[np.lexsort(boundary.T[::-1])]
 
 

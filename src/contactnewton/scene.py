@@ -608,9 +608,11 @@ class _SoftRuntime:
         )
 
     def assemble(self, state, h, gravity):
-        A, b = self.body.assemble(state, h, gravity)
+        # an error of the body's assembly (the first call builds K) names the body
+        b = _named(self.spec.name, self.body.assemble, state=state, h=h, gravity=gravity)
         if self.factorization is None:
-            self.factorization = Factorization(A, points=self.body.mesh.nodes)
+            self.factorization = Factorization(self.body.system_rows(h),
+                                               points=self.body.mesh.nodes)
         return self.factorization, b
 
     def view(self, q_by_object, t):

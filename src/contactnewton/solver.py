@@ -83,7 +83,12 @@ Errors are raised where they arise:
   tangential rows and constants, with no numpy warning;
 - a tangential length that overflows a float (complex ``abs`` raises
   ``OverflowError`` where ``np.hypot`` returned inf) raises
-  :class:`NonFiniteStateError` naming the group, at that visit.
+  :class:`NonFiniteStateError` naming the group, at that visit;
+- a finite but huge delta_base or lambda may overflow the folded
+  violation, a row read or the stop test's norms: numpy's overflow
+  warnings are off for the whole call (one ``np.errstate``, nothing per
+  visit or sweep), and a non-finite norm of lambda or of its change raises
+  :class:`NonFiniteStateError` at the end of that sweep.
 Every diagonal block is positive definite when each A side carries DOFs
 (detection pairs no pinned vertex).
 
@@ -366,7 +371,6 @@ def pgs(
         raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
     if fold is None:
         fold = _fold(W, h2)
-    fold.rows[:, :, c] = (fold.P @ delta3[:, :, None])[:, :, 0]
     groups, omega = fold.groups, fold.omega
     got = np.empty(3)
     got_items = memoryview(got)  # unpacks to Python floats
@@ -386,44 +390,49 @@ def pgs(
     eps_history: list[float] = []
     converged = False
     iterations = 0
-    for _ in range(config.max_iterations):
-        iterations += 1
-        for g, (read, q0, q1, det, i) in enumerate(groups):
-            if moved < skip_until[g]:
-                skipped += 1
-                continue
-            read(lam, got)
-            a, b0, b1 = got_items
-            try:
-                new = local_solve(a, b0, b1, q0, q1, det, mu)
-            except SingularBlockError as exc:
-                raise SingularBlockError(f"group {g}: {exc}") from None
-            except OverflowError:
+    with np.errstate(over="ignore", invalid="ignore"):  # module docstring
+        fold.rows[:, :, c] = (fold.P @ delta3[:, :, None])[:, :, 0]
+        for _ in range(config.max_iterations):
+            iterations += 1
+            for g, (read, q0, q1, det, i) in enumerate(groups):
+                if moved < skip_until[g]:
+                    skipped += 1
+                    continue
+                read(lam, got)
+                a, b0, b1 = got_items
+                try:
+                    new = local_solve(a, b0, b1, q0, q1, det, mu)
+                except SingularBlockError as exc:
+                    raise SingularBlockError(f"group {g}: {exc}") from None
+                except OverflowError:
+                    raise NonFiniteStateError(
+                        f"group {g}: tangential impulse overflows in the local solve"
+                    ) from None
+                old = lam_groups[g]
+                if new != old:
+                    lam_groups[g] = new
+                    n0, n1, n2 = new
+                    o0, o1, o2 = old
+                    lam_items[i] = n0
+                    lam_items[i + 1] = n1
+                    lam_items[i + 2] = n2
+                    moved += abs(n0 - o0) + abs(n1 - o1) + abs(n2 - o2)
+                elif new is _ZERO:  # separated, and stays so until moved reaches the limit
+                    margin = rel * (abs(a) + omega[g] * moved) + _SKIP_FLOOR
+                    skip_until[g] = moved + (-a - margin) / omega[g]
+            np.subtract(lam_now, lam_prev, out=step)
+            num = math.sqrt(step.dot(step))  # np.linalg.norm of a 1-D float array
+            den = math.sqrt(lam_now.dot(lam_now))
+            if not num + den < math.inf:  # an overflow, or NaN
                 raise NonFiniteStateError(
-                    f"group {g}: tangential impulse overflows in the local solve"
-                ) from None
-            old = lam_groups[g]
-            if new != old:
-                lam_groups[g] = new
-                n0, n1, n2 = new
-                o0, o1, o2 = old
-                lam_items[i] = n0
-                lam_items[i + 1] = n1
-                lam_items[i + 2] = n2
-                moved += abs(n0 - o0) + abs(n1 - o1) + abs(n2 - o2)
-            elif new is _ZERO:  # separated, and stays so until moved reaches the limit
-                margin = rel * (abs(a) + omega[g] * moved) + _SKIP_FLOOR
-                skip_until[g] = moved + (-a - margin) / omega[g]
-        np.subtract(lam_now, lam_prev, out=step)
-        num = math.sqrt(step.dot(step))  # np.linalg.norm of a 1-D float array
-        den = math.sqrt(lam_now.dot(lam_now))
-        eps = 0.0 if num == 0.0 else (math.inf if den == 0.0 else num / den)
-        eps_history.append(eps)
-        if eps <= config.tolerance:
-            converged = True
-            break
-        lam_prev[:] = lam_now
-    delta_end = delta_base + h2 * (W @ lam_now)
+                    f"sweep {iterations}: the impulses' norm is not finite")
+            eps = 0.0 if num == 0.0 else (math.inf if den == 0.0 else num / den)
+            eps_history.append(eps)
+            if eps <= config.tolerance:
+                converged = True
+                break
+            lam_prev[:] = lam_now
+        delta_end = delta_base + h2 * (W @ lam_now)
     local_solves = n_groups * iterations - skipped
     return PgsResult(lam_now, delta_end, iterations, eps_history, converged, local_solves, fold)
 

@@ -6,7 +6,8 @@ component with one ``np.bincount`` over the raveled ``(10, m)`` terms, local
 pair first, then tet. :func:`system_matrix` builds A through a COO round
 trip: K's entries off the fixed rows and columns, scaled, then the mass
 diagonal, summed by the COO to CSR conversion. ``dynamics`` must give
-K's and A's ``data``, ``indices`` and ``indptr`` bit for bit.
+K's ``data``, ``indices`` and ``indptr`` bit for bit, and those of A once
+the blocks of rows that ``SoftBody.system_rows`` streams are stacked.
 """
 
 from __future__ import annotations

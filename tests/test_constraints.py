@@ -33,6 +33,7 @@ from contactnewton.solver import StepContext, fast_update_proximity
 from contactnewton.verify import prepare
 from contactnewton.mesh import TetMesh, box_mesh, surface_triangles, surface_vertices
 from pairs_reference import AttachKind, Attachment, ProximityPair, to_contacts
+from stiffness_reference import system_matrix
 from test_scene import COUPLED_BALL, MIXED_SCENE, SCENES, SPINNING_BALL, write_scene
 
 
@@ -87,7 +88,8 @@ def block_on_plane_context(h=0.01, center_y=0.0495, fixed_nodes=()):
     pairs = detect([geom, plane], threshold=0.01)
     assert pairs
     state = body.initial_state()
-    A, b = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+    A = system_matrix(body, h)
+    b = body.assemble(state, h=h, gravity=(0, -9.81, 0))
     F = Factorization(A)
     S = build_signed_mapping(pairs, 0, body.n_dofs, body.fixed_mask)
     frames = build_frames(pairs)
@@ -217,7 +219,8 @@ class TestDelassus:
     def test_point_mass_W_is_inverse_mass(self):
         body, pair = point_mass_pair(mass=2.0)
         state = body.initial_state()
-        A, b = body.assemble(state, h=0.01, gravity=(0, 0, 0))
+        A = system_matrix(body, 0.01)
+        b = body.assemble(state, h=0.01, gravity=(0, 0, 0))
         F = Factorization(A)
         D = assemble_direction([axes_frame()])
         S = build_signed_mapping(pair, 0, 3)
@@ -248,7 +251,7 @@ class TestDelassus:
         F = {}
         H = {}
         for oid, body in ((0, body_a), (1, body_b)):
-            A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
+            A = system_matrix(body, 0.01)
             F[oid] = Factorization(A)
             H[oid] = assemble_H(D, build_signed_mapping(pair, oid, 3))
         W = assemble_W_standard(H, F)
@@ -259,7 +262,7 @@ class TestDelassus:
         D = assemble_direction(frames)
         H = assemble_H(D, S)
         W = assemble_W_standard({0: H}, {0: F})
-        A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        A = system_matrix(body, h)
         Hd = H.toarray()
         W_oracle = Hd @ np.linalg.solve(A.toarray(), Hd.T)
         scale = np.abs(W_oracle).max()
@@ -318,7 +321,7 @@ def rebuild_W_fast_column_reference(D, wg: np.ndarray) -> np.ndarray:
 class TestMappingDelassus:
     def test_point_mass_wg(self):
         body, pair = point_mass_pair(mass=4.0)
-        A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
+        A = system_matrix(body, 0.01)
         wg, _ = assemble_Wg({0: build_signed_mapping(pair, 0, 3)}, {0: Factorization(A)})
         assert np.abs(wg - 0.25 * np.eye(3)).max() <= 1e-12
 
@@ -326,7 +329,7 @@ class TestMappingDelassus:
         # the plane side has no DOFs: W_g is the body's own S A^-1 S^T
         body, state, pairs, frames, F, S, h = block_on_plane_context()
         wg, _ = assemble_Wg({0: S}, {0: F})
-        A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        A = system_matrix(body, h)
         Sd = S.toarray()
         oracle = Sd @ np.linalg.solve(A.toarray(), Sd.T)
         assert np.abs(wg - oracle).max() <= 1e-9 * np.abs(oracle).max()
@@ -439,7 +442,7 @@ def two_boxes_context(h=0.01):
     assert set(pairs.a.object_id.tolist()) == {0, 1}
     S, A = {}, {}
     for oid, body in bodies.items():
-        A[oid], _ = body.assemble(body.initial_state(), h=h, gravity=(0, 0, 0))
+        A[oid] = system_matrix(body, h)
         S[oid] = build_signed_mapping(pairs, oid, body.n_dofs, body.fixed_mask)
     return bodies, pairs, S, A
 
@@ -504,7 +507,7 @@ class TestWgGather:
 
     def test_vertex_attachments(self):
         body, state, pairs, frames, F, S, h = block_on_plane_context()
-        A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        A = system_matrix(body, h)
         self.check({0: S}, {0: F}, {0: A})
         assert F.solve_count == 3 * len(pairs)  # one column per contact DOF
         self.check({0: S}, {0: F}, {0: A})
@@ -531,7 +534,7 @@ class TestWgGather:
                 element_id=0,
             ))
         S = build_signed_mapping(to_contacts(pairs), 0, body.n_dofs)
-        A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
+        A = system_matrix(body, 0.01)
         F = Factorization(A)
         self.check({0: S}, {0: F}, {0: A})
         assert F.solve_count == 3 * len(np.unique(tris))  # shared nodes solved once
@@ -540,7 +543,7 @@ class TestWgGather:
         _, _, unpinned_pairs, *_ = block_on_plane_context()
         fixed = unpinned_pairs.a.nodes[:3, 0].tolist()
         body, state, pairs, frames, F, S, h = block_on_plane_context(fixed_nodes=fixed)
-        A, _ = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        A = system_matrix(body, h)
         wg = self.check({0: S}, {0: F}, {0: A})
         assert F.solve_count == 3 * (len(pairs) - len(fixed))
         pinned = np.flatnonzero(np.isin(pairs.a.nodes[:, 0], fixed))
@@ -561,7 +564,7 @@ class TestWgGather:
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
         soft = SoftBody(m, young=5e4)
         sphere = RigidBody(mass=0.5, inertia=np.diag([1e-3, 2e-3, 3e-3]), radius=0.05)
-        A_soft, _ = soft.assemble(soft.initial_state(), h=0.01, gravity=(0, 0, 0))
+        A_soft = system_matrix(soft, 0.01)
         F_soft = Factorization(A_soft)
         top = np.flatnonzero(m.nodes[:, 1] >= m.nodes[:, 1].max() - 1e-12)
         turn = np.array([[0.0, -1, 0], [1.0, 0, 0], [0.0, 0, 1]])
@@ -657,7 +660,7 @@ class TestFastProximityUpdate:
     def test_scalar_point_mass(self):
         # the normal gap changes by h^2 lambda_n / m on a point mass
         body, pair = point_mass_pair(mass=2.0)
-        A, _ = body.assemble(body.initial_state(), h=0.01, gravity=(0, 0, 0))
+        A = system_matrix(body, 0.01)
         S = {0: build_signed_mapping(pair, 0, 3)}
         ctx = proximity_context(pair, {0: body.mesh.nodes.ravel()}, S, {0: Factorization(A)},
                                 0.01, {1: Pose.identity()})

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from contactnewton.dynamics import (
+    _ROW_BLOCK,
     MechanicalState,
     RigidBody,
     SoftBody,
@@ -23,6 +24,7 @@ from contactnewton.mesh import TetMesh, box_mesh, check_positive_volumes, load_m
 from contactnewton.scene import SoftSpec, load_scene, with_box_divisions
 
 import stiffness_reference  # beside this file
+from stiffness_reference import system_matrix
 from test_scene import PINNED_BOX, write_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -102,7 +104,8 @@ REGULAR_TET = np.array(
 class TestAssembly:
     def test_point_mass_system(self):
         body = point_mass_body(mass=2.0)
-        A, b = body.assemble(body.initial_state(), h=0.01, gravity=(0, -10.0, 0))
+        A = system_matrix(body, 0.01)
+        b = body.assemble(body.initial_state(), h=0.01, gravity=(0, -10.0, 0))
         assert np.allclose(A.toarray(), 2.0 * np.eye(3))
         assert np.allclose(b, [0.0, -0.2, 0.0])
 
@@ -178,23 +181,19 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             SoftBody(mesh, fixed_nodes=[node])
 
-    def test_system_matrix_kept_per_time_step(self):
+    def test_rhs_and_system_rows_follow_the_state_and_time_step(self):
         mesh = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
         body = SoftBody(mesh, fixed_nodes=[0, 1])
         state = body.initial_state((0.0, -0.3, 0.1))
-        A1, b1 = body.assemble(state, h=0.01, gravity=(0, -9.81, 0))
+        body.assemble(state, h=0.01, gravity=(0, -9.81, 0))
         moved = MechanicalState(state.q + 1e-3, state.v)
-        A2, b2 = body.assemble(moved, h=0.01, gravity=(0, -9.81, 0))
-        assert A2 is A1  # not rebuilt for the same h
+        b = body.assemble(moved, h=0.01, gravity=(0, -9.81, 0))
         fresh = SoftBody(mesh, fixed_nodes=[0, 1])
-        A_ref, b_ref = fresh.assemble(moved, h=0.01, gravity=(0, -9.81, 0))
-        assert np.array_equal(A2.toarray(), A_ref.toarray())
-        assert np.array_equal(b2, b_ref)
-        A3, _ = body.assemble(state, h=0.02, gravity=(0, -9.81, 0))
-        assert A3 is not A1
-        A3_ref, _ = SoftBody(mesh, fixed_nodes=[0, 1]).assemble(state, h=0.02, gravity=(0, -9.81, 0))
-        assert np.array_equal(A3.toarray(), A3_ref.toarray())
-        assert not np.array_equal(A3.toarray(), A1.toarray())
+        assert np.array_equal(b, fresh.assemble(moved, h=0.01, gravity=(0, -9.81, 0)))
+        # the rows are computed for the h asked, whatever h came before
+        for h in (0.01, 0.02, 0.01):
+            assert_same_csr(stacked(body.system_rows(h)), system_matrix(fresh, h))
+        assert not np.array_equal(system_matrix(fresh, 0.02).data, system_matrix(fresh, 0.01).data)
 
     def test_lumped_mass_total(self):
         m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
@@ -260,16 +259,36 @@ def assert_same_csr(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
 
 
+def stacked(rows):
+    """The CSR matrix of a ``RowBlocks``, its blocks checked to start every
+    ``_ROW_BLOCK`` rows."""
+    blocks = list(rows.blocks())
+    assert [lo for lo, *_ in blocks] == list(range(0, rows.n, _ROW_BLOCK))
+    indptr = np.zeros(rows.n + 1, dtype=blocks[0][1].dtype)
+    np.cumsum(np.concatenate([np.diff(p) for _, p, _, _ in blocks]), out=indptr[1:])
+    return sp.csr_matrix((np.concatenate([d for _, _, _, d in blocks]),
+                          np.concatenate([i for _, _, i, _ in blocks]), indptr),
+                         shape=(rows.n, rows.n))
+
+
 @pytest.mark.parametrize("make", BATCHED_REFERENCE_BODIES.values(),
                          ids=BATCHED_REFERENCE_BODIES.keys())
 def test_k_and_a_are_the_batched_assemblys_bytes(tmp_path, make):
+    # A exists only as the blocks of rows the factorization reads: stacked,
+    # they are the reference's CSR, and the band packed from them is the
+    # band packed from that CSR, byte for byte
     body = make(tmp_path)
     mesh = body.mesh
     assert_same_csr(body.stiffness(), stiffness_reference.assemble_stiffness(
         mesh.nodes, mesh.tets, body.young, body.poisson))
     for h in (0.01, 0.003):
-        A, _ = body.assemble(body.initial_state(), h, (0.0, -9.81, 0.0))
-        assert_same_csr(A, stiffness_reference.system_matrix(body, h))
+        A = stiffness_reference.system_matrix(body, h)
+        assert_same_csr(stacked(body.system_rows(h)), A)
+        streamed = Factorization(body.system_rows(h), points=mesh.nodes)
+        whole = Factorization(A, points=mesh.nodes)
+        assert np.array_equal(streamed._perm, whole._perm)
+        assert streamed._band.shape == whole._band.shape
+        assert streamed._band.tobytes() == whole._band.tobytes()
 
 
 class TestStiffnessAssembly:
@@ -325,8 +344,10 @@ class TestStiffnessAssembly:
         # depend on the host's speed. K itself is 4.2 MB; summing one local
         # pair at a time peaks at about 12 MB here, the batched sum over
         # (3, 10, m) gradients at about 29 MB, and a COO assembly over
-        # (m, 4, 4, 3, 3) element blocks at about 94 MB. Building A in K's
-        # CSR peaks at about 8 MB, a COO round trip at about 18 MB
+        # (m, 4, 4, 3, 3) element blocks at about 94 MB. Factoring A from
+        # its rows streamed a block at a time allocates the band (14 MB) and
+        # about 1.4 MB more; building A whole in K's CSR took about 8 MB, the
+        # band's packing from it 19 MB more
         m = column_mesh()
         body = SoftBody(m, young=1e5)
         tracemalloc.start()
@@ -334,19 +355,20 @@ class TestStiffnessAssembly:
             body.stiffness()
             held, peak_k = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            body.assemble(body.initial_state(), 0.01, (0.0, -9.81, 0.0))
-            peak_a = tracemalloc.get_traced_memory()[1] - held  # above K and the masses
+            F = Factorization(body.system_rows(0.01), points=m.nodes)
+            peak_f = tracemalloc.get_traced_memory()[1] - held  # above K and the masses
         finally:
             tracemalloc.stop()
         assert peak_k <= 16e6
-        assert peak_a <= 12e6
+        assert peak_f <= F._band.nbytes + 2e6
 
 
 class TestFreeMotion:
     def test_rest_stays_at_rest(self):
         body = point_mass_body()
         state = body.initial_state()
-        A, b = body.assemble(state, h=0.01, gravity=(0, 0, 0))
+        A = system_matrix(body, 0.01)
+        b = body.assemble(state, h=0.01, gravity=(0, 0, 0))
         F = Factorization(A)
         free = compute_free_motion(F, b, state, h=0.01)
         dv_free = F.backward(free.y)  # A^-1 b
@@ -356,7 +378,8 @@ class TestFreeMotion:
     def test_point_mass_gravity(self):
         body = point_mass_body(mass=2.0)
         state = body.initial_state()
-        A, b = body.assemble(state, h=0.01, gravity=(0, -10.0, 0))
+        A = system_matrix(body, 0.01)
+        b = body.assemble(state, h=0.01, gravity=(0, -10.0, 0))
         F = Factorization(A)
         free = compute_free_motion(F, b, state, h=0.01)
         dv_free = F.backward(free.y)  # A^-1 b
@@ -367,7 +390,8 @@ class TestFreeMotion:
         mesh = TetMesh(REGULAR_TET * 0.1, np.array([[0, 1, 2, 3]]))
         body = SoftBody(mesh, young=5e4, poisson=0.3, fixed_nodes=np.array([0, 1, 2]))
         state = body.initial_state()
-        A, b = body.assemble(state, h=0.01, gravity=(0, -9.81, 0))
+        A = system_matrix(body, 0.01)
+        b = body.assemble(state, h=0.01, gravity=(0, -9.81, 0))
         F = Factorization(A)
         free = compute_free_motion(F, b, state, h=0.01)
         dv_free = F.backward(free.y)  # A^-1 b
@@ -380,7 +404,8 @@ class TestIntegrateCorrection:
     def test_zero_correction(self):
         body = point_mass_body()
         state = body.initial_state()
-        A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
+        A = system_matrix(body, 0.01)
+        b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
         F = Factorization(A)
         free = compute_free_motion(F, b, state, h=0.01)
         dv_free = F.backward(free.y)  # A^-1 b
@@ -401,7 +426,8 @@ class TestIntegrateCorrection:
         rng = np.random.default_rng(3)
         body = point_mass_body()
         state = body.initial_state()
-        A, b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
+        A = system_matrix(body, 0.01)
+        b = body.assemble(state, h=0.01, gravity=(0, -10, 0))
         F = Factorization(A)
         free = compute_free_motion(F, b, state, h=0.01)
         dv_free = F.backward(free.y)  # A^-1 b
@@ -427,7 +453,8 @@ class TestProperties:
         state.q = state.q + 0.002 * rng.standard_normal(state.q.shape)
         state.v = 0.1 * rng.standard_normal(state.v.shape)
         h = 0.01
-        A, b = body.assemble(state, h=h, gravity=(0, 0, 0))
+        A = system_matrix(body, h)
+        b = body.assemble(state, h=h, gravity=(0, 0, 0))
         F = Factorization(A)
         free = compute_free_motion(F, b, state, h=h)
         dv_free = F.backward(free.y)  # A^-1 b
@@ -443,7 +470,7 @@ class TestProperties:
         K = body.stiffness()
         asym = abs(K - K.T)
         assert asym.data.max(initial=0.0) <= 1e-10 * np.abs(K.data).max()
-        A, _ = body.assemble(body.initial_state(), h=0.02, gravity=(0, -9.81, 0))
+        A = system_matrix(body, 0.02)
         Factorization(A)  # SPD: must not raise
 
     def test_force_finite_difference_matches_stiffness(self):
@@ -455,8 +482,8 @@ class TestProperties:
         state.v = 0.1 * rng.standard_normal(state.v.shape)
         dq = 1e-6 * rng.standard_normal(state.q.shape)
         h = 0.01
-        _, b0 = body.assemble(state, h, gravity=(0, -9.81, 0))
-        _, b1 = body.assemble(MechanicalState(state.q + dq, state.v), h, gravity=(0, -9.81, 0))
+        b0 = body.assemble(state, h=h, gravity=(0, -9.81, 0))
+        b1 = body.assemble(MechanicalState(state.q + dq, state.v), h=h, gravity=(0, -9.81, 0))
         hKdq = h * (body.stiffness() @ dq)
         assert np.abs((b1 - b0) + hKdq).max() <= 1e-8 * max(np.abs(hKdq).max(), 1e-30)
 
@@ -470,7 +497,7 @@ class TestProperties:
         state.q = state.q + 0.003 * rng.standard_normal(state.q.shape)
         state.v = 0.2 * rng.standard_normal(state.v.shape)
         h = 0.02
-        _, b = body.assemble(state, h, gravity=(0, -9.81, 0))
+        b = body.assemble(state, h=h, gravity=(0, -9.81, 0))
 
         K = body.stiffness()
         m3 = np.repeat(body.masses(), 3)

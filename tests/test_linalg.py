@@ -17,6 +17,7 @@ from contactnewton.errors import DimensionMismatchError, NotSPDError
 from contactnewton.linalg import Factorization, band_ordering
 from contactnewton.mesh import box_mesh
 from contactnewton.scene import Simulation, SoftSpec, load_scene, with_box_divisions
+from stiffness_reference import system_matrix
 from test_tracing_hooks import load_harness
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -385,13 +386,13 @@ def soft_systems(scene):
     """(A, rest node positions) of every soft body of a shipped scene, or of
     a loaded scene config."""
     cfg = load_scene(SCENES / scene) if isinstance(scene, str) else scene
-    return [(spec.body.assemble(spec.body.initial_state(spec.velocity), cfg.h, cfg.gravity)[0],
-             spec.body.mesh.nodes) for spec in cfg.objects if isinstance(spec, SoftSpec)]
+    return [(system_matrix(spec.body, cfg.h), spec.body.mesh.nodes)
+            for spec in cfg.objects if isinstance(spec, SoftSpec)]
 
 
 def box_system(divisions):
     body = SoftBody(box_mesh((1.0, 1.0, 1.0), divisions))
-    A, _ = body.assemble(body.initial_state(), 0.01, (0.0, -9.81, 0.0))
+    A = system_matrix(body, 0.01)
     return A, body.mesh.nodes
 
 

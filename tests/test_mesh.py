@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from contactnewton.errors import ParseError
 from contactnewton.mesh import (
     _KUHN_TETS,
+    _TET_BLOCK,
     _TET_FACES,
     TetMesh,
     box_mesh,
@@ -196,3 +198,38 @@ def test_surface_refuses_a_mesh_whose_face_codes_could_overflow():
         surface_triangles(m)
     smaller = TetMesh(nodes[1:], UNIT_TET.tets)
     assert len(surface_triangles(smaller)) == 4
+
+
+def column_mesh():
+    """The 7 x 46 x 7 box of bench_column.scn: 3008 nodes, 13524 tets."""
+    return box_mesh((0.07, 0.46, 0.07), (7, 46, 7), center=(0.0, 0.2298, 0.0))
+
+
+def test_blocked_volumes_are_the_whole_products_bytes():
+    m = column_mesh()
+    assert m.n_tets > 6 * _TET_BLOCK
+    a, b, c, d = (m.nodes[m.tets[:, i]] for i in range(4))
+    whole = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) / 6.0
+    assert tet_volumes(m.nodes, m.tets).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("extract, bound", [
+    # int32 faces and keys, the keys freed once the codes exist and the
+    # windings read back from the tets: about 1.3 MB (int64 faces and keys
+    # held to the end took 4.0 MB)
+    pytest.param(surface_triangles, 2.0e6, id="surface_triangles"),
+    # _TET_BLOCK tets at a time: about 0.6 MB (3.0 MB all at once)
+    pytest.param(lambda m: tet_volumes(m.nodes, m.tets), 1.0e6, id="tet_volumes"),
+])
+def test_column_extraction_peak_memory(extract, bound):
+    # numpy reports its buffers to tracemalloc, so the peak does not depend
+    # on the host; each is called at every load of the column
+    m = column_mesh()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        extract(m)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

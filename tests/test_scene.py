@@ -393,8 +393,11 @@ def test_huge_or_tiny_direction_steps_as_its_twin(tmp_path, vector, twin):
 # finite time step or node mass overflows the system matrix and the
 # right-hand side, which is reported by the right-hand side's finite check;
 # a lone node with no gravity and no Rayleigh terms keeps both finite, and
-# PGS reports the overflowed h^2; all with no numpy warning (warnings are
-# errors)
+# PGS reports the overflowed h^2; a box side of 1e-300 overflows the
+# products of its tets' gradients, reported with the body's name by the
+# stiffness's finite check; a huge gravity or collider motion centre gives
+# a violation whose impulses' norm overflows, reported by PGS's stop test;
+# all with no numpy warning (warnings are errors)
 HUGE_INPUTS = {
     "dt-huge": ("block_on_plane", {"dt: 0.01": "dt: 1.0e308"},
                 NonFiniteForceError, "assembled right-hand side is not finite"),
@@ -403,6 +406,19 @@ HUGE_INPUTS = {
     "dt-huge-no-gravity": ("point_mass", {"dt: 0.01": "dt: 1.0e308",
                                           "gravity: [0.0, -9.81, 0.0]": "gravity: [0.0, 0.0, 0.0]"},
                            NonFiniteStateError, "time step 1e\\+308 squared is not finite"),
+    "box-side-tiny": ("grasp_rotate", {"size: [0.08, 0.08, 0.08]": "size: [1.0e-300, 0.08, 0.08]"},
+                      NonFiniteForceError, "^cube: stiffness is not finite"),
+    "box-side-tiny-press": ("two_body_press", {"size: [0.1, 0.1, 0.1], divisions: [4, 4, 4], "
+                                               "center: [0.0, 0.0499": "size: [1.0e-300, 0.1, 0.1], "
+                                               "divisions: [4, 4, 4], center: [0.0, 0.0499"},
+                            NonFiniteForceError, "^lower: stiffness is not finite"),
+    "gravity-huge": ("block_on_plane",
+                     {"gravity: [0.0, -9.81, 0.0]": "gravity: [1.0e308, 0.0, 0.0]"},
+                     NonFiniteStateError, "impulses' norm is not finite"),
+    "motion-center-huge": ("grasp_rotate",
+                           {"[0.0, 0.0, 1.0], center: [0.0, 0.0, 0.0]":
+                            "[0.0, 0.0, 1.0], center: [1.0e308, 0.0, 0.0]"},
+                           NonFiniteStateError, "impulses' norm is not finite"),
 }
 
 

@@ -44,6 +44,7 @@ from contactnewton.solver import (
     pgs,
 )
 from contactnewton.verify import prepare
+from stiffness_reference import system_matrix
 from test_scene import SPINNING_BALL
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -953,7 +954,8 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
     F = {}
     free = {}
     for oid, body in bodies.items():
-        A, b = body.assemble(states[oid], h=h, gravity=gravity)
+        A = system_matrix(body, h)
+        b = body.assemble(states[oid], h=h, gravity=gravity)
         F[oid] = Factorization(A)
         free[oid] = compute_free_motion(F[oid], b, states[oid], h=h)
     S = {
