@@ -3,7 +3,7 @@
 For every (resolution, scheme) cell the harness re-meshes the scene's
 procedural soft box, runs warmup steps, then measures per-phase wall times
 over the configured repetitions. Reported numbers are medians: the rebuild,
-PGS and correction columns are per-Newton-iteration medians; the mapping
+solve and correction columns are per-Newton-iteration medians; the mapping
 compliance W_g is built or reused once per step. A step whose attachments
 repeat the previous step's takes that step's W_g, so on a resting scene the
 median ``build_wg_ms`` times only that check, while ``build_wg_cold_ms``
@@ -54,7 +54,7 @@ PAPER_TOTAL_SPEEDUP = 3.20
 
 BENCH_FIELDS = (
     "resolution", "dofs", "constraints", "scheme", "build_wg_ms",
-    "build_wg_cold_ms", "final_corr_ms", "rebuild_w_ms", "pgs_ms", "corr_ms",
+    "build_wg_cold_ms", "final_corr_ms", "rebuild_w_ms", "solve_ms", "corr_ms",
     "newton_iter_ms", "newton_iter_iqr_ms", "newton_iter_mean_ms", "step_total_ms",
     "step_total_iqr_ms",
     "update_fraction",
@@ -146,14 +146,14 @@ def measure_cell(config: SceneConfig, scheme: str, spec: BenchSpec) -> dict:
     sim = Simulation(cfg)
     warm = [sim.step() for _ in range(spec.warmup)]
     measured = [sim.step() for _ in range(spec.repetitions)]
-    rebuild, pgs_t, corr, iter_total = [], [], [], []
+    rebuild, solve, corr, iter_total = [], [], [], []
     build_wg, final_corr, step_total, constraints = [], [], [], []
     for rep in measured:
         for it in rep.iterations:
             rebuild.append(it.rebuild_time)
-            pgs_t.append(it.pgs_time)
+            solve.append(it.solve_time)
             corr.append(it.correction_time)
-            iter_total.append(it.rebuild_time + it.pgs_time + it.correction_time)
+            iter_total.append(it.rebuild_time + it.solve_time + it.correction_time)
         build_wg.append(rep.t_build_wg)
         final_corr.append(rep.t_final_correction)
         step_total.append(rep.t_step)
@@ -169,7 +169,7 @@ def measure_cell(config: SceneConfig, scheme: str, spec: BenchSpec) -> dict:
         "build_wg_cold_ms": 1e3 * (warm + measured)[0].t_build_wg,
         "final_corr_ms": 1e3 * med(final_corr),
         "rebuild_w_ms": 1e3 * med(rebuild),
-        "pgs_ms": 1e3 * med(pgs_t),
+        "solve_ms": 1e3 * med(solve),
         "corr_ms": 1e3 * med(corr),
         "newton_iter_ms": 1e3 * med_iter,
         "newton_iter_iqr_ms": 1e3 * _iqr(iter_total),
@@ -211,7 +211,7 @@ def summarize(rows: list[dict], spec: BenchSpec) -> str:
     )
     header = (
         f"{'res':>5} {'DOFs':>7} {'cst':>6} {'scheme':>9} {'build Wg':>10} "
-        f"{'cold Wg':>10} {'final corr':>10} {'rebuild W':>10} {'PGS':>9} {'corr':>9} "
+        f"{'cold Wg':>10} {'final corr':>10} {'rebuild W':>10} {'solve':>9} {'corr':>9} "
         f"{'Newton it':>10} {'it IQR':>9} {'it mean':>9} {'step':>9} {'step IQR':>9} "
         f"{'update':>7}"
     )
@@ -221,7 +221,7 @@ def summarize(rows: list[dict], spec: BenchSpec) -> str:
             f"{row['resolution']:>5} {row['dofs']:>7} {row['constraints']:>6.1f} "
             f"{row['scheme']:>9} {row['build_wg_ms']:>8.2f}ms {row['build_wg_cold_ms']:>8.2f}ms "
             f"{row['final_corr_ms']:>8.2f}ms {row['rebuild_w_ms']:>8.2f}ms "
-            f"{row['pgs_ms']:>7.2f}ms {row['corr_ms']:>7.2f}ms {row['newton_iter_ms']:>8.2f}ms "
+            f"{row['solve_ms']:>7.2f}ms {row['corr_ms']:>7.2f}ms {row['newton_iter_ms']:>8.2f}ms "
             f"{row['newton_iter_iqr_ms']:>7.2f}ms {row['newton_iter_mean_ms']:>7.2f}ms "
             f"{row['step_total_ms']:>7.2f}ms "
             f"{row['step_total_iqr_ms']:>7.2f}ms {100 * row['update_fraction']:>6.1f}%"

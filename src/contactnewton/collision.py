@@ -70,7 +70,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFrameError, DimensionMismatchError, InvalidAttachmentError
+from .errors import (DegenerateFrameError, DimensionMismatchError, InvalidAttachmentError,
+                     NonFiniteStateError)
 
 COINCIDENT_EPS = 1e-9  # m, below this pA - pB carries no direction
 _TIE_EPS = 1e-9  # m, distances closer than this count as a tie (id breaks it)
@@ -527,7 +528,7 @@ def element_normals(contacts: Contacts, views: dict, normals=None) -> np.ndarray
     degenerate. Only the rows of B objects in ``views`` are evaluated; the
     others keep their rows of ``normals`` (by default the detection-time
     normals), so the sides whose views do not move within a step can be
-    evaluated once and the rest at every move.
+    evaluated once and the rest at every move. An overflow raises :class:`NonFiniteStateError`.
     """
     out = (contacts.ref_normal if normals is None else normals).copy()
     b = contacts.b
@@ -539,8 +540,11 @@ def element_normals(contacts: Contacts, views: dict, normals=None) -> np.ndarray
             out[rows] = _rowmat(contacts.local_normal[rows], view.rotation.T)
             continue
         tri = np.asarray(view)[b.nodes[rows]]
-        n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        norm = np.sqrt(_rowdot(n, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            norm = np.sqrt(_rowdot(n, n))
+        if not np.isfinite(norm).all():
+            raise NonFiniteStateError(f"object {oid}: a contact triangle's normal overflows")
         ok = norm > 0
         out[rows[ok]] = n[ok] / norm[ok, None]
     return out

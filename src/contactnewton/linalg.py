@@ -300,4 +300,4 @@ class Factorization:
             self._dofs, self._block = every, block
             self._col_of[new] = np.arange(m, len(every))
             index = self._col_of[dofs]
-        return self._block[np.ix_(index, index)]
+        return self._block.take(index, axis=0).take(index, axis=1)

@@ -21,7 +21,7 @@ for byte) or, for W_g and X_o, when its factorizations are other objects
 (a rigid body factors anew each step). Otherwise the step takes that
 step's arrays, read-only and bit for bit what a rebuild would compute.
 Nothing that depends on the frames D crosses a step: the Newton loop builds
-D, W and PGS's fold afresh in every step and keeps them within it.
+D, W and W's preparation for the contact solve in every step, within it.
 
 :meth:`Simulation.detect` is the one detection path: pairs and frames of
 given states at a given time. :meth:`Simulation.penetration` is the one
@@ -320,12 +320,25 @@ _OUTPUT = {"snapshots": ("snapshots", _as_is), "metrics": ("metrics", _as_is),
            "every": ("every", as_count)}
 _TOP_KEYS = ("objects", *_TOP, *_FRICTION, "pgs", "newton", "output")
 
+# The largest size or plane offset, in m: a triangle's normal is a product of
+# two lengths and its norm squares that; the shipped scenes are below a metre.
+MAX_LENGTH = 1.0e6
+
+
+def _length(value, where, read=as_number):
+    """``read(value, where)``, lengths in m, if none exceeds :data:`MAX_LENGTH`."""
+    value = read(value, where)
+    if np.abs(value).max(initial=0.0) > MAX_LENGTH:
+        raise ValidationError(f"{where}: {np.abs(value).max():g} m is above {MAX_LENGTH:g} m")
+    return value
+
+
 _BOX = {"center": ("center", _vec3)}
 _MATERIAL = {key: (key, as_number)
              for key in ("young", "poisson", "density", "rayleigh_mass", "rayleigh_stiffness")}
 _SOFT_BODY = {"fixed_nodes": ("fixed_nodes", _node_ids), "node_mass": ("node_mass", as_number)}
 _SOFT = {"velocity": ("velocity", _vec3)}
-_PLANE = {"normal": ("normal", _direction), "offset": ("offset", as_number)}
+_PLANE = {"normal": ("normal", _direction), "offset": ("offset", _length)}
 _MOTION = {"axis": ("axis", _scaled_vec3), "center": ("center", _vec3),
            "angular_velocity": ("angular_velocity", as_number), "velocity": ("velocity", _vec3)}
 _RIGID_BODY = {"mass": ("mass", as_number), "inertia": ("inertia", _inertia)}
@@ -365,7 +378,7 @@ def _box_divisions(divisions, where):
 def _box_params(box, where):
     box = as_mapping(box, where, ("size", "divisions", *_BOX))
     return {
-        "size": _vec3(require(box, "size", where), f"{where}.size"),
+        "size": _length(require(box, "size", where), f"{where}.size", _vec3),
         "divisions": _box_divisions(require(box, "divisions", where), f"{where}.divisions"),
         **read_settings(box, where, _BOX),
     }
@@ -439,7 +452,7 @@ def _plate_mesh(plate, where):
     center = np.asarray(_vec3(require(plate, "center", where), f"{where}.center"))
     normal = np.asarray(_direction(require(plate, "normal", where), f"{where}.normal"))
     normal = normal / np.linalg.norm(normal)
-    size = _array(plate.get("size", (0.1, 0.1)), f"{where}.size")
+    size = _length(plate.get("size", (0.1, 0.1)), f"{where}.size", _array)
     if size.shape != (2,) or not (size > 0).all():
         raise ValidationError(f"{where}.size: expected 2 positive components, got {size.tolist()}")
     w, hgt = float(size[0]), float(size[1])
@@ -791,10 +804,10 @@ class StepReport:
 
     CSV_FIELDS = (
         "step", "time", "c_groups", "dofs", "newton_iterations", "newton_exit",
-        "pgs_iterations_total", "pgs_converged", "system_solves", "mapping_reused",
+        "solve_iterations_total", "solve_converged", "system_solves", "mapping_reused",
         "pen_before", "pen_after", "lambda_n_sum", "lambda_n_max", "lambda_t_max", "t_detect",
         "t_assemble", "t_free", "t_constraints", "t_build_wg", "t_rebuild_w",
-        "t_pgs", "t_correction", "t_final_correction", "t_step",
+        "t_solve", "t_correction", "t_final_correction", "t_step",
     )
 
     def csv_row(self):
@@ -805,21 +818,21 @@ class StepReport:
         return len(self.iterations)
 
     @property
-    def pgs_iterations_total(self) -> int:
-        return sum(it.pgs_iterations for it in self.iterations)
+    def solve_iterations_total(self) -> int:
+        return sum(it.solve_iterations for it in self.iterations)
 
     @property
-    def pgs_converged(self) -> bool:
-        """Every PGS solve of the step converged."""
-        return all(it.pgs_converged for it in self.iterations)
+    def solve_converged(self) -> bool:
+        """Every contact solve of the step converged."""
+        return all(it.solve_converged for it in self.iterations)
 
     @property
     def t_rebuild_w(self) -> float:
         return sum(it.rebuild_time for it in self.iterations)
 
     @property
-    def t_pgs(self) -> float:
-        return sum(it.pgs_time for it in self.iterations)
+    def t_solve(self) -> float:
+        return sum(it.solve_time for it in self.iterations)
 
     @property
     def t_correction(self) -> float:

@@ -1,4 +1,13 @@
-"""Projected Gauss-Seidel and the recursive corrective-motion schemes.
+"""The contact solve, by projected Gauss-Seidel, and the recursive correction schemes.
+
+The contact solve has one seam. :func:`prepare_solve` derives from W and h
+alone what the solve needs and is the one place W is checked; the Newton
+loop holds that preparation as an opaque value while it keeps W and hands
+it to every :func:`pgs` call. A :class:`PgsResult` carries lambda,
+``delta_end``, the iterations, whether they converged, a work count and one
+residual, :func:`complementarity_residual` of lambda and ``delta_end``,
+which ``contactnewton verify`` prints. The loop, the reports, the benchmark
+and the checks read nothing else of the solve.
 
 PGS sweeps the contact groups in canonical order. Each visit solves one
 group's Signorini/Coulomb block with every other group frozen: the normal
@@ -8,11 +17,11 @@ sweep stops when the relative change of lambda drops below the configured
 tolerance.
 
 Everything in that block solve but the clamp and the projection is linear
-in lambda, so :func:`pgs` folds it into each group's rows once per W.
-With hW = h^2 W, T = hW[t, t] the group's tangential 2 x 2 block (t its two
-tangential rows, n its normal row), ``delta_base`` the free violation and
-P_g = blockdiag(-1 / hW[n, n], -T^-1) (zero in T^-1's place for a singular
-T), group g's folded (3, c + 1) block is
+in lambda, so PGS's preparation, its :class:`Fold`, folds it into each
+group's rows. With hW = h^2 W, T = hW[t, t] the group's tangential 2 x 2
+block (t its two tangential rows, n its normal row), ``delta_base`` the
+free violation and P_g = blockdiag(-1 / hW[n, n], -T^-1) (zero in T^-1's
+place for a singular T), group g's folded (3, c + 1) block is
 
   [(h^2 P_g) W[g's rows, :] | P_g delta_base[g's rows]]
 
@@ -20,41 +29,40 @@ with its normal row's column n and its tangential rows' 3 group columns
 then zeroed: the normal row is -[hW[n, :] | delta_base[n]] / hW[n, n] and
 the tangential rows are -T^-1 [hW[t, :] | delta_base[t]]. Its constants
 are q = -T^-1 hW[t, n], the tangential rows' column n before it is
-zeroed, and det T. Lambda is held in one
-(c + 1) array that ends in 1, so one gemv of the block with it reads
-(a, b0, b1): a is the new lambda_n before the clamp, and b + q a the
-tangential stick trial, the lambda_t that zeroes the group's tangential gap
-at that lambda_n. The fold holds one tuple per group, its block's bound
-``dot``, its constants and the offset 3g of its lambda entries, and the
-gemv writes into one 3-vector reused by every visit, which unpacks to
-Python floats through a memoryview. :func:`local_solve` maps those floats
-and the group's constants to its new lambda triple: zero unless a > 0, else
-(a, lambda_t) with lambda_t projected onto the disk. A group whose lambda
-changed replaces its triple in a list of float triples and writes its 3
-entries into the array through a memoryview. Besides that gemv, only the
-stop test (``sqrt(x . x)``, what ``np.linalg.norm`` computes for a 1-D float
-array, of the first c entries and of their change since the previous sweep,
+zeroed, and det T. Lambda is held in one (c + 1) array that ends in 1, so
+one gemv of the block with it reads (a, b0, b1): a is the new lambda_n
+before the clamp, and b + q a the tangential stick trial, the lambda_t
+that zeroes the group's tangential gap at that lambda_n. The fold holds
+one tuple per group, its block's bound ``dot``, its constants and the
+offset 3g of its lambda entries, and the gemv writes into one 3-vector
+reused by every visit, which unpacks to Python floats through a
+memoryview. :func:`local_solve` maps those floats and the group's
+constants to its new lambda triple: zero unless a > 0, else (a, lambda_t)
+with lambda_t projected onto the disk. A group whose lambda changed
+replaces its triple in a list of float triples and writes its 3 entries
+into the array through a memoryview. Besides that gemv, only the stop test
+(``sqrt(x . x)``, what ``np.linalg.norm`` computes for a 1-D float array,
+of the first c entries and of their change since the previous sweep,
 taken into one reused buffer) and the final ``delta_end`` go through numpy.
-The fold is two batched products over all groups, (h^2 P) W and P
-delta_base, and the sweep is bitwise equal to an array oracle that folds
-group by group with the same products and reads rows the same way
-(``tests/test_solver.py``).
-Against the unfolded block solve, which reads the group's violation and
-updates its lambda by increments, lambda differs at rounding level only. A
-group's new lambda is computed outright, not added to its old one as an
-increment, so the sweep can reach a fixed point where no bit of lambda
-changes, where the increments kept moving lambda by an ulp. The disk
-projection takes the tangential length as ``abs(complex(lt0, lt1))``:
-CPython's complex ``abs`` calls the C library's ``hypot``, as ``np.hypot``
-does, at a fraction of a numpy call's cost (``math.hypot`` rounds
-differently), so it runs on every friction visit.
+The fold is one batched product over all groups, (h^2 P) W, and each call
+one more, P delta_base; the sweep is bitwise equal to an array oracle that
+folds group by group with the same products and reads rows the same way
+(``tests/test_solver.py``). Against the unfolded block solve, which reads
+the group's violation and updates its lambda by increments, lambda differs
+at rounding level only. A group's new lambda is computed outright, not
+added to its old one as an increment, so the sweep can reach a fixed point
+where no bit of lambda changes, where the increments kept moving lambda by
+an ulp. The disk projection takes the tangential length as
+``abs(complex(lt0, lt1))``: CPython's complex ``abs`` calls the C library's
+``hypot``, as ``np.hypot`` does, at a fraction of a numpy call's cost
+(``math.hypot`` rounds differently), so it runs on every friction visit.
 
 A visit whose local solve provably returns zero again is skipped. A group at
 lambda = 0 gets zero back exactly when its read gives a <= 0 (or NaN). Let
 omega_g be the largest magnitude stored in the group's folded normal row,
 taken before its own entry (about 1) is zeroed, so it bounds every stored
-entry of that row by construction. Let ``moved`` be the sum
-of |d lambda|_1 over every lambda write of the call. Once a group read a_rec
+entry of that row by construction. Let ``moved`` be the sum of
+|d lambda|_1 over every lambda write of the call. Once a group read a_rec
 at lambda = 0 and got zero back with ``moved`` at m_rec, its exact a can
 since have risen by at most omega_g (moved - m_rec). So its visits are
 skipped while -a_rec - omega_g (moved - m_rec) exceeds the margin rho (|a_rec|
@@ -67,79 +75,77 @@ covers the rounding of both row reads, each at most (c + 1) u (|f| + omega_g
 term bounding the writes. The absolute term covers underflow. A skipped visit
 leaves lambda as the local solve would have, so lambda, the sweep count and
 ``delta_end`` are bitwise those of the sweep that visits every group;
-``PgsResult.local_solves`` counts the visits that ran.
+``PgsResult.work`` counts the visits that ran.
 
-Errors are raised where they arise:
-- a time step whose square overflows (h^2 scales W) raises
-  :class:`NonFiniteStateError`, before any product with it;
-- NaN or infinity in W or delta_base raises :class:`NonFiniteStateError`
-  naming the first bad group and "violation" or "compliance row", before
-  the fold's products, which also keeps the fold and the skip bound finite
-  (a kept fold's W passed this check when it was folded);
-- hW[n, n] <= 0 raises :class:`SingularBlockError` ("group g: normal
-  compliance ...") at the fold, before the first sweep;
-- det T <= 0 raises :class:`SingularBlockError` only at a visit that needs
-  T^-1, one with friction on and a > 0; the fold gives such a group zero
-  tangential rows and constants, with no numpy warning;
-- a tangential length that overflows a float (complex ``abs`` raises
-  ``OverflowError`` where ``np.hypot`` returned inf) raises
-  :class:`NonFiniteStateError` naming the group, at that visit;
-- a finite but huge delta_base or lambda may overflow the folded
-  violation, a row read or the stop test's norms: numpy's overflow
-  warnings are off for the whole call (one ``np.errstate``, nothing per
-  visit or sweep), and a non-finite norm of lambda or of its change raises
-  :class:`NonFiniteStateError` at the end of that sweep.
+Errors are raised where they arise, naming the first bad group. The fold
+runs with numpy's floating-point warnings off and raises, in this order:
+- :class:`NonFiniteStateError` for a time step whose square overflows (h^2
+  scales W), and for NaN or infinity in W ("compliance row");
+- :class:`SingularBlockError` for hW[n, n] <= 0 ("normal compliance");
+- :class:`NonFiniteStateError` for a diagonal block of hW, det T or P that
+  a huge or tiny finite W or h overflowed, before the fold's product.
+Then :func:`pgs` raises, with numpy's overflow warnings off for the call:
+- :class:`NonFiniteStateError` for NaN or infinity in delta_base
+  ("violation"), before any product with it;
+- :class:`SingularBlockError` for det T <= 0, only at a visit that needs
+  T^-1, one with friction on and a > 0 (the fold gives such a group zero
+  tangential rows and constants);
+- :class:`NonFiniteStateError` at a visit whose tangential length
+  overflows a float (complex ``abs`` raises ``OverflowError`` where
+  ``np.hypot`` returned inf), and at the end of a sweep whose lambda or
+  change of lambda has a non-finite norm (a finite but huge delta_base or
+  lambda overflowed the folded violation, a row read or the norms).
 Every diagonal block is positive definite when each A side carries DOFs
 (detection pairs no pinned vertex).
 
 The recursive correction is one Newton loop, :func:`_newton`. Iteration 1
-takes the detection-time frames. Each later iteration takes every pair's
+takes the detection-time frames, so a 1-iteration loop is exactly the
+classic single-correction scheme. Each later iteration takes every pair's
 normal from its supporting element at the state the previous iteration's
 move left (``relinearize`` of the record's ``normals``: a plane's normal, a
-posed mesh's element normal at its pose at the step's end, a soft
-triangle's normal at its moved nodes), never flipped to agree with the
-previous frame. Then it rebuilds the compliance W, runs PGS on the
-violation D r, adds D^T lambda to the summed world impulse f, and moves:
-``ctx.refresh`` evaluates one :class:`~contactnewton.collision.Proximity`
-record at q_free + dq, dq being the displacement that f causes, holding
-r = pA - pB, the element normals and the signed gaps, all from one set of
-views. The loop stops once the worst geometric penetration of that record
-is within ``penetration_tol`` (exit ``penetration``), or after
-``max_iterations`` (exit ``max_iterations``). Nothing else stops it: the
+posed mesh's element normal at its pose at the step's end, a soft triangle's
+normal at its moved nodes), never flipped to agree with the previous frame.
+Then it rebuilds the compliance W, solves the contact problem at the
+violation D r, adds D^T lambda to the summed impulse f, and moves:
+``ctx.refresh`` evaluates one :class:`~.collision.Proximity` record at
+q_free + dq, dq being the displacement that f causes, holding r = pA - pB,
+the element normals and the signed gaps, all from one set of views. The loop
+stops once the worst geometric penetration of that record is within
+``penetration_tol`` (exit ``penetration``), or after ``max_iterations``
+(exit ``max_iterations``). A negative ``penetration_tol`` forces every
+iteration, as ``contactnewton verify`` runs it. Nothing else stops it: the
 frame turn is measured (``max_frame_rotation``) but only reported, and
-``NewtonConfig.rotation_tol`` is accepted but read by nothing. The loop
-does not re-query the supporting element: each pair keeps the vertex and
-element of detection. The direction matrix D is block diagonal and the
-loop holds it as its blocks, the (p, 3, 3) frame array, so re-linearizing
-and every product with D are array operations with no loop over pairs. A
-scheme supplies two operations:
+``NewtonConfig.rotation_tol`` is accepted but read by nothing. The loop does
+not re-query the supporting element: each pair keeps the vertex and element
+of detection. The direction matrix D is block diagonal and the loop holds it
+as its blocks, the (p, 3, 3) frame array, so re-linearizing and every
+product with D are array operations with no loop over pairs. A scheme
+supplies two operations:
 
   rebuild   W from the current directions D;
   move      the record after the summed impulse f, through one
             ``ctx.refresh(dq)``.
 
 Each step starts holding nothing: iteration 1 builds D from detection's
-frames, W and PGS's :class:`Fold` of W. A later iteration keeps all three
-when the previous move's normals equal D's first rows bit for bit;
-``relinearize`` builds frames from their normals, so equal normals would
-give equal frames. Kept, D stays the same object, ``max_frame_rotation``
-is not called (the turn reads 0.0), and PGS takes the kept fold: the
-(h^2 P) W rows, the per-group constants and the skip bounds depend on W and
-h only, so only the P delta_base column is recomputed, and lambda is
+frames, W and W's preparation. A later iteration keeps all three when the
+previous move's normals equal D's first rows bit for bit; ``relinearize``
+builds frames from their normals, so equal normals would give equal
+frames. Kept, D stays the same object, ``max_frame_rotation`` is not
+called (the turn reads 0.0), and PGS takes the kept fold, which depends on
+W and h only: only its P delta_base column is recomputed, and lambda is
 bitwise that of a fresh fold. The fast scheme also keeps W:
 :func:`~contactnewton.constraints.rebuild_W_fast` returns the kept W with
 no products. It is still called once per iteration, since the benchmark's
 tracer opens its iteration span there. The standard scheme rebuilds its W
 by multi-RHS solves in every iteration: it is the paper's baseline, which
 ``contactnewton bench`` times against the fast scheme. Otherwise the loop
-drops W and the fold before new ones are built and re-linearizes D. No D,
-W or fold carries over to the next step; the step's last D is only
-reported (``CorrectionResult.frames``).
-
-On a plane or a kinematic plate the element normals repeat from the second
-iteration on wherever detection's normals already are the element's
-(``bench_column``'s are, in every step), and from the third otherwise; a
-soft B triangle turns with its nodes, so there everything is rebuilt.
+drops W and the preparation before new ones are built and re-linearizes D.
+None of them carries over to the next step; the step's last D is only
+reported (``CorrectionResult.frames``). On a plane or a kinematic plate
+the element normals repeat from the second iteration on wherever
+detection's normals already are the element's (``bench_column``'s are, in
+every step), and from the third otherwise; a soft B triangle turns with
+its nodes, so there everything is rebuilt.
 
 The two schemes bind them as follows:
 
@@ -158,23 +164,12 @@ step's end, while W keeps the lever arm of detection.
 
 Both end the step the same way, timed by the loop: one solve per object,
 dv = A^-1 (b + h S^T f), free motion and correction together
-(:func:`_mechanical_correction`). The free motion left the forward
-pass of A^-1 b (``y_free``) and only the part of its backward pass that
-contact reads (``scene``). The forward pass of the correction's right-hand
-side skips its leading zero rows (``linalg``), and one backward pass over
-the whole band finishes the sum. So per object a fast step makes one
-forward and one backward pass over the whole band, and two over trailing
-rows only: the free motion's backward pass and the correction's forward
-pass. The standard scheme's per-iteration solves only feed the proximity
-refresh.
-
-Iteration 1 always uses the detection-time directions, so a 1-iteration
-loop is exactly the classic single-correction scheme. Every later iteration
-re-linearizes; there is no frozen-direction variant. A negative
-``penetration_tol`` forces every iteration, since penetration is never
-negative: ``contactnewton verify`` compares the two schemes on this loop
-that way.
-
+(:func:`_mechanical_correction`). The free motion left the forward pass of
+A^-1 b (``y_free``) and only the part of its backward pass that contact
+reads (``scene``). So per object a fast step makes one forward and one
+backward pass over the whole band, and two over trailing rows only: the
+free motion's backward pass and the correction's forward pass. The
+standard scheme's per-iteration solves only feed the proximity refresh.
 Each iteration leaves one :class:`IterationStats` record, and the step's
 report and ``newton.csv`` are built from these records alone.
 """
@@ -243,31 +238,23 @@ class NewtonConfig:
 
 @dataclass
 class Fold:
-    """What :func:`pgs` folds from W and h alone, kept while W repeats.
-
-    ``groups`` holds one tuple ``(read, q0, q1, det, 3g)`` per group, where
-    ``read(lam, got)`` is the bound ``dot`` of its (3, c + 1) block of
-    ``rows`` and writes (a, b0, b1) into ``got``; ``omega`` holds omega_g
-    (module docstring). Column c of ``rows``, P delta_base, is the one part
-    that depends on the violation: each call writes its own into it. The
-    Newton loop keeps a fold within one step only.
-    """
+    """PGS's preparation of W and h (module docstring); each :func:`pgs` call
+    writes its own P delta_base into column c of ``rows``."""
 
     rows: np.ndarray  # (groups, 3, c + 1) folded row blocks
     P: np.ndarray  # (groups, 3, 3) blockdiag(-1 / hW[n, n], -T^-1)
-    groups: list
-    omega: list
+    groups: list  # (read, q0, q1, det, 3g) per group; read(lam, got) is rows[g].dot
+    omega: list  # omega_g per group
 
 
 @dataclass
 class PgsResult:
     lam: np.ndarray
-    delta_end: np.ndarray
-    iterations: int
-    eps_history: list[float]
+    delta_end: np.ndarray  # delta_base + h^2 W lam
+    iterations: int  # sweeps
     converged: bool
-    local_solves: int = 0  # local_solve calls the sweeps made; skipped visits make none
-    fold: Fold | None = None  # what the call folded from W and h, for a call with the same W
+    work: int  # local_solve calls the sweeps made; skipped visits make none
+    residual: float  # complementarity_residual(lam, delta_end, friction)
 
 
 _ZERO = (0.0, 0.0, 0.0)
@@ -278,36 +265,59 @@ _SKIP_ROUNDING = 8 * 2.0**-53
 _SKIP_FLOOR = 1e-300
 
 
-def _fold(W: np.ndarray, h2: float) -> Fold:
-    """The folded rows (h^2 P) W, per-group constants and skip bounds of :func:`pgs`."""
+def prepare_solve(W: np.ndarray, h: float) -> Fold:
+    """:func:`pgs`'s preparation of W and h, its :class:`Fold` (module docstring)."""
     c = len(W)
     n_groups = c // 3
+    if W.shape != (c, c) or c % 3:
+        raise SingularBlockError(f"W is {W.shape}, not 3 rows per contact group")
+    h2 = h * h
+    if n_groups and not math.isfinite(h2):
+        raise NonFiniteStateError(f"time step {h!r} squared is not finite")
     W3 = W.reshape(n_groups, 3, c)
+    finite = np.isfinite(W3).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteStateError(
+            f"group {int(np.argmin(finite))}: non-finite compliance row handed to PGS")
     groups = np.arange(n_groups)
-    B = h2 * W3.reshape(n_groups, 3, n_groups, 3)[groups, :, groups]  # hW's diagonal blocks
-    hWnn = B[:, 0, 0]
-    if not (hWnn > 0).all():
-        g = int(np.argmin(hWnn > 0))
-        raise SingularBlockError(f"group {g}: normal compliance {W[3 * g, 3 * g]} not positive")
-    t00, t01, t10, t11 = B[:, 1, 1], B[:, 1, 2], B[:, 2, 1], B[:, 2, 2]
-    det = t00 * t11 - t01 * t10
-    den = np.where(det > 0, det, np.inf)  # a singular T's rows and q read 0
-    P = np.zeros((n_groups, 3, 3))  # blockdiag(-1 / hW[n, n], -T^-1)
-    P[:, 0, 0] = -1.0 / hWnn
-    P[:, 1, 1] = -t11 / den
-    P[:, 1, 2] = t01 / den
-    P[:, 2, 1] = t10 / den
-    P[:, 2, 2] = -t00 / den
-    rows = np.empty((n_groups, 3, c + 1))
-    np.matmul(h2 * P, W3, out=rows[:, :, :c])
-    folded = rows[:, :, :c].reshape(n_groups, 3, n_groups, 3)  # a view of rows
-    omega = np.abs(rows[:, 0, :c]).max(axis=1)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        B = h2 * W3.reshape(n_groups, 3, n_groups, 3)[groups, :, groups]  # hW's diagonal blocks
+        hWnn = B[:, 0, 0]
+        if not (hWnn > 0).all():
+            g = int(np.argmin(hWnn > 0))
+            raise SingularBlockError(f"group {g}: normal compliance {W[3 * g, 3 * g]} not positive")
+        t00, t01, t10, t11 = B[:, 1, 1], B[:, 1, 2], B[:, 2, 1], B[:, 2, 2]
+        det = t00 * t11 - t01 * t10
+        den = np.where(det > 0, det, np.inf)  # a singular T's rows and q read 0
+        P = np.zeros((n_groups, 3, 3))  # blockdiag(-1 / hW[n, n], -T^-1)
+        P[:, 0, 0] = -1.0 / hWnn
+        P[:, 1, 1] = -t11 / den
+        P[:, 1, 2] = t01 / den
+        P[:, 2, 1] = t10 / den
+        P[:, 2, 2] = -t00 / den
+        # an infinite entry of a tangential block makes det T inf or NaN
+        finite = np.isfinite(hWnn) & np.isfinite(det) & np.isfinite(P).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteStateError(f"group {int(np.argmin(finite))}: h^2 W's diagonal block "
+                                      "or its inverse is not finite")
+        rows = np.empty((n_groups, 3, c + 1))
+        np.matmul(h2 * P, W3, out=rows[:, :, :c])
+        folded = rows[:, :, :c].reshape(n_groups, 3, n_groups, 3)  # a view of rows
+        omega = np.abs(rows[:, 0, :c]).max(axis=1, initial=0.0)
     q0, q1 = folded[groups, 1, groups, 0], folded[groups, 2, groups, 0]
     folded[groups, 0, groups, 0] = 0.0
     folded[groups, 1:, groups, :] = 0.0
     reads = [row.dot for row in rows]
     return Fold(rows, P, list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))),
                 omega.tolist())
+
+
+def complementarity_residual(lam: np.ndarray, delta_end: np.ndarray, mu: float) -> float:
+    """The worst Signorini/Coulomb residual of a solve: the largest of 0.0 and, per group,
+    -min(delta_n, 0), lambda_n delta_n and the cone excess |lambda_t| - mu lambda_n."""
+    lam3 = lam.reshape(-1, 3)
+    ln, dn, lt = lam3[:, 0], delta_end[0::3], np.hypot(lam3[:, 1], lam3[:, 2])
+    return float(np.max([np.abs(np.minimum(dn, 0.0)), ln * dn, lt - mu * ln], initial=0.0))
 
 
 def local_solve(
@@ -339,38 +349,27 @@ def local_solve(
 
 
 def pgs(
-    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, fold: Fold | None = None
+    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, fold: Fold
 ) -> PgsResult:
     """Sweep the groups until the relative lambda change drops below tolerance.
 
-    Returns lambda and the end-of-step violation delta_base + h^2 W lambda,
-    and the call's :class:`Fold`. Given the fold of an earlier call with the
-    same W and h, bit for bit, the call takes it and computes only its
-    P delta_base column; the result is bitwise that of a fresh fold. Each
-    visit is one gemv of the group's folded rows and one
-    :func:`local_solve`; visits that provably leave a separated group at
-    zero are skipped. The module docstring lists the errors raised.
+    ``fold`` is :func:`prepare_solve` of the same W and h, new or kept; the
+    result is bitwise the same either way. Each visit is one gemv of the
+    group's folded rows and one :func:`local_solve`; visits that provably
+    leave a separated group at zero are skipped (module docstring).
     """
     c = len(delta_base)
     if c == 0:
-        return PgsResult(np.zeros(0), np.zeros(0), 0, [], True)
-    if W.shape != (c, c) or c % 3:
-        raise SingularBlockError(f"W is {W.shape}, violation has {c} rows (3 per group)")
-    h2 = h * h
-    if not math.isfinite(h2):
-        raise NonFiniteStateError(f"time step {h!r} squared is not finite")
+        return PgsResult(np.zeros(0), np.zeros(0), 0, True, 0, 0.0)
+    if W.shape != (c, c):
+        raise SingularBlockError(f"W is {W.shape}, violation has {c} rows")
     mu = config.friction
     n_groups = c // 3
     delta3 = delta_base.reshape(n_groups, 3)
-    # a kept fold's W passed this check when it was folded
-    finite_rows = np.isfinite(W.reshape(n_groups, 3 * c)).all(axis=1) if fold is None else True
-    finite = finite_rows & np.isfinite(delta3).all(axis=1)
+    finite = np.isfinite(delta3).all(axis=1)
     if not finite.all():
-        g = int(np.argmin(finite))
-        what = "compliance row" if fold is None and not finite_rows[g] else "violation"
-        raise NonFiniteStateError(f"group {g}: non-finite {what} handed to PGS")
-    if fold is None:
-        fold = _fold(W, h2)
+        raise NonFiniteStateError(
+            f"group {int(np.argmin(finite))}: non-finite violation handed to PGS")
     groups, omega = fold.groups, fold.omega
     got = np.empty(3)
     got_items = memoryview(got)  # unpacks to Python floats
@@ -387,7 +386,6 @@ def pgs(
     moved = 0.0
     skip_until = [-math.inf] * n_groups
     skipped = 0
-    eps_history: list[float] = []
     converged = False
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # module docstring
@@ -427,14 +425,13 @@ def pgs(
                 raise NonFiniteStateError(
                     f"sweep {iterations}: the impulses' norm is not finite")
             eps = 0.0 if num == 0.0 else (math.inf if den == 0.0 else num / den)
-            eps_history.append(eps)
             if eps <= config.tolerance:
                 converged = True
                 break
             lam_prev[:] = lam_now
-        delta_end = delta_base + h2 * (W @ lam_now)
-    local_solves = n_groups * iterations - skipped
-    return PgsResult(lam_now, delta_end, iterations, eps_history, converged, local_solves, fold)
+        delta_end = delta_base + h * h * (W @ lam_now)
+        return PgsResult(lam_now, delta_end, iterations, converged, n_groups * iterations - skipped,
+                         complementarity_residual(lam_now, delta_end, mu))
 
 
 # --- recursive correction schemes ----------------------------------------------
@@ -462,14 +459,14 @@ class IterationStats:
 
     penetration: float  # worst geometric penetration after the move, the stop test's value
     rebuild_time: float
-    pgs_time: float
+    solve_time: float  # preparing the contact solve (a new W only) and solving it
     correction_time: float  # summing the impulse and moving r
-    pgs_iterations: int
-    pgs_local_solves: int  # local solves PGS ran, skipped visits excluded
-    pgs_eps: float
-    pgs_converged: bool
+    solve_iterations: int  # the solve's PgsResult iterations, work, residual, converged
+    solve_work: int
+    solve_residual: float
+    solve_converged: bool
     rotation: float  # frame turn measured before the iteration, 0 if D is kept; stops nothing
-    fold_reused: bool  # D and the fold (fast: W too) are the last iteration's; never in the first
+    kept: bool  # D and the preparation (fast: W too) are the last iteration's; never the first
 
 
 @dataclass
@@ -526,23 +523,21 @@ def _newton(
     one ``ctx.refresh``. Once the loop ends, :func:`_mechanical_correction`
     turns f into ``dv_by_object``, the same way for both schemes. The step's
     force ``lam`` is f in the final frames, D_K f, and ``frames`` is D_K.
-    The loop starts each step holding nothing, and a later iteration keeps
-    D, W and the fold when the previous move's normals are D's bit for bit;
-    otherwise it drops W and the fold and builds D afresh (module
-    docstring). No W or fold leaves the loop. The operations must look up
-    their module-level names when called: the layer tracer of the benchmark
-    patches those names, and opens its iteration span at the rebuild, which
-    therefore runs in every iteration, W kept or not.
+    The module docstring says what the loop keeps between iterations; no W
+    or preparation leaves it. The operations must look up their module-level
+    names when called: the benchmark's layer tracer patches those names, and
+    opens its iteration span at the rebuild, which therefore runs in every
+    iteration, W kept or not.
     """
-    D = W = fold = normals = None
+    D = W = prepared = normals = None
     r = ctx.r0
     f = np.zeros(3 * len(ctx.pairs))
     result = CorrectionResult({}, [])
     for k in range(ncfg.max_iterations):
         rotation = 0.0
-        reused = k > 0 and normals.tobytes() == D[:, 0].tobytes()
-        if not reused:
-            W = fold = None  # freed before the rebuild and PGS make new ones
+        kept = k > 0 and normals.tobytes() == D[:, 0].tobytes()
+        if not kept:
+            W = prepared = None  # freed before the rebuild and the preparation make new ones
             frames = assemble_direction(relinearize(normals) if k else ctx.detection_frames)
             if k:
                 rotation = max_frame_rotation(D, frames)
@@ -550,8 +545,9 @@ def _newton(
         t0 = time.perf_counter()
         W = rebuild(D, W)
         t1 = time.perf_counter()
-        res = pgs(W, compute_violation(D, r), ctx.h, pcfg, fold=fold)
-        fold, res.fold = res.fold, None  # held by the loop alone
+        if not kept:
+            prepared = prepare_solve(W, ctx.h)
+        res = pgs(W, compute_violation(D, r), ctx.h, pcfg, prepared)
         t2 = time.perf_counter()
         f = f + apply_transposed(D, res.lam)
         prox = move(f)
@@ -559,20 +555,10 @@ def _newton(
         t3 = time.perf_counter()
         result.lam_history.append(res.lam)
         pen = penetration(prox.gaps)
-        result.iterations.append(
-            IterationStats(
-                penetration=pen,
-                rebuild_time=t1 - t0,
-                pgs_time=t2 - t1,
-                correction_time=t3 - t2,
-                pgs_iterations=res.iterations,
-                pgs_local_solves=res.local_solves,
-                pgs_eps=res.eps_history[-1] if res.eps_history else 0.0,
-                pgs_converged=res.converged,
-                rotation=rotation,
-                fold_reused=reused,
-            )
-        )
+        result.iterations.append(IterationStats(
+            pen, rebuild_time=t1 - t0, solve_time=t2 - t1, correction_time=t3 - t2,
+            solve_iterations=res.iterations, solve_work=res.work, solve_residual=res.residual,
+            solve_converged=res.converged, rotation=rotation, kept=kept))
         if pen <= ncfg.penetration_tol:
             result.exit = "penetration"
             break

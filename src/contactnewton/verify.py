@@ -6,7 +6,7 @@ Three checks back the `verify` CLI command:
                         at the detection directions and again after the
                         fast scheme has re-linearized them;
   complementarity       Signorini and Coulomb residuals after a converged
-                        PGS solve on the first step's contact problem;
+                        contact solve on the first step's contact problem;
   scheme-equivalence    standard and fast recursive corrections agree on
                         lambda and velocity increments over 4 forced
                         iterations of the production Newton loop, whose
@@ -26,8 +26,8 @@ import numpy as np
 
 from .constraints import assemble_Wg, assemble_direction, compute_violation, rebuild_W_fast
 from .scene import SceneConfig, Simulation
-from .solver import (NewtonConfig, PgsConfig, StepContext, newton_fast, newton_standard, pgs,
-                     rebuild_W_standard)
+from .solver import (NewtonConfig, PgsConfig, StepContext, complementarity_residual, newton_fast,
+                     newton_standard, pgs, prepare_solve, rebuild_W_standard)
 
 IDENTITY_RTOL = 1e-9
 EQUIVALENCE_RTOL = 1e-8
@@ -77,21 +77,21 @@ def check_congruence_identity(config: SceneConfig, ctx: StepContext) -> CheckRes
 
 
 def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
-    """Signorini/Coulomb residuals after a converged PGS on the first step."""
+    """Signorini/Coulomb residuals after a converged contact solve on the first step."""
     if not ctx.pairs:
         return CheckResult("complementarity", False, "scene has no contacts")
     D = assemble_direction(ctx.detection_frames)
     W = rebuild_W_fast(D, ctx.wg)
     delta = compute_violation(D, ctx.r0)
     pcfg = PgsConfig(friction=config.pgs.friction, **COMPLEMENTARITY_PGS)
-    res = pgs(W, delta, config.h, pcfg)
+    res = pgs(W, delta, config.h, pcfg, prepare_solve(W, config.h))
     mu = pcfg.friction
     tol_c = 1e-6 * max(1.0, float(np.abs(delta).max()))
     lam = res.lam.reshape(-1, 3)
     ln, dn = lam[:, 0], res.delta_end[0::3]
     lt = np.hypot(lam[:, 1], lam[:, 2])
     ok = (ln >= 0.0) & (dn >= -1e-6) & (ln * dn <= tol_c) & (lt <= mu * ln + 1e-9)
-    worst = float(np.max([np.abs(np.minimum(dn, 0.0)), ln * dn, lt - mu * ln], initial=0.0))
+    worst = complementarity_residual(res.lam, res.delta_end, mu)
     return CheckResult(
         "complementarity",
         bool(ok.all()),

@@ -6,7 +6,9 @@
 ``--out`` steps every case and writes, per case and per step, q and v of
 every dynamic object, lambda, the frames, ``pen_before``, ``pen_after`` and
 the counts of the step: its contact groups, its Newton exit and, per Newton
-iteration, the PGS sweeps, local solves and convergence. A case is a scene
+iteration, the contact solve's iterations, work and convergence (PGS's
+sweeps, local solves and verdict, in the layout of trees that named them
+``pgs_*``, so that their fingerprints compare too). A case is a scene
 under one scheme (``single``, ``standard`` or ``fast``) with the scene's own
 Newton tolerances or with forced iterations (4, with a negative penetration
 tolerance). The scenes are the shipped ones and the test scenes
@@ -101,7 +103,7 @@ def run_case(name: str, steps: int) -> list[dict]:
         record["pen_before"] = _array(report.pen_before)
         record["pen_after"] = _array(report.pen_after)
         record["counts"] = [report.c_groups, report.newton_exit,
-                            [[it.pgs_iterations, it.pgs_local_solves, it.pgs_converged]
+                            [[it.solve_iterations, it.solve_work, it.solve_converged]
                              for it in report.iterations]]
         records.append(record)
     return records

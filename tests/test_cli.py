@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,9 @@ import pytest
 from contactnewton import cli, solver, verify
 from contactnewton.constraints import assemble_direction, compute_violation, rebuild_W_fast
 from contactnewton.errors import SingularBlockError
-from contactnewton.scene import load_scene
-from contactnewton.solver import IterationStats, PgsConfig, pgs
+from contactnewton.scene import Simulation, load_scene
+from contactnewton.solver import (IterationStats, PgsConfig, PgsResult, complementarity_residual,
+                                  pgs, prepare_solve)
 from contactnewton.verify import (
     COMPLEMENTARITY_PGS,
     check_complementarity,
@@ -24,6 +25,7 @@ from contactnewton.verify import (
 )
 from test_scene import (COUPLED_BALL, MIXED_SCENE, PINNED_BOX, SPINNING_BALL, blow_up_scene_text,
                         write_scene)
+from test_solver import lcp_enumeration_oracle
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -49,7 +51,7 @@ def test_run_writes_outputs(tmp_path, capsys):
     with open(out / "metrics.csv") as fh:
         metrics = list(csv.DictReader(fh))
     assert len(metrics) == 3
-    assert [(m["newton_exit"], m["pgs_converged"], m["system_solves"]) for m in metrics] == [
+    assert [(m["newton_exit"], m["solve_converged"], m["system_solves"]) for m in metrics] == [
         ("penetration", "True", "6")] * 3  # free motion, 3 W columns, 1 correction, 1 final
     # the point rests on the plane: from step 1 on, S is the previous step's
     assert [m["mapping_reused"] for m in metrics] == ["False", "True", "True"]
@@ -81,11 +83,11 @@ def test_failed_run_keeps_the_newton_rows_of_completed_steps(tmp_path, monkeypat
     # a third step that fails leaves the first two steps' rows in both files
     calls = []
 
-    def failing_pgs(W, delta, h, config, fold=None, _pgs=solver.pgs):
+    def failing_pgs(W, delta, h, config, prepared, _pgs=solver.pgs):
         calls.append(1)
         if len(calls) == 3:
             raise SingularBlockError("injected failure")
-        return _pgs(W, delta, h, config, fold=fold)
+        return _pgs(W, delta, h, config, prepared)
 
     monkeypatch.setattr(solver, "pgs", failing_pgs)
     out = tmp_path / "third"
@@ -116,17 +118,17 @@ def test_newton_csv_agrees_with_metrics_on_grasp_rotate(tmp_path, capsys):
     for m in metrics:
         mine = [r for r in rows if r["step"] == m["step"]]
         assert [r["iteration"] for r in mine] == [str(k) for k in range(len(mine))]
-        assert sum(int(r["pgs_iterations"]) for r in mine) == int(m["pgs_iterations_total"])
+        assert sum(int(r["solve_iterations"]) for r in mine) == int(m["solve_iterations_total"])
         for r in mine:  # one local solve per group and sweep at most, skips excluded
-            assert 0 < int(r["pgs_local_solves"]) <= int(m["c_groups"]) * int(r["pgs_iterations"])
-        assert str(all(r["pgs_converged"] == "True" for r in mine)) == m["pgs_converged"]
+            assert 0 < int(r["solve_work"]) <= int(m["c_groups"]) * int(r["solve_iterations"])
+        assert str(all(r["solve_converged"] == "True" for r in mine)) == m["solve_converged"]
         # the loop stops on the geometric penetration after a move, 1e-7 m
-        # in this scene, and a step's first iteration holds no fold to keep
+        # in this scene, and a step's first iteration holds no preparation to keep
         stops = [float(r["penetration"]) <= 1e-7 for r in mine]
         assert stops == [False] * (len(mine) - 1) + [m["newton_exit"] == "penetration"]
-        assert mine[0]["fold_reused"] == "False"
+        assert mine[0]["kept"] == "False"
     assert any(m["newton_iterations"] != "1" for m in metrics)
-    assert any(m["pgs_converged"] == "False" for m in metrics)
+    assert any(m["solve_converged"] == "False" for m in metrics)
 
 
 def test_run_without_metrics_writes_neither_csv(tmp_path):
@@ -361,12 +363,17 @@ def complementarity_reference(config, ctx):
     D = assemble_direction(ctx.detection_frames)
     delta = compute_violation(D, ctx.r0)
     pcfg = PgsConfig(friction=config.pgs.friction, **COMPLEMENTARITY_PGS)
-    res = pgs(rebuild_W_fast(D, ctx.wg), delta, config.h, pcfg)
-    mu = pcfg.friction
+    W = rebuild_W_fast(D, ctx.wg)
+    return complementarity_loop(pgs(W, delta, config.h, pcfg, prepare_solve(W, config.h)), delta,
+                                pcfg.friction)
+
+
+def complementarity_loop(res, delta, mu):
+    """(passed, worst residual) of a solve of violation ``delta``, group by group."""
     tol_c = 1e-6 * max(1.0, float(np.abs(delta).max()))
     worst = 0.0
     ok = True
-    for g in range(len(ctx.pairs)):
+    for g in range(len(delta) // 3):
         ln = res.lam[3 * g]
         lt = float(np.hypot(res.lam[3 * g + 1], res.lam[3 * g + 2]))
         dn = res.delta_end[3 * g]
@@ -376,6 +383,72 @@ def complementarity_reference(config, ctx):
         ok &= lt <= mu * ln + 1e-9
         worst = max(worst, abs(min(dn, 0.0)), ln * dn, lt - mu * ln)
     return bool(ok), worst
+
+
+@pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn"])
+def test_each_iterations_solve_residual_is_verifys(monkeypatch, scene):
+    # every Newton iteration, forced, with a kept or a new preparation,
+    # reports the residual that verify's check computes for the same lambda
+    # and delta_end, bit for bit
+    solved = []
+
+    def recording(W, delta, h, config, prepared, _fn=solver.pgs):
+        res = _fn(W, delta, h, config, prepared)
+        solved.append((res, delta, config.friction))
+        return res
+
+    monkeypatch.setattr(solver, "pgs", recording)
+    config = load_scene(SCENES / scene)
+    newton = replace(config.newton, scheme="fast", max_iterations=3, penetration_tol=-1.0)
+    sim = Simulation(replace(config, newton=newton))
+    stats = [it for _ in range(2) for it in sim.step().iterations]
+    assert len(stats) == len(solved) == 6
+    for it, (res, delta, mu) in zip(stats, solved):
+        worst = complementarity_loop(res, delta, mu)[1]
+        assert it.solve_residual == worst == complementarity_residual(res.lam, res.delta_end, mu)
+        assert worst > 0.0
+
+
+def test_a_stub_contact_solve_fills_the_reports_and_verify(tmp_path, monkeypatch):
+    # the Newton loop, the reports and verify reach the contact solve through
+    # its seam alone: an exact frictionless solver and a preparation of its
+    # own in place of PGS and its fold run a step, and newton.csv,
+    # metrics.csv and verify's complementarity line carry its results
+    results = []
+
+    def prepare_stub(W, h):
+        return ("stub", W)
+
+    def exact_solve(W, delta, h, config, prepared):
+        assert prepared[0] == "stub" and prepared[1] is W
+        lam = np.zeros(len(delta))
+        lam[0::3] = lcp_enumeration_oracle(W[0::3, 0::3], delta[0::3], h)
+        delta_end = delta + h * h * (W @ lam)
+        results.append(PgsResult(lam, delta_end, 1, True, 7,
+                                 complementarity_residual(lam, delta_end, config.friction)))
+        return results[-1]
+
+    for module in (solver, verify):
+        monkeypatch.setattr(module, "prepare_solve", prepare_stub)
+        monkeypatch.setattr(module, "pgs", exact_solve)
+    text = (SCENES / "block_on_plane.scn").read_text().replace("mu: 0.5", "mu: 0.0")
+    path = write_scene(tmp_path, text.replace("meshes/", f"{SCENES / 'meshes'}/"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scene", str(path), "--steps", "1", "--out", str(out)]) == 0
+    [res] = results
+    assert res.residual < 1e-12 and res.lam[0::3].min() > 0.0
+    with open(out / "newton.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert [row[key] for key in ("solve_iterations", "solve_work", "solve_residual",
+                                 "solve_converged")] == ["1", "7", repr(res.residual), "True"]
+    with open(out / "metrics.csv") as fh:
+        [m] = list(csv.DictReader(fh))
+    assert (m["solve_iterations_total"], m["solve_converged"]) == ("1", "True")
+    config = load_scene(path)
+    result = check_complementarity(config, prepare(config))
+    assert result.passed
+    assert result.detail == (f"25 groups, worst residual {results[-1].residual:.3e} "
+                             "(converged=True in 1 sweeps)")
 
 
 @pytest.mark.parametrize("scene", sorted(SCENES.glob("*.scn")), ids=lambda p: p.stem)

@@ -166,6 +166,7 @@ class TestInverseBlock:
             block = F.inverse_block(dofs)
             oracle = inv[np.ix_(dofs, dofs)]
             assert np.abs(block - oracle).max() <= 1e-12 * np.abs(oracle).max()
+            assert block.flags.c_contiguous
 
     def test_solves_only_new_columns(self):
         F = Factorization(random_spd(12, 5))

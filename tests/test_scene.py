@@ -205,6 +205,9 @@ BAD_VALUES = {
     "plate-size-zero": ("objects: [{name: plate, type: kinematic_mesh, plate: "
                         "{center: [0, 0, 0], normal: [0, 1, 0], size: [0, 0.2]}}]\n",
                         "plate.plate.size:"),
+    "plate-size-empty": ("objects: [{name: plate, type: kinematic_mesh, plate: "
+                         "{center: [0, 0, 0], normal: [0, 1, 0], size: []}}]\n",
+                         "plate.plate.size:"),
     "snapshots-string": (GROUND + 'output: {snapshots: "false"}\n', "output.snapshots:"),
     "metrics-number": (GROUND + "output: {metrics: 0}\n", "output.metrics:"),
     # YAML true is a Python bool, which Python counts as the integer 1
@@ -397,6 +400,9 @@ def test_huge_or_tiny_direction_steps_as_its_twin(tmp_path, vector, twin):
 # products of its tets' gradients, reported with the body's name by the
 # stiffness's finite check; a huge gravity or collider motion centre gives
 # a violation whose impulses' norm overflows, reported by PGS's stop test;
+# a tiny node mass or a huge Rayleigh mass term overflows h^2 W's diagonal
+# block or its inverse, reported by the solve's preparation; a huge gravity
+# on soft B triangles overflows their normals, reported by element_normals;
 # all with no numpy warning (warnings are errors)
 HUGE_INPUTS = {
     "dt-huge": ("block_on_plane", {"dt: 0.01": "dt: 1.0e308"},
@@ -419,6 +425,13 @@ HUGE_INPUTS = {
                            {"[0.0, 0.0, 1.0], center: [0.0, 0.0, 0.0]":
                             "[0.0, 0.0, 1.0], center: [1.0e308, 0.0, 0.0]"},
                            NonFiniteStateError, "impulses' norm is not finite"),
+    "node-mass-tiny": ("point_mass", {"node_mass: 1.0": "node_mass: 1.0e-300"},
+                       NonFiniteStateError, "group 0: h\\^2 W's diagonal block or its inverse"),
+    "rayleigh-mass-huge": ("point_mass", {"rayleigh_mass: 0.0": "rayleigh_mass: 1.0e308"},
+                           NonFiniteStateError, "group 0: h\\^2 W's diagonal block or its inverse"),
+    "gravity-huge-press": ("two_body_press",
+                           {"gravity: [0.0, -9.81, 0.0]": "gravity: [1.0e308, 0.0, 0.0]"},
+                           NonFiniteStateError, "object 0: a contact triangle's normal overflows"),
 }
 
 
@@ -434,6 +447,29 @@ def test_huge_time_step_or_mass_fails_the_step_cleanly(tmp_path, name, lines, er
     with pytest.raises(error, match=message):
         sim.step()
     assert sim.step_index == 0
+
+
+# (shipped scene, its line, the line in its place, the key the error must
+# name): a huge size or plane offset overflowed the products of collision
+# (a triangle's normal, a frame's length); the loader refuses it
+HUGE_LENGTHS = {
+    "plane-offset-huge": ("block_on_plane", "offset: 0.0", "offset: 1.0e308", "ground.offset:"),
+    "plate-size-huge": ("grasp_rotate", "size: [0.12, 0.12]}", "size: [1.0e308, 0.12]}",
+                        "plate_right.plate.size:"),
+    "box-size-huge": ("grasp_rotate", "size: [0.08, 0.08, 0.08]", "size: [1.0e308, 0.08, 0.08]",
+                      "cube.mesh.box.size:"),
+}
+
+
+@pytest.mark.parametrize("name, line, huge, key", HUGE_LENGTHS.values(), ids=HUGE_LENGTHS.keys())
+def test_huge_length_is_refused_at_load(tmp_path, name, line, huge, key):
+    text = (SCENES / f"{name}.scn").read_text().replace("meshes/", f"{SCENES / 'meshes'}/")
+    assert line in text
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)} 1e\\+308 m is above 1e\\+06 m$"):
+        load_scene(write_scene(tmp_path, text.replace(line, huge, 1)))
+    # a length of MAX_LENGTH itself loads and steps
+    Simulation(load_scene(write_scene(tmp_path, text.replace(line, huge.replace(
+        "1.0e308", "1.0e6"), 1)))).step()
 
 
 def test_zero_axis_without_rotation_is_valid(tmp_path):
@@ -691,7 +727,7 @@ def test_step_reports_newton_exit_and_pgs_convergence():
         cfg = replace(config, newton=replace(config.newton, scheme="fast", **newton),
                       pgs=replace(config.pgs, **pgs))
         report = Simulation(cfg).step()
-        assert (report.newton_exit, report.newton_iterations, report.pgs_converged) == (
+        assert (report.newton_exit, report.newton_iterations, report.solve_converged) == (
             exit_reason, iterations, converged)
         stats = report.iterations
         assert [it.penetration <= cfg.newton.penetration_tol for it in stats] == (
@@ -732,7 +768,7 @@ def outcome(sim, report):
     """What a step decides, for bitwise comparison: everything but timings and solve counts."""
     values = [getattr(report, name) for name in report.CSV_FIELDS
               if not name.startswith("t_") and name != "system_solves"]
-    values += [(it.penetration, it.pgs_iterations, it.pgs_eps, it.rotation)
+    values += [(it.penetration, it.solve_iterations, it.solve_residual, it.rotation)
                for it in report.iterations]
     arrays = [sim.last_lam, sim.last_frames, *contact_arrays(sim.last_pairs)]
     arrays += [a for obj in sim.objects for a in obj.saved_state()]
@@ -754,7 +790,7 @@ def test_detect_on_committed_states_gives_the_next_steps_pairs(seam_config):
 def test_prepare_step_hands_on_detections_frames(scheme):
     # prepare_step compares no normals: its frames are detection's, bit for
     # bit, and nothing built from frames crosses a step, so every step's
-    # first iteration builds its own W and fold, also where the step reuses
+    # first iteration builds its own W and preparation, also where the step reuses
     # the previous one's W_g
     config = with_box_divisions(load_scene(SCENES / "bench_column.scn"), (7, 6, 7))
     sim = Simulation(replace(config, newton=replace(config.newton, scheme=scheme)))
@@ -764,7 +800,7 @@ def test_prepare_step_hands_on_detections_frames(scheme):
         assert same_bits(ctx.detection_frames, frames)
         report = sim.step()
         assert report.mapping_reused is (step == 1)
-        assert not report.iterations[0].fold_reused
+        assert not report.iterations[0].kept
 
 
 def test_penetration_at_committed_positions_is_pen_after(seam_config):
@@ -836,9 +872,9 @@ def recorded_steps(request, tmp_path_factory):
         prepared.append(prepare_now())
         return prepared[-1]
 
-    def recording_pgs(W, delta, h, config, **kwargs):
+    def recording_pgs(W, delta, h, config, prep):
         handed.append(W.copy())
-        return pgs_now(W, delta, h, config, **kwargs)
+        return pgs_now(W, delta, h, config, prep)
 
     steps = []
     with pytest.MonkeyPatch.context() as mp:
@@ -1188,8 +1224,8 @@ def step_decisions(sim, report):
     pen_after and every Newton iteration's record but its times."""
     arrays = [sim.last_lam, sim.last_frames, np.float64(report.pen_after)]
     arrays += [a for obj in sim.objects for a in obj.saved_state()]
-    stats = [(it.penetration, it.pgs_iterations, it.pgs_local_solves, it.pgs_eps,
-              it.pgs_converged, it.rotation) for it in report.iterations]
+    stats = [(it.penetration, it.solve_iterations, it.solve_work, it.solve_residual,
+              it.solve_converged, it.rotation) for it in report.iterations]
     return repr(stats), [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
 
 

@@ -38,16 +38,23 @@ from contactnewton.solver import (
     PgsConfig,
     PgsResult,
     StepContext,
+    complementarity_residual,
     local_solve,
     newton_fast,
     newton_standard,
     pgs,
+    prepare_solve,
 )
 from contactnewton.verify import prepare
 from stiffness_reference import system_matrix
 from test_scene import SPINNING_BALL
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
+
+
+def solve(W, delta, h, config):
+    """One PGS call on a fresh preparation of W, as the Newton loop makes for a new W."""
+    return pgs(W, delta, h, config, prepare_solve(W, h))
 
 
 # --- reference PGS: the array-based solvers the plain-float sweep is held to --
@@ -108,12 +115,12 @@ def pgs_reference(
     W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, update: str = "rows"
 ) -> PgsResult:
     """The referee. Every group is visited; with ``update="rows"``,
-    ``local_solves`` counts the visits that the unfolded sweep's skip rule
+    ``work`` counts the visits that the unfolded sweep's skip rule
     (omega_g = max_j |h^2 W[n, j]| on the violation delta_n) does not skip,
     the count that sweep reported."""
     c = len(delta_base)
     if c == 0:
-        return PgsResult(np.zeros(0), np.zeros(0), 0, [], True)
+        return PgsResult(np.zeros(0), np.zeros(0), 0, True, 0, 0.0)
     if W.shape != (c, c):
         raise SingularBlockError(f"W is {W.shape}, violation has {c} rows")
     h2 = h * h
@@ -126,7 +133,6 @@ def pgs_reference(
     moved = 0.0
     skip_until = [-np.inf] * (c // 3)
     local_solves = 0
-    eps_history: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
@@ -153,12 +159,12 @@ def pgs_reference(
         num = float(np.linalg.norm(lam - lam_prev))
         den = float(np.linalg.norm(lam))
         eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
-        eps_history.append(eps)
         if eps <= config.tolerance:
             converged = True
             break
     delta_end = delta_base + h2 * (W @ lam)
-    return PgsResult(lam, delta_end, iterations, eps_history, converged, local_solves)
+    return PgsResult(lam, delta_end, iterations, converged, local_solves,
+                     complementarity_residual(lam, delta_end, config.friction))
 
 
 def fold_reference(W: np.ndarray, delta_base: np.ndarray, h2: float):
@@ -217,7 +223,6 @@ def pgs_folded_reference(
     h2 = h * h
     F, q, det = fold_reference(W, delta_base, h2)
     lam = np.zeros(c)
-    eps_history: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
@@ -231,18 +236,18 @@ def pgs_folded_reference(
         num = float(np.linalg.norm(lam - lam_prev))
         den = float(np.linalg.norm(lam))
         eps = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
-        eps_history.append(eps)
         if eps <= config.tolerance:
             converged = True
             break
     delta_end = delta_base + h2 * (W @ lam)
-    return PgsResult(lam, delta_end, iterations, eps_history, converged)
+    return PgsResult(lam, delta_end, iterations, converged, c // 3 * iterations,
+                     complementarity_residual(lam, delta_end, config.friction))
 
 
 def assert_same_pgs(res, ref):
     assert np.array_equal(res.lam, ref.lam)
     assert np.array_equal(res.delta_end, ref.delta_end)
-    assert np.array_equal(res.eps_history, ref.eps_history)
+    assert res.residual == ref.residual
     assert res.iterations == ref.iterations
     assert res.converged == ref.converged
 
@@ -251,11 +256,13 @@ def lcp_enumeration_oracle(W, delta_free, h):
     """Brute force over the 2^c active sets of the frictionless normal LCP.
 
     Solves delta = delta_free + h^2 W lam with lam >= 0 complementary to
-    delta >= 0; returns the feasible complementary solution.
+    delta >= 0; returns the feasible complementary solution, unique for a
+    positive definite W. The sets are tried from all active on, so a
+    resting body's many contacts are solved at the first try.
     """
     c = len(delta_free)
     h2 = h * h
-    for active in itertools.product([False, True], repeat=c):
+    for active in itertools.product([True, False], repeat=c):
         idx = [i for i, a in enumerate(active) if a]
         lam = np.zeros(c)
         if idx:
@@ -399,7 +406,7 @@ class TestLocalSolve:
 
 class TestPgs:
     def test_no_contacts(self):
-        res = pgs(np.zeros((0, 0)), np.zeros(0), h=0.01, config=PgsConfig())
+        res = solve(np.zeros((0, 0)), np.zeros(0), h=0.01, config=PgsConfig())
         assert res.converged
         assert res.iterations == 0
         assert res.lam.size == 0
@@ -419,7 +426,7 @@ class TestPgs:
     def test_single_contact_matches_closed_form(self):
         W = np.diag([0.5, 1.0, 1.0])
         delta = np.array([-0.002, 0.0, 0.0])
-        res = pgs(W, delta, h=0.01, config=PgsConfig(friction=0.0))
+        res = solve(W, delta, h=0.01, config=PgsConfig(friction=0.0))
         assert res.lam[0] == pytest.approx(0.002 / (1e-4 * 0.5), rel=1e-12)
         assert res.delta_end[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -428,7 +435,7 @@ class TestPgs:
         delta_n = np.array([-0.01, -0.01])
         W, delta = normal_only_to_groups(W_n, delta_n)
         cfg = PgsConfig(max_iterations=500, tolerance=1e-13, friction=0.0)
-        res = pgs(W, delta, h=0.01, config=cfg)
+        res = solve(W, delta, h=0.01, config=cfg)
         lam_n = res.lam[::3]
         assert abs(lam_n[0] - lam_n[1]) <= 1e-9 * max(lam_n)
         oracle = lcp_enumeration_oracle(W_n, delta_n, h=0.01)
@@ -443,7 +450,7 @@ class TestPgs:
             delta_n = rng.uniform(-0.01, 0.005, c)
             W, delta = normal_only_to_groups(W_n, delta_n)
             cfg = PgsConfig(max_iterations=2000, tolerance=1e-14, friction=0.0)
-            res = pgs(W, delta, h=0.01, config=cfg)
+            res = solve(W, delta, h=0.01, config=cfg)
             oracle = lcp_enumeration_oracle(W_n, delta_n, h=0.01)
             scale = max(np.abs(oracle).max(), 1e-9)
             assert np.abs(res.lam[::3] - oracle).max() <= 1e-7 * scale
@@ -454,7 +461,7 @@ class TestPgs:
         W = B @ B.T + 9 * np.eye(9)
         delta = rng.uniform(-0.02, 0.01, 9)
         cfg = PgsConfig(max_iterations=200, tolerance=1e-6, friction=0.4)
-        res = pgs(W, delta, h=0.01, config=cfg)
+        res = solve(W, delta, h=0.01, config=cfg)
         tol_c = 1e-6 * max(1.0, np.abs(delta).max())
         for g in range(3):
             ln = res.lam[3 * g]
@@ -470,11 +477,11 @@ class TestPgs:
         # slip: lambda_t sits on the cone, antiparallel to the end gap
         W = np.eye(3)
         h = 0.01
-        stick = pgs(W, np.array([-0.01, 0.002, 0.0]), h,
+        stick = solve(W, np.array([-0.01, 0.002, 0.0]), h,
                     PgsConfig(max_iterations=200, tolerance=1e-12, friction=0.9))
         g = stick.delta_end
         assert abs(g[1]) <= 1e-6 and abs(g[2]) <= 1e-6
-        slip = pgs(W, np.array([-0.01, 0.02, 0.0]), h,
+        slip = solve(W, np.array([-0.01, 0.02, 0.0]), h,
                    PgsConfig(max_iterations=200, tolerance=1e-12, friction=0.1))
         ln = slip.lam[0]
         lt = slip.lam[1:3]
@@ -489,8 +496,8 @@ class TestPgs:
         W = B @ B.T + 6 * np.eye(6)
         delta = rng.uniform(-0.01, 0.01, 6)
         cfg = PgsConfig(max_iterations=50, tolerance=1e-10, friction=0.3)
-        r1 = pgs(W.copy(), delta.copy(), 0.01, cfg)
-        r2 = pgs(W.copy(), delta.copy(), 0.01, cfg)
+        r1 = solve(W.copy(), delta.copy(), 0.01, cfg)
+        r2 = solve(W.copy(), delta.copy(), 0.01, cfg)
         assert np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.delta_end, r2.delta_end)
 
@@ -504,7 +511,7 @@ class TestPgs:
         W[:3, 3:] = W1
         W[3:, :3] = W1  # rank 3: duplicated contact
         delta = np.array([-0.01, 0, 0, -0.01, 0, 0.0])
-        res = pgs(W, delta, 0.01, PgsConfig(max_iterations=300, tolerance=1e-10))
+        res = solve(W, delta, 0.01, PgsConfig(max_iterations=300, tolerance=1e-10))
         assert res.delta_end[::3].min() >= -1e-6
 
 
@@ -513,7 +520,7 @@ class TestPgs:
         W[3, 3] = -1.0
         delta = np.array([-0.01, 0.0, 0.0, -0.01, 0.0, 0.0])
         with pytest.raises(SingularBlockError, match="group 1: normal compliance"):
-            pgs(W, delta, 0.01, PgsConfig())
+            solve(W, delta, 0.01, PgsConfig())
 
     @pytest.mark.parametrize("friction, raises", [(0.0, False), (0.5, True)])
     def test_singular_tangential_block_raises_at_the_visit(self, friction, raises):
@@ -527,9 +534,9 @@ class TestPgs:
             warnings.simplefilter("error")
             if raises:
                 with pytest.raises(SingularBlockError, match="group 1: tangential block singular"):
-                    pgs(W, delta, 0.01, PgsConfig(friction=friction))
+                    solve(W, delta, 0.01, PgsConfig(friction=friction))
             else:
-                res = pgs(W, delta, 0.01, PgsConfig(friction=friction))
+                res = solve(W, delta, 0.01, PgsConfig(friction=friction))
                 assert res.lam[3] > 0.0 and res.converged
 
     def test_separated_group_with_a_singular_tangential_block_is_solved(self):
@@ -539,7 +546,7 @@ class TestPgs:
         delta = np.array([-0.01, 0.001, 0.0, 0.02, 0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = pgs(W, delta, 0.01, PgsConfig(friction=0.5))
+            res = solve(W, delta, 0.01, PgsConfig(friction=0.5))
         assert res.lam[0] > 0.0 and not res.lam[3:].any()
 
     def test_local_solves_run_through_the_module_global(self, monkeypatch):
@@ -558,10 +565,10 @@ class TestPgs:
         W = B @ B.T + 12 * np.eye(12)
         delta = rng.uniform(-0.01, 0.0, 12)
         delta[3] = 0.05  # group 1 stays separated, so its later visits are skipped
-        res = pgs(W, delta, 0.01, PgsConfig(max_iterations=7, tolerance=1e-300, friction=0.3))
+        res = solve(W, delta, 0.01, PgsConfig(max_iterations=7, tolerance=1e-300, friction=0.3))
         assert res.iterations == 7 and not res.converged
-        assert len(calls) == res.local_solves
-        assert 7 * 3 < res.local_solves < 7 * 4
+        assert len(calls) == res.work
+        assert 7 * 3 < res.work < 7 * 4
 
     @pytest.mark.parametrize("where", ["violation", "compliance row"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -575,7 +582,7 @@ class TestPgs:
         else:
             W[4, 7] = bad
         with pytest.raises(NonFiniteStateError, match=f"group 1: non-finite {where}"):
-            pgs(W, delta, 0.01, PgsConfig())
+            solve(W, delta, 0.01, PgsConfig())
 
     def test_overflowing_tangential_length_is_refused(self):
         # W and the violation are finite, but group 1's stick trial gives
@@ -583,7 +590,7 @@ class TestPgs:
         W = np.eye(6)
         delta = np.array([-0.01, 0.0, 0.0, -1.0, -1.5e304, -1.5e304])
         with pytest.raises(NonFiniteStateError, match="group 1: tangential impulse overflows"):
-            pgs(W, delta, 0.01, PgsConfig())
+            solve(W, delta, 0.01, PgsConfig())
 
 
 def test_complex_abs_is_numpy_hypot():
@@ -630,9 +637,9 @@ def record_pgs_calls(config, steps):
     recorded = []
     pgs_now = solver.pgs
 
-    def recording(W, delta, h, config, **kwargs):
+    def recording(W, delta, h, config, prepared):
         recorded.append((W.copy(), delta.copy(), h, config))
-        return pgs_now(W, delta, h, config, **kwargs)
+        return pgs_now(W, delta, h, config, prepared)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "pgs", recording)
@@ -685,9 +692,9 @@ class TestPgsSkipsSeparatedGroups:
             else:
                 cfg = PgsConfig(max_iterations=int(rng.integers(2, 40)), tolerance=1e-300,
                                 friction=mu)
-            res = pgs(W, delta, 0.01, cfg)
+            res = solve(W, delta, 0.01, cfg)
             assert_same_pgs(res, pgs_folded_reference(W, delta, 0.01, cfg))
-            assert res.local_solves < len(delta) // 3 * res.iterations, trial
+            assert res.work < len(delta) // 3 * res.iterations, trial
             seen.add(res.converged)
         assert seen == {True, False}
 
@@ -696,15 +703,15 @@ class TestPgsSkipsSeparatedGroups:
         # has nothing left to correct: its penetration and lambda are at
         # rounding level against those of the step's first iteration
         for k, (W, delta, h, config) in enumerate(bench_column_pgs_inputs):
-            res = pgs(W, delta, h, config)
+            res = solve(W, delta, h, config)
             assert_same_pgs(res, pgs_folded_reference(W, delta, h, config))
             visits = len(delta) // 3 * res.iterations
             penetration, lam = -delta[0::3].min(), np.abs(res.lam).max()
             if k % 5 == 0:  # each step's first Newton iteration
-                assert res.local_solves == visits, k
+                assert res.work == visits, k
                 first_penetration, first_lam = penetration, lam
             elif res.iterations > 1:
-                assert 0 < res.local_solves < visits, k
+                assert 0 < res.work < visits, k
             if k % 5 == 4:
                 assert penetration <= 1e-15 * first_penetration, k
                 assert lam <= 1e-13 * first_lam, k
@@ -713,9 +720,9 @@ class TestPgsSkipsSeparatedGroups:
         # the slip scene's widest reads, past bench_column's, many visits skipped
         widths = []
         for W, delta, h, config in grasp_rotate_wide_pgs_inputs:
-            res = pgs(W, delta, h, config)
+            res = solve(W, delta, h, config)
             assert_same_pgs(res, pgs_folded_reference(W, delta, h, config))
-            assert 0 < res.local_solves < len(delta) // 3 * res.iterations
+            assert 0 < res.work < len(delta) // 3 * res.iterations
             widths.append(len(delta))
         assert max(widths) == 300 and len(widths) >= 3
 
@@ -724,7 +731,7 @@ class TestPgsSkipsSeparatedGroups:
         # the skip bound reads the folded normal row through omega_g, so
         # omega_g must be at least each of its stored entries, bit for bit
         for W, delta, h, config in bench_column_pgs_inputs + grasp_rotate_wide_pgs_inputs:
-            fold = solver._fold(W, h * h)
+            fold = prepare_solve(W, h)
             c = len(delta)
             normal = fold.rows[:, 0, :c]
             omega = fold.omega
@@ -745,14 +752,14 @@ class TestPgsSkipsSeparatedGroups:
         lam1 = push * eps / (h * h * 0.9)
         delta = np.array([eps, 0.0, 0.0, -h * h * 2.0 * lam1, 0.0, 0.0])
         cfg = PgsConfig(max_iterations=3, tolerance=1e-300, friction=0.0)
-        res = pgs(W, delta, h, cfg)
+        res = solve(W, delta, h, cfg)
         ref = pgs_folded_reference(W, delta, h, cfg)
         assert_same_pgs(res, ref)
         if push > 1.0:
             assert ref.lam[0] > 0.0
-            assert res.local_solves == 2 * res.iterations
+            assert res.work == 2 * res.iterations
         elif push < 1.0 - 1e-12:  # still separated by more than the margin: skipped
-            assert res.local_solves < 2 * res.iterations
+            assert res.work < 2 * res.iterations
 
 
 def assert_close_pgs(res, ref, delta_base, rtol=1e-10):
@@ -772,8 +779,8 @@ def assert_refereed(res, ref, delta_base, config):
     sweep counts may differ."""
     assert_close_pgs(res, ref, delta_base, rtol=1e-12)
     if config.tolerance > 1e-300:
-        assert (res.iterations, res.converged, res.local_solves) == (
-            ref.iterations, ref.converged, ref.local_solves)
+        assert (res.iterations, res.converged, res.work) == (
+            ref.iterations, ref.converged, ref.work)
 
 
 def random_problem(rng):
@@ -815,7 +822,7 @@ class TestPgsMatchesReference:
     def test_random_problems(self, mu):
         seen = set()
         for W, delta, cfg in random_cases(mu):
-            res = pgs(W, delta, 0.01, cfg)
+            res = solve(W, delta, 0.01, cfg)
             assert_same_pgs(res, pgs_folded_reference(W, delta, 0.01, cfg))
             seen.add("converged" if res.converged else "max_iterations")
         assert seen == {"converged", "max_iterations"}
@@ -823,7 +830,7 @@ class TestPgsMatchesReference:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
     def test_random_problems_match_referee(self, mu):
         for W, delta, cfg in random_cases(mu):
-            assert_refereed(pgs(W, delta, 0.01, cfg), pgs_reference(W, delta, 0.01, cfg), delta,
+            assert_refereed(solve(W, delta, 0.01, cfg), pgs_reference(W, delta, 0.01, cfg), delta,
                             cfg)
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
@@ -833,44 +840,44 @@ class TestPgsMatchesReference:
         for trial in range(24):
             W, delta = separated_problem(rng)
             cfg = PgsConfig(max_iterations=400, tolerance=1e-5, friction=mu)
-            assert_refereed(pgs(W, delta, 0.01, cfg), pgs_reference(W, delta, 0.01, cfg), delta,
+            assert_refereed(solve(W, delta, 0.01, cfg), pgs_reference(W, delta, 0.01, cfg), delta,
                             cfg)
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
     def test_random_problems_match_unscaled_update(self, mu):
         for W, delta, cfg in random_cases(mu):
-            assert_close_pgs(pgs(W, delta, 0.01, cfg),
+            assert_close_pgs(solve(W, delta, 0.01, cfg),
                              pgs_reference(W, delta, 0.01, cfg, update="unscaled"), delta)
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
     def test_random_problems_match_column_update(self, mu):
         for W, delta, cfg in random_cases(mu):
-            assert_close_pgs(pgs(W, delta, 0.01, cfg),
+            assert_close_pgs(solve(W, delta, 0.01, cfg),
                              pgs_reference(W, delta, 0.01, cfg, update="columns"), delta)
 
     def test_grasp_rotate_inputs(self, grasp_rotate_pgs_inputs):
         for W, delta, h, config in grasp_rotate_pgs_inputs:
-            assert_same_pgs(pgs(W, delta, h, config), pgs_folded_reference(W, delta, h, config))
+            assert_same_pgs(solve(W, delta, h, config), pgs_folded_reference(W, delta, h, config))
 
     def test_grasp_rotate_inputs_match_referee(self, grasp_rotate_pgs_inputs):
         for W, delta, h, config in grasp_rotate_pgs_inputs:
-            assert_refereed(pgs(W, delta, h, config), pgs_reference(W, delta, h, config), delta,
+            assert_refereed(solve(W, delta, h, config), pgs_reference(W, delta, h, config), delta,
                             config)
 
     def test_bench_column_inputs_match_referee(self, bench_column_pgs_inputs):
         for W, delta, h, config in bench_column_pgs_inputs:
-            assert_refereed(pgs(W, delta, h, config), pgs_reference(W, delta, h, config), delta,
+            assert_refereed(solve(W, delta, h, config), pgs_reference(W, delta, h, config), delta,
                             config)
 
     def test_grasp_rotate_inputs_match_unscaled_update(self, grasp_rotate_pgs_inputs):
         for W, delta, h, config in grasp_rotate_pgs_inputs:
-            assert_close_pgs(pgs(W, delta, h, config),
+            assert_close_pgs(solve(W, delta, h, config),
                              pgs_reference(W, delta, h, config, update="unscaled"), delta)
 
     def test_grasp_rotate_inputs_match_column_update(self, grasp_rotate_pgs_inputs):
         # rounding moves lambda, but not the sweep count or the verdict
         for W, delta, h, config in grasp_rotate_pgs_inputs:
-            res = pgs(W, delta, h, config)
+            res = solve(W, delta, h, config)
             ref = pgs_reference(W, delta, h, config, update="columns")
             assert_close_pgs(res, ref, delta)
             assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
@@ -878,13 +885,13 @@ class TestPgsMatchesReference:
     def test_arguments_unmodified(self):
         for trial, (W, delta, cfg) in enumerate(random_cases(0.3)):
             W_in, delta_in = W.copy(), delta.copy()
-            pgs(W, delta, 0.01, cfg)
+            solve(W, delta, 0.01, cfg)
             assert np.array_equal(W, W_in), trial
             assert np.array_equal(delta, delta_in), trial
 
 
 # grasp_rotate's first 4 steps: per step, each Newton iteration's
-# (pgs_iterations, pgs_local_solves), and digests of the cube's committed
+# (solve_iterations, solve_work), and digests of the cube's committed
 # displacement q - q0 (its norm, its dot with a seeded normal vector, and its
 # summed |x|, |y| and |z| components). The first iterations are as recorded
 # at cf6d847, before the fold; the fourth step's second iteration, in the
@@ -906,7 +913,7 @@ def test_grasp_rotate_convergence_counts_are_pinned():
     counts = []
     for _ in range(4):
         report = sim.step()
-        counts.append([(it.pgs_iterations, it.pgs_local_solves) for it in report.iterations])
+        counts.append([(it.solve_iterations, it.solve_work) for it in report.iterations])
     assert counts == GRASP_ROTATE_COUNTS
     dq = cube.state.q - q0
     w = np.random.default_rng(0).standard_normal(dq.size)
@@ -1041,7 +1048,7 @@ class TestNewtonSchemes:
         # negative tolerances force all 4 iterations, each after the first
         # in the plane's element frames; only the tilted block's lower edge
         # penetrates. Those frames repeat from the third iteration on, whose
-        # PGS calls keep the previous fold
+        # PGS calls keep the previous preparation
         bodies, pairs = falling_block_setup(center_y=0.052, tilt=0.1)
         cfgn = dict(max_iterations=4, penetration_tol=-1.0, rotation_tol=-1.0)
         pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=0.5)
@@ -1059,7 +1066,7 @@ class TestNewtonSchemes:
         std, fast = results["standard"], results["fast"]
         assert len(std.lam_history) == len(fast.lam_history) == 4
         for res in (std, fast):
-            assert [it.fold_reused for it in res.iterations][2:] == [True, True]
+            assert [it.kept for it in res.iterations][2:] == [True, True]
         scale = max(max(np.abs(l).max() for l in std.lam_history), 1e-12)
         for ls, lf in zip(std.lam_history, fast.lam_history):
             assert np.abs(ls - lf).max() <= 1e-8 * scale
@@ -1195,18 +1202,20 @@ class TestNewtonSchemes:
 def record_loop(config, steps):
     """The simulation, the reports of ``steps`` fast steps, and what the
     loop ran, in order: ("ctx", ctx) per step, then per iteration
-    ("pgs", W, delta, h, config, whether a fold was handed in, result) and
-    ("move", the proximity record)."""
+    ("pgs", W, delta, h, config, whether the previous call's preparation was
+    handed in, result) and ("move", the proximity record)."""
     events = []
+    held = [None]  # the previous call's preparation, alive so that `is` is exact
     pgs_now, move_now, newton_now = solver.pgs, solver.fast_update_proximity, scene.newton_fast
 
     def recording_newton(ctx, ncfg, pcfg):
         events.append(("ctx", ctx))
         return newton_now(ctx, ncfg, pcfg)
 
-    def recording_pgs(W, delta, h, config, fold=None):
-        res = pgs_now(W, delta, h, config, fold=fold)
-        events.append(("pgs", W.copy(), delta.copy(), h, config, fold is not None, res))
+    def recording_pgs(W, delta, h, config, prepared):
+        res = pgs_now(W, delta, h, config, prepared)
+        events.append(("pgs", W.copy(), delta.copy(), h, config, prepared is held[0], res))
+        held[0] = prepared
         return res
 
     def recording_move(ctx, f):
@@ -1250,7 +1259,7 @@ def test_kept_fold_gives_the_fresh_folds_result(scene_name, kept):
         config = with_box_divisions(config, (7, 6, 7))
     newton = replace(config.newton, scheme="fast", max_iterations=4, penetration_tol=-1.0)
     sim, reports, events = record_loop(replace(config, newton=newton), 2)
-    assert [[it.fold_reused for it in report.iterations] for report in reports] == kept
+    assert [[it.kept for it in report.iterations] for report in reports] == kept
     assert reports[1].mapping_reused is (scene_name != "two_body_press")
     calls = 0
     for event in events:
@@ -1269,33 +1278,34 @@ def test_kept_fold_gives_the_fresh_folds_result(scene_name, kept):
             fresh_W = rebuild_W_fast(D, wg)
             fresh_delta = compute_violation(D, r)
             assert same_bits(W, fresh_W) and same_bits(delta, fresh_delta), calls
-            fresh = pgs(fresh_W, fresh_delta, h, cfg)
+            fresh = solve(fresh_W, fresh_delta, h, cfg)
             assert same_bits(res.lam, fresh.lam) and same_bits(res.delta_end, fresh.delta_end), calls
-            assert (res.iterations, res.local_solves, res.eps_history) == (
-                fresh.iterations, fresh.local_solves, fresh.eps_history), calls
+            assert (res.iterations, res.converged, res.work, res.residual) == (
+                fresh.iterations, fresh.converged, fresh.work, fresh.residual), calls
             calls += 1
     assert calls == 8
 
 
 def test_kept_fold_still_checks_the_violation():
-    # a kept fold skips the compliance rows' finite check, not the violation's
+    # a kept fold was checked when W was prepared; each call checks its violation
     bodies, pairs = falling_block_setup()
     ctx, *_ = build_context((bodies, pairs))
     D = assemble_direction(ctx.detection_frames)
     W = rebuild_W_fast(D, ctx.wg)
     delta = compute_violation(D, ctx.r0)
-    first = pgs(W, delta, ctx.h, PgsConfig())
+    prepared = prepare_solve(W, ctx.h)
+    first = pgs(W, delta, ctx.h, PgsConfig(), prepared)
     bad = delta.copy()
     bad[4] = np.nan
     with pytest.raises(NonFiniteStateError, match="group 1: non-finite violation"):
-        pgs(W, bad, ctx.h, PgsConfig(), fold=first.fold)
-    again = pgs(W, delta, ctx.h, PgsConfig(), fold=first.fold)
+        pgs(W, bad, ctx.h, PgsConfig(), prepared)
+    again = pgs(W, delta, ctx.h, PgsConfig(), prepared)
     assert same_bits(again.lam, first.lam) and same_bits(again.delta_end, first.delta_end)
 
 
 @pytest.mark.parametrize("scene_name", ["bench_column", "grasp_rotate"])
 def test_no_w_or_fold_outlives_its_step(monkeypatch, scene_name):
-    # every W the fast rebuild returns and every fold PGS makes is freed by
+    # every W the fast rebuild returns and every fold the loop prepares is freed by
     # the end of its step, also where the next step reuses the step's W_g
     made = []
 
@@ -1308,7 +1318,7 @@ def test_no_w_or_fold_outlives_its_step(monkeypatch, scene_name):
         return wrapper
 
     monkeypatch.setattr(solver, "rebuild_W_fast", tracked(solver.rebuild_W_fast))
-    monkeypatch.setattr(solver, "_fold", tracked(solver._fold))
+    monkeypatch.setattr(solver, "prepare_solve", tracked(solver.prepare_solve))
     config = load_scene(SCENES / f"{scene_name}.scn")
     if scene_name == "bench_column":
         config = with_box_divisions(config, (7, 6, 7))
@@ -1337,6 +1347,6 @@ def test_grasp_rotate_recurses_under_both_recursive_schemes():
             tol = config.newton.penetration_tol
             assert all(p > tol for p in pen[:-1])
             assert (pen[-1] <= tol) == (report.newton_exit == "penetration")
-        counts[scheme] = [[it.pgs_iterations for it in report.iterations] for report in reports]
+        counts[scheme] = [[it.solve_iterations for it in report.iterations] for report in reports]
     assert counts["fast"] == counts["standard"]
     assert max(map(len, counts["fast"])) == 2

@@ -151,7 +151,7 @@ def test_fast_step_rebuilds_once_per_iteration_and_relinearizes_moved_normals(
         assert [name for name, *_ in events] == expected
         assert len(turned) == len(report.iterations)
         for k, (it, turn) in enumerate(zip(report.iterations, turned)):
-            assert it.fold_reused is (k > 0 and not turn)  # a step starts holding nothing
+            assert it.kept is (k > 0 and not turn)  # a step starts holding nothing
             assert turn or it.rotation == 0.0
         moved += sum(turned)
         iterations += len(turned)
@@ -162,14 +162,14 @@ def test_fast_step_rebuilds_once_per_iteration_and_relinearizes_moved_normals(
 def test_pgs_calls_local_solve_through_the_module_global(monkeypatch):
     # the tracer's solver.local_solve_calls counts the module global, so a
     # sweep that inlined the local solve would read 0 there; skipped visits
-    # make no call, and PgsResult.local_solves counts the calls made
+    # make no call, and PgsResult.work counts the calls made
     calls = count_calls(monkeypatch, solver, ("local_solve",))
     expected = []
 
-    def pgs(W, delta, h, config, fold=None, _fn=solver.pgs):
+    def pgs(W, delta, h, config, prepared, _fn=solver.pgs):
         before = calls["local_solve"]
-        res = _fn(W, delta, h, config, fold=fold)
-        expected.append((calls["local_solve"] - before, res.local_solves,
+        res = _fn(W, delta, h, config, prepared)
+        expected.append((calls["local_solve"] - before, res.work,
                          len(delta) // 3 * res.iterations))
         return res
 
@@ -179,9 +179,9 @@ def test_pgs_calls_local_solve_through_the_module_global(monkeypatch):
                      rotation_tol=-1.0)
     Simulation(replace(config, newton=newton)).step()
     assert len(expected) == 2
-    for counted, local_solves, groups_times_sweeps in expected:
-        assert counted == local_solves
-        assert 0 < local_solves <= groups_times_sweeps
+    for counted, work, groups_times_sweeps in expected:
+        assert counted == work
+        assert 0 < work <= groups_times_sweeps
 
 
 @pytest.mark.parametrize("scheme", ["single", "standard", "fast"])
