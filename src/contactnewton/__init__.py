@@ -4,8 +4,8 @@ The package couples linear-FE soft bodies and rigid spheres through
 Signorini/Coulomb contact constraints solved by projected Gauss-Seidel,
 and offers three correction schemes per time step: the classic single
 corrective motion, a recursive (Newton) correction that rebuilds the
-compliance operator from system solves every iteration, and a fast
-recursive correction that rebuilds it by a blockwise congruence of the
+compliance operator from system solves when its directions change, and a
+fast recursive correction that rebuilds it by a blockwise congruence of the
 direction-independent mapping compliance and updates the relative proximity
 positions without touching the mechanical system.
 

@@ -69,7 +69,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 
-from .errors import DimensionMismatchError, NotSPDError
+from .errors import DimensionMismatchError, NotSPDError, ValidationError
+
+# The largest band a factorization allocates, in bytes. The band is (bw + 1) n
+# doubles and grows with a body's cross-section, not its node count: the
+# README's largest box, 16x16x16, bands 103 MB.
+MAX_BAND_BYTES = 2 * 2**30
 
 
 def band_ordering(n: int, points=None) -> np.ndarray:
@@ -168,6 +173,11 @@ class Factorization:
         for lo, indptr, indices, _ in matrix.blocks():
             i, j = _permuted_entries(at, lo, indptr, indices)
             bw = max(bw, int((j - i).max(initial=0)))
+        size = 8 * (bw + 1) * n
+        if size > MAX_BAND_BYTES:
+            raise ValidationError(
+                f"the band of {n} DOFs at half-bandwidth {bw} takes {size} bytes "
+                f"({size / 2**30:.3g} GiB), more than the {MAX_BAND_BYTES} allowed")
         band = np.zeros((bw + 1, n), order="F")
         # entry (i, j) of the upper band sits at ab[bw + i - j, j], which is
         # (bw + i - j) + (bw + 1) j = bw (j + 1) + i of the raveled band

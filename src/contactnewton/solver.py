@@ -131,15 +131,14 @@ frames, W and W's preparation. A later iteration keeps all three when the
 previous move's normals equal D's first rows bit for bit; ``relinearize``
 builds frames from their normals, so equal normals would give equal
 frames. Kept, D stays the same object, ``max_frame_rotation`` is not
-called (the turn reads 0.0), and PGS takes the kept fold, which depends on
-W and h only: only its P delta_base column is recomputed, and lambda is
-bitwise that of a fresh fold. The fast scheme also keeps W:
-:func:`~contactnewton.constraints.rebuild_W_fast` returns the kept W with
-no products. It is still called once per iteration, since the benchmark's
-tracer opens its iteration span there. The standard scheme rebuilds its W
-by multi-RHS solves in every iteration: it is the paper's baseline, which
-``contactnewton bench`` times against the fast scheme. Otherwise the loop
-drops W and the preparation before new ones are built and re-linearizes D.
+called (the turn reads 0.0), both schemes' rebuilds return the kept W with
+no products or solves, and PGS takes the kept fold, which depends on W and
+h only: only its P delta_base column is recomputed, and lambda is bitwise
+that of a fresh fold. :func:`~contactnewton.constraints.rebuild_W_fast` is
+still called once per iteration, since the benchmark's tracer opens the
+fast iteration span there; the standard one opens at ``assemble_H``, in
+rebuilding iterations only. Otherwise the loop drops W and the preparation
+before new ones are built and re-linearizes D.
 None of them carries over to the next step; the step's last D is only
 reported (``CorrectionResult.frames``). On a plane or a kinematic plate
 the element normals repeat from the second iteration on wherever
@@ -466,7 +465,7 @@ class IterationStats:
     solve_residual: float
     solve_converged: bool
     rotation: float  # frame turn measured before the iteration, 0 if D is kept; stops nothing
-    kept: bool  # D and the preparation (fast: W too) are the last iteration's; never the first
+    kept: bool  # D, W and the preparation are the last iteration's; never the first
 
 
 @dataclass
@@ -525,9 +524,8 @@ def _newton(
     force ``lam`` is f in the final frames, D_K f, and ``frames`` is D_K.
     The module docstring says what the loop keeps between iterations; no W
     or preparation leaves it. The operations must look up their module-level
-    names when called: the benchmark's layer tracer patches those names, and
-    opens its iteration span at the rebuild, which therefore runs in every
-    iteration, W kept or not.
+    names when called, since the benchmark's layer tracer patches them and
+    opens its iteration spans inside the rebuild (module docstring).
     """
     D = W = prepared = normals = None
     r = ctx.r0
@@ -570,9 +568,11 @@ def _newton(
     return result
 
 
-def rebuild_W_standard(D: np.ndarray, ctx: StepContext) -> np.ndarray:
-    """The standard W = sum H A^-1 H^T at the frames D, by multi-RHS backsolves;
-    its operations are looked up when called, as :func:`_newton` requires."""
+def rebuild_W_standard(D: np.ndarray, ctx: StepContext, kept=None) -> np.ndarray:
+    """The standard W = sum H A^-1 H^T at the frames D by multi-RHS backsolves, or
+    ``kept`` as it is; operations looked up when called, as :func:`_newton` needs."""
+    if kept is not None:
+        return kept
     H = {oid: assemble_H(D, S) for oid, S in sorted(ctx.S_by_object.items())}
     return assemble_W_standard(H, ctx.F_by_object)
 
@@ -580,15 +580,15 @@ def rebuild_W_standard(D: np.ndarray, ctx: StepContext) -> np.ndarray:
 def newton_standard(
     ctx: StepContext, ncfg: NewtonConfig, pcfg: PgsConfig
 ) -> CorrectionResult:
-    """Recursive correction rebuilding W by multi-RHS backsolves each iteration
-    and moving the nodes by dq = h^2 A^-1 S^T f, one backsolve per object."""
+    """Recursive correction rebuilding W by multi-RHS backsolves and moving the
+    nodes by dq = h^2 A^-1 S^T f, one backsolve per object."""
     h2 = ctx.h * ctx.h
 
     def move(f):
         return ctx.refresh({oid: h2 * ctx.F_by_object[oid].solve(S.T @ f)
                             for oid, S in sorted(ctx.S_by_object.items())})
 
-    return _newton(ctx, ncfg, pcfg, lambda D, W: rebuild_W_standard(D, ctx), move)
+    return _newton(ctx, ncfg, pcfg, lambda D, W: rebuild_W_standard(D, ctx, W), move)
 
 
 def newton_fast(

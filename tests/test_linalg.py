@@ -13,7 +13,7 @@ from scipy.spatial.transform import Rotation
 from contactnewton import linalg
 from contactnewton.bench import load_bench_spec
 from contactnewton.dynamics import RigidBody, SoftBody
-from contactnewton.errors import DimensionMismatchError, NotSPDError
+from contactnewton.errors import DimensionMismatchError, NotSPDError, ValidationError
 from contactnewton.linalg import Factorization, band_ordering
 from contactnewton.mesh import box_mesh
 from contactnewton.scene import Simulation, SoftSpec, load_scene, with_box_divisions
@@ -265,6 +265,17 @@ class TestSpdCheckNamesDof:
         with pytest.raises(NotSPDError, match=r"pivot at DOF [34] \(node 1, component [xy]\)") as exc:
             factor_quietly(A)
         assert exc.value.__cause__ is None and exc.value.__context__ is None
+
+
+def test_a_band_above_the_bound_is_refused(monkeypatch):
+    # the band is (bw + 1) n doubles: the 12-DOF chain has bw = 1, 192 bytes
+    monkeypatch.setattr(linalg, "MAX_BAND_BYTES", 191)
+    with pytest.raises(ValidationError, match=r"^the band of 12 DOFs at half-bandwidth 1 "
+                                              r"takes 192 bytes \(1.79e-07 GiB\), more than the "
+                                              r"191 allowed$"):
+        Factorization(chain_spd(4))
+    monkeypatch.setattr(linalg, "MAX_BAND_BYTES", 192)
+    assert Factorization(chain_spd(4)).dim == 12
 
 
 def soft_system(scene):

@@ -1331,6 +1331,53 @@ def test_no_w_or_fold_outlives_its_step(monkeypatch, scene_name):
         assert [ref for ref in made if ref() is not None] == []
 
 
+@pytest.mark.parametrize("scene_name, kept", [
+    # the plane's normals repeat from the second iteration on: one rebuild a step
+    ("bench_column", [[False] + [True] * 4] * 3),
+    # the plates turn between the first two iterations
+    ("grasp_rotate", [[False, False, True, True]] * 3),
+])
+def test_standard_keeps_w_as_fast_does(monkeypatch, scene_name, kept):
+    # one keep rule for both schemes: an iteration that keeps D keeps W, makes
+    # no rebuild solve and hands PGS the previous iteration's W object
+    config = load_scene(SCENES / f"{scene_name}.scn")
+    if scene_name == "bench_column":
+        config = with_box_divisions(config, (7, 4, 7))
+    config = replace(config, newton=replace(config.newton, max_iterations=len(kept[0]),
+                                            penetration_tol=-1.0))
+    fast = Simulation(replace(config, newton=replace(config.newton, scheme="fast")))
+    assert [[it.kept for it in fast.step().iterations] for _ in kept] == kept
+    calls, events = [], []  # per PGS call: its W and the calls made since the last one
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def recording_pgs(W, delta, h, cfg, prepared, _fn=solver.pgs):
+        events.append((W, calls[:]))  # holds W alive, so that `is` is exact
+        calls.clear()
+        return _fn(W, delta, h, cfg, prepared)
+
+    monkeypatch.setattr(solver, "assemble_W_standard",
+                        counting("assemble_W_standard", solver.assemble_W_standard))
+    monkeypatch.setattr(Factorization, "solve_multi",
+                        counting("solve_multi", Factorization.solve_multi))
+    monkeypatch.setattr(solver, "pgs", recording_pgs)
+    standard = Simulation(replace(config, newton=replace(config.newton, scheme="standard")))
+    assert [[it.kept for it in standard.step().iterations] for _ in kept] == kept
+    flags = [flag for step in kept for flag in step]
+    assert len(events) == len(flags)
+    for k, (flag, (W, made)) in enumerate(zip(flags, events)):
+        if flag:
+            assert made == [] and W is events[k - 1][0], k
+        else:
+            assert "assemble_W_standard" in made and "solve_multi" in made, k
+            assert k == 0 or W is not events[k - 1][0], k
+
+
 def test_grasp_rotate_recurses_under_both_recursive_schemes():
     # the loop stops on the geometric gap after each move: some step of the
     # shipped scene needs a second iteration, in the plates' frames at the
