@@ -50,10 +50,11 @@ a vertex of a non-deformable mesh that enters a soft body is not
 constrained. A pinned vertex of a soft body carries no DOFs either: the
 scene leaves it out of the mesh's ``vertex_ids``, so it is never paired and
 every A side gives W a positive-definite diagonal block. The mesh query
-runs on blocks of vertices against all of B's triangles at once, at most
-``QUERY_ENTRIES`` vertex x triangle entries per block so memory stays
-bounded, and each entry uses the formulas of a one-point query, so the
-pairs are bitwise those of a query per vertex.
+runs on blocks of A's vertices against the triangles of every B whose box
+overlaps A's at once, at most ``QUERY_ENTRIES`` vertex x triangle entries
+per block so memory stays bounded, and each entry uses the formulas of a
+one-point query, so the pairs are bitwise those of a query per vertex and
+per B.
 There is no distance cull against B's bounding box: a vertex behind an open
 plate or deep inside B has signed distance -dist, which passes the gate
 however far away it is, and culling it would change the pair list.
@@ -309,18 +310,25 @@ def _vertex_side(geom: MeshGeometry, vids, points) -> Side:
     return _mesh_side(geom, points, nodes, np.tile(_VERTEX_WEIGHTS, (len(vids), 1)))
 
 
-def _vertex_vs_mesh(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float):
-    """Best proximity pair for each surface vertex of A against B's triangles.
+def _vertex_vs_meshes(geom_a: MeshGeometry, meshes, threshold: float) -> list:
+    """Best proximity pair for each surface vertex of A against each mesh B
+    of ``meshes``: one :class:`Contacts` per B, in their order.
 
+    A's vertices are queried once, in blocks, against all the Bs' triangles
+    stacked; each B then picks a vertex's closest triangle among its own
+    columns, so its pairs are bitwise those of a query against B alone.
     ``detect`` queries only a deformable A; on a kinematic or static A the
     vertex rows are posed, so they read correctly all the same.
     """
-    if not len(geom_a.vertex_ids):
-        return Contacts.empty()
-    tri_pts = geom_b.points[geom_b.triangles]
+    if not len(geom_a.vertex_ids) or not meshes:
+        return [Contacts.empty() for _ in meshes]
+    tri_pts = np.concatenate([g.points[g.triangles] for g in meshes])
     normals = triangle_normals(tri_pts)
+    ends = np.cumsum([len(g.triangles) for g in meshes])
+    columns = [slice(hi - len(g.triangles), hi) for g, hi in zip(meshes, ends)]
     block = max(1, QUERY_ENTRIES // len(tri_pts))
-    found = []  # per block: (vertex ids, vertex points, triangles, closest, bary, signed)
+    # per B, per block: (vertex ids, vertex points, triangles, closest, bary, signed)
+    found = [[] for _ in meshes]
     for start in range(0, len(geom_a.vertex_ids), block):
         vids = geom_a.vertex_ids[start : start + block]
         P = geom_a.points[vids]
@@ -329,16 +337,24 @@ def _vertex_vs_mesh(geom_a: MeshGeometry, geom_b: MeshGeometry, threshold: float
         dist = np.linalg.norm(diff, axis=-1)
         side = np.einsum("...j,...j->...", diff, normals)
         signed = np.where(side >= 0, dist, -dist)
-        # closest feature first (unsigned), then its signed distance gates the
-        # pair; near-exact ties go to the lowest triangle id so selection is
-        # stable under whole-scene translation
-        best = np.argmax(dist <= dist.min(axis=1, keepdims=True) + _TIE_EPS, axis=1)
-        rows = np.arange(len(vids))
-        keep = signed[rows, best] <= threshold
-        rows, best = rows[keep], best[keep]
-        found.append((vids[rows], P[rows], best, cps[rows, best], bary[rows, best],
-                      signed[rows, best]))
-    vids, P, best, cps, bary, signed = (np.concatenate(x) for x in zip(*found))
+        for parts, cols in zip(found, columns):
+            d = dist[:, cols]
+            # closest feature first (unsigned), then its signed distance gates
+            # the pair; near-exact ties go to the lowest triangle id so
+            # selection is stable under whole-scene translation
+            best = np.argmax(d <= d.min(axis=1, keepdims=True) + _TIE_EPS, axis=1)
+            at = cols.start + best  # its column among all the Bs' triangles
+            rows = np.flatnonzero(signed[np.arange(len(vids)), at] <= threshold)
+            best, at = best[rows], at[rows]
+            parts.append((vids[rows], P[rows], best, cps[rows, at], bary[rows, at],
+                          signed[rows, at]))
+    return [_mesh_contacts(geom_a, geom_b, normals[cols], parts)
+            for geom_b, cols, parts in zip(meshes, columns, found)]
+
+
+def _mesh_contacts(geom_a: MeshGeometry, geom_b: MeshGeometry, normals, parts):
+    """The pairs one B kept over the blocks of :func:`_vertex_vs_meshes`."""
+    vids, P, best, cps, bary, signed = (np.concatenate(x) for x in zip(*parts))
     if not len(vids):
         return Contacts.empty()
     b = _mesh_side(geom_b, cps, geom_b.triangles[best], bary)
@@ -394,12 +410,9 @@ def detect(geometries, threshold: float) -> Contacts:
     for ga in meshes:
         if not ga.deformable:  # its vertices carry no DOFs to constrain
             continue
-        for gb in meshes:
-            if ga.object_id == gb.object_id or len(gb.triangles) == 0:
-                continue
-            if not _aabb_overlap(ga.points, gb.points, threshold):
-                continue
-            found.append(_vertex_vs_mesh(ga, gb, threshold))
+        others = [gb for gb in meshes if gb.object_id != ga.object_id and len(gb.triangles)
+                  and _aabb_overlap(ga.points, gb.points, threshold)]
+        found += _vertex_vs_meshes(ga, others, threshold)
         for plane in planes:
             found.append(_vertex_vs_plane(ga, plane, threshold))
     for sph in spheres:

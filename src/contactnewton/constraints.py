@@ -168,6 +168,21 @@ def contact_dofs(S: sp.spmatrix) -> np.ndarray:
     return np.arange(6) if J.size and S.shape[1] == 6 else J
 
 
+def _columns(S: sp.csr_matrix, J: np.ndarray) -> sp.csr_matrix:
+    """``S[:, J]`` for sorted columns J: each row's entries in J, in S's order.
+
+    Relabelling the column indices by ``searchsorted`` gives the entries
+    and order of scipy's column indexing, without its general path. An
+    entry outside J (an explicit zero, as a zero weight stores) is dropped,
+    as the indexing drops it.
+    """
+    at = np.searchsorted(J, S.indices)
+    hit = at < J.size
+    hit[hit] = J[at[hit]] == S.indices[hit]
+    indptr = np.concatenate(([0], np.cumsum(hit)))[S.indptr]
+    return sp.csr_matrix((S.data[hit], at[hit], indptr), shape=(S.shape[0], J.size))
+
+
 def assemble_Wg(
     S_by_object: dict[int, sp.spmatrix],
     F_by_object: dict[int, Factorization],
@@ -195,10 +210,11 @@ def assemble_Wg(
             raise DimensionMismatchError(
                 f"object {oid}: S has {S.shape[1]} columns, factorization dim {F.dim}"
             )
+        S = S.tocsr()
         J = contact_dofs(S)
         if J.size == 0:
             continue
-        SJ = S.tocsr()[:, J]
+        SJ = _columns(S, J)
         X = SJ @ F.inverse_block(J)
         wg_t += SJ @ X.T
         X_by_object[oid] = (J, X)

@@ -29,10 +29,11 @@ penetration measure: the worst geometric gap of given pairs at given
 positions. A step's ``pen_before`` and ``pen_after`` are that measure at
 the free and at the final positions.
 
-``scipy.spatial.transform.Rotation`` is imported inside the rigid and
-kinematic runtimes' methods that turn something, not with this module: it
-adds about 8 MB of resident memory, which a scene of soft bodies, planes
-and still colliders never needs.
+The rigid and kinematic runtimes turn their poses with the float formulas
+of :mod:`.rotations`: bit for bit scipy's ``Rotation``, without importing
+scipy's transform subpackage (about 7 MB of resident memory). A rotation
+vector whose angle is not finite raises :class:`NonFiniteStateError` with
+the object's name.
 
 :func:`run` writes a snapshot of the committed state as one uncompressed
 ``snapshots/step_NNNNNN.npz`` (see :func:`save_snapshot` for its keys); read
@@ -52,7 +53,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from . import collision
+from . import collision, rotations
 from .collision import MeshGeometry, PlaneGeometry, Pose, SphereGeometry
 from .constraints import assemble_Wg, build_signed_mapping
 from .dynamics import (
@@ -506,12 +507,18 @@ def _load_rigid_sphere(entry, name):
     return RigidSphereSpec(name=name, body=body, **read_settings(entry, name, _RIGID))
 
 
+# libyaml's parser where PyYAML was built with it (grasp_rotate.scn parses
+# in 0.5 ms instead of 6 ms), else PyYAML's own; both build the values with
+# the same safe constructor, and only their error wording differs
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def read_yaml_mapping(path, what: str) -> dict:
     """The top-level mapping of the YAML ``what`` file at ``path``; each failure
     is a one-line :class:`ParseError` naming the path, a syntax error as ``path:line: problem``."""
     try:
         with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes are a YAMLError too
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read the {what} file: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
@@ -662,9 +669,7 @@ class _RigidRuntime:
         self.state = MechanicalState(q, np.asarray(spec.velocity, dtype=np.float64))
 
     def pose_at(self, q):
-        from scipy.spatial.transform import Rotation
-
-        rot = Rotation.from_rotvec(q[3:]).as_matrix() @ self.rotation
+        rot = _named(self.spec.name, rotations.rotvec_matrix, rotvec=q[3:]) @ self.rotation
         return Pose(rot, q[:3])
 
     def geometry(self, states, t):
@@ -688,21 +693,22 @@ class _RigidRuntime:
         return np.arange(self.body.n_dofs)
 
     def commit(self, state):
-        """Fold the rotation increment into the pose; quaternion re-normalized."""
-        from scipy.spatial.transform import Rotation
+        """Fold the rotation increment into the pose; quaternion re-normalized.
 
-        rot = Rotation.from_rotvec(state.q[3:]) * Rotation.from_matrix(self.rotation)
-        quat = rot.as_quat()
-        self.rotation = Rotation.from_quat(quat / np.linalg.norm(quat)).as_matrix()
+        The product comes normalized, is re-normalized by numpy's norm and
+        normalized once more on the way to the matrix, as the product of
+        two scipy ``Rotation`` objects was, so the pose keeps its bits.
+        """
+        turn = _named(self.spec.name, rotations.rotvec_quat, rotvec=state.q[3:])
+        quat = np.array(rotations.compose(turn, rotations.matrix_quat(self.rotation)))
+        self.rotation = rotations.quat_matrix(rotations.normalized(quat / np.linalg.norm(quat)))
         self.state = MechanicalState(
             np.concatenate([state.q[:3], np.zeros(3)]), state.v
         )
 
     def saved_state(self):
         """Position and orientation quaternion, and the 6-DOF velocity."""
-        from scipy.spatial.transform import Rotation
-
-        quat = Rotation.from_matrix(self.rotation).as_quat()
+        quat = rotations.matrix_quat(self.rotation)
         return np.concatenate([self.state.q[:3], quat]), self.state.v.copy()
 
 
@@ -728,9 +734,8 @@ class _KinematicRuntime:
         if n == 0 or m.angular_velocity == 0.0:
             rot = np.eye(3)
         else:
-            from scipy.spatial.transform import Rotation
-
-            rot = Rotation.from_rotvec(axis / n * (m.angular_velocity * t)).as_matrix()
+            rot = _named(self.spec.name, rotations.rotvec_matrix,
+                         rotvec=axis / n * (m.angular_velocity * t))
         center = np.asarray(m.center)
         position = center - rot @ center + np.asarray(m.velocity) * t
         pose = Pose(rot, position)

@@ -509,6 +509,22 @@ class TestBatchedNarrowPhase:
         monkeypatch.setattr(collision, "QUERY_ENTRIES", 2)
         assert_bitwise_equal(detect([cloud, soup], threshold=0.2), whole)
 
+    def test_one_query_against_several_meshes_matches_one_per_mesh(self, monkeypatch):
+        # a deformable body's vertices are queried once against the stacked
+        # triangles of all the meshes it overlaps; each mesh's pairs must be
+        # bitwise those of a detection against that mesh alone
+        rng = np.random.default_rng(11)
+        tris = degenerate_triangles(rng, 6)
+        cloud = cloud_geometry(feature_points(rng, tris, 40))
+        meshes = [soup_geometry(tris[:4], object_id=1, deformable=False),
+                  soup_geometry(tris[4:] + 0.01, object_id=2, deformable=False)]
+        alone = [detect([cloud, mesh], threshold=0.2) for mesh in meshes]
+        assert all(len(pairs) > 0 for pairs in alone)
+        for entries in (collision.QUERY_ENTRIES, 13, 2):  # whole, 2 vertices and 1 per block
+            monkeypatch.setattr(collision, "QUERY_ENTRIES", entries)
+            assert_bitwise_equal(detect([cloud, *meshes], threshold=0.2),
+                                 collision._concat(alone))
+
     @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn"])
     def test_recorded_scene_geometry_matches_reference(self, monkeypatch, scene):
         recorded = []
@@ -1256,7 +1272,7 @@ def both_ways_penetration(sim):
         for gb in meshes:
             if ga is gb or not (ga.deformable or gb.deformable):
                 continue
-            pairs = collision._vertex_vs_mesh(ga, gb, sim.config.threshold)
+            pairs = collision._vertex_vs_meshes(ga, [gb], sim.config.threshold)[0]
             k = 0 if ga.deformable else 1
             worst[k] = max(worst[k], sim.penetration(pairs, q_by_object, sim.time))
     return worst
@@ -1303,7 +1319,7 @@ class TestOneConstraintPerFeature:
         P = np.array([[0.1, -0.005, 0.2], [-0.3, 0.004, 0.1], [0.2, 3.0, -0.4]])
         kinematic = replace(cloud_geometry(P, object_id=0), deformable=False, pose=pose)
         soft = soup_geometry(plate, object_id=1)
-        pairs = collision._vertex_vs_mesh(kinematic, soft, threshold=0.01)
+        pairs = collision._vertex_vs_meshes(kinematic, [soft], threshold=0.01)[0]
         assert pairs.vertex_id.tolist() == [0, 1]
         views = {0: pose, 1: soft.points}
         p_a, _ = refresh_proximity(pairs, views)

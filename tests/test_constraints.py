@@ -15,6 +15,7 @@ from contactnewton.collision import (
     element_normals,
     proximity,
 )
+from contactnewton import constraints
 from contactnewton.constraints import (
     apply_transposed,
     assemble_direction,
@@ -538,6 +539,38 @@ class TestWgGather:
         F = Factorization(A)
         self.check({0: S}, {0: F}, {0: A})
         assert F.solve_count == 3 * len(np.unique(tris))  # shared nodes solved once
+
+    def test_zero_weight_column_is_no_contact_dof(self):
+        # a closest point on an edge stores an explicit zero weight for the
+        # third node; that column is no contact DOF, and S_J drops it as
+        # scipy's S[:, J] does, so X_o is bitwise that product
+        m = box_mesh((0.1, 0.1, 0.1), (2, 2, 2))
+        body = SoftBody(m, young=5e4)
+        tri = surface_triangles(m)[0]
+        w = np.array([0.25, 0.75, 0.0])
+        pair = ProximityPair(
+            object_a=0,
+            object_b=1,
+            attach_a=Attachment(AttachKind.BARYCENTRIC, 0, triangle=tri, weights=w),
+            attach_b=Attachment(AttachKind.WORLD, 1, world_point=np.zeros(3)),
+            p_a=w @ m.nodes[tri],
+            p_b=np.zeros(3),
+            ref_normal=np.array([0.0, 1.0, 0.0]),
+            signed_distance=0.0,
+            vertex_id=-1,
+            element_id=0,
+        )
+        S = build_signed_mapping(to_contacts([pair]), 0, body.n_dofs)
+        assert S.nnz == 9 and (S.data == 0.0).sum() == 3
+        A = system_matrix(body, 0.01)
+        F = Factorization(A)
+        self.check({0: S}, {0: F}, {0: A})
+        J, X = assemble_Wg({0: S}, {0: F})[1][0]
+        assert J.tolist() == np.sort((3 * tri[:2, None] + np.arange(3)).ravel()).tolist()
+        SJ, reference = constraints._columns(S, J), S[:, J]
+        for name in ("indptr", "indices", "data"):
+            assert getattr(SJ, name).tolist() == getattr(reference, name).tolist(), name
+        assert X.tobytes() == (reference @ F.inverse_block(J)).tobytes()
 
     def test_fixed_dofs_cost_no_solve(self):
         _, _, unpinned_pairs, *_ = block_on_plane_context()

@@ -1,5 +1,5 @@
 """The package root imports nothing, so the CLI's thread cap reaches BLAS,
-a scene imports rotations only where something turns,
+stepping a scene never imports scipy.spatial,
 every function, class and method in ``src`` is called by the program itself,
 every dataclass field in ``src`` is read by it, and every module-level
 import in ``src`` is used."""
@@ -36,15 +36,30 @@ def test_import_loads_no_numpy_scipy_or_yaml(module):
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("scene, turns", [("bench_column", False), ("grasp_rotate", True)])
-def test_rotations_are_imported_only_where_something_turns(scene, turns):
-    # scipy.spatial costs about 8 MB resident; the resting column has no
-    # rigid body and no turning collider, grasp_rotate's plates turn
+def rigid_sphere_scenes():
+    from test_scene import COUPLED_BALL, MIXED_SCENE, SPINNING_BALL  # beside this file
+
+    return {"SPINNING_BALL": SPINNING_BALL, "COUPLED_BALL": COUPLED_BALL,
+            "MIXED_SCENE": MIXED_SCENE}
+
+
+@pytest.mark.parametrize("scene", [p.stem for p in sorted(SCENES.glob("*.scn"))]
+                         + list(rigid_sphere_scenes()))
+def test_stepping_loads_no_scipy_spatial(tmp_path, scene):
+    # scipy.spatial costs about 7 MB resident; grasp_rotate's turning plates
+    # and the spheres' poses take their rotations from contactnewton.rotations
+    path = SCENES / f"{scene}.scn"
+    if scene in rigid_sphere_scenes():
+        path = tmp_path / "scene.scn"
+        path.write_text(rigid_sphere_scenes()[scene])
     out = run_python("import sys\n"
                      "from contactnewton.scene import Simulation, load_scene\n"
-                     f"Simulation(load_scene({str(SCENES / f'{scene}.scn')!r})).step()\n"
-                     "print('scipy.spatial' in sys.modules)")
-    assert out.strip() == str(turns)
+                     f"sim = Simulation(load_scene({str(path)!r}))\n"
+                     "sim.step()\n"
+                     "sim.step()\n"
+                     "states = [obj.saved_state() for obj in sim.objects]\n"
+                     "print(sim.step_index, 'scipy.spatial' in sys.modules)")
+    assert out.split() == ["2", "False"]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status") or (os.cpu_count() or 1) < 2,

@@ -403,7 +403,9 @@ def test_huge_or_tiny_direction_steps_as_its_twin(tmp_path, vector, twin):
 # a tiny node mass or a huge Rayleigh mass term overflows h^2 W's diagonal
 # block or its inverse, reported by the solve's preparation; a huge gravity
 # on soft B triangles overflows their normals, reported by element_normals;
-# all with no numpy warning (warnings are errors)
+# a huge plate spin overflows the square of its rotation vector, reported
+# with the plate's name by its pose; all with no numpy warning (warnings
+# are errors)
 HUGE_INPUTS = {
     "dt-huge": ("block_on_plane", {"dt: 0.01": "dt: 1.0e308"},
                 NonFiniteForceError, "assembled right-hand side is not finite"),
@@ -429,6 +431,10 @@ HUGE_INPUTS = {
                        NonFiniteStateError, "group 0: h\\^2 W's diagonal block or its inverse"),
     "rayleigh-mass-huge": ("point_mass", {"rayleigh_mass: 0.0": "rayleigh_mass: 1.0e308"},
                            NonFiniteStateError, "group 0: h\\^2 W's diagonal block or its inverse"),
+    "angular-velocity-huge": ("grasp_rotate", {"angular_velocity: 34.90658503988659":
+                                               "angular_velocity: 1.0e308"},
+                              NonFiniteStateError,
+                              "^plate_right: rotation vector .* has no finite angle$"),
     "gravity-huge-press": ("two_body_press",
                            {"gravity: [0.0, -9.81, 0.0]": "gravity: [1.0e308, 0.0, 0.0]"},
                            NonFiniteStateError, "object 0: a contact triangle's normal overflows"),
@@ -445,6 +451,16 @@ def test_huge_time_step_or_mass_fails_the_step_cleanly(tmp_path, name, lines, er
     text = text.replace("meshes/", f"{SCENES / 'meshes'}/")
     sim = Simulation(load_scene(write_scene(tmp_path, text)))
     with pytest.raises(error, match=message):
+        sim.step()
+    assert sim.step_index == 0
+
+
+def test_spin_without_a_finite_angle_names_the_ball(tmp_path):
+    # the ball's rotation increment squares past the largest float, so its
+    # pose has no finite angle: an error with its name, not a nan pose
+    text = SPINNING_BALL.replace("0.0, 0.0, 20.0]", "0.0, 0.0, 1.0e200]")
+    sim = Simulation(load_scene(write_scene(tmp_path, text)))
+    with pytest.raises(NonFiniteStateError, match="^ball: rotation vector .* has no finite angle$"):
         sim.step()
     assert sim.step_index == 0
 
