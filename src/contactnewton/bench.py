@@ -39,13 +39,13 @@ from .errors import ParseError, ValidationError
 from .scene import (
     SceneConfig,
     Simulation,
-    SoftSpec,
     as_count,
     as_mapping,
     load_scene,
     read_settings,
     read_yaml_mapping,
     require,
+    soft_box,
     with_box_divisions,
 )
 from .solver import SCHEMES
@@ -122,13 +122,6 @@ def load_bench_spec(path) -> BenchSpec:
     return BenchSpec(scene=scene_path, **read_settings(raw, "bench", _SPEC))
 
 
-def _base_divisions(config: SceneConfig):
-    for spec in config.objects:
-        if isinstance(spec, SoftSpec) and spec.box_params is not None:
-            return spec.box_params["divisions"]
-    raise ValidationError("bench scene needs a procedural soft box")
-
-
 def measure_cell(config: SceneConfig, scheme: str, spec: BenchSpec) -> dict:
     """Medians of the per-phase samples for one (resolution, scheme) cell."""
     cfg = replace(
@@ -189,7 +182,7 @@ def _iqr(xs) -> float:
 
 def run_bench(spec: BenchSpec) -> tuple[list[dict], str]:
     config = load_scene(spec.scene)
-    nx, _, nz = _base_divisions(config)
+    nx, _, nz = soft_box(config).box_params["divisions"]
     rows = []
     for resolution in spec.resolutions:
         cfg_r = with_box_divisions(config, (nx, resolution, nz))

@@ -15,13 +15,14 @@ one of two forms, the one its object's view takes:
                  foot point is its own local point.
 
 Newton iterations never re-pair: each move evaluates one
-:class:`Proximity` record of the frozen pairs, r = pA - pB, the unit
+:class:`Proximity` record of the frozen pairs (:func:`proximity`, the one
+evaluation, which :func:`signed_gaps` reads too): r = pA - pB, the unit
 normals of the supporting elements (:func:`element_normals`) and the
-signed gaps, all from one set of views. :func:`refresh_proximity` and
-:func:`element_normals` loop over the objects, not the pairs: the rows of
-one object, grouped once per side (:attr:`Side.groups`), are read in one
-batched product, whose rows are bitwise the one-pair products
-(:func:`_rowmat`).
+signed gaps, all from one set of views of every object.
+:func:`refresh_proximity` and :func:`element_normals` loop over the
+objects, not the pairs: the rows of one object, grouped once per side
+(:attr:`Side.groups`), are read in one batched product, whose rows are
+bitwise the one-pair products (:func:`_rowmat`).
 The product accumulates into a zeroed output, so a vertex or plane foot
 coordinate that is exactly -0.0 reads as +0.0.
 
@@ -58,10 +59,6 @@ per B.
 There is no distance cull against B's bounding box: a vertex behind an open
 plate or deep inside B has signed distance -dist, which passes the gate
 however far away it is, and culling it would change the pair list.
-Vertex-vs-plane preselects vertices with one matrix-vector product and a
-margin above its rounding error, then computes each candidate's distance
-with the row-wise dot product, because the two round differently on tilted
-planes.
 """
 
 from __future__ import annotations
@@ -367,15 +364,9 @@ def _mesh_contacts(geom_a: MeshGeometry, geom_b: MeshGeometry, normals, parts):
 
 def _vertex_vs_plane(geom: MeshGeometry, plane: PlaneGeometry, threshold: float):
     n = plane.normal
-    P = geom.points[geom.vertex_ids]
-    # A gemv rounds differently from the per-vertex dot product that sets the
-    # reported distance, so it only preselects vertices. Either value is within
-    # about 4u (|p| . |n| + |offset|) of the exact one (u = 2^-53), far inside
-    # the margin; each candidate's distance is then the row-wise dot product.
-    margin = 1e-12 * (np.abs(P) @ np.abs(n) + abs(plane.offset))
-    near = P @ n - plane.offset <= threshold + margin
-    vids, P = geom.vertex_ids[near], P[near]
-    signed = (P[:, None, :] @ n)[:, 0] - plane.offset
+    vids = geom.vertex_ids
+    P = geom.points[vids]
+    signed = (P[:, None, :] @ n)[:, 0] - plane.offset  # not P @ n: a gemv rounds differently
     keep = signed <= threshold
     vids, P, signed = vids[keep], P[keep], signed[keep]
     if not len(vids):
@@ -532,23 +523,18 @@ def refresh_proximity(contacts: Contacts, views: dict) -> tuple[np.ndarray, np.n
     return _side_points(contacts.a, views), _side_points(contacts.b, views)
 
 
-def element_normals(contacts: Contacts, views: dict, normals=None) -> np.ndarray:
+def element_normals(contacts: Contacts, views: dict) -> np.ndarray:
     """Unit outward normal (p, 3) of every pair's supporting element, its B side.
 
     A posed B side's normal is its detection-time element normal turned by
-    B's pose; a node-weighted B side takes the normal of its triangle's
-    current nodes, or the detection-time normal if that triangle is
-    degenerate. Only the rows of B objects in ``views`` are evaluated; the
-    others keep their rows of ``normals`` (by default the detection-time
-    normals), so the sides whose views do not move within a step can be
-    evaluated once and the rest at every move. An overflow raises :class:`NonFiniteStateError`.
+    B's pose in ``views``; a node-weighted B side takes the normal of its
+    triangle's nodes in ``views``, or the detection-time normal if that
+    triangle is degenerate. An overflow raises :class:`NonFiniteStateError`.
     """
-    out = (contacts.ref_normal if normals is None else normals).copy()
+    out = contacts.ref_normal.copy()
     b = contacts.b
     for oid, rows in b.groups:
-        view = views.get(oid)
-        if view is None:
-            continue
+        view = views[oid]
         if isinstance(view, Pose):
             out[rows] = _rowmat(contacts.local_normal[rows], view.rotation.T)
             continue
@@ -572,9 +558,10 @@ class Proximity:
     gaps: np.ndarray  # (p,) signed gaps normals . r, negative when interpenetrating
 
 
-def proximity(contacts: Contacts, views: dict, normals: np.ndarray) -> Proximity:
-    """The :class:`Proximity` record of ``contacts`` under ``views``, with the
-    supporting elements' ``normals`` evaluated on the same views."""
+def proximity(contacts: Contacts, views: dict) -> Proximity:
+    """The :class:`Proximity` record of ``contacts``, its points, normals and
+    gaps all evaluated on ``views`` (as :func:`refresh_proximity` takes them)."""
+    normals = element_normals(contacts, views)
     p_a, p_b = refresh_proximity(contacts, views)
     r = p_a - p_b
     return Proximity(r, normals, _rowdot(normals, r))
@@ -593,4 +580,4 @@ def signed_gaps(contacts: Contacts, views: dict) -> np.ndarray:
     Unlike the frame-projected violation this is immune to tangential slip,
     so it is the honest end-of-step interpenetration measure.
     """
-    return proximity(contacts, views, element_normals(contacts, views)).gaps
+    return proximity(contacts, views).gaps

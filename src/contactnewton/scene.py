@@ -576,29 +576,34 @@ def load_scene(path) -> SceneConfig:
     )
 
 
+def soft_box(config: SceneConfig) -> SoftSpec:
+    """The scene's first procedural soft box, the one ``bench`` scales."""
+    for spec in config.objects:
+        if isinstance(spec, SoftSpec) and spec.box_params is not None:
+            return spec
+    raise ValidationError("scene has no procedural soft box to re-mesh")
+
+
 def with_box_divisions(config: SceneConfig, divisions) -> SceneConfig:
-    """Copy of the scene with the first procedural soft box re-meshed.
+    """Copy of the scene with its :func:`soft_box` re-meshed.
 
     The box's ``fixed_region`` is applied again to the new mesh. Node ids
     given in ``fixed_nodes`` name nodes of the old mesh only, so a box that
     pins any node outside its region cannot be re-meshed.
     """
-    objects = list(config.objects)
-    for i, spec in enumerate(objects):
-        if isinstance(spec, SoftSpec) and spec.box_params is not None:
-            body = spec.body
-            if not np.array_equal(body.fixed_nodes, _region_nodes(body.mesh, spec.fixed_region)):
-                raise ValidationError(
-                    f"{spec.name}: fixed_nodes name nodes of the original mesh "
-                    "and cannot be carried over to a re-meshed box"
-                )
-            params = dict(spec.box_params)
-            params["divisions"] = _box_divisions(divisions, f"{spec.name}.mesh.box.divisions")
-            mesh = box_mesh(**params)
-            body = replace(body, mesh=mesh, fixed_nodes=_region_nodes(mesh, spec.fixed_region))
-            objects[i] = replace(spec, body=body, box_params=params)
-            return replace(config, objects=objects)
-    raise ValidationError("scene has no procedural soft box to re-mesh")
+    spec = soft_box(config)
+    body = spec.body
+    if not np.array_equal(body.fixed_nodes, _region_nodes(body.mesh, spec.fixed_region)):
+        raise ValidationError(
+            f"{spec.name}: fixed_nodes name nodes of the original mesh "
+            "and cannot be carried over to a re-meshed box"
+        )
+    params = dict(spec.box_params)
+    params["divisions"] = _box_divisions(divisions, f"{spec.name}.mesh.box.divisions")
+    mesh = box_mesh(**params)
+    body = replace(body, mesh=mesh, fixed_nodes=_region_nodes(mesh, spec.fixed_region))
+    remeshed = replace(spec, body=body, box_params=params)
+    return replace(config, objects=[remeshed if s is spec else s for s in config.objects])
 
 
 # --- runtime objects ------------------------------------------------------------
@@ -990,17 +995,9 @@ class Simulation:
                 for obj in self.dynamic_objects
             }
 
-        # the views of objects without DOFs do not move within the step, so
-        # their supporting elements' normals are evaluated once, at t_next
-        fixed_normals = collision.element_normals(pairs, {
-            obj.oid: obj.view({}, t_next) for obj in self.objects if not obj.dynamic})
-
         def refresh(dq):
             q_by_object = {oid: fm.q_free + dq.get(oid, 0.0) for oid, fm in free.items()}
-            views = self._views(q_by_object, t_next)
-            moving = {oid: views[oid] for oid in q_by_object}
-            normals = collision.element_normals(pairs, moving, fixed_normals)
-            return collision.proximity(pairs, views, normals)
+            return collision.proximity(pairs, self._views(q_by_object, t_next))
 
         at_free = refresh({})
         pen_before = collision.penetration(at_free.gaps)

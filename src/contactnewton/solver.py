@@ -472,7 +472,7 @@ class IterationStats:
 class CorrectionResult:
     # v_new - v by object, free motion and correction: A^-1 (b + h S^T f)
     dv_by_object: dict[int, np.ndarray]
-    lam_history: list[np.ndarray]  # (c,) grouped (lambda_n, lambda_t1, lambda_t2) per iteration
+    solves: list[PgsResult]  # each iteration's contact solve, lam grouped (n, t1, t2)
     lam: np.ndarray = field(default_factory=lambda: np.zeros(0))  # step's force in final frames
     iterations: list[IterationStats] = field(default_factory=list)
     final_correction_time: float = 0.0
@@ -551,7 +551,7 @@ def _newton(
         prox = move(f)
         r, normals = prox.r, prox.normals
         t3 = time.perf_counter()
-        result.lam_history.append(res.lam)
+        result.solves.append(res)
         pen = penetration(prox.gaps)
         result.iterations.append(IterationStats(
             pen, rebuild_time=t1 - t0, solve_time=t2 - t1, correction_time=t3 - t2,

@@ -5,8 +5,8 @@ Three checks back the `verify` CLI command:
   congruence-identity   D W_g D^T against the standard Schur complement,
                         at the detection directions and again after the
                         fast scheme has re-linearized them;
-  complementarity       Signorini and Coulomb residuals after a converged
-                        contact solve on the first step's contact problem;
+  complementarity       Signorini and Coulomb residuals after the fast
+                        Newton loop's first contact solve on the first step;
   scheme-equivalence    standard and fast recursive corrections agree on
                         lambda and velocity increments over 4 forced
                         iterations of the production Newton loop, whose
@@ -27,7 +27,7 @@ import numpy as np
 from .constraints import assemble_Wg, assemble_direction, compute_violation, rebuild_W_fast
 from .scene import SceneConfig, Simulation
 from .solver import (NewtonConfig, PgsConfig, StepContext, complementarity_residual, newton_fast,
-                     newton_standard, pgs, prepare_solve, rebuild_W_standard)
+                     newton_standard, rebuild_W_standard)
 
 IDENTITY_RTOL = 1e-9
 EQUIVALENCE_RTOL = 1e-8
@@ -77,14 +77,13 @@ def check_congruence_identity(config: SceneConfig, ctx: StepContext) -> CheckRes
 
 
 def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
-    """Signorini/Coulomb residuals after a converged contact solve on the first step."""
+    """Signorini/Coulomb residuals after the fast Newton loop's first contact solve."""
     if not ctx.pairs:
         return CheckResult("complementarity", False, "scene has no contacts")
-    D = assemble_direction(ctx.detection_frames)
-    W = rebuild_W_fast(D, ctx.wg)
-    delta = compute_violation(D, ctx.r0)
     pcfg = PgsConfig(friction=config.pgs.friction, **COMPLEMENTARITY_PGS)
-    res = pgs(W, delta, config.h, pcfg, prepare_solve(W, config.h))
+    result = newton_fast(ctx, NewtonConfig(scheme="fast", max_iterations=1), pcfg)
+    [res] = result.solves
+    delta = compute_violation(result.frames, ctx.r0)
     mu = pcfg.friction
     tol_c = 1e-6 * max(1.0, float(np.abs(delta).max()))
     lam = res.lam.reshape(-1, 3)
@@ -115,16 +114,16 @@ def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResu
     std = newton_standard(ctx, NewtonConfig(scheme="standard", **ncfg), pcfg)
     fast = newton_fast(ctx, NewtonConfig(scheme="fast", **ncfg), pcfg)
 
-    if len(std.lam_history) != len(fast.lam_history):
+    if len(std.solves) != len(fast.solves):
         return CheckResult(
             "scheme-equivalence", False,
-            f"iteration counts differ: {len(std.lam_history)} vs {len(fast.lam_history)}",
+            f"iteration counts differ: {len(std.solves)} vs {len(fast.solves)}",
         )
-    lam_scale = max((float(np.abs(l).max()) for l in std.lam_history), default=0.0)
+    lam_scale = max((float(np.abs(s.lam).max()) for s in std.solves), default=0.0)
     lam_scale = max(lam_scale, 1e-300)
     worst = 0.0
-    for ls, lf in zip(std.lam_history, fast.lam_history):
-        worst = max(worst, float(np.abs(ls - lf).max()) / lam_scale)
+    for ss, sf in zip(std.solves, fast.solves):
+        worst = max(worst, float(np.abs(ss.lam - sf.lam).max()) / lam_scale)
     for oid, ds in sorted(std.dv_by_object.items()):
         dv_scale = max(float(np.abs(ds).max()), 1e-300)
         worst = max(worst, float(np.abs(ds - fast.dv_by_object[oid]).max()) / dv_scale)

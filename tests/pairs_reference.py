@@ -196,39 +196,6 @@ def vertex_vs_plane_reference(geom: MeshGeometry, plane: PlaneGeometry, threshol
     return pairs
 
 
-def vertex_vs_plane_preselect_reference(geom: MeshGeometry, plane: PlaneGeometry, threshold: float):
-    pairs = []
-    n = plane.normal
-    P = geom.points[geom.vertex_ids]
-    # A gemv rounds differently from the per-vertex dot product that sets the
-    # reported distance, so it only preselects vertices. Either value is within
-    # about 4u (|p| . |n| + |offset|) of the exact one (u = 2^-53), far inside
-    # the margin; each candidate's distance is then computed as before.
-    margin = 1e-12 * (np.abs(P) @ np.abs(n) + abs(plane.offset))
-    near = P @ n - plane.offset <= threshold + margin
-    for vid in geom.vertex_ids[near]:
-        p = geom.points[vid]
-        signed = float(n @ p - plane.offset)
-        if signed > threshold:
-            continue
-        foot = p - signed * n
-        pairs.append(
-            ProximityPair(
-                object_a=geom.object_id,
-                object_b=plane.object_id,
-                attach_a=_mesh_attachment(geom, vertex=vid, point=p),
-                attach_b=Attachment(AttachKind.WORLD, plane.object_id, world_point=foot),
-                p_a=p.copy(),
-                p_b=foot,
-                ref_normal=n.copy(),
-                signed_distance=signed,
-                vertex_id=int(vid),
-                element_id=-1,
-            )
-        )
-    return pairs
-
-
 def sphere_vs_plane_reference(sph: SphereGeometry, plane: PlaneGeometry, threshold: float):
     n = plane.normal
     center_dist = float(n @ sph.center - plane.offset)

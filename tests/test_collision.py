@@ -44,7 +44,7 @@ from pairs_reference import (
     refresh_proximity_reference,
     signed_gaps_reference,
     to_contacts,
-    vertex_vs_plane_preselect_reference,
+    vertex_vs_plane_reference,
 )
 from test_scene import MIXED_SCENE
 
@@ -786,9 +786,10 @@ class TestFramesMatchReference:
         proximity_now, relinearize_now = collision.proximity, solver.relinearize
         rebuild_now = solver.rebuild_W_fast
 
-        def recording_proximity(contacts, views, normals):
-            moves.append((contacts, views, normals))
-            return proximity_now(contacts, views, normals)
+        def recording_proximity(contacts, views):
+            record = proximity_now(contacts, views)
+            moves.append((contacts, views, record.normals))
+            return record
 
         def recording_relinearize(normals):
             events.append(("relinearize", len(moves), normals.copy()))
@@ -995,7 +996,7 @@ class TestProximityMatchesReference:
                                   offset=float(rng.uniform(-1.0, 1.0)))
             P[:6] -= np.outer(P[:6] @ plane.normal - plane.offset - 0.01, plane.normal)
             P[6:12] += rng.uniform(-1e-15, 1e-15, (6, 1)) * plane.normal
-            expect = vertex_vs_plane_preselect_reference(cloud, plane, 0.01)
+            expect = vertex_vs_plane_reference(cloud, plane, 0.01)
             assert 0 < len(expect) < len(P)
             assert_same_pairs(collision._vertex_vs_plane(cloud, plane, 0.01), expect)
 
@@ -1101,15 +1102,15 @@ class TestElementNormals:
             normals = element_normals(contacts, views)
             assert_bitwise_equal(normals, element_normal_reference(contacts, views))
             assert (normals == plane.normal).all()
-            record = collision.proximity(contacts, views, normals)
+            record = collision.proximity(contacts, views)
             pairs = detect_reference([cloud_geometry(P), plane], 0.01)
             assert_bitwise_equal(record.gaps, signed_gaps_reference(pairs, views))
             assert_bitwise_equal(check_relinearize(normals)[:, 0], normals)
         assert (record.gaps < 0).all()  # sunk: r turned against n, which stays
 
     def test_plate_is_posed_at_the_end_of_the_step(self):
-        # a turning plate's rows read its pose at t_next, evaluated once per
-        # step: no move changes them, and they differ from detection's
+        # a turning plate's rows read its pose at t_next in every evaluation
+        # of the step: no move changes them, and they differ from detection's
         sim = Simulation(load_scene(SCENES / "grasp_rotate.scn"))
         sim.step()
         ctx = sim.prepare_step().ctx
@@ -1144,18 +1145,6 @@ class TestElementNormals:
             check_relinearize(normals)
         assert (_rowdot_reference(normals, contacts.ref_normal) < 0).all()
 
-    def test_rows_of_objects_without_a_view_keep_the_given_normals(self):
-        rng = np.random.default_rng(13)
-        pairs = random_attached_pairs(rng, 120)
-        contacts = to_contacts(pairs)
-        views = random_views(rng)
-        everything = element_normals(contacts, views)
-        assert_bitwise_equal(element_normals(contacts, {}), contacts.ref_normal)
-        fixed = {oid: views[oid] for oid in (KINEMATIC, PLANE)}
-        moving = {oid: views[oid] for oid in (SOFT_B, RIGID)}
-        once = element_normals(contacts, fixed)
-        assert_bitwise_equal(element_normals(contacts, moving, once), everything)
-
     def test_penetration_of_gaps(self):
         assert collision.penetration(np.array([0.02, -0.01, -0.003])) == 0.01
         assert collision.penetration(np.array([0.02, 0.0])) == 0.0
@@ -1164,8 +1153,8 @@ class TestElementNormals:
     @pytest.mark.parametrize("scene", ["grasp_rotate.scn", "two_body_press.scn",
                                        "block_on_plane.scn", "mixed"])
     def test_step_record_matches_a_full_evaluation(self, tmp_path, scene):
-        # the step's refresh evaluates the colliders' normals once; its
-        # record equals one evaluated from scratch on the same views
+        # the step's refresh is one proximity evaluation on the step's views;
+        # its record equals one evaluated from scratch on the same views
         if scene == "mixed":
             path = tmp_path / "mixed.scn"
             path.write_text(MIXED_SCENE)
@@ -1189,7 +1178,7 @@ class TestElementNormals:
                 mp.setattr(collision, "refresh_proximity", capture)
                 again = ctx.refresh(dq)
             views = captured["views"]
-            full = collision.proximity(ctx.pairs, views, element_normals(ctx.pairs, views))
+            full = collision.proximity(ctx.pairs, views)
             for got in (record, again):
                 assert_bitwise_equal(got, full)
         assert_bitwise_equal(prep.pen_before, collision.penetration(ctx.refresh({}).gaps))

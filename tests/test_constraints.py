@@ -12,7 +12,6 @@ from contactnewton.collision import (
     Pose,
     build_frames,
     detect,
-    element_normals,
     proximity,
 )
 from contactnewton import constraints
@@ -659,7 +658,7 @@ def proximity_context(pairs, q_by_object, S, F, h, posed_views):
         views = dict(posed_views)
         for oid, q in q_by_object.items():
             views[oid] = (q + dq.get(oid, 0.0)).reshape(-1, 3)
-        return proximity(pairs, views, element_normals(pairs, views))
+        return proximity(pairs, views)
 
     ctx = StepContext(pairs=pairs, detection_frames=build_frames(pairs), S_by_object=S,
                       F_by_object=F, r0=refresh({}).r, h=h, refresh=refresh, y_free={})

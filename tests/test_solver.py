@@ -15,7 +15,6 @@ from contactnewton.collision import (
     Pose,
     build_frames,
     detect,
-    element_normals,
     proximity,
     relinearize,
 )
@@ -979,8 +978,7 @@ def build_context(bodies_pairs, h=0.01, gravity=(0, -9.81, 0), with_wg=True):
         return views
 
     def refresh(dq):
-        views = views_at(dq)
-        return proximity(pairs, views, element_normals(pairs, views))
+        return proximity(pairs, views_at(dq))
 
     ctx = StepContext(
         pairs=pairs,
@@ -1028,7 +1026,7 @@ class TestNewtonSchemes:
         bodies, pairs = falling_block_setup(center_y=0.058)  # detected but separated
         ctx, *_ = build_context((bodies, pairs), gravity=(0, 0, 0))
         res = newton_standard(ctx, NewtonConfig(scheme="standard"), PgsConfig())
-        assert all(np.array_equal(lam, np.zeros_like(lam)) for lam in res.lam_history)
+        assert all(np.array_equal(s.lam, np.zeros_like(s.lam)) for s in res.solves)
         assert np.array_equal(res.dv_by_object[0], np.zeros_like(res.dv_by_object[0]))
 
     def test_one_iteration_is_single_scheme(self):
@@ -1036,7 +1034,7 @@ class TestNewtonSchemes:
         ctx, *_ = build_context((bodies, pairs))
         one = newton_standard(ctx, NewtonConfig(scheme="standard", max_iterations=1),
                               PgsConfig(max_iterations=100))
-        assert len(one.lam_history) == 1
+        assert len(one.solves) == 1
 
     def test_fast_noop_without_contact_forces(self):
         bodies, pairs = falling_block_setup(center_y=0.058)
@@ -1064,12 +1062,12 @@ class TestNewtonSchemes:
             ctx.refresh = refresh
             results[scheme] = newton(ctx, NewtonConfig(scheme=scheme, **cfgn), pcfg)
         std, fast = results["standard"], results["fast"]
-        assert len(std.lam_history) == len(fast.lam_history) == 4
+        assert len(std.solves) == len(fast.solves) == 4
         for res in (std, fast):
             assert [it.kept for it in res.iterations][2:] == [True, True]
-        scale = max(max(np.abs(l).max() for l in std.lam_history), 1e-12)
-        for ls, lf in zip(std.lam_history, fast.lam_history):
-            assert np.abs(ls - lf).max() <= 1e-8 * scale
+        scale = max(max(np.abs(s.lam).max() for s in std.solves), 1e-12)
+        for ss, sf in zip(std.solves, fast.solves):
+            assert np.abs(ss.lam - sf.lam).max() <= 1e-8 * scale
         # the last move: the standard solve and the fast gather agree on the
         # contact DOFs, where the fast scheme moves the nodes
         J = ctx.X_by_object[0][0]
@@ -1091,10 +1089,10 @@ class TestNewtonSchemes:
         pcfg = PgsConfig(max_iterations=300, tolerance=1e-12, friction=0.5)
         std = newton_standard(ctx, NewtonConfig(scheme="standard", **cfgn), pcfg)
         fast = newton_fast(ctx, NewtonConfig(scheme="fast", **cfgn), pcfg)
-        assert len(std.lam_history) == len(fast.lam_history) == 4
-        for ls, lf in zip(std.lam_history, fast.lam_history):
-            assert ls[0] > 0.0
-            assert np.abs(ls - lf).max() <= 1e-12 * np.abs(ls).max()
+        assert len(std.solves) == len(fast.solves) == 4
+        for ss, sf in zip(std.solves, fast.solves):
+            assert ss.lam[0] > 0.0
+            assert np.abs(ss.lam - sf.lam).max() <= 1e-12 * np.abs(ss.lam).max()
         (oid,) = std.dv_by_object
         dv_s, dv_f = std.dv_by_object[oid], fast.dv_by_object[oid]
         assert np.abs(dv_s - dv_f).max() <= 1e-12 * np.abs(dv_s).max()
@@ -1158,7 +1156,7 @@ class TestNewtonSchemes:
             res = newton_fast(ctx, NewtonConfig(scheme="fast", max_iterations=3,
                                                 penetration_tol=0.0),
                               PgsConfig(max_iterations=60, friction=0.5))
-            lam_runs.append(np.concatenate(res.lam_history))
+            lam_runs.append(np.concatenate([s.lam for s in res.solves]))
         assert np.array_equal(lam_runs[0], lam_runs[1])
 
     def test_config_validation(self):
