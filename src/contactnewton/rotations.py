@@ -4,8 +4,10 @@ Each conversion repeats the arithmetic of scipy's ``Rotation`` class
 operation for operation (its compiled single-rotation paths), so every
 result is bit for bit scipy's, without importing scipy's transform
 subpackage and its 57 modules. Quaternions are ``(x, y, z, w)`` tuples,
-scalar last, as ``Rotation.as_quat`` orders them. ``tests/test_rotations.py``
-holds each function to scipy's result.
+scalar last, as ``Rotation.as_quat`` orders them. An orientation is kept
+as a quaternion and turned by :func:`compose`; a matrix is only ever made
+from one, never read back. ``tests/test_rotations.py`` holds each function
+to scipy's result.
 """
 
 from __future__ import annotations
@@ -57,32 +59,6 @@ def normalized(quat) -> tuple[float, float, float, float]:
     x, y, z, w = (float(c) for c in quat)
     norm = math.sqrt(x * x + y * y + z * z + w * w)
     return x / norm, y / norm, z / norm, w / norm
-
-
-def matrix_quat(matrix) -> tuple[float, float, float, float]:
-    """The unit quaternion of a rotation matrix, as ``Rotation.from_matrix``.
-
-    The formula is set by the largest of the diagonal and the trace (the
-    first of equals). ``matrix`` must be a rotation: scipy's check of the
-    determinant and its projection of a matrix that is not orthogonal to
-    1e-12 are not repeated.
-    """
-    m = np.asarray(matrix, dtype=np.float64).tolist()
-    trace = m[0][0] + m[1][1] + m[2][2]
-    decision = (m[0][0], m[1][1], m[2][2], trace)
-    choice = decision.index(max(decision))
-    if choice == 3:
-        quat = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
-    else:
-        i = choice
-        j = (i + 1) % 3
-        k = (j + 1) % 3
-        quat = [0.0] * 4
-        quat[i] = 1 - trace + 2 * m[i][i]
-        quat[j] = m[j][i] + m[i][j]
-        quat[k] = m[k][i] + m[i][k]
-        quat[3] = m[k][j] - m[j][k]
-    return normalized(quat)
 
 
 def compose(p, q) -> tuple[float, float, float, float]:

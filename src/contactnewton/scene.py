@@ -31,9 +31,11 @@ the free and at the final positions.
 
 The rigid and kinematic runtimes turn their poses with the float formulas
 of :mod:`.rotations`: bit for bit scipy's ``Rotation``, without importing
-scipy's transform subpackage (about 7 MB of resident memory). A rotation
-vector whose angle is not finite raises :class:`NonFiniteStateError` with
-the object's name.
+scipy's transform subpackage (about 7 MB of resident memory). A rigid
+sphere holds its orientation as one unit quaternion: a view turns it by
+the state's rotation increment, a commit keeps the quaternion that view
+turned to, and a snapshot writes it. A rotation vector whose angle is not
+finite raises :class:`NonFiniteStateError` with the object's name.
 
 :func:`run` writes a snapshot of the committed state as one uncompressed
 ``snapshots/step_NNNNNN.npz`` (see :func:`save_snapshot` for its keys); read
@@ -472,12 +474,8 @@ def _plate_mesh(plate, where):
             center - 0.5 * w * u + 0.5 * hgt * v,
         ]
     )
-    tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
-    # enforce the requested facing
-    n0 = np.cross(corners[1] - corners[0], corners[2] - corners[0])
-    if n0 @ normal < 0:
-        tris = tris[:, ::-1].copy()
-    return corners, tris
+    # (c1 - c0) x (c2 - c0) = w hgt (u x v) = w hgt normal: both face the normal
+    return corners, np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
 
 
 def _load_kinematic(entry, name, base_dir):
@@ -669,13 +667,17 @@ class _RigidRuntime:
         self.oid = oid
         self.spec = spec
         self.body = spec.body
-        self.rotation = np.eye(3)
+        self.quat = (0.0, 0.0, 0.0, 1.0)  # unit (x, y, z, w): the committed orientation
         q = np.concatenate([np.asarray(spec.position, dtype=np.float64), np.zeros(3)])
         self.state = MechanicalState(q, np.asarray(spec.velocity, dtype=np.float64))
 
+    def _turned(self, q):
+        """The committed orientation turned by ``q``'s rotation increment."""
+        turn = _named(self.spec.name, rotations.rotvec_quat, rotvec=q[3:])
+        return rotations.compose(turn, self.quat)
+
     def pose_at(self, q):
-        rot = _named(self.spec.name, rotations.rotvec_matrix, rotvec=q[3:]) @ self.rotation
-        return Pose(rot, q[:3])
+        return Pose(rotations.quat_matrix(self._turned(q)), q[:3])
 
     def geometry(self, states, t):
         pose = self.pose_at(states[self.oid].q)
@@ -687,7 +689,7 @@ class _RigidRuntime:
         )
 
     def assemble(self, state, h, gravity):
-        A, b = self.body.assemble(self.rotation, h, gravity)
+        A, b = self.body.assemble(rotations.quat_matrix(self.quat), h, gravity)
         return Factorization(A), b
 
     def view(self, q_by_object, t):
@@ -698,23 +700,16 @@ class _RigidRuntime:
         return np.arange(self.body.n_dofs)
 
     def commit(self, state):
-        """Fold the rotation increment into the pose; quaternion re-normalized.
-
-        The product comes normalized, is re-normalized by numpy's norm and
-        normalized once more on the way to the matrix, as the product of
-        two scipy ``Rotation`` objects was, so the pose keeps its bits.
-        """
-        turn = _named(self.spec.name, rotations.rotvec_quat, rotvec=state.q[3:])
-        quat = np.array(rotations.compose(turn, rotations.matrix_quat(self.rotation)))
-        self.rotation = rotations.quat_matrix(rotations.normalized(quat / np.linalg.norm(quat)))
+        """Fold the rotation increment into the stored quaternion: the pose
+        every view of the committed state took, bit for bit."""
+        self.quat = self._turned(state.q)
         self.state = MechanicalState(
             np.concatenate([state.q[:3], np.zeros(3)]), state.v
         )
 
     def saved_state(self):
         """Position and orientation quaternion, and the 6-DOF velocity."""
-        quat = rotations.matrix_quat(self.rotation)
-        return np.concatenate([self.state.q[:3], quat]), self.state.v.copy()
+        return np.concatenate([self.state.q[:3], self.quat]), self.state.v.copy()
 
 
 class _KinematicRuntime:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .constraints import assemble_Wg, assemble_direction, compute_violation, rebuild_W_fast
 from .scene import SceneConfig, Simulation
-from .solver import (NewtonConfig, PgsConfig, StepContext, complementarity_residual, newton_fast,
-                     newton_standard, rebuild_W_standard)
+from .solver import (NewtonConfig, PgsConfig, StepContext, newton_fast, newton_standard,
+                     rebuild_W_standard)
 
 IDENTITY_RTOL = 1e-9
 EQUIVALENCE_RTOL = 1e-8
@@ -90,11 +90,10 @@ def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
     ln, dn = lam[:, 0], res.delta_end[0::3]
     lt = np.hypot(lam[:, 1], lam[:, 2])
     ok = (ln >= 0.0) & (dn >= -1e-6) & (ln * dn <= tol_c) & (lt <= mu * ln + 1e-9)
-    worst = complementarity_residual(res.lam, res.delta_end, mu)
     return CheckResult(
         "complementarity",
         bool(ok.all()),
-        f"{len(ctx.pairs)} groups, worst residual {worst:.3e} "
+        f"{len(ctx.pairs)} groups, worst residual {res.residual:.3e} "
         f"(converged={res.converged} in {res.iterations} sweeps)",
     )
 

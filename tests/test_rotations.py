@@ -68,25 +68,6 @@ def test_angles_at_the_taylor_switch_are_in_the_set():
     assert 1e-3 in angles and math.nextafter(1e-3, 1.0) in angles
 
 
-def test_matrix_gives_scipys_quaternion_on_every_branch():
-    matrices = list(random_matrices(2))
-    # one rotation by pi about each axis and the identity, where the largest
-    # of the diagonal and the trace picks each branch outright, and turns
-    # past 120 degrees about (1, 1, 1), whose three diagonal entries tie
-    # (the first of them picks the branch, as in scipy)
-    matrices += [Rotation.from_rotvec(np.pi * e).as_matrix() for e in np.eye(3)] + [np.eye(3)]
-    matrices += [Rotation.from_rotvec(a * np.ones(3) / np.sqrt(3)).as_matrix()
-                 for a in np.linspace(2.2, 3.1, 10)]
-    branches, ties = set(), 0
-    for R in matrices:
-        decision = [R[0, 0], R[1, 1], R[2, 2], np.trace(R)]
-        branches.add(decision.index(max(decision)))
-        ties += decision.count(max(decision)) > 1
-    assert branches == {0, 1, 2, 3} and ties >= 10
-    assert [i for i, R in enumerate(matrices)
-            if not same_bytes(rotations.matrix_quat(R), Rotation.from_matrix(R).as_quat())] == []
-
-
 def test_quaternion_gives_scipys_normalized_matrix():
     rng = np.random.default_rng(3)
     quats = rng.normal(size=(2000, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1))
@@ -101,7 +82,7 @@ def test_product_gives_scipys_composed_rotation():
     matrices = random_matrices(5, len(turns))
     assert [i for i, (v, R) in enumerate(zip(turns, matrices))
             if not same_bytes(rotations.compose(rotations.rotvec_quat(v),
-                                                rotations.matrix_quat(R)),
+                                                Rotation.from_matrix(R).as_quat()),
                               (Rotation.from_rotvec(v) * Rotation.from_matrix(R)).as_quat())
             ] == []
 
@@ -115,17 +96,19 @@ def test_rotation_vector_without_a_finite_angle_is_refused(rotvec):
         rotations.rotvec_matrix(rotvec)
 
 
-def test_rigid_commit_and_snapshot_keep_scipys_bits(tmp_path):
-    # the code these helpers replaced in the rigid runtime, step by step:
-    # turn after orientation, re-normalized, and the snapshot's quaternion
+def test_rigid_commit_composes_its_stored_quaternion(tmp_path):
+    # each commit turns the stored quaternion by the step's increment, keeps
+    # scipy's composed rotation, and the snapshot writes that quaternion
     from test_scene import SPINNING_BALL, write_scene  # beside this file
 
     sim = Simulation(load_scene(write_scene(tmp_path, SPINNING_BALL)))
     ball = next(obj for obj in sim.objects if obj.kind == "rigid")
-    R = ball.rotation
+    assert ball.quat == (0.0, 0.0, 0.0, 1.0)
+    scipy_rotation = Rotation.identity()
     for turn in random_rotvecs(6, count=300, low=-7.0, high=-1.0):
-        quat = (Rotation.from_rotvec(turn) * Rotation.from_matrix(R)).as_quat()
-        R = Rotation.from_quat(quat / np.linalg.norm(quat)).as_matrix()
+        want = rotations.compose(rotations.rotvec_quat(turn), ball.quat)
+        scipy_rotation = Rotation.from_rotvec(turn) * scipy_rotation
         ball.commit(MechanicalState(np.concatenate([ball.state.q[:3], turn]), ball.state.v))
-        assert ball.rotation.tobytes() == R.tobytes()
-        assert ball.saved_state()[0][3:].tobytes() == Rotation.from_matrix(R).as_quat().tobytes()
+        assert same_bytes(ball.quat, want)
+        assert np.abs(rotations.quat_matrix(ball.quat) - scipy_rotation.as_matrix()).max() <= 1e-15
+        assert same_bytes(ball.saved_state()[0][3:], ball.quat)

@@ -19,6 +19,7 @@ from contactnewton.errors import (
     ParseError,
     ValidationError,
 )
+from contactnewton.rotations import quat_matrix
 from contactnewton.scene import (
     MotionSpec,
     Simulation,
@@ -26,7 +27,7 @@ from contactnewton.scene import (
     save_snapshot,
     with_box_divisions,
 )
-from contactnewton.verify import prepare
+from contactnewton.verify import prepare, run_verification
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -193,6 +194,9 @@ BAD_VALUES = {
     "motion-axis-zero": (f"objects: [{{name: plate, type: kinematic_mesh, {PLATE}, "
                          "motion: {axis: [0, 0, 0], angular_velocity: 1.0}}]\n",
                          "plate.motion.axis:"),
+    "static-mesh-motion": (f"objects: [{{name: plate, type: static_mesh, {PLATE}, "
+                           "motion: {velocity: [0, 1, 0]}}]\n",
+                           "plate: static meshes cannot carry motion"),
     "duplicate-name": (f"objects: [{{{BALL}, radius: 0.1}}, {{name: ball, type: plane}}]\n",
                        "ball: duplicate object name"),
     "duplicate-default-name": ("objects: [{type: plane}, {name: object0, type: plane}]\n",
@@ -536,7 +540,71 @@ def test_mixed_scene_steps_and_commits(tmp_path):
     assert sim.last_pairs and sim.last_lam.size == 3 * len(sim.last_pairs)
     ball = sim.objects[1]
     assert np.array_equal(ball.state.q[3:], np.zeros(3))  # rotation folded into the pose
-    assert np.abs(ball.rotation @ ball.rotation.T - np.eye(3)).max() <= 1e-12
+    assert np.linalg.norm(ball.quat) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_three_component_rigid_velocity_loads_as_six(tmp_path):
+    config = load_scene(write_scene(
+        tmp_path, f"objects: [{{{BALL}, radius: 0.1, velocity: [0.1, -0.2, 0.3]}}]\n"))
+    assert config.objects[0].velocity == (0.1, -0.2, 0.3, 0.0, 0.0, 0.0)
+    assert Simulation(config).objects[0].state.v.tolist() == [0.1, -0.2, 0.3, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("size", [(0.1, 0.1), (2.0, 0.5), (1e-3, 3e-3)],
+                         ids=["square", "wide", "small"])
+def test_plate_triangles_face_the_requested_normal(size):
+    # the axes (+-z take the second reference axis) and seeded random normals
+    normals = [*np.eye(3), *-np.eye(3), *np.random.default_rng(8).normal(size=(200, 3))]
+    for normal in normals:
+        plate = {"center": [0.1, -0.2, 0.3], "normal": normal.tolist(), "size": list(size)}
+        corners, tris = scene._plate_mesh(plate, "plate")
+        unit = normal / np.linalg.norm(normal)
+        for tri in corners[tris]:
+            facing = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+            assert facing @ unit == pytest.approx(size[0] * size[1], rel=1e-9)
+
+
+# a 4 cm soft cube resting on the top face of a static mesh read from a file
+# by its absolute path: block_on_plane's block, posed at the identity
+CUBE_ON_STATIC_BLOCK = f"""\
+objects:
+  - name: cube
+    type: soft
+    mesh: {{box: {{size: [0.04, 0.04, 0.04], divisions: [2, 2, 2], center: [0.0, 0.1198, 0.0]}}}}
+  - name: block
+    type: static_mesh
+    mesh: {{file: {SCENES / "meshes" / "block.mesh"}}}
+"""
+
+
+def test_soft_cube_rests_on_a_static_mesh_file(tmp_path):
+    config = load_scene(write_scene(tmp_path, CUBE_ON_STATIC_BLOCK))
+    block = config.objects[1]
+    assert block.motion == MotionSpec() and len(block.points) == 125
+    sim = Simulation(config)
+    weight = sim.objects[0].body.masses().sum() * -config.gravity[1]
+    for _ in range(20):
+        report = sim.step()
+        assert report.c_groups == 9  # the cube's 3 x 3 bottom vertices
+    assert report.lambda_n_sum == pytest.approx(weight, rel=1e-3)
+    assert sim.objects[1].pose_at(sim.time).rotation.tolist() == np.eye(3).tolist()
+    assert [check.passed for check in run_verification(config)] == [True, True, True]
+
+
+def test_rigid_commit_keeps_the_orientation_pen_after_read(tmp_path):
+    # the pose a step measures its end penetration at is the pose it commits
+    sim = Simulation(load_scene(write_scene(tmp_path, COUPLED_BALL)))
+    ball = next(obj for obj in sim.objects if obj.kind == "rigid")
+    measured, measure = [], sim.penetration
+
+    def recording(pairs, q_by_object, t):
+        measured.append(sim._views(q_by_object, t)[ball.oid].rotation)
+        return measure(pairs, q_by_object, t)
+
+    sim.penetration = recording
+    for _ in range(200):
+        sim.step()
+        assert quat_matrix(ball.quat).tobytes() == measured[-1].tobytes()
 
 
 def test_snapshot_round_trip(tmp_path):
