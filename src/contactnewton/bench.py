@@ -197,7 +197,7 @@ def summarize(rows: list[dict], spec: BenchSpec) -> str:
     lines = []
     lines.append(
         f"benchmark: {os.path.basename(spec.scene)}, "
-        f"{spec.newton_iterations} Newton x {spec.pgs_iterations} PGS iterations, "
+        f"{spec.newton_iterations} Newton x {spec.pgs_iterations} contact-solve iterations, "
         f"median of {spec.repetitions} steps after {spec.warmup} warmup"
     )
     header = (

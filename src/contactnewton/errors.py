@@ -28,8 +28,8 @@ class NonFiniteForceError(ContactNewtonError, ValueError):
 
 
 class NonFiniteStateError(ContactNewtonError, ValueError):
-    """A step would commit NaN or infinite positions or velocities, or PGS was
-    handed a NaN or infinite compliance or violation."""
+    """A step would commit NaN or infinite positions or velocities, or the
+    contact solve was handed a NaN or infinite compliance or violation."""
 
 
 class InvalidAttachmentError(ContactNewtonError, ValueError):

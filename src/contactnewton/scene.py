@@ -316,7 +316,7 @@ def _named(name, build, **kwargs):
 _TOP = {"gravity": ("gravity", _vec3), "dt": ("h", as_number),
         "threshold": ("threshold", as_number)}
 _FRICTION = {"mu": ("friction", as_number)}
-_PGS = {"iterations": ("max_iterations", as_count), "tolerance": ("tolerance", as_number)}
+_PGS = {"iterations": ("max_iterations", as_count)}
 _NEWTON = {"scheme": ("scheme", _as_is), "iterations": ("max_iterations", as_count),
            "penetration_tol": ("penetration_tol", as_number)}
 _OUTPUT = {"snapshots": ("snapshots", _as_is), "metrics": ("metrics", _as_is),
@@ -961,7 +961,7 @@ class Simulation:
         free = {}
         for obj in self.dynamic_objects:
             # the free motion is solved only on the rows the pairs read, and
-            # an overflow there is caught by the check below, before PGS
+            # an overflow there is caught by the check below, before the contact solve
             read = obj.read_dofs(pairs)
             with np.errstate(over="ignore", invalid="ignore"):
                 fm = compute_free_motion(

@@ -1,4 +1,4 @@
-"""The contact solve, by projected Gauss-Seidel, and the recursive correction schemes.
+"""The contact solve, by a semismooth Newton method, and the recursive correction schemes.
 
 The contact solve has one seam. :func:`prepare_solve` derives from W and h
 alone what the solve needs and is the one place W is checked; the Newton
@@ -9,92 +9,47 @@ residual, :func:`complementarity_residual` of lambda and ``delta_end``,
 which ``contactnewton verify`` prints. The loop, the reports, the benchmark
 and the checks read nothing else of the solve.
 
-PGS sweeps the contact groups in canonical order. Each visit solves one
-group's Signorini/Coulomb block with every other group frozen: the normal
-row is solved first (clamped at zero), then the tangential pair is solved
-exactly and projected onto the friction disk of radius mu * lambda_n. The
-sweep stops when the relative change of lambda drops below the configured
-tolerance.
+The solve finds the root of the Alart-Curnier function (Alart and Curnier,
+CMAME 92(3), 1991). With hW = h^2 W, delta = delta_base + hW lambda and, per
+group, its normal row n, its two tangential rows t and T = hW[t, t], the
+scaling rho = blockdiag(1 / hW[n, n], T^-1) is projected Gauss-Seidel's, so
+the root is PGS's fixed point:
 
-Everything in that block solve but the clamp and the projection is linear
-in lambda, so PGS's preparation, its :class:`Fold`, folds it into each
-group's rows. With hW = h^2 W, T = hW[t, t] the group's tangential 2 x 2
-block (t its two tangential rows, n its normal row), ``delta_base`` the
-free violation and P_g = blockdiag(-1 / hW[n, n], -T^-1) (zero in T^-1's
-place for a singular T), group g's folded (3, c + 1) block is
+  F(lambda) = lambda - Pi(y),   y = lambda - rho delta,
 
-  [(h^2 P_g) W[g's rows, :] | P_g delta_base[g's rows]]
+where :func:`local_solve` is Pi, group by group: zero unless y_n > 0, else
+(y_n, y_t) with y_t projected onto the friction disk of radius mu y_n.
+:func:`prepare_solve` makes M = rho hW, one batched product over the
+groups, and each call b = rho delta_base, so y = lambda - b - M lambda.
+Iteration k tests F at the iterate lambda_k, lambda_1 = 0. It stops,
+converged, once |F|_inf <= 1e-13 max |b| (F = 0 implies the Signorini
+and Coulomb conditions that ``verify`` checks), or at
+iteration ``PgsConfig.max_iterations``. Otherwise it takes the generalized
+Jacobian of F on the groups with y_n > 0, steps every other group to zero,
+makes one dense solve of the active block (``np.linalg.lstsq`` where
+``np.linalg.solve`` finds it singular, as for duplicated contacts) and
+halves the step until 1/2 |F|^2 falls by the Armijo fraction; when no
+halving lowers it, the solve stops unconverged. Lambda is Pi(y) of the last
+iterate, so lambda_n >= 0 exactly and |lambda_t| <= mu lambda_n to rounding;
+``PgsResult.work`` counts the evaluations of F, one :func:`local_solve` call
+each, which the benchmark's tracer counts through the module global.
 
-with its normal row's column n and its tangential rows' 3 group columns
-then zeroed: the normal row is -[hW[n, :] | delta_base[n]] / hW[n, n] and
-the tangential rows are -T^-1 [hW[t, :] | delta_base[t]]. Its constants
-are q = -T^-1 hW[t, n], the tangential rows' column n before it is
-zeroed, and det T. Lambda is held in one (c + 1) array that ends in 1, so
-one gemv of the block with it reads (a, b0, b1): a is the new lambda_n
-before the clamp, and b + q a the tangential stick trial, the lambda_t
-that zeroes the group's tangential gap at that lambda_n. The fold holds
-one tuple per group, its block's bound ``dot``, its constants and the
-offset 3g of its lambda entries, and the gemv writes into one 3-vector
-reused by every visit, which unpacks to Python floats through a
-memoryview. :func:`local_solve` maps those floats and the group's
-constants to its new lambda triple: zero unless a > 0, else (a, lambda_t)
-with lambda_t projected onto the disk. A group whose lambda changed
-replaces its triple in a list of float triples and writes its 3 entries
-into the array through a memoryview. Besides that gemv, only the stop test
-(``sqrt(x . x)``, what ``np.linalg.norm`` computes for a 1-D float array,
-of the first c entries and of their change since the previous sweep,
-taken into one reused buffer) and the final ``delta_end`` go through numpy.
-The fold is one batched product over all groups, (h^2 P) W, and each call
-one more, P delta_base; the sweep is bitwise equal to an array oracle that
-folds group by group with the same products and reads rows the same way
-(``tests/test_solver.py``). Against the unfolded block solve, which reads
-the group's violation and updates its lambda by increments, lambda differs
-at rounding level only. A group's new lambda is computed outright, not
-added to its old one as an increment, so the sweep can reach a fixed point
-where no bit of lambda changes, where the increments kept moving lambda by
-an ulp. The disk projection takes the tangential length as
-``abs(complex(lt0, lt1))``: CPython's complex ``abs`` calls the C library's
-``hypot``, as ``np.hypot`` does, at a fraction of a numpy call's cost
-(``math.hypot`` rounds differently), so it runs on every friction visit.
-
-A visit whose local solve provably returns zero again is skipped. A group at
-lambda = 0 gets zero back exactly when its read gives a <= 0 (or NaN). Let
-omega_g be the largest magnitude stored in the group's folded normal row,
-taken before its own entry (about 1) is zeroed, so it bounds every stored
-entry of that row by construction. Let ``moved`` be the sum of
-|d lambda|_1 over every lambda write of the call. Once a group read a_rec
-at lambda = 0 and got zero back with ``moved`` at m_rec, its exact a can
-since have risen by at most omega_g (moved - m_rec). So its visits are
-skipped while -a_rec - omega_g (moved - m_rec) exceeds the margin rho (|a_rec|
-+ omega_g m_rec) + 1e-300. Both reads use the same stored row, so the fold's
-own rounding is the same in both and enters only through omega_g. The margin
-covers the rounding of both row reads, each at most (c + 1) u (|f| + omega_g
-|lambda|_1) with u = 2^-53, f the row's folded delta_base entry and
-|lambda|_1 <= moved, and the rounding of ``moved``'s running sum, at most
-(writes) u moved. Hence rho = 8 u (c + 4 + groups x the sweep cap), the last
-term bounding the writes. The absolute term covers underflow. A skipped visit
-leaves lambda as the local solve would have, so lambda, the sweep count and
-``delta_end`` are bitwise those of the sweep that visits every group;
-``PgsResult.work`` counts the visits that ran.
-
-Errors are raised where they arise, naming the first bad group. The fold
-runs with numpy's floating-point warnings off and raises, in this order:
+Errors are raised where they arise, naming the first bad group.
+:func:`prepare_solve` runs with numpy's floating-point warnings off and
+raises, in this order:
 - :class:`NonFiniteStateError` for a time step whose square overflows (h^2
   scales W), and for NaN or infinity in W ("compliance row");
 - :class:`SingularBlockError` for hW[n, n] <= 0 ("normal compliance");
-- :class:`NonFiniteStateError` for a diagonal block of hW, det T or P that
-  a huge or tiny finite W or h overflowed, before the fold's product.
-Then :func:`pgs` raises, with numpy's overflow warnings off for the call:
+- :class:`NonFiniteStateError` for a diagonal block of hW, det T or rho that
+  a huge or tiny finite W or h overflowed.
+Then :func:`pgs` raises:
 - :class:`NonFiniteStateError` for NaN or infinity in delta_base
   ("violation"), before any product with it;
-- :class:`SingularBlockError` for det T <= 0, only at a visit that needs
-  T^-1, one with friction on and a > 0 (the fold gives such a group zero
-  tangential rows and constants);
-- :class:`NonFiniteStateError` at a visit whose tangential length
-  overflows a float (complex ``abs`` raises ``OverflowError`` where
-  ``np.hypot`` returned inf), and at the end of a sweep whose lambda or
-  change of lambda has a non-finite norm (a finite but huge delta_base or
-  lambda overflowed the folded violation, a row read or the norms).
+- :class:`SingularBlockError` for det T <= 0 at a group that needs T^-1,
+  one with friction on and y_n > 0 (rho reads zero in such a T^-1's place);
+- :class:`NonFiniteStateError` where a tangential trial's length overflows
+  a float, and where y or F is not finite (a finite but huge delta_base or
+  lambda overflowed a product).
 Every diagonal block is positive definite when each A side carries DOFs
 (detection pairs no pinned vertex).
 
@@ -132,9 +87,9 @@ previous move's normals equal D's first rows bit for bit; ``relinearize``
 builds frames from their normals, so equal normals would give equal
 frames. Kept, D stays the same object, ``max_frame_rotation`` is not
 called (the turn reads 0.0), both schemes' rebuilds return the kept W with
-no products or solves, and PGS takes the kept fold, which depends on W and
-h only: only its P delta_base column is recomputed, and lambda is bitwise
-that of a fresh fold. :func:`~contactnewton.constraints.rebuild_W_fast` is
+no products or solves, and the solve takes the kept preparation, which
+depends on W and h only: only b = rho delta_base is recomputed, and lambda
+is bitwise that of a fresh preparation. :func:`~contactnewton.constraints.rebuild_W_fast` is
 still called once per iteration, since the benchmark's tracer opens the
 fast iteration span there; the standard one opens at ``assemble_H``, in
 rebuilding iterations only. Otherwise the loop drops W and the preparation
@@ -199,18 +154,14 @@ SCHEMES = ("single", "standard", "fast")
 
 @dataclass
 class PgsConfig:
-    max_iterations: int = 30
-    tolerance: float = 1e-6
+    max_iterations: int = 30  # the contact solve's iterations (module docstring)
     friction: float = 0.5
 
     def __post_init__(self):
         self.max_iterations = as_number(self.max_iterations, "pgs.max_iterations", int)
-        self.tolerance = as_number(self.tolerance, "pgs.tolerance")
         self.friction = as_number(self.friction, "pgs.friction")
         if self.max_iterations < 1:
             raise ValidationError("pgs.max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValidationError("pgs.tolerance must be positive")
         if self.friction < 0:
             raise ValidationError("friction coefficient must be >= 0")
 
@@ -236,36 +187,31 @@ class NewtonConfig:
 
 
 @dataclass
-class Fold:
-    """PGS's preparation of W and h (module docstring); each :func:`pgs` call
-    writes its own P delta_base into column c of ``rows``."""
+class Scaled:
+    """The contact solve's preparation of W and h (module docstring)."""
 
-    rows: np.ndarray  # (groups, 3, c + 1) folded row blocks
-    P: np.ndarray  # (groups, 3, 3) blockdiag(-1 / hW[n, n], -T^-1)
-    groups: list  # (read, q0, q1, det, 3g) per group; read(lam, got) is rows[g].dot
-    omega: list  # omega_g per group
+    M: np.ndarray  # (c, c) rho h^2 W
+    rho: np.ndarray  # (groups, 3, 3) blockdiag(1 / hW[n, n], T^-1), zero for a singular T
+    det: np.ndarray  # (groups,) det T
 
 
 @dataclass
 class PgsResult:
     lam: np.ndarray
     delta_end: np.ndarray  # delta_base + h^2 W lam
-    iterations: int  # sweeps
-    converged: bool
-    work: int  # local_solve calls the sweeps made; skipped visits make none
+    iterations: int  # iterates whose F was tested, lambda = 0 the first
+    converged: bool  # |F|_inf reached the stop (module docstring)
+    work: int  # evaluations of F, one local_solve call each
     residual: float  # complementarity_residual(lam, delta_end, friction)
 
 
-_ZERO = (0.0, 0.0, 0.0)
-
-# The skip test's rounding margin (module docstring): rho = _SKIP_ROUNDING *
-# (c + 4 + groups x sweeps) relative, plus _SKIP_FLOOR absolute for underflow.
-_SKIP_ROUNDING = 8 * 2.0**-53
-_SKIP_FLOOR = 1e-300
+_STOP = 1e-13  # |F|_inf relative to max |rho delta_base|
+_ARMIJO = 1e-4  # the decrease of 1/2 |F|^2 a step must make, per unit step length
+_HALVINGS = 30  # step halvings tried before the solve stops
 
 
-def prepare_solve(W: np.ndarray, h: float) -> Fold:
-    """:func:`pgs`'s preparation of W and h, its :class:`Fold` (module docstring)."""
+def prepare_solve(W: np.ndarray, h: float) -> Scaled:
+    """:func:`pgs`'s preparation of W and h, M = rho h^2 W (module docstring)."""
     c = len(W)
     n_groups = c // 3
     if W.shape != (c, c) or c % 3:
@@ -276,8 +222,8 @@ def prepare_solve(W: np.ndarray, h: float) -> Fold:
     W3 = W.reshape(n_groups, 3, c)
     finite = np.isfinite(W3).all(axis=(1, 2))
     if not finite.all():
-        raise NonFiniteStateError(
-            f"group {int(np.argmin(finite))}: non-finite compliance row handed to PGS")
+        raise NonFiniteStateError(f"group {int(np.argmin(finite))}: non-finite compliance row "
+                                  "handed to the contact solve")
     groups = np.arange(n_groups)
     with np.errstate(all="ignore"):  # an overflow is refused below
         B = h2 * W3.reshape(n_groups, 3, n_groups, 3)[groups, :, groups]  # hW's diagonal blocks
@@ -287,28 +233,20 @@ def prepare_solve(W: np.ndarray, h: float) -> Fold:
             raise SingularBlockError(f"group {g}: normal compliance {W[3 * g, 3 * g]} not positive")
         t00, t01, t10, t11 = B[:, 1, 1], B[:, 1, 2], B[:, 2, 1], B[:, 2, 2]
         det = t00 * t11 - t01 * t10
-        den = np.where(det > 0, det, np.inf)  # a singular T's rows and q read 0
-        P = np.zeros((n_groups, 3, 3))  # blockdiag(-1 / hW[n, n], -T^-1)
-        P[:, 0, 0] = -1.0 / hWnn
-        P[:, 1, 1] = -t11 / den
-        P[:, 1, 2] = t01 / den
-        P[:, 2, 1] = t10 / den
-        P[:, 2, 2] = -t00 / den
+        den = np.where(det > 0, det, np.inf)  # a singular T's rows of rho read 0
+        rho = np.zeros((n_groups, 3, 3))
+        rho[:, 0, 0] = 1.0 / hWnn
+        rho[:, 1, 1] = t11 / den
+        rho[:, 1, 2] = -t01 / den
+        rho[:, 2, 1] = -t10 / den
+        rho[:, 2, 2] = t00 / den
         # an infinite entry of a tangential block makes det T inf or NaN
-        finite = np.isfinite(hWnn) & np.isfinite(det) & np.isfinite(P).all(axis=(1, 2))
+        finite = np.isfinite(hWnn) & np.isfinite(det) & np.isfinite(rho).all(axis=(1, 2))
         if not finite.all():
             raise NonFiniteStateError(f"group {int(np.argmin(finite))}: h^2 W's diagonal block "
                                       "or its inverse is not finite")
-        rows = np.empty((n_groups, 3, c + 1))
-        np.matmul(h2 * P, W3, out=rows[:, :, :c])
-        folded = rows[:, :, :c].reshape(n_groups, 3, n_groups, 3)  # a view of rows
-        omega = np.abs(rows[:, 0, :c]).max(axis=1, initial=0.0)
-    q0, q1 = folded[groups, 1, groups, 0], folded[groups, 2, groups, 0]
-    folded[groups, 0, groups, 0] = 0.0
-    folded[groups, 1:, groups, :] = 0.0
-    reads = [row.dot for row in rows]
-    return Fold(rows, P, list(zip(reads, q0.tolist(), q1.tolist(), det.tolist(), range(0, c, 3))),
-                omega.tolist())
+        M = np.matmul(h2 * rho, W3).reshape(c, c)
+    return Scaled(M, rho, det)
 
 
 def complementarity_residual(lam: np.ndarray, delta_end: np.ndarray, mu: float) -> float:
@@ -319,43 +257,85 @@ def complementarity_residual(lam: np.ndarray, delta_end: np.ndarray, mu: float) 
     return float(np.max([np.abs(np.minimum(dn, 0.0)), ln * dn, lt - mu * ln], initial=0.0))
 
 
-def local_solve(
-    a: float, b0: float, b1: float, q0: float, q1: float, det: float, mu: float
-) -> tuple[float, float, float]:
-    """One group's Signorini/Coulomb block solve with the others frozen.
-
-    ``(a, b0, b1)`` is the group's folded read and ``(q0, q1, det)`` its
-    constants (module docstring). The new lambda_n is ``a`` clamped at zero,
-    the stick trial b + q a is projected onto the friction disk. Returns the
-    group's new lambda. Raises ``OverflowError`` when the tangential
-    impulse's length overflows a float.
-    """
-    if not a > 0.0:  # also -0.0 and NaN
-        return _ZERO
+def local_solve(y: np.ndarray, det: np.ndarray, mu: float) -> np.ndarray:
+    """Pi of the (groups, 3) trial y, every group's Signorini/Coulomb projection:
+    zero unless y_n > 0, else (y_n, y_t) with y_t projected onto the disk of
+    radius mu y_n. ``det`` is each group's det T, refused where T^-1 was needed."""
+    out = np.zeros_like(y)
+    active = y[:, 0] > 0.0
+    out[:, 0] = np.where(active, y[:, 0], 0.0)
     if mu == 0.0:
-        return (a, 0.0, 0.0)
-    if not det > 0:
-        raise SingularBlockError("tangential block singular")
-    lt0 = b0 + q0 * a
-    lt1 = b1 + q1 * a
-    radius = mu * a
-    nt = abs(complex(lt0, lt1))  # C hypot, as np.hypot
-    if nt > radius:
-        scale = radius / nt
-        lt0 *= scale
-        lt1 *= scale
-    return (a, lt0, lt1)
+        return out
+    singular = active & ~(det > 0)
+    if singular.any():
+        raise SingularBlockError(f"group {int(np.argmax(singular))}: tangential block singular")
+    with np.errstate(over="ignore"):  # a radius past the float range projects nothing
+        length = np.hypot(y[:, 1], y[:, 2])
+        radius = mu * out[:, 0]
+    overflow = active & np.isinf(length)
+    if overflow.any():
+        raise NonFiniteStateError(f"group {int(np.argmax(overflow))}: tangential impulse "
+                                  "overflows in the local solve")
+    scale = np.divide(radius, length, out=np.ones_like(length), where=length > radius)
+    out[:, 1:] = np.where(active[:, None], y[:, 1:] * scale[:, None], 0.0)
+    return out
+
+
+def _projection_jacobian(y: np.ndarray, mu: float) -> np.ndarray:
+    """d Pi / d y at the (k, 3) trials y of active groups, as (k, 3, 3) blocks."""
+    G = np.zeros((len(y), 3, 3))
+    G[:, 0, 0] = 1.0
+    if mu == 0.0:
+        return G
+    length = np.hypot(y[:, 1], y[:, 2])
+    with np.errstate(over="ignore"):
+        slip = length > mu * y[:, 0]
+    G[~slip, 1, 1] = G[~slip, 2, 2] = 1.0
+    u = y[slip, 1:] / length[slip, None]
+    s = mu * y[slip, 0] / length[slip]
+    G[slip, 1:, 0] = mu * u
+    G[slip, 1:, 1:] = s[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None, :])
+    return G
+
+
+def _newton_step(M: np.ndarray, y: np.ndarray, lam: np.ndarray, F: np.ndarray,
+                 mu: float) -> np.ndarray:
+    """The Newton step at lam: groups with y_n <= 0 step to zero, the others
+    solve J = I - G + G M on their rows and columns, G = d Pi / d y block
+    diagonal, by one dense solve, or least squares where J is singular."""
+    active = y[0::3] > 0.0
+    step = -lam
+    if not active.any():
+        return step
+    G = _projection_jacobian(y.reshape(-1, 3)[active], mu)
+    k = len(G)
+    if active.all():
+        rows, M_rows, M_block = slice(None), M, M
+        rhs = -F
+    else:
+        rows = np.flatnonzero(np.repeat(active, 3))
+        M_rows = M[rows]
+        M_block = M_rows.T[rows].T  # the active columns, gathered as rows of the transpose
+        rest = lam.copy()
+        rest[rows] = 0.0  # the other groups' lambda, which the step zeroes
+        rhs = (G @ (M_rows @ rest).reshape(k, 3, 1)).ravel() - F[rows]
+    J = np.matmul(G, M_block.reshape(k, 3, 3 * k)).reshape(3 * k, 3 * k)
+    J[np.diag_indices(3 * k)] += 1.0
+    J.reshape(k, 3, k, 3)[np.arange(k), :, np.arange(k)] -= G
+    try:
+        step[rows] = np.linalg.solve(J, rhs)
+    except np.linalg.LinAlgError:  # a singular active block: redundant contacts
+        step[rows] = np.linalg.lstsq(J, rhs, rcond=None)[0]
+    return step
 
 
 def pgs(
-    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, fold: Fold
+    W: np.ndarray, delta_base: np.ndarray, h: float, config: PgsConfig, prepared: Scaled
 ) -> PgsResult:
-    """Sweep the groups until the relative lambda change drops below tolerance.
+    """Solve F(lambda) = 0 by semismooth Newton iterations (module docstring).
 
-    ``fold`` is :func:`prepare_solve` of the same W and h, new or kept; the
-    result is bitwise the same either way. Each visit is one gemv of the
-    group's folded rows and one :func:`local_solve`; visits that provably
-    leave a separated group at zero are skipped (module docstring).
+    ``prepared`` is :func:`prepare_solve` of the same W and h, new or kept;
+    the result is bitwise the same either way.
     """
     c = len(delta_base)
     if c == 0:
@@ -368,69 +348,49 @@ def pgs(
     finite = np.isfinite(delta3).all(axis=1)
     if not finite.all():
         raise NonFiniteStateError(
-            f"group {int(np.argmin(finite))}: non-finite violation handed to PGS")
-    groups, omega = fold.groups, fold.omega
-    got = np.empty(3)
-    got_items = memoryview(got)  # unpacks to Python floats
-    lam = np.zeros(c + 1)
-    lam[c] = 1.0
-    lam_items = memoryview(lam)  # writes single entries from Python floats
-    lam_groups = [_ZERO] * n_groups  # lam's groups as float triples
-    lam_now = lam[:c]
-    lam_prev = np.zeros(c)  # lam_now after the previous sweep
-    step = np.empty(c)  # lam_now - lam_prev
-    # the skip bound (module docstring): group g's visits are skipped while
-    # moved, the summed |d lambda|_1 of every write, is below skip_until[g]
-    rel = _SKIP_ROUNDING * (c + 4 + n_groups * config.max_iterations)
-    moved = 0.0
-    skip_until = [-math.inf] * n_groups
-    skipped = 0
-    converged = False
-    iterations = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # module docstring
-        fold.rows[:, :, c] = (fold.P @ delta3[:, :, None])[:, :, 0]
-        for _ in range(config.max_iterations):
+            f"group {int(np.argmin(finite))}: non-finite violation handed to the contact solve")
+    M, det = prepared.M, prepared.det
+    work = iterations = 0
+
+    def residual(lam):
+        """(y, Pi(y), F, 1/2 |F|^2) at lam."""
+        nonlocal work
+        y = lam - b - M @ lam
+        if not np.isfinite(y).all():
+            raise NonFiniteStateError(f"iteration {iterations}: the impulses' norm is not finite")
+        work += 1
+        proj = local_solve(y.reshape(n_groups, 3), det, mu).ravel()
+        F = lam - proj
+        merit = 0.5 * (F @ F)
+        if not math.isfinite(merit):
+            raise NonFiniteStateError(f"iteration {iterations}: the impulses' norm is not finite")
+        return y, proj, F, merit
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in residual
+        b = (prepared.rho @ delta3[:, :, None]).ravel()
+        lam = np.zeros(c)
+        y, proj, F, merit = residual(lam)
+        stop = _STOP * np.abs(b).max()
+        while True:
             iterations += 1
-            for g, (read, q0, q1, det, i) in enumerate(groups):
-                if moved < skip_until[g]:
-                    skipped += 1
-                    continue
-                read(lam, got)
-                a, b0, b1 = got_items
-                try:
-                    new = local_solve(a, b0, b1, q0, q1, det, mu)
-                except SingularBlockError as exc:
-                    raise SingularBlockError(f"group {g}: {exc}") from None
-                except OverflowError:
-                    raise NonFiniteStateError(
-                        f"group {g}: tangential impulse overflows in the local solve"
-                    ) from None
-                old = lam_groups[g]
-                if new != old:
-                    lam_groups[g] = new
-                    n0, n1, n2 = new
-                    o0, o1, o2 = old
-                    lam_items[i] = n0
-                    lam_items[i + 1] = n1
-                    lam_items[i + 2] = n2
-                    moved += abs(n0 - o0) + abs(n1 - o1) + abs(n2 - o2)
-                elif new is _ZERO:  # separated, and stays so until moved reaches the limit
-                    margin = rel * (abs(a) + omega[g] * moved) + _SKIP_FLOOR
-                    skip_until[g] = moved + (-a - margin) / omega[g]
-            np.subtract(lam_now, lam_prev, out=step)
-            num = math.sqrt(step.dot(step))  # np.linalg.norm of a 1-D float array
-            den = math.sqrt(lam_now.dot(lam_now))
-            if not num + den < math.inf:  # an overflow, or NaN
-                raise NonFiniteStateError(
-                    f"sweep {iterations}: the impulses' norm is not finite")
-            eps = 0.0 if num == 0.0 else (math.inf if den == 0.0 else num / den)
-            if eps <= config.tolerance:
-                converged = True
+            converged = np.abs(F).max() <= stop
+            if converged or iterations == config.max_iterations:
                 break
-            lam_prev[:] = lam_now
-        delta_end = delta_base + h * h * (W @ lam_now)
-        return PgsResult(lam_now, delta_end, iterations, converged, n_groups * iterations - skipped,
-                         complementarity_residual(lam_now, delta_end, mu))
+            step = _newton_step(M, y, lam, F, mu)
+            t = 1.0
+            for _ in range(_HALVINGS):
+                trial = lam + t * step
+                evaluated = residual(trial)
+                if evaluated[3] <= (1.0 - 2.0 * _ARMIJO * t) * merit:
+                    break
+                t *= 0.5
+            else:
+                break  # no step lowers |F|: rounding level
+            lam = trial
+            y, proj, F, merit = evaluated
+        delta_end = delta_base + h * h * (W @ proj)
+        return PgsResult(proj, delta_end, iterations, bool(converged), work,
+                         complementarity_residual(proj, delta_end, mu))
 
 
 # --- recursive correction schemes ----------------------------------------------

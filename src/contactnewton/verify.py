@@ -31,7 +31,7 @@ from .solver import (NewtonConfig, PgsConfig, StepContext, newton_fast, newton_s
 
 IDENTITY_RTOL = 1e-9
 EQUIVALENCE_RTOL = 1e-8
-COMPLEMENTARITY_PGS = dict(max_iterations=200, tolerance=1e-6)
+COMPLEMENTARITY_PGS = dict(max_iterations=200)
 
 
 @dataclass
@@ -94,7 +94,7 @@ def check_complementarity(config: SceneConfig, ctx: StepContext) -> CheckResult:
         "complementarity",
         bool(ok.all()),
         f"{len(ctx.pairs)} groups, worst residual {res.residual:.3e} "
-        f"(converged={res.converged} in {res.iterations} sweeps)",
+        f"(converged={res.converged} in {res.iterations} iterations)",
     )
 
 
@@ -107,7 +107,7 @@ def check_scheme_equivalence(config: SceneConfig, ctx: StepContext) -> CheckResu
     increments, which both schemes end with the same final solve.
     """
     ncfg = dict(max_iterations=4, penetration_tol=-1.0)
-    pcfg = PgsConfig(max_iterations=150, tolerance=1e-10, friction=config.pgs.friction)
+    pcfg = PgsConfig(max_iterations=150, friction=config.pgs.friction)
     if not ctx.pairs:
         return CheckResult("scheme-equivalence", False, "scene has no contacts")
     std = newton_standard(ctx, NewtonConfig(scheme="standard", **ncfg), pcfg)

@@ -7,8 +7,9 @@
 every dynamic object, lambda, the frames, ``pen_before``, ``pen_after`` and
 the counts of the step: its contact groups, its Newton exit and, per Newton
 iteration, the contact solve's iterations, work and convergence (PGS's
-sweeps, local solves and verdict, in the layout of trees that named them
-``pgs_*``, so that their fingerprints compare too). A case is a scene
+sweeps, local solves and verdict in trees before the Newton solve, in the
+layout of trees that named them ``pgs_*``, so that their fingerprints
+compare too). A case is a scene
 under one scheme (``single``, ``standard`` or ``fast``) with the scene's own
 Newton tolerances or with forced iterations (4, with a negative penetration
 tolerance). The scenes are the shipped ones and the test scenes
@@ -20,7 +21,10 @@ with ``PYTHONPATH`` pointing at the other tree's ``src``.
 
 ``--compare`` prints one line per case: ``bitwise``; ``rounding (max
 relative X)`` when every count agrees and every float agrees to
-``ROUNDING_RTOL`` relative to its field's magnitude; else ``differs``. Each
+``ROUNDING_RTOL`` relative to its field's magnitude in that step, or to
+``ABSOLUTE_FLOOR`` where the field is smaller (a resting contact's
+``pen_after`` is rounding noise about 1e-17 m, or exactly 0.0); else
+``differs``. Each
 line that is not ``bitwise`` names the first step and field that differ. It
 exits with 1 if a case differs or is missing on one side.
 """
@@ -42,6 +46,7 @@ SCHEMES = ("single", "standard", "fast")
 TOLERANCES = ("scene", "forced")
 FORCED_ITERATIONS = 4
 ROUNDING_RTOL = 1e-8
+ABSOLUTE_FLOOR = 1e-6  # the least magnitude a field is scaled by, in its SI unit (m, m/s, N s)
 
 
 def _test_scenes() -> dict[str, str]:
@@ -135,7 +140,8 @@ def compare_case(a: list[dict], b: list[dict]) -> str:
             exact = False
             first = first or where
             with np.errstate(invalid="ignore", over="ignore"):
-                scale = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0), 1e-300)
+                scale = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0),
+                            ABSOLUTE_FLOOR)
                 rel = float(np.abs(x - y).max(initial=0.0)) / scale
             worst = max(worst, np.inf if np.isnan(rel) else rel)
     if exact:

@@ -3,7 +3,7 @@ import json
 
 import fingerprint
 
-# a kept W_g across steps and a kept W and fold within a step (the column and
+# a kept W_g across steps and a kept W and preparation within a step (the column and
 # the block on its plane), re-linearized frames every iteration (soft-soft),
 # turning plates, a rigid ball and every scheme
 CASES = ["bench_column-fast-forced", "block_on_plane-fast-scene", "two_body_press-fast-forced",
@@ -40,6 +40,19 @@ def test_compare_names_the_first_difference():
     assert changed(0, "counts", [0, "penetration", []]).startswith(
         "differs (first at step 0, counts")
     assert fingerprint.compare_case(steps, steps[:1]) == "differs (2 against 1 steps)"
+
+
+def test_noise_near_zero_reads_as_rounding():
+    # a field that is rounding noise near zero, as a resting contact's
+    # pen_after is, is scaled by the absolute floor, not by its own size
+    steps = fingerprint.fingerprint(["point_mass-fast-scene"], 1)["cases"]["point_mass-fast-scene"]
+    a, b = copy.deepcopy(steps), copy.deepcopy(steps)
+    a[0]["pen_after"] = fingerprint._array(0.0)
+    b[0]["pen_after"] = fingerprint._array(6.9e-18)
+    assert fingerprint.compare_case(a, b) == (
+        "rounding (max relative 6.900e-12; first at step 0, pen_after)")
+    b[0]["pen_after"] = fingerprint._array(1e-12)  # 1e-12 m above the floor's rounding
+    assert fingerprint.compare_case(a, b).startswith("differs (max relative 1.000e-06")
 
 
 def test_command_line_round_trip(tmp_path, capsys):

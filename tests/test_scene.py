@@ -37,7 +37,7 @@ GROUND = "objects: [{name: ground, type: plane}]\n"
 MIXED_SCENE = """\
 dt: 0.01
 threshold: 0.01
-pgs: {iterations: 100, tolerance: 1.0e-6}
+pgs: {iterations: 100}
 newton: {scheme: fast, iterations: 3, penetration_tol: 1.0e-7}
 objects:
   - name: block
@@ -155,7 +155,9 @@ NON_FINITE = {
     "threshold-nan": (GROUND + "threshold: .nan\n", "threshold:"),
     "dt-nan": (GROUND + "dt: .nan\n", "dt:"),
     "mu-nan": (GROUND + "mu: .nan\n", "mu:"),
-    "pgs-tolerance-nan": (GROUND + "pgs: {tolerance: .nan}\n", "pgs.tolerance:"),
+    # the key of PGS's relative-change stop, removed with PGS: an old scene
+    # file is refused as naming an unknown key before its value is read
+    "pgs-tolerance-nan": (GROUND + "pgs: {tolerance: .nan}\n", "pgs: unknown key 'tolerance'"),
     "newton-penetration-tol-nan": (GROUND + "newton: {penetration_tol: .nan}\n",
                                    "newton.penetration_tol:"),
     "gravity-inf": (GROUND + "gravity: [0, -.inf, 0]\n", "gravity:"),
@@ -345,7 +347,7 @@ def test_minimal_scene_loads_the_readme_defaults(tmp_path):
         "{name: ground, type: plane}]\n")))
     assert (config.gravity, config.h, config.threshold) == ((0.0, -9.81, 0.0), 0.01, 0.01)
     pgs, newton, output = config.pgs, config.newton, config.output
-    assert (pgs.max_iterations, pgs.tolerance, pgs.friction) == (30, 1e-6, 0.5)
+    assert (pgs.max_iterations, pgs.friction) == (30, 0.5)
     assert (newton.scheme, newton.max_iterations, newton.penetration_tol) == ("single", 5, 1e-5)
     assert (output.snapshots, output.metrics, output.every) == (True, True, 1)
     block, ball, plate, ground = config.objects
@@ -400,10 +402,10 @@ def test_huge_or_tiny_direction_steps_as_its_twin(tmp_path, vector, twin):
 # finite time step or node mass overflows the system matrix and the
 # right-hand side, which is reported by the right-hand side's finite check;
 # a lone node with no gravity and no Rayleigh terms keeps both finite, and
-# PGS reports the overflowed h^2; a box side of 1e-300 overflows the
+# the contact solve reports the overflowed h^2; a box side of 1e-300 overflows the
 # products of its tets' gradients, reported with the body's name by the
 # stiffness's finite check; a huge gravity or collider motion centre gives
-# a violation whose impulses' norm overflows, reported by PGS's stop test;
+# a violation whose impulses' norm overflows, reported by the contact solve;
 # a tiny node mass or a huge Rayleigh mass term overflows h^2 W's diagonal
 # block or its inverse, reported by the solve's preparation; a huge gravity
 # on soft B triangles overflows their normals, reported by element_normals;
@@ -789,7 +791,10 @@ def test_step_reports_system_solves():
     contact_dofs = 3 * len(set(sim.last_pairs.a.nodes[:, 0].tolist()))
     assert fast[0].system_solves == 2 + contact_dofs
     assert [r.system_solves for r in fast[1:]] == [2, 2, 2]
-    sim = Simulation(replace(config, newton=replace(config.newton, scheme="standard")))
+    # a negative tolerance forces the scene's 5 iterations: the converged
+    # contact solve leaves nothing for a second one to correct
+    sim = Simulation(replace(config, newton=replace(config.newton, scheme="standard",
+                                                    penetration_tol=-1.0)))
     for r in (sim.step() for _ in range(4)):
         # the free motion, one solve per row of W in each iteration that
         # rebuilds it (the plane's normals repeat, so only the first does),
@@ -801,14 +806,17 @@ def test_step_reports_system_solves():
 
 def test_step_reports_newton_exit_and_pgs_convergence():
     # the loop stops once the worst geometric gap after the move is within
-    # the tolerance: at once at the scene's, in the third iteration at 0.0,
-    # when no pair is left penetrating
+    # the tolerance: at once at the scene's, in the second iteration at 0.0,
+    # when no pair is left penetrating. A contact solve capped at one
+    # iteration tests only lambda = 0 and stops unconverged on its projection,
+    # each group's impulse as if it were alone, which overshoots the resting
+    # block's coupled contacts out of the plane
     config = load_scene(SCENES / "block_on_plane.scn")
     cases = [
         (dict(), {}, "penetration", 1, True),
-        (dict(max_iterations=5, penetration_tol=0.0), {}, "penetration", 3, True),
+        (dict(max_iterations=5, penetration_tol=0.0), {}, "penetration", 2, True),
         (dict(max_iterations=1, penetration_tol=0.0), dict(max_iterations=1),
-         "max_iterations", 1, False),
+         "penetration", 1, False),
     ]
     for newton, pgs, exit_reason, iterations, converged in cases:
         cfg = replace(config, newton=replace(config.newton, scheme="fast", **newton),
@@ -1198,9 +1206,9 @@ ONE_SOLVE_CASES = {
 
 @pytest.mark.parametrize("case", ONE_SOLVE_CASES.values(), ids=ONE_SOLVE_CASES.keys())
 def test_one_final_solve_matches_two_solves(tmp_path, monkeypatch, case):
-    # step by step along the run: PGS, stopped at a relative lambda change of
-    # 1e-6, lets rounding differences grow between steps (to 7e-10 relative
-    # after 10 steps of grasp_rotate), so each step starts both ways from the
+    # step by step along the run: rounding differences grow between steps
+    # (to 7e-10 relative after 10 steps of grasp_rotate under PGS, stopped at
+    # a relative lambda change of 1e-6), so each step starts both ways from the
     # same state; a state of size 0 is compared against its size at the start
     sim = Simulation(case(tmp_path))
     scales = [(np.abs(q).max(), np.abs(v).max())
