@@ -352,15 +352,8 @@ def test_verify_check_passes_on_shipped_scene(scene, check):
 
 def test_scheme_equivalence_fails_when_fast_keeps_its_detection_frame_W(monkeypatch):
     # the check runs re-linearized iterations, so a fast rebuild that ignores
-    # the turned directions must fail it where those iterations carry force:
-    # at grasp_rotate's 12th step, whose first iteration leaves the cube
-    # 4.9 mm inside a plate (the converged first solve of its first step
-    # leaves nothing for the later iterations to correct)
-    config = load_scene(SCENES / "grasp_rotate.scn")
-    sim = Simulation(config)
-    for _ in range(11):
-        sim.step()
-    ctx = sim.prepare_step().ctx
+    # the turned directions must fail it on the shipped scenes whose frames
+    # turn after the first move (the plane and point scenes' do not)
     kept = []
 
     def detection_frame_W(D, wg, last=None, _rebuild=solver.rebuild_W_fast):
@@ -368,10 +361,11 @@ def test_scheme_equivalence_fails_when_fast_keeps_its_detection_frame_W(monkeypa
             kept.append(_rebuild(D, wg))
         return kept[0]
 
-    assert check_scheme_equivalence(config, ctx).passed
     monkeypatch.setattr(solver, "rebuild_W_fast", detection_frame_W)
-    result = check_scheme_equivalence(config, ctx)
-    assert len(kept) == 1 and not result.passed, result.detail
+    for scene in ("grasp_rotate.scn", "two_body_press.scn"):
+        kept.clear()
+        result = check_scheme_equivalence(*prepared(SCENES / scene))
+        assert len(kept) == 1 and not result.passed, (scene, result.detail)
 
 
 def complementarity_reference(config, ctx):
