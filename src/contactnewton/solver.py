@@ -309,12 +309,16 @@ def _newton_step(M: np.ndarray, y: np.ndarray, lam: np.ndarray, F: np.ndarray,
         return step
     G = _projection_jacobian(y.reshape(-1, 3)[active], mu)
     k = len(G)
-    rows = np.flatnonzero(np.repeat(active, 3))
-    M_rows = M[rows]
-    M_block = M_rows.T[rows].T  # the active columns, gathered as rows of the transpose
-    rest = lam.copy()
-    rest[rows] = 0.0  # the other groups' lambda, which the step zeroes
-    rhs = (G @ (M_rows @ rest).reshape(k, 3, 1)).ravel() - F[rows]
+    if active.all():  # as in bench_column's solves, where gathering M's rows and
+        rows, M_block = slice(None), M  # columns would about double the solve's time
+        rhs = -F
+    else:
+        rows = np.flatnonzero(np.repeat(active, 3))
+        M_rows = M[rows]
+        M_block = M_rows.T[rows].T  # the active columns, gathered as rows of the transpose
+        rest = lam.copy()
+        rest[rows] = 0.0  # the other groups' lambda, which the step zeroes
+        rhs = (G @ (M_rows @ rest).reshape(k, 3, 1)).ravel() - F[rows]
     J = np.matmul(G, M_block.reshape(k, 3, 3 * k)).reshape(3 * k, 3 * k)
     J[np.diag_indices(3 * k)] += 1.0
     J.reshape(k, 3, k, 3)[np.arange(k), :, np.arange(k)] -= G
