@@ -24,9 +24,10 @@ groups, and each call b = rho delta_base, so y = lambda - b - M lambda.
 Iteration k tests F at the iterate lambda_k, lambda_1 = 0. It stops,
 converged, once |F|_inf <= 1e-13 max |b| (F = 0 implies the Signorini
 and Coulomb conditions that ``verify`` checks), or at
-iteration ``PgsConfig.max_iterations``. Otherwise it takes the generalized
-Jacobian of F on the groups with y_n > 0, steps every other group to zero,
-makes one dense solve of the active block (``np.linalg.lstsq`` where
+iteration ``PgsConfig.max_iterations``. Otherwise it differentiates the
+one classification :func:`local_solve` made of the iterate (each group
+separated, stuck or sliding), steps the separated groups to zero, makes one
+dense solve of the others' block (``np.linalg.lstsq`` where
 ``np.linalg.solve`` finds it singular, as for duplicated contacts) and
 halves the step until 1/2 |F|^2 falls by the Armijo fraction; when no
 halving lowers it, the solve stops unconverged. Lambda is Pi(y) of the last
@@ -257,15 +258,17 @@ def complementarity_residual(lam: np.ndarray, delta_end: np.ndarray, mu: float) 
     return float(np.max([np.abs(np.minimum(dn, 0.0)), ln * dn, lt - mu * ln], initial=0.0))
 
 
-def local_solve(y: np.ndarray, det: np.ndarray, mu: float) -> np.ndarray:
+def local_solve(y: np.ndarray, det: np.ndarray, mu: float) -> tuple[np.ndarray, tuple]:
     """Pi of the (groups, 3) trial y, every group's Signorini/Coulomb projection:
     zero unless y_n > 0, else (y_n, y_t) with y_t projected onto the disk of
-    radius mu y_n. ``det`` is each group's det T, refused where T^-1 was needed."""
+    radius mu y_n. ``det`` is each group's det T, refused where T^-1 was needed.
+    Returns Pi(y) and the classification that made it, which :func:`_newton_step`
+    differentiates: (y_n > 0, |y_t| > mu y_n, |y_t|), the last two None for mu = 0."""
     out = np.zeros_like(y)
     active = y[:, 0] > 0.0
     out[:, 0] = np.where(active, y[:, 0], 0.0)
     if mu == 0.0:
-        return out
+        return out, (active, None, None)
     singular = active & ~(det > 0)
     if singular.any():
         raise SingularBlockError(f"group {int(np.argmax(singular))}: tangential block singular")
@@ -276,39 +279,32 @@ def local_solve(y: np.ndarray, det: np.ndarray, mu: float) -> np.ndarray:
     if overflow.any():
         raise NonFiniteStateError(f"group {int(np.argmax(overflow))}: tangential impulse "
                                   "overflows in the local solve")
-    scale = np.divide(radius, length, out=np.ones_like(length), where=length > radius)
+    slip = length > radius
+    scale = np.divide(radius, length, out=np.ones_like(length), where=slip)
     out[:, 1:] = np.where(active[:, None], y[:, 1:] * scale[:, None], 0.0)
-    return out
-
-
-def _projection_jacobian(y: np.ndarray, mu: float) -> np.ndarray:
-    """d Pi / d y at the (k, 3) trials y of active groups, as (k, 3, 3) blocks."""
-    G = np.zeros((len(y), 3, 3))
-    G[:, 0, 0] = 1.0
-    if mu == 0.0:
-        return G
-    length = np.hypot(y[:, 1], y[:, 2])
-    with np.errstate(over="ignore"):
-        slip = length > mu * y[:, 0]
-    G[~slip, 1, 1] = G[~slip, 2, 2] = 1.0
-    u = y[slip, 1:] / length[slip, None]
-    s = mu * y[slip, 0] / length[slip]
-    G[slip, 1:, 0] = mu * u
-    G[slip, 1:, 1:] = s[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None, :])
-    return G
+    return out, (active, slip, length)
 
 
 def _newton_step(M: np.ndarray, y: np.ndarray, lam: np.ndarray, F: np.ndarray,
-                 mu: float) -> np.ndarray:
-    """The Newton step at lam: groups with y_n <= 0 step to zero, the others
-    solve J = I - G + G M on their rows and columns, G = d Pi / d y block
-    diagonal, by one dense solve, or least squares where J is singular."""
-    active = y[0::3] > 0.0
+                 classes: tuple, mu: float) -> np.ndarray:
+    """The Newton step at lam from :func:`local_solve`'s ``classes`` of y: inactive
+    groups step to zero, the others solve J = I - G + G M on their rows and columns,
+    G = d Pi / d y block diagonal, by one dense solve, or least squares where J is singular."""
+    active, slip, length = classes
     step = -lam
     if not active.any():
         return step
-    G = _projection_jacobian(y.reshape(-1, 3)[active], mu)
-    k = len(G)
+    y = y.reshape(-1, 3)[active]
+    k = len(y)
+    G = np.zeros((k, 3, 3))
+    G[:, 0, 0] = 1.0
+    if mu != 0.0:
+        slip, length = slip[active], length[active]
+        G[~slip, 1, 1] = G[~slip, 2, 2] = 1.0
+        u = y[slip, 1:] / length[slip, None]
+        s = mu * y[slip, 0] / length[slip]
+        G[slip, 1:, 0] = mu * u
+        G[slip, 1:, 1:] = s[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None, :])
     if active.all():  # as in bench_column's solves, where gathering M's rows and
         rows, M_block = slice(None), M  # columns would about double the solve's time
         rhs = -F
@@ -353,30 +349,31 @@ def pgs(
     work = iterations = 0
 
     def residual(lam):
-        """(y, Pi(y), F, 1/2 |F|^2) at lam."""
+        """(y, Pi(y), F, 1/2 |F|^2, local_solve's classification of y) at lam."""
         nonlocal work
         y = lam - b - M @ lam
         if not np.isfinite(y).all():
             raise NonFiniteStateError(f"iteration {iterations}: the impulses' norm is not finite")
         work += 1
-        proj = local_solve(y.reshape(n_groups, 3), det, mu).ravel()
+        proj, classes = local_solve(y.reshape(n_groups, 3), det, mu)
+        proj = proj.ravel()
         F = lam - proj
         merit = 0.5 * (F @ F)
         if not math.isfinite(merit):
             raise NonFiniteStateError(f"iteration {iterations}: the impulses' norm is not finite")
-        return y, proj, F, merit
+        return y, proj, F, merit, classes
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in residual
         b = (prepared.rho @ delta3[:, :, None]).ravel()
         lam = np.zeros(c)
-        y, proj, F, merit = residual(lam)
+        y, proj, F, merit, classes = residual(lam)
         stop = _STOP * np.abs(b).max()
         while True:
             iterations += 1
             converged = np.abs(F).max() <= stop
             if converged or iterations == config.max_iterations:
                 break
-            step = _newton_step(M, y, lam, F, mu)
+            step = _newton_step(M, y, lam, F, classes, mu)
             t = 1.0
             for _ in range(_HALVINGS):
                 trial = lam + t * step
@@ -387,7 +384,7 @@ def pgs(
             else:
                 break  # no step lowers |F|: rounding level
             lam = trial
-            y, proj, F, merit = evaluated
+            y, proj, F, merit, classes = evaluated
         delta_end = delta_base + h * h * (W @ proj)
         return PgsResult(proj, delta_end, iterations, bool(converged), work,
                          complementarity_residual(proj, delta_end, mu))

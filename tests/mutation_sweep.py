@@ -4,7 +4,7 @@
 
 A mutation replaces one mapping value or list entry, at any depth, of
 ``block_on_plane``, ``point_mass``, ``grasp_rotate`` or ``two_body_press``
-with one of the 33 :data:`VALUES`: 241 sites, so 7953 mutations. Each is
+with one of the 33 :data:`VALUES`: 237 sites, so 7821 mutations. Each is
 written to a temporary directory, with mesh file paths made absolute, so
 nothing is written under ``scenes/``. It is loaded, its ``Simulation`` built
 and 2 steps made, with warnings as errors and a 30 s alarm, in this one
