@@ -14,12 +14,13 @@ read (each runtime's ``read_dofs``), and the step's final solve, one per
 body, gives the whole velocity increment, free motion and correction
 together. A failed step leaves the previous state untouched.
 
+The simulation keeps the last committed step's :class:`~.solver.StepContext`.
 The signed mappings S, and under the fast scheme W_g and X_o, are rebuilt
-only when a step's attachments differ from the previous committed step's
-(each side's object ids, node ids, weights and lever arms, compared byte
-for byte) or, for W_g and X_o, when its factorizations are other objects
-(a rigid body factors anew each step). Otherwise the step takes that
-step's arrays, read-only and bit for bit what a rebuild would compute.
+only when a step's attachments differ from that step's (each side's object
+ids, node ids, weights and lever arms, compared byte for byte) or, for W_g
+and X_o, when its factorizations are other objects (a rigid body factors
+anew each step). Otherwise the step takes the kept context's arrays,
+read-only and bit for bit what a rebuild would compute.
 Nothing that depends on the frames D crosses a step: the Newton loop builds
 D, W and W's preparation for the contact solve in every step, within it.
 
@@ -847,23 +848,16 @@ class StepReport:
         return sum(it.correction_time for it in self.iterations)
 
 
-@dataclass(frozen=True)
-class _Mapping:
-    """A step's signed mappings and, under the fast scheme, its read-only W_g
-    and (J, X_o) by object, with what they were built from."""
-
-    attachments: tuple  # from _attachments, compared byte for byte
-    S_by_object: dict
-    F_by_object: dict  # the step's factorizations, compared with `is`
-    wg: np.ndarray | None = None
-    X_by_object: dict | None = None
-
-
 def _attachments(pairs) -> tuple:
     """What the signed mappings are built from, as bytes: each side's object
     ids, node ids, weights and lever arms."""
     return tuple(arr.tobytes() for side in (pairs.a, pairs.b)
                  for arr in (side.object_id, side.nodes, side.weights, side.lever))
+
+
+def _views(objects, q_by_object, t) -> dict:
+    """Each object's view at positions ``q_by_object`` and time ``t``, by object id."""
+    return {obj.oid: obj.view(q_by_object, t) for obj in objects}
 
 
 def _same_objects(x: dict, y: dict) -> bool:
@@ -878,8 +872,7 @@ class PreparedStep:
     pen_before: float  # penetration of the detected pairs at the free positions
     solves_before: int  # solve_count of the step's factorizations before the free motion
     timings: dict  # seconds per phase, keyed by StepReport's t_detect ... t_build_wg
-    mapping: _Mapping  # kept for the next step once this one commits
-    mapping_reused: bool  # the mapping is the previous step's
+    mapping_reused: bool  # S (and under the fast scheme W_g, X_o) are the kept step's
 
 
 # --- simulation ------------------------------------------------------------------
@@ -907,7 +900,8 @@ class Simulation:
         self.last_pairs = collision.Contacts.empty()
         self.last_frames = np.zeros((0, 3, 3))
         self.last_lam = np.zeros(0)
-        self._mapping = None  # the last committed step's _Mapping, if none has missed it since
+        # the last committed step's StepContext, if no step has missed its attachments since
+        self._kept = None
 
     @property
     def dynamic_objects(self):
@@ -915,9 +909,6 @@ class Simulation:
 
     def total_dofs(self) -> int:
         return sum(o.body.n_dofs for o in self.dynamic_objects)
-
-    def _views(self, q_by_object, t):
-        return {obj.oid: obj.view(q_by_object, t) for obj in self.objects}
 
     def detect(self, states, t):
         """The contacts at dynamic ``states`` and time ``t``, with their detection frames."""
@@ -930,15 +921,19 @@ class Simulation:
         (0.0 without pairs): geometric, so a stale-direction scheme cannot grade itself."""
         if not len(pairs):
             return 0.0
-        return collision.penetration(collision.signed_gaps(pairs, self._views(q_by_object, t)))
+        views = _views(self.objects, q_by_object, t)
+        return collision.penetration(collision.signed_gaps(pairs, views))
 
     def prepare_step(self) -> PreparedStep:
         """Run the pre-correction pipeline (detect through free violation).
 
         Commits nothing, though a step whose attachments differ drops the
-        kept mapping; the correction scheme and integration consume the
-        record. Exposed so the verification command can probe the exact
-        operators a step would use.
+        kept context; the correction scheme and integration consume the
+        record. The step's S is the kept (last committed) context's when
+        the attachments repeat, and under the fast scheme so are its W_g
+        and X_o when the factorizations are the same objects too. Exposed
+        so the verification command can probe the exact operators a step
+        would use.
         """
         cfg = self.config
         h = cfg.h
@@ -975,14 +970,13 @@ class Simulation:
             free[obj.oid] = fm
         t_free = time.perf_counter()
 
-        previous = self._mapping
-        attachments = _attachments(pairs)
-        if previous is not None and previous.attachments == attachments:
-            S = previous.S_by_object
+        kept = self._kept
+        if kept is not None and _attachments(kept.pairs) == _attachments(pairs):
+            S = kept.S_by_object
         else:
-            # a step that misses drops the kept mapping, which no later step
+            # a step that misses drops the kept context, which no later step
             # can match, so its arrays are freed before the new ones are built
-            previous = self._mapping = None
+            kept = self._kept = None
             S = {
                 obj.oid: build_signed_mapping(
                     pairs, obj.oid, obj.body.n_dofs, obj.body.fixed_mask
@@ -990,16 +984,18 @@ class Simulation:
                 for obj in self.dynamic_objects
             }
 
+        objects = self.objects  # not self: the kept context must not hold the simulation
+
         def refresh(dq):
             q_by_object = {oid: fm.q_free + dq.get(oid, 0.0) for oid, fm in free.items()}
-            return collision.proximity(pairs, self._views(q_by_object, t_next))
+            return collision.proximity(pairs, _views(objects, q_by_object, t_next))
 
         at_free = refresh({})
         pen_before = collision.penetration(at_free.gaps)
         ctx = StepContext(
             pairs=pairs,
             detection_frames=frames,
-            S_by_object=dict(S),
+            S_by_object=S,
             F_by_object=factorizations,
             r0=at_free.r,
             h=h,
@@ -1008,19 +1004,16 @@ class Simulation:
         )
         t_constraints = time.perf_counter()
 
-        wg = X = None
-        reused = previous is not None
+        reused = kept is not None
         if cfg.newton.scheme == "fast":
-            reused = (reused and previous.wg is not None
-                      and _same_objects(previous.F_by_object, factorizations))
+            reused = (reused and kept.wg is not None
+                      and _same_objects(kept.F_by_object, factorizations))
             if reused:
-                wg, X = previous.wg, previous.X_by_object
+                ctx.wg, ctx.X_by_object = kept.wg, kept.X_by_object
             else:
-                wg, X = assemble_Wg(S, factorizations)
-                for array in (wg, *(a for JX in X.values() for a in JX)):
+                ctx.wg, ctx.X_by_object = assemble_Wg(S, factorizations)
+                for array in (ctx.wg, *(a for JX in ctx.X_by_object.values() for a in JX)):
                     array.flags.writeable = False
-            ctx.wg, ctx.X_by_object = wg, dict(X)
-        mapping = _Mapping(attachments, S, dict(factorizations), wg, X)
         timings = {
             "t_detect": t_detect - t_begin,
             "t_assemble": t_assemble - t_detect,
@@ -1028,7 +1021,7 @@ class Simulation:
             "t_constraints": t_constraints - t_free,
             "t_build_wg": time.perf_counter() - t_constraints,
         }
-        return PreparedStep(ctx, pen_before, solves_before, timings, mapping, reused)
+        return PreparedStep(ctx, pen_before, solves_before, timings, reused)
 
     def step(self) -> StepReport:
         t_begin = time.perf_counter()
@@ -1067,7 +1060,7 @@ class Simulation:
         self.last_pairs = ctx.pairs
         self.last_frames = result.frames
         self.last_lam = lam = result.lam
-        self._mapping = prep.mapping
+        self._kept = ctx
 
         lam_groups = lam.reshape(-1, 3) if lam.size else np.zeros((0, 3))
         lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)

@@ -33,7 +33,7 @@ from contactnewton.errors import (
     InvalidAttachmentError,
 )
 from contactnewton.mesh import box_mesh, surface_triangles, surface_vertices
-from contactnewton.scene import Simulation, load_scene
+from contactnewton.scene import Simulation, _views, load_scene
 from pairs_reference import (
     AttachKind,
     Attachment,
@@ -1259,7 +1259,7 @@ def both_ways_penetration(sim):
     point is the foot of their perpendicular, |signed distance| = |gap|.
     """
     states = {obj.oid: obj.state for obj in sim.dynamic_objects}
-    views = sim._views({oid: state.q for oid, state in states.items()}, sim.time)
+    views = _views(sim.objects, {oid: state.q for oid, state in states.items()}, sim.time)
     meshes = [g for g in (obj.geometry(states, sim.time) for obj in sim.objects)
               if isinstance(g, MeshGeometry)]
     worst = np.zeros((2, 2))

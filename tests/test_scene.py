@@ -600,7 +600,7 @@ def test_rigid_commit_keeps_the_orientation_pen_after_read(tmp_path):
     measured, measure = [], sim.penetration
 
     def recording(pairs, q_by_object, t):
-        measured.append(sim._views(q_by_object, t)[ball.oid].rotation)
+        measured.append(scene._views(sim.objects, q_by_object, t)[ball.oid].rotation)
         return measure(pairs, q_by_object, t)
 
     sim.penetration = recording
@@ -1335,7 +1335,7 @@ def test_reused_mapping_steps_as_a_rebuilt_one(tmp_path, name):
     reusing, rebuilding = Simulation(config), Simulation(config)
     reused = []
     for _ in range(6):
-        rebuilding._mapping = None
+        rebuilding._kept = None
         report = reusing.step()
         reused.append(report.mapping_reused)
         assert step_decisions(reusing, report) == step_decisions(rebuilding, rebuilding.step())
@@ -1372,7 +1372,7 @@ def test_cached_wg_and_x_are_read_only():
     sim = Simulation(fast_config("block_on_plane"))
     sim.step()
     ctx = sim.prepare_step().ctx
-    assert ctx.wg is sim._mapping.wg
+    assert ctx.wg is sim._kept.wg
     for array in (ctx.wg, *(X for _, X in ctx.X_by_object.values())):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] += 1.0
