@@ -802,6 +802,8 @@ class StepReport:
     lambda_n_sum: float
     lambda_n_max: float
     lambda_t_max: float
+    cone_excess: float  # worst |lambda_t| - mu lambda_n, over the largest lambda_n
+    lambda_n_min: float  # least lambda_n, over the largest lambda_n
     t_detect: float
     t_assemble: float
     t_free: float
@@ -814,8 +816,9 @@ class StepReport:
     CSV_FIELDS = (
         "step", "time", "c_groups", "dofs", "newton_iterations", "newton_exit",
         "solve_iterations_total", "solve_converged", "system_solves", "mapping_reused",
-        "pen_before", "pen_after", "lambda_n_sum", "lambda_n_max", "lambda_t_max", "t_detect",
-        "t_assemble", "t_free", "t_constraints", "t_build_wg", "t_rebuild_w",
+        "pen_before", "pen_after", "lambda_n_sum", "lambda_n_max", "lambda_t_max",
+        "cone_excess", "lambda_n_min", "t_detect", "t_assemble", "t_free", "t_constraints",
+        "t_build_wg", "t_rebuild_w",
         "t_solve", "t_correction", "t_final_correction", "t_step",
     )
 
@@ -1062,8 +1065,10 @@ class Simulation:
         self.last_lam = lam = result.lam
         self._kept = ctx
 
-        lam_groups = lam.reshape(-1, 3) if lam.size else np.zeros((0, 3))
-        lam_t = np.hypot(lam_groups[:, 1], lam_groups[:, 2]) if len(lam_groups) else np.zeros(0)
+        lam_groups = lam.reshape(-1, 3)
+        lam_n, lam_t = lam_groups[:, 0], np.hypot(lam_groups[:, 1], lam_groups[:, 2])
+        n_max = float(lam_n.max()) if len(lam_n) else 0.0
+        carried = n_max > 0.0  # else no group carries normal force, and both ratios read 0.0
         return StepReport(
             step=self.step_index - 1,
             time=self.time,
@@ -1074,9 +1079,11 @@ class Simulation:
             mapping_reused=prep.mapping_reused,
             pen_before=prep.pen_before,
             pen_after=pen_after,
-            lambda_n_sum=float(lam_groups[:, 0].sum()) if len(lam_groups) else 0.0,
-            lambda_n_max=float(lam_groups[:, 0].max()) if len(lam_groups) else 0.0,
+            lambda_n_sum=float(lam_n.sum()),
+            lambda_n_max=n_max,
             lambda_t_max=float(lam_t.max()) if len(lam_t) else 0.0,
+            cone_excess=float((lam_t - cfg.pgs.friction * lam_n).max()) / n_max if carried else 0.0,
+            lambda_n_min=float(lam_n.min()) / n_max if carried else 0.0,
             **prep.timings,
             t_final_correction=result.final_correction_time,
             t_step=t_end - t_begin,

@@ -1067,6 +1067,46 @@ def test_one_iteration_steps_report_the_pgs_force(scheme):
             assert report.lambda_n_max == sim.last_lam[0::3].max()
 
 
+def committed_force_fields(name, steps):
+    """Each step's (cone_excess, lambda_n_min) of the scene as shipped, each
+    checked against its definition on the step's committed force."""
+    sim = Simulation(load_scene(SCENES / f"{name}.scn"))
+    mu = sim.config.pgs.friction
+    seen = []
+    for _ in range(steps):
+        report = sim.step()
+        lam = sim.last_lam.reshape(-1, 3)
+        lam_n, lam_t = lam[:, 0], np.hypot(lam[:, 1], lam[:, 2])
+        assert report.cone_excess == (lam_t - mu * lam_n).max() / lam_n.max()
+        assert report.lambda_n_min == lam_n.min() / lam_n.max()
+        seen.append((report.cone_excess, report.lambda_n_min))
+    return seen
+
+
+def test_the_committed_force_leaves_the_cone_on_grasp_rotate():
+    # the committed force D_K f of the turning grasp breaks Coulomb's cone and
+    # pulls on some steps; a fix to its frames or its total force changes these
+    seen = committed_force_fields("grasp_rotate", 63)
+    outside = [step for step, (excess, _) in enumerate(seen) if excess > 1e-9]
+    assert (outside[0], len(outside)) == (11, 39)
+    assert max(excess for excess, _ in seen) == pytest.approx(8.07, abs=5e-3)
+    assert [step for step, (_, least) in enumerate(seen) if least < 0.0] == [13, 15]
+
+
+def test_the_committed_force_keeps_the_cone_on_bench_column():
+    seen = committed_force_fields("bench_column", 20)
+    assert max(excess for excess, _ in seen) <= 1e-15
+    assert min(least for _, least in seen) > 0.0
+
+
+def test_a_step_without_normal_force_reads_zero_cone_fields(tmp_path):
+    # the ball starts half a metre above the ground: no pairs, no force
+    falling = SPINNING_BALL.replace("[0.0, 0.0502, 0.0]", "[0.0, 0.5, 0.0]")
+    report = Simulation(load_scene(write_scene(tmp_path, falling))).step()
+    assert report.c_groups == 0
+    assert (report.cone_excess, report.lambda_n_min) == (0.0, 0.0)
+
+
 # --- analytic referee: a point mass on an incline ---------------------------------
 
 
@@ -1376,6 +1416,23 @@ def test_cached_wg_and_x_are_read_only():
     for array in (ctx.wg, *(X for _, X in ctx.X_by_object.values())):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] += 1.0
+
+
+def test_changed_attachments_free_the_kept_wg_before_the_new_one_is_built(monkeypatch):
+    # the press's attachments change every step: its kept context, W_g with
+    # it, must be gone before the next W_g takes its memory
+    sim = Simulation(fast_config("two_body_press"))
+    sim.step()
+    kept_wg = weakref.ref(sim._kept.wg)
+    freed, build = [], scene.assemble_Wg
+
+    def recording(*args):
+        freed.append(kept_wg() is None)
+        return build(*args)
+
+    monkeypatch.setattr(scene, "assemble_Wg", recording)
+    assert not sim.step().mapping_reused
+    assert freed == [True]
 
 
 def test_mapping_reused_is_reported():
