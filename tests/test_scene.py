@@ -1099,6 +1099,14 @@ def test_the_committed_force_keeps_the_cone_on_bench_column():
     assert min(least for _, least in seen) > 0.0
 
 
+def test_a_cone_past_the_float_range_reads_inside():
+    # mu lambda_n overflows; the step warns of nothing (warnings are errors)
+    config = load_scene(SCENES / "block_on_plane.scn")
+    report = Simulation(replace(config, pgs=replace(config.pgs, friction=1e308))).step()
+    assert report.lambda_n_max > 0.0
+    assert report.cone_excess <= 0.0
+
+
 def test_a_step_without_normal_force_reads_zero_cone_fields(tmp_path):
     # the ball starts half a metre above the ground: no pairs, no force
     falling = SPINNING_BALL.replace("[0.0, 0.0502, 0.0]", "[0.0, 0.5, 0.0]")
