@@ -1070,7 +1070,7 @@ class Simulation:
         n_max = float(lam_n.max()) if len(lam_n) else 0.0
         carried = n_max > 0.0  # else no group carries normal force, and both ratios read 0.0
         with np.errstate(over="ignore"):  # a cone radius past the float range: -inf, inside
-            excess = float((lam_t - cfg.pgs.friction * lam_n).max()) if carried else 0.0
+            excess = float((lam_t - cfg.pgs.friction * lam_n).max()) / n_max if carried else 0.0
         return StepReport(
             step=self.step_index - 1,
             time=self.time,
@@ -1084,7 +1084,7 @@ class Simulation:
             lambda_n_sum=float(lam_n.sum()),
             lambda_n_max=n_max,
             lambda_t_max=float(lam_t.max()) if len(lam_t) else 0.0,
-            cone_excess=excess / n_max if carried else 0.0,
+            cone_excess=excess,
             lambda_n_min=float(lam_n.min()) / n_max if carried else 0.0,
             **prep.timings,
             t_final_correction=result.final_correction_time,
