@@ -30,7 +30,7 @@ matrix, straight from the blocks. The congruence is two batched
 row-group products, W = D (D W_g^T)^T = D (W_g D^T), and W_g is held
 Fortran-ordered (the transpose of a C-ordered W_g^T), so neither product
 copies a transpose. The gather of W_g passes through
-X_o = S_J A^-1[J, J] per object, and :func:`assemble_Wg` returns it too:
+X_o = S[:, J] A^-1[J, J] per object, and :func:`assemble_Wg` returns it too:
 the fast scheme displaces the contact DOFs by dq[J] = h^2 X_o^T f for a
 world impulse f = D^T lambda, the mechanical correction on J, with no
 system solve.
@@ -168,21 +168,6 @@ def contact_dofs(S: sp.spmatrix) -> np.ndarray:
     return np.arange(6) if J.size and S.shape[1] == 6 else J
 
 
-def _columns(S: sp.csr_matrix, J: np.ndarray) -> sp.csr_matrix:
-    """``S[:, J]`` for sorted columns J: each row's entries in J, in S's order.
-
-    Relabelling the column indices by ``searchsorted`` gives the entries
-    and order of scipy's column indexing, without its general path. An
-    entry outside J (an explicit zero, as a zero weight stores) is dropped,
-    as the indexing drops it.
-    """
-    at = np.searchsorted(J, S.indices)
-    hit = at < J.size
-    hit[hit] = J[at[hit]] == S.indices[hit]
-    indptr = np.concatenate(([0], np.cumsum(hit)))[S.indptr]
-    return sp.csr_matrix((S.data[hit], at[hit], indptr), shape=(S.shape[0], J.size))
-
-
 def assemble_Wg(
     S_by_object: dict[int, sp.spmatrix],
     F_by_object: dict[int, Factorization],
@@ -190,8 +175,10 @@ def assemble_Wg(
     """W_g = sum_obj S A^-1 S^T, the direction-independent compliance (3p x 3p),
     and ``(J, X_o)`` by object, X_o = S_J A^-1[J, J] over its contact DOFs J.
 
-    Each object adds X_o S_J^T (J from :func:`contact_dofs`);
-    :meth:`Factorization.inverse_block` supplies A^-1[J, J]. S_J stays
+    Each object adds X_o S_J^T, with S_J = ``S[:, J]`` (scipy's column
+    indexing, which drops an explicit zero outside J), J from
+    :func:`contact_dofs` and A^-1[J, J] from
+    :meth:`Factorization.inverse_block`. S_J stays
     sparse, each of its rows holding a few nonzeros, so both products cost
     O(|J|²) and not the O(|J|³) of a dense S_J. An object without contact
     DOFs has no X_o. W_g is returned Fortran-ordered, as the transpose of
@@ -214,7 +201,7 @@ def assemble_Wg(
         J = contact_dofs(S)
         if J.size == 0:
             continue
-        SJ = _columns(S, J)
+        SJ = S[:, J]
         X = SJ @ F.inverse_block(J)
         wg_t += SJ @ X.T
         X_by_object[oid] = (J, X)

